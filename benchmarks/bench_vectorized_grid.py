@@ -2,13 +2,15 @@
 
 The cohort executor (``repro.runtime.batch`` over
 ``repro.backends.vectorized``) advances many analytic scenarios through one
-shared backend: FEU fidelity tables are built once per distinct hardware
-config instead of twice per run, and the per-delivery pair physics
-(decay / dephasing / correction / measurement collapse) is served from
-key-chained memoization instead of being recomputed per member.  Per-member
-results stay bit-identical to solo runs (pinned in
-``tests/test_vectorized.py`` and re-asserted here), so the speedup is pure
-throughput.
+shared backend, which serves the per-delivery pair physics (decay /
+dephasing / correction / measurement collapse) from key-chained memoization
+instead of recomputing it per member.  FEU fidelity tables are not part of
+the difference: every backend instance builds each distinct hardware
+config's table once (``PhysicsBackend.feu_table``), so the solo loop below
+shares them through the process-wide ``"analytic"`` backend just as the
+cohort shares them through its own.  Per-member results stay bit-identical
+to solo runs (pinned in ``tests/test_vectorized.py`` and re-asserted here),
+so the speedup is pure throughput.
 
 This benchmark runs the same ≥64-scenario analytic grid twice in one
 process — once per-scenario, once as a single cohort — and records both
@@ -71,6 +73,7 @@ def test_vectorized_grid_speedup():
          ["speedup", "", f"{speedup:.2f}x"]])
 
     record_perf("bench_vectorized_grid", "test_vectorized_grid_speedup",
+                backend=specs[0].backend_name(),
                 grid_scenarios=len(specs),
                 simulated_seconds=duration,
                 solo_scenarios_per_second=round(solo_rate, 1),
@@ -78,5 +81,8 @@ def test_vectorized_grid_speedup():
                 speedup=round(speedup, 2))
 
     # Sanity floor only — the real regression guard is CI's ratio check
-    # against the committed baseline.
-    assert speedup > 1.5
+    # against the committed baseline.  With FEU tables shared by the solo
+    # loop too, the cohort's edge is the memoized pair physics alone
+    # (1.09x-1.81x over 24 runs on a 2-vCPU host), so the floor only
+    # asks that a cohort is not slower than the same runs one by one.
+    assert speedup > 1.0

@@ -2,9 +2,8 @@
 
 Each benchmark module regenerates one table or figure of the paper's
 evaluation section.  Benchmarks print the reproduced rows/series so that the
-output can be compared side-by-side with the paper (EXPERIMENTS.md records
-that comparison), and use pytest-benchmark to time a representative slice of
-the underlying simulation.
+output can be compared side-by-side with the paper, and use pytest-benchmark
+to time a representative slice of the underlying simulation.
 
 Environment knobs:
 
@@ -20,7 +19,8 @@ Environment knobs:
     Directory the machine-readable perf records are written to (default:
     current working directory).  One ``BENCH_<module>.json`` file per
     benchmark module tracks wall-clock per test, events/sec where the
-    benchmark reports it, and the backend — the perf trajectory across PRs.
+    benchmark reports it, and the backend its timed runs used — the perf
+    trajectory across changes.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import os
 import time
 from collections import defaultdict
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -69,10 +70,12 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
 # --------------------------------------------------------------------------- #
 #: module name -> test name -> record dict.
 _PERF_RECORDS: dict[str, dict[str, dict]] = defaultdict(dict)
+#: module name -> backend its timed runs used, where the module names it.
+_PERF_BACKENDS: dict[str, str] = {}
 
 
-def _records() -> dict[str, dict[str, dict]]:
-    """The shared perf-record store.
+def _shared(name: str):
+    """A shared perf-record store of this module.
 
     pytest imports ``conftest.py`` under its own module name while the
     benchmark modules import ``benchmarks.conftest`` — two module objects.
@@ -80,19 +83,30 @@ def _records() -> dict[str, dict[str, dict]]:
     same dict.
     """
     try:
-        from benchmarks.conftest import _PERF_RECORDS as shared
-        return shared
+        import benchmarks.conftest as canonical
     except ImportError:  # pragma: no cover - canonical import unavailable
-        return _PERF_RECORDS
+        return globals()[name]
+    return getattr(canonical, name)
 
 
-def record_perf(module: str, test: str, **fields) -> None:
+def _records() -> dict[str, dict[str, dict]]:
+    """The shared perf-record store."""
+    return _shared("_PERF_RECORDS")
+
+
+def record_perf(module: str, test: str, backend: Optional[str] = None,
+                **fields) -> None:
     """Attach extra perf fields (e.g. ``events_per_second``) to a test record.
 
     Benchmarks call this with whatever throughput figures they can compute;
-    wall-clock and backend are recorded automatically for every test.
+    wall-clock is recorded automatically for every test.  ``backend`` names
+    the backend the module's timed runs used when the benchmark picks it
+    itself; otherwise the record names the process default
+    (``REPRO_BACKEND``).
     """
     _records()[module].setdefault(test, {}).update(fields)
+    if backend is not None:
+        _shared("_PERF_BACKENDS")[module] = backend
 
 
 def run_table1_slice(duration: float, backend=None) -> tuple[dict, int]:
@@ -134,11 +148,11 @@ def pytest_sessionfinish(session, exitstatus):
         return
     out_dir = Path(os.environ.get("REPRO_BENCH_JSON_DIR", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    backend = bench_backend()
+    backends = _shared("_PERF_BACKENDS")
     for module, tests in records.items():
         payload = {
             "module": module,
-            "backend": backend,
+            "backend": backends.get(module) or bench_backend(),
             "bench_scale": SCALE,
             "attempt_batch": BATCH,
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

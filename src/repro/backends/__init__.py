@@ -88,8 +88,11 @@ def get_backend(
         backend: Union[None, str, PhysicsBackend] = None) -> PhysicsBackend:
     """Resolve a backend name (or pass through an instance).
 
-    Named backends are shared singletons so their per-``alpha`` attempt-model
-    caches are reused across runs within one process.
+    Named backends are shared singletons, so their per-``alpha`` attempt-model
+    caches and their FEU table memo (:meth:`PhysicsBackend.feu_table`) are
+    reused across runs within one process: solo runs, cluster workers and
+    every link of a topology build each distinct table once, as a cohort's
+    own backend does.
     """
     if isinstance(backend, PhysicsBackend):
         return backend

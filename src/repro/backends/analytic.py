@@ -343,6 +343,7 @@ class AnalyticBackend(PhysicsBackend):
         if max_window_seconds <= 0:
             raise ValueError(
                 f"max_window_seconds must be positive, got {max_window_seconds}")
+        super().__init__()
         self.fast_forward = fast_forward
         self.max_window_seconds = float(max_window_seconds)
         if not fast_forward:

@@ -12,6 +12,7 @@ asks, so the MHP/EGP/FEU never touch a concrete quantum model directly:
 * **Memory decay and local operations** — T1/T2 idling, gate depolarising,
   attempt dephasing, the Psi-/Psi+ correction and noisy readout applied to
   one side of a stored :class:`~repro.hardware.pair.EntangledPair`.
+* **FEU tables** — per-``alpha`` fidelities, memoized per backend instance.
 * **Batching policy** — how many MHP cycles one GEN/REPLY exchange may cover
   (:meth:`PhysicsBackend.granted_batch`), which is where an approximate
   backend may trade event-level granularity for wall-clock speed.
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from types import MappingProxyType
+from typing import Mapping, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -143,6 +145,11 @@ class PhysicsBackend(abc.ABC):
 
     #: Registry / cache-key name of the backend (e.g. ``"density"``).
     name: str = "abstract"
+    #: Bound of the FEU table memo (overflow clears it).
+    FEU_TABLE_CACHE_SIZE = 256
+
+    def __init__(self) -> None:
+        self._feu_tables: dict[tuple, Mapping] = {}
 
     # ------------------------------------------------------------------ #
     # Heralding
@@ -151,6 +158,30 @@ class PhysicsBackend(abc.ABC):
     def attempt_model(self, scenario: "ScenarioConfig",
                       alpha: float) -> AttemptModel:
         """The (cached) attempt model for symmetric population ``alpha``."""
+
+    def feu_table(self, scenario: "ScenarioConfig",
+                  alphas: tuple[float, ...]) -> Mapping:
+        """The immutable FEU table of ``(scenario, alphas)``, built once.
+
+        Maps each request type to one ``(alpha, heralded fidelity, delivered
+        fidelity, success probability)`` row per ``alpha``; the FEU reads it.
+        """
+        from repro.core.messages import RequestType
+
+        key = (scenario, alphas)
+        table = self._feu_tables.get(key)
+        if table is None:
+            if len(self._feu_tables) >= self.FEU_TABLE_CACHE_SIZE:
+                self._feu_tables.clear()
+            models = [self.attempt_model(scenario, alpha) for alpha in alphas]
+            table = self._feu_tables[key] = MappingProxyType({
+                request_type: tuple(
+                    (alpha, model.average_success_fidelity(),
+                     model.delivered_fidelity(request_type),
+                     model.success_probability)
+                    for alpha, model in zip(alphas, models))
+                for request_type in RequestType})
+        return table
 
     # ------------------------------------------------------------------ #
     # Batching policy

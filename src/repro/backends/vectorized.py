@@ -7,12 +7,7 @@ to a solo run), so the *draws* cannot be batched across members without
 changing results — instead the backend batches everything deterministic that
 members have in common:
 
-* **Shared closed-form tables.**  FEU fidelity tables
-  (:meth:`repro.core.feu.FidelityEstimationUnit._build_tables`) are the
-  dominant per-run setup cost (~0.1 s of einsum chains per run over the
-   30-point ``alpha`` grid).  The backend exposes :attr:`feu_table_cache`;
-  every FEU built against it computes each ``(scenario, alpha grid)`` table
-  once and all cohort members reuse it.
+* **Shared FEU tables**, as on every backend (``PhysicsBackend.feu_table``).
 * **Memoized contraction chains.**  Device noise on a delivered pair is a
   chain of deterministic 4x4 contractions applied to one of a handful of
   herald states.  States are stamped with a *chain key* (equal keys ⟺
@@ -105,9 +100,6 @@ class VectorizedAnalyticBackend(AnalyticBackend):
                  max_cache_entries: int = 16384) -> None:
         super().__init__(fast_forward=fast_forward,
                          max_window_seconds=max_window_seconds)
-        #: Consulted by FidelityEstimationUnit._build_tables: maps
-        #: (scenario, alpha-grid tuple) -> completed table dict.
-        self.feu_table_cache: dict = {}
         self._keys = itertools.count(1)
         self._models: dict[tuple, _TaggedAttemptModel] = {}
         self._chain_cache: dict[tuple, tuple[int, np.ndarray]] = {}

@@ -82,9 +82,9 @@ from repro.runtime.sweep import (
 logger = logging.getLogger("repro.cluster.worker")
 
 #: Ceiling of the auto-derived cohort size: recorded speedups beyond this
-#: are noise (the vectorized backend's amortization saturates, see
-#: ``StaticCostModel.ANALYTIC_COHORT_SPEEDUP``), and oversized cohorts delay
-#: lease turnover without buying throughput.
+#: are noise (the vectorized backend's memoized pair physics saturates at
+#: about ``StaticCostModel.ANALYTIC_COHORT_SPEEDUP`` times a solo run), and
+#: oversized cohorts delay lease turnover without buying throughput.
 MAX_AUTO_BATCH_SIZE = 8
 
 

@@ -103,7 +103,6 @@ class FidelityEstimationUnit:
             raise ValueError("alpha grid values must lie in (0, 1]")
         self.test_window = test_window
         self.test_round_fraction = test_round_fraction
-        self._table: dict[RequestType, list[tuple[float, float, float, float]]] = {}
         self._test_rounds: deque[TestRoundRecord] = deque(maxlen=test_window)
         self._build_tables()
 
@@ -111,31 +110,8 @@ class FidelityEstimationUnit:
     # Hardware-model based estimates
     # ------------------------------------------------------------------ #
     def _build_tables(self) -> None:
-        # A cohort-shared backend (repro.backends.vectorized) exposes a
-        # table cache: the grid is pure function of (scenario, alpha grid),
-        # and building it — per-alpha delivered-fidelity einsum chains — is
-        # the dominant per-run setup cost, so every FEU of a cohort reuses
-        # the first member's table.  The rows are immutable tuples; the
-        # FEU only ever reads them.
-        cache = getattr(self.backend, "feu_table_cache", None)
-        cache_key = None
-        if cache is not None:
-            cache_key = (self.scenario, tuple(map(float, self.alpha_grid)))
-            cached = cache.get(cache_key)
-            if cached is not None:
-                self._table = cached
-                return
-        for request_type in (RequestType.KEEP, RequestType.MEASURE):
-            rows = []
-            for alpha in self.alpha_grid:
-                model = self.backend.attempt_model(self.scenario, float(alpha))
-                heralded = model.average_success_fidelity()
-                delivered = model.delivered_fidelity(request_type)
-                rows.append((float(alpha), heralded, delivered,
-                             model.success_probability))
-            self._table[request_type] = rows
-        if cache is not None:
-            cache[cache_key] = self._table
+        self._table = self.backend.feu_table(
+            self.scenario, tuple(map(float, self.alpha_grid)))
 
     def estimate_for_fidelity(self, min_fidelity: float,
                               request_type: RequestType) -> Optional[FidelityEstimate]:

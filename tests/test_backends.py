@@ -411,3 +411,68 @@ class TestSweepIntegration:
         restored = SweepResult.from_json(result.to_json())
         assert restored.outcomes[0].backend == "analytic"
         assert restored.outcomes == result.outcomes
+
+
+# --------------------------------------------------------------------------- #
+# FEU table memo: one table per (scenario, alpha grid) and backend instance
+# --------------------------------------------------------------------------- #
+class TestFeuTableMemo:
+    @staticmethod
+    def _spec(hardware):
+        return single_kind_scenarios(
+            hardware, kinds=("MD",), loads=("High",), max_pairs_options=(1,),
+            origins=("A",), include_md_k255=False, attempt_batch_size=50)[0]
+
+    @pytest.mark.parametrize("name", ["analytic", "density"])
+    def test_second_feu_reuses_the_table(self, name, monkeypatch):
+        from repro.core.feu import FidelityEstimationUnit
+
+        first = FidelityEstimationUnit(SCENARIOS["Lab"], backend=name)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the second FEU built a table")
+
+        monkeypatch.setattr(get_backend(name), "attempt_model", no_build)
+        second = FidelityEstimationUnit(SCENARIOS["Lab"], backend=name)
+        assert second._table is first._table
+
+    @pytest.mark.parametrize("name", ["analytic", "density"])
+    def test_run_is_independent_of_memo_history(self, name):
+        lab, ql2020 = self._spec("Lab"), self._spec("QL2020")
+        assert lab.scenario != ql2020.scenario
+
+        def run(spec):
+            result = spec.run(0.3, seed=11, backend=name)
+            return result.summary.to_dict(), result.events_processed
+
+        get_backend(name)._feu_tables.clear()
+        cold = run(lab)
+        run(ql2020)
+        after_other = run(lab)
+        after_itself = run(lab)
+        assert after_other == cold
+        assert after_itself == cold
+
+    def test_table_is_immutable(self):
+        table = AnalyticBackend().feu_table(SCENARIOS["Lab"], ALPHAS)
+        assert set(table) == set(RequestType)
+        rows = table[RequestType.KEEP]
+        assert [row[0] for row in rows] == list(ALPHAS)
+        with pytest.raises(TypeError):
+            table[RequestType.KEEP] = ()
+        with pytest.raises(TypeError):
+            rows[0] = rows[1]
+        with pytest.raises(TypeError):
+            rows[0][1] = 1.0
+
+    def test_memo_stays_within_its_bound(self):
+        backend = AnalyticBackend()
+        bound = backend.FEU_TABLE_CACHE_SIZE
+        grids = [(0.01 + 1e-3 * index,) for index in range(bound + 2)]
+        tables = [backend.feu_table(SCENARIOS["Lab"], grid) for grid in grids]
+        assert len(backend._feu_tables) <= bound
+        # The newest table is still served; evicted ones are rebuilt equal.
+        assert backend.feu_table(SCENARIOS["Lab"], grids[-1]) is tables[-1]
+        rebuilt = backend.feu_table(SCENARIOS["Lab"], grids[0])
+        assert rebuilt is not tables[0] and rebuilt == tables[0]
+        assert len(backend._feu_tables) <= bound
