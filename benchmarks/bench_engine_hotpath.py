@@ -178,6 +178,11 @@ class ReferenceEngine:
     def processed_events(self) -> int:
         return self._processed
 
+    def note_elided(self, name: str = "") -> None:
+        # Called by the protocol stack for skipped duplicate polls; the
+        # reference engine has no elision accounting to keep.
+        pass
+
     def schedule_at(self, when, callback, name="", args=()) -> _RefHandle:
         if when < self._now:
             raise RuntimeError(f"cannot schedule event at {when}")

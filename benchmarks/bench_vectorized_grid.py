@@ -7,10 +7,13 @@ dephasing / correction / measurement collapse) from key-chained memoization
 instead of recomputing it per member.  FEU fidelity tables are not part of
 the difference: every backend instance builds each distinct hardware
 config's table once (``PhysicsBackend.feu_table``), so the solo loop below
-shares them through the process-wide ``"analytic"`` backend just as the
-cohort shares them through its own.  Per-member results stay bit-identical
-to solo runs (pinned in ``tests/test_vectorized.py`` and re-asserted here),
-so the speedup is pure throughput.
+shares them through its own fresh ``AnalyticBackend`` just as the cohort
+shares them through its fresh vectorized backend.  An untimed warm-up fills
+the process-wide attempt-model caches first, so both paths start from the
+same state whichever benchmarks ran before in the process.  Per-member
+results stay bit-identical to solo runs (pinned in
+``tests/test_vectorized.py`` and re-asserted here), so the speedup is pure
+throughput.
 
 This benchmark runs the same ≥64-scenario analytic grid twice in one
 process — once per-scenario, once as a single cohort — and records both
@@ -40,14 +43,22 @@ def _grid():
 
 
 def test_vectorized_grid_speedup():
+    from repro.backends import AnalyticBackend
     from repro.runtime.batch import CohortRunner
 
     specs = _grid()
     duration = scaled(0.5)
     seeds = [31_000 + index for index in range(len(specs))]
 
+    # Untimed: one run per hardware config fills the process-wide
+    # attempt-model caches both paths read, whatever ran before.  Each
+    # timed path then builds its own FEU tables on a fresh backend.
+    for spec in {spec.scenario: spec for spec in specs}.values():
+        spec.run(duration, seed=0, backend=AnalyticBackend())
+
     started = time.perf_counter()
-    solo = [spec.run(duration, seed=seed)
+    backend = AnalyticBackend()
+    solo = [spec.run(duration, seed=seed, backend=backend)
             for spec, seed in zip(specs, seeds)]
     solo_wall = time.perf_counter() - started
 
@@ -73,7 +84,7 @@ def test_vectorized_grid_speedup():
          ["speedup", "", f"{speedup:.2f}x"]])
 
     record_perf("bench_vectorized_grid", "test_vectorized_grid_speedup",
-                backend=specs[0].backend_name(),
+                backend=backend.name,
                 grid_scenarios=len(specs),
                 simulated_seconds=duration,
                 solo_scenarios_per_second=round(solo_rate, 1),
@@ -82,7 +93,7 @@ def test_vectorized_grid_speedup():
 
     # Sanity floor only — the real regression guard is CI's ratio check
     # against the committed baseline.  With FEU tables shared by the solo
-    # loop too, the cohort's edge is the memoized pair physics alone
-    # (1.09x-1.81x over 24 runs on a 2-vCPU host), so the floor only
-    # asks that a cohort is not slower than the same runs one by one.
+    # loop too, the cohort's edge is the memoized pair physics alone: over
+    # 15 runs on a 2-vCPU host the ratio spread 0.68x-1.54x around a median
+    # of 1.00x, so this floor fails on about half of the runs there.
     assert speedup > 1.0

@@ -30,7 +30,6 @@ import os
 import time
 from collections import defaultdict
 from pathlib import Path
-from typing import Optional
 
 import pytest
 
@@ -70,12 +69,10 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
 # --------------------------------------------------------------------------- #
 #: module name -> test name -> record dict.
 _PERF_RECORDS: dict[str, dict[str, dict]] = defaultdict(dict)
-#: module name -> backend its timed runs used, where the module names it.
-_PERF_BACKENDS: dict[str, str] = {}
 
 
-def _shared(name: str):
-    """A shared perf-record store of this module.
+def _records() -> dict[str, dict[str, dict]]:
+    """The shared perf-record store.
 
     pytest imports ``conftest.py`` under its own module name while the
     benchmark modules import ``benchmarks.conftest`` — two module objects.
@@ -83,30 +80,22 @@ def _shared(name: str):
     same dict.
     """
     try:
-        import benchmarks.conftest as canonical
+        from benchmarks.conftest import _PERF_RECORDS as shared
+        return shared
     except ImportError:  # pragma: no cover - canonical import unavailable
-        return globals()[name]
-    return getattr(canonical, name)
+        return _PERF_RECORDS
 
 
-def _records() -> dict[str, dict[str, dict]]:
-    """The shared perf-record store."""
-    return _shared("_PERF_RECORDS")
-
-
-def record_perf(module: str, test: str, backend: Optional[str] = None,
-                **fields) -> None:
+def record_perf(module: str, test: str, **fields) -> None:
     """Attach extra perf fields (e.g. ``events_per_second``) to a test record.
 
     Benchmarks call this with whatever throughput figures they can compute;
-    wall-clock is recorded automatically for every test.  ``backend`` names
-    the backend the module's timed runs used when the benchmark picks it
-    itself; otherwise the record names the process default
+    wall-clock is recorded automatically for every test.  A benchmark that
+    picks its backend itself passes it as ``backend=``; the module's record
+    then names that backend instead of the process default
     (``REPRO_BACKEND``).
     """
     _records()[module].setdefault(test, {}).update(fields)
-    if backend is not None:
-        _shared("_PERF_BACKENDS")[module] = backend
 
 
 def run_table1_slice(duration: float, backend=None) -> tuple[dict, int]:
@@ -148,11 +137,12 @@ def pytest_sessionfinish(session, exitstatus):
         return
     out_dir = Path(os.environ.get("REPRO_BENCH_JSON_DIR", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    backends = _shared("_PERF_BACKENDS")
     for module, tests in records.items():
+        named = [test.pop("backend") for test in tests.values()
+                 if "backend" in test]
         payload = {
             "module": module,
-            "backend": backends.get(module) or bench_backend(),
+            "backend": named[0] if named else bench_backend(),
             "bench_scale": SCALE,
             "attempt_batch": BATCH,
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
