@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import struct
 import threading
@@ -81,6 +82,12 @@ from repro.runtime.guard import (
     QuarantineStore,
 )
 from repro.runtime.sweep import ScenarioOutcome
+
+
+#: Names of the two task files a snapshot reads: ``<index>.done`` and
+#: ``<index>.lease`` (see :func:`~repro.cluster.coordinator.done_path` and
+#: :func:`~repro.cluster.coordinator.lease_path`).
+_TASK_MARKER = re.compile(r"(0|[1-9][0-9]*)\.(done|lease)")
 
 
 class TransportError(RuntimeError):
@@ -205,6 +212,15 @@ class TaskSnapshot:
     scenario) and then validate each choice with the authoritative, atomic
     :meth:`Transport.try_claim`; a stale snapshot therefore costs at most a
     refused claim, never a double execution.
+
+    That is why a worker keeps claiming from the candidate list of its last
+    snapshot and refreshes only when the view is known to be stale — after
+    a refused claim, a reported failure, an aborted lease, or once the list
+    runs dry (see :meth:`repro.cluster.worker.ClusterWorker.step`).  The
+    protocol ops are idempotent and commute per scenario index, so a claim
+    made from an old view is either granted exactly as from a new one or
+    refused: a sweep pass costs O(N) RPCs instead of O(N) snapshots of
+    O(N) each.
     """
 
     done: frozenset[int]
@@ -435,17 +451,41 @@ class FilesystemTransport(Transport):
         single staleness rule of this transport, and up to
         ``clock_skew_tolerance`` seconds of clock disagreement between the
         lease writer and this reader can never fake a stale lease.
+
+        One directory listing covers the whole plan: done markers and
+        leases are recognised by name, and only leases of scenarios that
+        are not done are stat'ed.  Every other file in ``tasks/`` (takeover
+        tmp files, fail/death markers, indices outside the plan) is ignored.
         """
-        tolerance = self.plan.clock_skew_tolerance
+        num_specs = len(self.plan.specs)
         done = set()
+        leases = {}
+        try:
+            with os.scandir(self.cluster_dir / TASKS_DIR) as entries:
+                for entry in entries:
+                    match = _TASK_MARKER.fullmatch(entry.name)
+                    if match is None:
+                        continue
+                    index = int(match[1])
+                    if index >= num_specs:
+                        continue
+                    if match[2] == "done":
+                        done.add(index)
+                    else:
+                        leases[index] = entry
+        except FileNotFoundError:
+            pass  # nothing claimed yet
+        now = self.clock()
+        tolerance = self.plan.clock_skew_tolerance
         lease_ages = {}
-        for index in range(len(self.plan.specs)):
-            if self._is_done(index):
-                done.add(index)
+        for index, entry in leases.items():
+            if index in done:
                 continue
-            age = self._lease_age(index)
-            if age is not None:
-                lease_ages[index] = max(0.0, age - tolerance)
+            try:
+                mtime = entry.stat().st_mtime
+            except OSError:
+                continue  # released or replaced since the listing
+            lease_ages[index] = max(0.0, now - mtime - tolerance)
         return TaskSnapshot(done=frozenset(done), lease_ages=lease_ages)
 
     def _touch(self, lease: Path) -> None:
@@ -455,6 +495,10 @@ class FilesystemTransport(Transport):
 
     # -- claiming ------------------------------------------------------ #
     def try_claim(self, index: int, worker_id: str) -> bool:
+        # Done wins over any view the caller claimed from — including a
+        # quarantined scenario, whose lease was already released.
+        if self._is_done(index):
+            return False
         lease = lease_path(self.cluster_dir, index)
         lease.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps({"worker_id": worker_id,
@@ -463,7 +507,7 @@ class FilesystemTransport(Transport):
             descriptor = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             if self._is_done(index):
-                return False
+                return False  # finished while we looked
             age = self._lease_age(index)
             if age is None:
                 # Lease vanished between the existence check and now —

@@ -6,8 +6,10 @@ scenario list, seeds and shard plan from the plan document, then loops:
 
 1. **Claim** the next pending scenario of its own shard (front to back — the
    planner puts the costliest first).  Claims go through the transport's
-   atomic :meth:`~repro.cluster.transport.Transport.try_claim`; losing a race
-   just moves on to the next candidate.
+   atomic :meth:`~repro.cluster.transport.Transport.try_claim`, drawn from
+   the candidate list of the worker's last snapshot; losing a race on a
+   stale list refreshes it, on a fresh one just moves on to the next
+   candidate (see :meth:`ClusterWorker.step`).
 2. **Steal** when its shard is exhausted: victims are ranked by estimated
    *remaining* cost (the slowest shard is robbed first) and scenarios are
    taken from the back of the victim's list (the cheapest remaining work),
@@ -52,6 +54,7 @@ CLI — the whole multi-machine deployment story::
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import logging
 import os
@@ -252,6 +255,13 @@ class ClusterWorker:
         #: (keyed on ``(index, worker_id, attempt)``).
         self._attempts = 0
         self._last_snapshot: Optional[TaskSnapshot] = None
+        #: Claim candidates built from ``_last_snapshot``, in priority
+        #: order; claims pop from the front.  Emptied whenever the view is
+        #: known to be stale, so the next claim reads a new snapshot.
+        self._candidates: collections.deque[int] = collections.deque()
+        #: Whether ``_candidates`` came from a snapshot taken during the
+        #: current :meth:`step` — refusals then just move on.
+        self._fresh = False
         #: Shared vectorized backend reused across this worker's cohorts so
         #: FEU tables and physics chains stay warm between steps (results
         #: are bit-identical with or without the reuse).
@@ -287,6 +297,35 @@ class ClusterWorker:
         timeout = self.plan.lease_timeout
         return [index for index in self.plan.shard_plan.shards[shard_id]
                 if snapshot.is_available(index, timeout)]
+
+    def _refresh(self) -> None:
+        """Take a new snapshot and rebuild the candidate list from it."""
+        self._last_snapshot = self.transport.snapshot()
+        self._candidates = collections.deque(
+            self._next_candidates(self._last_snapshot))
+        self._fresh = True
+
+    def _peek(self) -> Optional[int]:
+        """Next candidate, refreshing once the cached list runs dry;
+        ``None`` when even a fresh snapshot has nothing to offer."""
+        if not self._candidates and not self._fresh:
+            self._refresh()
+        return self._candidates[0] if self._candidates else None
+
+    def _claim(self, index: int) -> bool:
+        """Try to claim the head candidate ``index``.
+
+        A refusal on a cached (not fresh) view means the view is stale:
+        the list is dropped so the next :meth:`_peek` reads a new snapshot.
+        A refusal on a fresh view just moves on to the next candidate.
+        """
+        self._candidates.popleft()
+        if self.transport.try_claim(index, self.worker_id):
+            self._note_claim(index)
+            return True
+        if not self._fresh:
+            self._candidates.clear()
+        return False
 
     def _next_candidates(self, snapshot: TaskSnapshot):
         """Yield candidate indices in claim-priority order.
@@ -356,8 +395,7 @@ class ClusterWorker:
                 self._cache.store(spec, outcome, self.plan.duration)
         return outcome
 
-    def _note_claim(self, index: int,
-                    snapshot: Optional[TaskSnapshot]) -> None:
+    def _note_claim(self, index: int) -> None:
         """Account one granted claim (steal / stale-lease takeover split)."""
         self._claims += 1
         if self.metrics is None:
@@ -365,12 +403,11 @@ class ClusterWorker:
         self.metrics.counter("repro_worker_claims_total")
         if index not in self._own_indices:
             self.metrics.counter("repro_worker_steals_total")
-        if snapshot is not None:
-            age = snapshot.lease_ages.get(index)
-            if age is not None and age >= self.plan.lease_timeout:
-                # The claim displaced a stale lease: a peer died (or was
-                # presumed dead) mid-scenario and this worker took over.
-                self.metrics.counter("repro_worker_takeovers_total")
+        age = self._last_snapshot.lease_ages.get(index)
+        if age is not None and age >= self.plan.lease_timeout:
+            # The claim displaced a stale lease: a peer died (or was
+            # presumed dead) mid-scenario and this worker took over.
+            self.metrics.counter("repro_worker_takeovers_total")
 
     def _submit(self, index: int, outcome: ScenarioOutcome) -> None:
         self._attempts += 1
@@ -406,6 +443,9 @@ class ClusterWorker:
         """
         self._attempts += 1
         self.failed.append(index)
+        # The scenario is pending again (or quarantined): re-read the task
+        # state so a retry comes first, exactly as from a fresh snapshot.
+        self._candidates.clear()
         if self.metrics is not None:
             self.metrics.counter("repro_worker_failures_total",
                                  status=outcome.status)
@@ -449,6 +489,7 @@ class ClusterWorker:
 
     def _abort(self, index: int) -> None:
         self.aborted.append(index)
+        self._candidates.clear()  # a peer took over: our view is stale
         if self.metrics is not None:
             self.metrics.counter("repro_worker_aborts_total")
         logger.warning(
@@ -473,22 +514,33 @@ class ClusterWorker:
         Live leases held by other workers are *not* waited for — callers
         that want to drain a grid poll :meth:`step` (or use :meth:`run`)
         until the coordinator reports completion.
+
+        Claims go through the candidate list built from the last snapshot,
+        so a pass over N scenarios costs O(N) RPCs, not O(N) snapshots of
+        N scenarios each.  A new snapshot is taken only when the cached
+        view is known to be stale: a claim was refused, a failure was
+        reported (the retry must come first), a lease was aborted, or the
+        list ran dry.  Claiming from a stale view is safe because
+        :meth:`~repro.cluster.transport.Transport.try_claim` is atomic and
+        authoritative — the worst a stale candidate costs is one refused
+        claim.  ``None`` is returned only after a fresh snapshot offered
+        nothing, so :meth:`run`'s completion check always reads a snapshot
+        taken in this step.
         """
         if self.crashed:
             return None
-        snapshot = self._last_snapshot = self.transport.snapshot()
+        self._fresh = False
         if self.batch_size > 1:
-            return self._step_cohort(snapshot)
-        for index in self._next_candidates(snapshot):
-            if not self.transport.try_claim(index, self.worker_id):
+            return self._step_cohort()
+        while (index := self._peek()) is not None:
+            if not self._claim(index):
                 continue
-            self._note_claim(index, snapshot)
             if self._crash_hook():
                 return None
             return self._execute_claimed(index)
         return None
 
-    def _step_cohort(self, snapshot: TaskSnapshot) -> Optional[int]:
+    def _step_cohort(self) -> Optional[int]:
         """Claim up to ``batch_size`` analytic scenarios and run them as one
         vectorized cohort — one lease and heartbeat per member, so each
         member aborts or submits individually exactly as on the solo path.
@@ -496,22 +548,24 @@ class ClusterWorker:
         from repro.runtime.batch import cohortable, execute_cohort
 
         claimed: list[int] = []
-        for index in self._next_candidates(snapshot):
+        while len(claimed) < self.batch_size:
+            if claimed and not self._candidates:
+                break  # run the members in hand; the next step refreshes
+            index = self._peek()
+            if index is None:
+                break
             solo = not cohortable(self.plan.specs[index])
             if solo and claimed:
                 # Run the cohort gathered so far first; the non-analytic
                 # scenario stays claimable for the next step (or a peer).
                 break
-            if not self.transport.try_claim(index, self.worker_id):
+            if not self._claim(index):
                 continue
-            self._note_claim(index, snapshot)
             if self._crash_hook():
                 return None
             if solo:
                 return self._execute_claimed(index)
             claimed.append(index)
-            if len(claimed) >= self.batch_size:
-                break
         if not claimed:
             return None
         if len(claimed) == 1:

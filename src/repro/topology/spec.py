@@ -20,6 +20,7 @@ Two constructors cover the paper-adjacent topologies:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import typing
@@ -33,6 +34,26 @@ from repro.hardware.parameters import (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _nested_field_types(cls: type) -> tuple[tuple[str, Optional[type]], ...]:
+    """``(field name, nested dataclass type or None)`` for each field of ``cls``.
+
+    Memoized per class: ``typing.get_type_hints`` evaluates every string
+    annotation afresh on each call, which dominated parsing a whole plan.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for spec_field in dataclasses.fields(cls):
+        hint = hints.get(spec_field.name)
+        if typing.get_origin(hint) is typing.Union:
+            args = [arg for arg in typing.get_args(hint)
+                    if arg is not type(None)]
+            hint = args[0] if len(args) == 1 else None
+        fields.append((spec_field.name,
+                       hint if dataclasses.is_dataclass(hint) else None))
+    return tuple(fields)
+
+
 def build_dataclass(cls: type, data: dict):
     """Rebuild a (possibly nested) dataclass from ``dataclasses.asdict`` output.
 
@@ -42,20 +63,14 @@ def build_dataclass(cls: type, data: dict):
     recursively.  Unknown keys are ignored so older serialised plans keep
     loading after a field is added.
     """
-    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for spec_field in dataclasses.fields(cls):
-        if spec_field.name not in data:
+    for name, nested in _nested_field_types(cls):
+        if name not in data:
             continue
-        value = data[spec_field.name]
-        hint = hints.get(spec_field.name)
-        if typing.get_origin(hint) is typing.Union:
-            args = [arg for arg in typing.get_args(hint)
-                    if arg is not type(None)]
-            hint = args[0] if len(args) == 1 else None
-        if dataclasses.is_dataclass(hint) and isinstance(value, dict):
-            value = build_dataclass(hint, value)
-        kwargs[spec_field.name] = value
+        value = data[name]
+        if nested is not None and isinstance(value, dict):
+            value = build_dataclass(nested, value)
+        kwargs[name] = value
     return cls(**kwargs)
 
 

@@ -1,0 +1,317 @@
+"""Tests for the worker's claim path: one snapshot per pass, not per claim.
+
+* The filesystem snapshot reads ``tasks/`` with one directory listing; it
+  must equal the per-index reference (a done check and a lease stat for
+  every scenario of the plan) on a directory holding every kind of task
+  file the protocol writes.
+* A worker claims through the candidate list of its last snapshot and
+  refreshes only when that view is stale, so draining a plan costs at most
+  two snapshots on either transport — while contending workers, whose
+  views do go stale, still merge equal to a serial run, and a failed
+  scenario is still retried before any other pending one.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.cluster import (
+    ClusterCoordinator,
+    ClusterWorker,
+    FilesystemTransport,
+    SocketTransport,
+    TaskSnapshot,
+    Transport,
+)
+from repro.cluster.serve import ClusterCoordinatorServer
+from repro.runtime import GuardPolicy, SweepRunner, single_kind_scenarios
+from repro.runtime.sweep import _failure_outcome
+
+DURATION = 0.05
+SEED = 77
+
+
+def grid(count, backend=None):
+    specs = single_kind_scenarios(
+        "Lab", kinds=("NL", "CK", "MD"), loads=("Low", "High"),
+        max_pairs_options=(1, 3), origins=("A", "B"),
+        include_md_k255=False, attempt_batch_size=40, backend=backend)
+    return specs[:count]
+
+
+def reference_snapshot(transport: FilesystemTransport) -> TaskSnapshot:
+    """The per-index snapshot: one done check and one lease stat each."""
+    tolerance = transport.plan.clock_skew_tolerance
+    done = set()
+    lease_ages = {}
+    for index in range(len(transport.plan.specs)):
+        if transport._is_done(index):
+            done.add(index)
+            continue
+        age = transport._lease_age(index)
+        if age is not None:
+            lease_ages[index] = max(0.0, age - tolerance)
+    return TaskSnapshot(done=frozenset(done), lease_ages=lease_ages)
+
+
+class CountingTransport(Transport):
+    """Delegates every op to ``inner``, counting snapshots and claims."""
+
+    def __init__(self, inner: Transport) -> None:
+        self.inner = inner
+        self.kind = inner.kind
+        self.plan = inner.plan
+        self.snapshots = 0
+        #: ``(index, granted)`` per claim, in call order.
+        self.claims: list[tuple[int, bool]] = []
+
+    def register_worker(self, worker_id, shard):
+        return self.inner.register_worker(worker_id, shard)
+
+    def snapshot(self):
+        self.snapshots += 1
+        return self.inner.snapshot()
+
+    def try_claim(self, index, worker_id):
+        granted = self.inner.try_claim(index, worker_id)
+        self.claims.append((index, granted))
+        return granted
+
+    def heartbeat(self, index, worker_id):
+        return self.inner.heartbeat(index, worker_id)
+
+    def submit_result(self, worker_id, index, outcome, attempt=0):
+        self.inner.submit_result(worker_id, index, outcome, attempt=attempt)
+
+    def record_failure(self, worker_id, index, outcome, attempt=0):
+        return self.inner.record_failure(worker_id, index, outcome,
+                                         attempt=attempt)
+
+    def close(self):
+        self.inner.close()
+
+    def granted(self) -> list[int]:
+        return [index for index, granted in self.claims if granted]
+
+
+def plan_cluster(tmp_path, specs, num_shards=1, **kwargs):
+    coordinator = ClusterCoordinator(specs, DURATION, tmp_path / "cluster",
+                                     master_seed=SEED, num_shards=num_shards,
+                                     **kwargs)
+    coordinator.write_plan()
+    return coordinator
+
+
+@pytest.fixture(params=("filesystem", "socket"))
+def connect(request):
+    """``connect(coordinator)`` -> a counting transport of the param kind;
+    socket transports of one coordinator share one server."""
+    servers = {}
+    transports = []
+
+    def factory(coordinator):
+        if request.param == "socket":
+            server = servers.get(id(coordinator))
+            if server is None:
+                server = servers[id(coordinator)] = \
+                    ClusterCoordinatorServer(coordinator)
+                server.start_background()
+            inner = SocketTransport(server.address)
+        else:
+            inner = FilesystemTransport(coordinator.cluster_dir)
+        transport = CountingTransport(inner)
+        transports.append(transport)
+        return transport
+
+    yield factory
+    for transport in transports:
+        transport.close()
+    for server in servers.values():
+        server.stop()
+
+
+# --------------------------------------------------------------------------- #
+# The scandir snapshot
+# --------------------------------------------------------------------------- #
+class TestSnapshotListing:
+    NOW = 1_700_000_000.0
+
+    def transport(self, tmp_path, count=8):
+        coordinator = plan_cluster(tmp_path, grid(count))
+        return FilesystemTransport(coordinator.cluster_dir,
+                                   clock=lambda: self.NOW)
+
+    def touch(self, transport, name, age=1.0):
+        path = transport.cluster_dir / "tasks" / name
+        path.write_text("{}")
+        os.utime(path, (self.NOW - age, self.NOW - age))
+
+    def test_listing_equals_per_index_reference(self, tmp_path):
+        transport = self.transport(tmp_path)
+        timeout = transport.plan.lease_timeout
+        self.touch(transport, "0.done")
+        self.touch(transport, "1.done")
+        self.touch(transport, "1.lease")          # done, lease still there
+        self.touch(transport, "2.lease", age=0.5)  # live
+        self.touch(transport, "3.lease", age=3600.0)  # stale
+        self.touch(transport, "4.lease.w9.tmp")   # takeover in flight
+        self.touch(transport, "5.fail.w1.1.json")
+        self.touch(transport, "5.death.1700000000_5.json")
+        self.touch(transport, "6.done.123.456.7.tmp")  # marker being written
+        self.touch(transport, "07.lease")          # not a canonical name
+        self.touch(transport, "8.done")            # outside the 8-spec plan
+        self.touch(transport, "99.lease")
+
+        snapshot = transport.snapshot()
+        assert snapshot == reference_snapshot(transport)
+        assert snapshot.done == {0, 1}
+        assert set(snapshot.lease_ages) == {2, 3}
+        assert not snapshot.is_available(2, timeout)
+        assert snapshot.is_available(3, timeout)
+        assert all(snapshot.is_available(index, timeout)
+                   for index in (4, 5, 6, 7))
+
+    def test_claim_on_a_done_scenario_without_a_lease_is_refused(
+            self, tmp_path):
+        # A quarantined scenario: its lease was released, then marked done.
+        # A worker claiming from an older view must not run it again.
+        transport = self.transport(tmp_path)
+        self.touch(transport, "3.done")
+        assert not transport.try_claim(3, "late")
+        assert not (transport.cluster_dir / "tasks" / "3.lease").exists()
+
+    def test_missing_tasks_directory_is_an_empty_snapshot(self, tmp_path):
+        transport = self.transport(tmp_path)
+        (transport.cluster_dir / "tasks").rmdir()
+        snapshot = transport.snapshot()
+        assert snapshot == reference_snapshot(transport)
+        assert snapshot == TaskSnapshot(done=frozenset(), lease_ages={})
+
+
+# --------------------------------------------------------------------------- #
+# The claim path
+# --------------------------------------------------------------------------- #
+class TestClaimPath:
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_draining_a_plan_takes_at_most_two_snapshots(
+            self, tmp_path, connect, batch_size):
+        specs = grid(7, backend="analytic")
+        coordinator = plan_cluster(tmp_path, specs, num_shards=3)
+        transport = connect(coordinator)
+        worker = ClusterWorker(transport, worker_id="solo", shard=0,
+                               batch_size=batch_size)
+        assert worker.run(poll_interval=0.01) == len(specs)
+        assert transport.snapshots <= 2
+        assert sorted(transport.granted()) == list(range(len(specs)))
+        assert all(granted for _, granted in transport.claims)
+        serial = SweepRunner(specs, DURATION, master_seed=SEED).run()
+        assert coordinator.merge().outcomes == serial.outcomes
+
+    def test_contending_workers_refresh_and_merge_serially(
+            self, tmp_path, connect):
+        specs = grid(8)
+        coordinator = plan_cluster(tmp_path, specs)
+        transports = [connect(coordinator), connect(coordinator)]
+        workers = [ClusterWorker(transport, worker_id=f"w{n}", shard=0,
+                                 batch_size=1)
+                   for n, transport in enumerate(transports)]
+        # Alternate steps: each worker's cached list goes stale as its peer
+        # claims, so claims are refused and views refreshed.
+        active = list(workers)
+        while active:
+            active = [worker for worker in active
+                      if worker.step() is not None]
+        refused = [index for transport in transports
+                   for index, granted in transport.claims if not granted]
+        assert refused, "the peers' views never went stale"
+        executed = [index for worker in workers for index in worker.executed]
+        assert sorted(executed) == list(range(len(specs)))
+        tasks = coordinator.cluster_dir / "tasks"
+        assert sorted(path.name for path in tasks.glob("*.done")) == \
+            sorted(f"{index}.done" for index in range(len(specs)))
+        serial = SweepRunner(specs, DURATION, master_seed=SEED).run()
+        assert coordinator.merge().outcomes == serial.outcomes
+
+    def test_refused_claim_on_a_stale_view_refreshes_it(
+            self, tmp_path, connect):
+        specs = grid(5)
+        coordinator = plan_cluster(tmp_path, specs)
+        order = coordinator.cluster_plan().shard_plan.shards[0]
+        peer = FilesystemTransport(coordinator.cluster_dir)
+        assert peer.try_claim(order[0], "peer")
+        transport = connect(coordinator)
+        worker = ClusterWorker(transport, worker_id="w", shard=0,
+                               batch_size=1)
+        assert worker.step() == order[1]
+        # Behind the worker's cached view, the peer releases its lease and
+        # takes the worker's next candidate: the refusal must refresh the
+        # view, which puts the released scenario first again.
+        (coordinator.cluster_dir / "tasks" / f"{order[0]}.lease").unlink()
+        assert peer.try_claim(order[2], "peer")
+        assert worker.step() == order[0]
+        assert transport.claims == [(order[1], True), (order[2], False),
+                                    (order[0], True)]
+        assert transport.snapshots == 2
+        peer.close()
+
+    def test_threaded_workers_execute_each_scenario_once(
+            self, tmp_path, connect):
+        specs = grid(8)
+        coordinator = plan_cluster(tmp_path, specs)
+        workers = [ClusterWorker(connect(coordinator), worker_id=f"w{n}",
+                                 shard=0, batch_size=1)
+                   for n in range(4)]
+        threads = [threading.Thread(target=worker.run,
+                                    kwargs={"poll_interval": 0.01})
+                   for worker in workers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        executed = [index for worker in workers for index in worker.executed]
+        assert sorted(executed) == list(range(len(specs)))
+        serial = SweepRunner(specs, DURATION, master_seed=SEED).run()
+        assert coordinator.merge().outcomes == serial.outcomes
+
+    def test_reported_failure_is_retried_before_other_pending(
+            self, tmp_path, connect, monkeypatch):
+        import repro.cluster.worker as worker_module
+
+        specs = grid(5)
+        coordinator = plan_cluster(
+            tmp_path, specs,
+            guard=GuardPolicy(max_events=10**9, max_attempts=2))
+        order = coordinator.cluster_plan().shard_plan.shards[0]
+        flaky = order[1]
+        execute = worker_module.execute_scenario
+        failed_once = []
+
+        def flaky_execute(spec, seed, duration, **kwargs):
+            if spec.name == specs[flaky].name and not failed_once:
+                failed_once.append(spec.name)
+                return _failure_outcome(spec, seed, duration, "error",
+                                        "injected failure",
+                                        time.perf_counter())
+            return execute(spec, seed, duration, **kwargs)
+
+        monkeypatch.setattr(worker_module, "execute_scenario", flaky_execute)
+        transport = connect(coordinator)
+        worker = ClusterWorker(transport, worker_id="solo", shard=0,
+                               batch_size=1)
+        worker.run(poll_interval=0.01)
+        assert worker.failed == [flaky]
+        assert transport.granted() == [order[0], flaky, *order[1:]]
+        merged = coordinator.merge()
+        assert [outcome.ok for outcome in merged.outcomes] == \
+            [True] * len(specs)

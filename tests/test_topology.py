@@ -12,7 +12,14 @@ import pytest
 from repro.core.messages import Priority
 from repro.hardware.parameters import lab_scenario
 from repro.quantum.states import BellIndex, bell_state
-from repro.runtime import ScenarioSpec, SweepRunner, WorkloadSpec, chain_grid, star_grid
+from repro.runtime import (
+    ScenarioSpec,
+    SweepRunner,
+    WorkloadSpec,
+    chain_grid,
+    paper_grid,
+    star_grid,
+)
 from repro.runtime.batch import cohortable
 from repro.runtime.cache import ResumeCache
 from repro.runtime.sweep import ScenarioOutcome
@@ -76,6 +83,14 @@ class TestTopologySpec:
         spec = chain_spec()
         data = json.loads(json.dumps(spec.to_dict()))
         assert ScenarioSpec.from_dict(data) == spec
+
+    def test_every_catalogue_spec_round_trips(self):
+        # Cluster workers rebuild the whole plan through from_dict, whose
+        # per-class type-hint resolution is memoized: every catalogue spec
+        # (single-link, chain and star) must still come back equal.
+        for spec in (*paper_grid(), *chain_grid(), *star_grid()):
+            data = json.loads(json.dumps(spec.to_dict()))
+            assert ScenarioSpec.from_dict(data) == spec
 
     def test_validation_rejects_broken_chains(self):
         config = lab_scenario()
