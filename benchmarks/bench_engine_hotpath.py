@@ -1,4 +1,4 @@
-"""Event-engine hot path: calendar queue + slim events + timer elision.
+"""Event-engine hot path: slim events + timer elision.
 
 PR 4's profile left the engine itself as the bottleneck of the analytic
 QL2020 mixed CK+MD workload: ~40% of the remaining wall-clock sat in the
@@ -7,11 +7,8 @@ tuple-building ``__lt__``, a fresh event + handle + closure + f-string name
 per schedule, and thousands of timers that were scheduled only to be
 cancelled (reply watchdogs) or to fire provably-no-op polls.
 
-PR 5 attacks all of it at once:
+PR 5 attacked it on two fronts:
 
-* pluggable ``EventQueue`` layer (``REPRO_ENGINE``): binary heap
-  (reference), calendar queue with recalibrating buckets + overflow
-  ladder, and a ladder/tie-bucket hybrid — all event-for-event equivalent;
 * slim ``__slots__`` events that double as their own handles, positional
   callback args instead of closures, reusable/periodic timers;
 * timer elision for the GEN/REPLY hot path: reply watchdogs skipped when
@@ -19,23 +16,17 @@ PR 5 attacks all of it at once:
   post-REPLY poll deferred past the K attempt spacing, and batched REPLYs
   collapsed into a single delivery event.
 
-Two measurements land in ``BENCH_bench_engine_hotpath.json``:
-
-``test_queue_ops_deep_backlog``
-    Raw queue churn (cycle-cadence push/pop) under a growing backlog of
-    outstanding timers.  The heap pays O(log n) Python ``__lt__`` calls per
-    operation and degrades with depth; the calendar queue is O(1) amortised
-    and flat — this is the regime where it wins.
+One measurement lands in ``BENCH_bench_engine_hotpath.json``:
 
 ``test_engine_end_to_end_speedup``
     The profiled analytic QL2020 mixed workload, end to end, on three
     configurations: the **PR-4 heap engine** (vendored below, verbatim
     semantics and allocation pattern: ordered dataclass events, per-schedule
     handle + closure, no elisions), the in-repo heap engine in the same
-    reference scheduling pattern, and the optimised configuration (calendar
-    queue + elisions; the heap stays the repo default).
+    reference scheduling pattern, and the in-repo heap engine with
+    watchdog/timer elision (the default configuration).
     All three must deliver identical pairs; the first/last ratio is the
-    PR's end-to-end speedup versus the heap engine (target >= 1.5x).
+    end-to-end speedup versus the PR-4 engine.
 """
 
 from __future__ import annotations
@@ -47,11 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from benchmarks.conftest import print_table, record_perf, scaled
-
-#: Cycle-cadence churn operations for the queue microbenchmark.
-CHURN_OPS = 60_000
-#: Outstanding-timer backlog depths to sweep.
-DEPTHS = (0, 512, 4096, 16384)
 
 
 # --------------------------------------------------------------------------- #
@@ -155,8 +141,6 @@ class ReferenceEngine:
     """The PR-4 binary-heap engine with its original per-event costs."""
 
     COMPACTION_MIN_CANCELLED = 64
-
-    queue_name = "heap-pr4-reference"
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
@@ -369,7 +353,7 @@ def _mixed_workload():
                          max_pairs=3, min_fidelity=0.55)]
 
 
-def _run_mixed(duration, *, engine=None, engine_factory=None,
+def _run_mixed(duration, *, engine_factory=None,
                elide_watchdog=None, timer_elision=True, no_grant_cache=False):
     """One profiled mixed CK+MD QL2020 run; returns (wall, result-like)."""
     from repro.analysis.metrics import MetricsCollector
@@ -383,7 +367,6 @@ def _run_mixed(duration, *, engine=None, engine_factory=None,
                                backend="analytic",
                                engine=(engine_factory() if engine_factory
                                        else None),
-                               event_queue=engine,
                                elide_watchdog=elide_watchdog,
                                timer_elision=timer_elision)
     if no_grant_cache:
@@ -399,7 +382,6 @@ def _run_mixed(duration, *, engine=None, engine_factory=None,
         "events": network.engine.processed_events,
         "pairs": metrics.summary().pairs_delivered,
         "summary": metrics.summary(),
-        "engine": network.engine.queue_name,
     }
 
 
@@ -423,65 +405,13 @@ def _best_of_interleaved(reps, *fns):
 # --------------------------------------------------------------------------- #
 # Benchmarks
 # --------------------------------------------------------------------------- #
-def test_queue_ops_deep_backlog():
-    """Raw queue churn under a growing outstanding-timer backlog."""
-    from repro.sim.queues import Event, make_event_queue
-
-    def churn(name: str, depth: int) -> float:
-        queue = make_event_queue(name)
-        seq = 0
-        for i in range(depth):
-            seq += 1
-            queue.push(Event(1.0 + i * 1e-3, seq, lambda: None))
-        started = time.perf_counter()
-        now = 0.0
-        for _ in range(CHURN_OPS):
-            seq += 1
-            now += 1e-5
-            queue.push(Event(now + 3e-4, seq, lambda: None))
-            queue.pop()
-        return time.perf_counter() - started
-
-    rows = []
-    rates: dict[tuple[str, int], float] = {}
-    for depth in DEPTHS:
-        row = [depth]
-        for name in ("heap", "calendar", "ladder"):
-            wall = min(churn(name, depth) for _ in range(3))
-            rates[(name, depth)] = CHURN_OPS / wall
-            row.append(f"{CHURN_OPS / wall / 1e6:.2f}M ops/s")
-        rows.append(row)
-
-    deep = max(DEPTHS)
-    calendar_speedup = rates[("calendar", deep)] / rates[("heap", deep)]
-    ladder_speedup = rates[("ladder", deep)] / rates[("heap", deep)]
-    print_table(
-        f"Queue churn vs backlog depth — calendar {calendar_speedup:.1f}x "
-        f"heap at depth {deep}",
-        ["backlog", "heap", "calendar", "ladder"], rows)
-
-    record_perf("bench_engine_hotpath", "test_queue_ops_deep_backlog",
-                churn_ops=CHURN_OPS,
-                ops_per_second={f"{name}@{depth}": round(rate)
-                                for (name, depth), rate in rates.items()},
-                calendar_speedup_at_depth=round(calendar_speedup, 2),
-                ladder_speedup_at_depth=round(ladder_speedup, 2),
-                backlog_depth=deep)
-
-    # The calendar queue is O(1) amortised where the heap pays O(log n):
-    # with a deep backlog it must win comfortably; the floor is loose so CI
-    # noise cannot flake it while a broken fast path (~1x) fails.
-    assert calendar_speedup >= 1.3, \
-        f"calendar only {calendar_speedup:.2f}x heap at depth {deep}"
-
-
 def test_engine_end_to_end_speedup():
-    """The profiled mixed workload: PR-4 engine vs calendar + elisions."""
+    """The profiled mixed workload: PR-4 engine vs heap + elisions."""
     duration = scaled(60.0)
 
     # Warm the process-global caches (analytic attempt models) so the
     # ordering of the measurements below cannot bias them.
-    _run_mixed(min(duration, 2.0), engine="heap")
+    _run_mixed(min(duration, 2.0))
 
     # Three configurations, rounds interleaved:
     # * before — the vendored PR-4 heap engine and the vendored PR-4
@@ -490,7 +420,7 @@ def test_engine_end_to_end_speedup():
     #   exact event stream and cost structure, event for event;
     # * slim — the in-repo heap engine on the same reference pattern,
     #   isolating the slim-event contribution (same events, leaner cost);
-    # * after — the optimised configuration: calendar queue plus
+    # * after — the default configuration: the in-repo heap engine plus
     #   watchdog/timer elision.
     def measure_before():
         with _pr4_cost_structure():
@@ -502,9 +432,9 @@ def test_engine_end_to_end_speedup():
         _best_of_interleaved(
             6,
             measure_before,
-            lambda: _run_mixed(duration, engine="heap",
-                               elide_watchdog=False, timer_elision=False),
-            lambda: _run_mixed(duration, engine="calendar"))
+            lambda: _run_mixed(duration, elide_watchdog=False,
+                               timer_elision=False),
+            lambda: _run_mixed(duration))
 
     # Identical physics everywhere: same delivered pairs and summaries;
     # the reference pattern replays the PR-4 event stream event for event.
@@ -523,10 +453,11 @@ def test_engine_end_to_end_speedup():
           before["events"], f"{before['events'] / before_wall:,.0f}"],
          ["heap + slim events (same pattern)", f"{slim_wall:.3f}",
           slim["events"], f"{slim['events'] / slim_wall:,.0f}"],
-         ["calendar + timer elision (optimised)", f"{after_wall:.3f}",
+         ["heap + slim events + timer elision", f"{after_wall:.3f}",
           after["events"], f"{after['events'] / after_wall:,.0f}"]])
 
     record_perf("bench_engine_hotpath", "test_engine_end_to_end_speedup",
+                backend="analytic",
                 simulated_seconds=duration,
                 before_wall_seconds=round(before_wall, 3),
                 before_events=before["events"],
@@ -537,8 +468,7 @@ def test_engine_end_to_end_speedup():
                 slim_events_speedup=round(slim_speedup, 2),
                 speedup=round(speedup, 2))
 
-    # Acceptance target is >= 1.5x end-to-end versus the heap engine; the
-    # assertion floor is looser so CI noise cannot flake it while a real
+    # The floor is loose so CI noise cannot flake it while a real
     # regression (~1x) fails.
     assert speedup >= 1.3, \
         f"end-to-end speedup only {speedup:.2f}x vs the PR-4 heap engine"

@@ -44,10 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="physics backend: density (exact, default), "
                              "analytic (closed-form fast path) or "
                              "analytic-exact; falls back to $REPRO_BACKEND")
-    parser.add_argument("--engine", default=None,
-                        help="event engine: heap (reference, default), "
-                             "calendar (bucket queue, hot-path fast path) "
-                             "or ladder; falls back to $REPRO_ENGINE")
     parser.add_argument("--out", default="",
                         help="write the sweep result JSON to this path")
     return parser
@@ -57,17 +53,16 @@ def main() -> None:
     args = build_parser().parse_args()
     if args.paper_grid:
         specs = paper_grid(attempt_batch_size=args.batch,
-                           backend=args.backend, engine=args.engine)
+                           backend=args.backend)
     else:
         specs = single_kind_scenarios(
             args.hardware, kinds=("NL", "CK", "MD"), loads=("Low", "High"),
             max_pairs_options=(1,), origins=("A", "B"),
             include_md_k255=False, attempt_batch_size=args.batch,
-            backend=args.backend, engine=args.engine)
+            backend=args.backend)
     print(f"Sweeping {len(specs)} scenarios x {args.duration:.2f} simulated "
           f"seconds on {args.workers} worker(s), master seed {args.seed}, "
-          f"backend {specs[0].backend_name()}, "
-          f"engine {specs[0].engine_name()}")
+          f"backend {specs[0].backend_name()}")
 
     done = 0
 

@@ -75,12 +75,6 @@ class StaticCostModel(CostModel):
     BACKEND_FACTORS = {"density": 6.0, "analytic-exact": 6.0, "analytic": 1.0}
     DEFAULT_BACKEND_FACTOR = 6.0
 
-    #: Relative per-event cost factor of the event engine (see
-    #: ``repro.sim.queues``): the calendar/ladder queues shave the queue
-    #: layer's share of the run.  Only the *ranking* matters for LPT.
-    ENGINE_FACTORS = {"heap": 1.0, "calendar": 0.7, "ladder": 0.8}
-    DEFAULT_ENGINE_FACTOR = 1.0
-
     #: Saturating per-member speedup of analytic cohort execution: a
     #: cohort of B analytic members costs roughly ``B / min(B, this)`` solo
     #: runs.  Solo runs share FEU tables through their backend too, so only
@@ -103,14 +97,11 @@ class StaticCostModel(CostModel):
             units += workload["load"] * (1.0 + workload["pairs"]) * kind
         backend = self.BACKEND_FACTORS.get(spec.backend_name(),
                                            self.DEFAULT_BACKEND_FACTOR)
-        engine = self.ENGINE_FACTORS.get(features.get("engine", "heap"),
-                                         self.DEFAULT_ENGINE_FACTOR)
         # A topology run simulates one full link stack per link on a shared
         # engine (every link re-runs the workload), so cost scales with the
         # link count.
         links = max(1, int(features.get("links", 1)))
-        return (max(duration, 1e-9) * max(units, 1e-6) * backend * engine
-                * links)
+        return max(duration, 1e-9) * max(units, 1e-6) * backend * links
 
     def cohort_estimate(self, spec: ScenarioSpec, duration: float,
                         cohort_size: int) -> float:

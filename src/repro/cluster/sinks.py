@@ -182,9 +182,6 @@ class ColumnarResultSink(ResultSink):
     mid-flush leaves an orphaned, unlisted segment directory that the next
     flush simply overwrites, plus at most the unflushed rows, which their
     workers' leases will recycle.
-
-    ``load_results`` still reads v1 parts (a v1 manifest is treated as one
-    implicit segment named ``columns``).
     """
 
     kind = "columnar"
@@ -203,7 +200,7 @@ class ColumnarResultSink(ResultSink):
         manifest_path = self.path / "manifest.json"
         if manifest_path.exists():  # resume a part: adopt sealed segments
             manifest = json.loads(manifest_path.read_text())
-            self._segments = _manifest_segments(manifest)
+            self._segments = _manifest_segments(self.path, manifest)
 
     def write(self, index: int, outcome: ScenarioOutcome) -> None:
         self._pending.append((index, outcome))
@@ -307,12 +304,14 @@ def _load_jsonl_entries(path: Path) -> list[tuple[int, ScenarioOutcome]]:
     return entries
 
 
-def _manifest_segments(manifest: dict) -> list[dict]:
-    """Segment list of a columnar manifest (v2), or the single implicit
-    segment a v1 manifest describes (its columns live under ``columns/``)."""
-    if "segments" in manifest:
-        return [dict(segment) for segment in manifest["segments"]]
-    return [{"name": "columns", "rows": manifest["rows"]}]
+def _manifest_segments(path: Path, manifest: dict) -> list[dict]:
+    """Segment list of a ``sweep-columnar/v2`` manifest; any other manifest
+    is rejected."""
+    if (manifest.get("format") != ColumnarResultSink.FORMAT
+            or "segments" not in manifest):
+        raise SinkError(f"{path}: not a {ColumnarResultSink.FORMAT} part "
+                        f"(manifest format {manifest.get('format')!r})")
+    return [dict(segment) for segment in manifest["segments"]]
 
 
 def _load_columnar_segment(path: Path, segment_dir: Path, rows: int,
@@ -332,8 +331,8 @@ def _load_columnar_segment(path: Path, segment_dir: Path, rows: int,
         # column in older segments; ``from_dict`` supplies their defaults.
         # The manifest's recorded column list is authoritative: a column it
         # names must exist (a missing file is damage, reported loudly via
-        # the read below), while an unrecorded field is skipped.  Pre-v2
-        # manifests without a column list fall back to an existence check.
+        # the read below), while an unrecorded field is skipped.  Manifests
+        # without a column list fall back to an existence check.
         if recorded_columns is not None:
             return name in recorded_columns
         return (segment_dir / f"{name}.json").exists()
@@ -362,7 +361,7 @@ def _load_columnar_entries(path: Path) -> list[tuple[int, ScenarioOutcome]]:
     manifest = json.loads((path / "manifest.json").read_text())
     recorded = manifest.get("columns")
     entries: list[tuple[int, ScenarioOutcome]] = []
-    for segment in _manifest_segments(manifest):
+    for segment in _manifest_segments(path, manifest):
         entries.extend(_load_columnar_segment(path, path / segment["name"],
                                               segment["rows"],
                                               recorded_columns=recorded))

@@ -656,7 +656,6 @@ class FilesystemTransport(Transport):
             error=(f"quarantined after spending the retry budget "
                    f"({budget} attempt(s)); last failure [{status}]"),
             backend=spec.backend_name(),
-            engine=spec.engine_name(),
         )
         self.submit_result(worker_id, index, outcome, attempt=-1)
 

@@ -36,14 +36,6 @@ from repro.sim.channel import ClassicalChannel
 from repro.sim.engine import SimulationEngine
 from repro.sim.entity import Protocol
 
-#: Maintain per-lane ready lists by delta updates (add / remove / ACK /
-#: cycle-advance promotion) instead of rescanning the whole lane after every
-#: mutation.  The full rescan remains as the fallback path (first query,
-#: or after :meth:`LocalQueue.invalidate_ready_cache`); flipping this off
-#: restores rescan-on-every-mutation for debugging.
-INCREMENTAL_READY = True
-
-
 @dataclass
 class QueueItem:
     """One entry of the distributed queue."""
@@ -151,7 +143,7 @@ class LocalQueue:
         item.arrival_order = next(self._arrivals)
         self._items[seq] = item
         self._order.append(seq)
-        if not INCREMENTAL_READY or self._ready_cache is None:
+        if self._ready_cache is None:
             self.invalidate_ready_cache()
             return
         # Delta: an unacknowledged item is invisible to readiness until its
@@ -163,7 +155,7 @@ class LocalQueue:
     def mark_acknowledged(self, item: QueueItem) -> None:
         """Readiness delta for a resident item whose ACK just arrived
         (``acknowledged`` already flipped by the caller)."""
-        if not INCREMENTAL_READY or self._ready_cache is None:
+        if self._ready_cache is None:
             self.invalidate_ready_cache()
             return
         self._insert_visible(item)
@@ -209,7 +201,7 @@ class LocalQueue:
         if item is None:
             return None
         self._order.remove(queue_seq)
-        if not INCREMENTAL_READY or self._ready_cache is None:
+        if self._ready_cache is None:
             self.invalidate_ready_cache()
             return item
         # Delta removal.  Identity scans throughout: QueueItem's dataclass
@@ -247,8 +239,7 @@ class LocalQueue:
         if self._ready_cache is not None and self._ready_cycle <= cycle:
             if cycle < self._ready_next_change:
                 return self._ready_cache
-            if INCREMENTAL_READY:
-                return self._promote(cycle)
+            return self._promote(cycle)
         ready = []
         waiting = []
         next_change = math.inf
@@ -623,7 +614,7 @@ class DistributedQueue(Protocol):
                 # item to the ready list (the resident copy rules)
         item.acknowledged = True
         # Flipping ``acknowledged`` changes readiness: delta-insert the
-        # resident item (or rescan, when the incremental path is off).
+        # resident item.
         if resident is not None:
             queue.mark_acknowledged(resident)
         if self.on_item_added is not None:

@@ -44,16 +44,13 @@ class LinkLayerNetwork:
         Whether measure-directly attempts may overlap with outstanding REPLYs.
     test_round_fraction:
         Fraction of attempts the FEU turns into test rounds (Appendix B).
+    engine:
+        The :class:`~repro.sim.engine.SimulationEngine` to run on (a
+        topology shares one across its links); ``None`` builds a fresh one.
     backend:
         Physics backend shared by the midpoint, devices, FEUs and EGPs; a
         name, an instance, or ``None`` for the environment default
         (``REPRO_BACKEND``, falling back to ``"density"``).
-    event_queue:
-        Event-engine selection for the simulation engine (ignored when an
-        ``engine`` instance is passed): an engine name (``"heap"``,
-        ``"calendar"``, ``"ladder"``), an
-        :class:`~repro.sim.queues.EventQueue` instance, or ``None`` for the
-        environment default (``REPRO_ENGINE``, falling back to ``"heap"``).
     elide_watchdog:
         Forwarded to both EGPs (skip reply watchdogs that provably cannot
         fire); ``None`` elides exactly when the scenario's frame-loss
@@ -68,15 +65,13 @@ class LinkLayerNetwork:
                  attempt_batch_size: int = 1,
                  engine: Optional[SimulationEngine] = None,
                  backend=None,
-                 event_queue=None,
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True) -> None:
         from repro.backends import get_backend
 
         self.scenario = scenario
         self.backend = get_backend(backend)
-        self.engine = (engine if engine is not None
-                       else SimulationEngine(queue=event_queue))
+        self.engine = engine if engine is not None else SimulationEngine()
         master_rng = np.random.default_rng(seed)
         self._rngs = {name: np.random.default_rng(master_rng.integers(2 ** 63))
                       for name in ("midpoint", "device_a", "device_b",

@@ -7,8 +7,8 @@ runtime, and the cluster:
   (:class:`~repro.obs.trace.Tracer`): per-kind engine event accounting
   (scheduled/executed/cancelled/elided) plus protocol-level records
   (midpoint cycle outcomes, EGP OKs/errors and queue depths, swap
-  provenance).  Bit-identical for a ``(spec, seed)`` pair across event
-  engines and across solo vs cohort execution.
+  provenance).  Bit-identical for a ``(spec, seed)`` pair across repeat
+  runs and across solo vs cohort execution.
 - **metrics** — a labelled counter/gauge/histogram registry
   (:class:`~repro.obs.metrics.MetricsRegistry`) serializing to JSON and
   Prometheus text, aggregated per-run → per-shard → per-sweep; cluster

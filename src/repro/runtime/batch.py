@@ -154,7 +154,7 @@ class CohortRunner:
                     spec.scenario, spec.workload, scheduler=spec.scheduler,
                     seed=spec.seed if seed is None else seed,
                     attempt_batch_size=spec.attempt_batch_size,
-                    backend=self.backend, engine=spec.engine)
+                    backend=self.backend)
                 if self.guard is not None:
                     self.guard.install(member.run.network.engine)
                 member.run.start()
@@ -288,7 +288,6 @@ def execute_cohort(payloads: Sequence[tuple[int, ScenarioSpec, int, float]],
                 status="error",
                 error=error or "cohort member did not finish",
                 backend=spec.backend_name(),
-                engine=spec.engine_name(),
                 wall_time=member_wall,
                 cohort=cohort,
             )

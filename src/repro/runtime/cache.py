@@ -184,14 +184,12 @@ class ResumeCache:
         return digest[:20]
 
     def path(self, spec: "ScenarioSpec", seed: int, duration: float,
-             backend: Optional[str] = None,
-             engine: Optional[str] = None) -> Path:
+             backend: Optional[str] = None) -> Path:
         """Cache file for ``spec`` under the given (or resolved) backend and
-        event engine."""
+        the spec's event engine."""
         backend = backend or spec.backend_name()
-        engine = engine or spec.engine_name()
         return self.directory / (f"{self.key(spec, seed, duration)}"
-                                 f".{backend}.{engine}.json")
+                                 f".{backend}.{spec.engine}.json")
 
     # ------------------------------------------------------------------ #
     # Load / store
@@ -215,8 +213,8 @@ class ResumeCache:
         from repro.runtime.sweep import ScenarioOutcome
 
         backend = spec.backend_name()
-        engine = spec.engine_name()
-        path = self.path(spec, seed, duration, backend=backend, engine=engine)
+        engine = spec.engine
+        path = self.path(spec, seed, duration, backend=backend)
         if not path.exists():
             reason = self._foreign_variant_reason(spec, seed, duration,
                                                   backend, engine)
@@ -303,7 +301,7 @@ class ResumeCache:
         if data.get("cache_version") != CACHE_VERSION:
             return 0
         if (data.get("backend") != spec.backend_name()
-                or data.get("engine") != spec.engine_name()):
+                or data.get("engine") != spec.engine):
             return 0
         attempts = data.get("attempts")
         return int(attempts) if isinstance(attempts, int) else 0
@@ -321,11 +319,11 @@ class ResumeCache:
         if not outcome.ok and attempts is None:
             return
         path = self.path(spec, outcome.seed, duration,
-                         backend=outcome.backend, engine=outcome.engine)
+                         backend=outcome.backend)
         payload = {
             "cache_version": CACHE_VERSION,
             "backend": outcome.backend,
-            "engine": outcome.engine,
+            "engine": spec.engine,
             "topology": _topology_stamp(spec),
             "outcome": outcome.to_dict(),
         }

@@ -10,6 +10,7 @@ from repro.core.scheduler import SchedulingStrategy
 from repro.hardware.parameters import ScenarioConfig
 from repro.network.network import LinkLayerNetwork
 from repro.runtime.workload import RequestGenerator, WorkloadSpec
+from repro.sim.queues import ENGINE
 
 
 @dataclass
@@ -30,15 +31,13 @@ class RunResult:
     seed: Optional[int] = None
     #: Resolved name of the physics backend that produced this result.
     backend: str = "density"
-    #: Resolved name of the event-engine (queue) implementation the run was
-    #: simulated on.  Engines are event-for-event equivalent, so this is
-    #: provenance, not part of the result identity — excluded from
-    #: comparison like the live handles below.
-    engine: str = field(default="heap", compare=False)
+    #: Name of the event queue the run was simulated on (always
+    #: ``"heap"``): provenance, not part of the result identity — excluded
+    #: from comparison like the live handles below.
+    engine: str = field(default=ENGINE, compare=False)
     #: Simulation events processed during the run — deterministic for a
     #: given (scenario, seed, backend), and the raw signal cost models and
-    #: benchmarks use to compare runs across machines.  Identical across
-    #: event engines (the equivalence suite pins this).
+    #: benchmarks use to compare runs across machines.
     events_processed: int = 0
     #: Events never scheduled thanks to outcome-preserving timer elision
     #: (PR 5/7): skipped watchdogs, no-op busy polls, collapsed reply
@@ -98,10 +97,6 @@ class SimulationRun:
     backend:
         Physics backend for the whole run; a name, an instance, or ``None``
         for the environment default (``REPRO_BACKEND``).
-    engine:
-        Event-engine selection for the simulation; a name (``"heap"``,
-        ``"calendar"``, ``"ladder"``), an ``EventQueue`` instance, or
-        ``None`` for the environment default (``REPRO_ENGINE``).
     elide_watchdog:
         Forwarded to the EGPs; ``None`` skips reply watchdogs exactly when
         the scenario cannot lose classical frames.
@@ -114,7 +109,6 @@ class SimulationRun:
                  emission_multiplexing: bool = True,
                  attempt_batch_size: int = 1,
                  backend=None,
-                 engine=None,
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True,
                  obs="env") -> None:
@@ -125,7 +119,6 @@ class SimulationRun:
                                         emission_multiplexing=emission_multiplexing,
                                         attempt_batch_size=attempt_batch_size,
                                         backend=backend,
-                                        event_queue=engine,
                                         elide_watchdog=elide_watchdog,
                                         timer_elision=timer_elision)
         self.metrics = MetricsCollector(self.network)
@@ -176,7 +169,6 @@ class SimulationRun:
             requests_issued=self.generator.requests_issued,
             seed=self.seed,
             backend=self.network.backend.name,
-            engine=self.network.engine.queue_name,
             events_processed=self.network.engine.processed_events,
             events_elided=self.network.engine.elided_events,
             metrics=self.metrics,
@@ -193,14 +185,14 @@ def run_scenario(scenario: ScenarioConfig, workload: Sequence[WorkloadSpec],
                  seed: Optional[int] = 12345,
                  emission_multiplexing: bool = True,
                  attempt_batch_size: int = 1,
-                 backend=None, engine=None,
+                 backend=None,
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True) -> RunResult:
     """Convenience one-shot runner used by benchmarks and examples."""
     run = SimulationRun(scenario, workload, scheduler=scheduler, seed=seed,
                         emission_multiplexing=emission_multiplexing,
                         attempt_batch_size=attempt_batch_size,
-                        backend=backend, engine=engine,
+                        backend=backend,
                         elide_watchdog=elide_watchdog,
                         timer_elision=timer_elision)
     return run.run(duration)

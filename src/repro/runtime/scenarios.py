@@ -24,6 +24,7 @@ from repro.core.messages import Priority, RequestType
 from repro.hardware.parameters import ScenarioConfig, lab_scenario, ql2020_scenario
 from repro.runtime.runner import RunResult, SimulationRun
 from repro.runtime.workload import UsagePattern, WorkloadSpec
+from repro.sim.queues import ENGINE
 from repro.topology.spec import Topology, build_dataclass as _build_dataclass
 
 #: Load levels of the long runs (Section 6): name -> f_P.
@@ -78,9 +79,9 @@ class ScenarioSpec:
     #: Kept as a string (not an instance) so specs stay picklable for sweep
     #: workers and hashable for the sweep cache.
     backend: Optional[str] = None
-    #: Event-engine (queue implementation) name; ``None`` resolves through
-    #: ``REPRO_ENGINE``.  A string for the same reasons as ``backend``.
-    engine: Optional[str] = None
+    #: Event-queue name, recorded as provenance.  ``"heap"`` is the only
+    #: engine; any other value raises ``ValueError``.
+    engine: str = ENGINE
     #: Multi-link network topology (:class:`repro.topology.Topology`);
     #: ``None`` keeps the classic single-link run.  When set, ``scenario``
     #: still names the per-link hardware used for display/cost features, but
@@ -88,17 +89,16 @@ class ScenarioSpec:
     #: run dispatches to :class:`repro.topology.run.TopologyRun`.
     topology: Optional[Topology] = None
 
+    def __post_init__(self) -> None:
+        if self.engine != ENGINE:
+            raise ValueError(f"unknown event engine {self.engine!r}; "
+                             f"the only engine is {ENGINE!r}")
+
     def backend_name(self) -> str:
         """The concrete backend name this spec resolves to right now."""
         from repro.backends import resolve_backend_name
 
         return resolve_backend_name(self.backend)
-
-    def engine_name(self) -> str:
-        """The concrete event-engine name this spec resolves to right now."""
-        from repro.sim.queues import resolve_engine_name
-
-        return resolve_engine_name(self.engine)
 
     # ------------------------------------------------------------------ #
     # Serialisation and identity (cluster plans, resume cache, cost models)
@@ -145,7 +145,9 @@ class ScenarioSpec:
             seed=data.get("seed", 12345),
             attempt_batch_size=data.get("attempt_batch_size", 1),
             backend=data.get("backend"),
-            engine=data.get("engine"),
+            # Plans written while the engine was selectable store ``None``
+            # for "the default", which was always the heap.
+            engine=data.get("engine") or ENGINE,
             topology=(Topology.from_dict(data["topology"])
                       if data.get("topology") else None),
         )
@@ -154,10 +156,10 @@ class ScenarioSpec:
         """Everything that defines the scenario *itself*.
 
         Excludes the backend and the event engine (the same scenario
-        simulated under a different physics backend or queue implementation
-        shares an identity; the resume cache and cost models key on
-        ``(identity, backend)`` — with the engine recorded alongside — so
-        those dimensions stay detectable), the legacy ``seed`` field
+        simulated under a different physics backend shares an identity; the
+        resume cache and cost models key on ``(identity, backend)`` — with
+        the engine recorded alongside — so those dimensions stay
+        detectable), the legacy ``seed`` field
         (sweeps derive per-scenario seeds from the master seed), and the
         topology — which the resume cache records in the entry payload
         (name + content hash) so a topology redefinition under an unchanged
@@ -194,7 +196,6 @@ class ScenarioSpec:
             "hardware": self.scenario.name,
             "expected_cycles_k": self.scenario.timing.expected_cycles_per_attempt_k,
             "batch": self.attempt_batch_size,
-            "engine": self.engine_name(),
             # Multi-link topologies simulate one full MHP/EGP stack per link
             # on a shared engine, so cost scales roughly linearly in links.
             "links": 1 if self.topology is None else len(self.topology.links),
@@ -209,7 +210,6 @@ class ScenarioSpec:
     def run(self, duration: float, seed: Optional[int] = None,
             attempt_batch_size: Optional[int] = None,
             backend: Optional[str] = None,
-            engine: Optional[str] = None,
             guard=None) -> RunResult:
         """Build and run the scenario for ``duration`` simulated seconds.
 
@@ -228,8 +228,7 @@ class ScenarioSpec:
                 self.topology, self.workload, scheduler=self.scheduler,
                 seed=self.seed if seed is None else seed,
                 attempt_batch_size=batch,
-                backend=backend if backend is not None else self.backend,
-                engine=engine if engine is not None else self.engine)
+                backend=backend if backend is not None else self.backend)
             if guard is not None:
                 guard.install(simulation.network.engine)
             return simulation.run(duration)
@@ -238,9 +237,7 @@ class ScenarioSpec:
                                    seed=self.seed if seed is None else seed,
                                    attempt_batch_size=batch,
                                    backend=backend if backend is not None
-                                   else self.backend,
-                                   engine=engine if engine is not None
-                                   else self.engine)
+                                   else self.backend)
         if guard is not None:
             guard.install(simulation.network.engine)
         return simulation.run(duration)
@@ -263,7 +260,7 @@ def single_kind_scenarios(hardware: str = "Lab",
                           include_md_k255: bool = True,
                           attempt_batch_size: int = 1,
                           backend: Optional[str] = None,
-                          engine: Optional[str] = None,
+                          engine: str = ENGINE,
                           ) -> list[ScenarioSpec]:
     """The single-kind scenario grid of the long runs (Section 6.2).
 
@@ -303,7 +300,7 @@ def mixed_kind_scenarios(hardware: str = "QL2020",
                          schedulers: tuple[str, ...] = ("FCFS", "HigherWFQ"),
                          attempt_batch_size: int = 1,
                          backend: Optional[str] = None,
-                         engine: Optional[str] = None,
+                         engine: str = ENGINE,
                          ) -> list[ScenarioSpec]:
     """Mixed-priority scenarios of Section 6.3 / Appendix C.2."""
     config = _hardware(hardware)
@@ -322,7 +319,7 @@ def mixed_kind_scenarios(hardware: str = "QL2020",
 
 def table1_scenarios(hardware: str = "QL2020",
                      backend: Optional[str] = None,
-                     engine: Optional[str] = None) -> list[ScenarioSpec]:
+                     engine: str = ENGINE) -> list[ScenarioSpec]:
     """The two request patterns of Table 1 (uniform, and no-NL-more-MD).
 
     Pairs per request are fixed: 2 (NL), 2 (CK) and 10 (MD).
@@ -357,7 +354,7 @@ def robustness_scenarios(hardware: str = "Lab",
                          ROBUSTNESS_LOSS_PROBABILITIES,
                          attempt_batch_size: int = 1,
                          backend: Optional[str] = None,
-                         engine: Optional[str] = None) -> list[ScenarioSpec]:
+                         engine: str = ENGINE) -> list[ScenarioSpec]:
     """The classical frame-loss robustness scenarios of Section 6.1.
 
     Per-attempt messaging (no batching by default) so that every classical
@@ -384,7 +381,7 @@ def paper_grid(hardwares: tuple[str, ...] = ("Lab", "QL2020"),
                include_robustness: bool = True,
                attempt_batch_size: int = 1,
                backend: Optional[str] = None,
-               engine: Optional[str] = None) -> list[ScenarioSpec]:
+               engine: str = ENGINE) -> list[ScenarioSpec]:
     """The full evaluation grid of the paper's long runs — 169 scenarios.
 
     Composition (Section 6):
@@ -431,7 +428,7 @@ def chain_grid(lengths: tuple[int, ...] = (3, 4, 5),
                min_fidelity: float = DEFAULT_MIN_FIDELITY,
                attempt_batch_size: int = 1,
                backend: Optional[str] = None,
-               engine: Optional[str] = None) -> list[ScenarioSpec]:
+               engine: str = ENGINE) -> list[ScenarioSpec]:
     """Repeater-chain scenarios: swap-ASAP over ``lengths``-node chains.
 
     Every link of a chain runs its own create-and-keep workload (chains
@@ -469,7 +466,7 @@ def star_grid(sizes: tuple[int, ...] = (2, 3),
               min_fidelity: float = DEFAULT_MIN_FIDELITY,
               attempt_batch_size: int = 1,
               backend: Optional[str] = None,
-              engine: Optional[str] = None) -> list[ScenarioSpec]:
+              engine: str = ENGINE) -> list[ScenarioSpec]:
     """Switched-star scenarios: ``sizes`` node pairs time-sharing a midpoint.
 
     Star links behave like independent single-link runs behind a lossy

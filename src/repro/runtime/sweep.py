@@ -59,6 +59,7 @@ from repro.runtime.scenarios import (
     paper_grid,
     star_grid,
 )
+from repro.sim.queues import ENGINE
 
 __all__ = [
     "CACHE_VERSION",
@@ -134,20 +135,17 @@ class ScenarioOutcome:
     backend: str = "density"
     #: Simulation events processed — deterministic for a given (scenario,
     #: seed, backend), so it participates in equality and pins the
-    #: serial-vs-sharded equivalence tests down to the event count.  The
-    #: event *engine* does not change it (engines are trace-equivalent).
+    #: serial-vs-sharded equivalence tests down to the event count.
     events_processed: int = 0
     #: Events never scheduled thanks to outcome-preserving timer elision
     #: (PR 5/7) — makes the elision wins visible in sweep output.
-    #: Deterministic for a given (scenario, seed, backend) and identical
-    #: across engines, but provenance rather than result identity, so it
-    #: is excluded from comparison (old cache entries lack it).
+    #: Deterministic for a given (scenario, seed, backend), but provenance
+    #: rather than result identity, so it is excluded from comparison (old
+    #: cache entries lack it).
     events_elided: int = field(default=0, compare=False)
-    #: Resolved event-engine (queue implementation) the scenario ran on.
-    #: Engines are event-for-event equivalent, so this is provenance —
-    #: excluded from comparison so a heap sweep and a calendar sweep of the
-    #: same grid are field-for-field identical.
-    engine: str = field(default="heap", compare=False)
+    #: Event queue the scenario ran on (always ``"heap"``): provenance,
+    #: excluded from comparison.
+    engine: str = field(default=ENGINE, compare=False)
     wall_time: float = field(default=0.0, compare=False)
     from_cache: bool = field(default=False, compare=False)
     #: Cohort size when the scenario ran inside a vectorized cohort
@@ -194,7 +192,7 @@ class ScenarioOutcome:
             backend=data.get("backend", "density"),
             events_processed=data.get("events_processed", 0),
             events_elided=data.get("events_elided", 0),
-            engine=data.get("engine", "heap"),
+            engine=data.get("engine", ENGINE),
             wall_time=data.get("wall_time", 0.0),
             from_cache=data.get("from_cache", False),
             cohort=data.get("cohort"),
@@ -298,7 +296,6 @@ def _failure_outcome(spec: ScenarioSpec, seed: int, duration: float,
         status=status,
         error=error,
         backend=spec.backend_name(),
-        engine=spec.engine_name(),
         events_processed=events_processed,
         wall_time=time.perf_counter() - started,
     )

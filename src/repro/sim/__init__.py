@@ -29,16 +29,7 @@ from repro.sim.engine import (
 from repro.sim.entity import Entity, Protocol
 from repro.sim.channel import ClassicalChannel, QuantumChannel, ChannelDelivery
 from repro.sim.clock import Clock
-from repro.sim.queues import (
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-    LadderEventQueue,
-    available_engines,
-    default_engine_name,
-    make_event_queue,
-    resolve_engine_name,
-)
+from repro.sim.queues import ENGINE, HeapEventQueue
 
 __all__ = [
     "SimulationEngine",
@@ -53,12 +44,6 @@ __all__ = [
     "QuantumChannel",
     "ChannelDelivery",
     "Clock",
-    "EventQueue",
+    "ENGINE",
     "HeapEventQueue",
-    "CalendarEventQueue",
-    "LadderEventQueue",
-    "available_engines",
-    "default_engine_name",
-    "make_event_queue",
-    "resolve_engine_name",
 ]

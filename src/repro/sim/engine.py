@@ -5,12 +5,8 @@ is a float in seconds.  Events scheduled at the same timestamp are executed
 in insertion order, which gives deterministic behaviour for protocols that
 schedule several actions "now".
 
-*How* pending events are stored is pluggable: the engine delegates to an
-:class:`~repro.sim.queues.EventQueue` — the reference binary heap, a
-calendar queue tuned to the MHP cycle cadence, or a ladder/tie-bucket
-hybrid (see :mod:`repro.sim.queues`).  All implementations are
-order-equivalent; selection is by name, instance, or the ``REPRO_ENGINE``
-environment variable.
+Pending events live in one binary heap with lazy cancellation
+(:class:`~repro.sim.queues.HeapEventQueue`).
 
 The engine is deliberately minimal: the sophistication of the reproduction
 lives in the protocol and hardware models, not in the scheduler.  What *is*
@@ -26,14 +22,9 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from repro.sim.queues import (
-    Event,
-    EventHandle,
-    EventQueue,
-    make_event_queue,
-)
+from repro.sim.queues import Event, EventHandle, HeapEventQueue
 
 __all__ = [
     "DeadlineExceeded",
@@ -212,11 +203,6 @@ class SimulationEngine:
     ----------
     start_time:
         Initial simulation time in seconds (default ``0.0``).
-    queue:
-        Event-queue implementation: an engine name (``"heap"``,
-        ``"calendar"``, ``"ladder"``), an
-        :class:`~repro.sim.queues.EventQueue` instance, or ``None`` for the
-        environment default (``REPRO_ENGINE``, falling back to ``"heap"``).
 
     Examples
     --------
@@ -228,11 +214,9 @@ class SimulationEngine:
     [1.0]
     """
 
-    def __init__(self, start_time: float = 0.0,
-                 queue: Union[None, str, EventQueue] = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue = make_event_queue(queue)
-        self._queue.clear(self._now)
+        self._queue = HeapEventQueue()
         self._counter = itertools.count()
         self._running = False
         self._processed = 0
@@ -246,8 +230,8 @@ class SimulationEngine:
         #: epoch refuse to re-arm their stale event objects.
         self._epoch = 0
         #: Optional event-trace sink: when set to a list, every executed
-        #: event appends ``(time, sequence, name)``.  The engine-equivalence
-        #: tests pin these traces across queue implementations.
+        #: event appends ``(time, sequence, name)``.  The elision tests
+        #: compare these traces with and without elided timers.
         self.trace: Optional[list] = None
         #: Optional :class:`repro.obs.Tracer`.  ``None`` (the default)
         #: keeps every instrumentation site a single ``is not None``
@@ -267,11 +251,6 @@ class SimulationEngine:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def queue_name(self) -> str:
-        """Registry name of the event-queue implementation in use."""
-        return self._queue.name
 
     @property
     def pending_events(self) -> int:
@@ -427,8 +406,8 @@ class SimulationEngine:
 
     def _note_cancelled(self, event: Event) -> None:
         """Forward a cancellation to the queue's accounting (compaction is
-        the queue's business — bucket-local where the structure allows)."""
-        self._queue.note_cancelled(event)
+        the queue's business)."""
+        self._queue.note_cancelled()
         if self.tracer is not None:
             self.tracer.on_cancelled(event.name)
 
@@ -440,7 +419,7 @@ class SimulationEngine:
         epoch's accounting, and they can never re-arm or resurrect events
         into the fresh queue.
         """
-        self._queue.clear(float(start_time))
+        self._queue.clear()
         self._now = float(start_time)
         self._counter = itertools.count()
         self._processed = 0

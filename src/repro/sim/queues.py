@@ -1,54 +1,26 @@
-"""Pluggable event-queue implementations for the simulation engine.
+"""The simulation engine's event queue.
 
-The engine's job is to pop timestamped events in ``(time, sequence)`` order;
-*how* the pending events are stored is a pluggable strategy behind the
-:class:`EventQueue` contract, mirroring the physics-backend registry
-(``repro.backends``).  Three implementations are provided:
+The engine pops timestamped events in ``(time, sequence)`` order from one
+binary heap (``heapq``).  Cancellation is lazy: a cancelled event stays in
+the heap until it surfaces, and once cancelled residents outnumber live
+events the heap is rebuilt without them.  The ordering is total — the
+sequence number is unique per engine — so compaction never changes the
+firing order.
 
-``"heap"`` (default)
-    The reference binary heap (``heapq``) with lazy cancellation and global
-    compaction — exactly the seed engine's behaviour.
-``"calendar"``
-    A calendar queue (Brown 1988) tuned to the MHP workload: the dominant
-    GEN/REPLY/poll pattern schedules near-future events at a regular cycle
-    cadence, which a bucket-per-time-slice calendar serves with O(1)
-    amortised enqueue/dequeue.  Bucket width and count recalibrate
-    automatically from the observed inter-event gaps, and far-future timers
-    (request timeouts, EXPIRE retries) wait on an overflow ladder that is
-    promoted into the calendar year by year.
-``"ladder"``
-    A ladder/tie-bucket hybrid: events sharing an exact timestamp are
-    appended to one FIFO rung (same-timestamp events are almost always
-    scheduled back-to-back, so the append is O(1) and already in sequence
-    order), and a small lazy heap orders the rung head times.  Cancelling
-    every event of a rung drops the whole rung in O(1).
-
-Every implementation is **order-equivalent**: for the same sequence of
-``push``/``pop``/``note_cancelled`` operations they yield the same events in
-the same total ``(time, sequence)`` order, which the engine-equivalence
-tests pin event-for-event.
-
-Selection mirrors the backend plumbing: every entry point accepts an engine
-name or :class:`EventQueue` instance, and when none is given the
-``REPRO_ENGINE`` environment variable decides, falling back to ``"heap"``.
-Unlike physics backends, queue instances are *stateful* and therefore never
-shared: :func:`make_event_queue` returns a fresh instance per call.
+The heap is the only event queue: on the profiled single link and the
+5-node repeater chain it was faster than a calendar queue and a ladder
+queue.  Specs, results and resume-cache filenames record its name,
+:data:`ENGINE`, as provenance.
 """
 
 from __future__ import annotations
 
-import os
-from abc import ABC, abstractmethod
-from bisect import insort
 from heapq import heapify, heappop, heappush
-from math import floor, isfinite
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-#: Environment variable consulted when no engine is passed explicitly.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Name of the reference event-queue implementation.
-DEFAULT_ENGINE = "heap"
+#: Name of the event queue, recorded as provenance on specs, results and
+#: resume-cache entries.
+ENGINE = "heap"
 
 
 class Event:
@@ -119,79 +91,20 @@ class Event:
 EventHandle = Event
 
 
-class EventQueue(ABC):
-    """Storage strategy for the engine's pending events.
+class HeapEventQueue:
+    """Pending events of one engine, in a binary heap.
 
-    The contract is intentionally small: ``push`` accepts an event whose
-    ``popped`` flag the queue clears, ``peek``/``pop`` return the next
-    **live** event in ``(time, sequence)`` order (discarding cancelled
-    residents as they surface, marking them ``popped``), and
-    ``note_cancelled`` lets the implementation keep cancelled events from
-    accumulating — bucket-locally where the structure allows it.
+    ``push`` clears the event's ``popped`` flag; ``pop``/``pop_due``
+    return the next **live** event in ``(time, sequence)`` order,
+    discarding cancelled residents as they surface (marking them
+    ``popped``).  Cancelled events stay in the heap until popped; once they
+    outnumber the live events the heap is rebuilt without them (amortised
+    O(1) per cancellation).
 
     ``len(queue)`` counts *resident* events (live plus not-yet-discarded
     cancelled ones); :attr:`live_count` counts only live events and is what
     the engine reports as ``pending_events``.
     """
-
-    #: Registry name of the implementation.
-    name: str = "base"
-
-    @abstractmethod
-    def push(self, event: Event) -> None:
-        """Insert ``event`` (the queue clears ``event.popped``)."""
-
-    @abstractmethod
-    def peek(self) -> Optional[Event]:
-        """The next live event, or ``None``; cancelled residents surfacing
-        at the head are discarded (marked ``popped``)."""
-
-    @abstractmethod
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None``."""
-
-    def pop_due(self, until: Optional[float]) -> Optional[Event]:
-        """Pop the next live event if it is due (``time <= until``).
-
-        Returns ``None`` when the queue is empty *or* the next event lies
-        beyond ``until`` — the engine's run loop treats both as "stop here".
-        Implementations override this to fuse the peek/pop pair into one
-        call on the per-event hot path.
-        """
-        event = self.peek()
-        if event is None or (until is not None and event.time > until):
-            return None
-        return self.pop()
-
-    @abstractmethod
-    def note_cancelled(self, event: Event) -> None:
-        """Record that a resident event was cancelled."""
-
-    @abstractmethod
-    def clear(self, floor_time: float = 0.0) -> None:
-        """Discard every resident event (marking them ``popped``) and reset
-        internal state; ``floor_time`` is the new lower bound on event
-        times."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Resident events, including cancelled ones awaiting discard."""
-
-    @property
-    @abstractmethod
-    def live_count(self) -> int:
-        """Events that are still scheduled to fire."""
-
-
-class HeapEventQueue(EventQueue):
-    """The reference binary-heap queue (the seed engine's behaviour).
-
-    Cancelled events stay in the heap until popped; once they outnumber the
-    live events the heap is rebuilt without them (amortised O(1) per
-    cancellation).
-    """
-
-    name = "heap"
 
     #: Minimum number of cancelled events in the heap before a compaction is
     #: even considered (avoids churn on tiny queues).
@@ -205,13 +118,6 @@ class HeapEventQueue(EventQueue):
         event.popped = False
         heappush(self._heap, event)
 
-    def peek(self) -> Optional[Event]:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heappop(heap).popped = True
-            self._cancelled -= 1
-        return heap[0] if heap else None
-
     def pop(self) -> Optional[Event]:
         heap = self._heap
         while heap:
@@ -223,7 +129,13 @@ class HeapEventQueue(EventQueue):
             return event
         return None
 
-    def pop_due(self, until) -> Optional[Event]:
+    def pop_due(self, until: Optional[float]) -> Optional[Event]:
+        """Pop the next live event if it is due (``time <= until``).
+
+        Returns ``None`` when the queue is empty *or* the next event lies
+        beyond ``until``; the engine's run loop treats both as "stop
+        here".
+        """
         heap = self._heap
         while heap:
             head = heap[0]
@@ -237,7 +149,8 @@ class HeapEventQueue(EventQueue):
             return head
         return None
 
-    def note_cancelled(self, event: Event) -> None:
+    def note_cancelled(self) -> None:
+        """Record that a resident event was cancelled."""
         self._cancelled += 1
         if (self._cancelled >= self.COMPACTION_MIN_CANCELLED
                 and 2 * self._cancelled > len(self._heap)):
@@ -256,7 +169,8 @@ class HeapEventQueue(EventQueue):
         heapify(self._heap)
         self._cancelled = 0
 
-    def clear(self, floor_time: float = 0.0) -> None:
+    def clear(self) -> None:
+        """Discard every resident event, marking them ``popped``."""
         for event in self._heap:
             event.popped = True
         self._heap.clear()
@@ -270,561 +184,9 @@ class HeapEventQueue(EventQueue):
         return len(self._heap) - self._cancelled
 
 
-class CalendarEventQueue(EventQueue):
-    """Calendar queue with automatic recalibration and an overflow ladder.
-
-    Time is divided into fixed-width *days*; day ``d`` covers
-    ``[d * width, (d + 1) * width)`` and maps to bucket ``d % num_buckets``.
-    Each bucket is a list kept sorted by ``(time, sequence)`` (``insort``),
-    so within the roughly one-event-per-day regime the calendar is tuned
-    for, both enqueue and dequeue are O(1) amortised.
-
-    Events more than one calendar *year* (``num_buckets * width``) ahead of
-    the current limit wait on the **overflow ladder** — a small heap that is
-    promoted into the calendar one year at a time whenever the calendar
-    drains.  Whenever the resident population outgrows (or undershoots) the
-    bucket count, the calendar rebuilds: the bucket count doubles/halves and
-    the width recalibrates to the observed inter-event gap near the head.
-
-    Cancellation is O(1): the owning bucket is found arithmetically from the
-    event's time, and only that bucket is compacted when its cancelled
-    population dominates (bucket-local, never a full-queue sweep).
-    """
-
-    name = "calendar"
-
-    MIN_BUCKETS = 8
-    MAX_BUCKETS = 1 << 15
-    #: Bucket compaction threshold: compact a bucket once it holds at least
-    #: this many cancelled events and they outnumber the live ones.
-    BUCKET_COMPACT_MIN = 8
-    #: Overflow-ladder compaction threshold (the ladder is one heap, so the
-    #: rule mirrors the heap queue's global one).
-    OVERFLOW_COMPACT_MIN = 64
-    #: Gap-sample size used to recalibrate the bucket width on rebuild.
-    WIDTH_SAMPLE = 64
-    #: Target days per event: width ~= TARGET_SPREAD * average gap.
-    TARGET_SPREAD = 3.0
-
-    def __init__(self) -> None:
-        self._n = self.MIN_BUCKETS
-        self._width = 1.0
-        self._buckets: list[list[Event]] = [[] for _ in range(self._n)]
-        self._bucket_cancelled = [0] * self._n
-        #: Resident events currently held in buckets (live + cancelled).
-        self._resident = 0
-        #: Live events across buckets and overflow.
-        self._live = 0
-        #: Day of the last popped event — pushes are never earlier.
-        self._day = 0
-        #: First day served by the overflow ladder instead of the calendar.
-        self._limit_day = self._n
-        self._overflow: list[Event] = []
-        self._overflow_cancelled = 0
-        #: Cached next live event (valid until popped or cancelled).
-        self._head: Optional[Event] = None
-        self._floor = 0.0
-
-    # ------------------------------------------------------------------ #
-    # Core operations
-    # ------------------------------------------------------------------ #
-    def push(self, event: Event) -> None:
-        event.popped = False
-        self._live += 1
-        day = floor(event.time / self._width)
-        if day >= self._limit_day:
-            # Overflow events can never precede any calendar resident (their
-            # day is >= the limit), so the head cache needs no update.
-            heappush(self._overflow, event)
-            return
-        insort(self._buckets[day % self._n], event)
-        self._resident += 1
-        if self._resident > 2 * self._n and self._n < self.MAX_BUCKETS:
-            self._rebuild()
-            return
-        head = self._head
-        # A ``None`` head means "unknown", not "empty" — only an event that
-        # beats the *known* head may replace it; the next peek rescans.
-        if head is not None and event < head:
-            self._head = event
-
-    def peek(self) -> Optional[Event]:
-        head = self._head
-        if head is not None:
-            return head
-        head = self._scan()
-        self._head = head
-        return head
-
-    def pop(self) -> Optional[Event]:
-        return self.pop_due(None)
-
-    def pop_due(self, until) -> Optional[Event]:
-        # The engine's per-event hot path, kept flat so one call covers
-        # locate + bound-check + unlink + head re-cache.
-        head = self._head
-        if head is None:
-            head = self._scan()
-            if head is None:
-                return None
-            self._head = head
-        if until is not None and head.time > until:
-            return None
-        width = self._width
-        n = self._n
-        day = floor(head.time / width)
-        bucket = self._buckets[day % n]
-        # Cancelled residents with a smaller (time, sequence) may still sit
-        # in front of the head inside its bucket; discard them on the way.
-        while bucket[0] is not head:
-            self._discard_front(bucket, day % n)
-        del bucket[0]
-        head.popped = True
-        self._resident -= 1
-        self._live -= 1
-        self._day = day
-        self._floor = head.time
-        # Cheap head re-cache: the new bucket front is the global minimum
-        # whenever it is live and belongs to the same day (every other
-        # bucket only holds later days) — the common case for clustered
-        # cycle-cadence events, sparing a full scan per pop.
-        if (bucket and not bucket[0].cancelled
-                and floor(bucket[0].time / width) == day):
-            self._head = bucket[0]
-        else:
-            self._head = None
-        if (n > self.MIN_BUCKETS
-                and self._resident + len(self._overflow) < n // 4):
-            self._rebuild()
-        return head
-
-    def note_cancelled(self, event: Event) -> None:
-        self._live -= 1
-        if event is self._head:
-            self._head = None
-        day = floor(event.time / self._width)
-        if day >= self._limit_day:
-            self._overflow_cancelled += 1
-            if (self._overflow_cancelled >= self.OVERFLOW_COMPACT_MIN
-                    and 2 * self._overflow_cancelled > len(self._overflow)):
-                self._compact_overflow()
-            return
-        index = day % self._n
-        self._bucket_cancelled[index] += 1
-        cancelled = self._bucket_cancelled[index]
-        if (cancelled >= self.BUCKET_COMPACT_MIN
-                and 2 * cancelled > len(self._buckets[index])):
-            self._compact_bucket(index)
-
-    def clear(self, floor_time: float = 0.0) -> None:
-        for bucket in self._buckets:
-            for event in bucket:
-                event.popped = True
-        for event in self._overflow:
-            event.popped = True
-        self._n = self.MIN_BUCKETS
-        self._width = 1.0
-        self._buckets = [[] for _ in range(self._n)]
-        self._bucket_cancelled = [0] * self._n
-        self._resident = 0
-        self._live = 0
-        self._floor = floor_time
-        self._day = floor(floor_time / self._width)
-        self._limit_day = self._day + self._n
-        self._overflow = []
-        self._overflow_cancelled = 0
-        self._head = None
-
-    def __len__(self) -> int:
-        return self._resident + len(self._overflow)
-
-    @property
-    def live_count(self) -> int:
-        return self._live
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _discard_front(self, bucket: list[Event], index: int) -> None:
-        """Physically drop the (cancelled) front event of ``bucket``."""
-        event = bucket.pop(0)
-        event.popped = True
-        self._resident -= 1
-        self._bucket_cancelled[index] -= 1
-
-    def _scan(self) -> Optional[Event]:
-        """Locate the next live event, discarding surfaced cancelled ones.
-
-        Sweeps day by day from the current day; after a fruitless whole-year
-        sweep it jumps straight to the earliest bucket head (so a
-        ``run(until=...)`` landing in a long empty stretch costs one jump,
-        not a walk over every empty bucket), and when the calendar is empty
-        it promotes the next year of the overflow ladder.
-        """
-        while True:
-            if self._resident == 0:
-                if not self._promote_overflow():
-                    return None
-            # _day is kept equal to floor(_floor / _width) (or the overflow
-            # promotion base) by every mutator, so the sweep resumes exactly
-            # where the last pop left off.
-            day = self._day
-            width = self._width
-            n = self._n
-            buckets = self._buckets
-            scanned = 0
-            found = None
-            while found is None:
-                bucket = buckets[day % n]
-                while bucket:
-                    head = bucket[0]
-                    if head.cancelled:
-                        self._discard_front(bucket, day % n)
-                        continue
-                    # Live residents always have day >= the sweep start (a
-                    # push is never earlier than the last popped time), so
-                    # <= only ever matches the sweep day itself; the bound
-                    # is defensive.
-                    if floor(head.time / width) <= day:
-                        found = head
-                    break
-                if found is not None:
-                    break
-                day += 1
-                scanned += 1
-                if scanned >= n:
-                    # A whole year with nothing due: jump to the earliest
-                    # bucket head instead of walking day by day.
-                    heads = [b[0] for b in buckets if b]
-                    if not heads:
-                        break  # everything left was cancelled and discarded
-                    earliest = min(heads)
-                    day = floor(earliest.time / width)
-                    scanned = 0
-            if found is not None:
-                return found
-            # The calendar drained during the sweep (cancelled discards);
-            # loop around to promote overflow or report empty.
-            if self._resident == 0 and not self._overflow:
-                return None
-
-    def _promote_overflow(self) -> bool:
-        """Move the next year of overflow events into the calendar.
-
-        ``_day`` is deliberately left alone: it must never exceed the day
-        of a *future* push (pushes are bounded below by the engine clock,
-        not by the overflow year), so the follow-up scan walks forward
-        from the current day and reaches the promoted year through its
-        empty-year jump.
-        """
-        overflow = self._overflow
-        while overflow and overflow[0].cancelled:
-            heappop(overflow).popped = True
-            self._overflow_cancelled -= 1
-        if not overflow:
-            return False
-        base = floor(overflow[0].time / self._width)
-        self._limit_day = base + self._n
-        while overflow and floor(overflow[0].time / self._width) < self._limit_day:
-            event = heappop(overflow)
-            if event.cancelled:
-                event.popped = True
-                self._overflow_cancelled -= 1
-                continue
-            insort(self._buckets[
-                floor(event.time / self._width) % self._n], event)
-            self._resident += 1
-        return self._resident > 0 or bool(overflow)
-
-    def _compact_bucket(self, index: int) -> None:
-        bucket = self._buckets[index]
-        live = []
-        for event in bucket:
-            if event.cancelled:
-                event.popped = True
-            else:
-                live.append(event)
-        self._resident -= len(bucket) - len(live)
-        self._buckets[index] = live
-        self._bucket_cancelled[index] = 0
-
-    def _compact_overflow(self) -> None:
-        live = []
-        for event in self._overflow:
-            if event.cancelled:
-                event.popped = True
-            else:
-                live.append(event)
-        self._overflow = live
-        heapify(self._overflow)
-        self._overflow_cancelled = 0
-
-    def _rebuild(self) -> None:
-        """Resize the bucket array and recalibrate the bucket width.
-
-        Gathers every resident event (buckets and overflow), drops the
-        cancelled ones, re-derives the width from the average gap between
-        the earliest events, and redistributes.  Rebuilds are triggered on
-        power-of-two population thresholds, so their cost is amortised O(1)
-        per operation.
-        """
-        events: list[Event] = []
-        for bucket in self._buckets:
-            for event in bucket:
-                if event.cancelled:
-                    event.popped = True
-                else:
-                    events.append(event)
-        for event in self._overflow:
-            if event.cancelled:
-                event.popped = True
-            else:
-                events.append(event)
-        size = len(events)
-        n = self._n
-        while size > 2 * n and n < self.MAX_BUCKETS:
-            n *= 2
-        while size < n // 4 and n > self.MIN_BUCKETS:
-            n //= 2
-        self._n = n
-        self._width = self._calibrate_width(events)
-        self._buckets = [[] for _ in range(n)]
-        self._bucket_cancelled = [0] * n
-        self._overflow = []
-        self._overflow_cancelled = 0
-        self._resident = 0
-        self._day = floor(self._floor / self._width)
-        self._limit_day = self._day + n
-        self._head = None
-        self._live = 0  # push re-increments per event
-        for event in events:
-            self.push(event)
-
-    def _calibrate_width(self, events: list[Event]) -> float:
-        """Bucket width from the observed event spacing near the head."""
-        if len(events) < 2:
-            return self._width
-        times = sorted(event.time for event in events)
-        sample = times[:self.WIDTH_SAMPLE]
-        gaps = [b - a for a, b in zip(sample, sample[1:]) if b > a]
-        if not gaps:
-            return self._width
-        width = self.TARGET_SPREAD * (sum(gaps) / len(gaps))
-        if not isfinite(width) or width <= 0.0:
-            return self._width
-        # Guard against a width so small that day numbers lose integer
-        # precision in float division.
-        head = abs(times[0])
-        if head > 0 and head / width > 2 ** 52:
-            width = head / 2 ** 52
-        return width
-
-
-class _TieRung:
-    """One rung of the ladder queue: a FIFO of same-timestamp events."""
-
-    __slots__ = ("events", "head", "cancelled")
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-        self.head = 0
-        self.cancelled = 0
-
-    def remaining(self) -> int:
-        return len(self.events) - self.head
-
-
-class LadderEventQueue(EventQueue):
-    """Ladder/tie-bucket hybrid keyed on exact timestamps.
-
-    Most same-timestamp events are scheduled back-to-back (a protocol
-    scheduling several actions "now"), so each distinct timestamp gets one
-    FIFO *rung*: appending preserves sequence order for free, dequeue is a
-    pointer bump, and a lazy heap of rung times orders the rungs.  A rung
-    whose events are all cancelled is dropped in O(1) — cancelled watchdog
-    timers never pile up.
-    """
-
-    name = "ladder"
-
-    #: Rung compaction threshold (mirrors the calendar's bucket-local rule).
-    RUNG_COMPACT_MIN = 8
-
-    def __init__(self) -> None:
-        self._rungs: dict[float, _TieRung] = {}
-        #: Lazy min-heap of rung times; may contain stale entries for rungs
-        #: that were exhausted or dropped.
-        self._times: list[float] = []
-        self._live = 0
-        self._size = 0
-
-    def push(self, event: Event) -> None:
-        event.popped = False
-        rung = self._rungs.get(event.time)
-        if rung is None:
-            rung = _TieRung()
-            self._rungs[event.time] = rung
-            heappush(self._times, event.time)
-        # The engine's sequence counter is monotone, so appending keeps the
-        # rung sorted by sequence without a comparison.
-        rung.events.append(event)
-        self._live += 1
-        self._size += 1
-
-    def _front(self) -> Optional[_TieRung]:
-        """The rung holding the next live event (discarding as needed)."""
-        times = self._times
-        while times:
-            time = times[0]
-            rung = self._rungs.get(time)
-            if rung is not None:
-                events = rung.events
-                head = rung.head
-                while head < len(events):
-                    event = events[head]
-                    if not event.cancelled:
-                        rung.head = head
-                        return rung
-                    event.popped = True
-                    head += 1
-                    rung.cancelled -= 1
-                    self._size -= 1
-                rung.head = head
-                del self._rungs[time]
-            heappop(times)
-        return None
-
-    def peek(self) -> Optional[Event]:
-        rung = self._front()
-        if rung is None:
-            return None
-        return rung.events[rung.head]
-
-    def pop(self) -> Optional[Event]:
-        rung = self._front()
-        if rung is None:
-            return None
-        event = rung.events[rung.head]
-        rung.head += 1
-        event.popped = True
-        self._live -= 1
-        self._size -= 1
-        return event
-
-    def pop_due(self, until) -> Optional[Event]:
-        rung = self._front()
-        if rung is None:
-            return None
-        event = rung.events[rung.head]
-        if until is not None and event.time > until:
-            return None
-        rung.head += 1
-        event.popped = True
-        self._live -= 1
-        self._size -= 1
-        return event
-
-    def note_cancelled(self, event: Event) -> None:
-        self._live -= 1
-        rung = self._rungs.get(event.time)
-        if rung is None:  # pragma: no cover - defensive; residents have rungs
-            return
-        rung.cancelled += 1
-        remaining = rung.remaining()
-        if rung.cancelled >= remaining:
-            # Whole rung cancelled: drop it now; its heap entry goes stale
-            # and is skipped lazily.
-            for pending in rung.events[rung.head:]:
-                pending.popped = True
-            self._size -= remaining
-            del self._rungs[event.time]
-        elif (rung.cancelled >= self.RUNG_COMPACT_MIN
-                and 2 * rung.cancelled > remaining):
-            live = [e for e in rung.events[rung.head:] if not e.cancelled]
-            dropped = remaining - len(live)
-            for pending in rung.events[rung.head:]:
-                if pending.cancelled:
-                    pending.popped = True
-            rung.events = live
-            rung.head = 0
-            rung.cancelled = 0
-            self._size -= dropped
-
-    def clear(self, floor_time: float = 0.0) -> None:
-        for rung in self._rungs.values():
-            for event in rung.events[rung.head:]:
-                event.popped = True
-        self._rungs.clear()
-        self._times.clear()
-        self._live = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def live_count(self) -> int:
-        return self._live
-
-
-_QUEUE_TYPES: dict[str, type[EventQueue]] = {
-    "heap": HeapEventQueue,
-    "calendar": CalendarEventQueue,
-    "ladder": LadderEventQueue,
-}
-
-
-def available_engines() -> list[str]:
-    """Engine names accepted by :func:`make_event_queue`."""
-    return sorted(_QUEUE_TYPES)
-
-
-def default_engine_name() -> str:
-    """Engine name selected by the environment (``REPRO_ENGINE``)."""
-    return os.environ.get(ENGINE_ENV_VAR, DEFAULT_ENGINE).strip() or \
-        DEFAULT_ENGINE
-
-
-def resolve_engine_name(engine: Union[None, str, EventQueue]) -> str:
-    """The concrete engine name ``engine`` resolves to.
-
-    Used wherever the name must be recorded (results, resume-cache entries,
-    cost features) before/without instantiating a queue.
-    """
-    if engine is None:
-        name = default_engine_name()
-    elif isinstance(engine, EventQueue):
-        return engine.name
-    else:
-        name = str(engine)
-    if name not in _QUEUE_TYPES:
-        raise ValueError(f"unknown event engine {name!r}; "
-                         f"available: {available_engines()}")
-    return name
-
-
-def make_event_queue(engine: Union[None, str, EventQueue] = None) -> EventQueue:
-    """Build a fresh event queue (or pass through an instance).
-
-    Queues are stateful, so — unlike physics backends — they are never
-    shared between engines.
-    """
-    if isinstance(engine, EventQueue):
-        return engine
-    return _QUEUE_TYPES[resolve_engine_name(engine)]()
-
-
 __all__ = [
-    "CalendarEventQueue",
-    "DEFAULT_ENGINE",
-    "ENGINE_ENV_VAR",
+    "ENGINE",
     "Event",
     "EventHandle",
-    "EventQueue",
     "HeapEventQueue",
-    "LadderEventQueue",
-    "available_engines",
-    "default_engine_name",
-    "make_event_queue",
-    "resolve_engine_name",
 ]

@@ -138,7 +138,7 @@ class TopologyNetwork:
 
     Accepts the same knobs as a single-link
     :class:`~repro.runtime.runner.SimulationRun` (scheduler, seed, attempt
-    batching, backend, event engine, timer elision) and applies them to
+    batching, backend, timer elision) and applies them to
     every link; ``swap_gate_fidelity`` parameterises the repeater BSM noise
     for chains.
     """
@@ -149,7 +149,6 @@ class TopologyNetwork:
                  emission_multiplexing: bool = True,
                  attempt_batch_size: int = 1,
                  backend=None,
-                 event_queue=None,
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True,
                  swap_gate_fidelity: float = 1.0) -> None:
@@ -157,7 +156,7 @@ class TopologyNetwork:
 
         topology.validate()
         self.topology = topology
-        self.engine = SimulationEngine(queue=event_queue)
+        self.engine = SimulationEngine()
         self.backend = get_backend(backend)
         seeds = derive_link_seeds(seed, len(topology.links))
         #: Per-link seeds (last entry feeds the swap RNG) — exposed so the

@@ -95,7 +95,6 @@ class TopologyRun:
                  emission_multiplexing: bool = True,
                  attempt_batch_size: int = 1,
                  backend=None,
-                 engine=None,
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True,
                  swap_gate_fidelity: float = 1.0,
@@ -114,7 +113,7 @@ class TopologyRun:
             topology, scheduler=scheduler, seed=seed,
             emission_multiplexing=emission_multiplexing,
             attempt_batch_size=attempt_batch_size, backend=backend,
-            event_queue=engine, elide_watchdog=elide_watchdog,
+            elide_watchdog=elide_watchdog,
             timer_elision=timer_elision,
             swap_gate_fidelity=swap_gate_fidelity)
         # Chains buffer delivered pairs for swapping, so memory release is
@@ -187,7 +186,6 @@ class TopologyRun:
                                 for generator in self.generators),
             seed=self.seed,
             backend=self.network.backend.name,
-            engine=self.network.engine.queue_name,
             events_processed=self.network.engine.processed_events,
             events_elided=self.network.engine.elided_events,
             hops=hops,

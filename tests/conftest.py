@@ -12,34 +12,26 @@ from repro.sim.engine import SimulationEngine
 
 
 @pytest.fixture(autouse=True)
-def _isolate_repro_selectors():
-    """Fail any test that leaks a ``REPRO_BACKEND`` / ``REPRO_ENGINE``
-    change to its neighbours.
+def _isolate_repro_backend():
+    """Fail any test that leaks a ``REPRO_BACKEND`` change to its
+    neighbours.
 
-    The whole suite is run once per backend (and once per event engine) in
-    CI, so a test that mutates a selector without restoring it silently
-    changes the physics — or the event queue — of every later test.
-    ``monkeypatch.setenv`` is fine (it restores before this fixture's
-    teardown runs); bare ``os.environ`` writes are the bug this guards
-    against.  The original value is restored either way so one offender
-    cannot cascade.
+    The whole suite is run once per backend in CI, so a test that mutates
+    the selector without restoring it silently changes the physics of
+    every later test.  ``monkeypatch.setenv`` is fine (it restores before
+    this fixture's teardown runs); bare ``os.environ`` writes are the bug
+    this guards against.  The original value is restored *before* failing,
+    so one offender cannot cascade into later tests.
     """
-    before = {var: os.environ.get(var)
-              for var in ("REPRO_BACKEND", "REPRO_ENGINE")}
+    before = os.environ.get("REPRO_BACKEND")
     yield
-    leaks = []
-    for var, value in before.items():
-        after = os.environ.get(var)
-        if after != value:
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-            leaks.append(f"{var}: {value!r} -> {after!r}")
-    if leaks:
-        # Every variable is restored *before* failing, so one offender
-        # cannot cascade into later tests.
-        pytest.fail(f"test leaked {'; '.join(leaks)} "
+    after = os.environ.get("REPRO_BACKEND")
+    if after != before:
+        if before is None:
+            os.environ.pop("REPRO_BACKEND", None)
+        else:
+            os.environ["REPRO_BACKEND"] = before
+        pytest.fail(f"test leaked REPRO_BACKEND: {before!r} -> {after!r} "
                     f"(use monkeypatch.setenv, which restores itself)")
 
 

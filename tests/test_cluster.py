@@ -386,41 +386,29 @@ class TestSinks:
         loaded = load_results(path)
         assert [index for index, _ in loaded] == [0]
 
-    def test_columnar_v1_part_still_loads(self, outcomes, tmp_path):
-        # Pre-chunking parts (single columns/ dir, no segment list) remain
-        # readable and merge identically.
-        import dataclasses
-
-        from repro.analysis.metrics import MetricsSummary
-        from repro.runtime.cache import CACHE_VERSION, atomic_write_text
-        from repro.runtime.sweep import ScenarioOutcome
+    @pytest.mark.parametrize("manifest", [
+        # A v1 part: one implicit ``columns/`` dir, no segment list.
+        {"format": "sweep-columnar/v1", "rows": 1, "columns": ["index"]},
+        # A v2 format tag without the segment list.
+        {"format": "sweep-columnar/v2", "rows": 1, "columns": ["index"]},
+    ])
+    def test_columnar_part_without_v2_manifest_rejected(
+            self, outcomes, tmp_path, manifest):
+        from repro.runtime.cache import atomic_write_text
 
         path = tmp_path / part_name("columnar", "w0")
-        columns_dir = path / "columns"
-        columns_dir.mkdir(parents=True)
-        rows = list(enumerate(outcomes.outcomes))
-        outcome_fields = [f.name for f in dataclasses.fields(ScenarioOutcome)
-                          if f.name != "summary"]
-        columns = {"index": [i for i, _ in rows]}
-        for name in outcome_fields:
-            columns[name] = [getattr(o, name) for _, o in rows]
-        for name in [f.name for f in dataclasses.fields(MetricsSummary)]:
-            columns[f"summary.{name}"] = [getattr(o.summary, name)
-                                          for _, o in rows]
-        for name, values in columns.items():
-            atomic_write_text(columns_dir / f"{name}.json",
-                              json.dumps(values))
+        (path / "columns").mkdir(parents=True)
+        atomic_write_text(path / "columns" / "index.json", "[0]")
         atomic_write_text(path / "manifest.json", json.dumps({
-            "format": "sweep-columnar/v1",
-            "cache_version": CACHE_VERSION,
-            "master_seed": outcomes.master_seed,
-            "duration": outcomes.duration,
-            "rows": len(rows),
-            "columns": sorted(columns),
-        }))
-        assert [o for _, o in load_results(path)] == outcomes.outcomes
-        merged = merge_results([path], expected_count=len(rows))
-        assert merged.outcomes == outcomes.outcomes
+            **manifest, "master_seed": outcomes.master_seed,
+            "duration": outcomes.duration}))
+        with pytest.raises(SinkError, match="sweep-columnar/v2"):
+            load_results(path)
+        with pytest.raises(SinkError, match="sweep-columnar/v2"):
+            merge_results([path], expected_count=1)
+        with pytest.raises(SinkError, match="sweep-columnar/v2"):
+            open_sink("columnar", path, master_seed=outcomes.master_seed,
+                      duration=outcomes.duration)
 
     def test_merge_detects_missing_scenarios(self, outcomes, tmp_path):
         path = self.sink_path(tmp_path, "jsonl")

@@ -1,20 +1,16 @@
-"""Engine-equivalence suite (PR 5 acceptance).
+"""Timer elision and the engine provenance field.
 
-Every event-queue implementation must drive the *same simulation*: for a
-given scenario, seed and physics backend, the heap, calendar and ladder
-engines must execute the identical event sequence — pinned here event for
-event via the engine trace — and sweeps run under different engines must be
-field-for-field identical.
-
-Also pins the two elision satellites: reply-watchdog elision is
-bit-identical (the watchdog never fires at zero frame loss), and GEN/REPLY
-timer elision preserves every delivered outcome while strictly shrinking
-the event count.
+Reply-watchdog elision is bit-identical (the watchdog never fires at zero
+frame loss), and GEN/REPLY timer elision preserves every delivered outcome
+while strictly shrinking the event count.  ``ScenarioSpec.engine`` records
+the one event queue, ``"heap"``, and rejects any other name.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +21,11 @@ from repro.runtime.scenarios import ScenarioSpec, single_kind_scenarios
 from repro.runtime.sweep import SweepRunner
 from repro.runtime.workload import WorkloadSpec
 
-ENGINES = ("heap", "calendar", "ladder")
+#: A resume-cache entry for ``TestEnginePlumbing.grid_spec()`` (master seed
+#: 5, 0.2 simulated s), written while the event engine was still
+#: selectable and the spec's engine field was ``None``.
+HEAP_CACHE_ENTRY = (Path(__file__).parent / "data" / "heap_cache"
+                    / "30ccf6a3fdfc28d93fb9.analytic.heap.json")
 
 MIXED_WORKLOAD = [
     WorkloadSpec(priority=Priority.CK, load_fraction=0.99, max_pairs=1,
@@ -35,74 +35,14 @@ MIXED_WORKLOAD = [
 ]
 
 
-def traced_run(scenario, workload, duration, *, engine, backend,
+def traced_run(scenario, workload, duration, *, backend,
                seed=12345, batch=40, **kwargs):
     """Run one simulation recording the executed-event trace."""
     run = SimulationRun(scenario, workload, seed=seed,
-                        attempt_batch_size=batch, backend=backend,
-                        engine=engine, **kwargs)
+                        attempt_batch_size=batch, backend=backend, **kwargs)
     run.network.engine.trace = []
     result = run.run(duration)
     return result, run.network.engine.trace
-
-
-class TestTraceEquivalence:
-    """Event-for-event identical traces across all engines."""
-
-    @pytest.mark.parametrize("backend", ["analytic", "density"])
-    def test_smoke_ql2020_mixed_traces_identical(self, backend):
-        duration = 0.6 if backend == "analytic" else 0.2
-        reference, ref_trace = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration,
-            engine="heap", backend=backend)
-        assert ref_trace, "reference run executed no events"
-        for engine in ("calendar", "ladder"):
-            result, trace = traced_run(
-                ql2020_scenario(), MIXED_WORKLOAD, duration,
-                engine=engine, backend=backend)
-            assert trace == ref_trace, \
-                f"{engine}/{backend} trace diverged from heap"
-            assert result.events_processed == reference.events_processed
-            assert result.summary == reference.summary
-            assert result.engine == engine
-
-    def test_lab_single_kind_traces_identical(self):
-        workload = [WorkloadSpec(priority=Priority.CK, load_fraction=0.99,
-                                 max_pairs=3, min_fidelity=0.6)]
-        _, ref_trace = traced_run(lab_scenario(), workload, 1.0,
-                                  engine="heap", backend="analytic")
-        assert ref_trace
-        for engine in ("calendar", "ladder"):
-            _, trace = traced_run(lab_scenario(), workload, 1.0,
-                                  engine=engine, backend="analytic")
-            assert trace == ref_trace
-
-    def test_traces_identical_with_reference_scheduling(self):
-        """Equivalence holds for the un-elided reference pattern too."""
-        _, ref_trace = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, 0.5, engine="heap",
-            backend="analytic", elide_watchdog=False, timer_elision=False)
-        assert ref_trace
-        for engine in ("calendar", "ladder"):
-            _, trace = traced_run(
-                ql2020_scenario(), MIXED_WORKLOAD, 0.5, engine=engine,
-                backend="analytic", elide_watchdog=False,
-                timer_elision=False)
-            assert trace == ref_trace
-
-    def test_frame_loss_traces_identical(self):
-        """The robustness path (loss > 0, watchdogs active) is equivalent
-        across engines as well."""
-        scenario = lab_scenario().with_frame_loss(1e-3)
-        workload = [WorkloadSpec(priority=Priority.MD, load_fraction=0.99,
-                                 max_pairs=3, min_fidelity=0.6)]
-        _, ref_trace = traced_run(scenario, workload, 1.0, engine="heap",
-                                  backend="analytic", batch=1)
-        assert ref_trace
-        for engine in ("calendar", "ladder"):
-            _, trace = traced_run(scenario, workload, 1.0, engine=engine,
-                                  backend="analytic", batch=1)
-            assert trace == ref_trace
 
 
 class TestWatchdogElision:
@@ -113,10 +53,10 @@ class TestWatchdogElision:
     def test_bit_identical_with_and_without_watchdog(self, backend):
         duration = 0.6 if backend == "analytic" else 0.2
         with_wd, trace_with = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration, engine="heap",
+            ql2020_scenario(), MIXED_WORKLOAD, duration,
             backend=backend, elide_watchdog=False)
         without_wd, trace_without = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration, engine="heap",
+            ql2020_scenario(), MIXED_WORKLOAD, duration,
             backend=backend, elide_watchdog=True)
         # The watchdog is always cancelled before firing, so the *executed*
         # events are identical: same times and names in the same order
@@ -150,108 +90,81 @@ class TestTimerElision:
     def test_outcomes_preserved_and_events_reduced(self, backend):
         duration = 0.6 if backend == "analytic" else 0.2
         reference, _ = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration, engine="heap",
+            ql2020_scenario(), MIXED_WORKLOAD, duration,
             backend=backend, elide_watchdog=False, timer_elision=False)
         elided, _ = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration, engine="heap",
+            ql2020_scenario(), MIXED_WORKLOAD, duration,
             backend=backend)
         assert elided.summary == reference.summary
         assert elided.requests_issued == reference.requests_issued
         assert elided.events_processed < reference.events_processed
 
 
-class TestSweepEquivalence:
-    """Field-for-field identical SweepResults across engines."""
-
-    def grid(self, engine):
-        specs = single_kind_scenarios(
-            "QL2020", kinds=("CK", "MD"), loads=("High",),
-            max_pairs_options=(1,), origins=("A",), include_md_k255=False,
-            attempt_batch_size=40, backend="analytic", engine=engine)
-        return specs
-
-    def test_sweeps_identical_across_engines(self, tmp_path):
-        reference = SweepRunner(self.grid("heap"), duration=0.5,
-                                master_seed=11).run()
-        assert reference.completed
-        for engine in ("calendar", "ladder"):
-            result = SweepRunner(self.grid(engine), duration=0.5,
-                                 master_seed=11).run()
-            # ScenarioOutcome equality covers every result field, down to
-            # events_processed; the engine field itself is provenance
-            # (compare=False), recorded but not part of the identity.
-            assert result.outcomes == reference.outcomes
-            assert all(outcome.engine == engine
-                       for outcome in result.outcomes)
-            assert [o.events_processed for o in result.outcomes] == \
-                [o.events_processed for o in reference.outcomes]
-
-    def test_engine_recorded_in_outcome_dicts(self):
-        result = SweepRunner(self.grid("calendar"), duration=0.3,
-                             master_seed=3).run()
-        payload = result.to_dict()
-        assert all(entry["engine"] == "calendar"
-                   for entry in payload["outcomes"])
-
-
 class TestEnginePlumbing:
-    """REPRO_ENGINE / ScenarioSpec.engine threading (mirrors the backend
-    plumbing introduced in PR 2)."""
-
-    def base_spec(self, engine=None):
-        return self.grid_spec(engine)
+    """``ScenarioSpec.engine`` is provenance whose only legal value is
+    ``"heap"``."""
 
     @staticmethod
-    def grid_spec(engine=None):
+    def grid_spec(**kwargs):
         return single_kind_scenarios(
             "QL2020", kinds=("MD",), loads=("High",), max_pairs_options=(1,),
             origins=("A",), include_md_k255=False, backend="analytic",
-            engine=engine)[0]
+            **kwargs)[0]
 
     def test_spec_round_trip_preserves_engine(self):
-        spec = self.grid_spec("calendar")
+        spec = self.grid_spec(engine="heap")
+        assert spec.engine == "heap"
+        assert self.grid_spec().engine == "heap"
         rebuilt = ScenarioSpec.from_dict(spec.to_dict())
-        assert rebuilt.engine == "calendar"
-        assert rebuilt.engine_name() == "calendar"
+        assert rebuilt.engine == "heap"
+        assert rebuilt == spec
 
-    def test_identity_key_independent_of_engine(self):
-        heap = self.grid_spec("heap")
-        calendar = dataclasses.replace(heap, engine="calendar")
-        assert heap.identity_key() == calendar.identity_key()
+    def test_plan_without_engine_reads_as_heap(self):
+        # Plans written while the engine was selectable store ``None``.
+        data = {**self.grid_spec().to_dict(), "engine": None}
+        assert ScenarioSpec.from_dict(data).engine == "heap"
 
-    def test_env_var_resolution(self, monkeypatch):
-        spec = self.grid_spec(None)
-        monkeypatch.setenv("REPRO_ENGINE", "ladder")
-        assert spec.engine_name() == "ladder"
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert spec.engine_name() == "heap"
+    @pytest.mark.parametrize("name", ["calendar", "ladder"])
+    def test_other_engines_rejected(self, name):
+        spec = self.grid_spec()
+        with pytest.raises(ValueError, match="the only engine is 'heap'"):
+            self.grid_spec(engine=name)
+        with pytest.raises(ValueError, match="the only engine is 'heap'"):
+            dataclasses.replace(spec, engine=name)
+        with pytest.raises(ValueError, match="the only engine is 'heap'"):
+            ScenarioSpec.from_dict({**spec.to_dict(), "engine": name})
 
     def test_run_result_records_engine(self):
-        spec = self.grid_spec("ladder")
-        result = spec.run(0.2)
-        assert result.engine == "ladder"
+        result = self.grid_spec().run(0.2)
+        assert result.engine == "heap"
 
-    def test_cost_features_include_engine(self):
-        assert self.grid_spec("calendar").cost_features()["engine"] == \
-            "calendar"
-
-    def test_cache_engine_mismatch_skipped_with_reason(self, tmp_path):
-        heap_specs = [self.grid_spec("heap")]
-        runner = SweepRunner(heap_specs, duration=0.2, master_seed=5,
+    def test_cache_entry_of_another_engine_skipped_with_reason(
+            self, tmp_path):
+        specs = [self.grid_spec()]
+        SweepRunner(specs, duration=0.2, master_seed=5,
+                    cache_dir=tmp_path).run()
+        # An entry written under a queue that no longer exists.
+        (entry,) = tmp_path.glob("*.analytic.heap.json")
+        entry.rename(entry.with_name(
+            entry.name.replace(".heap.", ".calendar.")))
+        runner = SweepRunner(specs, duration=0.2, master_seed=5,
                              cache_dir=tmp_path)
-        runner.run()
-        calendar_specs = [dataclasses.replace(heap_specs[0],
-                                              engine="calendar")]
-        runner2 = SweepRunner(calendar_specs, duration=0.2, master_seed=5,
-                              cache_dir=tmp_path)
-        result = runner2.run()
-        report = runner2.cache_report()
+        result = runner.run()
+        report = runner.cache_report()
         assert report.counts()["skips"] == 1
-        assert "'heap'" in report.skips[0].reason
         assert "'calendar'" in report.skips[0].reason
+        assert "'heap'" in report.skips[0].reason
         assert result.outcomes[0].ok and not result.outcomes[0].from_cache
-        # Both engines now coexist; each resolves to its own entry.
-        assert SweepRunner(heap_specs, duration=0.2, master_seed=5,
+        assert SweepRunner(specs, duration=0.2, master_seed=5,
                            cache_dir=tmp_path).run().outcomes[0].from_cache
-        assert SweepRunner(calendar_specs, duration=0.2, master_seed=5,
-                           cache_dir=tmp_path).run().outcomes[0].from_cache
+
+    def test_cache_entry_written_before_still_hits(self, tmp_path):
+        shutil.copy(HEAP_CACHE_ENTRY, tmp_path)
+        specs = [self.grid_spec()]
+        cached = SweepRunner(specs, duration=0.2, master_seed=5,
+                             cache_dir=tmp_path).run().outcomes[0]
+        assert cached.from_cache
+        fresh = SweepRunner(specs, duration=0.2,
+                            master_seed=5).run().outcomes[0]
+        assert not fresh.from_cache
+        assert cached == fresh

@@ -1,83 +1,80 @@
-"""Cross-implementation tests for the pluggable event-queue layer.
+"""Behaviour of the simulation engine's event queue.
 
-Every behaviour here is pinned for **all** `EventQueue` implementations —
-the heap reference, the calendar queue and the ladder/tie-bucket hybrid
-must be order-equivalent operation for operation (PR 5 tentpole).  The
-heap-specific compaction internals stay in ``test_sim_engine.py``.
+Ordering, cancellation, ``run(until=...)`` bounds, periodic and reusable
+timers and reset inertness, plus a randomized check of the heap against an
+independent sorted-list model of ``(time, sequence)`` order.  The heap's
+compaction internals are pinned in ``test_sim_engine.py``.
+
+Every test runs under each engine setup in :data:`ENGINE_SETUPS`: the run
+loop's optional instrumentation and supervision branches, and a queue that
+compacts on every cancellation, must all leave the firing order unchanged.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
+from time import perf_counter
 
 import pytest
 
+from repro.obs import Tracer
 from repro.sim.engine import SimulationEngine, SimulationError
-from repro.sim.queues import (
-    CalendarEventQueue,
-    available_engines,
-    default_engine_name,
-    make_event_queue,
-    resolve_engine_name,
-)
-
-ENGINES = ("heap", "calendar", "ladder")
 
 
-@pytest.fixture(params=ENGINES)
-def any_engine(request):
-    return SimulationEngine(queue=request.param)
+def _instrument(engine):
+    engine.trace = []
+    engine.tracer = Tracer()
 
 
-class TestRegistry:
-    def test_available_engines(self):
-        assert available_engines() == ["calendar", "heap", "ladder"]
+def _supervise(engine):
+    # Bounds far beyond anything a test here reaches.
+    engine.event_budget = 10 ** 9
+    engine.deadline_at = perf_counter() + 3600.0
 
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine_name() == "heap"
-        assert SimulationEngine().queue_name == "heap"
 
-    def test_env_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "calendar")
-        assert default_engine_name() == "calendar"
-        assert SimulationEngine().queue_name == "calendar"
+def _compact_eagerly(engine):
+    engine._queue.COMPACTION_MIN_CANCELLED = 1
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown event engine"):
-            resolve_engine_name("btree")
-        with pytest.raises(ValueError, match="unknown event engine"):
-            SimulationEngine(queue="btree")
 
-    def test_instances_are_fresh(self):
-        assert make_event_queue("calendar") is not make_event_queue("calendar")
+#: Engine setups each test runs under, by test id.
+ENGINE_SETUPS = {
+    "plain": lambda engine: None,
+    "instrumented": _instrument,
+    "supervised": _supervise,
+    "eager-compaction": _compact_eagerly,
+}
 
-    def test_instance_passthrough(self):
-        queue = make_event_queue("ladder")
-        engine = SimulationEngine(queue=queue)
-        assert engine._queue is queue
-        assert engine.queue_name == "ladder"
+
+@pytest.fixture(params=list(ENGINE_SETUPS))
+def engine(request):
+    """A fresh engine in one of the :data:`ENGINE_SETUPS`."""
+    engine = SimulationEngine()
+    ENGINE_SETUPS[request.param](engine)
+    yield engine
+    if engine.tracer is not None:
+        # The tracer saw exactly the events the trace list recorded.
+        assert sum(engine.tracer.executed.values()) == len(engine.trace)
 
 
 class TestCoreBehaviour:
-    """The engine-facing contract, identical for every implementation."""
+    """The engine-facing contract."""
 
-    def test_time_order(self, any_engine):
+    def test_time_order(self, engine):
         fired = []
         for t in (3.0, 1.0, 2.0):
-            any_engine.schedule_at(t, lambda t=t: fired.append(t))
-        any_engine.run()
+            engine.schedule_at(t, lambda t=t: fired.append(t))
+        engine.run()
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_same_timestamp_fifo(self, any_engine):
+    def test_same_timestamp_fifo(self, engine):
         fired = []
         for label in "abcdef":
-            any_engine.schedule_at(1.0, lambda l=label: fired.append(l))
-        any_engine.run()
+            engine.schedule_at(1.0, lambda l=label: fired.append(l))
+        engine.run()
         assert fired == list("abcdef")
 
-    def test_same_timestamp_fifo_interleaved_with_pops(self, any_engine):
-        engine = any_engine
+    def test_same_timestamp_fifo_interleaved_with_pops(self, engine):
         fired = []
 
         def first():
@@ -91,8 +88,7 @@ class TestCoreBehaviour:
         engine.run()
         assert fired == ["first", "second", "late"]
 
-    def test_cancellation_and_pending_counts(self, any_engine):
-        engine = any_engine
+    def test_cancellation_and_pending_counts(self, engine):
         handles = [engine.schedule_at(float(i), lambda: None)
                    for i in range(10)]
         assert engine.pending_events == 10
@@ -104,8 +100,7 @@ class TestCoreBehaviour:
         assert engine.pending_events == 0
         assert engine.processed_events == 6
 
-    def test_run_until_semantics(self, any_engine):
-        engine = any_engine
+    def test_run_until_semantics(self, engine):
         fired = []
         engine.schedule_at(1.0, lambda: fired.append(1))
         engine.schedule_at(2.0, lambda: fired.append(2))
@@ -117,24 +112,21 @@ class TestCoreBehaviour:
         assert fired == [1, 2, 5]
         assert engine.now == 10.0  # clock advances past the last event
 
-    def test_run_until_with_empty_queue_advances_clock(self, any_engine):
-        assert any_engine.run(until=7.5) == 7.5
-        assert any_engine.now == 7.5
+    def test_run_until_with_empty_queue_advances_clock(self, engine):
+        assert engine.run(until=7.5) == 7.5
+        assert engine.now == 7.5
 
     def test_run_until_with_only_cancelled_events_advances_clock(
-            self, any_engine):
-        engine = any_engine
+            self, engine):
         engine.schedule_at(1.0, lambda: None).cancel()
         engine.schedule_at(3.0, lambda: None).cancel()
         assert engine.run(until=5.0) == 5.0
         assert engine.now == 5.0
         assert engine.processed_events == 0
 
-    def test_run_until_landing_in_empty_bucket_region(self, any_engine):
+    def test_run_until_landing_in_empty_bucket_region(self, engine):
         # A long empty stretch between event clusters: the bound lands in
-        # the middle of it (for the calendar queue: inside an empty bucket
-        # year), and later events stay intact.
-        engine = any_engine
+        # the middle of it, and later events stay intact.
         fired = []
         for i in range(20):
             engine.schedule_at(0.001 * i, lambda i=i: fired.append(i))
@@ -146,41 +138,36 @@ class TestCoreBehaviour:
         assert fired[-1] == "far"
         assert engine.now == 1000.0
 
-    def test_max_events_leaves_clock_on_last_event(self, any_engine):
-        engine = any_engine
+    def test_max_events_leaves_clock_on_last_event(self, engine):
         for i in range(10):
             engine.schedule_at(float(i), lambda: None)
         engine.run(max_events=3)
         assert engine.processed_events == 3
         assert engine.now == 2.0
 
-    def test_schedule_in_past_raises(self, any_engine):
-        engine = any_engine
+    def test_schedule_in_past_raises(self, engine):
         engine.schedule_at(4.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError):
             engine.schedule_at(1.0, lambda: None)
 
-    def test_callback_args(self, any_engine):
+    def test_callback_args(self, engine):
         seen = []
-        any_engine.schedule_at(1.0, lambda a, b: seen.append((a, b)),
-                               args=("x", 2))
-        any_engine.run()
+        engine.schedule_at(1.0, lambda a, b: seen.append((a, b)),
+                           args=("x", 2))
+        engine.run()
         assert seen == [("x", 2)]
 
 
 class TestFarFutureOverflow:
-    """Far-future timers ride the calendar's overflow ladder (and must
-    behave identically on the other implementations)."""
+    """Far-future timers behind a dense near-future cluster keep their
+    order."""
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_overflow_promotion_fires_in_order(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_overflow_promotion_fires_in_order(self, engine):
         fired = []
-        # Dense near-future cluster sets a narrow calendar width...
+        # A dense near-future cluster, then timers far beyond it.
         for i in range(64):
             engine.schedule_at(1e-5 * i, lambda i=i: fired.append(i))
-        # ...so these are far beyond the calendar horizon (overflow ladder).
         engine.schedule_at(50.0, lambda: fired.append("far-a"))
         engine.schedule_at(75.0, lambda: fired.append("far-b"))
         engine.schedule_at(50.0 + 1e-9, lambda: fired.append("far-a2"))
@@ -188,29 +175,12 @@ class TestFarFutureOverflow:
         assert fired[:64] == list(range(64))
         assert fired[64:] == ["far-a", "far-a2", "far-b"]
 
-    def test_calendar_uses_overflow_for_far_timers(self):
-        queue = CalendarEventQueue()
-        engine = SimulationEngine(queue=queue)
-        for i in range(32):
-            engine.schedule_at(1e-5 * i, lambda: None)
-        engine.run(until=1e-5 * 40)
-        far = engine.schedule_at(1e6, lambda: None)
-        assert len(queue._overflow) == 1  # parked on the ladder
-        fired = []
-        engine.schedule_at(1e6 - 1.0, lambda: fired.append("near"))
-        engine.run()
-        assert fired == ["near"]
-        assert far.popped and not far.cancelled
-
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_push_after_overflow_promotion_keeps_order(self, engine_name):
-        # Regression: promoting the overflow year (triggered by a peek on
-        # an empty calendar, no pop) must not make later pushes at much
-        # earlier times sequence after the promoted events.
-        engine = SimulationEngine(queue=engine_name)
+    def test_push_after_overflow_promotion_keeps_order(self, engine):
+        # A run bounded before the only pending event must not make later
+        # pushes at much earlier times sequence after it.
         fired = []
         engine.schedule_at(1000.0, lambda: fired.append("far"))
-        engine.run(until=1.0)  # peeks, promoting the overflow year
+        engine.run(until=1.0)
         cancelled = engine.schedule_at(2.0, lambda: fired.append("a"))
         cancelled.cancel()  # invalidates any cached head
         engine.schedule_at(3.0, lambda: fired.append("b"))
@@ -218,9 +188,7 @@ class TestFarFutureOverflow:
         assert fired == ["b", "far"]
         assert engine.now == 1000.0
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_cancelled_far_future_timer_never_fires(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_cancelled_far_future_timer_never_fires(self, engine):
         fired = []
         for i in range(32):
             engine.schedule_at(1e-5 * i, lambda: fired.append("near"))
@@ -234,9 +202,7 @@ class TestFarFutureOverflow:
 class TestCancelCompactInterleavings:
     """Mass-cancellation patterns must stay bounded and order-preserving."""
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_watchdog_pattern_stays_bounded(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_watchdog_pattern_stays_bounded(self, engine):
         fired = 0
 
         def tick(step=[0]):
@@ -253,9 +219,7 @@ class TestCancelCompactInterleavings:
         # Cancelled watchdogs must not accumulate without bound.
         assert len(engine._queue) <= 256
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_cancel_then_compact_preserves_order(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_cancel_then_compact_preserves_order(self, engine):
         fired = []
         keep = [engine.schedule_at(float(i), lambda i=i: fired.append(i))
                 for i in range(100)]
@@ -272,9 +236,7 @@ class TestCancelCompactInterleavings:
         assert fired == list(range(100))
         assert all(not h.cancelled for h in keep)
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_cancel_same_timestamp_subset(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_cancel_same_timestamp_subset(self, engine):
         fired = []
         handles = [engine.schedule_at(1.0, lambda i=i: fired.append(i))
                    for i in range(20)]
@@ -285,36 +247,44 @@ class TestCancelCompactInterleavings:
         assert fired == expected
 
 
+class SortedListModel:
+    """Reference for the fuzz: pending events in a plain list kept sorted
+    by ``(time, sequence)``, with cancellation as removal from the list."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.pending: list[tuple] = []
+        self.sequence = 0
+        self.trace: list[tuple] = []
+
+    def schedule(self, time: float, name: str, offsets=()) -> tuple:
+        entry = (time, self.sequence, name, tuple(offsets))
+        self.sequence += 1
+        bisect.insort(self.pending, entry)
+        return entry
+
+    def cancel(self, entry: tuple) -> None:
+        if entry in self.pending:  # a fired event is no longer pending
+            self.pending.remove(entry)
+
+    def run(self, until=None) -> None:
+        while self.pending and (until is None
+                                or self.pending[0][0] <= until):
+            time, sequence, name, offsets = self.pending.pop(0)
+            self.now = time
+            self.trace.append((time, sequence, name))
+            for offset in offsets:
+                self.schedule(self.now + offset, "nested")
+        if until is not None and until > self.now:
+            self.now = until
+
+
 class TestRandomizedEquivalence:
-    """Fuzz: random schedule/cancel/run interleavings must produce the
-    exact same execution trace on every implementation."""
+    """Fuzz: random schedule/cancel/run interleavings must execute the
+    same trace on the engine as on :class:`SortedListModel`."""
 
-    def _run_script(self, engine_name, script):
-        engine = SimulationEngine(queue=engine_name)
-        engine.trace = []
-        handles = []
-        for op in script:
-            if op[0] == "run_until":
-                engine.run(until=op[1])
-            elif op[0] == "schedule":
-                handles.append(engine.schedule_at(
-                    max(op[1], engine.now), lambda: None, name=f"e{len(handles)}"))
-            elif op[0] == "nested":
-                # A callback that schedules more events when it fires.
-                def nested(offsets=op[1]):
-                    for offset in offsets:
-                        engine.schedule_after(offset, lambda: None,
-                                              name="nested")
-                handles.append(engine.schedule_at(
-                    max(op[2], engine.now), nested, name="nest"))
-            elif op[0] == "cancel":
-                if handles:
-                    handles[op[1] % len(handles)].cancel()
-        engine.run()
-        return engine.trace
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
-    def test_fuzzed_traces_identical(self, seed):
+    @staticmethod
+    def _script(seed):
         rnd = random.Random(seed)
         script = []
         t = 0.0
@@ -340,39 +310,85 @@ class TestRandomizedEquivalence:
             else:
                 t += rnd.random() * 0.05
                 script.append(("run_until", t))
-        reference = self._run_script("heap", script)
+        return script
+
+    @staticmethod
+    def _run_engine(engine, script):
+        engine.trace = []
+        handles = []
+        for op in script:
+            if op[0] == "run_until":
+                engine.run(until=op[1])
+            elif op[0] == "schedule":
+                handles.append(engine.schedule_at(
+                    max(op[1], engine.now), lambda: None, name=f"e{len(handles)}"))
+            elif op[0] == "nested":
+                # A callback that schedules more events when it fires.
+                def nested(offsets=op[1]):
+                    for offset in offsets:
+                        engine.schedule_after(offset, lambda: None,
+                                              name="nested")
+                handles.append(engine.schedule_at(
+                    max(op[2], engine.now), nested, name="nest"))
+            elif op[0] == "cancel":
+                if handles:
+                    handles[op[1] % len(handles)].cancel()
+        engine.run()
+        return engine.trace
+
+    @staticmethod
+    def _run_model(script):
+        model = SortedListModel()
+        handles = []
+        for op in script:
+            if op[0] == "run_until":
+                model.run(until=op[1])
+            elif op[0] == "schedule":
+                handles.append(model.schedule(max(op[1], model.now),
+                                              f"e{len(handles)}"))
+            elif op[0] == "nested":
+                handles.append(model.schedule(max(op[2], model.now), "nest",
+                                              offsets=op[1]))
+            elif op[0] == "cancel":
+                if handles:
+                    model.cancel(handles[op[1] % len(handles)])
+        model.run()
+        return model.trace
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_fuzzed_traces_identical(self, engine, seed):
+        script = self._script(seed)
+        reference = self._run_model(script)
         assert reference  # the fuzz actually executed something
-        for engine_name in ("calendar", "ladder"):
-            assert self._run_script(engine_name, script) == reference, \
-                f"{engine_name} trace diverged from heap (seed {seed})"
+        # Some scheduled events were cancelled before they could fire.
+        scheduled = sum(op[0] in ("schedule", "nested") for op in script)
+        assert len([e for e in reference if e[2] != "nested"]) < scheduled
+        assert self._run_engine(engine, script) == reference, \
+            f"engine trace diverged from the sorted-list model (seed {seed})"
 
 
 class TestPeriodicScheduling:
-    def test_periodic_fires_on_cadence(self, any_engine):
-        engine = any_engine
+    def test_periodic_fires_on_cadence(self, engine):
         ticks = []
         engine.schedule_periodic(0.5, lambda: ticks.append(engine.now))
         engine.run(until=2.6)
         assert ticks == [0.5, 1.0, 1.5, 2.0, 2.5]
 
-    def test_periodic_custom_start(self, any_engine):
-        engine = any_engine
+    def test_periodic_custom_start(self, engine):
         ticks = []
         engine.schedule_periodic(1.0, lambda: ticks.append(engine.now),
                                  start=0.25)
         engine.run(until=2.5)
         assert ticks == [0.25, 1.25, 2.25]
 
-    def test_periodic_reuses_one_event_object(self):
-        engine = SimulationEngine(queue="heap")
+    def test_periodic_reuses_one_event_object(self, engine):
         handle = engine.schedule_periodic(1.0, lambda: None)
         event = handle._event
         engine.run(until=10.0)
         assert handle._event is event  # same object across 10 firings
         assert engine.processed_events == 10
 
-    def test_periodic_cancel_stops_series(self, any_engine):
-        engine = any_engine
+    def test_periodic_cancel_stops_series(self, engine):
         ticks = []
         handle = engine.schedule_periodic(1.0, lambda: ticks.append(1))
         engine.run(until=2.5)
@@ -382,8 +398,7 @@ class TestPeriodicScheduling:
         assert ticks == [1, 1]
         assert engine.pending_events == 0
 
-    def test_periodic_cancel_from_inside_callback(self, any_engine):
-        engine = any_engine
+    def test_periodic_cancel_from_inside_callback(self, engine):
         ticks = []
         handle = engine.schedule_periodic(
             1.0, lambda: (ticks.append(1),
@@ -391,12 +406,11 @@ class TestPeriodicScheduling:
         engine.run(until=20.0)
         assert ticks == [1, 1, 1]
 
-    def test_periodic_interval_must_be_positive(self, any_engine):
+    def test_periodic_interval_must_be_positive(self, engine):
         with pytest.raises(SimulationError):
-            any_engine.schedule_periodic(0.0, lambda: None)
+            engine.schedule_periodic(0.0, lambda: None)
 
-    def test_periodic_interleaves_fifo_with_plain_events(self, any_engine):
-        engine = any_engine
+    def test_periodic_interleaves_fifo_with_plain_events(self, engine):
         order = []
         engine.schedule_periodic(1.0, lambda: order.append("tick"))
         engine.schedule_at(1.0, lambda: order.append("plain"))
@@ -407,8 +421,7 @@ class TestPeriodicScheduling:
 
 
 class TestReusableTimer:
-    def test_timer_rearms_same_event_object(self, any_engine):
-        engine = any_engine
+    def test_timer_rearms_same_event_object(self, engine):
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.arm_at(1.0)
@@ -420,8 +433,7 @@ class TestReusableTimer:
         assert fired == [1.0, 2.0]
 
     def test_timer_arm_while_pending_schedules_independent_event(
-            self, any_engine):
-        engine = any_engine
+            self, engine):
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.arm_at(2.0)
@@ -429,8 +441,7 @@ class TestReusableTimer:
         engine.run()
         assert fired == [1.0, 2.0]  # both occurrences fire
 
-    def test_timer_cancel(self, any_engine):
-        engine = any_engine
+    def test_timer_cancel(self, engine):
         fired = []
         timer = engine.timer(lambda: fired.append(1))
         timer.arm_after(1.0)
@@ -440,8 +451,7 @@ class TestReusableTimer:
         engine.run()
         assert fired == []
 
-    def test_timer_args_per_arm(self, any_engine):
-        engine = any_engine
+    def test_timer_args_per_arm(self, engine):
         seen = []
         timer = engine.timer(lambda tag: seen.append(tag))
         timer.arm_at(1.0, args=("a",))
@@ -456,8 +466,7 @@ class TestResetInertness:
     never resurrect accounting or re-arm into the fresh queue."""
 
     def test_cancel_of_stale_handle_does_not_corrupt_accounting(
-            self, any_engine):
-        engine = any_engine
+            self, engine):
         stale = engine.schedule_at(1.0, lambda: None)
         engine.reset()
         engine.schedule_at(1.0, lambda: None)
@@ -467,8 +476,7 @@ class TestResetInertness:
         engine.run()
         assert engine.processed_events == 1
 
-    def test_cancelled_then_reset_then_cancelled_again(self, any_engine):
-        engine = any_engine
+    def test_cancelled_then_reset_then_cancelled_again(self, engine):
         handle = engine.schedule_at(1.0, lambda: None)
         handle.cancel()
         engine.reset()
@@ -476,8 +484,7 @@ class TestResetInertness:
         engine.schedule_at(2.0, lambda: None)
         assert engine.pending_events == 1
 
-    def test_periodic_from_before_reset_never_rearms(self, any_engine):
-        engine = any_engine
+    def test_periodic_from_before_reset_never_rearms(self, engine):
         ticks = []
         handle = engine.schedule_periodic(1.0, lambda: ticks.append(1))
         engine.run(until=1.5)
@@ -489,8 +496,7 @@ class TestResetInertness:
         assert engine.pending_events == 0
 
     def test_reusable_timer_from_before_reset_allocates_fresh(
-            self, any_engine):
-        engine = any_engine
+            self, engine):
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.arm_at(1.0)
@@ -502,8 +508,7 @@ class TestResetInertness:
         engine.run()
         assert fired == [1.0, 3.0]
 
-    def test_reset_restarts_clock_and_counters(self, any_engine):
-        engine = any_engine
+    def test_reset_restarts_clock_and_counters(self, engine):
         engine.schedule_at(5.0, lambda: None)
         engine.run()
         engine.reset(start_time=2.0)

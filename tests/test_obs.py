@@ -6,8 +6,8 @@ The load-bearing guarantees:
   about a run's results: summary, event counts and the engine's
   ``(time, name)`` trace are bit-identical with observability on or off.
 * **Trace determinism** — the structured trace of a ``(spec, seed)``
-  pair is identical across event engines (heap/calendar/ladder) and
-  byte-identical across solo vs cohort execution.
+  pair is identical across repeat runs and byte-identical across solo vs
+  cohort execution.
 * **Telemetry** — cluster workers ship their metrics registry through
   the idempotent ``telemetry`` transport op and the coordinator merges
   the per-worker snapshots into ``SweepResult.telemetry``.
@@ -46,9 +46,6 @@ from repro.runtime.sweep import ScenarioOutcome, SweepRunner, execute_scenario
 # deliver pairs (0.05s would trace an empty run); still < 0.1s wall each.
 DURATION = 0.2
 
-ENGINES = ("heap", "calendar", "ladder")
-
-
 def grid(count=None, backend="analytic") -> list[ScenarioSpec]:
     specs = single_kind_scenarios(
         "Lab", kinds=("CK", "MD"), loads=("High",), max_pairs_options=(1,),
@@ -58,7 +55,6 @@ def grid(count=None, backend="analytic") -> list[ScenarioSpec]:
 
 
 def traced_run(spec: ScenarioSpec, seed: int = 7,
-               engine: str | None = None,
                config: ObsConfig | None = None):
     """Run ``spec`` with an explicit ObsSession; returns (result, session)."""
     session = ObsSession(config if config is not None
@@ -66,8 +62,7 @@ def traced_run(spec: ScenarioSpec, seed: int = 7,
     run = SimulationRun(spec.scenario, spec.workload,
                         scheduler=spec.scheduler, seed=seed,
                         attempt_batch_size=spec.attempt_batch_size,
-                        backend=spec.backend, engine=engine or spec.engine,
-                        obs=session)
+                        backend=spec.backend, obs=session)
     return run.run(DURATION), session
 
 
@@ -144,19 +139,12 @@ class TestOutcomePreservation:
 # Trace determinism
 # --------------------------------------------------------------------------- #
 class TestTraceDeterminism:
-    def test_identical_across_event_engines(self):
-        spec = grid(1)[0]
-        traces = []
-        for engine in ENGINES:
-            _, session = traced_run(spec, seed=21, engine=engine)
-            traces.append(session.tracer.to_dict())
-        assert traces[0]["records"], "trace captured no protocol events"
-        assert traces[0] == traces[1] == traces[2]
-
     def test_identical_across_repeat_runs(self):
         spec = grid(2)[1]
         _, first = traced_run(spec, seed=5)
         _, second = traced_run(spec, seed=5)
+        assert first.tracer.to_dict()["records"], \
+            "trace captured no protocol events"
         assert first.tracer.to_dict() == second.tracer.to_dict()
 
     def test_solo_vs_cohort_traces_byte_identical(self, monkeypatch, tmp_path):

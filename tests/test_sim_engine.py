@@ -153,16 +153,10 @@ class TestCancellation:
 
 
 class TestLazyCompaction:
-    """Cancelled events must not accumulate in the heap or inflate counts.
-
-    These tests poke heap-queue internals, so they pin ``queue="heap"``
-    explicitly — the suite also runs under ``REPRO_ENGINE=calendar`` in CI,
-    and the generic cross-implementation behaviours live in
-    ``test_event_queues.py``.
-    """
+    """Cancelled events must not accumulate in the heap or inflate counts."""
 
     def test_pending_events_counts_live_only(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         handles = [engine.schedule_at(float(i), lambda: None)
                    for i in range(10)]
         assert engine.pending_events == 10
@@ -171,7 +165,7 @@ class TestLazyCompaction:
         assert engine.pending_events == 6
 
     def test_double_cancel_counts_once(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         engine.schedule_at(1.0, lambda: None)
         handle = engine.schedule_at(2.0, lambda: None)
         handle.cancel()
@@ -179,7 +173,7 @@ class TestLazyCompaction:
         assert engine.pending_events == 1
 
     def test_compaction_shrinks_heap(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         keep = [engine.schedule_at(1000.0 + i, lambda: None)
                 for i in range(10)]
         doomed = [engine.schedule_at(float(i), lambda: None)
@@ -195,7 +189,7 @@ class TestLazyCompaction:
         assert all(not handle.cancelled for handle in keep)
 
     def test_compaction_preserves_firing_order(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         fired = []
         for i in range(300):
             engine.schedule_at(float(i), lambda i=i: fired.append(i))
@@ -207,7 +201,7 @@ class TestLazyCompaction:
         assert fired == list(range(300))
 
     def test_popping_cancelled_events_updates_counter(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         handles = [engine.schedule_at(float(i), lambda: None)
                    for i in range(30)]
         for handle in handles[:20]:
@@ -217,7 +211,7 @@ class TestLazyCompaction:
         assert engine.processed_events == 10
 
     def test_long_run_with_many_cancellations_stays_bounded(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         fired = 0
 
         def tick(step=[0]):
@@ -236,7 +230,7 @@ class TestLazyCompaction:
         assert len(engine._queue) <= HeapEventQueue.COMPACTION_MIN_CANCELLED * 2
 
     def test_cancel_after_fire_is_a_noop_for_accounting(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         handle = engine.schedule_at(1.0, lambda: None)
         live = engine.schedule_at(2.0, lambda: None)
         engine.run(until=1.5)
@@ -246,7 +240,7 @@ class TestLazyCompaction:
         assert engine.pending_events == 0
 
     def test_cancel_after_reset_is_a_noop_for_accounting(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         handle = engine.schedule_at(1.0, lambda: None)
         engine.reset()
         handle.cancel()

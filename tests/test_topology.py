@@ -317,8 +317,7 @@ class TestResumeCacheTopology:
     def _outcome(self, spec: ScenarioSpec, seed: int) -> ScenarioOutcome:
         return ScenarioOutcome(scenario_name=spec.name, scheduler_name="FCFS",
                                seed=seed, duration=DURATION,
-                               backend=spec.backend_name(),
-                               engine=spec.engine_name())
+                               backend=spec.backend_name())
 
     def test_topology_mismatch_is_reported_not_missed(self, tmp_path):
         cache = ResumeCache(tmp_path)
