@@ -253,10 +253,17 @@ class PollResponse:
     #: handler re-arms polling in every branch.  The MHP skips scheduling it.
     skip_followup_poll: bool = False
 
-    @classmethod
-    def no_attempt(cls) -> "PollResponse":
-        """A "no" poll response."""
-        return cls(attempt=False)
+    @staticmethod
+    def no_attempt() -> "PollResponse":
+        """The "no" poll response: one shared instance, never mutated.
+
+        Most polls of a busy link answer "no", so building an 11-field
+        response for each of them is pure overhead.
+        """
+        return _NO_ATTEMPT
+
+
+_NO_ATTEMPT = PollResponse(attempt=False)
 
 
 @dataclass

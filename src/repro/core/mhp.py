@@ -156,13 +156,20 @@ class NodeMHP(Protocol):
         deferring a poll that would provably answer "no" requires knowing
         exactly when it would fire).
         """
+        # Inlined max(), next_cycle_at_or_after() and cycle_start(): this
+        # runs on every wake-up and every EGP preview.  The comparisons
+        # pick the same operand max() would, so the floats are identical.
         now = self._engine._now
-        earliest = now if not_before is None else max(now, not_before)
-        earliest = max(earliest, self._attempt_window_end)
-        cycle = self.next_cycle_at_or_after(earliest)
-        poll_time = self.cycle_start(cycle)
+        earliest = now
+        if not_before is not None and not_before > earliest:
+            earliest = not_before
+        if self._attempt_window_end > earliest:
+            earliest = self._attempt_window_end
+        cycle_time = self.cycle_time
+        cycle = int(math.ceil(earliest / cycle_time - 1e-12))
+        poll_time = cycle * cycle_time
         if poll_time < now:
-            poll_time = self.cycle_start(cycle + 1)
+            poll_time = (cycle + 1) * cycle_time
         return poll_time
 
     def notify_work(self, not_before: Optional[float] = None) -> None:

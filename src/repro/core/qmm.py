@@ -12,12 +12,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.messages import ErrorCode, RequestType
-from repro.hardware.nv_device import (
-    NVQuantumProcessor,
-    OutOfQubitsError,
-    QubitRole,
-    QubitSlot,
-)
+from repro.hardware.nv_device import NVQuantumProcessor, QubitSlot
+
+
+def _count_free(slots: list[QubitSlot]) -> int:
+    """Number of unused slots in ``slots``, counted without building a list."""
+    count = 0
+    for slot in slots:
+        if not slot.in_use:
+            count += 1
+    return count
 
 
 @dataclass
@@ -51,16 +55,15 @@ class QuantumMemoryManager:
     # ------------------------------------------------------------------ #
     def free_communication_qubits(self) -> int:
         """Number of currently free communication qubits."""
-        return len(self.device.free_slots(QubitRole.COMMUNICATION))
+        return _count_free(self.device.communication_slots)
 
     def free_storage_qubits(self) -> int:
         """Number of currently free memory (storage) qubits."""
-        return len(self.device.free_slots(QubitRole.MEMORY))
+        return _count_free(self.device.memory_slots)
 
     def total_storage_qubits(self) -> int:
         """Total number of memory qubits in the device."""
-        return sum(1 for slot in self.device.slots
-                   if slot.role is QubitRole.MEMORY)
+        return len(self.device.memory_slots)
 
     def can_satisfy(self, request_type: RequestType,
                     pairs_simultaneously: int = 1) -> Optional[ErrorCode]:
@@ -88,21 +91,29 @@ class QuantumMemoryManager:
         Measure-directly attempts only need the communication qubit;
         create-and-keep attempts additionally reserve a storage qubit.
         Returns ``None`` (and counts a failure) when the reservation cannot
-        be satisfied right now.
+        be satisfied right now.  Takes the first free slot of each role
+        directly rather than through :meth:`NVQuantumProcessor.reserve`,
+        which raises: about half the polls of a busy chain fail here, and
+        a failure should not build, format and catch an exception.
         """
-        try:
-            communication = self.device.reserve(QubitRole.COMMUNICATION)
-        except OutOfQubitsError:
+        device = self.device
+        for communication in device.communication_slots:
+            if not communication.in_use:
+                break
+        else:
             self.allocation_failures += 1
             return None
+        communication.in_use = True
         storage: Optional[QubitSlot] = None
         if request_type is RequestType.KEEP:
-            try:
-                storage = self.device.reserve(QubitRole.MEMORY)
-            except OutOfQubitsError:
-                self.device.release(communication)
+            for storage in device.memory_slots:
+                if not storage.in_use:
+                    break
+            else:
+                device.release(communication)
                 self.allocation_failures += 1
                 return None
+            storage.in_use = True
         return QubitAllocation(communication=communication, storage=storage)
 
     def release(self, allocation: QubitAllocation,

@@ -86,34 +86,47 @@ class NVQuantumProcessor:
         self.backend = get_backend(backend)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.slots: list[QubitSlot] = []
-        qubit_id = 0
-        for _ in range(num_communication):
-            self.slots.append(QubitSlot(qubit_id, QubitRole.COMMUNICATION))
-            qubit_id += 1
-        for _ in range(num_memory):
-            self.slots.append(QubitSlot(qubit_id, QubitRole.MEMORY))
-            qubit_id += 1
+        #: The slots of each role, in qubit-id order.  Plain attributes,
+        #: not a dict keyed on the role: ``Enum.__hash__`` runs in Python,
+        #: and the QMM scans these on every poll.
+        self.communication_slots: list[QubitSlot] = []
+        self.memory_slots: list[QubitSlot] = []
+        for role, count, group in (
+                (QubitRole.COMMUNICATION, num_communication,
+                 self.communication_slots),
+                (QubitRole.MEMORY, num_memory, self.memory_slots)):
+            for _ in range(count):
+                slot = QubitSlot(len(self.slots), role)
+                self.slots.append(slot)
+                group.append(slot)
 
     # ------------------------------------------------------------------ #
     # Qubit slot management (used by the QMM)
     # ------------------------------------------------------------------ #
+    def slots_of(self, role: QubitRole) -> list[QubitSlot]:
+        """Every slot of ``role``, free or not, in qubit-id order."""
+        if role is QubitRole.COMMUNICATION:
+            return self.communication_slots
+        return self.memory_slots
+
     def free_slots(self, role: Optional[QubitRole] = None) -> list[QubitSlot]:
         """All currently unused slots, optionally filtered by role."""
-        return [slot for slot in self.slots
-                if not slot.in_use and (role is None or slot.role == role)]
+        slots = self.slots if role is None else self.slots_of(role)
+        return [slot for slot in slots if not slot.in_use]
 
     def reserve(self, role: QubitRole) -> QubitSlot:
         """Reserve a free qubit of the given role.
 
-        Raises :class:`OutOfQubitsError` if none is available.
+        Raises :class:`OutOfQubitsError` if none is available (the QMM's
+        per-poll allocation scans :meth:`slots_of` instead and never
+        raises).
         """
-        available = self.free_slots(role)
-        if not available:
-            raise OutOfQubitsError(
-                f"node {self.name} has no free {role.value} qubit")
-        slot = available[0]
-        slot.in_use = True
-        return slot
+        for slot in self.slots_of(role):
+            if not slot.in_use:
+                slot.in_use = True
+                return slot
+        raise OutOfQubitsError(
+            f"node {self.name} has no free {role.value} qubit")
 
     def release(self, slot: QubitSlot) -> None:
         """Release a previously reserved slot."""

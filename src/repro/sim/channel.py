@@ -61,6 +61,11 @@ class ClassicalChannel(Entity):
         paper's robustness experiment sweeps this from 0 up to 1e-4.
     rng:
         Numpy random generator; if omitted a default generator is created.
+        A lossless channel never draws from it (a draw could only say "not
+        lost"), so channels that share a generator must share one loss
+        probability for the skipped draws to leave every outcome unchanged
+        — as the channels of one :class:`~repro.network.LinkLayerNetwork`
+        do.
     name:
         Identifier used in diagnostics.
     """
@@ -100,7 +105,8 @@ class ClassicalChannel(Entity):
         if self._receiver is None:
             raise RuntimeError(f"channel {self.name} has no receiver connected")
         self.messages_sent += 1
-        lost = self._rng.random() < self.loss_probability
+        lost = (self.loss_probability != 0.0
+                and self._rng.random() < self.loss_probability)
         if lost:
             self.messages_lost += 1
         else:
@@ -130,7 +136,8 @@ class ClassicalChannel(Entity):
         if self._receiver is None:
             raise RuntimeError(f"channel {self.name} has no receiver connected")
         self.messages_sent += 1
-        lost = self._rng.random() < self.loss_probability
+        lost = (self.loss_probability != 0.0
+                and self._rng.random() < self.loss_probability)
         delivered_at: Optional[float] = None
         if lost:
             self.messages_lost += 1

@@ -6,7 +6,10 @@ in insertion order, which gives deterministic behaviour for protocols that
 schedule several actions "now".
 
 Pending events live in one binary heap with lazy cancellation
-(:class:`~repro.sim.queues.HeapEventQueue`).
+(:class:`~repro.sim.queues.HeapEventQueue`).  Its entries are
+``(time, sequence, event)`` tuples, so ``heapq`` orders them in C without
+a Python-level comparison, and :meth:`SimulationEngine.run` pops the heap
+list directly instead of calling into the queue once per event.
 
 The engine is deliberately minimal: the sophistication of the reproduction
 lives in the protocol and hardware models, not in the scheduler.  What *is*
@@ -21,6 +24,8 @@ fresh one per cycle.
 from __future__ import annotations
 
 import itertools
+import math
+from heapq import heappop
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -368,6 +373,11 @@ class SimulationEngine:
         """
         self._running = True
         queue = self._queue
+        # The run loop pops the heap list itself, saving a method call per
+        # event; the queue rebuilds the list in place on compaction, so
+        # this reference stays valid.
+        heap = queue.heap
+        limit = math.inf if until is None else until
         trace = self.trace
         tracer = self.tracer
         budget = self.event_budget
@@ -375,16 +385,21 @@ class SimulationEngine:
         executed = 0
         try:
             while max_events is None or executed < max_events:
-                event = queue.pop_due(until)
-                if event is None:
-                    # Queue empty, or the next event lies beyond ``until``:
-                    # either way the clock advances to the bound.
-                    if until is not None and until > self._now:
-                        self._now = until
+                if not heap:
                     break
-                self._now = event.time
+                time, sequence, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    event.popped = True
+                    queue.discarded()
+                    continue
+                if time > limit:
+                    break
+                heappop(heap)
+                event.popped = True
+                self._now = time
                 if trace is not None:
-                    trace.append((event.time, event.sequence, event.name))
+                    trace.append((time, sequence, event.name))
                 if tracer is not None:
                     tracer.on_executed(event.name)
                 event.callback(*event.args)
@@ -400,6 +415,14 @@ class SimulationEngine:
                         f"wall-clock deadline passed after "
                         f"{self._processed} events at simulated time "
                         f"{self._now:.6f}s", self._processed, self._now)
+            else:
+                # ``max_events`` reached: the clock stays at the last
+                # executed event.
+                return self._now
+            # Queue empty, or the next event lies beyond ``until``: either
+            # way the clock advances to the bound.
+            if until is not None and until > self._now:
+                self._now = until
         finally:
             self._running = False
         return self._now

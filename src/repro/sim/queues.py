@@ -1,11 +1,13 @@
 """The simulation engine's event queue.
 
 The engine pops timestamped events in ``(time, sequence)`` order from one
-binary heap (``heapq``).  Cancellation is lazy: a cancelled event stays in
-the heap until it surfaces, and once cancelled residents outnumber live
-events the heap is rebuilt without them.  The ordering is total — the
-sequence number is unique per engine — so compaction never changes the
-firing order.
+binary heap (``heapq``).  The heap holds ``(time, sequence, event)``
+tuples, so ``heapq`` compares plain floats and ints in C and never calls
+back into Python; the event itself is never compared, because the
+sequence number is unique per engine.  Cancellation is lazy: a cancelled
+event stays in the heap until it surfaces, and once cancelled residents
+outnumber live events the heap is rebuilt without them.  The ordering is
+total, so compaction never changes the firing order.
 
 The heap is the only event queue: on the profiled single link and the
 5-node repeater chain it was faster than a calendar queue and a ladder
@@ -26,12 +28,13 @@ ENGINE = "heap"
 class Event:
     """A single scheduled callback (slim ``__slots__`` record).
 
-    Events order by ``(time, sequence)`` only — the sequence is unique per
+    Events fire in ``(time, sequence)`` order — the sequence is unique per
     engine, so the order is total and simultaneous events run in the order
-    they were scheduled.  The event object doubles as the cancellation
-    handle returned by the ``schedule_*`` methods: it stays valid after the
-    event fired (cancel becomes a no-op) and after ``engine.reset()``
-    (handles from before a reset are inert, see
+    they were scheduled.  The queue keys its heap entries on those two
+    fields; the event defines no ordering of its own.  The event object
+    doubles as the cancellation handle returned by the ``schedule_*``
+    methods: it stays valid after the event fired (cancel becomes a no-op)
+    and after ``engine.reset()`` (handles from before a reset are inert, see
     :meth:`SimulationEngine.reset`).
     """
 
@@ -53,14 +56,6 @@ class Event:
         #: accounting.
         self.popped = True
         self.engine = engine
-
-    def __lt__(self, other: "Event") -> bool:
-        # Hand-rolled (time, sequence) comparison: the dataclass-generated
-        # __lt__ built two tuples per call, and this runs millions of times
-        # per simulated minute.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
 
     @property
     def is_pending(self) -> bool:
@@ -94,12 +89,19 @@ EventHandle = Event
 class HeapEventQueue:
     """Pending events of one engine, in a binary heap.
 
-    ``push`` clears the event's ``popped`` flag; ``pop``/``pop_due``
-    return the next **live** event in ``(time, sequence)`` order,
-    discarding cancelled residents as they surface (marking them
-    ``popped``).  Cancelled events stay in the heap until popped; once they
-    outnumber the live events the heap is rebuilt without them (amortised
-    O(1) per cancellation).
+    The heap holds ``(time, sequence, event)`` entries, keyed when the
+    event is pushed (an event's time and sequence never change while it is
+    queued).  ``push`` clears the event's ``popped`` flag; ``pop`` returns
+    the next **live** event in ``(time, sequence)`` order, discarding
+    cancelled residents as they surface (marking them ``popped``).
+    Cancelled events stay in the heap until popped; once they outnumber
+    the live events the heap is rebuilt without them (amortised O(1) per
+    cancellation).
+
+    :meth:`SimulationEngine.run <repro.sim.engine.SimulationEngine.run>`
+    pops from :attr:`heap` directly, without a method call per event, so
+    the list object must never be replaced: compaction and :meth:`clear`
+    rebuild it in place.
 
     ``len(queue)`` counts *resident* events (live plus not-yet-discarded
     cancelled ones); :attr:`live_count` counts only live events and is what
@@ -111,17 +113,20 @@ class HeapEventQueue:
     COMPACTION_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: The heap of ``(time, sequence, event)`` entries.  Callers that
+        #: pop from it directly must mark the event ``popped`` and, for a
+        #: cancelled one, call :meth:`discarded`.
+        self.heap: list[tuple[float, int, Event]] = []
         self._cancelled = 0
 
     def push(self, event: Event) -> None:
         event.popped = False
-        heappush(self._heap, event)
+        heappush(self.heap, (event.time, event.sequence, event))
 
     def pop(self) -> Optional[Event]:
-        heap = self._heap
+        heap = self.heap
         while heap:
-            event = heappop(heap)
+            event = heappop(heap)[2]
             event.popped = True
             if event.cancelled:
                 self._cancelled -= 1
@@ -129,59 +134,46 @@ class HeapEventQueue:
             return event
         return None
 
-    def pop_due(self, until: Optional[float]) -> Optional[Event]:
-        """Pop the next live event if it is due (``time <= until``).
-
-        Returns ``None`` when the queue is empty *or* the next event lies
-        beyond ``until``; the engine's run loop treats both as "stop
-        here".
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head.cancelled:
-                heappop(heap).popped = True
-                self._cancelled -= 1
-                continue
-            if until is not None and head.time > until:
-                return None
-            heappop(heap).popped = True
-            return head
-        return None
+    def discarded(self) -> None:
+        """Record that a cancelled resident was popped and dropped."""
+        self._cancelled -= 1
 
     def note_cancelled(self) -> None:
         """Record that a resident event was cancelled."""
         self._cancelled += 1
         if (self._cancelled >= self.COMPACTION_MIN_CANCELLED
-                and 2 * self._cancelled > len(self._heap)):
+                and 2 * self._cancelled > len(self.heap)):
             self._compact()
 
     def _compact(self) -> None:
         # Event ordering is total — (time, sequence) with a unique sequence
-        # — so rebuilding the heap cannot change the firing order.
+        # — so rebuilding the heap cannot change the firing order.  In
+        # place: the engine's run loop holds a reference to the list.
+        heap = self.heap
         live = []
-        for event in self._heap:
+        for entry in heap:
+            event = entry[2]
             if event.cancelled:
                 event.popped = True
             else:
-                live.append(event)
-        self._heap = live
-        heapify(self._heap)
+                live.append(entry)
+        heap[:] = live
+        heapify(heap)
         self._cancelled = 0
 
     def clear(self) -> None:
         """Discard every resident event, marking them ``popped``."""
-        for event in self._heap:
-            event.popped = True
-        self._heap.clear()
+        for entry in self.heap:
+            entry[2].popped = True
+        self.heap.clear()
         self._cancelled = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     @property
     def live_count(self) -> int:
-        return len(self._heap) - self._cancelled
+        return len(self.heap) - self._cancelled
 
 
 __all__ = [

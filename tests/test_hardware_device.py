@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.messages import RequestType
+from repro.core.qmm import QuantumMemoryManager
 from repro.hardware.nv_device import (
     NVQuantumProcessor,
     OutOfQubitsError,
@@ -57,6 +59,76 @@ class TestQubitSlots:
     def test_invalid_node_name(self):
         with pytest.raises(ValueError):
             NVQuantumProcessor("C", NVGateParameters())
+
+
+class TestQmmAllocation:
+    """``QuantumMemoryManager.allocate`` scans the per-role slot lists and
+    never raises; ``reserve`` keeps raising for direct callers."""
+
+    def test_busy_communication_qubit_fails_without_raising(self, device):
+        qmm = QuantumMemoryManager(device)
+        device.reserve(QubitRole.COMMUNICATION)
+        for request_type in (RequestType.KEEP, RequestType.MEASURE):
+            assert qmm.allocate(request_type) is None
+        assert qmm.allocation_failures == 2
+        # The failed KEEP attempt left the free memory qubit alone.
+        assert qmm.free_storage_qubits() == 1
+
+    def test_full_memory_fails_and_returns_the_communication_qubit(
+            self, device):
+        qmm = QuantumMemoryManager(device)
+        stored = device.reserve(QubitRole.MEMORY)
+        assert qmm.allocate(RequestType.KEEP) is None
+        assert qmm.allocation_failures == 1
+        assert qmm.free_communication_qubits() == 1
+        assert stored.in_use
+        # Measure-directly attempts need no memory and still succeed.
+        allocation = qmm.allocate(RequestType.MEASURE)
+        assert allocation is not None and allocation.storage is None
+        assert qmm.allocation_failures == 1
+
+    def test_allocate_takes_first_free_slot_of_each_role(self, rng):
+        device = NVQuantumProcessor("B", NVGateParameters(),
+                                    num_communication=2, num_memory=3,
+                                    rng=rng)
+        qmm = QuantumMemoryManager(device)
+        device.reserve(QubitRole.MEMORY)
+        allocation = qmm.allocate(RequestType.KEEP)
+        assert allocation.communication is device.communication_slots[0]
+        assert allocation.storage is device.memory_slots[1]
+        assert allocation.communication.in_use and allocation.storage.in_use
+        qmm.release(allocation)
+        assert qmm.free_communication_qubits() == 2
+        assert qmm.free_storage_qubits() == 2
+
+    def test_reserve_still_raises(self, device):
+        device.reserve(QubitRole.COMMUNICATION)
+        with pytest.raises(OutOfQubitsError, match="communication"):
+            device.reserve(QubitRole.COMMUNICATION)
+
+    def test_free_counts_agree_with_free_slots(self, rng):
+        device = NVQuantumProcessor("A", NVGateParameters(),
+                                    num_communication=2, num_memory=4,
+                                    rng=rng)
+        qmm = QuantumMemoryManager(device)
+
+        def check():
+            assert qmm.free_communication_qubits() == len(
+                device.free_slots(QubitRole.COMMUNICATION))
+            assert qmm.free_storage_qubits() == len(
+                device.free_slots(QubitRole.MEMORY))
+
+        check()
+        held = []
+        while (allocation := qmm.allocate(RequestType.KEEP)) is not None:
+            held.append(allocation)
+            check()
+        assert len(held) == 2 and qmm.free_communication_qubits() == 0
+        for allocation in held:
+            qmm.release(allocation, keep_storage=True)
+            check()
+        assert qmm.free_storage_qubits() == 2
+        assert qmm.total_storage_qubits() == 4
 
 
 class TestNoiseApplication:

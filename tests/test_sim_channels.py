@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.hardware.parameters import lab_scenario
+from repro.network import LinkLayerNetwork
 from repro.sim.channel import (
     ClassicalChannel,
     QuantumChannel,
@@ -99,6 +103,60 @@ class TestClassicalChannel:
         assert len(channel.history) == 1
         assert channel.history[0].delivered_at == pytest.approx(0.2)
         assert channel.history[0].lost is False
+
+
+class TestLossDraws:
+    """A lossless channel skips its loss draw; a lossy one draws once per
+    send.  Skipping is outcome-preserving only while every channel on a
+    shared generator has the same loss probability."""
+
+    @staticmethod
+    def _channel(engine, loss):
+        rng = np.random.default_rng(11)
+        channel = ClassicalChannel(engine, delay=0.1, loss_probability=loss,
+                                   rng=rng)
+        channel.connect(lambda msg: None)
+        return channel, rng
+
+    def test_lossless_channel_leaves_rng_untouched(self, engine):
+        channel, rng = self._channel(engine, 0.0)
+        before = rng.bit_generator.state
+        assert channel.send("a")
+        assert channel.send_delayed("b", 0.25)
+        engine.run()
+        assert rng.bit_generator.state == before
+        assert channel.messages_sent == 2 and channel.messages_lost == 0
+
+    @pytest.mark.parametrize("loss", [1e-4, 0.5, 1.0])
+    def test_lossy_channel_draws_once_per_send(self, engine, loss):
+        channel, rng = self._channel(engine, loss)
+        reference = np.random.default_rng(11)
+        expected = []
+        for payload in range(6):
+            expected.append(not reference.random() < loss)
+            if payload % 2:
+                delivered = channel.send_delayed(payload, 0.25)
+            else:
+                delivered = channel.send(payload)
+            assert delivered == expected[-1]
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert channel.messages_lost == expected.count(False)
+
+    @pytest.mark.parametrize("loss", [0.0, 1e-4])
+    def test_network_channels_sharing_a_generator_share_one_loss(self, loss):
+        network = LinkLayerNetwork(lab_scenario().with_frame_loss(loss),
+                                   seed=3, backend="analytic")
+        built = [obj for obj in gc.get_objects()
+                 if isinstance(obj, ClassicalChannel)
+                 and obj._engine is network.engine]
+        on_shared = [channel for channel in built
+                     if channel._rng is network._rngs["channels"]]
+        assert on_shared, "no channel draws from the shared generator"
+        assert {channel.loss_probability for channel in on_shared} == {loss}
+        # Every channel the network built is one it reports.
+        assert ({id(channel) for channel in built}
+                == {id(channel)
+                    for channel in network.classical_channels.values()})
 
 
 class TestQuantumChannel:

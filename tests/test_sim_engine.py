@@ -245,3 +245,42 @@ class TestLazyCompaction:
         engine.reset()
         handle.cancel()
         assert engine.pending_events == 0
+
+    def test_compaction_inside_run_keeps_order_and_heap_list(self):
+        # ``run`` pops the queue's heap list directly, so a compaction
+        # triggered by a callback must rebuild that same list in place.
+        engine = SimulationEngine()
+        heap = engine._queue.heap
+        fired = []
+        doomed = []
+
+        def record(tag):
+            fired.append((engine.now, tag))
+
+        def cancel_all():
+            record("cancel")
+            for handle in doomed:
+                handle.cancel()
+            assert engine._queue.heap is heap
+            assert len(heap) < 2 * HeapEventQueue.COMPACTION_MIN_CANCELLED
+
+        engine.schedule_at(1.0, cancel_all)
+        # Survivors: ties at one time (fire in scheduling order) and a
+        # spread of later times, interleaved with the doomed events.
+        expected = []
+        for i in range(40):
+            time = 2.0 if i % 2 else 5.0 - i / 10
+            engine.schedule_at(time, record, args=(i,))
+            expected.append((time, i))
+            doomed += [engine.schedule_at(time, record, args=("doomed",))
+                       for _ in range(5)]
+        # Scheduled after the compaction from inside a callback.
+        engine.schedule_at(1.5, engine.schedule_at,
+                           args=(2.0, record, "", ("late",)))
+
+        engine.run()
+        assert engine._queue.heap is heap
+        expected.append((2.0, "late"))
+        expected.sort(key=lambda entry: entry[0])  # stable: ties in order
+        assert fired == [(1.0, "cancel")] + expected
+        assert engine.pending_events == 0 and not heap
