@@ -250,37 +250,12 @@ class ReferenceEngine:
 # Vendored PR-4 protocol hot paths (pre-PR-5 cost structure)
 # --------------------------------------------------------------------------- #
 # PR 5 also slimmed the protocol side of every event (memoised batch
-# grants, single-candidate scheduler selection, version-checked flat ready
-# lists, closure-free channel sends).  Like ``bench_mhp_hotpath``'s
-# force-miss "before" path, the reference measurement runs the *verbatim
-# PR-4 implementations* of those hot spots so the comparison is against the
-# seed's true cost structure, not a half-upgraded hybrid.
-
-
-def _pr4_fcfs_select(self, ready_items, cycle):
-    """PR-4 ``FCFSScheduler.select`` (identity-memoised full scan)."""
-    if not ready_items:
-        return None
-    hit, choice = self._cache.lookup(ready_items)
-    if hit:
-        return choice
-    return self._cache.store(
-        ready_items,
-        min(ready_items, key=lambda item: (item.added_at, item.queue_id)))
-
-
-def _pr4_ready_items(self, cycle):
-    """PR-4 ``DistributedQueue.ready_items`` (per-lane identity check)."""
-    sources = tuple(queue.ready_items(cycle)
-                    for queue in self.queues.values())
-    previous = self._flat_sources
-    if (self._flat_ready is not None and len(sources) == len(previous)
-            and all(a is b for a, b in zip(sources, previous))):
-        return self._flat_ready
-    flat = tuple(item for source in sources for item in source)
-    self._flat_sources = sources
-    self._flat_ready = flat
-    return flat
+# grants, closure-free channel sends).  The reference measurement runs the
+# *verbatim PR-4 implementations* of those hot spots so the comparison is
+# against the seed's cost structure, not a half-upgraded hybrid.  The PR-4
+# scheduler selection and ready list are not vendored: the lane-ordered
+# ready sets replaced both, and the ladder's ``link-analytic`` rung times
+# them.
 
 
 def _pr4_channel_send(self, payload):
@@ -320,17 +295,11 @@ class _pr4_cost_structure:
     """Context manager installing the vendored PR-4 hot paths."""
 
     def __enter__(self):
-        from repro.core.distributed_queue import DistributedQueue
-        from repro.core.scheduler import FCFSScheduler
         from repro.sim.channel import ClassicalChannel
 
         self._saved = [
-            (FCFSScheduler, "select", FCFSScheduler.select),
-            (DistributedQueue, "ready_items", DistributedQueue.ready_items),
             (ClassicalChannel, "send", ClassicalChannel.send),
         ]
-        FCFSScheduler.select = _pr4_fcfs_select
-        DistributedQueue.ready_items = _pr4_ready_items
         ClassicalChannel.send = _pr4_channel_send
         return self
 

@@ -1,24 +1,12 @@
-"""MHP poll-chain hot path: cached vs per-cycle scheduler selection.
+"""MHP poll-chain hot path: the profiled mixed CK+MD QL2020 workload.
 
-Profiling the analytic backend on QL2020 (the ROADMAP's "~2x headroom" item)
-showed the cost of `MHP.notify_work`'s poll chain is not the poll itself but
-its last step: ``EGP.handle_poll`` asks the scheduler to pick among the
-ready queue items **every GEN cycle**, and the ``min(..., key=...)`` scan of
-a deep queue (a ~150-item MD backlog) accounted for ~40% of the whole run —
-35M key-lambda calls on a 300-simulated-second mixed CK+MD workload.
-
-PR 4 lands the cheapest win: ``DistributedQueue.ready_items`` now returns a
-flat list whose *object identity* is stable between queue mutations, and
-both schedulers memoise their selection on that identity (every field the
-choice depends on is fixed by the time an item appears in a ready list).
-The scan runs once per queue mutation instead of once per cycle.  Measured
-end-to-end on the profiled workload: 8.1s -> 5.2s wall (~1.6x), with the
-event count and every delivered pair bit-identical.
-
-This benchmark measures the microbenchmark speedup (the "before" path is
-the same select forced to miss the cache every call — a fresh list object
-per cycle, i.e. the pre-PR-4 full scan) and an end-to-end mixed QL2020 run,
-recording both in ``BENCH_bench_mhp_hotpath.json``.
+Every GEN cycle ``EGP.handle_poll`` asks the scheduler to pick among the
+ready queue items; on this workload the MD lane holds a backlog of a few
+hundred items.  The distributed queue keeps each lane's ready items ordered
+by the scheduler's own key, so a poll looks at one head per lane.  The
+end-to-end run below records wall time and event rate in
+``BENCH_bench_mhp_hotpath.json``; the ladder's ``link-analytic`` rung is the
+same workload over 300 simulated seconds and catches its regressions.
 """
 
 from __future__ import annotations
@@ -26,88 +14,6 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import BATCH, print_table, record_perf, scaled
-
-#: Ready-list population for the microbenchmark — a deep MD backlog, the
-#: regime the profile showed dominating (~150 ready items per poll).
-NUM_READY = 150
-CYCLES = 20_000
-
-
-def _ready_list():
-    from repro.core.distributed_queue import QueueItem
-    from repro.core.messages import (
-        AbsoluteQueueId,
-        EntanglementRequest,
-        Priority,
-        RequestType,
-    )
-
-    items = []
-    for seq in range(NUM_READY):
-        request = EntanglementRequest(
-            remote_node_id="B", request_type=RequestType.MEASURE, number=3,
-            purpose_id=int(Priority.MD), priority=Priority.MD, origin="A")
-        items.append(QueueItem(
-            request=request,
-            queue_id=AbsoluteQueueId(int(Priority.MD), seq),
-            schedule_cycle=0,
-            timeout_cycle=None,
-            added_at=float(seq),
-            pairs_remaining=3,
-            acknowledged=True,
-        ))
-    return items
-
-
-def _time_select(scheduler, ready_tuples, force_miss: bool) -> float:
-    started = time.perf_counter()
-    for cycle in range(CYCLES):
-        # Alternating between two equal tuples defeats the identity memo —
-        # exactly the pre-PR-4 cost of scanning the ready list every GEN
-        # cycle — while a single stable tuple hits it, as the EGP's polls
-        # do between queue mutations.
-        ready = ready_tuples[cycle % 2] if force_miss else ready_tuples[0]
-        scheduler.select(ready, cycle)
-    return time.perf_counter() - started
-
-
-def test_scheduler_selection_cache_speedup():
-    from repro.core.scheduler import FCFSScheduler
-
-    scheduler = FCFSScheduler()
-    items = _ready_list()
-    ready_tuples = (tuple(items), tuple(items))
-    # Sanity: cached and scanned paths agree on the choice.
-    expected = scheduler.select(list(items), 0)
-    assert scheduler.select(ready_tuples[0], 0) is expected
-    assert scheduler.select(ready_tuples[0], 1) is expected  # identity hit
-    assert scheduler.select(ready_tuples[1], 2) is expected  # fresh scan
-
-    before_wall = _time_select(scheduler, ready_tuples, force_miss=True)
-    after_wall = _time_select(scheduler, ready_tuples, force_miss=False)
-    before_rate = CYCLES / before_wall
-    after_rate = CYCLES / after_wall
-    speedup = before_wall / max(after_wall, 1e-12)
-
-    print_table(
-        f"FCFS select: {NUM_READY} ready items, {CYCLES} cycles — "
-        f"selection-cache speedup {speedup:.1f}x",
-        ["path", "wall (s)", "calls/s"],
-        [["scan every call (pre-PR4)", f"{before_wall:.4f}",
-          f"{before_rate:,.0f}"],
-         ["identity-cached (PR4)", f"{after_wall:.4f}",
-          f"{after_rate:,.0f}"]])
-
-    record_perf("bench_mhp_hotpath", "test_scheduler_selection_cache_speedup",
-                before_calls_per_second=round(before_rate),
-                after_calls_per_second=round(after_rate),
-                speedup=round(speedup, 2),
-                ready_items=NUM_READY)
-
-    # The memoised path must beat a per-call scan comfortably; the floor is
-    # loose so CI noise cannot flake it while a broken cache (~1x) fails.
-    assert speedup >= 3.0, \
-        f"selection cache only {speedup:.1f}x over per-call scan"
 
 
 def test_mhp_poll_chain_end_to_end():

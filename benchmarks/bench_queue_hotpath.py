@@ -1,13 +1,9 @@
-"""DQP ready-list hot path: cached vs per-cycle rebuild.
+"""DQP hot path end to end: a busy Lab MD link.
 
-The EGP polls ``DistributedQueue.ready_items`` every GEN cycle — hundreds of
-thousands of times per simulated second on the Lab scenario — while the
-answer only changes when the queue mutates or a waiting item's schedule
-cycle passes.  PR 3 caches the per-lane ready list with a next-transition
-watermark.  This benchmark measures the microbenchmark speedup (the "before"
-path is the cached implementation force-invalidated every call, i.e. the
-pre-PR-3 full rebuild plus a flag store) and an end-to-end simulation run,
-and records both in ``BENCH_bench_queue_hotpath.json``.
+The EGP asks the distributed queue for its ready lane heads every GEN cycle
+— hundreds of thousands of times per simulated second on the Lab scenario.
+This benchmark times an end-to-end run of that regime and records it in
+``BENCH_bench_queue_hotpath.json``.
 """
 
 from __future__ import annotations
@@ -16,87 +12,9 @@ import time
 
 from benchmarks.conftest import BATCH, print_table, record_perf, scaled
 
-#: Queue population for the microbenchmark: a mostly-waiting queue, the
-#: worst case for the rebuild (many items scanned, few ready).
-NUM_ITEMS = 64
-NUM_READY = 8
-CYCLES = 20_000
-
-
-def _populated_queue():
-    from repro.core.distributed_queue import LocalQueue, QueueItem
-    from repro.core.messages import (
-        AbsoluteQueueId,
-        EntanglementRequest,
-        Priority,
-        RequestType,
-    )
-
-    queue = LocalQueue(queue_id=int(Priority.MD), max_size=NUM_ITEMS + 1)
-    for seq in range(NUM_ITEMS):
-        request = EntanglementRequest(
-            remote_node_id="B", request_type=RequestType.MEASURE, number=3,
-            purpose_id=int(Priority.MD), priority=Priority.MD, origin="A")
-        item = QueueItem(
-            request=request,
-            queue_id=AbsoluteQueueId(int(Priority.MD), seq),
-            # A few items are ready now; the rest wait far in the future so
-            # the cache never naturally expires during the measurement.
-            schedule_cycle=0 if seq < NUM_READY else 10 ** 9,
-            timeout_cycle=None,
-            added_at=float(seq),
-            pairs_remaining=3,
-            acknowledged=True,
-        )
-        queue.add(item)
-    return queue
-
-
-def _time_ready_items(queue, invalidate_each_call: bool) -> float:
-    started = time.perf_counter()
-    for cycle in range(CYCLES):
-        if invalidate_each_call:
-            queue.invalidate_ready_cache()
-        queue.ready_items(cycle)
-    return time.perf_counter() - started
-
-
-def test_ready_items_cache_speedup():
-    queue = _populated_queue()
-    # Warm up and sanity-check both paths return the same answer.
-    assert len(queue.ready_items(0)) == NUM_READY
-    queue.invalidate_ready_cache()
-    assert len(queue.ready_items(0)) == NUM_READY
-
-    before_wall = _time_ready_items(queue, invalidate_each_call=True)
-    after_wall = _time_ready_items(queue, invalidate_each_call=False)
-    before_rate = CYCLES / before_wall
-    after_rate = CYCLES / after_wall
-    speedup = before_wall / max(after_wall, 1e-12)
-
-    print_table(
-        f"DQP ready_items: {NUM_ITEMS} items ({NUM_READY} ready), "
-        f"{CYCLES} cycles — cache speedup {speedup:.1f}x",
-        ["path", "wall (s)", "calls/s"],
-        [["rebuild every call (pre-PR3)", f"{before_wall:.4f}",
-          f"{before_rate:,.0f}"],
-         ["cached (PR3)", f"{after_wall:.4f}", f"{after_rate:,.0f}"]])
-
-    record_perf("bench_queue_hotpath", "test_ready_items_cache_speedup",
-                before_calls_per_second=round(before_rate),
-                after_calls_per_second=round(after_rate),
-                speedup=round(speedup, 2),
-                queue_items=NUM_ITEMS, ready_items=NUM_READY)
-
-    # The cached path must beat a per-call rebuild by a comfortable margin;
-    # the floor is loose so CI noise cannot flake it while a broken cache
-    # (~1x) still fails.
-    assert speedup >= 3.0, \
-        f"ready-list cache only {speedup:.1f}x over rebuild"
-
 
 def test_ready_items_end_to_end():
-    """End-to-end guard: a busy MD scenario exercising the cached path."""
+    """End-to-end guard: a busy MD scenario polling the lane heads."""
     from repro.core.messages import Priority
     from repro.runtime.runner import run_scenario
     from repro.runtime.workload import WorkloadSpec

@@ -18,9 +18,11 @@ Properties implemented (Appendix E.1.2):
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.core.messages import (
@@ -36,6 +38,12 @@ from repro.sim.channel import ClassicalChannel
 from repro.sim.engine import SimulationEngine
 from repro.sim.entity import Protocol
 
+#: The first-come-first-serve order of ready items: arrival time, with the
+#: absolute queue id breaking ties.  Unique within a lane, and the default
+#: order of a lane's ready set.
+arrival_key = attrgetter("added_at", "queue_id")
+
+
 @dataclass
 class QueueItem:
     """One entry of the distributed queue."""
@@ -47,10 +55,6 @@ class QueueItem:
     added_at: float
     pairs_remaining: int
     acknowledged: bool = False
-    #: Position in the owning lane's arrival sequence (assigned by
-    #: :meth:`LocalQueue.add`); delta-maintained ready lists merge on it to
-    #: keep arrival order without consulting the lane's ``_order`` list.
-    arrival_order: int = 0
     #: Virtual finish time used by weighted-fair-queueing schedulers.
     virtual_finish: float = 0.0
     #: Cycle until which generation for this item is suspended (used while the
@@ -68,18 +72,15 @@ class QueueItem:
     def is_ready(self, cycle: int) -> bool:
         """Whether this item may be served in MHP cycle ``cycle``.
 
-        Readiness caching invariant (see :meth:`LocalQueue.ready_items`):
-        the fields this predicate reads — ``acknowledged``,
-        ``schedule_cycle``, ``suspended_until_cycle``, ``pairs_remaining``
-        — may only change through paths that invalidate the owning queue's
-        ready cache (``LocalQueue.add/remove``, ``DistributedQueue`` frame
-        handling), with one audited exception: the EGP decrements
-        ``pairs_remaining`` on delivery and, when it reaches zero, removes
-        the item before the next readiness query.
-
-        NOTE: :meth:`LocalQueue.ready_items` inlines this predicate in its
-        rebuild loop (the per-item method call is measurable on deep
-        backlogs) — keep the two in sync when changing readiness rules.
+        The owning :class:`LocalQueue` keeps its ready set in step with this
+        predicate without re-evaluating it per query.  It learns of an item
+        when the item becomes ``acknowledged`` (:meth:`LocalQueue.add` of an
+        acknowledged item, or :meth:`LocalQueue.mark_acknowledged`) and reads
+        ``schedule_cycle`` and ``suspended_until_cycle`` then; whoever
+        changes those two fields of a resident item afterwards must call
+        :meth:`LocalQueue.invalidate_ready_cache`.  ``pairs_remaining`` may
+        drop to zero at any time: the lane checks it whenever it hands out a
+        head.
         """
         return (self.acknowledged
                 and cycle >= self.schedule_cycle
@@ -88,33 +89,47 @@ class QueueItem:
 
 
 class LocalQueue:
-    """A single priority lane of the distributed queue."""
+    """A single priority lane of the distributed queue.
 
-    def __init__(self, queue_id: int, max_size: int = 256,
-                 version_cell: Optional[list] = None) -> None:
+    Resident items live in ``_items``, keyed by queue sequence number in
+    arrival order.  Readiness is kept in two heaps, so the EGP's poll asks
+    each lane for one head instead of scanning the backlog:
+
+    * the *waiting frontier* holds the acknowledged items not yet in the
+      ready set, keyed by the cycle from which each is ready
+      (``max(schedule_cycle, suspended_until_cycle)``);
+    * the *ready set* holds the items whose cycle has come, ordered by
+      :attr:`key` — the scheduler's order for this lane (see
+      :meth:`~repro.core.scheduler.SchedulingStrategy.lane_key`), so its
+      head is the one item of the lane the scheduler may pick.
+
+    Every item enters the ready set through the waiting frontier: ``add``
+    and ``mark_acknowledged`` only push onto the frontier, and an item's key
+    is computed when a query (:meth:`head`) promotes it.  So a key may read
+    fields stamped right after the item entered the queue, such as the
+    virtual finish time WFQ sets in its ``on_enqueue`` hook.
+
+    Removal is lazy: :meth:`remove` drops the item from ``_items`` only, and
+    heap entries whose item is no longer resident (or has no pairs left) are
+    discarded when they reach the top.  A query at a cycle below the latest
+    promoted threshold rebuilds both heaps from ``_items``.
+    """
+
+    def __init__(self, queue_id: int, max_size: int = 256) -> None:
         self.queue_id = queue_id
         self.max_size = max_size
+        #: Order of the ready set, set by
+        #: :meth:`DistributedQueue.order_lanes`; unique within the lane.
+        self.key: Callable[[QueueItem], tuple] = arrival_key
         self._items: dict[int, QueueItem] = {}
-        self._order: list[int] = []
-        # Ready-list cache: the EGP asks for ready items every GEN cycle,
-        # but the answer only changes when the queue mutates or a waiting
-        # item crosses its schedule/suspension cycle.  ``_ready_next_change``
-        # is the earliest such crossing; until then a cache hit skips the
-        # per-item scan entirely.
-        self._ready_cache: Optional[list[QueueItem]] = None
-        self._ready_cycle: int = -1
-        self._ready_next_change: float = math.inf
-        #: Acknowledged items with a schedule/suspension threshold beyond
-        #: ``_ready_cycle``, in arrival order — the promotion frontier the
-        #: incremental path draws from when the cycle advances (valid only
-        #: while ``_ready_cache`` is not ``None``).
-        self._waiting: list[QueueItem] = []
-        #: Arrival-sequence source for :attr:`QueueItem.arrival_order`.
-        self._arrivals = itertools.count()
-        #: Mutation counter, optionally shared with the owning
-        #: :class:`DistributedQueue` so its flattened ready tuple can verify
-        #: all lanes at once (one int compare instead of per-lane calls).
-        self._version_cell = version_cell if version_cell is not None else [0]
+        #: Heap of ``(key(item), item)``.
+        self._ready: list[tuple] = []
+        #: Heap of ``(ready-from cycle, admission number, item)``.
+        self._waiting: list[tuple] = []
+        self._admissions = itertools.count()
+        #: Highest ready-from cycle among ready entries: the ready set is
+        #: right for any cycle at or above it (``inf`` forces a rebuild).
+        self._horizon: float = -math.inf
 
     def __len__(self) -> int:
         return len(self._items)
@@ -128,10 +143,10 @@ class LocalQueue:
         return len(self._items) >= self.max_size
 
     def invalidate_ready_cache(self) -> None:
-        """Drop the cached ready list (full-rescan fallback for any
-        readiness-affecting mutation the delta paths don't cover)."""
-        self._ready_cache = None
-        self._version_cell[0] += 1
+        """Rebuild the ready set from the resident items at the next query
+        (after a readiness field changed behind the lane's back, or the
+        lane's :attr:`key` changed)."""
+        self._horizon = math.inf
 
     def add(self, item: QueueItem) -> None:
         """Insert ``item`` keyed by its queue sequence number."""
@@ -140,56 +155,26 @@ class LocalQueue:
             raise ValueError(f"queue {self.queue_id} already holds seq {seq}")
         if self.is_full:
             raise OverflowError(f"queue {self.queue_id} is full")
-        item.arrival_order = next(self._arrivals)
         self._items[seq] = item
-        self._order.append(seq)
-        if self._ready_cache is None:
-            self.invalidate_ready_cache()
-            return
-        # Delta: an unacknowledged item is invisible to readiness until its
-        # ACK arrives (see :meth:`mark_acknowledged`), so the cached list —
-        # and its identity, which the schedulers memoise on — stays valid.
+        # An unacknowledged item is invisible to readiness until its ACK
+        # arrives (see :meth:`mark_acknowledged`).
         if item.acknowledged:
-            self._insert_visible(item)
+            self._admit(item)
 
     def mark_acknowledged(self, item: QueueItem) -> None:
-        """Readiness delta for a resident item whose ACK just arrived
+        """Readiness update for a resident item whose ACK just arrived
         (``acknowledged`` already flipped by the caller)."""
-        if self._ready_cache is None:
-            self.invalidate_ready_cache()
-            return
-        self._insert_visible(item)
+        self._admit(item)
 
-    def _insert_visible(self, item: QueueItem) -> None:
-        """Slot an acknowledged item into the cached ready list or the
-        waiting frontier, keeping both arrival-ordered."""
-        if item.pairs_remaining <= 0:
-            return
-        threshold = max(item.schedule_cycle, item.suspended_until_cycle)
-        if threshold <= self._ready_cycle:
-            # Ready at the cached cycle: publish a NEW list object (the
-            # identity change is what invalidates scheduler memoisation).
-            ready = list(self._ready_cache)
-            position = len(ready)
-            while (position > 0
-                   and ready[position - 1].arrival_order > item.arrival_order):
-                position -= 1
-            ready.insert(position, item)
-            self._ready_cache = ready
-            self._version_cell[0] += 1
-        else:
-            waiting = self._waiting
-            position = len(waiting)
-            while (position > 0
-                   and waiting[position - 1].arrival_order
-                   > item.arrival_order):
-                position -= 1
-            waiting.insert(position, item)
-            if threshold < self._ready_next_change:
-                # Tightening the crossing must bump the version so the
-                # owning DistributedQueue re-aggregates its flat horizon.
-                self._ready_next_change = threshold
-                self._version_cell[0] += 1
+    def _admit(self, item: QueueItem) -> None:
+        if item.pairs_remaining > 0:
+            heapq.heappush(self._waiting, (
+                max(item.schedule_cycle, item.suspended_until_cycle),
+                next(self._admissions), item))
+
+    def _live(self, item: QueueItem) -> bool:
+        return (item.pairs_remaining > 0
+                and self._items.get(item.queue_id.queue_seq) is item)
 
     def get(self, queue_seq: int) -> Optional[QueueItem]:
         """Item with the given sequence number, or ``None``."""
@@ -198,112 +183,81 @@ class LocalQueue:
     def remove(self, queue_seq: int) -> Optional[QueueItem]:
         """Remove and return the item with the given sequence number."""
         item = self._items.pop(queue_seq, None)
-        if item is None:
-            return None
-        self._order.remove(queue_seq)
-        if self._ready_cache is None:
+        if (item is not None and len(self._ready) + len(self._waiting)
+                > 2 * len(self._items) + 32):
+            # Mostly dead heap entries (removals far from the heads): let
+            # the next query rebuild compact heaps.
             self.invalidate_ready_cache()
-            return item
-        # Delta removal.  Identity scans throughout: QueueItem's dataclass
-        # equality compares fields, and two distinct items may compare
-        # equal — only ``is`` names the right one.
-        for position, ready_item in enumerate(self._ready_cache):
-            if ready_item is item:
-                ready = list(self._ready_cache)
-                del ready[position]
-                self._ready_cache = ready
-                self._version_cell[0] += 1
-                return item
-        for position, waiting_item in enumerate(self._waiting):
-            if waiting_item is item:
-                # ``_ready_next_change`` may now be earlier than any real
-                # crossing; that is conservative — the promotion pass at
-                # that cycle finds nothing and recomputes the horizon.
-                del self._waiting[position]
-                return item
-        return item  # unacknowledged (or pairs exhausted): was invisible
+        return item
 
     def items_in_order(self) -> list[QueueItem]:
         """All items in arrival order."""
-        return [self._items[seq] for seq in self._order]
+        return list(self._items.values())
+
+    def head(self, cycle: int) -> Optional[QueueItem]:
+        """The first ready item of the lane in :attr:`key` order at
+        ``cycle``, or ``None`` when no item is ready."""
+        if cycle < self._horizon:
+            self._rebuild(cycle)
+        elif self._waiting and self._waiting[0][0] <= cycle:
+            self._promote(cycle)
+        ready, items = self._ready, self._items
+        while ready:
+            item = ready[0][1]
+            # ``_live`` inlined: this runs for every lane on every poll.
+            if (item.pairs_remaining > 0
+                    and items.get(item.queue_id.queue_seq) is item):
+                return item
+            heapq.heappop(ready)
+        return None
+
+    def next_ready_change(self) -> float:
+        """Earliest cycle at which a waiting item becomes ready, valid after
+        a :meth:`head` query (``math.inf`` when nothing waits)."""
+        waiting = self._waiting
+        while waiting and not self._live(waiting[0][2]):
+            heapq.heappop(waiting)
+        return waiting[0][0] if waiting else math.inf
 
     def ready_items(self, cycle: int) -> list[QueueItem]:
         """Items that may be served in ``cycle``, in arrival order.
 
-        Cached between calls: the list is rebuilt only after a mutation
-        (add / remove / acknowledgement — see :meth:`invalidate_ready_cache`)
-        or once ``cycle`` reaches the earliest schedule/suspension crossing
-        of a waiting item.  Callers must treat the returned list as
-        read-only (the EGP and schedulers already do).
+        A view derived from the ready set, built afresh on every call; the
+        poll path asks for :meth:`head` instead.
         """
-        if self._ready_cache is not None and self._ready_cycle <= cycle:
-            if cycle < self._ready_next_change:
-                return self._ready_cache
-            return self._promote(cycle)
-        ready = []
-        waiting = []
-        next_change = math.inf
-        items = self._items
-        for seq in self._order:
-            item = items[seq]
-            # Inlined ``item.is_ready(cycle)``: the rebuild scans every
-            # resident item and deep MD backlogs make the per-item method
-            # call measurable on the poll hot path.
+        self.head(cycle)
+        ready = {id(entry[1]) for entry in self._ready}
+        return [item for item in self._items.values()
+                if id(item) in ready and item.pairs_remaining > 0]
+
+    def _promote(self, cycle: int) -> None:
+        """Move the waiting items whose cycle has come into the ready set."""
+        waiting, ready, key = self._waiting, self._ready, self.key
+        horizon = self._horizon
+        while waiting and waiting[0][0] <= cycle:
+            threshold, _, item = heapq.heappop(waiting)
+            if self._live(item):
+                heapq.heappush(ready, (key(item), item))
+                if threshold > horizon:
+                    horizon = threshold
+        self._horizon = horizon
+
+    def _rebuild(self, cycle: int) -> None:
+        """Both heaps afresh from the resident items, as of ``cycle``."""
+        ready, waiting = [], []
+        horizon = -math.inf
+        for item in self._items.values():
             if not item.acknowledged or item.pairs_remaining <= 0:
                 continue
-            if (cycle >= item.schedule_cycle
-                    and cycle >= item.suspended_until_cycle):
-                ready.append(item)
-            else:
-                # Not ready yet, but will become ready without any further
-                # mutation once its schedule/suspension cycle passes.
-                threshold = max(item.schedule_cycle,
-                                item.suspended_until_cycle)
-                if threshold > cycle:
-                    waiting.append(item)
-                    next_change = min(next_change, threshold)
-        self._ready_cache = ready
-        self._waiting = waiting
-        self._ready_cycle = cycle
-        self._ready_next_change = next_change
-        return ready
-
-    def _promote(self, cycle: int) -> list[QueueItem]:
-        """Cycle-advance delta: move waiting items whose threshold passed
-        into the ready list instead of rescanning the whole lane."""
-        promoted = []
-        waiting = []
-        next_change = math.inf
-        for item in self._waiting:
-            if item.pairs_remaining <= 0:
-                continue  # delivered out from under us; removal is pending
             threshold = max(item.schedule_cycle, item.suspended_until_cycle)
             if threshold <= cycle:
-                promoted.append(item)
+                ready.append((self.key(item), item))
+                horizon = max(horizon, threshold)
             else:
-                waiting.append(item)
-                next_change = min(next_change, threshold)
-        self._waiting = waiting
-        self._ready_cycle = cycle
-        self._ready_next_change = next_change
-        if promoted:
-            # Arrival-order merge of two arrival-ordered runs, into a NEW
-            # list object (identity change = memoisation invalidation).
-            ready = self._ready_cache
-            merged = []
-            i = j = 0
-            while i < len(ready) and j < len(promoted):
-                if ready[i].arrival_order <= promoted[j].arrival_order:
-                    merged.append(ready[i])
-                    i += 1
-                else:
-                    merged.append(promoted[j])
-                    j += 1
-            merged.extend(ready[i:])
-            merged.extend(promoted[j:])
-            self._ready_cache = merged
-            self._version_cell[0] += 1
-        return self._ready_cache
+                waiting.append((threshold, next(self._admissions), item))
+        heapq.heapify(ready)
+        heapq.heapify(waiting)
+        self._ready, self._waiting, self._horizon = ready, waiting, horizon
 
 
 @dataclass
@@ -356,14 +310,11 @@ class DistributedQueue(Protocol):
         super().__init__(engine, name=f"DQP-{node_name}")
         self.node_name = node_name
         self.is_master = is_master
-        #: Shared mutation counter: any lane's readiness-affecting change
-        #: bumps it, which is the flat ready cache's invalidation signal.
-        self._version = [0]
         self.queues: dict[int, LocalQueue] = {
-            int(priority): LocalQueue(int(priority), max_size=max_queue_size,
-                                      version_cell=self._version)
+            int(priority): LocalQueue(int(priority), max_size=max_queue_size)
             for priority in priorities
         }
+        self._lanes = tuple(self.queues.values())
         self.window_size = window_size
         self.ack_timeout = ack_timeout
         self._ack_timeout_name = f"{self.name}.ack_timeout"
@@ -375,15 +326,6 @@ class DistributedQueue(Protocol):
             queue_id: itertools.count() for queue_id in self.queues
         }
         self._pending: dict[int, _PendingAdd] = {}
-        # Flat ready-list cache: valid while every lane's (cached) ready
-        # list is the identical object it was on the previous call.
-        self._flat_ready: Optional[tuple[QueueItem, ...]] = None
-        self._flat_sources: tuple[list[QueueItem], ...] = ()
-        # Fast-path validity window for the flat cache: no lane mutated
-        # (version) and ``cycle`` below the earliest readiness crossing.
-        self._flat_version = -1
-        self._flat_cycle = -1
-        self._flat_next_change = -math.inf
         #: Called whenever an item is added locally (either origin).
         self.on_item_added: Optional[Callable[[QueueItem], None]] = None
         self.statistics = {"adds_sent": 0, "adds_received": 0,
@@ -478,50 +420,45 @@ class DistributedQueue(Protocol):
             return None
         return queue.get(queue_id.queue_seq)
 
-    def ready_items(self, cycle: int) -> tuple[QueueItem, ...]:
-        """All ready items across lanes (the scheduler picks among these).
+    def order_lanes(self, lane_key: Callable[[int], Callable]) -> None:
+        """Order each lane's ready set by ``lane_key(queue_id)`` — the
+        scheduler's :meth:`~repro.core.scheduler.SchedulingStrategy.lane_key`
+        (lanes default to :data:`arrival_key`)."""
+        for queue_id, queue in self.queues.items():
+            queue.key = lane_key(queue_id)
+            queue.invalidate_ready_cache()
 
-        Returned as an immutable *tuple*, cached on the identity of the
-        per-lane cached lists: while no lane rebuilt its ready list, the
-        same tuple object comes back.  That saves the per-cycle copy on
-        deep queues — and because the object is immutable and stable
-        between mutations, the schedulers memoise their selection on it
-        (see :meth:`~repro.core.scheduler.FCFSScheduler.select`).
+    def ready_heads(self, cycle: int) -> list[QueueItem]:
+        """The head of every lane with a ready item at ``cycle`` — at most
+        one item per lane, which is all a scheduler whose lane order
+        :meth:`order_lanes` installed needs to choose from."""
+        heads = []
+        for lane in self._lanes:
+            if lane._items:
+                head = lane.head(cycle)
+                if head is not None:
+                    heads.append(head)
+        return heads
+
+    def ready_items(self, cycle: int) -> tuple[QueueItem, ...]:
+        """All ready items across lanes, each lane in arrival order.
+
+        A derived read-only view (tests, diagnostics); the poll path uses
+        :meth:`ready_heads`.
         """
-        # Fast path: no lane mutated since the last call and ``cycle`` is
-        # still below every lane's next readiness crossing — one int
-        # compare instead of per-lane cache checks.
-        if (self._flat_version == self._version[0]
-                and self._flat_cycle <= cycle < self._flat_next_change
-                and self._flat_ready is not None):
-            return self._flat_ready
-        sources = tuple(queue.ready_items(cycle)
-                        for queue in self.queues.values())
-        self._flat_version = self._version[0]
-        self._flat_cycle = cycle
-        self._flat_next_change = min(
-            (queue._ready_next_change for queue in self.queues.values()),
-            default=math.inf)
-        previous = self._flat_sources
-        if (self._flat_ready is not None and len(sources) == len(previous)
-                and all(a is b for a, b in zip(sources, previous))):
-            return self._flat_ready
-        flat = tuple(item for source in sources for item in source)
-        self._flat_sources = sources
-        self._flat_ready = flat
-        return flat
+        return tuple(item for queue in self._lanes
+                     for item in queue.ready_items(cycle))
 
     def next_ready_change(self) -> float:
         """Earliest cycle at which a currently waiting item becomes ready
         without any further mutation (``math.inf`` when none is pending).
 
-        Valid for the cycle passed to the latest :meth:`ready_items` call —
-        the EGP consults it right after an empty ready answer to decide
-        when a poll could next be useful (busy-poll elision).  It may be
-        conservative (earlier than any real crossing) after a waiting item
-        was removed, which only costs one extra promotion pass.
+        Valid for the cycle passed to the latest :meth:`ready_heads` call —
+        the EGP consults it right after an empty answer to decide when a
+        poll could next be useful (busy-poll elision).
         """
-        return self._flat_next_change
+        return min((lane.next_ready_change() for lane in self._lanes),
+                   default=math.inf)
 
     # ------------------------------------------------------------------ #
     # Frame handling
@@ -611,7 +548,7 @@ class DistributedQueue(Protocol):
                 resident = item
             else:
                 resident = None  # defensive: never feed a non-resident
-                # item to the ready list (the resident copy rules)
+                # item to the ready set (the resident copy rules)
         item.acknowledged = True
         # Flipping ``acknowledged`` changes readiness: delta-insert the
         # resident item.

@@ -179,6 +179,7 @@ class EGP(Protocol):
         self.mhp.poll_callback = self.handle_poll
         self.mhp.reply_callback = self.handle_reply
         self.dqp.on_item_added = self._on_queue_item_added
+        self.dqp.order_lanes(scheduler.lane_key)
 
         self._peer_channel: Optional[ClassicalChannel] = None
         self._inflight: dict[int, _InFlightAttempt] = {}
@@ -377,13 +378,13 @@ class EGP(Protocol):
         if self._blocking_cycle is not None:
             return PollResponse.no_attempt()
 
-        ready = self.dqp.ready_items(cycle)
-        if not ready:
+        heads = self.dqp.ready_heads(cycle)
+        if not heads:
             if self.timer_elision:
-                # Busy-poll elision: the queue's incremental ready cache
-                # already knows the earliest cycle at which a waiting item
-                # crosses its schedule/suspension threshold (valid right
-                # after the ``ready_items`` call above).  Poll exactly
+                # Busy-poll elision: the queue's waiting frontier already
+                # knows the earliest cycle at which a waiting item crosses
+                # its schedule/suspension threshold (valid right after the
+                # ``ready_heads`` call above).  Poll exactly
                 # then — an unacknowledged item needs no poll until its
                 # ACK arrives, and that ACK schedules its own poll
                 # (``_on_queue_item_added``), so ``inf`` means stop.
@@ -407,7 +408,7 @@ class EGP(Protocol):
                     not_before=self.mhp.cycle_start(min(pending)) +
                     self.scenario.timing.mhp_cycle)
             return PollResponse.no_attempt()
-        item = self.scheduler.select(ready, cycle)
+        item = self.scheduler.select(heads, cycle)
         if item is None:
             return PollResponse.no_attempt()
         request = item.request
@@ -548,13 +549,10 @@ class EGP(Protocol):
                 # Preview at the cycle the poll would actually run in, so
                 # items whose schedule cycle starts between now and the
                 # poll are visible exactly as the poll would see them.
-                # The ready tuple is identity-stable between mutations, so
-                # the scheduler's memoised selection answers in O(1) on
-                # the repeat lookups of a busy lane.
                 cycle = self.mhp.next_cycle_at_or_after(poll_time)
-                ready = self.dqp.ready_items(cycle)
-                if ready:
-                    item = self.scheduler.select(ready, cycle)
+                heads = self.dqp.ready_heads(cycle)
+                if heads:
+                    item = self.scheduler.select(heads, cycle)
                     if (item is not None
                             and item.request.request_type is RequestType.KEEP):
                         not_before = max(not_before, nka)

@@ -39,7 +39,7 @@ from repro.sim.engine import EventHandle, ReusableTimer, SimulationEngine
 from repro.sim.entity import Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backends.base import PhysicsBackend
+    from repro.backends.base import AttemptModel, PhysicsBackend
 
 _GATED_SAMPLE = None
 
@@ -290,6 +290,10 @@ class MidpointHeraldingService(Protocol):
         self._batched_reply_name = f"{self.name}.batched_reply"
         self._channels: dict[str, ClassicalChannel] = {}
         self._pending: dict[int, _PendingGen] = {}
+        #: Attempt model per alpha.  The scenario is fixed, so this skips
+        #: hashing the whole ``ScenarioConfig`` in the backend's memo on
+        #: every attempt window.
+        self._models: dict[float, AttemptModel] = {}
         self._sequence = 0
         #: Optional optical-switch gate (set by ``repro.topology`` for
         #: switched multi-link networks): a callable
@@ -386,7 +390,10 @@ class MidpointHeraldingService(Protocol):
                 self._send_reply(frame.origin, reply)
             return
 
-        model = self.backend.attempt_model(self.scenario, frame_a.alpha)
+        model = self._models.get(frame_a.alpha)
+        if model is None:
+            model = self._models[frame_a.alpha] = self.backend.attempt_model(
+                self.scenario, frame_a.alpha)
         batch = max(1, min(frame_a.batch_size, frame_b.batch_size))
         stride = max(1, min(frame_a.cycle_stride, frame_b.cycle_stride))
         cycle_time = self.scenario.timing.mhp_cycle

@@ -21,10 +21,14 @@ Implemented strategies:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
-from repro.core.distributed_queue import QueueItem
+from repro.core.distributed_queue import QueueItem, arrival_key
 from repro.core.messages import Priority
+
+#: WFQ order of the weighted classes: virtual finish time first.
+virtual_finish_key = attrgetter("virtual_finish", "added_at", "queue_id")
 
 
 class SchedulingStrategy(ABC):
@@ -36,7 +40,20 @@ class SchedulingStrategy(ABC):
     @abstractmethod
     def select(self, ready_items: Sequence[QueueItem],
                cycle: int) -> Optional[QueueItem]:
-        """Return the item to serve in this MHP cycle, or ``None``."""
+        """Return the item to serve in this MHP cycle, or ``None``.
+
+        ``ready_items`` holds at least the first ready item of every lane
+        in :meth:`lane_key` order; the choice must be the same for every
+        such collection.  The EGP passes one head per lane
+        (:meth:`DistributedQueue.ready_heads`); passing the whole ready list
+        gives the same answer.
+        """
+
+    def lane_key(self, queue_id: int) -> Callable[[QueueItem], tuple]:
+        """Order of lane ``queue_id``'s ready set: :meth:`select` must never
+        prefer an item of the lane over one that comes first in this order.
+        Keys must be unique within a lane."""
+        return arrival_key
 
     def on_enqueue(self, item: QueueItem, cycle: int) -> None:
         """Hook invoked when an item enters the queue (used by WFQ)."""
@@ -45,62 +62,16 @@ class SchedulingStrategy(ABC):
         """Hook invoked when a pair for ``item`` is delivered."""
 
 
-class _SelectionCache:
-    """Memoises a scheduler's choice on the *identity* of the ready tuple.
-
-    The EGP polls the scheduler every GEN cycle, but between queue
-    mutations :meth:`DistributedQueue.ready_items` returns the identical
-    immutable tuple — and every field the selection depends on
-    (``added_at``, ``queue_id``, ``priority``, ``virtual_finish``) is fixed
-    by the time an item appears in a ready list.  Same tuple object
-    therefore implies the same choice, so the O(n) ``min`` scan of a deep
-    queue runs once per mutation instead of once per cycle.  Only tuples
-    are memoised — a mutable list (e.g. hand-built in tests) can be edited
-    in place under the cache, so it always takes the scan path — and the
-    strong reference to the memoised tuple keeps its ``id`` from being
-    reused.
-    """
-
-    def __init__(self) -> None:
-        self._items: Optional[Sequence[QueueItem]] = None
-        self._choice: Optional[QueueItem] = None
-
-    def lookup(self, ready_items: Sequence[QueueItem],
-               ) -> "tuple[bool, Optional[QueueItem]]":
-        if ready_items is self._items:
-            return True, self._choice
-        return False, None
-
-    def store(self, ready_items: Sequence[QueueItem],
-              choice: Optional[QueueItem]) -> Optional[QueueItem]:
-        if isinstance(ready_items, tuple):
-            self._items = ready_items
-            self._choice = choice
-        return choice
-
-
 class FCFSScheduler(SchedulingStrategy):
     """First-come-first-serve across all priority lanes."""
 
     name = "FCFS"
 
-    def __init__(self) -> None:
-        self._cache = _SelectionCache()
-
     def select(self, ready_items: Sequence[QueueItem],
                cycle: int) -> Optional[QueueItem]:
         if not ready_items:
             return None
-        if len(ready_items) == 1:
-            # Single candidate: no scan, no cache churn.
-            return self._cache.store(ready_items, ready_items[0])
-        hit, choice = self._cache.lookup(ready_items)
-        if hit:
-            return choice
-        return self._cache.store(
-            ready_items,
-            min(ready_items,
-                key=lambda item: (item.added_at, item.queue_id)))
+        return min(ready_items, key=arrival_key)
 
 
 class WeightedFairScheduler(SchedulingStrategy):
@@ -126,10 +97,9 @@ class WeightedFairScheduler(SchedulingStrategy):
         self.strict_priorities = tuple(strict_priorities)
         self.name = name
         #: WFQ virtual time, advanced as pairs complete.  Only consulted at
-        #: enqueue time (it stamps ``virtual_finish``), so advancing it does
-        #: not perturb the selection cache.
+        #: enqueue time (it stamps ``virtual_finish``), so an item's place
+        #: in its lane never moves once stamped.
         self._virtual_time = 0.0
-        self._cache = _SelectionCache()
 
     @classmethod
     def higher_wfq(cls) -> "WeightedFairScheduler":
@@ -146,6 +116,12 @@ class WeightedFairScheduler(SchedulingStrategy):
     # ------------------------------------------------------------------ #
     # Strategy interface
     # ------------------------------------------------------------------ #
+    def lane_key(self, queue_id: int) -> Callable[[QueueItem], tuple]:
+        # Lane ``queue_id`` holds the requests of priority ``queue_id``.
+        if queue_id in self.strict_priorities:
+            return arrival_key
+        return virtual_finish_key
+
     def on_enqueue(self, item: QueueItem, cycle: int) -> None:
         if item.priority in self.strict_priorities:
             return
@@ -163,29 +139,15 @@ class WeightedFairScheduler(SchedulingStrategy):
 
     def select(self, ready_items: Sequence[QueueItem],
                cycle: int) -> Optional[QueueItem]:
-        if not ready_items:
-            return None
-        if len(ready_items) == 1:
-            return self._cache.store(ready_items, ready_items[0])
-        hit, choice = self._cache.lookup(ready_items)
-        if hit:
-            return choice
-        return self._cache.store(ready_items, self._select(ready_items))
-
-    def _select(self, ready_items: Sequence[QueueItem],
-                ) -> Optional[QueueItem]:
         for priority in self.strict_priorities:
             strict = [item for item in ready_items if item.priority == priority]
             if strict:
-                return min(strict,
-                           key=lambda item: (item.added_at, item.queue_id))
+                return min(strict, key=arrival_key)
         weighted = [item for item in ready_items
                     if item.priority not in self.strict_priorities]
         if not weighted:
             return None
-        return min(weighted,
-                   key=lambda item: (item.virtual_finish, item.added_at,
-                                     item.queue_id))
+        return min(weighted, key=virtual_finish_key)
 
 
 def make_scheduler(name: str) -> SchedulingStrategy:

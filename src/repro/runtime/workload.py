@@ -14,6 +14,7 @@ same per-cycle probability, which is statistically identical and much cheaper.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +24,18 @@ from repro.analysis.metrics import MetricsCollector
 from repro.core.messages import EntanglementRequest, Priority, RequestType
 from repro.network.network import LinkLayerNetwork
 from repro.sim.entity import Entity
+
+
+def pair_draw_table(choices: np.ndarray,
+                    weights: np.ndarray) -> tuple[list[int], list[float]]:
+    """``(choices, cdf)`` such that ``choices[bisect_right(cdf,
+    rng.random())]`` draws exactly what ``rng.choice(choices, p=weights)``
+    draws: numpy builds the same normalised cumulative sum and searches it
+    the same way (``side="right"``) with one ``random()`` draw.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return [int(choice) for choice in choices], cdf.tolist()
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,9 @@ class RequestGenerator(Entity):
         self.queue_length_sample_interval = queue_length_sample_interval
         self.requests_issued = 0
         self._started = False
-        self._arrival_rates: dict[int, tuple[float, np.ndarray]] = {}
+        #: Per spec: arrival probability per cycle, and the
+        #: :func:`pair_draw_table` of the number of pairs per request.
+        self._arrival_rates: dict[int, tuple[float, tuple[list, list]]] = {}
         self._compute_arrival_rates()
 
     # ------------------------------------------------------------------ #
@@ -142,7 +157,8 @@ class RequestGenerator(Entity):
             weights = 1.0 / pair_choices
             weights = weights / weights.sum()
             self._arrival_rates[index] = (per_cycle_probability,
-                                          np.stack([pair_choices, weights]))
+                                          pair_draw_table(pair_choices,
+                                                          weights))
 
     def expected_request_rate(self, spec_index: int) -> float:
         """Expected CREATE requests per second for one workload spec."""
@@ -183,9 +199,8 @@ class RequestGenerator(Entity):
 
     def _issue(self, spec_index: int) -> None:
         spec = self.specs[spec_index]
-        _, pair_table = self._arrival_rates[spec_index]
-        choices, weights = pair_table
-        number = int(self.rng.choice(choices, p=weights))
+        _, (numbers, cdf) = self._arrival_rates[spec_index]
+        number = numbers[bisect_right(cdf, self.rng.random())]
         origin = spec.origin
         if origin == "random":
             origin = "A" if self.rng.random() < 0.5 else "B"

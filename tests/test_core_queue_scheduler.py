@@ -380,7 +380,7 @@ class TestSchedulers:
 
 
 class TestReadyListCache:
-    """The per-lane ready-list cache must be invisible except for speed."""
+    """The per-lane ready set must be invisible except for speed."""
 
     def make_queue(self) -> LocalQueue:
         return LocalQueue(queue_id=int(Priority.CK))
@@ -391,7 +391,7 @@ class TestReadyListCache:
         queue.add(make_item(seq=1))
         first = queue.ready_items(5)
         again = queue.ready_items(5)
-        assert again is first  # served from cache
+        assert again == first
         assert [i.queue_id.queue_seq for i in again] == [0, 1]
 
     def test_add_invalidates(self):
@@ -456,3 +456,16 @@ class TestReadyListCache:
             queue.invalidate_ready_cache()
             rebuilt = list(queue.ready_items(cycle))
             assert cached == rebuilt
+
+    def test_removals_behind_the_head_keep_heaps_compact(self):
+        # Removal is lazy; removals that never reach a heap's top must
+        # still not let dead entries pile up.
+        queue = LocalQueue(queue_id=int(Priority.CK), max_size=1000)
+        for seq in range(400):
+            queue.add(make_item(seq=seq, added_at=float(seq)))
+        assert queue.head(0).queue_id.queue_seq == 0
+        for seq in range(399, 0, -1):  # newest first: never the head
+            queue.remove(seq)
+            assert queue.head(0).queue_id.queue_seq == 0
+        assert queue.ready_items(0) == [queue.get(0)]
+        assert len(queue._ready) + len(queue._waiting) <= 2 * len(queue) + 32

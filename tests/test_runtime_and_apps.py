@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,11 @@ from repro.runtime.scenarios import (
     single_kind_scenarios,
     table1_scenarios,
 )
-from repro.runtime.workload import RequestGenerator, WorkloadSpec
+from repro.runtime.workload import (
+    RequestGenerator,
+    WorkloadSpec,
+    pair_draw_table,
+)
 
 
 class TestWorkloadSpec:
@@ -57,6 +63,33 @@ class TestWorkloadSpec:
         generator.start()
         network.run(1.0)
         assert issued and all(n == 4 for n in issued)
+
+
+class TestPairDraw:
+    """The number of pairs per request is drawn by bisecting a CDF, and must
+    match ``Generator.choice(p=...)`` draw for draw, stream included."""
+
+    @pytest.mark.parametrize("k_max", [1, 3, 256])
+    def test_matches_generator_choice(self, k_max):
+        choices = np.arange(1, k_max + 1)
+        weights = 1.0 / choices
+        weights = weights / weights.sum()
+        numbers, cdf = pair_draw_table(choices, weights)
+        reference = np.random.default_rng(k_max)
+        bisected = np.random.default_rng(k_max)
+        for _ in range(12_000):
+            expected = int(reference.choice(choices, p=weights))
+            assert numbers[bisect_right(cdf, bisected.random())] == expected
+        # One draw each time, so both streams are still in step.
+        assert reference.random() == bisected.random()
+
+    def test_fixed_pair_count_still_draws_once(self):
+        numbers, cdf = pair_draw_table(np.array([4]), np.array([1.0]))
+        rng = np.random.default_rng(9)
+        assert numbers[bisect_right(cdf, rng.random())] == 4
+        reference = np.random.default_rng(9)
+        reference.choice(np.array([4]), p=np.array([1.0]))
+        assert reference.random() == rng.random()
 
 
 class TestSimulationRun:
