@@ -16,7 +16,7 @@ produces the metrics used throughout the paper's evaluation:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from statistics import mean
 from typing import Optional
 
@@ -29,6 +29,7 @@ from repro.core.messages import (
 )
 from repro.quantum.fidelity import fidelity_from_qber
 from repro.quantum.states import BellIndex
+from repro.topology.spec import dataclass_to_dict
 
 
 def relative_difference(first: float, second: float) -> float:
@@ -127,7 +128,7 @@ class MetricsSummary:
 
     def to_dict(self) -> dict:
         """JSON-serialisable representation (exact float round-trip)."""
-        return asdict(self)
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsSummary":

@@ -139,10 +139,16 @@ class ClusterPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterPlan":
-        """Parse a plan document."""
+        """Parse a plan document.
+
+        Each distinct hardware config is built once and its frozen
+        instance shared by every spec that uses it (the paper grid has 4
+        across 169 specs).
+        """
         if data.get("format") != "cluster-plan/v1":
             raise ValueError(f"not a cluster plan: format "
                              f"{data.get('format')!r}")
+        configs: list = []
         return cls(
             master_seed=data["master_seed"],
             duration=data["duration"],
@@ -151,7 +157,8 @@ class ClusterPlan:
             clock_skew_tolerance=data.get("clock_skew_tolerance", 5.0),
             cache_dir=data.get("cache_dir"),
             seeds=list(data["seeds"]),
-            specs=[ScenarioSpec.from_dict(entry) for entry in data["specs"]],
+            specs=[ScenarioSpec.from_dict(entry, configs=configs)
+                   for entry in data["specs"]],
             shard_plan=ShardPlan.from_dict(data["shard_plan"]),
             guard=data.get("guard"),
         )
@@ -252,6 +259,9 @@ class ClusterCoordinator:
         self.guard = (guard.to_dict() if hasattr(guard, "to_dict")
                       else guard)
         self._shard_plan: Optional[ShardPlan] = None
+        #: The plan document :meth:`write_plan` last wrote — the parsed
+        #: contents of ``plan.json`` (``None`` until written).
+        self.written_plan: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -346,6 +356,7 @@ class ClusterCoordinator:
         for sub in (TASKS_DIR, RESULTS_DIR, WORKERS_DIR):
             (self.cluster_dir / sub).mkdir(parents=True, exist_ok=True)
         atomic_write_json(path, document, indent=2)
+        self.written_plan = document
         return path
 
     def reset_state(self) -> None:

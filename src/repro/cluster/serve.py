@@ -124,7 +124,9 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         op = frame.get("op")
         try:
             if op == "plan":
-                return {"ok": True, "plan": self.local.plan.to_dict()}
+                # The document written to plan.json, not rebuilt per
+                # connection.
+                return {"ok": True, "plan": self.coordinator.written_plan}
             if op == "register":
                 shard = self.local.register_worker(
                     str(frame["worker_id"]), frame.get("shard"))

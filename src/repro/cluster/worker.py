@@ -21,19 +21,21 @@ scenario list, seeds and shard plan from the plan document, then loops:
    deterministic, so the duplicate sink records are identical and the merge
    dedupes them.
 
-While a scenario runs, a daemon heartbeat thread refreshes the lease through
-the transport at a third of the lease timeout, so long scenarios are never
-mistaken for dead workers; a heartbeat that reports the lease lost (taken
-over while this worker was presumed dead) stops beating.  Outcomes stream
-through :meth:`~repro.cluster.transport.Transport.submit_result`, which is
-durable before the done marker exists — crash-and-resume is safe at every
-point.
+While a scenario runs, the worker's one daemon heartbeat thread refreshes
+its lease through the transport at a third of the lease timeout, so long
+scenarios are never mistaken for dead workers; a heartbeat that reports the
+lease lost (taken over while this worker was presumed dead) stops beating
+that lease, and the worker aborts the scenario instead of submitting it.
+Outcomes stream through
+:meth:`~repro.cluster.transport.Transport.submit_result`, which is durable
+before the done marker exists — crash-and-resume is safe at every point.
 
 With ``batch_size > 1`` a worker claims up to that many *analytic* scenarios
 per step and advances them as one vectorized cohort
-(:mod:`repro.runtime.batch`): one lease and one heartbeat per member, so the
-failure story is unchanged — a member whose lease was taken over mid-cohort
-is aborted individually while the others still submit.
+(:mod:`repro.runtime.batch`): one lease per member, each refreshed by the
+same heartbeat thread, so the failure story is unchanged — a member whose
+lease was taken over mid-cohort is aborted individually while the others
+still submit.
 
 When the plan carries a :class:`~repro.runtime.guard.GuardPolicy` the worker
 executes under it (event budgets, wall deadlines, result validation) and
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import logging
 import os
 import threading
@@ -130,48 +131,95 @@ def derive_batch_size(plan, cache_dir: "Optional[str | Path]" = None) -> int:
 
 
 class _Heartbeat:
-    """Daemon thread refreshing a lease through the transport while a
-    scenario runs.  Stops on its own once the transport reports the lease
-    lost (stale takeover by a peer) — and **surfaces** that loss through
-    :attr:`lease_lost`, which the worker must check before submitting: a
-    displaced worker that submits anyway double-counts the scenario (its
-    peer took over and will submit it too)."""
+    """The worker's one daemon thread refreshing every watched lease.
 
-    def __init__(self, transport: Transport, index: int, worker_id: str,
+    :meth:`watch` adds a lease when its scenario starts running: its first
+    beat is due one interval later, then one per interval.  A transient
+    :class:`TransportError` is not a loss — the lease keeps beating.  An
+    authoritative ``alive: false`` (stale takeover by a peer) marks that
+    lease **lost** and stops refreshing it; :meth:`unwatch` returns the
+    flag, final from then on, and the worker must check it before
+    submitting: a displaced worker that submits anyway double-counts the
+    scenario (its peer took over and will submit it too).  An answer that
+    arrives after its lease was unwatched marks nothing.
+
+    The thread starts with the first watch and lives until :meth:`close`,
+    so a worker pays for one thread, not one per scenario.
+    """
+
+    def __init__(self, transport: Transport, worker_id: str,
                  interval: float) -> None:
         self._transport = transport
-        self._index = index
         self._worker_id = worker_id
         self._interval = max(interval, 0.05)
-        self._stop = threading.Event()
-        #: Set once the transport authoritatively reports the lease as no
-        #: longer ours.  The running scenario observes it as its abort
-        #: signal: finish (execution is cheap and deterministic) but do NOT
-        #: submit.
-        self.lease_lost = threading.Event()
-        self._thread = threading.Thread(target=self._beat, daemon=True)
+        self._wakeup = threading.Condition()
+        #: index -> [next beat due (monotonic), lost flag]; a fresh list
+        #: per watch, so a late answer cannot reach a later watch.
+        self._watched: dict[int, list] = {}
+        self._thread: Optional[threading.Thread] = None
+        self._closed = False
 
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
+    def watch(self, index: int) -> None:
+        """Start refreshing the lease of ``index``."""
+        with self._wakeup:
+            self._watched[index] = [time.monotonic() + self._interval, False]
+            if self._thread is None:
+                self._closed = False
+                self._thread = threading.Thread(
+                    target=self._beat, name=f"heartbeat-{self._worker_id}",
+                    daemon=True)
+                self._thread.start()
+            self._wakeup.notify()
 
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join()
+    def unwatch(self, index: int) -> bool:
+        """Stop refreshing ``index``; whether its lease was lost."""
+        with self._wakeup:
+            return self._watched.pop(index)[1]
+
+    def close(self) -> None:
+        """Stop the thread; a later :meth:`watch` starts a new one."""
+        with self._wakeup:
+            self._closed = True
+            self._wakeup.notify()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def _due(self) -> Optional[list[tuple[int, list]]]:
+        """Wait for the next due beats; ``None`` once closed."""
+        with self._wakeup:
+            while not self._closed:
+                now = time.monotonic()
+                due = []
+                next_at = None
+                for index, entry in self._watched.items():
+                    if entry[1]:
+                        continue
+                    if entry[0] <= now:
+                        entry[0] = now + self._interval
+                        due.append((index, entry))
+                    elif next_at is None or entry[0] < next_at:
+                        next_at = entry[0]
+                if due:
+                    return due
+                self._wakeup.wait(None if next_at is None else next_at - now)
+            return None
 
     def _beat(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                alive = self._transport.heartbeat(self._index,
-                                                  self._worker_id)
-            except TransportError:
-                # Transient outage — unknown is not "lost".  Keep beating;
-                # the transport reconnects/retries, and a genuine takeover
-                # is reported authoritatively as False.
-                continue
-            if not alive:
-                self.lease_lost.set()
-                return  # lease was taken over or cleaned up: stop beating
+        while (due := self._due()) is not None:
+            for index, entry in due:
+                try:
+                    alive = self._transport.heartbeat(index, self._worker_id)
+                except TransportError:
+                    # Transient outage — unknown is not "lost".  Keep
+                    # beating; the transport reconnects/retries, and a
+                    # genuine takeover is reported authoritatively as False.
+                    continue
+                if not alive:
+                    # Taken over: stop beating it.  The flag lands on this
+                    # watch's own entry, so an answer arriving after the
+                    # unwatch marks nothing the worker still reads.
+                    entry[1] = True
 
 
 class ClusterWorker:
@@ -267,6 +315,9 @@ class ClusterWorker:
         #: are bit-identical with or without the reuse).
         self._cohort_backend = None
         self._cache = None if cache_dir is None else ResumeCache(cache_dir)
+        #: Refreshes the leases of the scenarios running right now.
+        self._heartbeat = _Heartbeat(self.transport, self.worker_id,
+                                     self.plan.lease_timeout / 3.0)
         #: The plan's supervision policy (``None`` on unguarded plans):
         #: installed into every execution and the trigger for routing
         #: failures through ``record_failure`` instead of ``submit_result``.
@@ -469,15 +520,16 @@ class ClusterWorker:
     def _execute_claimed(self, index: int) -> int:
         """Run one freshly claimed scenario under its heartbeat and submit
         (or abort/report) it."""
-        with _Heartbeat(self.transport, index, self.worker_id,
-                        self.plan.lease_timeout / 3.0) as heartbeat:
+        self._heartbeat.watch(index)
+        try:
             outcome = self._compute(index)
-        # The heartbeat thread is joined here: lease_lost is final for
-        # everything it observed.  A worker that was presumed dead and
-        # displaced must abort instead of submitting — its peer took
-        # the lease over and owns this scenario's submission now;
-        # submitting both would double-count it.
-        if heartbeat.lease_lost.is_set():
+        finally:
+            lost = self._heartbeat.unwatch(index)
+        # The loss flag is final once unwatched.  A worker that was
+        # presumed dead and displaced must abort instead of submitting —
+        # its peer took the lease over and owns this scenario's submission
+        # now; submitting both would double-count it.
+        if lost:
             self._abort(index)
             return index
         if (self.guard is not None and not outcome.ok
@@ -542,7 +594,7 @@ class ClusterWorker:
 
     def _step_cohort(self) -> Optional[int]:
         """Claim up to ``batch_size`` analytic scenarios and run them as one
-        vectorized cohort — one lease and heartbeat per member, so each
+        vectorized cohort — one watched lease per member, so each
         member aborts or submits individually exactly as on the solo path.
         """
         from repro.runtime.batch import cohortable, execute_cohort
@@ -586,35 +638,33 @@ class ClusterWorker:
         if self._cohort_backend is None:
             from repro.backends.vectorized import VectorizedAnalyticBackend
             self._cohort_backend = VectorizedAnalyticBackend()
-        with contextlib.ExitStack() as stack:
-            beats = {
-                payload[0]: stack.enter_context(
-                    _Heartbeat(self.transport, payload[0], self.worker_id,
-                               self.plan.lease_timeout / 3.0))
+        for payload in payloads:
+            self._heartbeat.watch(payload[0])
+        try:
+            outcomes = execute_cohort(payloads,
+                                      backend=self._cohort_backend,
+                                      guard=self.guard)
+        except MemoryError:
+            # The cohort itself (vectorized state allocation) blew the
+            # memory ceiling before per-member handling could: every
+            # member becomes an oom failure, and _report_failure halves
+            # the batch size so the retries come back smaller.
+            self._cohort_backend = None
+            outcomes = [
+                (payload[0], _failure_outcome(
+                    payload[1], payload[2], payload[3], "oom",
+                    f"MemoryError in a {len(payloads)}-member cohort",
+                    time.perf_counter()))
                 for payload in payloads
-            }
-            try:
-                outcomes = execute_cohort(payloads,
-                                          backend=self._cohort_backend,
-                                          guard=self.guard)
-            except MemoryError:
-                # The cohort itself (vectorized state allocation) blew the
-                # memory ceiling before per-member handling could: every
-                # member becomes an oom failure, and _report_failure halves
-                # the batch size so the retries come back smaller.
-                self._cohort_backend = None
-                outcomes = [
-                    (payload[0], _failure_outcome(
-                        payload[1], payload[2], payload[3], "oom",
-                        f"MemoryError in a {len(payloads)}-member cohort",
-                        time.perf_counter()))
-                    for payload in payloads
-                ]
-        # All heartbeat threads are joined here — per-member lease_lost is
-        # final, and a displaced member aborts while the rest submit.
+            ]
+        finally:
+            lost = {payload[0]: self._heartbeat.unwatch(payload[0])
+                    for payload in payloads}
+        # Per-member loss flags are final once unwatched: a displaced
+        # member aborts while the rest submit.
         specs = {payload[0]: payload[1] for payload in payloads}
         for index, outcome in outcomes:
-            if beats[index].lease_lost.is_set():
+            if lost[index]:
                 self._abort(index)
                 continue
             if self.guard is not None and not outcome.ok:
@@ -686,6 +736,7 @@ class ClusterWorker:
         the transport — best-effort, so a coordinator that already exited
         never turns a clean worker shutdown into a failure.
         """
+        self._heartbeat.close()
         if self.metrics is not None:
             # Gauges, not counters: close() may run twice (run()'s finally
             # plus an explicit call) and last-write-wins stays idempotent.

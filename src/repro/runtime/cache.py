@@ -164,6 +164,14 @@ class ResumeCache:
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
+        #: Keys :meth:`load` computed on a miss, kept for the :meth:`store`
+        #: that follows, so each scenario is keyed once.  Indexed by
+        #: ``(id(spec), seed, duration)``; the spec itself is held to keep
+        #: the id from being reused.  Specs are values — nothing mutates one
+        #: between its lookup and its store.  A miss never stored (a lease
+        #: lost mid-run) leaves one small entry behind.
+        self._miss_keys: dict[tuple[int, int, float],
+                              tuple["ScenarioSpec", str]] = {}
 
     # ------------------------------------------------------------------ #
     # Keys and paths
@@ -187,9 +195,23 @@ class ResumeCache:
              backend: Optional[str] = None) -> Path:
         """Cache file for ``spec`` under the given (or resolved) backend and
         the spec's event engine."""
+        return self._path(self._key_of(spec, seed, duration), spec, backend)
+
+    def _path(self, key: str, spec: "ScenarioSpec",
+              backend: Optional[str]) -> Path:
         backend = backend or spec.backend_name()
-        return self.directory / (f"{self.key(spec, seed, duration)}"
-                                 f".{backend}.{spec.engine}.json")
+        return self.directory / f"{key}.{backend}.{spec.engine}.json"
+
+    def _key_of(self, spec: "ScenarioSpec", seed: int, duration: float,
+                pop: bool = False) -> str:
+        """:meth:`key`, reusing the one a missed :meth:`load` computed
+        (``pop`` releases it: the store that follows a miss)."""
+        memo = self._miss_keys
+        slot = (id(spec), seed, duration)
+        entry = memo.pop(slot, None) if pop else memo.get(slot)
+        if entry is not None and entry[0] is spec:
+            return entry[1]
+        return self.key(spec, seed, duration)
 
     # ------------------------------------------------------------------ #
     # Load / store
@@ -214,10 +236,11 @@ class ResumeCache:
 
         backend = spec.backend_name()
         engine = spec.engine
-        path = self.path(spec, seed, duration, backend=backend)
+        key = self.key(spec, seed, duration)
+        path = self._path(key, spec, backend)
         if not path.exists():
-            reason = self._foreign_variant_reason(spec, seed, duration,
-                                                  backend, engine)
+            self._miss_keys[(id(spec), seed, duration)] = (spec, key)
+            reason = self._foreign_variant_reason(key, backend, engine)
             if reason is not None:
                 self._log_skip(spec.name, reason)
             return None, reason
@@ -317,9 +340,10 @@ class ResumeCache:
         behavior.
         """
         if not outcome.ok and attempts is None:
+            self._miss_keys.pop((id(spec), outcome.seed, duration), None)
             return
-        path = self.path(spec, outcome.seed, duration,
-                         backend=outcome.backend)
+        path = self._path(self._key_of(spec, outcome.seed, duration, pop=True),
+                          spec, outcome.backend)
         payload = {
             "cache_version": CACHE_VERSION,
             "backend": outcome.backend,
@@ -334,16 +358,25 @@ class ResumeCache:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _foreign_variant_reason(self, spec: "ScenarioSpec", seed: int,
-                                duration: float, backend: str,
+    def _foreign_variant_reason(self, stem: str, backend: str,
                                 engine: str) -> Optional[str]:
-        """Report entries for the same scenario under *other* backends or
-        event engines (including pre-v4 entries without an engine suffix)."""
-        stem = self.key(spec, seed, duration)
-        siblings = sorted(self.directory.glob(f"{stem}.*.json"))
+        """Report entries for the same scenario (cache key ``stem``) under
+        *other* backends or event engines (including pre-v4 entries without
+        an engine suffix): the files matching ``{stem}.*.json``, found in
+        one directory scan."""
+        prefix, suffix = f"{stem}.", ".json"
+        try:
+            with os.scandir(self.directory) as entries:
+                siblings = sorted(
+                    entry.name for entry in entries
+                    if entry.name.startswith(prefix)
+                    and entry.name.endswith(suffix)
+                    and len(entry.name) >= len(prefix) + len(suffix))
+        except FileNotFoundError:
+            return None
         if not siblings:
             return None
-        others = [path.name[len(stem) + 1:-len(".json")] for path in siblings]
+        others = [name[len(prefix):-len(suffix)] for name in siblings]
         variants = ", ".join(
             " + ".join(repr(part) for part in other.split("."))
             for other in others)

@@ -25,7 +25,11 @@ from repro.hardware.parameters import ScenarioConfig, lab_scenario, ql2020_scena
 from repro.runtime.runner import RunResult, SimulationRun
 from repro.runtime.workload import UsagePattern, WorkloadSpec
 from repro.sim.queues import ENGINE
-from repro.topology.spec import Topology, build_dataclass as _build_dataclass
+from repro.topology.spec import (
+    Topology,
+    build_dataclass as _build_dataclass,
+    dataclass_to_dict,
+)
 
 #: Load levels of the long runs (Section 6): name -> f_P.
 LONG_RUN_LOADS: dict[str, float] = {"Low": 0.7, "High": 0.99, "Ultra": 1.5}
@@ -118,8 +122,8 @@ class ScenarioSpec:
         """
         return {
             "name": self.name,
-            "scenario": dataclasses.asdict(self.scenario),
-            "workload": [{**dataclasses.asdict(w), "priority": w.priority.name}
+            "scenario": dataclass_to_dict(self.scenario),
+            "workload": [{**dataclass_to_dict(w), "priority": w.priority.name}
                          for w in self.workload],
             "scheduler": self.scheduler_name(),
             "seed": self.seed,
@@ -131,15 +135,23 @@ class ScenarioSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Rebuild a spec serialised with :meth:`to_dict`."""
+    def from_dict(cls, data: dict,
+                  configs: Optional[list[tuple[dict, ScenarioConfig]]] = None,
+                  ) -> "ScenarioSpec":
+        """Rebuild a spec serialised with :meth:`to_dict`.
+
+        ``configs`` shares hardware configs across the specs of one
+        document: pass the same (initially empty) list for every spec, and
+        each distinct ``scenario`` dict is built once — the frozen
+        :class:`ScenarioConfig` instance is then shared.
+        """
         workload = tuple(
             _build_dataclass(WorkloadSpec,
                              {**entry, "priority": Priority[entry["priority"]]})
             for entry in data["workload"])
         return cls(
             name=data["name"],
-            scenario=_build_dataclass(ScenarioConfig, data["scenario"]),
+            scenario=_shared_config(data["scenario"], configs),
             workload=workload,
             scheduler=data.get("scheduler", "FCFS"),
             seed=data.get("seed", 12345),
@@ -241,6 +253,21 @@ class ScenarioSpec:
         if guard is not None:
             guard.install(simulation.network.engine)
         return simulation.run(duration)
+
+
+def _shared_config(data: dict,
+                   configs: Optional[list[tuple[dict, ScenarioConfig]]],
+                   ) -> ScenarioConfig:
+    """The config for ``data``, built once per distinct dict in ``configs``
+    (``None``: always build)."""
+    if configs is None:
+        return _build_dataclass(ScenarioConfig, data)
+    for seen, config in configs:
+        if seen == data:
+            return config
+    config = _build_dataclass(ScenarioConfig, data)
+    configs.append((data, config))
+    return config
 
 
 def _hardware(name: str) -> ScenarioConfig:
@@ -409,10 +436,9 @@ def paper_grid(hardwares: tuple[str, ...] = ("Lab", "QL2020"),
                 attempt_batch_size=attempt_batch_size, backend=backend,
                 engine=engine))
     if include_table1:
-        table1 = table1_scenarios(backend=backend, engine=engine)
-        for spec in table1:
-            spec.attempt_batch_size = attempt_batch_size
-        specs.extend(table1)
+        specs.extend(
+            dataclasses.replace(spec, attempt_batch_size=attempt_batch_size)
+            for spec in table1_scenarios(backend=backend, engine=engine))
     if include_robustness:
         specs.extend(robustness_scenarios(backend=backend, engine=engine))
     names = [spec.name for spec in specs]

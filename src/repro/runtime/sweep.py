@@ -33,7 +33,7 @@ import json
 import multiprocessing
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -60,6 +60,7 @@ from repro.runtime.scenarios import (
     star_grid,
 )
 from repro.sim.queues import ENGINE
+from repro.topology.spec import dataclass_to_dict
 
 __all__ = [
     "CACHE_VERSION",
@@ -171,10 +172,9 @@ class ScenarioOutcome:
         return self.status == "ok"
 
     def to_dict(self) -> dict:
-        """JSON-serialisable representation."""
-        data = asdict(self)
-        data["summary"] = None if self.summary is None else self.summary.to_dict()
-        return data
+        """JSON-serialisable representation (the summary is converted in
+        the same walk)."""
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioOutcome":

@@ -19,6 +19,7 @@ Two constructors cover the paper-adjacent topologies:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -72,6 +73,43 @@ def build_dataclass(cls: type, data: dict):
             value = build_dataclass(nested, value)
         kwargs[name] = value
     return cls(**kwargs)
+
+
+#: Immutable leaf types :func:`dataclass_to_dict` returns as they are.
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Field names of dataclass ``cls``, memoized per class."""
+    return tuple(spec_field.name for spec_field in dataclasses.fields(cls))
+
+
+def dataclass_to_dict(obj) -> dict:
+    """Convert a (possibly nested) dataclass to plain data — the inverse of
+    :func:`build_dataclass`.
+
+    Equal to ``dataclasses.asdict(obj)`` without its per-leaf
+    ``copy.deepcopy``: immutable leaves are returned as they are and the
+    field list is memoized per class.  Containers are rebuilt on every
+    call, so callers may mutate the result.
+    """
+    return {name: _plain(getattr(obj, name))
+            for name in _field_names(type(obj))}
+
+
+def _plain(value):
+    """One value copied as ``dataclasses.asdict`` copies it."""
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is list or kind is tuple:
+        return kind([_plain(item) for item in value])
+    if kind is dict:
+        return {_plain(key): _plain(item) for key, item in value.items()}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclass_to_dict(value)
+    return copy.deepcopy(value)
 
 
 def hardware_config(hardware: "str | ScenarioConfig") -> ScenarioConfig:
@@ -275,11 +313,11 @@ class Topology:
             "links": [{
                 "node_a": link.node_a,
                 "node_b": link.node_b,
-                "scenario": dataclasses.asdict(link.scenario),
+                "scenario": dataclass_to_dict(link.scenario),
                 "midpoint_position": link.midpoint_position,
             } for link in self.links],
             "switch": (None if self.switch is None
-                       else dataclasses.asdict(self.switch)),
+                       else dataclass_to_dict(self.switch)),
         }
 
     def identity_key(self) -> str:

@@ -402,7 +402,7 @@ class TestHeartbeatLoss:
         merged = coordinator.merge(require_complete=False)
         assert len(merged.outcomes) == 1
 
-    def test_transient_heartbeat_outage_does_not_abort(self, tmp_path):
+    def test_transient_heartbeat_outage_does_not_abort(self):
         from repro.cluster.worker import _Heartbeat
 
         class FlakyTransport:
@@ -416,12 +416,205 @@ class TestHeartbeatLoss:
                 return True
 
         transport = FlakyTransport()
-        with _Heartbeat(transport, 0, "w", interval=0.05) as heartbeat:
-            deadline = time.monotonic() + 2.0
-            while transport.beats < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
+        heartbeat = _Heartbeat(transport, "w", interval=0.05)
+        heartbeat.watch(0)
+        deadline = time.monotonic() + 2.0
+        while transport.beats < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        lost = heartbeat.unwatch(0)
+        heartbeat.close()
         assert transport.beats >= 3  # kept beating through the outage
-        assert not heartbeat.lease_lost.is_set()
+        assert not lost
+
+    def test_late_answer_for_an_unwatched_lease_marks_nothing(self):
+        """A beat answered after its lease was unwatched — even ``alive:
+        false`` — must not mark the next watch of the same index lost."""
+        from repro.cluster.worker import _Heartbeat
+
+        class BlockingTransport:
+            def __init__(self):
+                self.started = threading.Event()
+                self.release = threading.Event()
+                self.beats = 0
+
+            def heartbeat(self, index, worker_id):
+                self.beats += 1
+                if self.beats == 1:
+                    self.started.set()
+                    self.release.wait(5.0)
+                    return False  # the late, authoritative "lost"
+                return True
+
+        transport = BlockingTransport()
+        heartbeat = _Heartbeat(transport, "w", interval=0.05)
+        heartbeat.watch(0)
+        assert transport.started.wait(2.0)
+        assert not heartbeat.unwatch(0)  # the answer is still in flight
+        heartbeat.watch(0)  # the same index, claimed again
+        transport.release.set()
+        deadline = time.monotonic() + 2.0
+        while transport.beats < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not heartbeat.unwatch(0)
+        heartbeat.close()
+
+    def test_loss_flags_survive_racing_rewatches(self):
+        """Stress: one index watched and unwatched many times while beats
+        race the switches.  A beat answers "lost" exactly when it began in
+        an odd generation; a lost flag may only ever land on an odd
+        generation, however late the answer arrives."""
+        import sys
+
+        from repro.cluster.worker import _Heartbeat
+
+        class GenerationTransport:
+            generation = 0
+
+            def heartbeat(self, index, worker_id):
+                began = self.generation
+                time.sleep(0.0002)
+                return began % 2 == 0
+
+        transport = GenerationTransport()
+        heartbeat = _Heartbeat(transport, "w", interval=0.05)
+        heartbeat._interval = 0.0001  # beat far faster than the floor
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        marked = []
+        try:
+            for generation in range(400):
+                transport.generation = generation
+                heartbeat.watch(0)
+                time.sleep(0.0005)
+                if heartbeat.unwatch(0):
+                    marked.append(generation)
+        finally:
+            sys.setswitchinterval(switch)
+            thread = heartbeat._thread
+            heartbeat.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert marked, "no beat ever reported a loss"
+        assert all(generation % 2 for generation in marked), marked
+
+
+class _LeaseLossTransport(FilesystemTransport):
+    """Filesystem transport on which a peer displaces chosen leases.
+
+    The first heartbeat of a chosen lease finds it stale-taken-over by
+    ``rescuer``, which submits the scenario itself — so the beat reports
+    the lease lost, and the scenario is done for everyone else.
+    """
+
+    def __init__(self, cluster_dir, lost_indices):
+        super().__init__(cluster_dir)
+        self.lost_indices = set(lost_indices)
+        self.beats: list[int] = []
+
+    def heartbeat(self, index, worker_id):
+        self.beats.append(index)
+        if index in self.lost_indices:
+            self.lost_indices.discard(index)
+            past = time.time() - 3600.0
+            os.utime(lease_path(self.cluster_dir, index), (past, past))
+            assert self.try_claim(index, "rescuer")
+            self.submit_result("rescuer", index, _canned_outcome(
+                self.plan.specs[index], self.plan.seeds[index],
+                self.plan.duration), attempt=1)
+        return super().heartbeat(index, worker_id)
+
+
+def _canned_outcome(spec, seed, duration):
+    from repro.runtime.sweep import ScenarioOutcome
+
+    return ScenarioOutcome(scenario_name=spec.name,
+                           scheduler_name=spec.scheduler_name(), seed=seed,
+                           duration=duration, backend=spec.backend_name())
+
+
+class TestPerWorkerHeartbeat:
+    """One heartbeat thread per worker, one loss flag per lease."""
+
+    def test_worker_starts_one_heartbeat_thread_for_many_scenarios(
+            self, tmp_path, monkeypatch):
+        import repro.cluster.worker as worker_module
+
+        specs = grid(count=20)
+        coordinator = plan_cluster(tmp_path, specs, num_shards=1,
+                                   lease_timeout=0.15,
+                                   clock_skew_tolerance=0.0)
+        started: list[str] = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+
+        def execute(spec, seed, duration):
+            time.sleep(0.01)
+            return _canned_outcome(spec, seed, duration)
+
+        monkeypatch.setattr(worker_module, "execute_scenario", execute)
+        worker = ClusterWorker(FilesystemTransport(coordinator.cluster_dir),
+                               "solo", cache_dir=None, batch_size=1)
+        assert worker.run(wait_for_stragglers=False) == 20
+        assert sorted(worker.executed) == list(range(20))
+        assert started == ["heartbeat-solo"]
+
+    def test_lease_lost_on_one_scenario_aborts_only_that_scenario(
+            self, tmp_path, monkeypatch):
+        import repro.cluster.worker as worker_module
+
+        specs = grid(count=4)
+        coordinator = plan_cluster(tmp_path, specs, num_shards=1,
+                                   lease_timeout=0.15,
+                                   clock_skew_tolerance=0.0)
+        queue = list(coordinator.plan().shards[0])  # claim order
+        doomed, successor = queue[1], queue[2]
+        transport = _LeaseLossTransport(coordinator.cluster_dir, {doomed})
+
+        def execute(spec, seed, duration):
+            time.sleep(0.2)  # several heartbeat intervals
+            return _canned_outcome(spec, seed, duration)
+
+        monkeypatch.setattr(worker_module, "execute_scenario", execute)
+        worker = ClusterWorker(transport, "w", steal=False, cache_dir=None,
+                               batch_size=1)
+        worker.run(wait_for_stragglers=False)
+        assert worker.aborted == [doomed]
+        assert worker.executed == [queue[0], successor, queue[3]]
+        assert {queue[0], doomed, successor} <= set(transport.beats)
+        merged = coordinator.merge()
+        assert [outcome.scenario_name for outcome in merged.outcomes] == [
+            spec.name for spec in specs]
+
+    def test_displaced_cohort_member_aborts_while_peers_submit(
+            self, tmp_path, monkeypatch):
+        import repro.runtime.batch as batch_module
+
+        specs = grid(count=4)
+        coordinator = plan_cluster(tmp_path, specs, num_shards=1,
+                                   lease_timeout=0.15,
+                                   clock_skew_tolerance=0.0)
+        doomed = list(coordinator.plan().shards[0])[1]
+        transport = _LeaseLossTransport(coordinator.cluster_dir, {doomed})
+
+        def execute_cohort(payloads, backend=None, guard=None):
+            time.sleep(0.2)  # several heartbeat intervals
+            return [(index, _canned_outcome(spec, seed, duration))
+                    for index, spec, seed, duration in payloads]
+
+        monkeypatch.setattr(batch_module, "execute_cohort", execute_cohort)
+        worker = ClusterWorker(transport, "cohort", steal=False,
+                               cache_dir=None, batch_size=4)
+        assert worker.step() is not None
+        worker.close()
+        assert worker.aborted == [doomed]
+        assert sorted(worker.executed) == sorted({0, 1, 2, 3} - {doomed})
+        assert set(transport.beats) == {0, 1, 2, 3}
+        assert coordinator.is_complete()
 
 
 # --------------------------------------------------------------------------- #

@@ -270,6 +270,52 @@ class TestCacheReport:
         assert "corrupt" in report.skips[0].reason
         assert result.outcomes[0].ok
 
+    def test_foreign_variants_found_among_many_entries(self, tmp_path):
+        """A miss lists the scenario's entries under other backends/engines
+        — the legacy engine-less layout too — in filename order, and only
+        those: other scenarios' entries, a name that merely shares the key
+        prefix and a bare ``{key}.json`` never match."""
+        import dataclasses
+        import hashlib
+
+        from repro.runtime.cache import ResumeCache
+
+        spec = dataclasses.replace(small_grid(1)[0], backend="analytic")
+        cache = ResumeCache(tmp_path)
+        stem = cache.key(spec, 3, DURATION)
+        for index in range(500):
+            unrelated = hashlib.sha256(str(index).encode()).hexdigest()[:20]
+            (tmp_path / f"{unrelated}.analytic.heap.json").write_text("{}")
+        (tmp_path / f"{stem}.density.heap.json").write_text("{}")
+        (tmp_path / f"{stem}.density.json").write_text("{}")
+        (tmp_path / f"{stem}x.json").write_text("{}")
+        (tmp_path / f"{stem}.json").write_text("{}")
+        outcome, reason = cache.load(spec, 3, DURATION)
+        assert outcome is None
+        assert reason == ("cache entry exists only under 'density' + "
+                          "'heap', 'density', this run resolves to "
+                          "'analytic' + 'heap'")
+
+    def test_miss_is_keyed_once(self, tmp_path, monkeypatch):
+        """A miss and the store after it hash the scenario identity once."""
+        from repro.runtime.cache import ResumeCache
+
+        calls = []
+        real_key = ResumeCache.key
+
+        def counting_key(spec, seed, duration):
+            calls.append(spec.name)
+            return real_key(spec, seed, duration)
+
+        monkeypatch.setattr(ResumeCache, "key", staticmethod(counting_key))
+        specs = small_grid(2)
+        self.run_with_report(specs, tmp_path)
+        assert sorted(calls) == sorted(spec.name for spec in specs)
+        calls.clear()
+        _, report = self.run_with_report(specs, tmp_path)
+        assert report.counts()["hits"] == 2
+        assert sorted(calls) == sorted(spec.name for spec in specs)
+
     def test_report_resets_between_runs(self, tmp_path):
         specs = small_grid(1)
         runner = SweepRunner(specs, DURATION, master_seed=3,
