@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from repro.quantum.states import BellIndex, bell_state
 
@@ -35,13 +34,31 @@ def fidelity_to_pure(rho: np.ndarray, ket: np.ndarray) -> float:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Uhlmann fidelity F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+
+    Both square roots are taken in the eigenbasis of a Hermitian PSD
+    matrix, so rank-deficient (e.g. pure) states need no ill-conditioned
+    general matrix square root.
+    """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    sqrt_rho = sqrtm(rho)
-    inner = sqrtm(sqrt_rho @ sigma @ sqrt_rho)
-    value = np.real(np.trace(inner)) ** 2
-    return float(min(max(value, 0.0), 1.0))
+    weights, vectors = np.linalg.eigh(rho)
+    sqrt_rho = (vectors * np.sqrt(_drop_round_off(weights))) @ vectors.conj().T
+    inner = _drop_round_off(np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho))
+    value = float(np.sum(np.sqrt(inner))) ** 2
+    return min(max(value, 0.0), 1.0)
+
+
+def _drop_round_off(eigenvalues: np.ndarray) -> np.ndarray:
+    """Zero the eigenvalues of a PSD matrix that ``eigh`` cannot tell from 0.
+
+    ``eigenvalues`` are in ascending order, as ``eigh`` returns them.
+    ``eigh``'s absolute error is about ``dim * eps`` times the largest
+    eigenvalue; a square root would lift such ~1e-17 values to ~1e-9 and
+    bias F.
+    """
+    floor = eigenvalues.size * np.finfo(float).eps * max(eigenvalues[-1], 0.0)
+    return np.where(eigenvalues > floor, eigenvalues, 0.0)
 
 
 def qber_from_state(rho: np.ndarray, basis: str,
