@@ -14,7 +14,7 @@ into generation parameters) and a scheduling strategy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ from repro.core.messages import (
     ErrorMessage,
     ExpireAck,
     ExpireNotice,
-    MHPError,
     MHPReply,
     OkMessage,
     PollResponse,
@@ -51,8 +50,12 @@ from repro.sim.entity import Protocol
 #: that both nodes pick the same basis without extra communication.
 _MEASURE_BASES = ("X", "Y", "Z")
 
+# Module-level names for the per-poll and per-REPLY handlers.
+_KEEP = RequestType.KEEP
+_NO_ATTEMPT = PollResponse.no_attempt()
 
-@dataclass
+
+@dataclass(slots=True)
 class _InFlightAttempt:
     """Book-keeping for an attempt whose REPLY is still outstanding."""
 
@@ -170,10 +173,15 @@ class EGP(Protocol):
         self._grant_cache: dict[RequestType, object] = {}
         #: At most one blocking attempt is in flight at a time, so a single
         #: reusable timer serves every reply watchdog without allocating.
+        self._reply_watchdog_name = f"{self.name}.reply_watchdog"
         self._watchdog_timer = engine.timer(
-            self._reply_watchdog, name=f"{self.name}.reply_watchdog")
+            self._reply_watchdog, name=self._reply_watchdog_name)
         self._request_timeout_name = f"{self.name}.request_timeout"
         self._expire_retry_name = f"{self.name}.expire_retry"
+        #: Names of the polls this EGP elides, built once: the engine
+        #: counts every elision and a tracer sees the name.
+        self._busy_poll_name = f"{self.name}.busy_poll"
+        self._release_poll_name = f"{self.name}.release_poll"
 
         # Wiring into the MHP and DQP.
         self.mhp.poll_callback = self.handle_poll
@@ -294,7 +302,7 @@ class EGP(Protocol):
             # Nothing resident to serve: the poll would provably answer
             # "no", and any future add schedules its own poll
             # (``_on_queue_item_added``).
-            self._engine.note_elided(f"{self.name}.release_poll")
+            self._engine.note_elided(self._release_poll_name)
             return
         self.mhp.notify_work()
 
@@ -370,13 +378,15 @@ class EGP(Protocol):
     # ------------------------------------------------------------------ #
     def handle_poll(self) -> PollResponse:
         """Answer the MHP's poll for this cycle (paper Protocol 2, step 2)."""
-        now = self.now
+        now = self._engine._now
+        mhp = self.mhp
         if now < self._busy_until:
-            self.mhp.notify_work(not_before=self._busy_until)
-            return PollResponse.no_attempt()
-        cycle = self.mhp.current_cycle()
+            mhp.notify_work(not_before=self._busy_until)
+            return _NO_ATTEMPT
         if self._blocking_cycle is not None:
-            return PollResponse.no_attempt()
+            return _NO_ATTEMPT
+        cycle_time = mhp.cycle_time
+        cycle = int(now / cycle_time + 1e-9)  # mhp.current_cycle(), inlined
 
         heads = self.dqp.ready_heads(cycle)
         if not heads:
@@ -390,12 +400,12 @@ class EGP(Protocol):
                 # (``_on_queue_item_added``), so ``inf`` means stop.
                 watermark = self.dqp.next_ready_change()
                 if math.isfinite(watermark):
-                    self.mhp.notify_work(
-                        not_before=self.mhp.cycle_start(int(watermark)) +
+                    mhp.notify_work(
+                        not_before=mhp.cycle_start(int(watermark)) +
                         self.scenario.timing.mhp_cycle)
                 else:
-                    self._engine.note_elided(f"{self.name}.busy_poll")
-                return PollResponse.no_attempt()
+                    self._engine.note_elided(self._busy_poll_name)
+                return _NO_ATTEMPT
             # Reference pattern: if items are merely waiting for their
             # schedule cycle, make sure the MHP polls again when the earliest
             # one becomes ready (avoids a dead stop on rounding edge cases).
@@ -404,39 +414,39 @@ class EGP(Protocol):
                        for item in queue.items_in_order()
                        if item.pairs_remaining > 0]
             if pending:
-                self.mhp.notify_work(
-                    not_before=self.mhp.cycle_start(min(pending)) +
+                mhp.notify_work(
+                    not_before=mhp.cycle_start(min(pending)) +
                     self.scenario.timing.mhp_cycle)
-            return PollResponse.no_attempt()
+            return _NO_ATTEMPT
         item = self.scheduler.select(heads, cycle)
         if item is None:
-            return PollResponse.no_attempt()
+            return _NO_ATTEMPT
         request = item.request
-        if (request.request_type is RequestType.KEEP
-                and now < self._next_keep_attempt_time - 1e-15):
-            self.mhp.notify_work(not_before=self._next_keep_attempt_time)
-            return PollResponse.no_attempt()
-
-        allocation: Optional[QubitAllocation] = None
-        if request.request_type is RequestType.KEEP:
-            allocation = self.qmm.allocate(RequestType.KEEP)
+        request_type = request.request_type
+        keep = request_type is _KEEP
+        if keep:
+            if now < self._next_keep_attempt_time - 1e-15:
+                mhp.notify_work(not_before=self._next_keep_attempt_time)
+                return _NO_ATTEMPT
+            allocation: Optional[QubitAllocation] = self.qmm.allocate(_KEEP)
             if allocation is None:
                 self.statistics["allocation_failures"] += 1
                 # Memory is temporarily unavailable: retry a little later.
-                self.mhp.notify_work(
+                mhp.notify_work(
                     not_before=now + 10 * self.scenario.timing.mhp_cycle)
-                return PollResponse.no_attempt()
+                return _NO_ATTEMPT
         else:
+            allocation = None
             if self.qmm.free_communication_qubits() < 1:
                 self.statistics["allocation_failures"] += 1
-                self.mhp.notify_work(
+                mhp.notify_work(
                     not_before=now + 10 * self.scenario.timing.mhp_cycle)
-                return PollResponse.no_attempt()
+                return _NO_ATTEMPT
 
         estimate = item.metadata.get("feu_estimate")
         if estimate is None:
             estimate = self.feu.estimate_for_fidelity(request.min_fidelity,
-                                                      request.request_type)
+                                                      request_type)
             item.metadata["feu_estimate"] = estimate
         if estimate is None:
             # Hardware drifted since admission; reject now.
@@ -446,46 +456,40 @@ class EGP(Protocol):
                              detail="fidelity became unattainable")
             if allocation is not None:
                 self.qmm.release(allocation)
-            return PollResponse.no_attempt()
+            return _NO_ATTEMPT
 
         # Batching policy belongs to the physics backend: the exact backend
         # never goes beyond the configured batch size, while the analytic
         # backend widens the window so runs of failed cycles resolve in O(1)
         # events (Section 5.1 batched operation).
-        grant = self._grant_cache.get(request.request_type)
+        grant = self._grant_cache.get(request_type)
         if grant is None:
             grant = self.backend.granted_batch(
-                request.request_type, self.attempt_batch_size,
+                request_type, self.attempt_batch_size,
                 self.emission_multiplexing, self.scenario.timing,
                 frame_loss_probability=(
                     self.scenario.classical.frame_loss_probability))
-            self._grant_cache[request.request_type] = grant
-        attempt = _InFlightAttempt(
-            cycle=cycle,
-            queue_id=item.queue_id,
-            create_id=request.create_id,
-            request_type=request.request_type,
-            alpha=estimate.alpha,
-            pair_index=item.pairs_delivered + 1,
-            allocation=allocation,
-            started_at=now,
-            batch=grant.batch,
-            stride=grant.stride,
-        )
+            self._grant_cache[request_type] = grant
+        batch = grant.batch
+        stride = grant.stride
+        alpha = estimate.alpha
+        pair_index = item.pairs_delivered + 1
+        attempt = _InFlightAttempt(cycle, item.queue_id, request.create_id,
+                                   request_type, alpha, pair_index,
+                                   allocation, now, batch, stride)
         self._inflight[cycle] = attempt
         self.statistics["attempts"] += 1
         if self.tracer is not None:
             self.tracer.counter(f"{self.name}.attempts")
 
-        blocking = (request.request_type is RequestType.KEEP
-                    or not self.emission_multiplexing)
+        blocking = keep or not self.emission_multiplexing
         if blocking:
             self._blocking_cycle = cycle
             if not self.elide_watchdog:
                 attempt.watchdog = self._schedule_reply_watchdog(cycle, grant)
             else:
-                self._engine.note_elided(f"{self.name}.reply_watchdog")
-        if request.request_type is RequestType.KEEP:
+                self._engine.note_elided(self._reply_watchdog_name)
+        if keep:
             # Deterministic spacing of K attempts (t_attempt / r_attempt of
             # Section 4.4): both nodes derive the earliest next attempt from
             # the attempt's cycle, not from when their own REPLY arrives, so
@@ -494,35 +498,32 @@ class EGP(Protocol):
             # attempt (shortened again in handle_reply when the REPLY
             # reports an earlier success).
             timing = self.scenario.timing
-            if grant.stride == 1:
+            if stride == 1:
                 spacing = max(timing.attempt_spacing_k,
-                              grant.batch * timing.mhp_cycle)
+                              batch * timing.mhp_cycle)
             else:
-                spacing = ((grant.batch - 1) * grant.stride * timing.mhp_cycle
+                spacing = ((batch - 1) * stride * timing.mhp_cycle
                            + timing.attempt_spacing_k)
-            self._next_keep_attempt_time = self.mhp.cycle_start(cycle) + spacing
+            self._next_keep_attempt_time = cycle * cycle_time + spacing
 
-        return PollResponse(
-            attempt=True,
-            queue_id=item.queue_id,
-            request_type=request.request_type,
-            alpha=estimate.alpha,
-            pair_index=attempt.pair_index,
-            measure_basis=request.measure_basis or "Z",
-            create_id=request.create_id,
-            max_attempts=grant.batch,
-            attempt_stride=grant.stride,
-            skip_followup_poll=blocking and self.timer_elision,
-        )
+        return PollResponse(True, item.queue_id, request_type, alpha,
+                            pair_index, request.measure_basis or "Z", False,
+                            request.create_id, batch, stride,
+                            blocking and self.timer_elision)
 
     def _reply_sync_time(self, reply: MHPReply) -> float:
         """Deterministic scheduling floor for ``reply`` (never its arrival).
 
-        See :meth:`MHPReply.sync_close_time`: both nodes compute the same
-        value, so post-REPLY scheduling stays aligned; the cost is that the
-        nearer node idles for the delay asymmetry before its next attempt.
+        The midpoint stamped both REPLYs of the exchange with the same
+        :attr:`MHPReply.close_time` (see
+        :func:`~repro.core.messages.reply_close_time`), so both nodes read
+        the same value and post-REPLY scheduling stays aligned; the cost is
+        that the nearer node idles for the delay asymmetry before its next
+        attempt.
         """
-        return max(self.now, reply.sync_close_time(self.scenario.timing))
+        close = reply.close_time
+        now = self._engine._now
+        return close if close > now else now
 
     def _notify_after_reply(self, sync: float,
                             include_busy: bool = False) -> None:
@@ -539,24 +540,31 @@ class EGP(Protocol):
         (enqueue, delivery, release, another REPLY) schedules its own
         poll, so no wake-up is ever lost.
         """
-        not_before = max(self._busy_until, sync) if include_busy else sync
-        if self.timer_elision:
-            if self._busy_until > not_before:
-                not_before = self._busy_until
-            nka = self._next_keep_attempt_time
-            poll_time = self.mhp.next_poll_time(not_before)
-            if nka > poll_time + 1e-15:
-                # Preview at the cycle the poll would actually run in, so
-                # items whose schedule cycle starts between now and the
-                # poll are visible exactly as the poll would see them.
-                cycle = self.mhp.next_cycle_at_or_after(poll_time)
-                heads = self.dqp.ready_heads(cycle)
-                if heads:
-                    item = self.scheduler.select(heads, cycle)
-                    if (item is not None
-                            and item.request.request_type is RequestType.KEEP):
-                        not_before = max(not_before, nka)
-        self.mhp.notify_work(not_before=not_before)
+        mhp = self.mhp
+        busy_until = self._busy_until
+        not_before = max(busy_until, sync) if include_busy else sync
+        if not self.timer_elision:
+            mhp.notify_work(not_before=not_before)
+            return
+        if busy_until > not_before:
+            not_before = busy_until
+        nka = self._next_keep_attempt_time
+        poll_time = mhp.next_poll_time(not_before)
+        if nka > poll_time + 1e-15:
+            # Preview at the cycle the poll would actually run in, so
+            # items whose schedule cycle starts between now and the
+            # poll are visible exactly as the poll would see them.
+            cycle = mhp.next_cycle_at_or_after(poll_time)
+            heads = self.dqp.ready_heads(cycle)
+            if heads:
+                item = self.scheduler.select(heads, cycle)
+                if (item is not None and item.request.request_type is _KEEP
+                        and nka > not_before):
+                    # The preview raises the floor: recompute the poll.
+                    mhp.notify_work(not_before=nka)
+                    return
+        # Otherwise the floor stands and the poll time is already known.
+        mhp.arm_poll(poll_time)
 
     def _account_carbon_reinitialisation(self, attempts: int,
                                          base_time: float) -> None:
@@ -602,36 +610,37 @@ class EGP(Protocol):
         # time so that both nodes pick the same next attempt cycle despite
         # their different reply delays (see _reply_sync_time).
         sync = self._reply_sync_time(reply)
-        attempt = self._inflight.pop(reply.cycle, None)
-        if self._blocking_cycle == reply.cycle:
+        cycle = reply.cycle
+        attempt = self._inflight.pop(cycle, None)
+        if self._blocking_cycle == cycle:
             self._blocking_cycle = None
-        if attempt is not None and attempt.watchdog is not None:
-            attempt.watchdog.cancel()
-            attempt.watchdog = None
-        if attempt is not None and attempt.request_type is RequestType.KEEP:
-            self._account_carbon_reinitialisation(reply.attempts_used, sync)
-            if attempt.batch > 1:
-                # Batched K window: the REPLY pins down which attempt of the
-                # window succeeded (or that all failed), so the next attempt
-                # may start one spacing after that attempt instead of after
-                # the whole granted window.  Derived from REPLY fields only,
-                # so both nodes stay synchronised.
-                timing = self.scenario.timing
-                attempt_time = (self.mhp.cycle_start(attempt.cycle)
-                                + (reply.attempts_used - 1) * attempt.stride
-                                * timing.mhp_cycle)
-                self._next_keep_attempt_time = (attempt_time
-                                                + timing.attempt_spacing_k)
-
-        if reply.error is not MHPError.NONE:
-            if attempt is not None and attempt.allocation is not None:
-                self.qmm.release(attempt.allocation)
-            self._notify_after_reply(sync)
-            return
+        allocation = None
+        if attempt is not None:
+            allocation = attempt.allocation
+            if attempt.watchdog is not None:
+                attempt.watchdog.cancel()
+                attempt.watchdog = None
+            if attempt.request_type is _KEEP:
+                self._account_carbon_reinitialisation(reply.attempts_used,
+                                                      sync)
+                if attempt.batch > 1:
+                    # Batched K window: the REPLY pins down which attempt of
+                    # the window succeeded (or that all failed), so the next
+                    # attempt may start one spacing after that attempt
+                    # instead of after the whole granted window.  Derived
+                    # from REPLY fields only, so both nodes stay
+                    # synchronised.
+                    timing = self.scenario.timing
+                    attempt_time = (self.mhp.cycle_start(attempt.cycle)
+                                    + (reply.attempts_used - 1)
+                                    * attempt.stride * timing.mhp_cycle)
+                    self._next_keep_attempt_time = (attempt_time
+                                                    + timing.attempt_spacing_k)
 
         if not reply.success:
-            if attempt is not None and attempt.allocation is not None:
-                self.qmm.release(attempt.allocation)
+            # An MHP error, or no heralded pair.
+            if allocation is not None:
+                self.qmm.release(allocation)
             self._notify_after_reply(sync)
             return
 

@@ -222,7 +222,11 @@ class ExpireAck:
 # --------------------------------------------------------------------------- #
 # MHP <-> EGP and MHP <-> midpoint messages
 # --------------------------------------------------------------------------- #
-@dataclass
+# The hot records below are slotted, and their one producer (EGP poll, MHP
+# GEN, midpoint REPLY) builds them positionally: one of each is made per
+# attempt window, so attribute storage and keyword matching show in
+# profiles.
+@dataclass(slots=True)
 class PollResponse:
     """EGP response to an MHP poll (paper Figure 35).
 
@@ -266,7 +270,7 @@ class PollResponse:
 _NO_ATTEMPT = PollResponse(attempt=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class GenMessage:
     """GEN frame sent from a node MHP to the heralding midpoint (Figure 27)."""
 
@@ -281,7 +285,30 @@ class GenMessage:
     cycle_stride: int = 1
 
 
-@dataclass
+def reply_close_time(timing, cycle: int, attempts_used: int = 1,
+                     cycle_stride: int = 1) -> float:
+    """Deterministic time by which both nodes have seen a REPLY.
+
+    Derived from the REPLY *contents* (attempt cycle, attempts used,
+    stride) plus the known link delays of ``timing``, never from the local
+    arrival time: the two replies of one exchange arrive at different times
+    on asymmetric links, and any scheduling decision based on arrival time
+    would put the nodes' next attempt windows on different MHP cycles —
+    their GEN frames would then miss each other at the midpoint.
+
+    The midpoint evaluates this once per exchange and stamps the result on
+    both REPLYs as :attr:`MHPReply.close_time`; the node MHP (attempt-window
+    close) and the EGP (post-REPLY scheduling floor) both read that stamp,
+    so the alignment can never drift between the two layers or the two
+    nodes.
+    """
+    max_delay = max(timing.midpoint_delay_a, timing.midpoint_delay_b)
+    resolved = ((attempts_used - 1) * max(1, cycle_stride)
+                * timing.mhp_cycle)
+    return cycle * timing.mhp_cycle + resolved + 2 * max_delay
+
+
+@dataclass(slots=True)
 class MHPReply:
     """REPLY frame from the midpoint and the RESULT passed up to the EGP
     (Figures 28 and 36)."""
@@ -298,24 +325,19 @@ class MHPReply:
     attempts_used: int = 1
     #: MHP cycles between the attempts this reply covers (from the GEN).
     cycle_stride: int = 1
+    #: :func:`reply_close_time` of this exchange, stamped by the midpoint
+    #: (identical on both nodes' REPLYs).
+    close_time: float = 0.0
 
     def sync_close_time(self, timing) -> float:
-        """Deterministic time by which both nodes have seen this REPLY.
+        """:func:`reply_close_time` evaluated on this REPLY's contents.
 
-        Derived from the REPLY *contents* (attempt cycle, attempts used,
-        stride) plus the known link delays of ``timing``, never from the
-        local arrival time: the two replies of one exchange arrive at
-        different times on asymmetric links, and any scheduling decision
-        based on arrival time would put the nodes' next attempt windows on
-        different MHP cycles — their GEN frames would then miss each other
-        at the midpoint.  Both the node MHP (attempt-window close) and the
-        EGP (post-REPLY scheduling floor) use this one formula so the
-        alignment can never drift between the two layers.
+        The midpoint computes the formula once per exchange and stamps it as
+        :attr:`close_time`; the MHP and the EGP read the stamp instead of
+        re-evaluating this.
         """
-        max_delay = max(timing.midpoint_delay_a, timing.midpoint_delay_b)
-        resolved = ((self.attempts_used - 1) * max(1, self.cycle_stride)
-                    * timing.mhp_cycle)
-        return self.cycle * timing.mhp_cycle + resolved + 2 * max_delay
+        return reply_close_time(timing, self.cycle, self.attempts_used,
+                                self.cycle_stride)
 
     @property
     def success(self) -> bool:

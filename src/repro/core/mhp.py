@@ -26,12 +26,18 @@ attempt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.messages import GenMessage, MHPError, MHPReply, PollResponse
+from repro.core.messages import (
+    GenMessage,
+    MHPError,
+    MHPReply,
+    PollResponse,
+    reply_close_time,
+)
 from repro.hardware.pair import EntangledPair
 from repro.hardware.parameters import ScenarioConfig
 from repro.sim.channel import ClassicalChannel
@@ -87,6 +93,10 @@ class NodeMHP(Protocol):
         #: and the name is precomputed for the same reason.
         self._poll_timer: ReusableTimer = engine.timer(
             self._poll, name=f"{self.name}.poll")
+        #: Names of the polls this MHP elides, built once for the same
+        #: reason (the engine counts every elision; a tracer sees the name).
+        self._dup_poll_name = f"{self.name}.dup_poll"
+        self._followup_poll_name = f"{self.name}.followup_poll"
         self._next_poll_scheduled: Optional[float] = None
         #: End of the attempt window opened by the last GEN frame; no new
         #: attempt may start before it (prevents overlapping attempt streams).
@@ -118,12 +128,14 @@ class NodeMHP(Protocol):
         # fork a second, overlapping attempt stream).  The midpoint resolved
         # every attempt up to the reported one, so new attempts may start
         # once both nodes have seen the REPLY — the deterministic
-        # content-derived close time (see MHPReply.sync_close_time) keeps
-        # the two nodes' batched attempt streams on the same MHP cycles
-        # despite their asymmetric reply delays.
+        # content-derived close time the midpoint stamped on both REPLYs
+        # (``MHPReply.close_time``, see ``reply_close_time``) keeps the two
+        # nodes' batched attempt streams on the same MHP cycles despite
+        # their asymmetric reply delays.
         if frame.cycle == self._attempt_window_cycle:
-            close = frame.sync_close_time(self.scenario.timing)
-            self._attempt_window_end = min(self._attempt_window_end, close)
+            close = frame.close_time
+            if close < self._attempt_window_end:
+                self._attempt_window_end = close
         if self.reply_callback is not None:
             self.reply_callback(frame)
 
@@ -179,12 +191,16 @@ class NodeMHP(Protocol):
         ``not_before`` when given) and polls the EGP.  Polling stops again as
         soon as the EGP answers "no", so idle periods cost no events.
         """
-        poll_time = self.next_poll_time(not_before)
-        if (self._next_poll_scheduled is not None
-                and self._next_poll_scheduled <= poll_time + 1e-15):
+        self.arm_poll(self.next_poll_time(not_before))
+
+    def arm_poll(self, poll_time: float) -> None:
+        """Poll at ``poll_time``, a value :meth:`next_poll_time` returned
+        for the current state, unless an earlier poll already covers it."""
+        scheduled = self._next_poll_scheduled
+        if scheduled is not None and scheduled <= poll_time + 1e-15:
             # An earlier (or equal) poll is already armed and will cover
             # this wake-up: scheduling another would be pure churn.
-            self._engine.note_elided(f"{self.name}.dup_poll")
+            self._engine.note_elided(self._dup_poll_name)
             return
         self._next_poll_scheduled = poll_time
         self._poll_timer.arm_at(poll_time)
@@ -193,7 +209,8 @@ class NodeMHP(Protocol):
         self._next_poll_scheduled = None
         if self.poll_callback is None or self._channel is None:
             return
-        if self._engine._now < self._attempt_window_end - 1e-15:
+        now = self._engine._now
+        if now < self._attempt_window_end - 1e-15:
             # A previously granted attempt window is still open (this poll was
             # scheduled before the window was extended); do not start an
             # overlapping attempt stream.
@@ -206,20 +223,18 @@ class NodeMHP(Protocol):
         self.attempts_triggered += 1
         if self.tracer is not None:
             self.tracer.counter(f"{self.name}.gen")
-        cycle = self.current_cycle()
+        cycle_time = self.cycle_time
+        cycle = int(now / cycle_time + 1e-9)  # current_cycle(), inlined
         batch = max(1, int(response.max_attempts))
         stride = max(1, int(response.attempt_stride))
-        frame = GenMessage(origin=self.node_name, queue_id=response.queue_id,
-                           cycle=cycle, alpha=response.alpha,
-                           timestamp=self.now, batch_size=batch,
-                           cycle_stride=stride)
-        self._channel.send(frame)
+        self._channel.send(GenMessage(self.node_name, response.queue_id,
+                                      cycle, response.alpha, now, batch,
+                                      stride))
         # The batch's attempts run at cycle, cycle + stride, ...; the window
         # closes one cycle after the last attempt starts.
         self._attempt_window_cycle = cycle
-        self._attempt_window_end = (self.now
-                                    + ((batch - 1) * stride + 1)
-                                    * self.cycle_time)
+        self._attempt_window_end = (now + ((batch - 1) * stride + 1)
+                                    * cycle_time)
         # Keep polling: the next opportunity is after the granted batch of
         # cycles; the EGP decides whether it actually wants to attempt again
         # (e.g. it will answer "no" while waiting for a K-type REPLY).  For
@@ -229,18 +244,16 @@ class NodeMHP(Protocol):
         if not response.skip_followup_poll:
             self.notify_work(self._attempt_window_end)
         else:
-            self._engine.note_elided(f"{self.name}.followup_poll")
+            self._engine.note_elided(self._followup_poll_name)
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingGen:
     """A GEN frame waiting at the midpoint for its counterpart."""
 
     frame: GenMessage
-    received_at: float
-    timed_out: bool = False
     #: Handle of the match-window timeout, cancelled once the peer arrives.
-    timeout: Optional[EventHandle] = None
+    timeout: EventHandle
 
 
 class MidpointHeraldingService(Protocol):
@@ -339,23 +352,21 @@ class MidpointHeraldingService(Protocol):
     # GEN matching
     # ------------------------------------------------------------------ #
     def _handle_gen(self, frame: GenMessage) -> None:
-        pending = self._pending.get(frame.cycle)
+        cycle = frame.cycle
+        pending = self._pending.get(cycle)
         if pending is None:
-            record = _PendingGen(frame=frame, received_at=self.now)
-            record.timeout = self.call_after(
-                self.match_window, self._expire_pending,
-                args=(frame.cycle,), name=self._match_timeout_name)
-            self._pending[frame.cycle] = record
+            engine = self._engine
+            self._pending[cycle] = _PendingGen(frame, engine.schedule_at(
+                engine._now + self.match_window, self._expire_pending,
+                self._match_timeout_name, (cycle,)))
             return
         if pending.frame.origin == frame.origin:
             # Duplicate from the same node (e.g. after retransmission): keep
             # the newer frame and continue waiting for the peer.
             pending.frame = frame
-            pending.received_at = self.now
             return
-        del self._pending[frame.cycle]
-        if pending.timeout is not None:
-            pending.timeout.cancel()
+        del self._pending[cycle]
+        pending.timeout.cancel()
         self._process_pair(pending.frame, frame)
 
     def _expire_pending(self, cycle: int) -> None:
@@ -367,26 +378,29 @@ class MidpointHeraldingService(Protocol):
         if self.tracer is not None:
             self.tracer.event(self.now, f"{self.name}.cycle", cycle=cycle,
                               outcome="unmatched", origin=frame.origin)
-        reply = MHPReply(outcome=0, sequence=self._sequence,
-                         queue_id=frame.queue_id, peer_queue_id=None,
-                         error=MHPError.NO_MESSAGE_OTHER, cycle=cycle)
+        reply = MHPReply(0, self._sequence, frame.queue_id, None,
+                         MHPError.NO_MESSAGE_OTHER, cycle, None, 1, 1,
+                         reply_close_time(self.scenario.timing, cycle))
         self._send_reply(frame.origin, reply)
 
     def _process_pair(self, first: GenMessage, second: GenMessage) -> None:
         frame_a = first if first.origin == "A" else second
         frame_b = second if first.origin == "A" else first
-        self.statistics["attempts"] += 1
+        statistics = self.statistics
+        statistics["attempts"] += 1
         cycle = frame_a.cycle
+        timing = self.scenario.timing
+        now = self._engine._now
         if frame_a.queue_id != frame_b.queue_id:
-            self.statistics["queue_mismatches"] += 1
+            statistics["queue_mismatches"] += 1
             if self.tracer is not None:
-                self.tracer.event(self.now, f"{self.name}.cycle", cycle=cycle,
+                self.tracer.event(now, f"{self.name}.cycle", cycle=cycle,
                                   outcome="queue_mismatch")
+            close = reply_close_time(timing, cycle)
             for frame, peer in ((frame_a, frame_b), (frame_b, frame_a)):
-                reply = MHPReply(outcome=0, sequence=self._sequence,
-                                 queue_id=frame.queue_id,
-                                 peer_queue_id=peer.queue_id,
-                                 error=MHPError.QUEUE_MISMATCH, cycle=cycle)
+                reply = MHPReply(0, self._sequence, frame.queue_id,
+                                 peer.queue_id, MHPError.QUEUE_MISMATCH,
+                                 cycle, None, 1, 1, close)
                 self._send_reply(frame.origin, reply)
             return
 
@@ -396,11 +410,10 @@ class MidpointHeraldingService(Protocol):
                 self.scenario, frame_a.alpha)
         batch = max(1, min(frame_a.batch_size, frame_b.batch_size))
         stride = max(1, min(frame_a.cycle_stride, frame_b.cycle_stride))
-        cycle_time = self.scenario.timing.mhp_cycle
+        cycle_time = timing.mhp_cycle
 
         if self.attempt_gate is not None:
-            allowed = int(self.attempt_gate(self.now, batch, stride,
-                                            cycle_time))
+            allowed = int(self.attempt_gate(now, batch, stride, cycle_time))
             if allowed <= 0:
                 burn = min(batch, max(1, -allowed))
                 attempts_used, sample = burn, _gated_sample()
@@ -409,7 +422,7 @@ class MidpointHeraldingService(Protocol):
                                                       min(batch, allowed))
         else:
             attempts_used, sample = model.resolve(self.rng, batch)
-        self.statistics["attempts"] += attempts_used - 1  # first one counted above
+        statistics["attempts"] += attempts_used - 1  # first one counted above
 
         # The successful (or last) attempt happens attempts_used - 1 attempt
         # strides after the first one; replies leave the station then.
@@ -420,24 +433,22 @@ class MidpointHeraldingService(Protocol):
         if sample.success:
             outcome_code = sample.outcome_code
             self._sequence += 1
-            self.statistics["successes"] += 1
+            statistics["successes"] += 1
             pair = EntangledPair(state=sample.state,
                                  heralded_bell=sample.bell_index,
-                                 created_at=self.now + reply_emit_delay,
+                                 created_at=now + reply_emit_delay,
                                  midpoint_sequence=self._sequence)
         if self.tracer is not None:
             self.tracer.event(
-                self.now, f"{self.name}.cycle", cycle=cycle,
+                now, f"{self.name}.cycle", cycle=cycle,
                 outcome="success" if sample.success else "fail",
                 attempts=attempts_used,
                 **({"sequence": self._sequence} if sample.success else {}))
+        close = reply_close_time(timing, cycle, attempts_used, stride)
         for frame, peer in ((frame_a, frame_b), (frame_b, frame_a)):
-            reply = MHPReply(outcome=outcome_code, sequence=self._sequence,
-                             queue_id=frame.queue_id,
-                             peer_queue_id=peer.queue_id,
-                             error=MHPError.NONE, cycle=cycle, pair=pair,
-                             attempts_used=attempts_used,
-                             cycle_stride=stride)
+            reply = MHPReply(outcome_code, self._sequence, frame.queue_id,
+                             peer.queue_id, MHPError.NONE, cycle, pair,
+                             attempts_used, stride, close)
             self._send_reply(frame.origin, reply, delay=reply_emit_delay)
 
     def _send_reply(self, node_name: str, reply: MHPReply,

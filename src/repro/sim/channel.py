@@ -146,9 +146,9 @@ class ClassicalChannel(Entity):
             # exact float a deferred ``send`` at ``now + delay`` would
             # compute, keeping the collapse bit-identical to the two-event
             # reference pattern.
-            delivered_at = self.now + delay + self.delay
-            self.call_at(delivered_at, self._receiver,
-                         args=(payload,), name=self._deliver_name)
+            delivered_at = self._engine._now + delay + self.delay
+            self._engine.schedule_at(delivered_at, self._receiver,
+                                     self._deliver_name, (payload,))
         if self.record_history:
             self.history.append(ChannelDelivery(
                 sent_at=self.now + delay, delivered_at=delivered_at,

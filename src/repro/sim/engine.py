@@ -9,7 +9,9 @@ Pending events live in one binary heap with lazy cancellation
 (:class:`~repro.sim.queues.HeapEventQueue`).  Its entries are
 ``(time, sequence, event)`` tuples, so ``heapq`` orders them in C without
 a Python-level comparison, and :meth:`SimulationEngine.run` pops the heap
-list directly instead of calling into the queue once per event.
+list directly instead of calling into the queue once per event (as
+:meth:`SimulationEngine.schedule_at` and :meth:`ReusableTimer.arm_at` push
+onto it directly).
 
 The engine is deliberately minimal: the sophistication of the reproduction
 lives in the protocol and hardware models, not in the scheduler.  What *is*
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from heapq import heappop
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -160,20 +162,23 @@ class ReusableTimer:
         if time < engine._now:
             raise SimulationError(
                 f"cannot schedule event at {time} (now is {engine._now})")
+        time = float(time)
+        sequence = next(engine._counter)
         event = self._event
         if (event is not None and event.popped
                 and self._epoch == engine._epoch):
-            event.time = float(time)
-            event.sequence = next(engine._counter)
+            event.time = time
+            event.sequence = sequence
             event.args = args
             event.cancelled = False
-            engine._queue.push(event)
+            event.popped = False
+            heappush(engine._heap, (time, sequence, event))
             if engine.tracer is not None:
                 engine.tracer.on_scheduled(event.name)
             return event
-        event = Event(float(time), next(engine._counter), self._callback,
-                      args, self._name, engine)
-        engine._queue.push(event)
+        event = Event(time, sequence, self._callback, args, self._name,
+                      engine)
+        heappush(engine._heap, (time, sequence, event))
         self._event = event
         self._epoch = engine._epoch
         if engine.tracer is not None:
@@ -222,6 +227,11 @@ class SimulationEngine:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue = HeapEventQueue()
+        #: The queue's heap list (rebuilt in place, never replaced):
+        #: :meth:`schedule_at` and :meth:`ReusableTimer.arm_at` push
+        #: ``(time, sequence, event)`` entries onto it directly, exactly as
+        #: :meth:`HeapEventQueue.push` would, saving a call per schedule.
+        self._heap = self._queue.heap
         self._counter = itertools.count()
         self._running = False
         self._processed = 0
@@ -288,9 +298,10 @@ class SimulationEngine:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} (now is {self._now})")
-        event = Event(float(time), next(self._counter), callback, args,
-                      name, self)
-        self._queue.push(event)
+        time = float(time)
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback, args, name, self)
+        heappush(self._heap, (time, sequence, event))
         if self.tracer is not None:
             self.tracer.on_scheduled(name)
         return event

@@ -53,8 +53,9 @@ class Event:
         self.cancelled = False
         #: True once the event has left the queue (executed, skipped or
         #: discarded); cancelling it afterwards must not touch the queue
-        #: accounting.
-        self.popped = True
+        #: accounting.  Every event is built to be queued at once, so it
+        #: starts out False.
+        self.popped = False
         self.engine = engine
 
     @property
@@ -91,9 +92,10 @@ class HeapEventQueue:
 
     The heap holds ``(time, sequence, event)`` entries, keyed when the
     event is pushed (an event's time and sequence never change while it is
-    queued).  ``push`` clears the event's ``popped`` flag; ``pop`` returns
-    the next **live** event in ``(time, sequence)`` order, discarding
-    cancelled residents as they surface (marking them ``popped``).
+    queued).  ``push`` clears the event's ``popped`` flag (a re-armed
+    event was popped before); ``pop`` returns the next **live** event in
+    ``(time, sequence)`` order, discarding cancelled residents as they
+    surface (marking them ``popped``).
     Cancelled events stay in the heap until popped; once they outnumber
     the live events the heap is rebuilt without them (amortised O(1) per
     cancellation).

@@ -82,6 +82,37 @@ class TestGates:
         expanded = gates.expand_single_qubit(gates.X, target=1, num_qubits=2)
         assert np.allclose(expanded, np.kron(gates.I, gates.X))
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_expand_single_qubit_is_byte_identical_to_kron_chain(
+            self, num_qubits):
+        # The embedding must produce exactly the bytes of the np.kron chain
+        # it replaced: same products, same signs of zero.
+        rng = np.random.default_rng(20261018 + num_qubits)
+        zeros = []
+        for _ in range(20):
+            # Set the parts directly: complex arithmetic would fold -0.0.
+            gate = np.empty((2, 2), dtype=complex)
+            gate.real = rng.normal(size=(2, 2))
+            gate.imag = rng.normal(size=(2, 2))
+            # Zero out some entries with either sign, in both parts.
+            for part in (gate.real, gate.imag):
+                zeroed = rng.random((2, 2)) < 0.4
+                part[zeroed] = np.where(rng.random((2, 2)) < 0.5,
+                                        0.0, -0.0)[zeroed]
+                zeros.extend(part[zeroed])
+            for target in range(num_qubits):
+                ops = [gates.I] * num_qubits
+                ops[target] = gate
+                expected = ops[0]
+                for op in ops[1:]:
+                    expected = np.kron(expected, op)
+                got = gates.expand_single_qubit(gate, target, num_qubits)
+                assert got.shape == expected.shape
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+        # The operators did contain zeros of both signs.
+        assert 0 < np.signbit(zeros).sum() < len(zeros)
+
     def test_expand_two_qubit_adjacent_matches_kron(self):
         expanded = gates.expand_two_qubit(gates.CNOT, control=0, target=1,
                                           num_qubits=2)
