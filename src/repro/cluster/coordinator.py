@@ -76,15 +76,14 @@ def done_path(cluster_dir: Path, index: int) -> Path:
     return cluster_dir / TASKS_DIR / f"{index}.done"
 
 
-def atomic_write_json(path: Path, payload: dict, indent: Optional[int] = None,
+def atomic_write_json(path: Path, payload: dict,
                       durable: bool = False) -> None:
-    """Write JSON via the shared atomic tmp-and-rename idiom.
+    """Write compact JSON via the shared atomic tmp-and-rename idiom.
 
     ``durable`` fsyncs before the rename — done markers must never become
     visible while the sink record they vouch for could still be lost.
     """
-    atomic_write_text(path, json.dumps(payload, indent=indent),
-                      durable=durable)
+    atomic_write_text(path, json.dumps(payload), durable=durable)
 
 
 @dataclass
@@ -117,7 +116,13 @@ class ClusterPlan:
         return GuardPolicy.from_dict(self.guard)
 
     def to_dict(self) -> dict:
-        """JSON-serialisable plan document."""
+        """JSON-serialisable plan document.
+
+        Each distinct hardware config is converted once and its dict shared
+        by every spec entry that uses it (the paper grid has 4 across 169
+        specs); the document is written, never mutated.
+        """
+        configs: dict = {}
         document = {
             "format": "cluster-plan/v1",
             "cache_version": CACHE_VERSION,
@@ -128,7 +133,7 @@ class ClusterPlan:
             "clock_skew_tolerance": self.clock_skew_tolerance,
             "cache_dir": self.cache_dir,
             "seeds": list(self.seeds),
-            "specs": [spec.to_dict() for spec in self.specs],
+            "specs": [spec.to_dict(configs=configs) for spec in self.specs],
             "shard_plan": self.shard_plan.to_dict(),
         }
         if self.guard is not None:
@@ -259,8 +264,10 @@ class ClusterCoordinator:
         self.guard = (guard.to_dict() if hasattr(guard, "to_dict")
                       else guard)
         self._shard_plan: Optional[ShardPlan] = None
+        self._cluster_plan: Optional[ClusterPlan] = None
         #: The plan document :meth:`write_plan` last wrote — the parsed
-        #: contents of ``plan.json`` (``None`` until written).
+        #: contents of ``plan.json`` (``None`` until written).  Its parsed
+        #: form is :meth:`cluster_plan`.
         self.written_plan: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
@@ -294,19 +301,27 @@ class ClusterCoordinator:
         return self._shard_plan
 
     def cluster_plan(self) -> ClusterPlan:
-        """The full plan document workers execute from."""
-        return ClusterPlan(
-            master_seed=self.master_seed,
-            duration=self.duration,
-            sink=self.sink,
-            lease_timeout=self.lease_timeout,
-            clock_skew_tolerance=self.clock_skew_tolerance,
-            cache_dir=self.cache_dir,
-            seeds=derive_scenario_seeds(self.master_seed, len(self.specs)),
-            specs=self.specs,
-            shard_plan=self.plan(),
-            guard=self.guard,
-        )
+        """The full plan workers execute from (built once, then cached).
+
+        Equal field for field to :meth:`ClusterPlan.load` of the written
+        ``plan.json``, so the TCP coordinator serves from it instead of
+        re-reading the file.
+        """
+        if self._cluster_plan is None:
+            self._cluster_plan = ClusterPlan(
+                master_seed=self.master_seed,
+                duration=self.duration,
+                sink=self.sink,
+                lease_timeout=self.lease_timeout,
+                clock_skew_tolerance=self.clock_skew_tolerance,
+                cache_dir=self.cache_dir,
+                seeds=derive_scenario_seeds(self.master_seed,
+                                            len(self.specs)),
+                specs=self.specs,
+                shard_plan=self.plan(),
+                guard=self.guard,
+            )
+        return self._cluster_plan
 
     @staticmethod
     def _sweep_identity(document: dict) -> dict:
@@ -355,7 +370,7 @@ class ClusterCoordinator:
                 self.reset_state()
         for sub in (TASKS_DIR, RESULTS_DIR, WORKERS_DIR):
             (self.cluster_dir / sub).mkdir(parents=True, exist_ok=True)
-        atomic_write_json(path, document, indent=2)
+        atomic_write_json(path, document)
         self.written_plan = document
         return path
 

@@ -85,7 +85,10 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         # owns plan writing; pass ``reset`` to discard a different sweep.
         coordinator.write_plan(reset=reset)
         self.coordinator = coordinator
-        self.local = FilesystemTransport(coordinator.cluster_dir)
+        # The plan just written, from memory: the same fields
+        # ``ClusterPlan.load`` would parse back out of plan.json.
+        self.local = FilesystemTransport(coordinator.cluster_dir,
+                                         plan=coordinator.cluster_plan())
         self._claim_lock = threading.Lock()
         self._serve_thread: Optional[threading.Thread] = None
         super().__init__(address, _ClusterRequestHandler)

@@ -310,10 +310,9 @@ class ClusterWorker:
         #: Whether ``_candidates`` came from a snapshot taken during the
         #: current :meth:`step` — refusals then just move on.
         self._fresh = False
-        #: Shared vectorized backend reused across this worker's cohorts so
-        #: FEU tables and physics chains stay warm between steps (results
-        #: are bit-identical with or without the reuse).
-        self._cohort_backend = None
+        #: Runs this worker's cohorts on one shared backend, so FEU tables
+        #: and physics chains stay warm between steps.
+        self._cohorts = None
         self._cache = None if cache_dir is None else ResumeCache(cache_dir)
         #: Refreshes the leases of the scenarios running right now.
         self._heartbeat = _Heartbeat(self.transport, self.worker_id,
@@ -597,7 +596,7 @@ class ClusterWorker:
         vectorized cohort — one watched lease per member, so each
         member aborts or submits individually exactly as on the solo path.
         """
-        from repro.runtime.batch import cohortable, execute_cohort
+        from repro.runtime.batch import CohortExecutor, cohortable
 
         claimed: list[int] = []
         while len(claimed) < self.batch_size:
@@ -635,28 +634,15 @@ class ClusterWorker:
                                  self.plan.seeds[index], self.plan.duration))
         if not payloads:
             return claimed[0]
-        if self._cohort_backend is None:
-            from repro.backends.vectorized import VectorizedAnalyticBackend
-            self._cohort_backend = VectorizedAnalyticBackend()
+        if self._cohorts is None:
+            self._cohorts = CohortExecutor()
         for payload in payloads:
             self._heartbeat.watch(payload[0])
         try:
-            outcomes = execute_cohort(payloads,
-                                      backend=self._cohort_backend,
-                                      guard=self.guard)
-        except MemoryError:
-            # The cohort itself (vectorized state allocation) blew the
-            # memory ceiling before per-member handling could: every
-            # member becomes an oom failure, and _report_failure halves
-            # the batch size so the retries come back smaller.
-            self._cohort_backend = None
-            outcomes = [
-                (payload[0], _failure_outcome(
-                    payload[1], payload[2], payload[3], "oom",
-                    f"MemoryError in a {len(payloads)}-member cohort",
-                    time.perf_counter()))
-                for payload in payloads
-            ]
+            # A cohort that blows the memory ceiling comes back as oom
+            # failures, and _report_failure halves the batch size so the
+            # retries come back smaller.
+            outcomes = self._cohorts.execute(payloads, guard=self.guard)
         finally:
             lost = {payload[0]: self._heartbeat.unwatch(payload[0])
                     for payload in payloads}

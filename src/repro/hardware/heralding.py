@@ -266,6 +266,9 @@ class HeraldedStateSampler:
         self._cumulative = np.cumsum(self._probabilities)
         successes = [o for o in self._outcomes if o.is_success]
         self._success_outcomes = successes
+        # Read on every attempt resolution: summed once, in outcome order.
+        self._success_probability = float(
+            sum(o.probability for o in self._outcomes if o.is_success))
         success_probabilities = np.array([o.probability for o in successes])
         success_total = success_probabilities.sum()
         if success_total > 0:
@@ -288,7 +291,7 @@ class HeraldedStateSampler:
     @property
     def success_probability(self) -> float:
         """Probability that one attempt heralds entanglement."""
-        return float(sum(o.probability for o in self._outcomes if o.is_success))
+        return self._success_probability
 
     def average_success_fidelity(self, target: Optional[BellIndex] = None) -> float:
         """Success-probability-weighted fidelity of the heralded state."""

@@ -28,21 +28,43 @@ and render artifacts with ``python -m repro.obs.report <path>``.
 With ``REPRO_OBS`` unset nothing is allocated and the instrumented hot
 paths reduce to ``if tracer is not None`` guards — simulation outcomes
 are bit-identical either way (enforced by tests and
-``benchmarks/bench_obs_overhead.py``).
+``benchmarks/bench_obs_overhead.py``).  Nothing is imported either: the
+trace, metrics, profiler and logging submodules load on first use, so a
+run that only asks :func:`session_from_env` pays for this module alone.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.obs.logconf import configure_logging
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import SamplingProfiler
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profiler import SamplingProfiler
+    from repro.obs.trace import Tracer
+
+#: Public names re-exported from the submodules, each imported on first
+#: access (PEP 562).
+_LAZY = {
+    "configure_logging": "repro.obs.logconf",
+    "MetricsRegistry": "repro.obs.metrics",
+    "SamplingProfiler": "repro.obs.profiler",
+    "Tracer": "repro.obs.trace",
+    "NullTracer": "repro.obs.trace",
+    "NULL_TRACER": "repro.obs.trace",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "ObsConfig", "ObsSession", "Tracer", "NullTracer", "NULL_TRACER",
@@ -117,6 +139,10 @@ class ObsSession:
     """
 
     def __init__(self, config: ObsConfig) -> None:
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.profiler import SamplingProfiler
+        from repro.obs.trace import Tracer
+
         self.config = config
         self.tracer: Optional[Tracer] = Tracer() if config.trace else None
         self.metrics: Optional[MetricsRegistry] = (

@@ -29,6 +29,7 @@ from repro.runtime.runner import RunResult, SimulationRun
 from repro.runtime.scenarios import ScenarioSpec
 
 __all__ = [
+    "CohortExecutor",
     "CohortRunner",
     "DEFAULT_STEPS",
     "cohortable",
@@ -293,3 +294,35 @@ def execute_cohort(payloads: Sequence[tuple[int, ScenarioSpec, int, float]],
             )
         outcomes.append((index, outcome))
     return outcomes
+
+
+class CohortExecutor:
+    """Runs one caller's cohorts, one after another, on one shared backend.
+
+    An in-process sweep and a cluster worker each keep one, so every
+    hardware config's FEU table is built once for all their cohorts and
+    pair physics stays warm between them (results are bit-identical with
+    or without the reuse).  A ``MemoryError`` out of a cohort drops the
+    backend with its memos and fails every member as ``oom``; the next
+    cohort starts on a fresh backend.
+    """
+
+    def __init__(self) -> None:
+        self.backend: Optional[VectorizedAnalyticBackend] = None
+
+    def execute(self, payloads: Sequence[tuple[int, ScenarioSpec, int, float]],
+                guard=None) -> list[tuple[int, "object"]]:
+        """:func:`execute_cohort` on the shared backend."""
+        from repro.runtime.sweep import _failure_outcome
+
+        if self.backend is None:
+            self.backend = VectorizedAnalyticBackend()
+        try:
+            return execute_cohort(payloads, backend=self.backend, guard=guard)
+        except MemoryError:
+            self.backend = None
+            return [(index, _failure_outcome(
+                        spec, seed, duration, "oom",
+                        f"MemoryError in a {len(payloads)}-member cohort",
+                        time.perf_counter()))
+                    for index, spec, seed, duration in payloads]

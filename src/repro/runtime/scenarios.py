@@ -112,17 +112,31 @@ class ScenarioSpec:
         return (self.scheduler if isinstance(self.scheduler, str)
                 else self.scheduler.name)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, configs: Optional[dict[ScenarioConfig, dict]] = None,
+                ) -> dict:
         """JSON-serialisable representation (cluster plan files).
 
         Scheduler instances are flattened to their name — a spec rebuilt
         from this dict resolves the scheduler through
         :func:`repro.core.scheduler.make_scheduler`, so custom instances must
         be registered there to survive a plan round-trip.
+
+        ``configs`` mirrors :meth:`from_dict`'s: pass the same (initially
+        empty) dict for every spec of one document, and each distinct
+        hardware config is converted once — its ``scenario`` dict is then
+        shared, so the caller must not mutate it.  Without it every call
+        returns fresh containers.
         """
+        if configs is None:
+            scenario = dataclass_to_dict(self.scenario)
+        else:
+            scenario = configs.get(self.scenario)
+            if scenario is None:
+                scenario = configs[self.scenario] = dataclass_to_dict(
+                    self.scenario)
         return {
             "name": self.name,
-            "scenario": dataclass_to_dict(self.scenario),
+            "scenario": scenario,
             "workload": [{**dataclass_to_dict(w), "priority": w.priority.name}
                          for w in self.workload],
             "scheduler": self.scheduler_name(),

@@ -595,6 +595,15 @@ class SweepRunner:
             if self.on_outcome is not None:
                 self.on_outcome(outcome)
 
+        # In-process cohorts share one backend for the whole run, as a
+        # ClusterWorker's do: each hardware config's FEU table is built
+        # once per sweep.
+        cohorts = None
+        if self.batch_size > 1:
+            from repro.runtime.batch import CohortExecutor
+
+            cohorts = CohortExecutor()
+
         def execute(payloads: list[tuple[int, ScenarioSpec, int, float]],
                     ) -> None:
             tasks = self._build_tasks(payloads)
@@ -603,7 +612,9 @@ class SweepRunner:
                     attempts[payload[0]] = attempts.get(payload[0], 0) + 1
             if self.workers == 1 or len(tasks) == 1:
                 for task in tasks:
-                    for index, outcome in _execute_task(task):
+                    pairs = (cohorts.execute(task[1], guard=task[2])
+                             if task[0] == "cohort" else _execute_task(task))
+                    for index, outcome in pairs:
                         record(index, outcome)
             else:
                 context = multiprocessing.get_context(self.start_method)

@@ -19,12 +19,15 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.metrics import MetricsSummary
-from repro.cluster.coordinator import PLAN_NAME, ClusterCoordinator
+from repro.cluster.coordinator import PLAN_NAME, ClusterCoordinator, ClusterPlan
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.cluster.sinks import JsonlResultSink
 from repro.cluster.transport import SocketTransport
 from repro.runtime.cache import ResumeCache
+from repro.runtime.guard import GuardPolicy
 from repro.runtime.scenarios import chain_grid, paper_grid
 from repro.runtime.sweep import ScenarioOutcome
 
@@ -39,14 +42,17 @@ def key_specs():
     return paper_grid() + chain_grid(lengths=(3, 5))
 
 
-def grid_tcp_plan_document(cluster_dir: Path) -> dict:
-    """The plan document of the ladder's ``grid-tcp`` workload."""
+def grid_tcp_coordinator(cluster_dir: Path, **kwargs) -> ClusterCoordinator:
+    """The coordinator of the ladder's ``grid-tcp`` workload."""
     specs = paper_grid(attempt_batch_size=100, backend="analytic",
                        engine="heap")
-    coordinator = ClusterCoordinator(specs, 0.2, cluster_dir,
-                                     master_seed=12345, num_shards=1,
-                                     sink="jsonl")
-    return coordinator.cluster_plan().to_dict()
+    return ClusterCoordinator(specs, 0.2, cluster_dir, master_seed=12345,
+                              num_shards=1, sink="jsonl", **kwargs)
+
+
+def grid_tcp_plan_document(cluster_dir: Path) -> dict:
+    """The plan document of the ladder's ``grid-tcp`` workload."""
+    return grid_tcp_coordinator(cluster_dir).cluster_plan().to_dict()
 
 
 def single_link_outcome() -> ScenarioOutcome:
@@ -246,6 +252,36 @@ def test_served_plan_equals_written_plan(tmp_path):
     written = json.loads((tmp_path / "cluster" / PLAN_NAME).read_text())
     assert served == written
     assert json.dumps(served, indent=2) == json.dumps(written, indent=2)
+
+
+def test_plan_file_is_compact_json_of_the_written_plan(tmp_path):
+    coordinator = grid_tcp_coordinator(tmp_path)
+    text = coordinator.write_plan().read_text()
+    assert json.loads(text) == coordinator.written_plan
+    assert text == json.dumps(coordinator.written_plan)
+
+
+@pytest.mark.parametrize("guard", [
+    None, GuardPolicy(max_events=10**6, wall_deadline=30.0, max_attempts=3,
+                      validate=True)], ids=["unguarded", "guarded"])
+def test_server_plan_equals_the_plan_file(tmp_path, guard):
+    """The server builds its transport from the coordinator's plan in
+    memory; it must be the plan a filesystem worker parses from disk."""
+    coordinator = grid_tcp_coordinator(tmp_path, guard=guard)
+    server = ClusterCoordinatorServer(coordinator)
+    server.start_background()
+    try:
+        local = server.local.plan
+        loaded = ClusterPlan.load(tmp_path)
+        assert local.specs == loaded.specs
+        assert local.seeds == loaded.seeds
+        assert local.shard_plan == loaded.shard_plan
+        assert local.guard == loaded.guard
+        assert local == loaded
+        assert server.local.guard == loaded.guard_policy()
+        assert (guard is None) == (local.guard is None)
+    finally:
+        server.stop()
 
 
 if __name__ == "__main__":

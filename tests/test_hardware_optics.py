@@ -172,6 +172,19 @@ class TestHeraldedStateSampler:
         sampler = HeraldedStateSampler.for_scenario(lab, 0.5)
         assert 1e-4 < sampler.success_probability < 1e-3
 
+    @pytest.mark.parametrize("scenario", [lab_scenario(), ql2020_scenario()],
+                             ids=["Lab", "QL2020"])
+    @pytest.mark.parametrize("alpha", [0.02, 0.1, 0.25, 0.3, 0.5])
+    def test_success_probability_is_the_outcome_sum_exactly(self, scenario,
+                                                            alpha):
+        # Summed once at construction: the float must be the one the
+        # per-call generator sum over the outcomes gives, bit for bit.
+        sampler = HeraldedStateSampler(alpha, alpha, scenario.optics_a,
+                                       scenario.optics_b)
+        expected = float(sum(o.probability for o in sampler.outcomes
+                             if o.is_success))
+        assert sampler.success_probability == expected
+
     def test_fidelity_decreases_with_alpha(self, lab):
         f_low = HeraldedStateSampler.for_scenario(lab, 0.05).average_success_fidelity()
         f_high = HeraldedStateSampler.for_scenario(lab, 0.5).average_success_fidelity()

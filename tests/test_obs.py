@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,8 @@ from repro.runtime import ScenarioSpec, single_kind_scenarios
 from repro.runtime.batch import execute_cohort
 from repro.runtime.runner import SimulationRun
 from repro.runtime.sweep import ScenarioOutcome, SweepRunner, execute_scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Long enough for the High-load Lab workloads to issue requests and
 # deliver pairs (0.05s would trace an empty run); still < 0.1s wall each.
@@ -101,6 +107,32 @@ class TestObsConfig:
         assert run.network.engine.tracer is None
         result = run.run(DURATION)
         assert result.obs is None
+
+    def test_run_without_obs_loads_no_obs_submodule(self):
+        """With ``REPRO_OBS`` unset a link run imports ``repro.obs`` alone:
+        the tracer, metrics and profiler modules stay unloaded (checked in
+        a fresh interpreter, since this process has imported them)."""
+        code = (
+            "import sys\n"
+            "from repro.runtime import single_kind_scenarios\n"
+            "spec = single_kind_scenarios('Lab', kinds=('MD',), "
+            "loads=('High',), max_pairs_options=(1,), origins=('A',), "
+            "include_md_k255=False, backend='analytic')[0]\n"
+            f"assert spec.run({DURATION}, seed=3).events_processed > 0\n"
+            "print(sorted(name for name in sys.modules "
+            "if name.startswith('repro.obs')))\n")
+        env = {key: value for key, value in os.environ.items()
+               if key != "REPRO_OBS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        output = subprocess.run([sys.executable, "-c", code], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout
+        loaded = output.strip().splitlines()[-1]
+        for module in ("repro.obs.trace", "repro.obs.metrics",
+                       "repro.obs.profiler", "repro.obs.logconf"):
+            assert f"'{module}'" not in loaded, loaded
+        assert "'repro.obs'" in loaded, loaded
 
 
 # --------------------------------------------------------------------------- #

@@ -17,7 +17,7 @@ from repro.core.messages import Priority
 from repro.hardware.parameters import lab_scenario
 from repro.runtime import ScenarioSpec, SweepRunner, WorkloadSpec
 from repro.runtime.batch import CohortRunner, cohortable, execute_cohort
-from repro.runtime.scenarios import single_kind_scenarios
+from repro.runtime.scenarios import paper_grid, single_kind_scenarios
 from repro.runtime.sweep import ScenarioOutcome
 
 DURATION = 0.2
@@ -158,6 +158,54 @@ class TestCohortSweep:
         assert all(outcome.from_cache for outcome in second.outcomes)
         assert second.outcomes == first.outcomes
         assert rerun.cache_report().counts()["hits"] == 4
+
+    def test_in_process_cohorts_share_one_backend(self, monkeypatch):
+        """Every in-process cohort of a sweep runs through one backend, so
+        each hardware config's FEU table is built once per sweep."""
+        import repro.runtime.batch as batch
+
+        built = []
+
+        class Recording(VectorizedAnalyticBackend):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(batch, "VectorizedAnalyticBackend", Recording)
+        specs = paper_grid(attempt_batch_size=100, backend="analytic")
+        cohort = SweepRunner(specs, 0.05, master_seed=12345,
+                             batch_size=64).run()
+        assert sorted({outcome.cohort for outcome in cohort.outcomes}) \
+            == [41, 64]  # three cohorts over the 169 scenarios
+        (backend,) = built
+        assert len(backend._feu_tables) == len({spec.scenario
+                                                for spec in specs})
+        serial = SweepRunner(specs, 0.05, master_seed=12345).run()
+        assert cohort.outcomes == serial.outcomes
+
+    def test_cohort_memory_error_drops_the_shared_backend(self,
+                                                          monkeypatch):
+        import repro.runtime.batch as batch
+
+        backends = []
+        real = batch.execute_cohort
+
+        def flaky(payloads, backend=None, guard=None):
+            backends.append(backend)
+            if len(backends) == 1:
+                raise MemoryError("cohort allocation")
+            return real(payloads, backend=backend, guard=guard)
+
+        monkeypatch.setattr(batch, "execute_cohort", flaky)
+        specs = analytic_grid(8)
+        result = SweepRunner(specs, DURATION, master_seed=3,
+                             batch_size=4).run()
+        assert [outcome.status for outcome in result.outcomes] \
+            == ["oom"] * 4 + ["ok"] * 4
+        assert "4-member cohort" in result.outcomes[0].error
+        first, second = backends
+        assert first is not None and second is not None
+        assert first is not second
 
     def test_single_member_chunks_fall_back_to_solo(self):
         specs = analytic_grid(1)
