@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 from benchmarks.conftest import BATCH, print_table, scaled
+from repro.backends import get_backend
 from repro.core.messages import Priority
 from repro.runtime.runner import run_scenario
 from repro.runtime.workload import WorkloadSpec
@@ -22,12 +23,14 @@ def test_ablation_emission_multiplexing(benchmark, ql2020_config):
                         min_fidelity=0.64)
 
     def sweep():
+        # One backend for both runs: the second reuses the first's tables.
+        backend = get_backend()
         with_mux = run_scenario(ql2020_config, [spec], duration=duration,
                                 seed=31, emission_multiplexing=True,
-                                attempt_batch_size=BATCH)
+                                attempt_batch_size=BATCH, backend=backend)
         without_mux = run_scenario(ql2020_config, [spec], duration=duration,
                                    seed=31, emission_multiplexing=False,
-                                   attempt_batch_size=1)
+                                   attempt_batch_size=1, backend=backend)
         return with_mux, without_mux
 
     with_mux, without_mux = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -48,11 +51,13 @@ def test_ablation_batching_preserves_fidelity(benchmark, lab_config):
                         origin="A", min_fidelity=0.64)
 
     def sweep():
+        backend = get_backend()
         batched = run_scenario(lab_config, [spec], duration=duration_batched,
-                               seed=32, attempt_batch_size=BATCH)
+                               seed=32, attempt_batch_size=BATCH,
+                               backend=backend)
         unbatched = run_scenario(lab_config, [spec],
                                  duration=duration_unbatched, seed=32,
-                                 attempt_batch_size=1)
+                                 attempt_batch_size=1, backend=backend)
         return batched, unbatched
 
     batched, unbatched = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -23,6 +23,7 @@ CHAIN_LENGTHS = (2, 3, 4, 5)
 
 
 def test_chain_length_scaling():
+    from repro.backends import get_backend
     from repro.runtime.scenarios import chain_grid
 
     duration = scaled(2.0)
@@ -30,11 +31,13 @@ def test_chain_length_scaling():
     events_per_second = {}
     pairs_delivered = {}
     baseline_rate = None
+    # One backend for every length: each link config's table is built once.
+    backend = get_backend()
     for num_nodes in CHAIN_LENGTHS:
         spec = chain_grid(lengths=(num_nodes,), loads=("Ultra",),
                           attempt_batch_size=BATCH)[0]
         started = time.perf_counter()
-        result = spec.run(duration, seed=7)
+        result = spec.run(duration, seed=7, backend=backend)
         wall = time.perf_counter() - started
         rate = result.events_processed / wall if wall > 0 else 0.0
         if baseline_rate is None:

@@ -61,7 +61,7 @@ def _run_mixed(duration, *, tracer=None):
 
     ``tracer=None`` is the production default (observability off);
     passing a tracer wires it into the engine, midpoint, and both
-    nodes' MHP/EGP exactly as ``ObsSession.attach_link_network`` does.
+    nodes' MHP/EGP exactly as ``ObsSession.attach`` does.
     """
     from repro.analysis.metrics import MetricsCollector
     from repro.hardware.parameters import ql2020_scenario

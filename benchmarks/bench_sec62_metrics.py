@@ -12,23 +12,27 @@ from __future__ import annotations
 
 from benchmarks.conftest import BATCH, print_table, scaled
 from repro.analysis.metrics import relative_difference
+from repro.backends import get_backend
 from repro.core.messages import Priority
 from repro.runtime.runner import run_scenario
 from repro.runtime.workload import WorkloadSpec
 
 
-def run_single_kind(config, priority, duration, origin="random", seed=77):
+def run_single_kind(config, priority, duration, origin="random", seed=77,
+                    backend=None):
     spec = WorkloadSpec(priority=priority, load_fraction=0.99, max_pairs=3,
                         origin=origin, min_fidelity=0.64)
     return run_scenario(config, [spec], duration=duration, seed=seed,
-                        attempt_batch_size=BATCH)
+                        attempt_batch_size=BATCH, backend=backend)
 
 
 def test_sec62_lab_throughput_and_fidelity(benchmark, lab_config):
     duration = scaled(4.0)
 
     def sweep():
-        return {kind: run_single_kind(lab_config, kind, duration)
+        backend = get_backend()  # one FEU table for the three kinds
+        return {kind: run_single_kind(lab_config, kind, duration,
+                                      backend=backend)
                 for kind in (Priority.NL, Priority.CK, Priority.MD)}
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import print_table, scaled
 from repro.analysis.metrics import relative_difference
+from repro.backends import get_backend
 from repro.core.messages import Priority
 from repro.runtime.runner import run_scenario
 from repro.runtime.workload import WorkloadSpec
@@ -21,19 +22,21 @@ from repro.runtime.workload import WorkloadSpec
 LOSS_PROBABILITIES = [0.0, 1e-6, 1e-4]
 
 
-def run_with_loss(lab_config, loss, duration, seed=55):
+def run_with_loss(lab_config, loss, duration, seed=55, backend=None):
     scenario = lab_config.with_frame_loss(loss)
     spec = WorkloadSpec(priority=Priority.MD, load_fraction=0.99, max_pairs=3,
                         min_fidelity=0.64)
     return run_scenario(scenario, [spec], duration=duration, seed=seed,
-                        attempt_batch_size=1)
+                        attempt_batch_size=1, backend=backend)
 
 
 def test_table5_robustness_to_message_loss(benchmark, lab_config):
     duration = scaled(1.5)
 
     def sweep():
-        return {loss: run_with_loss(lab_config, loss, duration)
+        backend = get_backend()
+        return {loss: run_with_loss(lab_config, loss, duration,
+                                    backend=backend)
                 for loss in LOSS_PROBABILITIES}
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -106,12 +106,16 @@ def run_table1_slice(duration: float, backend=None) -> tuple[dict, int]:
     the scheduling benchmark reports.  Returns scenario-name -> summary and
     the total number of simulation events processed.
     """
+    from repro.backends import get_backend
     from repro.runtime.scenarios import table1_scenarios
 
     summaries = {}
     events = 0
+    # One backend for the whole slice: its FEU table is built once.
+    instance = get_backend(backend)
     for spec in table1_scenarios("QL2020", backend=backend):
-        result = spec.run(duration, attempt_batch_size=BATCH)
+        result = spec.run(duration, attempt_batch_size=BATCH,
+                          backend=instance)
         summaries[spec.name] = result.summary
         events += result.network.engine.processed_events
     return summaries, events

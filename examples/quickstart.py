@@ -40,9 +40,9 @@ def main() -> None:
         priority=Priority.CK,
         min_fidelity=0.64,
     )
-    print("Submitting CREATE request at node A "
-          f"(create_id={request.create_id}, F_min={request.min_fidelity}) ...")
-    network.node_a.create(request)
+    create_id = network.node_a.create(request)
+    print("Submitted CREATE request at node A "
+          f"(create_id={create_id}, F_min={request.min_fidelity}) ...")
 
     network.run(duration=2.0)
 

@@ -13,6 +13,7 @@ Run with::
 
 from __future__ import annotations
 
+from repro.backends import get_backend
 from repro.hardware import lab_scenario
 from repro.runtime.scenarios import USAGE_PATTERNS
 from repro.runtime.runner import SimulationRun
@@ -24,9 +25,11 @@ def main(simulated_seconds: float = 6.0) -> None:
           f"(mostly NL traffic, plus CK and MD) on the Lab scenario")
     print(f"{'scheduler':<12}{'kind':<6}{'throughput (1/s)':<18}"
           f"{'request latency (s)':<20}")
+    # One backend for both runs: the second reuses the first's FEU table.
+    backend = get_backend()
     for scheduler in ("FCFS", "HigherWFQ"):
         run = SimulationRun(lab_scenario(), pattern.specs, scheduler=scheduler,
-                            seed=17, attempt_batch_size=100)
+                            seed=17, attempt_batch_size=100, backend=backend)
         summary = run.run(simulated_seconds).summary
         for kind in ("NL", "CK", "MD"):
             throughput = summary.throughput.get(kind, 0.0)

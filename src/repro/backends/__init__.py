@@ -2,7 +2,7 @@
 
 The protocol stack (MHP, EGP, FEU, device model) talks to the physics through
 the :class:`~repro.backends.base.PhysicsBackend` interface; this package
-provides the registry that maps backend names to shared instances.
+provides the registry that maps backend names to backend classes.
 
 Backends
 --------
@@ -23,12 +23,17 @@ Every entry point (``SimulationRun``, ``ScenarioSpec``, benchmarks,
 examples) accepts a backend name or instance; when none is given the
 ``REPRO_BACKEND`` environment variable decides, falling back to
 ``"density"``.
+
+A name always builds a fresh instance, owned by the run it is given to.
+Code that runs many scenarios — a sweep, a pool worker process, a cluster
+worker — owns a :class:`BackendSet` and passes its instances down.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Union
 
 from repro.backends.analytic import AnalyticAttemptModel, AnalyticBackend
 from repro.backends.base import (
@@ -46,12 +51,11 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: Name of the reference backend.
 DEFAULT_BACKEND = "density"
 
-_FACTORIES = {
+_FACTORIES = MappingProxyType({
     "density": DensityMatrixBackend,
     "analytic": AnalyticBackend,
     "analytic-exact": lambda: AnalyticBackend(fast_forward=False),
-}
-_INSTANCES: dict[str, PhysicsBackend] = {}
+})
 
 
 def available_backends() -> list[str]:
@@ -86,22 +90,30 @@ def resolve_backend_name(
 
 def get_backend(
         backend: Union[None, str, PhysicsBackend] = None) -> PhysicsBackend:
-    """Resolve a backend name (or pass through an instance).
-
-    Named backends are shared singletons, so their per-``alpha`` attempt-model
-    caches and their FEU table memo (:meth:`PhysicsBackend.feu_table`) are
-    reused across runs within one process: solo runs, cluster workers and
-    every link of a topology build each distinct table once, as a cohort's
-    own backend does.
-    """
+    """A fresh backend for a name (or the instance passed in); its
+    attempt-model caches and FEU table memo live as long as its owner."""
     if isinstance(backend, PhysicsBackend):
         return backend
-    name = resolve_backend_name(backend)
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _FACTORIES[name]()
-        _INSTANCES[name] = instance
-    return instance
+    return _FACTORIES[resolve_backend_name(backend)]()
+
+
+class BackendSet:
+    """One backend per name for the lifetime of its holder, so the solo
+    runs it serves build each distinct FEU table and attempt model once."""
+
+    def __init__(self) -> None:
+        self._instances: dict[str, PhysicsBackend] = {}
+
+    def get(self, backend: Union[None, str, PhysicsBackend] = None,
+            ) -> PhysicsBackend:
+        """This set's instance for ``backend`` (built on first use)."""
+        if isinstance(backend, PhysicsBackend):
+            return backend
+        name = resolve_backend_name(backend)
+        instance = self._instances.get(name)
+        if instance is None:
+            instance = self._instances[name] = get_backend(name)
+        return instance
 
 
 __all__ = [
@@ -109,6 +121,7 @@ __all__ = [
     "AnalyticBackend",
     "AttemptModel",
     "BACKEND_ENV_VAR",
+    "BackendSet",
     "BatchGrant",
     "DEFAULT_BACKEND",
     "DensityAttemptModel",

@@ -59,10 +59,7 @@ _FAILURE = HeraldSample(outcome_code=0, state=None)
 #: Boolean masks selecting the matrix elements whose row/column bit of one
 #: side differ — exactly the coherences a one-sided Z or dephasing touches.
 _SIDE_BITS = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
-_DIFFER_MASK = {
-    0: _SIDE_BITS[0][:, None] != _SIDE_BITS[0][None, :],
-    1: _SIDE_BITS[1][:, None] != _SIDE_BITS[1][None, :],
-}
+_DIFFER_MASK = tuple(bits[:, None] != bits[None, :] for bits in _SIDE_BITS)
 
 
 def _side_index(side: str) -> int:

@@ -23,8 +23,6 @@ Pieces (see each module's docstring for the protocol details):
   reclaim execution loop (also a CLI: ``python -m repro.cluster.worker``).
 * :mod:`repro.cluster.serve` — the TCP coordinator service
   (``python -m repro.cluster.serve``).
-* :mod:`repro.cluster.scaling` — worker autoscaling: :class:`ScalePolicy`
-  advice from queue depth, applied by a local :class:`ProcessPoolScaler`.
 * :mod:`repro.cluster.faults` — deterministic fault injection: a seeded
   :class:`FaultSchedule` driving a :class:`FaultyTransport` that drops,
   duplicates, resets, delays and replays protocol operations, crashes
@@ -52,13 +50,6 @@ from repro.cluster.planner import (
     StaticCostModel,
     plan_shards,
 )
-from repro.cluster.scaling import (
-    ClusterStats,
-    ProcessPoolScaler,
-    QueueDepthPolicy,
-    ScaleAdvice,
-    ScalePolicy,
-)
 from repro.cluster.sinks import (
     ColumnarResultSink,
     JsonResultSink,
@@ -83,7 +74,6 @@ from repro.cluster.worker import ClusterWorker
 __all__ = [
     "ClusterCoordinator",
     "ClusterPlan",
-    "ClusterStats",
     "ClusterWorker",
     "ColumnarResultSink",
     "CostModel",
@@ -97,13 +87,9 @@ __all__ = [
     "InjectedWorkerCrash",
     "JsonResultSink",
     "JsonlResultSink",
-    "ProcessPoolScaler",
-    "QueueDepthPolicy",
     "RecordedCostModel",
     "ResultSink",
     "SINK_KINDS",
-    "ScaleAdvice",
-    "ScalePolicy",
     "ScenarioFaultPlan",
     "ShardPlan",
     "SocketTransport",

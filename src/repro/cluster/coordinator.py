@@ -388,18 +388,12 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Progress
     # ------------------------------------------------------------------ #
-    def status(self, include_owners: bool = False) -> dict:
-        """Done / leased / pending counts, per shard and overall.
-
-        With ``include_owners`` the (single) directory scan also collects
-        ``busy_workers`` — the ids behind the live leases — reading each
-        live lease file once.
-        """
+    def status(self) -> dict:
+        """Done / leased / pending counts, per shard and overall."""
         plan = self.plan()
         now = time.time()
         per_shard = []
         totals = {"done": 0, "leased": 0, "stale": 0, "pending": 0}
-        owners: set = set()
         # Same staleness rule the transports apply: forgive up to the skew
         # tolerance of observed age before declaring a lease abandoned.
         stale_after = self.lease_timeout + self.clock_skew_tolerance
@@ -419,21 +413,11 @@ class ClusterCoordinator:
                     counts["stale"] += 1
                     continue
                 counts["leased"] += 1
-                if include_owners:
-                    try:
-                        owner = json.loads(lease.read_text()).get("worker_id")
-                    except (OSError, json.JSONDecodeError):
-                        owner = None
-                    if owner:
-                        owners.add(owner)
             per_shard.append(counts)
             for key, value in counts.items():
                 totals[key] += value
-        status = {"shards": per_shard, "total": totals,
-                  "scenarios": len(self.specs)}
-        if include_owners:
-            status["busy_workers"] = sorted(owners)
-        return status
+        return {"shards": per_shard, "total": totals,
+                "scenarios": len(self.specs)}
 
     def is_complete(self) -> bool:
         """Whether every scenario has a done marker."""

@@ -29,10 +29,6 @@ Quickstart (three machines, no shared storage)::
 
     # each worker box
     python -m repro.cluster.worker --coordinator coordinator-host:7766
-
-Pass ``--autoscale N`` to let the coordinator also run a local
-:class:`~repro.cluster.scaling.ProcessPoolScaler` growing/shrinking up to
-``N`` worker processes on its own machine from queue depth.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.scaling import ProcessPoolScaler, QueueDepthPolicy, ScalePolicy
 from repro.cluster.sinks import SINK_KINDS
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
@@ -186,7 +181,7 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
     # ------------------------------------------------------------------ #
     def status(self) -> dict:
         """Coordinator progress plus completion/registration counters."""
-        status = self.coordinator.status(include_owners=True)
+        status = self.coordinator.status()
         status["complete"] = status["total"]["done"] >= status["scenarios"]
         status["registered_workers"] = self.local.registered_workers()
         return status
@@ -318,11 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--validate", action="store_true",
                         help="guard: validate results (ranges, finiteness, "
                              "density-matrix sanity) before accepting them")
-    parser.add_argument("--autoscale", type=int, default=0, metavar="N",
-                        help="run up to N local worker processes, scaled "
-                             "from queue depth (0 disables)")
-    parser.add_argument("--scale-interval", type=float, default=1.0,
-                        help="seconds between autoscaling rounds")
     parser.add_argument("--poll-interval", type=float, default=0.5,
                         help="seconds between completion checks")
     parser.add_argument("--exit-when-complete", action="store_true",
@@ -386,19 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     logger.info("[serve] workers: python -m repro.cluster.worker "
                 "--coordinator <this-host>:%d", server.server_address[1])
 
-    scaler: Optional[ProcessPoolScaler] = None
-    if args.autoscale > 0:
-        policy: ScalePolicy = QueueDepthPolicy(min_workers=1,
-                                               max_workers=args.autoscale)
-        # Local workers must dial an address the listener actually covers:
-        # loopback only works when binding all interfaces (or loopback).
-        scale_host = ("127.0.0.1" if args.host in ("", "0.0.0.0", "::")
-                      else args.host)
-        scaler = ProcessPoolScaler(f"{scale_host}:{server.server_address[1]}",
-                                   policy=policy)
-
     last_done = -1
-    next_scale = 0.0
     try:
         while True:
             status = server.status()
@@ -411,28 +389,18 @@ def main(argv: Optional[list[str]] = None) -> int:
                     status["total"]["stale"], status["total"]["pending"],
                     status["registered_workers"])
                 last_done = done
-            if scaler is not None and time.monotonic() >= next_scale:
-                advice = scaler.scale_once(status)
-                if not advice.is_noop:
-                    logger.info("[serve] autoscale: spawn %d, retire %d (%s)",
-                                advice.spawn, advice.retire, advice.reason)
-                next_scale = time.monotonic() + args.scale_interval
             if status["complete"] and args.exit_when_complete:
                 break
             time.sleep(args.poll_interval)
     except KeyboardInterrupt:
         logger.info("[serve] interrupted; coordinator state is durable — "
                     "re-run serve on the same --cluster-dir to resume")
-        if scaler is not None:
-            scaler.shutdown()
         server.stop()
         return 130
 
     # Complete: give standing-by workers a moment to observe the final
     # snapshot and exit cleanly, then merge and persist.
     time.sleep(max(0.0, args.linger))
-    if scaler is not None:
-        scaler.shutdown()
     server.stop()
     result = coordinator.merge()
     recorded = coordinator.record_costs(result)

@@ -37,16 +37,17 @@ import json
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from repro.analysis.metrics import MetricsSummary
 from repro.runtime.cache import CACHE_VERSION, atomic_write_text
 from repro.runtime.sweep import ScenarioOutcome, SweepResult
 
 #: Columns an outcome is split into in the columnar format, in order.
-_OUTCOME_FIELDS = [f.name for f in dataclasses.fields(ScenarioOutcome)
-                   if f.name != "summary"]
-_SUMMARY_FIELDS = [f.name for f in dataclasses.fields(MetricsSummary)]
+_OUTCOME_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioOutcome)
+                        if f.name != "summary")
+_SUMMARY_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsSummary))
 
 
 class SinkError(ValueError):
@@ -245,10 +246,10 @@ class ColumnarResultSink(ResultSink):
 
 
 #: kind -> sink class.
-SINK_KINDS: dict[str, type[ResultSink]] = {
+SINK_KINDS: Mapping[str, type[ResultSink]] = MappingProxyType({
     sink.kind: sink
     for sink in (JsonResultSink, JsonlResultSink, ColumnarResultSink)
-}
+})
 
 
 def open_sink(kind: str, path: str | Path,

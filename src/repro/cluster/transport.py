@@ -895,7 +895,7 @@ class SocketTransport(Transport):
         self.request("telemetry", worker_id=worker_id, metrics=metrics)
 
     def status(self) -> dict:
-        """Coordinator-side progress counters (monitoring / autoscaling)."""
+        """Coordinator-side progress counters (monitoring)."""
         return self.request("status")["status"]
 
     def close(self) -> None:

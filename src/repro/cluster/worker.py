@@ -64,6 +64,7 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.backends import BackendSet
 from repro.cluster.transport import (
     FilesystemTransport,
     SocketTransport,
@@ -313,6 +314,9 @@ class ClusterWorker:
         #: Runs this worker's cohorts on one shared backend, so FEU tables
         #: and physics chains stay warm between steps.
         self._cohorts = None
+        #: This worker's backends, one per name, for its solo scenarios:
+        #: each distinct FEU table is built once per worker.
+        self._backends = BackendSet()
         self._cache = None if cache_dir is None else ResumeCache(cache_dir)
         #: Refreshes the leases of the scenarios running right now.
         self._heartbeat = _Heartbeat(self.transport, self.worker_id,
@@ -425,14 +429,11 @@ class ClusterWorker:
         outcome = self._load_cached(index)
         if outcome is None:
             spec = self.plan.specs[index]
-            # Unguarded plans keep the exact pre-guard call (and signature,
-            # for test doubles); the keyword only appears when a policy is
-            # actually in force.
-            guard_kwargs = {} if self.guard is None else {"guard": self.guard}
             try:
                 outcome = execute_scenario(spec, self.plan.seeds[index],
                                            self.plan.duration,
-                                           **guard_kwargs)
+                                           guard=self.guard,
+                                           backends=self._backends)
             except MemoryError:
                 # execute_scenario catches MemoryError from the scenario
                 # itself; this one fired outside it (cache I/O, outcome

@@ -13,9 +13,10 @@ into generation parameters) and a scheduling strategy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -115,6 +116,9 @@ class EGP(Protocol):
         Skip scheduling GEN/REPLY polls that would provably answer "no"
         (see the attribute docstring).  ``False`` restores the reference
         scheduling pattern.
+    create_ids:
+        The run's CREATE id counter, shared by both nodes' EGPs; it stamps
+        requests submitted without an id.  ``None`` starts a fresh one.
     """
 
     #: Retransmission interval and limit for EXPIRE notices.
@@ -130,7 +134,8 @@ class EGP(Protocol):
                  attempt_batch_size: int = 1,
                  backend=None,
                  elide_watchdog: Optional[bool] = None,
-                 timer_elision: bool = True) -> None:
+                 timer_elision: bool = True,
+                 create_ids: Optional[Iterator[int]] = None) -> None:
         from repro.backends import get_backend
 
         super().__init__(engine, name=f"EGP-{node_name}")
@@ -150,6 +155,8 @@ class EGP(Protocol):
                              f"got {attempt_batch_size}")
         self.attempt_batch_size = attempt_batch_size
         self.qmm = QuantumMemoryManager(device)
+        self.create_ids = (create_ids if create_ids is not None
+                           else itertools.count(1))
         #: Reply-watchdog elision (the ROADMAP's named hot-path item): when
         #: the classical channels cannot lose frames the REPLY provably
         #: arrives, so the per-attempt lost-REPLY watchdog would always be
@@ -258,6 +265,8 @@ class EGP(Protocol):
         Returns the create id; completion or failure is reported through the
         OK / error listeners.
         """
+        if request.create_id is None:
+            request.create_id = next(self.create_ids)
         request.origin = self.node_name
         request.create_time = self.now
         if not request.remote_node_id:
@@ -871,9 +880,8 @@ class EGP(Protocol):
     def _emit_ok(self, ok: OkMessage) -> None:
         self.statistics["oks_issued"] += 1
         if self.tracer is not None:
-            # No create_id: it comes from a process-global counter, so it
-            # would break trace determinism across runs in one process.
             self.tracer.event(self.now, f"{self.name}.ok",
+                              create_id=ok.create_id,
                               pair_index=ok.pair_index,
                               goodness=ok.goodness,
                               queue_depth=self.dqp.total_length())
@@ -884,6 +892,7 @@ class EGP(Protocol):
         self.statistics["errors_issued"] += 1
         if self.tracer is not None:
             self.tracer.event(self.now, f"{self.name}.error",
+                              create_id=error.create_id,
                               error=error.error.name)
         for listener in list(self.error_listeners):
             listener(error)

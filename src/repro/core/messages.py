@@ -8,8 +8,7 @@ the packet diagrams (Figures 24, 27, 28, 31-39).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional
 
@@ -77,14 +76,6 @@ class AbsoluteQueueId(NamedTuple):
     queue_seq: int
 
 
-_create_id_counter = itertools.count(1)
-
-
-def next_create_id() -> int:
-    """Monotonically increasing identifier for CREATE requests."""
-    return next(_create_id_counter)
-
-
 @dataclass
 class EntanglementRequest:
     """A CREATE request from the higher layer (Section 4.1.1, Figure 31).
@@ -129,7 +120,10 @@ class EntanglementRequest:
     min_fidelity: float = 0.5
     origin: str = ""
     measure_basis: Optional[str] = None
-    create_id: int = field(default_factory=next_create_id)
+    #: Drawn from the run's own counter on submission (the workload
+    #: generator stamps it before registering the request; the EGP stamps
+    #: requests submitted without one), so ids start at 1 in every run.
+    create_id: Optional[int] = None
     #: Timestamp the EGP stamped on submission (filled in by the EGP).
     create_time: float = 0.0
 

@@ -11,7 +11,8 @@ robustness study (Section 6.1) can stress the protocol by raising it.
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -55,6 +56,9 @@ class LinkLayerNetwork:
         Forwarded to both EGPs (skip reply watchdogs that provably cannot
         fire); ``None`` elides exactly when the scenario's frame-loss
         probability is zero.
+    create_ids:
+        The run's CREATE id counter (a topology shares one across its
+        links); ``None`` starts a fresh ``itertools.count(1)``.
     """
 
     def __init__(self, scenario: ScenarioConfig,
@@ -66,12 +70,15 @@ class LinkLayerNetwork:
                  engine: Optional[SimulationEngine] = None,
                  backend=None,
                  elide_watchdog: Optional[bool] = None,
-                 timer_elision: bool = True) -> None:
+                 timer_elision: bool = True,
+                 create_ids: Optional[Iterator[int]] = None) -> None:
         from repro.backends import get_backend
 
         self.scenario = scenario
         self.backend = get_backend(backend)
         self.engine = engine if engine is not None else SimulationEngine()
+        self.create_ids = (create_ids if create_ids is not None
+                           else itertools.count(1))
         master_rng = np.random.default_rng(seed)
         self._rngs = {name: np.random.default_rng(master_rng.integers(2 ** 63))
                       for name in ("midpoint", "device_a", "device_b",
@@ -136,7 +143,8 @@ class LinkLayerNetwork:
                       attempt_batch_size=attempt_batch_size,
                       backend=self.backend,
                       elide_watchdog=elide_watchdog,
-                      timer_elision=timer_elision)
+                      timer_elision=timer_elision,
+                      create_ids=self.create_ids)
             self.nodes[name] = LinkLayerNode(name=name, device=device, mhp=mhp,
                                              dqp=dqp, feu=feu, egp=egp)
 

@@ -40,6 +40,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -49,14 +50,14 @@ if TYPE_CHECKING:
 
 #: Public names re-exported from the submodules, each imported on first
 #: access (PEP 562).
-_LAZY = {
+_LAZY = MappingProxyType({
     "configure_logging": "repro.obs.logconf",
     "MetricsRegistry": "repro.obs.metrics",
     "SamplingProfiler": "repro.obs.profiler",
     "Tracer": "repro.obs.trace",
     "NullTracer": "repro.obs.trace",
     "NULL_TRACER": "repro.obs.trace",
-}
+})
 
 
 def __getattr__(name: str):
@@ -151,25 +152,23 @@ class ObsSession:
             SamplingProfiler() if config.profile else None)
 
     # -- attachment ----------------------------------------------------
-    def attach_link_network(self, network) -> None:
-        """Wire the tracer into a ``LinkLayerNetwork``'s engine/MHP/EGP."""
+    def attach(self, network) -> None:
+        """Wire the tracer into a run's network: a ``LinkLayerNetwork``'s
+        engine, midpoint, MHPs and EGPs, or every link of a
+        ``TopologyNetwork`` plus its swap layer."""
         if self.tracer is None:
             return
         network.engine.tracer = self.tracer
+        if hasattr(network, "links"):
+            for link in network.links:
+                self.attach(link.network)
+            if network.swap is not None:
+                network.swap.tracer = self.tracer
+            return
         network.midpoint.tracer = self.tracer
         for node in network.nodes.values():
             node.mhp.tracer = self.tracer
             node.egp.tracer = self.tracer
-
-    def attach_topology_network(self, network) -> None:
-        """Wire the tracer into a ``TopologyNetwork`` (all links + swap)."""
-        if self.tracer is None:
-            return
-        network.engine.tracer = self.tracer
-        for link in network.links:
-            self.attach_link_network(link.network)
-        if network.swap is not None:
-            network.swap.tracer = self.tracer
 
     def start_profiler(self) -> None:
         if self.profiler is not None:

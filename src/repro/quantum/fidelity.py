@@ -10,6 +10,7 @@ other Bell states.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -18,12 +19,12 @@ from repro.quantum.states import BellIndex, bell_state
 
 #: For each Bell state, whether ideal X/Y/Z measurement outcomes at the two
 #: nodes are correlated (+1, equal outcomes) or anti-correlated (-1).
-BELL_CORRELATIONS: dict[BellIndex, dict[str, int]] = {
+BELL_CORRELATIONS: Mapping[BellIndex, Mapping[str, int]] = MappingProxyType({
     BellIndex.PHI_PLUS: {"X": +1, "Y": -1, "Z": +1},
     BellIndex.PHI_MINUS: {"X": -1, "Y": +1, "Z": +1},
     BellIndex.PSI_PLUS: {"X": +1, "Y": +1, "Z": -1},
     BellIndex.PSI_MINUS: {"X": -1, "Y": -1, "Z": -1},
-}
+})
 
 
 def fidelity_to_pure(rho: np.ndarray, ket: np.ndarray) -> float:

@@ -155,9 +155,7 @@ class CohortRunner:
                     spec.scenario, spec.workload, scheduler=spec.scheduler,
                     seed=spec.seed if seed is None else seed,
                     attempt_batch_size=spec.attempt_batch_size,
-                    backend=self.backend)
-                if self.guard is not None:
-                    self.guard.install(member.run.network.engine)
+                    backend=self.backend, guard=self.guard)
                 member.run.start()
                 live.append(member)
             except Exception:

@@ -79,7 +79,98 @@ class RunResult:
         return state
 
 
-class SimulationRun:
+class Run:
+    """One simulation run, of a single link or of a topology.
+
+    A run owns its network — and through it the physics backend, the event
+    engine and the CREATE id counter — plus one workload generator and one
+    metrics collector per link; each link's workload uses its link seed
+    ``+ 1``.  Subclasses build the network and assemble the summary.
+
+    ``obs`` is an ``ObsSession``, ``None`` to disable, or ``"env"`` to
+    resolve from ``REPRO_OBS``; attaching only sets tracer attributes.
+    ``guard`` (a :class:`repro.runtime.guard.GuardPolicy`) arms the engine
+    before the first event executes.
+    """
+
+    def __init__(self, name: str, network, links: Sequence[LinkLayerNetwork],
+                 link_seeds: Sequence[Optional[int]],
+                 workload: Sequence[WorkloadSpec],
+                 scheduler: str | SchedulingStrategy,
+                 seed: Optional[int], obs="env", guard=None,
+                 release_memory: bool = True) -> None:
+        self.name = name
+        self.seed = seed
+        self.network = network
+        workload = list(workload)
+        self.collectors = [MetricsCollector(link,
+                                            release_memory=release_memory)
+                           for link in links]
+        self.generators = [
+            RequestGenerator(link, workload, metrics=collector,
+                             seed=None if link_seed is None
+                             else link_seed + 1)
+            for link, link_seed, collector in zip(links, link_seeds,
+                                                  self.collectors)]
+        self.scheduler_name = (scheduler if isinstance(scheduler, str)
+                               else scheduler.name)
+        if obs == "env":
+            from repro.obs import session_from_env
+
+            obs = session_from_env()
+        self.obs = obs
+        if obs is not None:
+            obs.attach(network)
+            obs.start_profiler()
+        if guard is not None:
+            guard.install(network.engine)
+
+    def run(self, duration: float) -> RunResult:
+        """Run the simulation for ``duration`` simulated seconds."""
+        self.start()
+        self.network.run(duration)
+        return self.finalize(duration)
+
+    # The start / advance_to / finalize split lets a cohort runner
+    # interleave many simulations in one process (repro.runtime.batch):
+    # each member's engine is independent, so slicing its advancement into
+    # steps composes to exactly the same run as one run(duration) call.
+    def start(self) -> None:
+        """Begin the workload; the run can then be advanced incrementally."""
+        for generator in self.generators:
+            generator.start()
+
+    def advance_to(self, time: float) -> None:
+        """Advance the simulation to absolute simulated ``time``."""
+        self.network.run_until(time)
+
+    def finalize(self, duration: float) -> RunResult:
+        """Collect the result after the run has reached ``duration``."""
+        result = RunResult(
+            scenario_name=self.name,
+            scheduler_name=self.scheduler_name,
+            simulated_time=duration,
+            requests_issued=sum(generator.requests_issued
+                                for generator in self.generators),
+            seed=self.seed,
+            backend=self.network.backend.name,
+            events_processed=self.network.engine.processed_events,
+            events_elided=self.network.engine.elided_events,
+            network=self.network,
+            obs=self.obs,
+            **self._assemble(duration),
+        )
+        if self.obs is not None:
+            self.obs.finish_run(result)
+        return result
+
+    def _assemble(self, duration: float) -> dict:
+        """The run-kind-specific :class:`RunResult` fields: ``summary`` and
+        whatever else the kind reports."""
+        raise NotImplementedError
+
+
+class SimulationRun(Run):
     """One complete link-layer simulation.
 
     Parameters
@@ -100,6 +191,8 @@ class SimulationRun:
     elide_watchdog:
         Forwarded to the EGPs; ``None`` skips reply watchdogs exactly when
         the scenario cannot lose classical frames.
+    obs, guard:
+        See :class:`Run`.
     """
 
     def __init__(self, scenario: ScenarioConfig,
@@ -111,88 +204,23 @@ class SimulationRun:
                  backend=None,
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True,
-                 obs="env") -> None:
+                 obs="env", guard=None) -> None:
         self.scenario = scenario
-        self.seed = seed
-        self.network = LinkLayerNetwork(scenario, scheduler=scheduler,
-                                        seed=seed,
-                                        emission_multiplexing=emission_multiplexing,
-                                        attempt_batch_size=attempt_batch_size,
-                                        backend=backend,
-                                        elide_watchdog=elide_watchdog,
-                                        timer_elision=timer_elision)
-        self.metrics = MetricsCollector(self.network)
-        workload_seed = None if seed is None else seed + 1
-        self.generator = RequestGenerator(self.network, list(workload),
-                                          metrics=self.metrics,
-                                          seed=workload_seed)
-        self._scheduler_name = (scheduler if isinstance(scheduler, str)
-                                else scheduler.name)
-        # Observability: an ``ObsSession`` instance, ``None`` to disable,
-        # or the default ``"env"`` to resolve from ``REPRO_OBS`` (which is
-        # unset in production — the zero-cost default).  Attaching only
-        # sets tracer attributes; it never mutates simulation state.
-        if obs == "env":
-            from repro.obs import session_from_env
+        network = LinkLayerNetwork(scenario, scheduler=scheduler, seed=seed,
+                                   emission_multiplexing=emission_multiplexing,
+                                   attempt_batch_size=attempt_batch_size,
+                                   backend=backend,
+                                   elide_watchdog=elide_watchdog,
+                                   timer_elision=timer_elision)
+        super().__init__(scenario.name, network, [network], [seed], workload,
+                         scheduler, seed, obs=obs, guard=guard)
+        self.metrics = self.collectors[0]
 
-            obs = session_from_env()
-        self.obs = obs
-        if self.obs is not None:
-            self.obs.attach_link_network(self.network)
-            self.obs.start_profiler()
-
-    def run(self, duration: float) -> RunResult:
-        """Run the simulation for ``duration`` simulated seconds."""
-        self.start()
-        self.network.run(duration)
-        return self.finalize(duration)
-
-    # The start / advance_to / finalize split lets a cohort runner
-    # interleave many simulations in one process (repro.runtime.batch):
-    # each member's engine is independent, so slicing its advancement into
-    # steps composes to exactly the same run as one run(duration) call.
-    def start(self) -> None:
-        """Begin the workload; the run can then be advanced incrementally."""
-        self.generator.start()
-
-    def advance_to(self, time: float) -> None:
-        """Advance the simulation to absolute simulated ``time``."""
-        self.network.run_until(time)
-
-    def finalize(self, duration: float) -> RunResult:
-        """Collect the result after the run has reached ``duration``."""
-        result = RunResult(
-            scenario_name=self.scenario.name,
-            scheduler_name=self._scheduler_name,
-            simulated_time=duration,
-            summary=self.metrics.summary(),
-            requests_issued=self.generator.requests_issued,
-            seed=self.seed,
-            backend=self.network.backend.name,
-            events_processed=self.network.engine.processed_events,
-            events_elided=self.network.engine.elided_events,
-            metrics=self.metrics,
-            network=self.network,
-            obs=self.obs,
-        )
-        if self.obs is not None:
-            self.obs.finish_run(result)
-        return result
+    def _assemble(self, duration: float) -> dict:
+        return {"summary": self.metrics.summary(), "metrics": self.metrics}
 
 
 def run_scenario(scenario: ScenarioConfig, workload: Sequence[WorkloadSpec],
-                 duration: float, scheduler: str | SchedulingStrategy = "FCFS",
-                 seed: Optional[int] = 12345,
-                 emission_multiplexing: bool = True,
-                 attempt_batch_size: int = 1,
-                 backend=None,
-                 elide_watchdog: Optional[bool] = None,
-                 timer_elision: bool = True) -> RunResult:
+                 duration: float, **kwargs) -> RunResult:
     """Convenience one-shot runner used by benchmarks and examples."""
-    run = SimulationRun(scenario, workload, scheduler=scheduler, seed=seed,
-                        emission_multiplexing=emission_multiplexing,
-                        attempt_batch_size=attempt_batch_size,
-                        backend=backend,
-                        elide_watchdog=elide_watchdog,
-                        timer_elision=timer_elision)
-    return run.run(duration)
+    return SimulationRun(scenario, workload, **kwargs).run(duration)

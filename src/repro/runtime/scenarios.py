@@ -18,7 +18,8 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from repro.core.messages import Priority, RequestType
 from repro.hardware.parameters import ScenarioConfig, lab_scenario, ql2020_scenario
@@ -31,8 +32,12 @@ from repro.topology.spec import (
     dataclass_to_dict,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends.base import PhysicsBackend
+
 #: Load levels of the long runs (Section 6): name -> f_P.
-LONG_RUN_LOADS: dict[str, float] = {"Low": 0.7, "High": 0.99, "Ultra": 1.5}
+LONG_RUN_LOADS: Mapping[str, float] = MappingProxyType(
+    {"Low": 0.7, "High": 0.99, "Ultra": 1.5})
 
 #: Default fixed target fidelity of the long runs.
 DEFAULT_MIN_FIDELITY = 0.64
@@ -58,7 +63,7 @@ def _pattern(name: str, nl: float, ck: float, md: float,
 
 
 #: The usage patterns of Appendix C.2, Table 2.
-USAGE_PATTERNS: dict[str, UsagePattern] = {
+USAGE_PATTERNS: Mapping[str, UsagePattern] = MappingProxyType({
     "Uniform": _pattern("Uniform", 0.99 / 3, 0.99 / 3, 0.99 / 3,
                         nl_pairs=1, ck_pairs=1, md_pairs=1),
     "MoreNL": _pattern("MoreNL", 0.99 * 4 / 6, 0.99 / 6, 0.99 / 6),
@@ -66,7 +71,7 @@ USAGE_PATTERNS: dict[str, UsagePattern] = {
     "MoreMD": _pattern("MoreMD", 0.99 / 6, 0.99 / 6, 0.99 * 4 / 6),
     "NoNLMoreCK": _pattern("NoNLMoreCK", 0.0, 0.99 * 4 / 5, 0.99 / 5),
     "NoNLMoreMD": _pattern("NoNLMoreMD", 0.0, 0.99 / 5, 0.99 * 4 / 5),
-}
+})
 
 
 @dataclass
@@ -235,38 +240,34 @@ class ScenarioSpec:
 
     def run(self, duration: float, seed: Optional[int] = None,
             attempt_batch_size: Optional[int] = None,
-            backend: Optional[str] = None,
+            backend: Union[None, str, PhysicsBackend] = None,
             guard=None) -> RunResult:
         """Build and run the scenario for ``duration`` simulated seconds.
 
-        ``guard`` (a :class:`repro.runtime.guard.GuardPolicy`) arms the
-        run's event engine with an event budget / wall deadline before the
-        first event executes; exceeding either raises
+        ``backend`` overrides the spec's: a name (the run builds and owns a
+        fresh backend) or an instance owned by the caller — code that runs
+        many scenarios passes its own, so they share FEU tables and
+        attempt models.  ``guard`` (a
+        :class:`repro.runtime.guard.GuardPolicy`) arms the run's event
+        engine with an event budget / wall deadline before the first event
+        executes; exceeding either raises
         :class:`repro.sim.engine.EngineInterrupt` out of this method with
         partial provenance.  ``None`` leaves the engine untouched.
         """
-        batch = (self.attempt_batch_size if attempt_batch_size is None
-                 else attempt_batch_size)
-        if self.topology is not None:
+        if self.topology is None:
+            run_class, network_spec = SimulationRun, self.scenario
+        else:
             from repro.topology.run import TopologyRun
 
-            simulation = TopologyRun(
-                self.topology, self.workload, scheduler=self.scheduler,
-                seed=self.seed if seed is None else seed,
-                attempt_batch_size=batch,
-                backend=backend if backend is not None else self.backend)
-            if guard is not None:
-                guard.install(simulation.network.engine)
-            return simulation.run(duration)
-        simulation = SimulationRun(self.scenario, self.workload,
-                                   scheduler=self.scheduler,
-                                   seed=self.seed if seed is None else seed,
-                                   attempt_batch_size=batch,
-                                   backend=backend if backend is not None
-                                   else self.backend)
-        if guard is not None:
-            guard.install(simulation.network.engine)
-        return simulation.run(duration)
+            run_class, network_spec = TopologyRun, self.topology
+        return run_class(
+            network_spec, self.workload, scheduler=self.scheduler,
+            seed=self.seed if seed is None else seed,
+            attempt_batch_size=(self.attempt_batch_size
+                                if attempt_batch_size is None
+                                else attempt_batch_size),
+            backend=self.backend if backend is None else backend,
+            guard=guard).run(duration)
 
 
 def _shared_config(data: dict,

@@ -35,7 +35,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,9 @@ from repro.runtime.scenarios import (
 )
 from repro.sim.queues import ENGINE
 from repro.topology.spec import dataclass_to_dict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends import BackendSet
 
 __all__ = [
     "CACHE_VERSION",
@@ -302,7 +305,9 @@ def _failure_outcome(spec: ScenarioSpec, seed: int, duration: float,
 
 
 def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
-                     guard: Optional[GuardPolicy] = None) -> ScenarioOutcome:
+                     guard: Optional[GuardPolicy] = None,
+                     backends: Optional[BackendSet] = None,
+                     ) -> ScenarioOutcome:
     """Run one scenario and fold the result into a plain-data outcome.
 
     This is the single execution primitive shared by the in-process sweep,
@@ -313,14 +318,18 @@ def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
     outcomes carry partial provenance: events processed, sim-time reached),
     ``MemoryError`` is folded to ``oom``, and a validation pass demotes
     silently-corrupt results to ``invalid-result``.  Without one, behavior
-    is byte-identical to the unguarded primitive.
+    is byte-identical to the unguarded primitive.  ``backends`` is the
+    caller's :class:`~repro.backends.BackendSet` when it runs many
+    scenarios; ``None`` lets the run build and own its backend.
     """
     started = time.perf_counter()
     try:
         fault = injected_scenario_fault(spec.name)
         if fault is not None:
             perform_injected_fault(fault, spec.name, guard)
-        result = spec.run(duration, seed=seed, guard=guard)
+        result = spec.run(duration, seed=seed, guard=guard,
+                          backend=(None if backends is None
+                                   else backends.get(spec.backend)))
         if result.obs is not None:
             # Observability artifacts (trace/metrics/profile) go to
             # REPRO_OBS_DIR/<scenario>-seed<seed>/ — the outcome payload
@@ -366,27 +375,37 @@ def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
                                 traceback.format_exc(), started)
 
 
-def _execute_scenario(payload: tuple[int, ScenarioSpec, int, float],
-                      ) -> tuple[int, ScenarioOutcome]:
-    """Pool-worker wrapper around :func:`execute_scenario`."""
-    index, spec, seed, duration = payload
-    return index, execute_scenario(spec, seed, duration)
+#: This pool worker process's backends, one per name, made by the pool
+#: initializer: the solo tasks the process runs share them.
+_pool_backends: Optional[BackendSet] = None
 
 
-def _execute_task(task: tuple) -> list[tuple[int, ScenarioOutcome]]:
-    """Pool-worker dispatcher for solo scenarios and whole cohorts.
+def _init_pool_worker() -> None:
+    """Pool initializer: give the worker process its own backends."""
+    global _pool_backends
+    from repro.backends import BackendSet
 
-    ``("solo", payload)`` runs one scenario; ``("cohort", payloads)`` runs
-    a list of payloads as one vectorized cohort in this process.  Tasks
-    optionally carry a third :class:`GuardPolicy` element (two-tuples stay
-    valid so queued pre-guard payloads keep working).  Either way the
-    result is a list of ``(index, outcome)`` pairs.
+    _pool_backends = BackendSet()
+
+
+def _execute_task(task: tuple, backends: Optional[BackendSet] = None,
+                  cohorts=None) -> list[tuple[int, ScenarioOutcome]]:
+    """Dispatcher for solo scenarios and whole cohorts.
+
+    ``("solo", payload, guard)`` runs one scenario on ``backends`` (the
+    pool worker's own set when ``None``); ``("cohort", payloads, guard)``
+    runs a list of payloads as one vectorized cohort in this process, on
+    ``cohorts`` (a :class:`~repro.runtime.batch.CohortExecutor`) when
+    given.  Either way the result is a list of ``(index, outcome)`` pairs.
     """
-    kind, payload = task[0], task[1]
-    guard = task[2] if len(task) > 2 else None
+    kind, payload, guard = task
     if kind == "solo":
         index, spec, seed, duration = payload
-        return [(index, execute_scenario(spec, seed, duration, guard=guard))]
+        return [(index, execute_scenario(
+            spec, seed, duration, guard=guard,
+            backends=_pool_backends if backends is None else backends))]
+    if cohorts is not None:
+        return cohorts.execute(payload, guard=guard)
     from repro.runtime.batch import execute_cohort
 
     return execute_cohort(payload, guard=guard)
@@ -595,9 +614,12 @@ class SweepRunner:
             if self.on_outcome is not None:
                 self.on_outcome(outcome)
 
-        # In-process cohorts share one backend for the whole run, as a
-        # ClusterWorker's do: each hardware config's FEU table is built
-        # once per sweep.
+        # In-process runs share one backend per name for the whole sweep,
+        # and cohorts one vectorized backend, as a ClusterWorker's do: each
+        # hardware config's FEU table is built once per sweep.
+        from repro.backends import BackendSet
+
+        backends = BackendSet()
         cohorts = None
         if self.batch_size > 1:
             from repro.runtime.batch import CohortExecutor
@@ -612,14 +634,14 @@ class SweepRunner:
                     attempts[payload[0]] = attempts.get(payload[0], 0) + 1
             if self.workers == 1 or len(tasks) == 1:
                 for task in tasks:
-                    pairs = (cohorts.execute(task[1], guard=task[2])
-                             if task[0] == "cohort" else _execute_task(task))
-                    for index, outcome in pairs:
+                    for index, outcome in _execute_task(task, backends,
+                                                        cohorts):
                         record(index, outcome)
             else:
                 context = multiprocessing.get_context(self.start_method)
                 processes = min(self.workers, len(tasks))
-                with context.Pool(processes=processes) as pool:
+                with context.Pool(processes=processes,
+                                  initializer=_init_pool_worker) as pool:
                     for pairs in pool.imap_unordered(_execute_task, tasks):
                         for index, outcome in pairs:
                             record(index, outcome)

@@ -214,6 +214,10 @@ class RequestGenerator(Entity):
             priority=spec.priority,
             min_fidelity=spec.min_fidelity,
             origin=origin,
+            # Stamped here, not by the EGP: a synchronous reject inside
+            # ``create`` reports the id before ``create`` returns, so the
+            # collector must already know it.
+            create_id=next(self.network.create_ids),
         )
         node = self.network.nodes[origin]
         if self.metrics is not None:

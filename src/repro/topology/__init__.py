@@ -8,9 +8,11 @@ imports the spec layer, so loading them at package-import time would be
 circular.
 """
 
+from types import MappingProxyType
+
 from repro.topology.spec import LinkSpec, SwitchSpec, Topology
 
-_LAZY = {
+_LAZY = MappingProxyType({
     "LinkInstance": "repro.topology.network",
     "SwitchSchedule": "repro.topology.network",
     "TopologyNetwork": "repro.topology.network",
@@ -25,7 +27,7 @@ _LAZY = {
     "outcome_average_swap": "repro.topology.compose",
     "werner_state": "repro.topology.compose",
     "werner_chain_fidelity": "repro.topology.compose",
-}
+})
 
 __all__ = ["LinkSpec", "SwitchSpec", "Topology", *sorted(_LAZY)]
 

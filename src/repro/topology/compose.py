@@ -20,7 +20,8 @@ For Werner inputs the composition has the well-known closed form
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -32,12 +33,12 @@ from repro.quantum.states import BellIndex, bell_state
 #: After CNOT(control=first, target=second) + H(first), the Bell basis maps
 #: onto the computational basis as Phi+ -> |00>, Psi+ -> |01>,
 #: Phi- -> |10>, Psi- -> |11>.
-OUTCOME_TO_BELL: dict[tuple[int, int], BellIndex] = {
+OUTCOME_TO_BELL: Mapping[tuple[int, int], BellIndex] = MappingProxyType({
     (0, 0): BellIndex.PHI_PLUS,
     (0, 1): BellIndex.PSI_PLUS,
     (1, 0): BellIndex.PHI_MINUS,
     (1, 1): BellIndex.PSI_MINUS,
-}
+})
 
 
 def correction_unitary(outcome: tuple[int, int]) -> np.ndarray:

@@ -19,6 +19,7 @@ On top of the links:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -158,6 +159,8 @@ class TopologyNetwork:
         self.topology = topology
         self.engine = SimulationEngine()
         self.backend = get_backend(backend)
+        #: One CREATE id counter for the whole run, shared by every link.
+        self.create_ids = itertools.count(1)
         seeds = derive_link_seeds(seed, len(topology.links))
         #: Per-link seeds (last entry feeds the swap RNG) — exposed so the
         #: runner can derive per-link workload seeds the same way a
@@ -174,7 +177,8 @@ class TopologyNetwork:
                 emission_multiplexing=emission_multiplexing,
                 attempt_batch_size=attempt_batch_size,
                 engine=self.engine, backend=self.backend,
-                elide_watchdog=elide_watchdog, timer_elision=timer_elision)
+                elide_watchdog=elide_watchdog, timer_elision=timer_elision,
+                create_ids=self.create_ids)
             self.links.append(LinkInstance(index=index, spec=link_spec,
                                            network=network))
         self.schedule: Optional[SwitchSchedule] = None

@@ -1,13 +1,12 @@
 """High-level runner for topology scenarios (chains and switched stars).
 
-:class:`TopologyRun` is the multi-link analogue of
-:class:`~repro.runtime.runner.SimulationRun`: it instantiates a
-:class:`~repro.topology.network.TopologyNetwork`, drives every link with its
-own :class:`~repro.runtime.workload.RequestGenerator` (per-link seeds derived
-from the topology seed) and per-link :class:`~repro.analysis.metrics.
-MetricsCollector`, and finalises into the same :class:`~repro.runtime.runner.
-RunResult` — extended with per-hop (``hops``) and end-to-end
-(``end_to_end``) statistics.
+:class:`TopologyRun` is the multi-link case of
+:class:`~repro.runtime.runner.Run`: it instantiates a
+:class:`~repro.topology.network.TopologyNetwork`, whose links the base run
+drives with one workload generator and one metrics collector each (per-link
+seeds derived from the topology seed), and finalises into the same
+:class:`~repro.runtime.runner.RunResult` — extended with per-hop (``hops``)
+and end-to-end (``end_to_end``) statistics.
 
 The end-to-end summary classes a chain reports are keyed ``"E2E"``: the
 delivered unit of a chain run is the swapped end-to-end pair, not the
@@ -18,10 +17,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.metrics import MetricsCollector, MetricsSummary
+from repro.analysis.metrics import MetricsSummary
 from repro.core.messages import RequestType
-from repro.runtime.runner import RunResult
-from repro.runtime.workload import RequestGenerator, WorkloadSpec
+from repro.runtime.runner import Run, RunResult
+from repro.runtime.workload import WorkloadSpec
 from repro.topology.network import TopologyNetwork
 from repro.topology.spec import Topology
 
@@ -78,11 +77,11 @@ def jain_fairness(values: Sequence[float]) -> float:
     return (total * total) / (len(values) * square_sum)
 
 
-class TopologyRun:
+class TopologyRun(Run):
     """One complete multi-link simulation of a topology.
 
-    Mirrors :class:`~repro.runtime.runner.SimulationRun` (including the
-    ``start`` / ``advance_to`` / ``finalize`` split) so the sweep layer can
+    The multi-link case of :class:`~repro.runtime.runner.Run` (including the
+    ``start`` / ``advance_to`` / ``finalize`` split), so the sweep layer can
     treat single-link and topology scenarios uniformly.  Chains accept
     create-and-keep workloads only — a measure-directly request consumes the
     electron at attempt time and leaves nothing to swap.
@@ -98,8 +97,7 @@ class TopologyRun:
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True,
                  swap_gate_fidelity: float = 1.0,
-                 obs="env") -> None:
-        workload = list(workload)
+                 obs="env", guard=None) -> None:
         if topology.kind == "chain":
             for spec in workload:
                 if spec.request_type is not RequestType.KEEP:
@@ -108,8 +106,7 @@ class TopologyRun:
                         f"only; got a {spec.priority.name} (measure-directly) "
                         f"workload")
         self.topology = topology
-        self.seed = seed
-        self.network = TopologyNetwork(
+        network = TopologyNetwork(
             topology, scheduler=scheduler, seed=seed,
             emission_multiplexing=emission_multiplexing,
             attempt_batch_size=attempt_batch_size, backend=backend,
@@ -119,53 +116,17 @@ class TopologyRun:
         # Chains buffer delivered pairs for swapping, so memory release is
         # owned by the swap controller; star links behave like independent
         # single-link runs (the application consumes pairs on delivery).
-        release = topology.kind != "chain"
-        self.collectors = [MetricsCollector(link.network,
-                                            release_memory=release)
-                           for link in self.network.links]
-        self.generators = []
-        for link, collector in zip(self.network.links, self.collectors):
-            link_seed = self.network.seeds[link.index]
-            workload_seed = None if link_seed is None else link_seed + 1
-            self.generators.append(
-                RequestGenerator(link.network, workload, metrics=collector,
-                                 seed=workload_seed))
-        self._scheduler_name = (scheduler if isinstance(scheduler, str)
-                                else scheduler.name)
-        # Observability: mirrors SimulationRun — an ObsSession instance,
-        # None to disable, or "env" to resolve from REPRO_OBS.
-        if obs == "env":
-            from repro.obs import session_from_env
-
-            obs = session_from_env()
-        self.obs = obs
-        if self.obs is not None:
-            self.obs.attach_topology_network(self.network)
-            self.obs.start_profiler()
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-    def run(self, duration: float) -> RunResult:
-        """Run the whole topology for ``duration`` simulated seconds."""
-        self.start()
-        self.network.run(duration)
-        return self.finalize(duration)
-
-    def start(self) -> None:
-        """Begin every link's workload."""
-        for generator in self.generators:
-            generator.start()
-
-    def advance_to(self, time: float) -> None:
-        """Advance the shared engine to absolute simulated ``time``."""
-        self.network.run_until(time)
+        super().__init__(topology.name, network,
+                         [link.network for link in network.links],
+                         network.seeds, workload, scheduler, seed, obs=obs,
+                         guard=guard,
+                         release_memory=topology.kind != "chain")
 
     # ------------------------------------------------------------------ #
     # Result assembly
     # ------------------------------------------------------------------ #
-    def finalize(self, duration: float) -> RunResult:
-        """Collect per-hop and end-to-end results after the run."""
+    def _assemble(self, duration: float) -> dict:
+        """Per-hop and end-to-end results after the run."""
         link_summaries = [collector.summary()
                           for collector in self.collectors]
         hops = [_link_digest(link.name, summary)
@@ -177,26 +138,8 @@ class TopologyRun:
         else:
             end_to_end = self._star_end_to_end(duration, hops)
             summary = self._star_summary(duration, link_summaries)
-        result = RunResult(
-            scenario_name=self.topology.name,
-            scheduler_name=self._scheduler_name,
-            simulated_time=duration,
-            summary=summary,
-            requests_issued=sum(generator.requests_issued
-                                for generator in self.generators),
-            seed=self.seed,
-            backend=self.network.backend.name,
-            events_processed=self.network.engine.processed_events,
-            events_elided=self.network.engine.elided_events,
-            hops=hops,
-            end_to_end=end_to_end,
-            topology=self.topology.name,
-            network=self.network,
-            obs=self.obs,
-        )
-        if self.obs is not None:
-            self.obs.finish_run(result)
-        return result
+        return {"summary": summary, "hops": hops, "end_to_end": end_to_end,
+                "topology": self.topology.name}
 
     def _chain_end_to_end(self, duration: float) -> dict:
         records = self.network.swap.end_to_end

@@ -21,6 +21,7 @@ import pytest
 
 from repro.backends import (
     AnalyticBackend,
+    BackendSet,
     DensityMatrixBackend,
     available_backends,
     get_backend,
@@ -50,9 +51,19 @@ class TestRegistry:
         assert {"density", "analytic", "analytic-exact"} <= \
             set(available_backends())
 
-    def test_named_backends_are_shared(self):
-        assert get_backend("density") is get_backend("density")
-        assert get_backend("analytic") is get_backend("analytic")
+    def test_named_backends_are_fresh(self):
+        # No process-wide registry: every name builds a new instance, so a
+        # run never shares caches with whatever ran before it.
+        assert get_backend("density") is not get_backend("density")
+        assert get_backend("analytic") is not get_backend("analytic")
+
+    def test_backend_set_owns_one_instance_per_name(self, monkeypatch):
+        backends = BackendSet()
+        assert backends.get("analytic") is backends.get("analytic")
+        assert backends.get("density") is not backends.get("analytic")
+        monkeypatch.setenv("REPRO_BACKEND", "analytic")
+        assert backends.get(None) is backends.get("analytic")
+        assert BackendSet().get("analytic") is not backends.get("analytic")
 
     def test_instances_pass_through(self):
         backend = AnalyticBackend(fast_forward=False)
@@ -427,13 +438,14 @@ class TestFeuTableMemo:
     def test_second_feu_reuses_the_table(self, name, monkeypatch):
         from repro.core.feu import FidelityEstimationUnit
 
-        first = FidelityEstimationUnit(SCENARIOS["Lab"], backend=name)
+        backend = get_backend(name)
+        first = FidelityEstimationUnit(SCENARIOS["Lab"], backend=backend)
 
         def no_build(*args, **kwargs):
             raise AssertionError("the second FEU built a table")
 
-        monkeypatch.setattr(get_backend(name), "attempt_model", no_build)
-        second = FidelityEstimationUnit(SCENARIOS["Lab"], backend=name)
+        monkeypatch.setattr(backend, "attempt_model", no_build)
+        second = FidelityEstimationUnit(SCENARIOS["Lab"], backend=backend)
         assert second._table is first._table
 
     @pytest.mark.parametrize("name", ["analytic", "density"])
@@ -441,11 +453,12 @@ class TestFeuTableMemo:
         lab, ql2020 = self._spec("Lab"), self._spec("QL2020")
         assert lab.scenario != ql2020.scenario
 
+        backend = get_backend(name)
+
         def run(spec):
-            result = spec.run(0.3, seed=11, backend=name)
+            result = spec.run(0.3, seed=11, backend=backend)
             return result.summary.to_dict(), result.events_processed
 
-        get_backend(name)._feu_tables.clear()
         cold = run(lab)
         run(ql2020)
         after_other = run(lab)

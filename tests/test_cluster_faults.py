@@ -363,8 +363,8 @@ class TestHeartbeatLoss:
         import repro.cluster.worker as worker_module
         real_execute = worker_module.execute_scenario
 
-        def execute_and_get_displaced(spec, seed, duration):
-            outcome = real_execute(spec, seed, duration)
+        def execute_and_get_displaced(spec, seed, duration, **kwargs):
+            outcome = real_execute(spec, seed, duration, **kwargs)
             if not takeover_done.is_set():
                 # While the original is "still computing": its lease goes
                 # stale and the rescuer takes it over and submits.  The
@@ -552,7 +552,7 @@ class TestPerWorkerHeartbeat:
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
 
-        def execute(spec, seed, duration):
+        def execute(spec, seed, duration, **kwargs):
             time.sleep(0.01)
             return _canned_outcome(spec, seed, duration)
 
@@ -575,7 +575,7 @@ class TestPerWorkerHeartbeat:
         doomed, successor = queue[1], queue[2]
         transport = _LeaseLossTransport(coordinator.cluster_dir, {doomed})
 
-        def execute(spec, seed, duration):
+        def execute(spec, seed, duration, **kwargs):
             time.sleep(0.2)  # several heartbeat intervals
             return _canned_outcome(spec, seed, duration)
 

@@ -3,11 +3,11 @@
 Covers the wire codec, the :class:`Transport` contract's lease edge cases —
 double-claim races, stale-lease takeover while the original worker
 resurrects, resume-cache skip reporting — **parametrized over both
-transports** (shared filesystem and TCP), the autoscaling policy/scaler,
-and the acceptance bar: a sweep sharded over ``SocketTransport`` with three
-workers, work stealing and a mid-grid worker crash, where workers share *no*
-filesystem (distinct temp dirs), merging field-for-field identical to a
-serial ``SweepRunner`` run under both backends.
+transports** (shared filesystem and TCP), and the acceptance bar: a sweep
+sharded over ``SocketTransport`` with three workers, work stealing and a
+mid-grid worker crash, where workers share *no* filesystem (distinct temp
+dirs), merging field-for-field identical to a serial ``SweepRunner`` run
+under both backends.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ import pytest
 
 from repro.cluster import (
     ClusterCoordinator,
-    ClusterStats,
     ClusterWorker,
     FaultSchedule,
     FaultyTransport,
     FilesystemTransport,
-    ProcessPoolScaler,
-    QueueDepthPolicy,
     SocketTransport,
     TaskSnapshot,
     TransportError,
@@ -434,130 +431,6 @@ class TestSocketTransport:
             assert merged.outcomes == serial.outcomes
         finally:
             server.stop()
-
-
-# --------------------------------------------------------------------------- #
-# Autoscaling
-# --------------------------------------------------------------------------- #
-class TestScaling:
-    def stats(self, **overrides):
-        base = dict(pending=0, leased=0, stale=0, done=0, scenarios=10,
-                    workers=0)
-        base.update(overrides)
-        return ClusterStats(**base)
-
-    def test_queue_depth_policy_spawns_on_backlog(self):
-        policy = QueueDepthPolicy(min_workers=1, max_workers=4,
-                                  backlog_per_worker=2.0)
-        advice = policy.advise(self.stats(pending=10))
-        assert advice.spawn == 4 and advice.retire == 0  # capped at max
-        advice = policy.advise(self.stats(pending=3, workers=1))
-        assert advice.spawn == 1  # ceil(3/2) = 2 desired
-        assert policy.advise(self.stats(pending=3, workers=2)).is_noop
-
-    def test_queue_depth_policy_counts_stale_reclaims_as_backlog(self):
-        policy = QueueDepthPolicy(max_workers=4)
-        advice = policy.advise(self.stats(stale=4, done=6, scenarios=10))
-        assert advice.spawn >= 1
-
-    def test_no_spawn_churn_when_everything_is_leased(self):
-        # Outstanding == 0 with the grid incomplete: leased scenarios are
-        # already staffed, and a freshly spawned worker would find nothing
-        # claimable and exit — the policy must not keep spawning into that.
-        policy = QueueDepthPolicy(min_workers=1, max_workers=4)
-        assert policy.advise(self.stats(leased=2, done=8)).is_noop
-        assert policy.desired_workers(self.stats(leased=2, done=8)) == 0
-
-    def test_queue_depth_policy_retires_idle_and_on_completion(self):
-        policy = QueueDepthPolicy(min_workers=1, max_workers=4,
-                                  backlog_per_worker=2.0)
-        # Backlog shrank: only idle workers may be retired.
-        advice = policy.advise(self.stats(pending=2, leased=2, done=6,
-                                          workers=4))
-        assert advice.retire == 2 and advice.spawn == 0
-        # Mixed deployment: external workers hold the leases; an exact
-        # local idle count must not be masked by the fleet-wide leased
-        # number (workers - leased would clamp to 0 here).
-        advice = policy.advise(self.stats(pending=2, leased=5, done=3,
-                                          workers=2, idle=2))
-        assert advice.retire == 1
-        # Grid complete: everyone goes home, leased or not.
-        advice = policy.advise(self.stats(done=10, workers=3, leased=1))
-        assert advice.retire == 3
-
-    def test_never_more_workers_than_remaining_scenarios(self):
-        policy = QueueDepthPolicy(min_workers=4, max_workers=8,
-                                  backlog_per_worker=1.0)
-        advice = policy.advise(self.stats(pending=2, done=8, scenarios=10))
-        assert advice.spawn == 2  # remaining scenarios cap the pool
-
-    def test_busy_workers_reported_and_retired_last(self, tmp_path):
-        specs = grid(count=4, backend="analytic")
-        cluster = TransportCluster(tmp_path, "socket", specs)
-        try:
-            transport = cluster.transport()
-            assert transport.try_claim(0, "scaled-1")
-            status = transport.status()
-            assert status["busy_workers"] == ["scaled-1"]
-            # Stale leases and done scenarios drop out of the busy set.
-            cluster.backdate_stale_leases()
-            assert transport.status()["busy_workers"] == []
-        finally:
-            cluster.close()
-
-        class FakeProcess:
-            def __init__(self, name):
-                self.name = name
-                self.terminated = False
-
-            def is_alive(self):
-                return not self.terminated
-
-            def terminate(self):
-                self.terminated = True
-
-            def join(self, timeout=None):
-                pass
-
-        scaler = ProcessPoolScaler("127.0.0.1:1")
-        scaler._processes = [FakeProcess("scaled-1"), FakeProcess("scaled-2"),
-                             FakeProcess("scaled-3")]
-        # scaled-3 is newest but busy: the idle ones go first, newest first.
-        assert scaler._retire(2, busy_workers=["scaled-3"]) == 2
-        survivors = [p.name for p in scaler._processes]
-        assert survivors == ["scaled-3"]
-        # Shutdown takes the busy one too (completion / teardown).
-        scaler.shutdown()
-        assert scaler.live_workers == 0
-
-    def test_autoscaled_socket_sweep_completes(self, tmp_path):
-        specs = grid(count=8, backend="analytic")
-        serial = SweepRunner(specs, DURATION, master_seed=77).run()
-        # Short lease timeout: the scaler may race a status snapshot and
-        # terminate a *busy* worker (documented, protocol-safe) — its
-        # orphaned lease must go stale quickly or completion stalls for
-        # the full timeout.
-        cluster = TransportCluster(tmp_path, "socket", specs, num_shards=2,
-                                   lease_timeout=3.0)
-        scaler = ProcessPoolScaler(
-            cluster.server.address,
-            policy=QueueDepthPolicy(min_workers=1, max_workers=2,
-                                    backlog_per_worker=4.0))
-        try:
-            deadline = time.monotonic() + 120.0
-            while not cluster.server.is_complete():
-                assert time.monotonic() < deadline, "autoscaled sweep hung"
-                scaler.scale_once(cluster.server.status())
-                time.sleep(0.1)
-            # Completion advice retires the whole pool.
-            advice = scaler.scale_once(cluster.server.status())
-            assert advice.retire or scaler.live_workers == 0
-        finally:
-            scaler.shutdown()
-            cluster.close()
-        assert scaler.live_workers == 0
-        merged = cluster.coordinator.merge()
-        assert merged.outcomes == serial.outcomes
 
 
 # --------------------------------------------------------------------------- #

@@ -187,8 +187,8 @@ class TestTraceDeterminism:
         monkeypatch.setenv("REPRO_OBS", "trace")
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(solo_dir))
-        for spec, seed in zip(specs, seeds):
-            execute_scenario(spec, seed, DURATION)
+        solo_outcomes = [execute_scenario(spec, seed, DURATION)
+                         for spec, seed in zip(specs, seeds)]
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(cohort_dir))
         payloads = [(i, spec, seed, DURATION)
@@ -196,13 +196,22 @@ class TestTraceDeterminism:
         outcomes = execute_cohort(payloads)
         assert all(outcome.ok for _, outcome in outcomes)
 
-        for spec, seed in zip(specs, seeds):
+        traced_ids = []
+        for spec, seed, outcome in zip(specs, seeds, solo_outcomes):
             name = f"{spec.name}-seed{seed}"
             solo = (solo_dir / name / "trace.jsonl").read_bytes()
             cohort = (cohort_dir / name / "trace.jsonl").read_bytes()
             assert solo == cohort
             records, summary = read_jsonl(solo_dir / name / "trace.jsonl")
             assert summary is not None and records
+            # OKs and errors carry the run's own create ids: each run
+            # counts from 1, whatever ran before it in this process.
+            ids = {record["fields"]["create_id"] for record in records
+                   if record["name"].endswith((".ok", ".error"))}
+            assert ids <= set(range(1, outcome.requests_issued + 1))
+            traced_ids.append(ids)
+        # The second run (MD) delivers; its ids did not continue the first's.
+        assert min(traced_ids[1]) == 1
 
 
 # --------------------------------------------------------------------------- #
