@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
 """Run a scenario grid as a sharded cluster sweep with work stealing.
 
-The coordinator partitions the grid into shards with a cost model
-(auto-loaded from a previously recorded ``cost_model.json`` when present,
-or calibrated from an explicit prior sweep result via ``--calibrate-from``),
-writes the plan into ``--cluster-dir``, and runs local worker processes
-through the same filesystem protocol real multi-machine deployments use.
-Results stream through per-worker sinks (JSONL by default; try ``--sink
-columnar`` for the append-only per-field segments) and merge into a
-canonical sweep result that is field-for-field identical to a serial
-``SweepRunner`` run; the merged wall-clocks are recorded back into the cost
-model so the next sweep plans better:
+The coordinator partitions the grid into shards with a static cost
+heuristic, writes the plan into ``--cluster-dir``, and runs local worker
+processes through the same filesystem protocol real multi-machine
+deployments use.  Results stream through per-worker JSONL parts and merge
+into a canonical sweep result that is field-for-field identical to a serial
+``SweepRunner`` run:
 
     python examples/cluster_sweep.py                        # quick sub-grid
-    python examples/cluster_sweep.py --shards 4 --workers 4 --sink columnar
+    python examples/cluster_sweep.py --shards 4 --workers 4
     python examples/cluster_sweep.py --paper-grid --backend analytic \
         --duration 30 --shards 8 --out grid.json
 
@@ -29,8 +25,8 @@ clusters *without* a shared filesystem, use the TCP coordinator instead
     python -m repro.cluster.serve --port 7766 --paper-grid ...
     python -m repro.cluster.worker --coordinator <host>:7766
 
-Re-planning the same grid into the same directory resumes it (recalibrated
-shard costs do not make it a "different" sweep); planning a genuinely
+Re-planning the same grid into the same directory resumes it (a new shard
+count does not make it a "different" sweep); planning a genuinely
 different sweep there needs ``--reset`` or a fresh ``--cluster-dir``.
 """
 
@@ -40,8 +36,8 @@ import argparse
 import time
 from pathlib import Path
 
-from repro.cluster import ClusterCoordinator, RecordedCostModel
-from repro.runtime import SweepResult, paper_grid, single_kind_scenarios
+from repro.cluster import ClusterCoordinator
+from repro.runtime import paper_grid, single_kind_scenarios
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,14 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed (per-scenario seeds are derived)")
     parser.add_argument("--cluster-dir", default=".sweep_cluster",
                         help="shared directory for plan/leases/results")
-    parser.add_argument("--sink", default="jsonl",
-                        choices=("json", "jsonl", "columnar"),
-                        help="result sink format workers write through")
     parser.add_argument("--cache-dir", default="",
                         help="shared resume-cache directory ('' disables)")
-    parser.add_argument("--calibrate-from", default="",
-                        help="prior sweep-result JSON to calibrate the "
-                             "cost model from")
     parser.add_argument("--paper-grid", action="store_true",
                         help="run the full 169-scenario paper grid")
     parser.add_argument("--batch", type=int, default=50,
@@ -100,27 +90,13 @@ def main() -> None:
             include_md_k255=False, attempt_batch_size=args.batch,
             backend=args.backend)
 
-    cost_model = None
-    if args.calibrate_from:
-        prior = SweepResult.load(args.calibrate_from)
-        cost_model = RecordedCostModel.from_results([prior])
-        print(f"cost model calibrated from {args.calibrate_from}: "
-              f"{cost_model.observations()} observation(s)")
-
     coordinator = ClusterCoordinator(
         specs, args.duration, args.cluster_dir, master_seed=args.seed,
-        num_shards=args.shards, sink=args.sink, cost_model=cost_model,
-        cache_dir=args.cache_dir or None)
-    if cost_model is None:
-        auto = coordinator.effective_cost_model()
-        if auto is not None:
-            print(f"cost model auto-loaded from "
-                  f"{coordinator.cost_model_path()}: "
-                  f"{auto.observations()} observation(s)")
+        num_shards=args.shards, cache_dir=args.cache_dir or None)
     plan = coordinator.plan()
     print(f"Planned {len(specs)} scenarios x {args.duration:.2f} simulated "
           f"seconds into {plan.num_shards} shard(s), backend "
-          f"{specs[0].backend_name()}, sink {args.sink}")
+          f"{specs[0].backend_name()}")
     for shard_id, (shard, cost) in enumerate(zip(plan.shards,
                                                  plan.shard_costs)):
         print(f"  shard {shard_id}: {len(shard):>3} scenario(s), "
@@ -136,11 +112,7 @@ def main() -> None:
     started = time.perf_counter()
     if args.merge_only:
         result = coordinator.merge()
-        recorded = coordinator.record_costs(result)
-        if recorded is not None:
-            print(f"cost model updated at {recorded}")
     else:
-        # run_local records the merged wall-clocks into the cost model.
         result = coordinator.run_local(workers=args.workers,
                                        reset=args.reset)
     wall = time.perf_counter() - started

@@ -30,7 +30,6 @@ operator-expansion machinery, so the per-pair cost stays small.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
@@ -334,6 +333,7 @@ class AnalyticBackend(PhysicsBackend):
     """
 
     name = "analytic"
+    attempt_model_class = AnalyticAttemptModel
 
     def __init__(self, fast_forward: bool = True,
                  max_window_seconds: float = 10e-3) -> None:
@@ -346,13 +346,6 @@ class AnalyticBackend(PhysicsBackend):
         if not fast_forward:
             self.name = "analytic-exact"
         self._povm_cache: dict[tuple, tuple] = {}
-
-    # ------------------------------------------------------------------ #
-    # Heralding
-    # ------------------------------------------------------------------ #
-    def attempt_model(self, scenario: "ScenarioConfig",
-                      alpha: float) -> AnalyticAttemptModel:
-        return _cached_model(scenario, float(alpha))
 
     # ------------------------------------------------------------------ #
     # Batching policy — the O(1) fast-forward
@@ -479,9 +472,3 @@ class AnalyticBackend(PhysicsBackend):
         cached = tuple(operators)
         self._povm_cache[key] = cached
         return cached
-
-
-@lru_cache(maxsize=256)
-def _cached_model(scenario: "ScenarioConfig",
-                  alpha: float) -> AnalyticAttemptModel:
-    return AnalyticAttemptModel(scenario, alpha)

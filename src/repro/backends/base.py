@@ -12,10 +12,13 @@ asks, so the MHP/EGP/FEU never touch a concrete quantum model directly:
 * **Memory decay and local operations** — T1/T2 idling, gate depolarising,
   attempt dephasing, the Psi-/Psi+ correction and noisy readout applied to
   one side of a stored :class:`~repro.hardware.pair.EntangledPair`.
-* **FEU tables** — per-``alpha`` fidelities, memoized per backend instance.
+* **FEU tables** — per-``alpha`` fidelities.
 * **Batching policy** — how many MHP cycles one GEN/REPLY exchange may cover
   (:meth:`PhysicsBackend.granted_batch`), which is where an approximate
   backend may trade event-level granularity for wall-clock speed.
+
+Attempt models and FEU tables are memoized per backend instance, never per
+process, so a run's cost depends only on the backend it was given.
 
 Two implementations ship with the repo: the exact
 :class:`~repro.backends.density.DensityMatrixBackend` and the closed-form
@@ -145,19 +148,31 @@ class PhysicsBackend(abc.ABC):
 
     #: Registry / cache-key name of the backend (e.g. ``"density"``).
     name: str = "abstract"
-    #: Bound of the FEU table memo (overflow clears it).
+    #: The :class:`AttemptModel` type, built from ``(scenario, alpha)``.
+    attempt_model_class: type[AttemptModel]
+    #: Bounds of the attempt-model and FEU table memos (overflow clears).
+    ATTEMPT_MODEL_CACHE_SIZE = 256
     FEU_TABLE_CACHE_SIZE = 256
 
     def __init__(self) -> None:
+        self._attempt_models: dict[tuple, AttemptModel] = {}
         self._feu_tables: dict[tuple, Mapping] = {}
 
     # ------------------------------------------------------------------ #
     # Heralding
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def attempt_model(self, scenario: "ScenarioConfig",
                       alpha: float) -> AttemptModel:
-        """The (cached) attempt model for symmetric population ``alpha``."""
+        """The attempt model for symmetric population ``alpha``, built once
+        per backend instance."""
+        key = (scenario, float(alpha))
+        model = self._attempt_models.get(key)
+        if model is None:
+            if len(self._attempt_models) >= self.ATTEMPT_MODEL_CACHE_SIZE:
+                self._attempt_models.clear()
+            model = self._attempt_models[key] = self.attempt_model_class(
+                scenario, float(alpha))
+        return model
 
     def feu_table(self, scenario: "ScenarioConfig",
                   alphas: tuple[float, ...]) -> Mapping:

@@ -10,7 +10,6 @@ the simulation had before the backend layer existed.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.quantum.states import BellIndex, bell_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import RequestType
-    from repro.hardware.heralding import HeraldedStateSampler
     from repro.hardware.pair import EntangledPair
     from repro.hardware.parameters import CoherenceTimes, ScenarioConfig
 
@@ -54,8 +52,9 @@ class DensityAttemptModel(AttemptModel):
 
         self.scenario = scenario
         self.alpha = float(alpha)
-        self.sampler: "HeraldedStateSampler" = \
-            HeraldedStateSampler.for_scenario(scenario, float(alpha))
+        self.sampler = HeraldedStateSampler(self.alpha, self.alpha,
+                                            scenario.optics_a,
+                                            scenario.optics_b)
 
     # ------------------------------------------------------------------ #
     # Static properties
@@ -130,13 +129,7 @@ class DensityMatrixBackend(PhysicsBackend):
     """
 
     name = "density"
-
-    # ------------------------------------------------------------------ #
-    # Heralding
-    # ------------------------------------------------------------------ #
-    def attempt_model(self, scenario: "ScenarioConfig",
-                      alpha: float) -> DensityAttemptModel:
-        return _cached_model(scenario, float(alpha))
+    attempt_model_class = DensityAttemptModel
 
     # ------------------------------------------------------------------ #
     # Local device physics
@@ -179,9 +172,3 @@ class DensityMatrixBackend(PhysicsBackend):
         m0, m1 = readout_kraus(readout_fidelity_0, readout_fidelity_1)
         qubit = 0 if side.upper() == "A" else 1
         return pair.state.measure_povm([m0, m1], qubits=[qubit], rng=rng)
-
-
-@lru_cache(maxsize=256)
-def _cached_model(scenario: "ScenarioConfig",
-                  alpha: float) -> DensityAttemptModel:
-    return DensityAttemptModel(scenario, alpha)

@@ -10,9 +10,8 @@ order, over which transport, or how many times.
 Pieces (see each module's docstring for the protocol details):
 
 * :mod:`repro.cluster.planner` — deterministic LPT shard planning over a
-  pluggable :class:`CostModel` (static heuristic, or calibrated from
-  recorded per-scenario wall-clock and persisted as ``cost_model.json`` so
-  every sweep improves the next plan).
+  static cost heuristic (:class:`StaticCostModel`); work stealing evens out
+  what the estimate leaves.
 * :mod:`repro.cluster.coordinator` — planning, progress, merge, and the
   shared-directory protocol layout (plan file, lease files, done markers).
 * :mod:`repro.cluster.transport` — the protocol's operations as a
@@ -29,9 +28,9 @@ Pieces (see each module's docstring for the protocol details):
   workers at chosen points and skews per-process clocks — the adversary
   the protocol's idempotent operations and skew-tolerant leases are
   verified against.
-* :mod:`repro.cluster.sinks` — streaming result sinks (JSON, crash-safe
-  JSONL, dependency-free chunked columnar) that merge back into one
-  canonical :class:`~repro.runtime.sweep.SweepResult`.
+* :mod:`repro.cluster.sinks` — crash-safe append-only JSONL result parts
+  that merge back into one canonical
+  :class:`~repro.runtime.sweep.SweepResult`.
 """
 
 from repro.cluster.coordinator import ClusterCoordinator, ClusterPlan
@@ -43,22 +42,12 @@ from repro.cluster.faults import (
     InjectedWorkerCrash,
     ScenarioFaultPlan,
 )
-from repro.cluster.planner import (
-    CostModel,
-    RecordedCostModel,
-    ShardPlan,
-    StaticCostModel,
-    plan_shards,
-)
+from repro.cluster.planner import ShardPlan, StaticCostModel, plan_shards
 from repro.cluster.sinks import (
-    ColumnarResultSink,
-    JsonResultSink,
     JsonlResultSink,
     ResultSink,
-    SINK_KINDS,
     load_results,
     merge_results,
-    open_sink,
 )
 from repro.cluster.transport import (
     FilesystemTransport,
@@ -75,8 +64,6 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterPlan",
     "ClusterWorker",
-    "ColumnarResultSink",
-    "CostModel",
     "FaultDecision",
     "FaultSchedule",
     "FaultyTransport",
@@ -85,11 +72,8 @@ __all__ = [
     "FrameTooLarge",
     "InjectedFault",
     "InjectedWorkerCrash",
-    "JsonResultSink",
     "JsonlResultSink",
-    "RecordedCostModel",
     "ResultSink",
-    "SINK_KINDS",
     "ScenarioFaultPlan",
     "ShardPlan",
     "SocketTransport",
@@ -99,7 +83,6 @@ __all__ = [
     "TransportError",
     "load_results",
     "merge_results",
-    "open_sink",
     "plan_shards",
     "run_sharded_sweep",
 ]

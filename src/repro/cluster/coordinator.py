@@ -5,7 +5,7 @@ shared filesystem across machines, or a local path for multi-process runs):
 
 ``plan.json``
     Written once by the coordinator: the serialised scenario list, derived
-    per-scenario seeds, the deterministic :class:`ShardPlan`, sink kind,
+    per-scenario seeds, the deterministic :class:`ShardPlan`, sink format,
     lease timeout and optional resume-cache directory.  Workers are stateless
     — everything they need to execute any scenario is in the plan.
 
@@ -21,8 +21,8 @@ shared filesystem across machines, or a local path for multi-process runs):
     Completion marker, written (atomically, tmp + rename) only *after* the
     outcome is durable in the worker's sink part.
 
-``results/part-<worker>.*``
-    One sink part per worker (see :mod:`repro.cluster.sinks`).
+``results/part-<worker>.jsonl``
+    One JSONL sink part per worker (see :mod:`repro.cluster.sinks`).
 
 Correctness under reordering: per-scenario seeds depend only on
 ``(master_seed, global index)`` — the same ``SeedSequence.spawn`` derivation
@@ -41,14 +41,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.cluster.planner import (
-    CostModel,
-    RecordedCostModel,
-    ShardPlan,
-    plan_shards,
-)
-from repro.cluster.sinks import SINK_KINDS, merge_results
-from repro.runtime.cache import CACHE_VERSION, atomic_write_text, cost_model_path
+from repro.cluster.planner import ShardPlan, plan_shards
+from repro.cluster.sinks import check_sink_kind, merge_results
+from repro.runtime.cache import CACHE_VERSION, atomic_write_text
 from repro.runtime.scenarios import ScenarioSpec
 from repro.runtime.sweep import (
     SweepResult,
@@ -106,6 +101,9 @@ class ClusterPlan:
     #: executes under (``None`` disables supervision — workers then behave
     #: exactly like the pre-guard protocol).
     guard: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        check_sink_kind(self.sink)
 
     def guard_policy(self):
         """The parsed :class:`~repro.runtime.guard.GuardPolicy`, or ``None``."""
@@ -192,15 +190,9 @@ class ClusterCoordinator:
         entropy once and records it in the plan.
     num_shards:
         Shard count — usually the number of machines/workers.
-    cost_model:
-        Scenario cost model for the planner.  ``None`` auto-loads the
-        persisted ``cost_model.json`` from the cache directory (falling
-        back to the cluster directory, then to the static heuristic) — see
-        :meth:`record_costs`, which writes observed wall-clocks back after
-        every merge so each sweep calibrates the next plan.
     sink:
-        Result-sink kind workers write through: ``jsonl`` (default),
-        ``json`` or ``columnar``.
+        Result-sink format recorded in the plan; ``jsonl`` is the only
+        one.
     lease_timeout:
         Seconds without a heartbeat before a claimed scenario is considered
         abandoned and may be stolen.  Must comfortably exceed the heartbeat
@@ -231,7 +223,6 @@ class ClusterCoordinator:
                  cluster_dir: str | Path,
                  master_seed: Optional[int] = 12345,
                  num_shards: int = 3,
-                 cost_model: Optional[CostModel] = None,
                  sink: str = "jsonl",
                  lease_timeout: float = 60.0,
                  clock_skew_tolerance: float = 5.0,
@@ -244,9 +235,7 @@ class ClusterCoordinator:
         duplicates = {name for name in names if names.count(name) > 1}
         if duplicates:
             raise ValueError(f"duplicate scenario names: {sorted(duplicates)}")
-        if sink not in SINK_KINDS:
-            raise ValueError(f"unknown sink kind {sink!r}; "
-                             f"expected one of {sorted(SINK_KINDS)}")
+        check_sink_kind(sink)
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
         if clock_skew_tolerance < 0:
@@ -256,7 +245,6 @@ class ClusterCoordinator:
         self.master_seed = (master_seed if master_seed is not None
                             else _fresh_master_seed())
         self.num_shards = max(1, int(num_shards))
-        self.cost_model = cost_model
         self.sink = sink
         self.lease_timeout = lease_timeout
         self.clock_skew_tolerance = clock_skew_tolerance
@@ -273,31 +261,11 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Planning
     # ------------------------------------------------------------------ #
-    def cost_model_path(self) -> Path:
-        """Where the persistent cost model lives for this coordinator.
-
-        The shared resume-cache directory when one is configured (so every
-        sweep using that cache calibrates every other), the cluster
-        directory otherwise.  Note the file survives :meth:`reset_state` —
-        calibration data is cross-sweep knowledge, not sweep state.
-        """
-        base = self.cache_dir if self.cache_dir is not None else self.cluster_dir
-        return cost_model_path(base)
-
-    def effective_cost_model(self) -> Optional[CostModel]:
-        """The cost model planning actually uses: the explicit one, else a
-        persisted calibrated model if present, else ``None`` (the planner's
-        static heuristic)."""
-        if self.cost_model is not None:
-            return self.cost_model
-        return RecordedCostModel.load_if_present(self.cost_model_path())
-
     def plan(self) -> ShardPlan:
         """The deterministic shard plan (computed once, then cached)."""
         if self._shard_plan is None:
             self._shard_plan = plan_shards(self.specs, self.num_shards,
-                                           self.duration,
-                                           cost_model=self.effective_cost_model())
+                                           self.duration)
         return self._shard_plan
 
     def cluster_plan(self) -> ClusterPlan:
@@ -328,14 +296,13 @@ class ClusterCoordinator:
         """The part of a plan document that determines result validity.
 
         Existing done markers and sink parts stay valid exactly when the
-        (spec, seed, duration) triple of every global index is unchanged —
-        shard layout, estimated costs (which drift as ``cost_model.json``
-        learns), sink kind (the merge reads any mixture of part formats),
-        lease timeout and cache directory are operational knobs a restart
-        may legitimately change.
+        (spec, seed, duration) triple of every global index and the part
+        format are unchanged — shard layout, lease timeout and cache
+        directory are operational knobs a restart may legitimately change.
         """
         return {key: document.get(key)
-                for key in ("master_seed", "duration", "seeds", "specs")}
+                for key in ("master_seed", "duration", "seeds", "specs",
+                            "sink")}
 
     def write_plan(self, reset: bool = False) -> Path:
         """Write ``plan.json`` and create the protocol directories.
@@ -344,14 +311,14 @@ class ClusterCoordinator:
         scenarios, seeds and duration into the directory resumes it
         (existing done markers and sink parts stay valid because execution
         is deterministic; the plan file is refreshed so operational
-        changes — recalibrated shard costs, lease timeout — take effect).
+        changes — shard count, lease timeout — take effect).
         If the directory holds a **different** sweep — other scenarios,
-        duration, seeds — its leases, done markers and parts describe the
-        *old* sweep, and silently reusing them would hand back the old
-        results; that is refused unless ``reset=True``, which wipes the
-        protocol state first.  Note an unseeded coordinator
-        (``master_seed=None``) draws fresh entropy per instance, so it
-        never matches a prior plan.
+        duration, seeds, or parts of another format — its leases, done
+        markers and parts describe the *old* sweep, and silently reusing
+        them would hand back the old results; that is refused unless
+        ``reset=True``, which wipes the protocol state first.  Note an
+        unseeded coordinator (``master_seed=None``) draws fresh entropy per
+        instance, so it never matches a prior plan.
         """
         path = self.cluster_dir / PLAN_NAME
         document = self.cluster_plan().to_dict()
@@ -500,26 +467,6 @@ class ClusterCoordinator:
         return merged
 
     # ------------------------------------------------------------------ #
-    # Cost-model persistence
-    # ------------------------------------------------------------------ #
-    def record_costs(self, result: SweepResult) -> Optional[Path]:
-        """Fold ``result``'s per-scenario wall-clock into the persistent
-        cost model, so the *next* sweep plans from calibrated costs.
-
-        Loads (or creates) ``cost_model.json`` at :meth:`cost_model_path`,
-        absorbs every fresh successful outcome and saves atomically.
-        Returns the path, or ``None`` when the result held no usable
-        observation (e.g. everything came from cache).
-        """
-        path = self.cost_model_path()
-        model = RecordedCostModel.load_if_present(path)
-        if model is None:
-            model = RecordedCostModel()
-        if model.calibrate(result) == 0:
-            return None
-        return model.save(path)
-
-    # ------------------------------------------------------------------ #
     # Local execution convenience
     # ------------------------------------------------------------------ #
     def run_local(self, workers: Optional[int] = None,
@@ -556,9 +503,7 @@ class ClusterCoordinator:
         if failed:
             raise RuntimeError(f"{len(failed)} local worker process(es) "
                                f"exited with codes {failed}")
-        result = self.merge()
-        self.record_costs(result)
-        return result
+        return self.merge()
 
 
 def _run_worker_process(cluster_dir: str, worker_id: str, shard: int) -> None:

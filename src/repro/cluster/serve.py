@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.sinks import SINK_KINDS
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
     FilesystemTransport,
@@ -281,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of shards to plan")
     parser.add_argument("--seed", type=int, default=12345,
                         help="master seed (per-scenario seeds are derived)")
-    parser.add_argument("--sink", default="jsonl", choices=sorted(SINK_KINDS),
-                        help="result sink the server writes parts through")
     parser.add_argument("--lease-timeout", type=float, default=60.0,
                         help="seconds without a heartbeat before a lease "
                              "may be taken over")
@@ -316,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--poll-interval", type=float, default=0.5,
                         help="seconds between completion checks")
     parser.add_argument("--exit-when-complete", action="store_true",
-                        help="merge, persist the cost model and exit once "
-                             "every scenario is done")
+                        help="merge and exit once every scenario is done")
     parser.add_argument("--linger", type=float, default=2.0,
                         help="seconds to keep answering workers after "
                              "completion before shutting down")
@@ -361,7 +357,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             max_attempts=args.max_attempts, validate=args.validate)
     coordinator = ClusterCoordinator(
         specs, args.duration, args.cluster_dir, master_seed=args.seed,
-        num_shards=args.shards, sink=args.sink,
+        num_shards=args.shards,
         lease_timeout=args.lease_timeout,
         clock_skew_tolerance=args.skew_tolerance,
         cache_dir=args.cache_dir or None, guard=guard)
@@ -370,8 +366,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     server.start_background()
     plan = coordinator.plan()
     logger.info("[serve] %d scenarios x %.2fs simulated in %d shard(s) on "
-                "%s (sink %s, lease timeout %.0fs)", len(specs),
-                args.duration, plan.num_shards, server.address, args.sink,
+                "%s (lease timeout %.0fs)", len(specs),
+                args.duration, plan.num_shards, server.address,
                 args.lease_timeout)
     logger.info("[serve] workers: python -m repro.cluster.worker "
                 "--coordinator <this-host>:%d", server.server_address[1])
@@ -399,19 +395,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 130
 
     # Complete: give standing-by workers a moment to observe the final
-    # snapshot and exit cleanly, then merge and persist.
+    # snapshot and exit cleanly, then merge.
     time.sleep(max(0.0, args.linger))
     server.stop()
     result = coordinator.merge()
-    recorded = coordinator.record_costs(result)
     logger.info("[serve] merged %d outcome(s): %d ok / %d failed",
                 len(result.outcomes), len(result.completed),
                 len(result.failed))
     if result.telemetry is not None:
         logger.info("[serve] merged worker telemetry written to %s",
                     Path(args.cluster_dir) / "metrics.json")
-    if recorded is not None:
-        logger.info("[serve] cost model updated at %s", recorded)
     if args.out:
         result.save(args.out)
         logger.info("[serve] merged sweep result written to %s", args.out)

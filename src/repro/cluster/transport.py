@@ -74,7 +74,7 @@ from repro.cluster.coordinator import (
     done_path,
     lease_path,
 )
-from repro.cluster.sinks import ResultSink, open_sink, part_name
+from repro.cluster.sinks import JsonlResultSink, ResultSink, part_name
 from repro.runtime.guard import (
     QUARANTINED,
     GuardPolicy,
@@ -586,10 +586,8 @@ class FilesystemTransport(Transport):
         with self._lock:
             sink = self._sinks.get(worker_id)
             if sink is None:
-                sink = open_sink(
-                    self.plan.sink,
-                    self.cluster_dir / RESULTS_DIR
-                    / part_name(self.plan.sink, worker_id),
+                sink = JsonlResultSink(
+                    self.cluster_dir / RESULTS_DIR / part_name(worker_id),
                     master_seed=self.plan.master_seed,
                     duration=self.plan.duration,
                 )

@@ -72,12 +72,7 @@ from repro.cluster.transport import (
     Transport,
     TransportError,
 )
-from repro.runtime.cache import (
-    CacheReport,
-    CacheSkip,
-    ResumeCache,
-    cost_model_path,
-)
+from repro.runtime.cache import CacheReport, CacheSkip, ResumeCache
 from repro.runtime.sweep import (
     ScenarioOutcome,
     _failure_outcome,
@@ -85,51 +80,6 @@ from repro.runtime.sweep import (
 )
 
 logger = logging.getLogger("repro.cluster.worker")
-
-#: Ceiling of the auto-derived cohort size: recorded speedups beyond this
-#: are noise (the vectorized backend's memoized pair physics saturates at
-#: about ``StaticCostModel.ANALYTIC_COHORT_SPEEDUP`` times a solo run), and
-#: oversized cohorts delay lease turnover without buying throughput.
-MAX_AUTO_BATCH_SIZE = 8
-
-
-def derive_batch_size(plan, cache_dir: "Optional[str | Path]" = None) -> int:
-    """Pick a cohort size from recorded cost-model history.
-
-    The persisted cost model (``cost_model.json`` next to the resume cache,
-    or in the cluster directory) records cohort-mode throughput separately
-    from solo throughput under the ``#cohort`` backend key.  The observed
-    per-member speedup, averaged over the plan's cohortable scenarios that
-    have history in *both* modes, is the cohort size worth claiming: a
-    cohort of roughly that many members keeps the vectorized backend at its
-    measured amortization.  Without history (first sweep, foreign machine,
-    socket worker without a shared filesystem) this returns 1 — the solo
-    path — so auto-derivation can never regress an uncalibrated deployment.
-    """
-    from repro.cluster.planner import RecordedCostModel
-    from repro.runtime.batch import cohortable
-
-    if cache_dir is None:
-        cache_dir = plan.cache_dir
-    if cache_dir is None:
-        return 1
-    model = RecordedCostModel.load_if_present(cost_model_path(cache_dir))
-    if model is None:
-        return 1
-    speedups = []
-    for spec in plan.specs:
-        if not cohortable(spec):
-            continue
-        solo = model.recorded_rate(spec)
-        cohort = model.recorded_rate(spec, cohort=True)
-        if solo is None or cohort is None or cohort <= 0:
-            continue
-        speedups.append(solo / cohort)
-    if not speedups:
-        return 1
-    mean = sum(speedups) / len(speedups)
-    return max(1, min(MAX_AUTO_BATCH_SIZE, round(mean)))
-
 
 class _Heartbeat:
     """The worker's one daemon thread refreshing every watched lease.
@@ -252,10 +202,8 @@ class ClusterWorker:
     batch_size:
         Cohort size for vectorized execution.  With ``batch_size > 1`` each
         step claims up to this many analytic scenarios and runs them as one
-        cohort; non-analytic scenarios keep the solo path.  ``None`` (the
-        default) derives the size from the persisted cost model's recorded
-        cohort speedup (see :func:`derive_batch_size`) — 1 when there is no
-        calibration history.
+        cohort; non-analytic scenarios keep the solo path.  Default 1:
+        every scenario runs solo.
     """
 
     def __init__(self, cluster: "Transport | str | Path",
@@ -265,7 +213,7 @@ class ClusterWorker:
                  crash_after_claims: Optional[int] = None,
                  on_outcome: Optional[Callable[[ScenarioOutcome], None]] = None,
                  cache_dir: "Optional[str | Path]" = ...,
-                 batch_size: Optional[int] = None,
+                 batch_size: int = 1,
                  ) -> None:
         if isinstance(cluster, Transport):
             self.transport = cluster
@@ -278,11 +226,6 @@ class ClusterWorker:
         self.steal = steal
         if cache_dir is ...:
             cache_dir = self.plan.cache_dir
-        if batch_size is None:
-            batch_size = derive_batch_size(self.plan, cache_dir=cache_dir)
-            if batch_size > 1:
-                logger.info("[%s] auto-derived cohort batch size %d from "
-                            "recorded cost model", worker_id, batch_size)
         self.batch_size = max(1, int(batch_size))
         self.crash_after_claims = crash_after_claims
         self.on_outcome = on_outcome
@@ -762,12 +705,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="machine-local resume-cache directory "
                              "(default: the plan's cache_dir; '' disables "
                              "caching)")
-    parser.add_argument("--batch-size", type=int, default=None,
+    parser.add_argument("--batch-size", type=int, default=1,
                         help="vectorized cohort size: claim up to this many "
                              "analytic scenarios per step and advance them "
-                             "as one cohort (default: auto — derived from "
-                             "the recorded cost model's cohort speedup, 1 "
-                             "without calibration history)")
+                             "as one cohort (default: 1, every scenario "
+                             "runs solo)")
     parser.add_argument("--no-steal", action="store_true",
                         help="never take work from other shards")
     parser.add_argument("--no-wait", action="store_true",

@@ -49,18 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
 #: survive resumes (unguarded sweeps still cache only successes).
 CACHE_VERSION = 8
 
-#: Canonical filename of the persisted scenario cost model (see
-#: :class:`repro.cluster.planner.RecordedCostModel`): it lives next to the
-#: resume cache (or in the cluster directory) so every completed sweep
-#: calibrates the next plan.
-COST_MODEL_NAME = "cost_model.json"
-
 logger = logging.getLogger("repro.runtime.cache")
-
-
-def cost_model_path(directory: "str | Path") -> Path:
-    """The cost-model file for a cache/cluster directory."""
-    return Path(directory) / COST_MODEL_NAME
 
 
 #: Monotonic discriminator for concurrent :func:`atomic_write_text` calls —

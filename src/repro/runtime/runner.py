@@ -36,8 +36,8 @@ class RunResult:
     #: from comparison like the live handles below.
     engine: str = field(default=ENGINE, compare=False)
     #: Simulation events processed during the run — deterministic for a
-    #: given (scenario, seed, backend), and the raw signal cost models and
-    #: benchmarks use to compare runs across machines.
+    #: given (scenario, seed, backend), and the raw signal benchmarks use
+    #: to compare runs across machines.
     events_processed: int = 0
     #: Events never scheduled thanks to outcome-preserving timer elision
     #: (PR 5/7): skipped watchdogs, no-op busy polls, collapsed reply

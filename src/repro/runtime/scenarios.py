@@ -110,7 +110,7 @@ class ScenarioSpec:
         return resolve_backend_name(self.backend)
 
     # ------------------------------------------------------------------ #
-    # Serialisation and identity (cluster plans, resume cache, cost models)
+    # Serialisation and identity (cluster plans, resume cache, shard planner)
     # ------------------------------------------------------------------ #
     def scheduler_name(self) -> str:
         """Scheduler name whether ``scheduler`` is a string or an instance."""
@@ -188,7 +188,7 @@ class ScenarioSpec:
 
         Excludes the backend and the event engine (the same scenario
         simulated under a different physics backend shares an identity; the
-        resume cache and cost models key on ``(identity, backend)`` — with
+        resume cache keys on ``(identity, backend)`` — with
         the engine recorded alongside — so those dimensions stay
         detectable), the legacy ``seed`` field
         (sweeps derive per-scenario seeds from the master seed), and the
@@ -221,7 +221,8 @@ class ScenarioSpec:
         is create-and-keep (K attempts are orders of magnitude longer than
         M attempts, scaled by the hardware's expected MHP cycles per K
         attempt).  This is the *only* place pair/kind cost features are
-        derived — cost models consume the dict rather than re-deriving.
+        derived — the shard planner consumes the dict rather than
+        re-deriving.
         """
         return {
             "hardware": self.scenario.name,

@@ -155,8 +155,8 @@ class ScenarioOutcome:
     #: Cohort size when the scenario ran inside a vectorized cohort
     #: (``None`` for the solo path).  Provenance like ``engine`` — the
     #: results are bit-identical either way, so it is excluded from
-    #: comparison; recorded so cost models can learn batched throughput
-    #: separately from solo throughput.
+    #: comparison; recorded so batched and solo wall-clock can be told
+    #: apart.
     cohort: Optional[int] = field(default=None, compare=False)
     #: Per-link hop digests of a topology run (see
     #: :attr:`repro.runtime.runner.RunResult.hops`); ``None`` for

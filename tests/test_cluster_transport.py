@@ -64,13 +64,12 @@ class TransportCluster:
     :class:`ClusterCoordinatorServer` fronting it.
     """
 
-    def __init__(self, tmp_path, kind, specs, sink="jsonl",
-                 lease_timeout=120.0, cache_dir=None, master_seed=77,
+    def __init__(self, tmp_path, kind, specs, lease_timeout=120.0, cache_dir=None, master_seed=77,
                  num_shards=3):
         self.kind = kind
         self.coordinator = ClusterCoordinator(
             specs, DURATION, tmp_path / "server", master_seed=master_seed,
-            num_shards=num_shards, sink=sink, lease_timeout=lease_timeout,
+            num_shards=num_shards, lease_timeout=lease_timeout,
             cache_dir=cache_dir)
         self.coordinator.write_plan()
         self.server = None
@@ -443,19 +442,18 @@ class TestSocketShardedEquivalence:
     the serial ``SweepRunner``, under both backends."""
 
     @pytest.mark.parametrize(
-        "backend,sink,faulted",
-        [("density", "jsonl", False), ("analytic", "columnar", False),
-         ("density", "jsonl", True), ("analytic", "columnar", True)],
+        "backend,faulted",
+        [("density", False), ("analytic", False),
+         ("density", True), ("analytic", True)],
         ids=["density-clean", "analytic-clean",
              "density-faulty", "analytic-faulty"])
     def test_socket_sharded_crashy_sweep_equals_serial(self, tmp_path,
-                                                       backend, sink,
-                                                       faulted):
+                                                       backend, faulted):
         specs = grid(backend=backend)
         assert len(specs) >= 24
         serial = SweepRunner(specs, DURATION, master_seed=77).run()
 
-        cluster = TransportCluster(tmp_path, "socket", specs, sink=sink)
+        cluster = TransportCluster(tmp_path, "socket", specs)
         # Each worker's only local state is its own private directory —
         # nothing is shared between workers except the TCP connection.
         worker_dirs = [tmp_path / f"machine-{i}" for i in range(3)]

@@ -3,8 +3,8 @@
 Covers the engine's deterministic event budget and wall-clock deadline,
 ``GuardPolicy`` round-trips, result validation, the quarantine store, the
 scenario fault plan, the ``SweepRunner`` retry/quarantine loop (including
-cohort degradation and resume), every failure status through all three
-result sinks, and the cluster-side retry budget: ``record_failure``
+cohort degradation and resume), every failure status through the JSONL
+result sink, and the cluster-side retry budget: ``record_failure``
 charging, repeated-lease-death quarantine, the serve ``fail`` op, and the
 frame-rejection regression (oversized / garbage frames must get structured
 errors without taking the connection down).
@@ -23,7 +23,12 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, FilesystemTransport
 from repro.cluster.serve import ClusterCoordinatorServer
-from repro.cluster.sinks import load_results, merge_results, open_sink, part_name
+from repro.cluster.sinks import (
+    JsonlResultSink,
+    load_results,
+    merge_results,
+    part_name,
+)
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
     FrameDecodeError,
@@ -289,7 +294,7 @@ class TestGuardedSweep:
 
 
 # --------------------------------------------------------------------------- #
-# Failure statuses through every sink (and the merge)
+# Failure statuses through the sink (and the merge)
 # --------------------------------------------------------------------------- #
 class TestFailureStatusSinks:
     @pytest.fixture(scope="class")
@@ -307,11 +312,10 @@ class TestFailureStatusSinks:
         outcomes.append(quarantined_outcome(outcomes[0], attempts=2))
         return outcomes
 
-    @pytest.mark.parametrize("kind", ["json", "jsonl", "columnar"])
     def test_every_failure_status_survives_the_sink(self, failure_outcomes,
-                                                    tmp_path, kind):
-        path = tmp_path / part_name(kind, "w0")
-        sink = open_sink(kind, path, master_seed=1, duration=DURATION)
+                                                    tmp_path):
+        path = tmp_path / part_name("w0")
+        sink = JsonlResultSink(path, master_seed=1, duration=DURATION)
         for index, outcome in enumerate(failure_outcomes):
             sink.write(index, outcome)
         sink.close()
@@ -321,31 +325,27 @@ class TestFailureStatusSinks:
                 == list(FAILURE_STATUSES) + [QUARANTINED])
         assert all(o.error for o in loaded)
 
-    def test_failure_statuses_merge_identically_across_formats(
-            self, failure_outcomes, tmp_path):
-        merged = {}
-        for kind in ("json", "jsonl", "columnar"):
-            path = tmp_path / kind / part_name(kind, "w0")
-            path.parent.mkdir()
-            sink = open_sink(kind, path, master_seed=1, duration=DURATION)
-            for index, outcome in enumerate(failure_outcomes):
-                sink.write(index, outcome)
-            sink.close()
-            merged[kind] = merge_results([path])
-        assert merged["json"] == merged["jsonl"] == merged["columnar"]
-        result = merged["json"]
+    def test_failure_statuses_survive_the_merge(self, failure_outcomes,
+                                                tmp_path):
+        path = tmp_path / part_name("w0")
+        sink = JsonlResultSink(path, master_seed=1, duration=DURATION)
+        for index, outcome in enumerate(failure_outcomes):
+            sink.write(index, outcome)
+        sink.close()
+        result = merge_results([path])
+        assert result.outcomes == failure_outcomes
         assert result.quarantined_indices == [len(failure_outcomes) - 1]
         assert len(result.failed) == len(failure_outcomes)
 
     def test_mixed_ok_and_failed_parts_merge(self, failure_outcomes,
                                              tmp_path):
         ok = run_sweep(grid(1), DURATION, master_seed=1).outcomes[0]
-        a = tmp_path / part_name("jsonl", "w0")
-        sink = open_sink("jsonl", a, master_seed=1, duration=DURATION)
+        a = tmp_path / part_name("w0")
+        sink = JsonlResultSink(a, master_seed=1, duration=DURATION)
         sink.write(0, ok)
         sink.close()
-        b = tmp_path / part_name("columnar", "w1")
-        sink = open_sink("columnar", b, master_seed=1, duration=DURATION)
+        b = tmp_path / part_name("w1")
+        sink = JsonlResultSink(b, master_seed=1, duration=DURATION)
         sink.write(1, failure_outcomes[0])
         sink.close()
         merged = merge_results([a, b], expected_count=2)

@@ -19,9 +19,13 @@ import itertools
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import repro
 import repro.runtime.sweep as sweep_module
 from repro.backends import BackendSet, PhysicsBackend, get_backend
+from repro.backends.analytic import AnalyticAttemptModel
+from repro.backends.density import DensityAttemptModel
 from repro.cluster import ClusterCoordinator, ClusterWorker, FilesystemTransport
 from repro.core.messages import EntanglementRequest, RequestType
 from repro.hardware.parameters import lab_scenario
@@ -87,6 +91,31 @@ def test_earlier_runs_change_nothing():
         assert create_ids == list(range(1, len(create_ids) + 1))
         assert '"create_id": 1' in trace
         assert after == before
+
+
+@pytest.mark.parametrize("backend,model_class", [
+    ("analytic", AnalyticAttemptModel), ("density", DensityAttemptModel)])
+def test_a_later_run_builds_its_own_attempt_models(monkeypatch, backend,
+                                                   model_class):
+    # Attempt models are memoized per backend, so the second run (with its
+    # own fresh backend) builds every model the first one built.
+    built = []
+    real_init = model_class.__init__
+
+    def init(model, scenario, alpha):
+        built.append((scenario.name, alpha))
+        real_init(model, scenario, alpha)
+
+    monkeypatch.setattr(model_class, "__init__", init)
+    spec = single_kind_scenarios(
+        "QL2020", kinds=("CK",), loads=("High",), max_pairs_options=(1,),
+        origins=("A",), include_md_k255=False, attempt_batch_size=40,
+        backend=backend)[0]
+    spec.run(DURATION, seed=4)
+    first = list(built)
+    built.clear()
+    spec.run(DURATION, seed=4)
+    assert first and built == first
 
 
 # --------------------------------------------------------------------------- #
@@ -211,8 +240,6 @@ _PURE_MEMO = "lru_cache memo of a pure function over frozen keys"
 #: ``(module, name) -> reason`` for every module-level piece of state the
 #: package may keep.  Anything else a run could leave behind for the next.
 ALLOWED_STATE = {
-    ("repro.backends.analytic", "_cached_model"): _PURE_MEMO,
-    ("repro.backends.density", "_cached_model"): _PURE_MEMO,
     ("repro.hardware.heralding", "_cached_sampler"): _PURE_MEMO,
     ("repro.topology.spec", "_field_names"): _PURE_MEMO,
     ("repro.topology.spec", "_nested_field_types"): _PURE_MEMO,

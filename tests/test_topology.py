@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import types
 
 import numpy as np
 import pytest
@@ -353,53 +352,6 @@ class TestResumeCacheTopology:
         outcome, reason = cache.load(spec, 1, DURATION)
         assert reason is None
         assert outcome is not None and outcome.from_cache
-
-
-class TestAutoBatchSize:
-    def _plan(self, specs, cache_dir):
-        return types.SimpleNamespace(specs=specs, cache_dir=str(cache_dir))
-
-    def test_derives_from_recorded_cohort_speedup(self, tmp_path):
-        from repro.cluster.planner import RecordedCostModel
-        from repro.cluster.worker import derive_batch_size
-        from repro.runtime.cache import cost_model_path
-
-        spec = ScenarioSpec(
-            name="solo", scenario=lab_scenario(),
-            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
-            backend="analytic")
-        model = RecordedCostModel()
-        model._rates[("solo", "analytic")] = [1.2]
-        model._rates[("solo", "analytic#cohort")] = [0.3]  # 4x speedup
-        model.save(cost_model_path(tmp_path))
-        assert derive_batch_size(self._plan([spec], tmp_path)) == 4
-
-    def test_defaults_to_solo_without_history(self, tmp_path):
-        from repro.cluster.worker import derive_batch_size
-
-        spec = ScenarioSpec(
-            name="solo", scenario=lab_scenario(),
-            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
-            backend="analytic")
-        assert derive_batch_size(self._plan([spec], tmp_path)) == 1
-        assert derive_batch_size(
-            types.SimpleNamespace(specs=[spec], cache_dir=None)) == 1
-
-    def test_speedup_is_clamped(self, tmp_path):
-        from repro.cluster.planner import RecordedCostModel
-        from repro.cluster.worker import MAX_AUTO_BATCH_SIZE, derive_batch_size
-        from repro.runtime.cache import cost_model_path
-
-        spec = ScenarioSpec(
-            name="solo", scenario=lab_scenario(),
-            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
-            backend="analytic")
-        model = RecordedCostModel()
-        model._rates[("solo", "analytic")] = [100.0]
-        model._rates[("solo", "analytic#cohort")] = [1.0]
-        model.save(cost_model_path(tmp_path))
-        assert derive_batch_size(
-            self._plan([spec], tmp_path)) == MAX_AUTO_BATCH_SIZE
 
 
 class TestCostModelLinks:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.backends.vectorized import VectorizedAnalyticBackend
-from repro.cluster.planner import RecordedCostModel, StaticCostModel, plan_shards
+from repro.cluster.planner import StaticCostModel, plan_shards
 from repro.core.messages import Priority
 from repro.hardware.parameters import lab_scenario
 from repro.runtime import ScenarioSpec, SweepRunner, WorkloadSpec
 from repro.runtime.batch import CohortRunner, cohortable, execute_cohort
 from repro.runtime.scenarios import paper_grid, single_kind_scenarios
-from repro.runtime.sweep import ScenarioOutcome
 
 DURATION = 0.2
 
@@ -245,34 +244,6 @@ class TestCohortCluster:
 
 
 class TestCohortCostModel:
-    def outcome(self, spec, wall_time, cohort=None):
-        return ScenarioOutcome(
-            scenario_name=spec.name, scheduler_name=spec.scheduler_name(),
-            seed=1, duration=1.0, status="ok", backend=spec.backend_name(),
-            wall_time=wall_time, cohort=cohort)
-
-    def test_cohort_observations_use_a_distinct_key(self):
-        spec = analytic_grid(1)[0]
-        model = RecordedCostModel()
-        assert model.observe(self.outcome(spec, wall_time=0.8))
-        assert model.observe(self.outcome(spec, wall_time=0.1, cohort=8))
-        assert model.recorded_rate(spec) == pytest.approx(0.8)
-        assert model.recorded_rate(spec, cohort=True) == pytest.approx(0.1)
-        # Mixed history stays unmixed: solo estimates ignore cohort data.
-        assert model.estimate(spec, 2.0) == pytest.approx(1.6)
-        assert model.cohort_estimate(spec, 2.0, 8) == pytest.approx(0.2)
-
-    def test_cohort_rates_round_trip_through_json(self, tmp_path):
-        spec = analytic_grid(1)[0]
-        model = RecordedCostModel()
-        model.observe(self.outcome(spec, wall_time=0.6))
-        model.observe(self.outcome(spec, wall_time=0.15, cohort=16))
-        path = model.save(tmp_path / "cost_model.json")
-        loaded = RecordedCostModel.load(path)
-        assert loaded.recorded_rate(spec) == pytest.approx(0.6)
-        assert loaded.recorded_rate(spec, cohort=True) == pytest.approx(0.15)
-        assert loaded.to_dict() == model.to_dict()
-
     def test_static_model_discounts_analytic_cohorts_only(self):
         spec = analytic_grid(1)[0]
         density = ScenarioSpec(name="density", scenario=spec.scenario,
