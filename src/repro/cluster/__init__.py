@@ -33,32 +33,48 @@ Pieces (see each module's docstring for the protocol details):
   :class:`~repro.runtime.sweep.SweepResult`.
 """
 
-from repro.cluster.coordinator import ClusterCoordinator, ClusterPlan
-from repro.cluster.faults import (
-    FaultDecision,
-    FaultSchedule,
-    FaultyTransport,
-    InjectedFault,
-    InjectedWorkerCrash,
-    ScenarioFaultPlan,
-)
-from repro.cluster.planner import ShardPlan, StaticCostModel, plan_shards
-from repro.cluster.sinks import (
-    JsonlResultSink,
-    ResultSink,
-    load_results,
-    merge_results,
-)
-from repro.cluster.transport import (
-    FilesystemTransport,
-    FrameDecodeError,
-    FrameTooLarge,
-    SocketTransport,
-    TaskSnapshot,
-    Transport,
-    TransportError,
-)
-from repro.cluster.worker import ClusterWorker
+from __future__ import annotations
+
+import importlib
+from types import MappingProxyType
+
+#: Public names re-exported from the submodules, each imported on first
+#: access (PEP 562).  Importing the package imports none of them, so
+#: ``python -m repro.cluster.worker`` runs the worker module once, as
+#: ``__main__``, instead of also importing it as ``repro.cluster.worker``.
+_LAZY = MappingProxyType({
+    "ClusterCoordinator": "repro.cluster.coordinator",
+    "ClusterPlan": "repro.cluster.coordinator",
+    "ClusterWorker": "repro.cluster.worker",
+    "FaultDecision": "repro.cluster.faults",
+    "FaultSchedule": "repro.cluster.faults",
+    "FaultyTransport": "repro.cluster.faults",
+    "InjectedFault": "repro.cluster.faults",
+    "InjectedWorkerCrash": "repro.cluster.faults",
+    "ScenarioFaultPlan": "repro.cluster.faults",
+    "ShardPlan": "repro.cluster.planner",
+    "StaticCostModel": "repro.cluster.planner",
+    "plan_shards": "repro.cluster.planner",
+    "JsonlResultSink": "repro.cluster.sinks",
+    "ResultSink": "repro.cluster.sinks",
+    "load_results": "repro.cluster.sinks",
+    "merge_results": "repro.cluster.sinks",
+    "FilesystemTransport": "repro.cluster.transport",
+    "FrameDecodeError": "repro.cluster.transport",
+    "FrameTooLarge": "repro.cluster.transport",
+    "SocketTransport": "repro.cluster.transport",
+    "TaskSnapshot": "repro.cluster.transport",
+    "Transport": "repro.cluster.transport",
+    "TransportError": "repro.cluster.transport",
+})
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "ClusterCoordinator",
@@ -97,6 +113,8 @@ def run_sharded_sweep(specs, duration, cluster_dir, master_seed=12345,
     protocol, and returns the merged canonical
     :class:`~repro.runtime.sweep.SweepResult`.
     """
+    from repro.cluster.coordinator import ClusterCoordinator
+
     coordinator = ClusterCoordinator(specs, duration, cluster_dir,
                                      master_seed=master_seed,
                                      num_shards=num_shards,
