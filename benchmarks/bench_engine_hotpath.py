@@ -281,13 +281,14 @@ def _pr4_channel_send(self, payload):
     return not lost
 
 
-class _NoGrantCache(dict):
-    """Defeats the EGP's memoised batch grant (PR-4 recomputed per poll)."""
+class _NoGrantSlots:
+    """Defeats the EGP's per-type batch grant slots (PR-4 recomputed the
+    grant on every poll): every slot always reads empty."""
 
-    def get(self, key, default=None):
-        return default
+    def __getitem__(self, index):
+        return None
 
-    def __setitem__(self, key, value):
+    def __setitem__(self, index, value):
         pass
 
 
@@ -340,7 +341,7 @@ def _run_mixed(duration, *, engine_factory=None,
                                timer_elision=timer_elision)
     if no_grant_cache:
         for node in network.nodes.values():
-            node.egp._grant_cache = _NoGrantCache()
+            node.egp._grants = _NoGrantSlots()
     metrics = MetricsCollector(network)
     generator = RequestGenerator(network, _mixed_workload(), metrics=metrics,
                                  seed=12346)

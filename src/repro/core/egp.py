@@ -124,6 +124,9 @@ class EGP(Protocol):
     #: Retransmission interval and limit for EXPIRE notices.
     EXPIRE_RETRY_INTERVAL = 5e-3
     EXPIRE_MAX_RETRIES = 10
+    #: MHP cycles a poll waits before retrying after the QMM could not
+    #: reserve qubits for the selected request.
+    BLOCKED_RETRY_CYCLES = 10
 
     def __init__(self, engine: SimulationEngine, node_name: str, peer_name: str,
                  scenario: ScenarioConfig, device: NVQuantumProcessor,
@@ -176,8 +179,21 @@ class EGP(Protocol):
         #: scheduling pattern (used by benchmarks and equivalence tests).
         self.timer_elision = bool(timer_elision)
         #: granted_batch is pure in (request type, batch, multiplexing,
-        #: timing, loss) and all but the type are fixed per EGP — cache it.
-        self._grant_cache: dict[RequestType, object] = {}
+        #: timing, loss) and all but the type are fixed per EGP, so each
+        #: type's grant is asked for once.  One slot per type, indexed by
+        #: ``request_type is KEEP`` (M at 0, K at 1): no enum hashing on
+        #: the poll path.
+        self._grants: list = [None, None]
+        #: K attempt spacing under the K grant (set with it).
+        self._keep_spacing = 0.0
+        timing = scenario.timing
+        #: Per-instance timing constants of the per-event handlers, each
+        #: computed by the same expression the handlers used inline.
+        self._mhp_cycle = timing.mhp_cycle
+        self._blocked_retry_delay = self.BLOCKED_RETRY_CYCLES * timing.mhp_cycle
+        self._attempt_spacing_k = timing.attempt_spacing_k
+        self._carbon_reinit_period = scenario.gates.carbon_reinit_period
+        self._carbon_reinit_duration = scenario.gates.carbon_reinit_duration
         #: At most one blocking attempt is in flight at a time, so a single
         #: reusable timer serves every reply watchdog without allocating.
         self._reply_watchdog_name = f"{self.name}.reply_watchdog"
@@ -411,7 +427,7 @@ class EGP(Protocol):
                 if math.isfinite(watermark):
                     mhp.notify_work(
                         not_before=mhp.cycle_start(int(watermark)) +
-                        self.scenario.timing.mhp_cycle)
+                        self._mhp_cycle)
                 else:
                     self._engine.note_elided(self._busy_poll_name)
                 return _NO_ATTEMPT
@@ -425,7 +441,7 @@ class EGP(Protocol):
             if pending:
                 mhp.notify_work(
                     not_before=mhp.cycle_start(min(pending)) +
-                    self.scenario.timing.mhp_cycle)
+                    self._mhp_cycle)
             return _NO_ATTEMPT
         item = self.scheduler.select(heads, cycle)
         if item is None:
@@ -440,16 +456,17 @@ class EGP(Protocol):
             allocation: Optional[QubitAllocation] = self.qmm.allocate(_KEEP)
             if allocation is None:
                 self.statistics["allocation_failures"] += 1
-                # Memory is temporarily unavailable: retry a little later.
-                mhp.notify_work(
-                    not_before=now + 10 * self.scenario.timing.mhp_cycle)
+                # Memory is temporarily unavailable: retry a little later
+                # (notify_work's two steps, called directly: about half the
+                # polls of a busy chain end here).
+                mhp.arm_poll(mhp.next_poll_time(
+                    now + self._blocked_retry_delay))
                 return _NO_ATTEMPT
         else:
             allocation = None
             if self.qmm.free_communication_qubits() < 1:
                 self.statistics["allocation_failures"] += 1
-                mhp.notify_work(
-                    not_before=now + 10 * self.scenario.timing.mhp_cycle)
+                mhp.notify_work(not_before=now + self._blocked_retry_delay)
                 return _NO_ATTEMPT
 
         estimate = item.metadata.get("feu_estimate")
@@ -467,18 +484,9 @@ class EGP(Protocol):
                 self.qmm.release(allocation)
             return _NO_ATTEMPT
 
-        # Batching policy belongs to the physics backend: the exact backend
-        # never goes beyond the configured batch size, while the analytic
-        # backend widens the window so runs of failed cycles resolve in O(1)
-        # events (Section 5.1 batched operation).
-        grant = self._grant_cache.get(request_type)
+        grant = self._grants[keep]
         if grant is None:
-            grant = self.backend.granted_batch(
-                request_type, self.attempt_batch_size,
-                self.emission_multiplexing, self.scenario.timing,
-                frame_loss_probability=(
-                    self.scenario.classical.frame_loss_probability))
-            self._grant_cache[request_type] = grant
+            grant = self._grant(request_type)
         batch = grant.batch
         stride = grant.stride
         alpha = estimate.alpha
@@ -502,37 +510,45 @@ class EGP(Protocol):
             # Deterministic spacing of K attempts (t_attempt / r_attempt of
             # Section 4.4): both nodes derive the earliest next attempt from
             # the attempt's cycle, not from when their own REPLY arrives, so
-            # their trigger cycles remain synchronised.  For batches the
-            # next attempt may start one spacing after the batch's last
-            # attempt (shortened again in handle_reply when the REPLY
-            # reports an earlier success).
-            timing = self.scenario.timing
-            if stride == 1:
-                spacing = max(timing.attempt_spacing_k,
-                              batch * timing.mhp_cycle)
-            else:
-                spacing = ((batch - 1) * stride * timing.mhp_cycle
-                           + timing.attempt_spacing_k)
-            self._next_keep_attempt_time = cycle * cycle_time + spacing
+            # their trigger cycles remain synchronised (see _grant for the
+            # spacing).
+            self._next_keep_attempt_time = (cycle * cycle_time
+                                            + self._keep_spacing)
 
         return PollResponse(True, item.queue_id, request_type, alpha,
                             pair_index, request.measure_basis or "Z", False,
                             request.create_id, batch, stride,
                             blocking and self.timer_elision)
 
-    def _reply_sync_time(self, reply: MHPReply) -> float:
-        """Deterministic scheduling floor for ``reply`` (never its arrival).
+    def _grant(self, request_type: RequestType):
+        """Ask the backend for ``request_type``'s batch grant and fill its
+        slot (once per type and EGP).
 
-        The midpoint stamped both REPLYs of the exchange with the same
-        :attr:`MHPReply.close_time` (see
-        :func:`~repro.core.messages.reply_close_time`), so both nodes read
-        the same value and post-REPLY scheduling stays aligned; the cost is
-        that the nearer node idles for the delay asymmetry before its next
-        attempt.
+        Batching policy belongs to the physics backend: the exact backend
+        never goes beyond the configured batch size, while the analytic
+        backend widens the window so runs of failed cycles resolve in O(1)
+        events (Section 5.1 batched operation).
         """
-        close = reply.close_time
-        now = self._engine._now
-        return close if close > now else now
+        grant = self.backend.granted_batch(
+            request_type, self.attempt_batch_size,
+            self.emission_multiplexing, self.scenario.timing,
+            frame_loss_probability=(
+                self.scenario.classical.frame_loss_probability))
+        keep = request_type is _KEEP
+        self._grants[keep] = grant
+        if keep:
+            # A K batch's next attempt may start one spacing after the
+            # batch's last attempt (shortened again in handle_reply when
+            # the REPLY reports an earlier success).
+            timing = self.scenario.timing
+            batch, stride = grant.batch, grant.stride
+            if stride == 1:
+                self._keep_spacing = max(timing.attempt_spacing_k,
+                                         batch * timing.mhp_cycle)
+            else:
+                self._keep_spacing = ((batch - 1) * stride * timing.mhp_cycle
+                                      + timing.attempt_spacing_k)
+        return grant
 
     def _notify_after_reply(self, sync: float,
                             include_busy: bool = False) -> None:
@@ -583,13 +599,12 @@ class EGP(Protocol):
         every ``carbon_reinit_period`` of attempt time (Section D.3.3), which
         is what makes E ~= 1.1 for K requests in the Lab scenario.
         """
-        gates = self.scenario.gates
-        self._keep_attempt_time_since_reinit += (
-            attempts * self.scenario.timing.mhp_cycle)
-        while self._keep_attempt_time_since_reinit >= gates.carbon_reinit_period:
-            self._keep_attempt_time_since_reinit -= gates.carbon_reinit_period
+        period = self._carbon_reinit_period
+        self._keep_attempt_time_since_reinit += attempts * self._mhp_cycle
+        while self._keep_attempt_time_since_reinit >= period:
+            self._keep_attempt_time_since_reinit -= period
             self._busy_until = max(self._busy_until,
-                                   base_time + gates.carbon_reinit_duration)
+                                   base_time + self._carbon_reinit_duration)
 
     def _schedule_reply_watchdog(self, cycle: int, grant=None):
         timing = self.scenario.timing
@@ -615,10 +630,16 @@ class EGP(Protocol):
     # ------------------------------------------------------------------ #
     def handle_reply(self, reply: MHPReply) -> None:
         """Process a RESULT forwarded by the MHP (paper Protocol 2, step 3)."""
-        # All post-REPLY scheduling is floored at the deterministic sync
-        # time so that both nodes pick the same next attempt cycle despite
-        # their different reply delays (see _reply_sync_time).
-        sync = self._reply_sync_time(reply)
+        # All post-REPLY scheduling is floored at a deterministic sync time
+        # (never the arrival time) so that both nodes pick the same next
+        # attempt cycle despite their different reply delays.  The midpoint
+        # stamped both REPLYs of the exchange with the same close time (see
+        # :func:`~repro.core.messages.reply_close_time`); the cost is that
+        # the nearer node idles for the delay asymmetry.
+        sync = reply.close_time
+        now = self._engine._now
+        if sync < now:
+            sync = now
         cycle = reply.cycle
         attempt = self._inflight.pop(cycle, None)
         if self._blocking_cycle == cycle:
@@ -639,12 +660,12 @@ class EGP(Protocol):
                     # instead of after the whole granted window.  Derived
                     # from REPLY fields only, so both nodes stay
                     # synchronised.
-                    timing = self.scenario.timing
-                    attempt_time = (self.mhp.cycle_start(attempt.cycle)
+                    cycle_time = self._mhp_cycle
+                    attempt_time = (attempt.cycle * cycle_time
                                     + (reply.attempts_used - 1)
-                                    * attempt.stride * timing.mhp_cycle)
+                                    * attempt.stride * cycle_time)
                     self._next_keep_attempt_time = (attempt_time
-                                                    + timing.attempt_spacing_k)
+                                                    + self._attempt_spacing_k)
 
         if not reply.success:
             # An MHP error, or no heralded pair.

@@ -26,7 +26,6 @@ attempt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -225,8 +224,9 @@ class NodeMHP(Protocol):
             self.tracer.counter(f"{self.name}.gen")
         cycle_time = self.cycle_time
         cycle = int(now / cycle_time + 1e-9)  # current_cycle(), inlined
-        batch = max(1, int(response.max_attempts))
-        stride = max(1, int(response.attempt_stride))
+        # The EGP grants ints >= 1 (a backend's BatchGrant).
+        batch = response.max_attempts
+        stride = response.attempt_stride
         self._channel.send(GenMessage(self.node_name, response.queue_id,
                                       cycle, response.alpha, now, batch,
                                       stride))
@@ -245,15 +245,6 @@ class NodeMHP(Protocol):
             self.notify_work(self._attempt_window_end)
         else:
             self._engine.note_elided(self._followup_poll_name)
-
-
-@dataclass(slots=True)
-class _PendingGen:
-    """A GEN frame waiting at the midpoint for its counterpart."""
-
-    frame: GenMessage
-    #: Handle of the match-window timeout, cancelled once the peer arrives.
-    timeout: EventHandle
 
 
 class MidpointHeraldingService(Protocol):
@@ -299,10 +290,20 @@ class MidpointHeraldingService(Protocol):
                                   timing.midpoint_delay_b))
         self.match_window = match_window
         self.timer_elision = bool(timer_elision)
+        #: The close time of a one-attempt exchange (every unmatched or
+        #: mismatched GEN) is ``cycle * cycle_time + margin``, the margin
+        #: being :func:`reply_close_time` at cycle 0: the formula's
+        #: one-attempt ``resolved`` term is ``0.0``, and adding it leaves
+        #: the float unchanged.
+        self._cycle_time = timing.mhp_cycle
+        self._close_margin = reply_close_time(timing, 0)
         self._match_timeout_name = f"{self.name}.match_timeout"
         self._batched_reply_name = f"{self.name}.batched_reply"
         self._channels: dict[str, ClassicalChannel] = {}
-        self._pending: dict[int, _PendingGen] = {}
+        #: GEN frames waiting for their counterpart, by cycle: the frame
+        #: and the handle of its match-window timeout (cancelled once the
+        #: peer's GEN arrives).
+        self._pending: dict[int, tuple[GenMessage, EventHandle]] = {}
         #: Attempt model per alpha.  The scenario is fixed, so this skips
         #: hashing the whole ``ScenarioConfig`` in the backend's memo on
         #: every attempt window.
@@ -342,45 +343,44 @@ class MidpointHeraldingService(Protocol):
         """Current midpoint sequence number (number of successes so far)."""
         return self._sequence
 
-    def receive(self, frame: object) -> None:
-        """Entry point for GEN frames arriving from either node."""
-        if not isinstance(frame, GenMessage):
-            raise TypeError(f"unexpected midpoint frame {type(frame).__name__}")
-        self._handle_gen(frame)
-
     # ------------------------------------------------------------------ #
     # GEN matching
     # ------------------------------------------------------------------ #
-    def _handle_gen(self, frame: GenMessage) -> None:
+    def receive(self, frame: object) -> None:
+        """Entry point for GEN frames arriving from either node: pair the
+        frame with its cycle's counterpart, or wait for it."""
+        if not isinstance(frame, GenMessage):
+            raise TypeError(f"unexpected midpoint frame {type(frame).__name__}")
         cycle = frame.cycle
         pending = self._pending.get(cycle)
         if pending is None:
             engine = self._engine
-            self._pending[cycle] = _PendingGen(frame, engine.schedule_at(
+            self._pending[cycle] = (frame, engine.schedule_at(
                 engine._now + self.match_window, self._expire_pending,
                 self._match_timeout_name, (cycle,)))
             return
-        if pending.frame.origin == frame.origin:
+        first, timeout = pending
+        if first.origin == frame.origin:
             # Duplicate from the same node (e.g. after retransmission): keep
             # the newer frame and continue waiting for the peer.
-            pending.frame = frame
+            self._pending[cycle] = (frame, timeout)
             return
         del self._pending[cycle]
-        pending.timeout.cancel()
-        self._process_pair(pending.frame, frame)
+        timeout.cancel()
+        self._process_pair(first, frame)
 
     def _expire_pending(self, cycle: int) -> None:
         pending = self._pending.pop(cycle, None)
         if pending is None:
             return
         self.statistics["unmatched"] += 1
-        frame = pending.frame
+        frame = pending[0]
         if self.tracer is not None:
             self.tracer.event(self.now, f"{self.name}.cycle", cycle=cycle,
                               outcome="unmatched", origin=frame.origin)
         reply = MHPReply(0, self._sequence, frame.queue_id, None,
                          MHPError.NO_MESSAGE_OTHER, cycle, None, 1, 1,
-                         reply_close_time(self.scenario.timing, cycle))
+                         cycle * self._cycle_time + self._close_margin)
         self._send_reply(frame.origin, reply)
 
     def _process_pair(self, first: GenMessage, second: GenMessage) -> None:
@@ -396,7 +396,7 @@ class MidpointHeraldingService(Protocol):
             if self.tracer is not None:
                 self.tracer.event(now, f"{self.name}.cycle", cycle=cycle,
                                   outcome="queue_mismatch")
-            close = reply_close_time(timing, cycle)
+            close = cycle * self._cycle_time + self._close_margin
             for frame, peer in ((frame_a, frame_b), (frame_b, frame_a)):
                 reply = MHPReply(0, self._sequence, frame.queue_id,
                                  peer.queue_id, MHPError.QUEUE_MISMATCH,
@@ -456,14 +456,15 @@ class MidpointHeraldingService(Protocol):
         channel = self._channels.get(node_name)
         if channel is None:
             raise RuntimeError(f"no channel registered for node {node_name}")
-        if self.timer_elision:
+        if delay <= 0:
+            # Every NO_MESSAGE_OTHER and QUEUE_MISMATCH reply, and a
+            # batch's first-attempt outcome.
+            channel.send(reply)
+        elif self.timer_elision:
             # One event per delayed reply (delivery at delay + channel
             # delay) instead of an intermediate hand-over event per window.
-            if delay > 0:
-                self._engine.note_elided(self._batched_reply_name)
+            self._engine.note_elided(self._batched_reply_name)
             channel.send_delayed(reply, delay)
-        elif delay <= 0:
-            channel.send(reply)
         else:
             self.call_after(delay, channel.send, args=(reply,),
                             name=self._batched_reply_name)

@@ -24,9 +24,10 @@ def _count_free(slots: list[QubitSlot]) -> int:
     return count
 
 
-@dataclass
+@dataclass(slots=True)
 class QubitAllocation:
-    """Qubits reserved for one entanglement attempt."""
+    """Qubits reserved for one entanglement attempt (one per granted poll,
+    so slotted and built positionally)."""
 
     communication: QubitSlot
     storage: Optional[QubitSlot] = None
@@ -91,10 +92,11 @@ class QuantumMemoryManager:
         Measure-directly attempts only need the communication qubit;
         create-and-keep attempts additionally reserve a storage qubit.
         Returns ``None`` (and counts a failure) when the reservation cannot
-        be satisfied right now.  Takes the first free slot of each role
-        directly rather than through :meth:`NVQuantumProcessor.reserve`,
-        which raises: about half the polls of a busy chain fail here, and
-        a failure should not build, format and catch an exception.
+        be satisfied right now; a failed allocation changes no slot.  Takes
+        the first free slot of each role directly rather than through
+        :meth:`NVQuantumProcessor.reserve`, which raises: about half the
+        polls of a busy chain fail here, and a failure should not build,
+        format and catch an exception.
         """
         device = self.device
         for communication in device.communication_slots:
@@ -103,18 +105,19 @@ class QuantumMemoryManager:
         else:
             self.allocation_failures += 1
             return None
-        communication.in_use = True
         storage: Optional[QubitSlot] = None
         if request_type is RequestType.KEEP:
+            # Found before anything is reserved, so a full memory (the
+            # common failure of a busy chain) leaves every slot untouched.
             for storage in device.memory_slots:
                 if not storage.in_use:
                     break
             else:
-                device.release(communication)
                 self.allocation_failures += 1
                 return None
             storage.in_use = True
-        return QubitAllocation(communication=communication, storage=storage)
+        communication.in_use = True
+        return QubitAllocation(communication, storage)
 
     def release(self, allocation: QubitAllocation,
                 keep_storage: bool = False) -> None:

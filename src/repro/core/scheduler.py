@@ -69,6 +69,10 @@ class FCFSScheduler(SchedulingStrategy):
 
     def select(self, ready_items: Sequence[QueueItem],
                cycle: int) -> Optional[QueueItem]:
+        if len(ready_items) == 1:
+            # A lone head (one busy lane) is the choice: skip min()'s key
+            # calls.
+            return ready_items[0]
         if not ready_items:
             return None
         return min(ready_items, key=arrival_key)

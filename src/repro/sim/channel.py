@@ -111,10 +111,11 @@ class ClassicalChannel(Entity):
             self.messages_lost += 1
         else:
             # Positional args instead of a closure: no per-send lambda;
-            # scheduled directly on the engine to skip a dispatch hop.
+            # scheduled directly on the engine to skip a dispatch hop, and
+            # positionally to skip keyword matching.
             engine = self._engine
             engine.schedule_at(engine._now + self.delay, self._receiver,
-                               name=self._deliver_name, args=(payload,))
+                               self._deliver_name, (payload,))
         if self.record_history:
             self.history.append(ChannelDelivery(
                 sent_at=self.now,

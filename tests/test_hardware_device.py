@@ -87,6 +87,58 @@ class TestQmmAllocation:
         assert allocation is not None and allocation.storage is None
         assert qmm.allocation_failures == 1
 
+    @staticmethod
+    def _slot_states(device):
+        return [(slot.in_use, slot.pair, dict(slot.metadata))
+                for slot in device.slots]
+
+    @staticmethod
+    def _mark_free_slots(device):
+        """Give every free slot a pair and metadata, so a release of a slot
+        the allocation never reserved would show."""
+        for slot in device.slots:
+            if not slot.in_use:
+                slot.pair = make_pair()
+                slot.metadata["mark"] = slot.qubit_id
+
+    def test_failed_keep_allocation_with_full_memory_changes_no_slot(
+            self, rng, monkeypatch):
+        device = NVQuantumProcessor("A", NVGateParameters(),
+                                    num_communication=2, num_memory=2,
+                                    rng=rng)
+        qmm = QuantumMemoryManager(device)
+        for slot in device.memory_slots:
+            slot.in_use = True
+            slot.pair = make_pair()
+        self._mark_free_slots(device)
+        before = self._slot_states(device)
+        released = []
+        monkeypatch.setattr(device, "release", released.append)
+        assert qmm.allocate(RequestType.KEEP) is None
+        assert self._slot_states(device) == before
+        assert released == []
+        assert qmm.allocation_failures == 1
+
+    @pytest.mark.parametrize("request_type", list(RequestType))
+    def test_failed_allocation_with_busy_communication_changes_no_slot(
+            self, rng, monkeypatch, request_type):
+        device = NVQuantumProcessor("A", NVGateParameters(),
+                                    num_communication=1, num_memory=2,
+                                    rng=rng)
+        qmm = QuantumMemoryManager(device)
+        busy = device.communication_slots[0]
+        busy.in_use = True
+        busy.pair = make_pair()
+        busy.metadata["attempt"] = 3
+        self._mark_free_slots(device)
+        before = self._slot_states(device)
+        released = []
+        monkeypatch.setattr(device, "release", released.append)
+        assert qmm.allocate(request_type) is None
+        assert self._slot_states(device) == before
+        assert released == []
+        assert qmm.allocation_failures == 1
+
     def test_allocate_takes_first_free_slot_of_each_role(self, rng):
         device = NVQuantumProcessor("B", NVGateParameters(),
                                     num_communication=2, num_memory=3,

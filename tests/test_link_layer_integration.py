@@ -258,3 +258,61 @@ class TestRobustnessToClassicalLoss:
         # EXPIRE-based recovery may or may not trigger, but must never deadlock
         # the protocol: the midpoint keeps processing attempts throughout.
         assert network.midpoint.statistics["attempts"] > 1000
+
+
+class _CountingGrants:
+    """One EGP's view of its backend that records every batch grant."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.grants: dict = {}
+        self.calls: list = []
+
+    def granted_batch(self, request_type, *args, **kwargs):
+        grant = self._backend.granted_batch(request_type, *args, **kwargs)
+        self.calls.append(request_type)
+        self.grants[request_type] = grant
+        return grant
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+
+class TestBatchGrant:
+    def test_grant_is_asked_once_per_type_and_used_as_given(self):
+        from repro.hardware.parameters import ql2020_scenario
+        from repro.runtime.workload import RequestGenerator, WorkloadSpec
+
+        network = make_network(ql2020_scenario(), seed=12345,
+                               attempt_batch_size=100, backend="analytic")
+        seen = {}
+        for name, node in network.nodes.items():
+            egp = node.egp
+            egp.backend = _CountingGrants(egp.backend)
+            responses = seen[name] = []
+
+            def poll(handle=egp.handle_poll, responses=responses):
+                response = handle()
+                if response.attempt:
+                    responses.append(response)
+                return response
+
+            node.mhp.poll_callback = poll
+        generator = RequestGenerator(network, [
+            WorkloadSpec(priority=Priority.CK, load_fraction=0.99,
+                         max_pairs=1, min_fidelity=0.6),
+            WorkloadSpec(priority=Priority.MD, load_fraction=0.6,
+                         max_pairs=3, min_fidelity=0.55)], seed=12346)
+        generator.start()
+        network.run(2.0)
+
+        for name, node in network.nodes.items():
+            counting = node.egp.backend
+            assert sorted(counting.calls, key=lambda t: t.value) == [
+                RequestType.KEEP, RequestType.MEASURE]
+            types = {response.request_type for response in seen[name]}
+            assert types == {RequestType.KEEP, RequestType.MEASURE}
+            for response in seen[name]:
+                grant = counting.grants[response.request_type]
+                assert (response.max_attempts, response.attempt_stride) == (
+                    grant.batch, grant.stride)

@@ -120,6 +120,22 @@ def test_unmatched_gen_is_stamped(station):
     assert_stamped(reply, timing)
 
 
+def test_unmatched_gen_is_stamped_at_every_cycle(station):
+    """The midpoint stamps one-attempt REPLYs from a per-instance margin;
+    its float must equal the formula's at any cycle, not just small ones."""
+    engine, timing, midpoint, received = station
+    rng = np.random.default_rng(5)
+    cycles = [0, 1, 2, 3, 99, 12345, 2**31 - 1, 2**40 + 7]
+    cycles += [int(c) for c in rng.integers(0, 2**45, size=300)]
+    for cycle in cycles:
+        midpoint.receive(_gen("B", (1, 2), cycle))
+    engine.run()
+    assert len(received["B"]) == len(cycles)
+    for reply in received["B"]:
+        assert reply.error is MHPError.NO_MESSAGE_OTHER
+        assert_stamped(reply, timing)
+
+
 def _record_replies(network, replies: list) -> None:
     """Wrap each node MHP's REPLY callback to record what it forwards."""
     for node in network.nodes.values():
