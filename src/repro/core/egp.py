@@ -540,14 +540,13 @@ class EGP(Protocol):
             # A K batch's next attempt may start one spacing after the
             # batch's last attempt (shortened again in handle_reply when
             # the REPLY reports an earlier success).
-            timing = self.scenario.timing
             batch, stride = grant.batch, grant.stride
             if stride == 1:
-                self._keep_spacing = max(timing.attempt_spacing_k,
-                                         batch * timing.mhp_cycle)
+                self._keep_spacing = max(self._attempt_spacing_k,
+                                         batch * self._mhp_cycle)
             else:
-                self._keep_spacing = ((batch - 1) * stride * timing.mhp_cycle
-                                      + timing.attempt_spacing_k)
+                self._keep_spacing = ((batch - 1) * stride * self._mhp_cycle
+                                      + self._attempt_spacing_k)
         return grant
 
     def _notify_after_reply(self, sync: float,
