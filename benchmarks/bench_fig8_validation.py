@@ -16,16 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import print_table
-from repro.hardware.heralding import HeraldedStateSampler
+from repro.backends import DensityMatrixBackend
 
 ALPHAS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
 
 
 def compute_validation_curve(scenario, alphas=ALPHAS):
     """Return (alpha, fidelity, p_succ) rows for the scenario."""
+    backend = DensityMatrixBackend()
     rows = []
     for alpha in alphas:
-        sampler = HeraldedStateSampler.for_scenario(scenario, alpha)
+        sampler = backend.attempt_model(scenario, alpha).sampler
         rows.append((alpha, sampler.average_success_fidelity(),
                      sampler.success_probability))
     return rows
@@ -55,7 +56,7 @@ def test_fig8_lab_validation_curve(benchmark, lab_config):
 def test_fig8_success_probability_monte_carlo_agreement(benchmark, lab_config):
     """Monte-Carlo sampling agrees with the analytic outcome distribution."""
     rng = np.random.default_rng(1234)
-    sampler = HeraldedStateSampler.for_scenario(lab_config, 0.4)
+    sampler = DensityMatrixBackend().attempt_model(lab_config, 0.4).sampler
 
     def sample_rate(trials=20000):
         hits = sum(sampler.sample(rng).is_success for _ in range(trials))

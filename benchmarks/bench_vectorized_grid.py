@@ -1,19 +1,19 @@
 """Vectorized cohort throughput: a 64-scenario analytic grid in one process.
 
-The cohort executor (``repro.runtime.batch`` over
-``repro.backends.vectorized``) advances many analytic scenarios through one
-shared backend, which serves the per-delivery pair physics (decay /
-dephasing / correction / measurement collapse) from key-chained memoization
-instead of recomputing it per member.  FEU fidelity tables are not part of
-the difference: every backend instance builds each distinct hardware
-config's table once (``PhysicsBackend.feu_table``), so the solo loop below
-shares them through its own fresh ``AnalyticBackend`` just as the cohort
-shares them through its fresh vectorized backend.  An untimed warm-up fills
-the process-wide attempt-model caches first, so both paths start from the
-same state whichever benchmarks ran before in the process.  Per-member
-results stay bit-identical to solo runs (pinned in
-``tests/test_vectorized.py`` and re-asserted here), so the speedup is pure
-throughput.
+The cohort executor (``repro.runtime.batch``) advances many analytic
+scenarios through one shared ``AnalyticBackend``.  Neither FEU tables nor
+pair physics are part of the difference any more: every backend instance
+builds each distinct hardware config's table once
+(``PhysicsBackend.feu_table``) and replays a recorded pair-physics step
+(decay / dephasing / correction / measurement collapse) from its
+key-chained memo instead of recomputing it, so the solo loop below gets
+both through its own fresh ``AnalyticBackend`` just as the cohort does
+through its fresh one.  What is left to the cohort is the interleaved
+advancement of its members.  An untimed warm-up runs one scenario per
+hardware config first, so both paths start from the same state whichever
+benchmarks ran before in the process.  Per-member results stay
+bit-identical to solo runs (pinned in ``tests/test_vectorized.py`` and
+re-asserted here), so the speedup is pure throughput.
 
 This benchmark runs the same ≥64-scenario analytic grid twice in one
 process — once per-scenario, once as a single cohort — and records both

@@ -27,6 +27,18 @@ examples) accepts a backend name or instance; when none is given the
 A name always builds a fresh instance, owned by the run it is given to.
 Code that runs many scenarios — a sweep, a pool worker process, a cluster
 worker — owns a :class:`BackendSet` and passes its instances down.
+
+Memos
+-----
+Every backend memoizes per instance what never changes for it: attempt
+models, FEU tables and pair physics.  Device noise on a delivered pair is a
+chain of deterministic steps from one of a handful of herald states, so
+:class:`PhysicsBackend` replays a step it has recorded (keyed by the
+state's chain key and the step's parameters) as a copy of the recorded
+matrix, and draws readout outcomes with the exact arithmetic of
+``rng.choice``; results are bit-identical to recomputing every step.  An
+analytic cohort (:mod:`repro.runtime.batch`) shares one plain
+:class:`AnalyticBackend`, and with it these memos, across its members.
 """
 
 from __future__ import annotations
@@ -43,7 +55,6 @@ from repro.backends.base import (
     PhysicsBackend,
 )
 from repro.backends.density import DensityAttemptModel, DensityMatrixBackend
-from repro.backends.vectorized import VectorizedAnalyticBackend
 
 #: Environment variable consulted when no backend is passed explicitly.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -128,7 +139,6 @@ __all__ = [
     "DensityMatrixBackend",
     "HeraldSample",
     "PhysicsBackend",
-    "VectorizedAnalyticBackend",
     "available_backends",
     "default_backend_name",
     "get_backend",

@@ -87,6 +87,7 @@ def _scale_one_sided_coherences(state: DensityMatrix, side_index: int,
     """Multiply the coherences of one side by ``factor`` (dephasing / Z)."""
     matrix = state.matrix
     matrix[_DIFFER_MASK[side_index]] *= factor
+    state.chain_key = None
 
 
 def _amplitude_damping_ops(probability: float) -> list[np.ndarray]:
@@ -272,34 +273,30 @@ class AnalyticAttemptModel(AttemptModel):
     # ------------------------------------------------------------------ #
     # Sampling — same random-number consumption as the exact sampler
     # ------------------------------------------------------------------ #
+    def _herald(self, code: int,
+                matrix: Optional[np.ndarray]) -> HeraldSample:
+        """A fresh heralded state of outcome ``code``, keyed by its root."""
+        if matrix is None:
+            return _FAILURE
+        state = DensityMatrix(matrix.copy(), validate=False)
+        state.chain_key = self.root_keys.get(code)
+        return HeraldSample(outcome_code=code, state=state)
+
     def _success_sample(self, rng: np.random.Generator) -> HeraldSample:
         """Draw an outcome conditioned on success (one uniform draw)."""
         if self._p_success <= 0:
             raise RuntimeError("scenario has zero success probability")
-        draw = rng.random()
-        if draw < self._p_minus / self._p_success:
-            code, matrix = 2, self._state_minus
-        else:
-            code, matrix = 1, self._state_plus
-        if matrix is None:
-            return _FAILURE
-        return HeraldSample(outcome_code=code,
-                            state=DensityMatrix(matrix.copy(),
-                                                validate=False))
+        if rng.random() < self._p_minus / self._p_success:
+            return self._herald(2, self._state_minus)
+        return self._herald(1, self._state_plus)
 
     def sample(self, rng: np.random.Generator) -> HeraldSample:
         draw = rng.random()
         if draw < self._p_minus:
-            code, matrix = 2, self._state_minus
-        elif draw < self._p_success:
-            code, matrix = 1, self._state_plus
-        else:
-            return _FAILURE
-        if matrix is None:
-            return _FAILURE
-        return HeraldSample(outcome_code=code,
-                            state=DensityMatrix(matrix.copy(),
-                                                validate=False))
+            return self._herald(2, self._state_minus)
+        if draw < self._p_success:
+            return self._herald(1, self._state_plus)
+        return _FAILURE
 
     def resolve(self, rng: np.random.Generator,
                 max_attempts: int) -> tuple[int, HeraldSample]:
@@ -392,8 +389,8 @@ class AnalyticBackend(PhysicsBackend):
     # ------------------------------------------------------------------ #
     # Local device physics — direct contractions on the 4x4 pair state
     # ------------------------------------------------------------------ #
-    def apply_t1t2(self, pair: "EntangledPair", side: str,
-                   coherence: "CoherenceTimes", duration: float) -> None:
+    def _apply_t1t2(self, pair: "EntangledPair", side: str,
+                    coherence: "CoherenceTimes", duration: float) -> None:
         p_relax, extra = _t1t2_parameters(duration, coherence.t1,
                                           coherence.t2)
         index = _side_index(side)
@@ -403,30 +400,29 @@ class AnalyticBackend(PhysicsBackend):
         if extra > 0:
             _scale_one_sided_coherences(pair.state, index, 1.0 - 2.0 * extra)
 
-    def apply_depolarizing(self, pair: "EntangledPair", side: str,
-                           fidelity: float) -> None:
+    def _apply_depolarizing(self, pair: "EntangledPair", side: str,
+                            fidelity: float) -> None:
         from repro.quantum.noise import depolarizing_kraus
 
         apply_one_sided_channel(pair.state, _side_index(side),
                                 depolarizing_kraus(fidelity))
 
-    def apply_dephasing(self, pair: "EntangledPair", side: str,
-                        probability: float) -> None:
+    def _apply_dephasing(self, pair: "EntangledPair", side: str,
+                         probability: float) -> None:
         _scale_one_sided_coherences(pair.state, _side_index(side),
                                     1.0 - 2.0 * probability)
 
-    def apply_correction(self, pair: "EntangledPair", side: str,
-                         gate_fidelity: float) -> None:
+    def _apply_correction(self, pair: "EntangledPair", side: str,
+                          gate_fidelity: float) -> None:
         _scale_one_sided_coherences(pair.state, _side_index(side), -1.0)
         if gate_fidelity < 1.0:
-            self.apply_depolarizing(pair, side, gate_fidelity)
+            self._apply_depolarizing(pair, side, gate_fidelity)
 
-    def measure_pair(self, pair: "EntangledPair", side: str, basis: str,
-                     readout_fidelity_0: float, readout_fidelity_1: float,
-                     rng: np.random.Generator) -> int:
+    def _povm_distribution(self, pair: "EntangledPair", side: str,
+                           basis: str, readout_fidelity_0: float,
+                           readout_fidelity_1: float) -> np.ndarray:
         operators = self._measurement_operators(
-            _side_index(side), basis.upper(), readout_fidelity_0,
-            readout_fidelity_1)
+            _side_index(side), basis, readout_fidelity_0, readout_fidelity_1)
         rho = pair.state.matrix
         probabilities = np.array([
             max(float(np.real(np.einsum("ij,ji->", element, rho))), 0.0)
@@ -434,14 +430,20 @@ class AnalyticBackend(PhysicsBackend):
         total = probabilities.sum()
         if total <= 0:
             raise RuntimeError("POVM probabilities sum to zero")
-        outcome = int(rng.choice(len(operators), p=probabilities / total))
-        kraus, _ = operators[outcome]
+        return probabilities / total
+
+    def _povm_branch(self, pair: "EntangledPair", side: str, basis: str,
+                     readout_fidelity_0: float, readout_fidelity_1: float,
+                     outcome: int) -> np.ndarray:
+        kraus, _ = self._measurement_operators(
+            _side_index(side), basis, readout_fidelity_0,
+            readout_fidelity_1)[outcome]
+        rho = pair.state.matrix
         post = kraus @ rho @ kraus.conj().T
         norm = float(np.real(np.trace(post)))
         if norm <= 0:
             raise RuntimeError("POVM produced zero-probability branch")
-        pair.state.update_matrix(post / norm)
-        return outcome
+        return post / norm
 
     def _measurement_operators(self, side_index: int, basis: str,
                                readout_fidelity_0: float,

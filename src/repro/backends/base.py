@@ -13,12 +13,27 @@ asks, so the MHP/EGP/FEU never touch a concrete quantum model directly:
   attempt dephasing, the Psi-/Psi+ correction and noisy readout applied to
   one side of a stored :class:`~repro.hardware.pair.EntangledPair`.
 * **FEU tables** — per-``alpha`` fidelities.
+* **Pair-physics memo** — device noise on a delivered pair is a chain of
+  deterministic steps applied to one of a handful of herald states, so a
+  repeated step is replayed, not recomputed (see below).
 * **Batching policy** — how many MHP cycles one GEN/REPLY exchange may cover
   (:meth:`PhysicsBackend.granted_batch`), which is where an approximate
   backend may trade event-level granularity for wall-clock speed.
 
-Attempt models and FEU tables are memoized per backend instance, never per
-process, so a run's cost depends only on the backend it was given.
+Attempt models, FEU tables and pair physics are memoized per backend
+instance, never per process, so a run's cost depends only on the backend it
+was given.
+
+The pair-physics memo wraps the subclasses' single-shot ops.  A state
+carries a *chain key* (``DensityMatrix.chain_key``): equal keys mean
+bitwise-equal matrices.  The herald states one attempt model emits for one
+outcome share a root key, every ``(in-key, step)`` maps to one recorded
+output, and every ``DensityMatrix`` method that changes the matrix drops the
+key.  A recorded step is served as a copy of the recorded matrix; the first
+occurrence always runs the subclass's own arithmetic, so every matrix is
+bit-identical to an unmemoized run.  Readout draws consume the generator
+exactly as ``rng.choice(n, p=)`` would (:func:`~repro.quantum.measurement
+.choice_cdf`), memoized or not.
 
 Two implementations ship with the repo: the exact
 :class:`~repro.backends.density.DensityMatrixBackend` and the closed-form
@@ -29,6 +44,8 @@ Two implementations ship with the repo: the exact
 from __future__ import annotations
 
 import abc
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, TYPE_CHECKING
@@ -36,6 +53,7 @@ from typing import Mapping, Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.quantum.density import DensityMatrix
+from repro.quantum.measurement import choice_cdf
 from repro.quantum.states import BellIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -107,6 +125,11 @@ class AttemptModel(abc.ABC):
     fast-forwarded batch of attempts).
     """
 
+    #: Chain keys of the heralded states by outcome code (1 |Psi+>,
+    #: 2 |Psi->), handed out by the backend that built the model; a model
+    #: built on its own heralds unkeyed states.
+    root_keys: Mapping[int, int] = MappingProxyType({})
+
     @property
     @abc.abstractmethod
     def success_probability(self) -> float:
@@ -150,13 +173,22 @@ class PhysicsBackend(abc.ABC):
     name: str = "abstract"
     #: The :class:`AttemptModel` type, built from ``(scenario, alpha)``.
     attempt_model_class: type[AttemptModel]
-    #: Bounds of the attempt-model and FEU table memos (overflow clears).
+    #: Bounds of the attempt-model, FEU table and pair-physics memos
+    #: (overflow clears; chains then restart from fresh keys).
     ATTEMPT_MODEL_CACHE_SIZE = 256
     FEU_TABLE_CACHE_SIZE = 256
+    PAIR_MEMO_SIZE = 4096
 
     def __init__(self) -> None:
         self._attempt_models: dict[tuple, AttemptModel] = {}
         self._feu_tables: dict[tuple, Mapping] = {}
+        self._chain_keys = itertools.count(1)
+        #: ``(in-key, step)`` -> ``(out-key, matrix)``, or a :class:`_Readout`
+        #: for a measurement step.
+        self._pair_memo: dict[tuple, object] = {}
+        #: Keyed pair-physics calls served from the memo / computed.
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     # ------------------------------------------------------------------ #
     # Heralding
@@ -172,6 +204,8 @@ class PhysicsBackend(abc.ABC):
                 self._attempt_models.clear()
             model = self._attempt_models[key] = self.attempt_model_class(
                 scenario, float(alpha))
+            model.root_keys = {1: next(self._chain_keys),
+                               2: next(self._chain_keys)}
         return model
 
     def feu_table(self, scenario: "ScenarioConfig",
@@ -229,38 +263,153 @@ class PhysicsBackend(abc.ABC):
         return BatchGrant(1, 1)
 
     # ------------------------------------------------------------------ #
-    # Local device physics (one side of a stored pair)
+    # Local device physics (one side of a stored pair), memoized
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def apply_t1t2(self, pair: "EntangledPair", side: str,
                    coherence: "CoherenceTimes", duration: float) -> None:
         """T1/T2 decay of one side of ``pair`` over ``duration`` seconds."""
+        self._memoized(pair, ("t1t2", side, coherence.t1, coherence.t2,
+                              duration),
+                       self._apply_t1t2, side, coherence, duration)
 
-    @abc.abstractmethod
     def apply_depolarizing(self, pair: "EntangledPair", side: str,
                            fidelity: float) -> None:
         """Depolarising gate noise with no-error probability ``fidelity``."""
+        self._memoized(pair, ("depol", side, fidelity),
+                       self._apply_depolarizing, side, fidelity)
 
-    @abc.abstractmethod
     def apply_dephasing(self, pair: "EntangledPair", side: str,
                         probability: float) -> None:
         """Dephasing channel with Z-flip probability ``probability``."""
+        self._memoized(pair, ("deph", side, probability),
+                       self._apply_dephasing, side, probability)
 
-    @abc.abstractmethod
     def apply_correction(self, pair: "EntangledPair", side: str,
                          gate_fidelity: float) -> None:
         """Local Z gate converting |Psi-> into |Psi+> (Eq. 13), with
         depolarising gate noise when ``gate_fidelity < 1``."""
+        self._memoized(pair, ("corr", side, gate_fidelity),
+                       self._apply_correction, side, gate_fidelity)
 
-    @abc.abstractmethod
     def measure_pair(self, pair: "EntangledPair", side: str, basis: str,
                      readout_fidelity_0: float, readout_fidelity_1: float,
                      rng: np.random.Generator) -> int:
         """Noisy electron readout of one side of ``pair`` in ``basis``.
 
         Collapses the pair state so that the peer's subsequent measurement
-        sees the correct conditional state.
+        sees the correct conditional state.  The outcome is one ``random()``
+        draw searched in the distribution's :func:`choice_cdf`, exactly the
+        draw ``rng.choice(n, p=)`` makes.
         """
+        basis = basis.upper()
+        args = (side, basis, readout_fidelity_0, readout_fidelity_1)
+        state = pair.state
+        if state.chain_key is None:
+            outcome = bisect_right(
+                choice_cdf(self._povm_distribution(pair, *args)),
+                rng.random())
+            state.update_matrix(self._povm_branch(pair, *args, outcome))
+            return outcome
+        key = (state.chain_key, ("measure",) + args)
+        readout = self._pair_memo.get(key)
+        served = readout is not None
+        if not served:
+            readout = self._record(key, _Readout(
+                choice_cdf(self._povm_distribution(pair, *args))))
+        outcome = bisect_right(readout.cdf, rng.random())
+        branch = readout.branches.get(outcome)
+        if branch is None:
+            served = False
+            branch = readout.branches[outcome] = (
+                next(self._chain_keys),
+                self._povm_branch(pair, *args, outcome))
+        if served:
+            self.memo_hits += 1
+        else:
+            self.memo_misses += 1
+        out_key, matrix = branch
+        state.update_matrix(matrix.copy())
+        state.chain_key = out_key
+        return outcome
+
+    def _memoized(self, pair: "EntangledPair", step: tuple, apply,
+                  *args) -> None:
+        """``apply(pair, *args)``, replayed from the memo when this step was
+        recorded on a state with the same chain key."""
+        state = pair.state
+        if state.chain_key is None:
+            apply(pair, *args)
+            return
+        key = (state.chain_key, step)
+        recorded = self._pair_memo.get(key)
+        if recorded is not None:
+            self.memo_hits += 1
+            out_key, matrix = recorded
+            # Always a copy: the subclass ops may scale a state's matrix in
+            # place, which must never reach a recorded one.
+            state.update_matrix(matrix.copy())
+            state.chain_key = out_key
+            return
+        self.memo_misses += 1
+        apply(pair, *args)
+        state = pair.state
+        out_key = next(self._chain_keys)
+        self._record(key, (out_key, state.matrix.copy()))
+        state.chain_key = out_key
+
+    def _record(self, key: tuple, value):
+        if len(self._pair_memo) >= self.PAIR_MEMO_SIZE:
+            self._pair_memo.clear()
+        self._pair_memo[key] = value
+        return value
+
+    # The subclasses' single-shot physics.  Each acts on ``pair.state``
+    # directly and never calls a memoized op itself.
+    @abc.abstractmethod
+    def _apply_t1t2(self, pair: "EntangledPair", side: str,
+                    coherence: "CoherenceTimes", duration: float) -> None:
+        """Unmemoized :meth:`apply_t1t2`."""
+
+    @abc.abstractmethod
+    def _apply_depolarizing(self, pair: "EntangledPair", side: str,
+                            fidelity: float) -> None:
+        """Unmemoized :meth:`apply_depolarizing`."""
+
+    @abc.abstractmethod
+    def _apply_dephasing(self, pair: "EntangledPair", side: str,
+                         probability: float) -> None:
+        """Unmemoized :meth:`apply_dephasing`."""
+
+    @abc.abstractmethod
+    def _apply_correction(self, pair: "EntangledPair", side: str,
+                          gate_fidelity: float) -> None:
+        """Unmemoized :meth:`apply_correction`."""
+
+    @abc.abstractmethod
+    def _povm_distribution(self, pair: "EntangledPair", side: str,
+                           basis: str, readout_fidelity_0: float,
+                           readout_fidelity_1: float) -> np.ndarray:
+        """Normalised outcome probabilities of the readout (``basis`` is
+        upper case); changes nothing."""
+
+    @abc.abstractmethod
+    def _povm_branch(self, pair: "EntangledPair", side: str, basis: str,
+                     readout_fidelity_0: float, readout_fidelity_1: float,
+                     outcome: int) -> np.ndarray:
+        """Normalised post-measurement matrix of ``outcome``; changes
+        nothing."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"<{self.__class__.__name__} {self.name!r}>"
+
+
+class _Readout:
+    """A memoized measurement step: the draw's CDF and the collapsed
+    branches, recorded as outcomes occur."""
+
+    __slots__ = ("cdf", "branches")
+
+    def __init__(self, cdf: list[float]) -> None:
+        self.cdf = cdf
+        #: outcome -> (chain key, normalised post-measurement matrix)
+        self.branches: dict[int, tuple[int, np.ndarray]] = {}

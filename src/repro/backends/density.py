@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.backends.base import AttemptModel, HeraldSample, PhysicsBackend
 from repro.quantum import noise
+from repro.quantum.density import DensityMatrix
 from repro.quantum.measurement import readout_kraus
 from repro.quantum.states import BellIndex, bell_state
 
@@ -23,22 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.messages import RequestType
     from repro.hardware.pair import EntangledPair
     from repro.hardware.parameters import CoherenceTimes, ScenarioConfig
-
-
-def _sample_from_outcome(outcome) -> HeraldSample:
-    """Convert a heralding :class:`AttemptOutcome` into a HeraldSample."""
-    from repro.hardware.heralding import HeraldingOutcome
-
-    if outcome.outcome is HeraldingOutcome.PSI_PLUS:
-        code = 1
-    elif outcome.outcome is HeraldingOutcome.PSI_MINUS:
-        code = 2
-    else:
-        code = 0
-    state = None
-    if code and outcome.state is not None:
-        state = outcome.state.copy()
-    return HeraldSample(outcome_code=code, state=state)
 
 
 _FAILURE = HeraldSample(outcome_code=0, state=None)
@@ -105,8 +90,25 @@ class DensityAttemptModel(AttemptModel):
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
+    def _herald(self, outcome) -> HeraldSample:
+        """Convert a heralding :class:`AttemptOutcome` into a HeraldSample
+        whose state is a fresh copy keyed by its root."""
+        from repro.hardware.heralding import HeraldingOutcome
+
+        if outcome.outcome is HeraldingOutcome.PSI_PLUS:
+            code = 1
+        elif outcome.outcome is HeraldingOutcome.PSI_MINUS:
+            code = 2
+        else:
+            code = 0
+        state = None
+        if code and outcome.state is not None:
+            state = outcome.state.copy()
+            state.chain_key = self.root_keys.get(code)
+        return HeraldSample(outcome_code=code, state=state)
+
     def sample(self, rng: np.random.Generator) -> HeraldSample:
-        return _sample_from_outcome(self.sampler.sample(rng))
+        return self._herald(self.sampler.sample(rng))
 
     def resolve(self, rng: np.random.Generator,
                 max_attempts: int) -> tuple[int, HeraldSample]:
@@ -116,7 +118,7 @@ class DensityAttemptModel(AttemptModel):
             rng, max_attempts)
         if success_attempt is None:
             return max_attempts, _FAILURE
-        return success_attempt, _sample_from_outcome(
+        return success_attempt, self._herald(
             self.sampler.sample_success(rng))
 
 
@@ -134,21 +136,21 @@ class DensityMatrixBackend(PhysicsBackend):
     # ------------------------------------------------------------------ #
     # Local device physics
     # ------------------------------------------------------------------ #
-    def apply_t1t2(self, pair: "EntangledPair", side: str,
-                   coherence: "CoherenceTimes", duration: float) -> None:
+    def _apply_t1t2(self, pair: "EntangledPair", side: str,
+                    coherence: "CoherenceTimes", duration: float) -> None:
         kraus = noise.t1_t2_kraus(duration, coherence.t1, coherence.t2)
         pair.apply_one_sided_kraus(kraus, side)
 
-    def apply_depolarizing(self, pair: "EntangledPair", side: str,
-                           fidelity: float) -> None:
+    def _apply_depolarizing(self, pair: "EntangledPair", side: str,
+                            fidelity: float) -> None:
         pair.apply_one_sided_kraus(noise.depolarizing_kraus(fidelity), side)
 
-    def apply_dephasing(self, pair: "EntangledPair", side: str,
-                        probability: float) -> None:
+    def _apply_dephasing(self, pair: "EntangledPair", side: str,
+                         probability: float) -> None:
         pair.apply_one_sided_kraus(noise.dephasing_kraus(probability), side)
 
-    def apply_correction(self, pair: "EntangledPair", side: str,
-                         gate_fidelity: float) -> None:
+    def _apply_correction(self, pair: "EntangledPair", side: str,
+                          gate_fidelity: float) -> None:
         from repro.quantum import gates
 
         pair.apply_one_sided_unitary(gates.Z, side)
@@ -156,19 +158,34 @@ class DensityMatrixBackend(PhysicsBackend):
             pair.apply_one_sided_kraus(
                 noise.depolarizing_kraus(gate_fidelity), side)
 
-    def measure_pair(self, pair: "EntangledPair", side: str, basis: str,
-                     readout_fidelity_0: float, readout_fidelity_1: float,
-                     rng: np.random.Generator) -> int:
+    @staticmethod
+    def _rotated(pair: "EntangledPair", side: str,
+                 basis: str) -> DensityMatrix:
+        """The pair state with ``basis`` rotated onto Z on ``side`` (the
+        pair's own state is unchanged)."""
         from repro.quantum import gates
 
-        basis = basis.upper()
+        rotated = DensityMatrix(pair.state.matrix, validate=False)
         if basis == "X":
-            pair.apply_one_sided_unitary(gates.H, side)
+            rotated.apply_unitary(gates.H, qubits=[pair._side_index(side)])
         elif basis == "Y":
             # Rotate Y eigenstates onto Z: apply H S^dagger.
-            pair.apply_one_sided_unitary(gates.H @ gates.S.conj().T, side)
+            rotated.apply_unitary(gates.H @ gates.S.conj().T,
+                                  qubits=[pair._side_index(side)])
         elif basis != "Z":
             raise ValueError(f"unknown basis {basis!r}")
-        m0, m1 = readout_kraus(readout_fidelity_0, readout_fidelity_1)
-        qubit = 0 if side.upper() == "A" else 1
-        return pair.state.measure_povm([m0, m1], qubits=[qubit], rng=rng)
+        return rotated
+
+    def _povm_distribution(self, pair: "EntangledPair", side: str,
+                           basis: str, readout_fidelity_0: float,
+                           readout_fidelity_1: float) -> np.ndarray:
+        return self._rotated(pair, side, basis).povm_distribution(
+            readout_kraus(readout_fidelity_0, readout_fidelity_1),
+            qubits=[0 if side.upper() == "A" else 1])
+
+    def _povm_branch(self, pair: "EntangledPair", side: str, basis: str,
+                     readout_fidelity_0: float, readout_fidelity_1: float,
+                     outcome: int) -> np.ndarray:
+        return self._rotated(pair, side, basis).povm_branch(
+            readout_kraus(readout_fidelity_0, readout_fidelity_1)[outcome],
+            qubits=[0 if side.upper() == "A" else 1])

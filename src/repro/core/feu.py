@@ -86,6 +86,8 @@ class FidelityEstimationUnit:
     #: How far below F_min the *delivered* fidelity estimate may fall before
     #: the request is declared unsupported.
     DELIVERED_FIDELITY_TOLERANCE = 0.03
+    #: Bound of each answer memo (overflow clears it).
+    ANSWER_CACHE_SIZE = 256
 
     def __init__(self, scenario: ScenarioConfig,
                  alpha_grid: Optional[np.ndarray] = None,
@@ -112,6 +114,17 @@ class FidelityEstimationUnit:
     def _build_tables(self) -> None:
         self._table = self.backend.feu_table(
             self.scenario, tuple(map(float, self.alpha_grid)))
+        # The table never changes, so each answer it gives is computed once
+        # per (input, request type).
+        self._estimates: dict[tuple, Optional[FidelityEstimate]] = {}
+        self._baselines: dict[tuple, float] = {}
+        self._success_probabilities: dict[tuple, float] = {}
+
+    def _remember(self, memo: dict, key: tuple, answer):
+        if len(memo) >= self.ANSWER_CACHE_SIZE:
+            memo.clear()
+        memo[key] = answer
+        return answer
 
     def estimate_for_fidelity(self, min_fidelity: float,
                               request_type: RequestType) -> Optional[FidelityEstimate]:
@@ -129,6 +142,11 @@ class FidelityEstimationUnit:
         Returns ``None`` when the requested fidelity is unattainable on this
         hardware (the EGP then rejects the request with UNSUPP).
         """
+        key = (min_fidelity, request_type)
+        try:
+            return self._estimates[key]
+        except KeyError:
+            pass
         if not 0.0 <= min_fidelity <= 1.0:
             raise ValueError(f"min_fidelity {min_fidelity} not in [0, 1]")
         rows = self._table[request_type]
@@ -138,16 +156,16 @@ class FidelityEstimationUnit:
                 and row[2] >= min_fidelity - self.DELIVERED_FIDELITY_TOLERANCE)
         ]
         if not feasible:
-            return None
+            return self._remember(self._estimates, key, None)
         # Highest alpha (fastest generation) that still meets the target.
         alpha, _heralded, delivered, p_succ = max(feasible,
                                                   key=lambda row: row[0])
-        return FidelityEstimate(
+        return self._remember(self._estimates, key, FidelityEstimate(
             alpha=alpha,
             expected_fidelity=delivered,
             success_probability=p_succ,
             expected_time_per_pair=self._time_per_pair(p_succ, request_type),
-        )
+        ))
 
     def goodness(self, alpha: float, request_type: RequestType) -> float:
         """Baseline fidelity estimate for pairs generated at ``alpha``.
@@ -155,10 +173,11 @@ class FidelityEstimationUnit:
         Uses linear interpolation of the hardware-model table, blended with
         the measured test-round estimate when test data is available.
         """
-        rows = self._table[request_type]
-        alphas = np.array([row[0] for row in rows])
-        fidelities = np.array([row[2] for row in rows])
-        baseline = float(np.interp(alpha, alphas, fidelities))
+        baseline = self._baselines.get((alpha, request_type))
+        if baseline is None:
+            baseline = self._remember(self._baselines, (alpha, request_type),
+                                      self._interpolate(alpha, request_type,
+                                                        2))
         measured = self.measured_fidelity()
         if measured is None:
             return baseline
@@ -169,10 +188,21 @@ class FidelityEstimationUnit:
     def success_probability(self, alpha: float,
                             request_type: RequestType) -> float:
         """Interpolated heralding success probability at ``alpha``."""
+        key = (alpha, request_type)
+        probability = self._success_probabilities.get(key)
+        if probability is None:
+            probability = self._remember(self._success_probabilities, key,
+                                         self._interpolate(alpha,
+                                                           request_type, 3))
+        return probability
+
+    def _interpolate(self, alpha: float, request_type: RequestType,
+                     column: int) -> float:
+        """Table ``column`` linearly interpolated at ``alpha``."""
         rows = self._table[request_type]
         alphas = np.array([row[0] for row in rows])
-        probabilities = np.array([row[3] for row in rows])
-        return float(np.interp(alpha, alphas, probabilities))
+        values = np.array([row[column] for row in rows])
+        return float(np.interp(alpha, alphas, values))
 
     def _time_per_pair(self, success_probability: float,
                        request_type: RequestType) -> float:

@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.hardware.emission import spin_photon_state
-from repro.hardware.parameters import OpticalParameters, ScenarioConfig
+from repro.hardware.parameters import OpticalParameters
 from repro.quantum.density import DensityMatrix
 from repro.quantum.states import BellIndex, bell_state
 
@@ -277,12 +276,6 @@ class HeraldedStateSampler:
         else:
             self._success_cumulative = np.array([])
 
-    @classmethod
-    def for_scenario(cls, scenario: ScenarioConfig,
-                     alpha: float) -> "HeraldedStateSampler":
-        """Sampler for symmetric bright-state population ``alpha``."""
-        return _cached_sampler(scenario, float(alpha))
-
     @property
     def outcomes(self) -> list[AttemptOutcome]:
         """All observable outcomes with probabilities and conditional states."""
@@ -332,7 +325,3 @@ class HeraldedStateSampler:
         attempt = int(rng.geometric(p_succ))
         return attempt if attempt <= max_attempts else None
 
-
-@lru_cache(maxsize=256)
-def _cached_sampler(scenario: ScenarioConfig, alpha: float) -> HeraldedStateSampler:
-    return HeraldedStateSampler(alpha, alpha, scenario.optics_a, scenario.optics_b)

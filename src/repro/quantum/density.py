@@ -11,11 +11,13 @@ basis (i.e. ``|q0 q1 ... qn-1>``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.quantum import gates
+from repro.quantum.measurement import choice_cdf
 from repro.quantum.states import ket_to_dm
 
 
@@ -29,6 +31,11 @@ class DensityMatrix:
         length ``2**n`` is also accepted and converted to its outer product.
     validate:
         When ``True`` (default) check hermiticity, trace and positivity.
+
+    ``chain_key`` is the physics backend's memo key of the matrix (equal
+    keys mean bitwise-equal matrices; see :mod:`repro.backends.base`).  A
+    new state has none, a copy keeps it, and every method that changes the
+    matrix drops it.
     """
 
     def __init__(self, matrix: np.ndarray, validate: bool = True) -> None:
@@ -43,6 +50,7 @@ class DensityMatrix:
             raise ValueError(f"dimension {dim} is not a power of two")
         self._matrix = array
         self._num_qubits = num_qubits
+        self.chain_key: Optional[int] = None
         if validate:
             self._validate()
 
@@ -107,7 +115,9 @@ class DensityMatrix:
 
     def copy(self) -> "DensityMatrix":
         """An independent copy of this state."""
-        return DensityMatrix(self._matrix.copy(), validate=False)
+        copy = DensityMatrix(self._matrix.copy(), validate=False)
+        copy.chain_key = self.chain_key
+        return copy
 
     def update_matrix(self, matrix: np.ndarray) -> None:
         """Replace the underlying matrix without validation.
@@ -120,6 +130,7 @@ class DensityMatrix:
             raise ValueError(f"replacement shape {matrix.shape} does not "
                              f"match state shape {self._matrix.shape}")
         self._matrix = matrix
+        self.chain_key = None
 
     def _validate(self, atol: float = 1e-8) -> None:
         if not np.allclose(self._matrix, self._matrix.conj().T, atol=atol):
@@ -184,6 +195,7 @@ class DensityMatrix:
                 f"unitary shape {unitary.shape} does not match state "
                 f"dimension {self._matrix.shape}")
         self._matrix = unitary @ self._matrix @ unitary.conj().T
+        self.chain_key = None
 
     def apply_kraus(self, kraus_operators: Sequence[np.ndarray],
                     qubits: Optional[Sequence[int]] = None) -> None:
@@ -198,6 +210,7 @@ class DensityMatrix:
         for op in expanded:
             total += op @ self._matrix @ op.conj().T
         self._matrix = total
+        self.chain_key = None
 
     def _expand_operator(self, operator: np.ndarray,
                          qubits: list[int]) -> np.ndarray:
@@ -249,6 +262,7 @@ class DensityMatrix:
             if norm <= 0:
                 raise RuntimeError("measurement produced zero-probability branch")
             self._matrix = post / norm
+            self.chain_key = None
         return outcome
 
     def measure_povm(self, kraus_operators: Sequence[np.ndarray],
@@ -257,18 +271,27 @@ class DensityMatrix:
                      collapse: bool = True) -> int:
         """Measure a POVM specified by Kraus operators.
 
-        Returns the index of the observed outcome; when ``collapse`` is true
-        the state is updated with the corresponding Kraus operator.
+        Returns the index of the observed outcome, drawn exactly as
+        ``rng.choice(n, p=self.povm_distribution(...))`` would; when
+        ``collapse`` is true the state is updated with the corresponding
+        Kraus operator.
         """
         rng = rng if rng is not None else np.random.default_rng()
-        expanded = []
-        for op in kraus_operators:
-            op = np.asarray(op, dtype=complex)
-            if qubits is not None:
-                op = self._expand_operator(op, list(qubits))
-            expanded.append(op)
+        cdf = choice_cdf(self.povm_distribution(kraus_operators, qubits))
+        outcome = bisect_right(cdf, rng.random())
+        if collapse:
+            self.update_matrix(
+                self.povm_branch(kraus_operators[outcome], qubits))
+        return outcome
+
+    def povm_distribution(self, kraus_operators: Sequence[np.ndarray],
+                          qubits: Optional[Sequence[int]] = None,
+                          ) -> np.ndarray:
+        """Normalised outcome probabilities of the POVM ``kraus_operators``
+        (negative rounding clipped to zero)."""
         probabilities = []
-        for op in expanded:
+        for op in kraus_operators:
+            op = self._expand_kraus(op, qubits)
             element = op.conj().T @ op
             probabilities.append(
                 float(np.real(np.trace(element @ self._matrix))))
@@ -276,16 +299,25 @@ class DensityMatrix:
         total = probabilities.sum()
         if total <= 0:
             raise RuntimeError("POVM probabilities sum to zero")
-        probabilities = probabilities / total
-        outcome = int(rng.choice(len(expanded), p=probabilities))
-        if collapse:
-            op = expanded[outcome]
-            post = op @ self._matrix @ op.conj().T
-            norm = np.real(np.trace(post))
-            if norm <= 0:
-                raise RuntimeError("POVM produced zero-probability branch")
-            self._matrix = post / norm
-        return outcome
+        return probabilities / total
+
+    def povm_branch(self, kraus_operator: np.ndarray,
+                    qubits: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The normalised post-measurement matrix of one Kraus operator's
+        outcome; the state is unchanged."""
+        op = self._expand_kraus(kraus_operator, qubits)
+        post = op @ self._matrix @ op.conj().T
+        norm = np.real(np.trace(post))
+        if norm <= 0:
+            raise RuntimeError("POVM produced zero-probability branch")
+        return post / norm
+
+    def _expand_kraus(self, op: np.ndarray,
+                      qubits: Optional[Sequence[int]]) -> np.ndarray:
+        op = np.asarray(op, dtype=complex)
+        if qubits is not None:
+            op = self._expand_operator(op, list(qubits))
+        return op
 
     # ------------------------------------------------------------------ #
     # Comparison helpers

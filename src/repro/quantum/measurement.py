@@ -48,3 +48,17 @@ def readout_kraus(f0: float, f1: float) -> tuple[np.ndarray, np.ndarray]:
     m1 = np.array([[np.sqrt(1.0 - f0), 0.0],
                    [0.0, np.sqrt(f1)]], dtype=complex)
     return m0, m1
+
+
+def choice_cdf(probabilities: np.ndarray) -> list[float]:
+    """The CDF ``rng.choice(n, p=probabilities)`` searches.
+
+    numpy normalises the cumulative sum by its last entry and searches it
+    ``side="right"`` with one ``random()`` draw, so ``bisect_right(cdf,
+    rng.random())`` draws exactly the outcome that call would, generator
+    state included.  Every POVM outcome and the workload's pair counts are
+    drawn this way.
+    """
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()

@@ -1,13 +1,13 @@
 """Cohort execution — many analytic scenarios advanced in one process.
 
 A cohort bundles B independent scenarios into one process around a shared
-:class:`repro.backends.vectorized.VectorizedAnalyticBackend`.  Each member is
+:class:`repro.backends.AnalyticBackend`.  Each member is
 an ordinary :class:`~repro.runtime.runner.SimulationRun` with its own event
 engine, network and per-member RNG streams, so member ``i``'s random draws —
 and therefore its summary, trace and event count — are bit-identical to a
 solo analytic run of scenario ``i``.  What the cohort shares is everything
 deterministic the members have in common: FEU fidelity tables, attempt
-models and memoized pair-physics chains (see the backend's docstring), which
+models and memoized pair physics (see :mod:`repro.backends.base`), which
 is where the per-member setup and delivery cost collapses.
 
 The cohort advances in lockstep slices of the longest member duration.
@@ -23,8 +23,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.backends import PhysicsBackend
-from repro.backends.vectorized import VectorizedAnalyticBackend
+from repro.backends import AnalyticBackend, PhysicsBackend
 from repro.runtime.runner import RunResult, SimulationRun
 from repro.runtime.scenarios import ScenarioSpec
 
@@ -44,7 +43,7 @@ DEFAULT_STEPS = 8
 
 
 def cohortable(spec: ScenarioSpec) -> bool:
-    """Whether ``spec`` can join a vectorized cohort.
+    """Whether ``spec`` can join a cohort.
 
     Cohorts require the closed-form ``analytic`` backend: ``density`` has no
     closed-form tables to share, and ``analytic-exact`` exists precisely to
@@ -84,7 +83,7 @@ class CohortRunner:
         :meth:`ScenarioSpec.run`.
     backend:
         Shared backend instance; defaults to a fresh
-        :class:`VectorizedAnalyticBackend`.  Passing one in lets several
+        :class:`AnalyticBackend`.  Passing one in lets several
         consecutive cohorts reuse warmed caches.
     steps:
         Lockstep slices (see :data:`DEFAULT_STEPS`).
@@ -135,7 +134,7 @@ class CohortRunner:
                                  f"{len(self.specs)} scenarios")
         self.seeds = seed_list
         self.backend = (backend if backend is not None
-                        else VectorizedAnalyticBackend())
+                        else AnalyticBackend())
         self.steps = max(1, int(steps))
         self.guard = guard
         self.errors: list[Optional[str]] = [None] * len(self.specs)
@@ -306,7 +305,7 @@ class CohortExecutor:
     """
 
     def __init__(self) -> None:
-        self.backend: Optional[VectorizedAnalyticBackend] = None
+        self.backend: Optional[AnalyticBackend] = None
 
     def execute(self, payloads: Sequence[tuple[int, ScenarioSpec, int, float]],
                 guard=None) -> list[tuple[int, "object"]]:
@@ -314,7 +313,7 @@ class CohortExecutor:
         from repro.runtime.sweep import _failure_outcome
 
         if self.backend is None:
-            self.backend = VectorizedAnalyticBackend()
+            self.backend = AnalyticBackend()
         try:
             return execute_cohort(payloads, backend=self.backend, guard=guard)
         except MemoryError:

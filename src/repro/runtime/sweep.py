@@ -396,19 +396,23 @@ def _execute_task(task: tuple, backends: Optional[BackendSet] = None,
     pool worker's own set when ``None``); ``("cohort", payloads, guard)``
     runs a list of payloads as one vectorized cohort in this process, on
     ``cohorts`` (a :class:`~repro.runtime.batch.CohortExecutor`) when
-    given.  Either way the result is a list of ``(index, outcome)`` pairs.
+    given, else on the analytic backend of ``backends``.  Either way the
+    result is a list of ``(index, outcome)`` pairs.
     """
     kind, payload, guard = task
+    if backends is None:
+        backends = _pool_backends
     if kind == "solo":
         index, spec, seed, duration = payload
-        return [(index, execute_scenario(
-            spec, seed, duration, guard=guard,
-            backends=_pool_backends if backends is None else backends))]
+        return [(index, execute_scenario(spec, seed, duration, guard=guard,
+                                         backends=backends))]
     if cohorts is not None:
         return cohorts.execute(payload, guard=guard)
     from repro.runtime.batch import execute_cohort
 
-    return execute_cohort(payload, guard=guard)
+    return execute_cohort(
+        payload, guard=guard,
+        backend=None if backends is None else backends.get("analytic"))
 
 
 class SweepRunner:
@@ -615,8 +619,10 @@ class SweepRunner:
                 self.on_outcome(outcome)
 
         # In-process runs share one backend per name for the whole sweep,
-        # and cohorts one vectorized backend, as a ClusterWorker's do: each
-        # hardware config's FEU table is built once per sweep.
+        # and cohorts one analytic backend, as a ClusterWorker's do; a pool
+        # worker process shares its own set between its solo and cohort
+        # tasks.  Each hardware config's FEU table is built once per
+        # process.
         from repro.backends import BackendSet
 
         backends = BackendSet()

@@ -23,6 +23,7 @@ import numpy as np
 from repro.analysis.metrics import MetricsCollector
 from repro.core.messages import EntanglementRequest, Priority, RequestType
 from repro.network.network import LinkLayerNetwork
+from repro.quantum.measurement import choice_cdf
 from repro.sim.entity import Entity
 
 
@@ -30,12 +31,9 @@ def pair_draw_table(choices: np.ndarray,
                     weights: np.ndarray) -> tuple[list[int], list[float]]:
     """``(choices, cdf)`` such that ``choices[bisect_right(cdf,
     rng.random())]`` draws exactly what ``rng.choice(choices, p=weights)``
-    draws: numpy builds the same normalised cumulative sum and searches it
-    the same way (``side="right"``) with one ``random()`` draw.
+    draws (see :func:`~repro.quantum.measurement.choice_cdf`).
     """
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return [int(choice) for choice in choices], cdf.tolist()
+    return [int(choice) for choice in choices], choice_cdf(weights)
 
 
 @dataclass(frozen=True)

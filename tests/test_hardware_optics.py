@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends import DensityMatrixBackend
 from repro.hardware.classical_link import (
     frame_error_probability,
     link_budget_db,
@@ -161,15 +162,20 @@ class TestMidpointStation:
             MidpointStationModel(p_detection=-0.1)
 
 
+def _sampler(scenario, alpha):
+    """The exact sampler the density backend builds for ``alpha``."""
+    return DensityMatrixBackend().attempt_model(scenario, alpha).sampler
+
+
 class TestHeraldedStateSampler:
     def test_success_probability_scales_with_alpha(self, lab):
-        p_low = HeraldedStateSampler.for_scenario(lab, 0.1).success_probability
-        p_high = HeraldedStateSampler.for_scenario(lab, 0.4).success_probability
+        p_low = _sampler(lab, 0.1).success_probability
+        p_high = _sampler(lab, 0.4).success_probability
         assert p_high > 2.5 * p_low
 
     def test_success_probability_matches_paper_magnitude(self, lab):
         # Figure 8(b): p_succ ~ 3e-4 at alpha = 0.5.
-        sampler = HeraldedStateSampler.for_scenario(lab, 0.5)
+        sampler = _sampler(lab, 0.5)
         assert 1e-4 < sampler.success_probability < 1e-3
 
     @pytest.mark.parametrize("scenario", [lab_scenario(), ql2020_scenario()],
@@ -186,14 +192,14 @@ class TestHeraldedStateSampler:
         assert sampler.success_probability == expected
 
     def test_fidelity_decreases_with_alpha(self, lab):
-        f_low = HeraldedStateSampler.for_scenario(lab, 0.05).average_success_fidelity()
-        f_high = HeraldedStateSampler.for_scenario(lab, 0.5).average_success_fidelity()
+        f_low = _sampler(lab, 0.05).average_success_fidelity()
+        f_high = _sampler(lab, 0.5).average_success_fidelity()
         assert f_low > 0.75
         assert f_high < 0.6
         assert f_low > f_high
 
     def test_heralded_state_close_to_reported_bell_state(self, lab):
-        sampler = HeraldedStateSampler.for_scenario(lab, 0.1)
+        sampler = _sampler(lab, 0.1)
         for outcome in sampler.outcomes:
             if not outcome.is_success:
                 continue
@@ -201,14 +207,14 @@ class TestHeraldedStateSampler:
             assert outcome.state.fidelity_to_pure(bell_state(target)) > 0.7
 
     def test_sampling_statistics_match_probabilities(self, lab, rng):
-        sampler = HeraldedStateSampler.for_scenario(lab, 0.4)
+        sampler = _sampler(lab, 0.4)
         trials = 20000
         successes = sum(sampler.sample(rng).is_success for _ in range(trials))
         expected = sampler.success_probability * trials
         assert abs(successes - expected) < 5 * math.sqrt(expected + 1)
 
     def test_sample_success_always_succeeds(self, lab, rng):
-        sampler = HeraldedStateSampler.for_scenario(lab, 0.2)
+        sampler = _sampler(lab, 0.2)
         for _ in range(50):
             outcome = sampler.sample_success(rng)
             assert outcome.is_success
@@ -216,7 +222,7 @@ class TestHeraldedStateSampler:
                                        HeraldingOutcome.PSI_MINUS)
 
     def test_batched_attempt_sampling_is_consistent(self, lab, rng):
-        sampler = HeraldedStateSampler.for_scenario(lab, 0.3)
+        sampler = _sampler(lab, 0.3)
         batch = 100
         trials = 3000
         hits = sum(
@@ -224,11 +230,6 @@ class TestHeraldedStateSampler:
             for _ in range(trials))
         expected = (1 - (1 - sampler.success_probability) ** batch) * trials
         assert abs(hits - expected) < 6 * math.sqrt(expected + 1)
-
-    def test_for_scenario_is_cached(self, lab):
-        first = HeraldedStateSampler.for_scenario(lab, 0.25)
-        second = HeraldedStateSampler.for_scenario(lab, 0.25)
-        assert first is second
 
     @given(alpha=st.floats(min_value=0.02, max_value=0.6))
     @settings(max_examples=10, deadline=None)

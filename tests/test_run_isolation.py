@@ -240,7 +240,6 @@ _PURE_MEMO = "lru_cache memo of a pure function over frozen keys"
 #: ``(module, name) -> reason`` for every module-level piece of state the
 #: package may keep.  Anything else a run could leave behind for the next.
 ALLOWED_STATE = {
-    ("repro.hardware.heralding", "_cached_sampler"): _PURE_MEMO,
     ("repro.topology.spec", "_field_names"): _PURE_MEMO,
     ("repro.topology.spec", "_nested_field_types"): _PURE_MEMO,
     ("repro.runtime.guard", "_fault_plan_cache"):

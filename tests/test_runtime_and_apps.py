@@ -91,6 +91,32 @@ class TestPairDraw:
         reference.choice(np.array([4]), p=np.array([1.0]))
         assert reference.random() == rng.random()
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_povm_outcomes_match_generator_choice(self, side):
+        # The readout draw of both backends: 2-outcome distributions of
+        # noisy readout POVMs on random two-qubit states, sure outcomes
+        # included.
+        from repro.quantum.measurement import choice_cdf, readout_kraus
+
+        states = np.random.default_rng(side)
+        distributions = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        for f0, f1 in ((0.95, 0.995), (0.868, 0.996), (1.0, 1.0)):
+            for _ in range(20):
+                amplitudes = (states.normal(size=(4, 4))
+                              + 1j * states.normal(size=(4, 4)))
+                rho = amplitudes @ amplitudes.conj().T
+                state = DensityMatrix(rho / np.trace(rho).real,
+                                      validate=False)
+                distributions.append(state.povm_distribution(
+                    readout_kraus(f0, f1), qubits=[side]))
+        reference = np.random.default_rng(100 + side)
+        bisected = np.random.default_rng(100 + side)
+        for draw in range(12_000):
+            p = distributions[draw % len(distributions)]
+            expected = int(reference.choice(2, p=p))
+            assert bisect_right(choice_cdf(p), bisected.random()) == expected
+        assert reference.random() == bisected.random()
+
 
 class TestSimulationRun:
     def test_lab_ck_run_produces_consistent_summary(self):

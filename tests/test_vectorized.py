@@ -1,7 +1,7 @@
 """Vectorized cohort execution: solo equivalence, sweeps, cost model.
 
-The contract under test (``repro.runtime.batch`` + ``repro.backends
-.vectorized``): a cohort run of scenarios ``[s_0 .. s_{B-1}]`` produces, for
+The contract under test (``repro.runtime.batch`` on a shared
+``AnalyticBackend``): a cohort run of scenarios ``[s_0 .. s_{B-1}]`` produces, for
 every member ``i``, a result field-for-field equal to a solo analytic run of
 ``s_i`` — same summary statistics, same event count, same request count —
 while the cohort shares FEU tables and memoized pair physics for throughput.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends.vectorized import VectorizedAnalyticBackend
+from repro.backends import AnalyticBackend
 from repro.cluster.planner import StaticCostModel, plan_shards
 from repro.core.messages import Priority
 from repro.hardware.parameters import lab_scenario
@@ -86,7 +86,7 @@ class TestCohortSoloEquivalence:
         # Consecutive cohorts on one warmed backend (the cluster worker's
         # usage) still reproduce solo results bit-for-bit.
         specs = analytic_grid(2)
-        backend = VectorizedAnalyticBackend()
+        backend = AnalyticBackend()
         first = CohortRunner(specs, DURATION, seeds=[5, 6], backend=backend)
         first.run()
         second = CohortRunner(specs, DURATION, seeds=[5, 6], backend=backend)
@@ -165,12 +165,12 @@ class TestCohortSweep:
 
         built = []
 
-        class Recording(VectorizedAnalyticBackend):
+        class Recording(AnalyticBackend):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        monkeypatch.setattr(batch, "VectorizedAnalyticBackend", Recording)
+        monkeypatch.setattr(batch, "AnalyticBackend", Recording)
         specs = paper_grid(attempt_batch_size=100, backend="analytic")
         cohort = SweepRunner(specs, 0.05, master_seed=12345,
                              batch_size=64).run()
@@ -181,6 +181,40 @@ class TestCohortSweep:
                                                 for spec in specs})
         serial = SweepRunner(specs, 0.05, master_seed=12345).run()
         assert cohort.outcomes == serial.outcomes
+
+    def test_pool_cohorts_share_their_process_backend(self, monkeypatch,
+                                                      tmp_path):
+        """A pool worker process runs its cohorts on its own analytic
+        backend, so it builds each distinct config's FEU table once."""
+        import os
+
+        from repro.backends import PhysicsBackend
+
+        specs = paper_grid(attempt_batch_size=100, backend="analytic")
+        configs = list(dict.fromkeys(spec.scenario for spec in specs))
+        real = PhysicsBackend.feu_table
+
+        def recording(backend, scenario, alphas):
+            built = (scenario, alphas) not in backend._feu_tables
+            with open(tmp_path / f"{os.getpid()}.log", "a") as log:
+                log.write(f"{configs.index(scenario)} {int(built)}\n")
+            return real(backend, scenario, alphas)
+
+        # Pool workers fork after the patch, so they record too.
+        monkeypatch.setattr(PhysicsBackend, "feu_table", recording)
+        pooled = SweepRunner(specs, 0.05, master_seed=12345, workers=2,
+                             batch_size=64, start_method="fork").run()
+        logs = list(tmp_path.glob("*.log"))
+        assert logs and str(os.getpid()) not in {log.stem for log in logs}
+        for log in logs:
+            calls = [tuple(map(int, line.split()))
+                     for line in log.read_text().splitlines()]
+            ran = {config for config, _ in calls}
+            built = [config for config, fresh in calls if fresh]
+            assert sorted(built) == sorted(ran), log.name
+        monkeypatch.undo()
+        serial = SweepRunner(specs, 0.05, master_seed=12345).run()
+        assert pooled.outcomes == serial.outcomes
 
     def test_cohort_memory_error_drops_the_shared_backend(self,
                                                           monkeypatch):
