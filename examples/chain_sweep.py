@@ -51,9 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch", type=int, default=50,
                         help="MHP attempt batch size (larger = faster)")
     parser.add_argument("--backend", default=None,
-                        help="physics backend: density (exact, default), "
-                             "analytic or analytic-exact; falls back to "
-                             "$REPRO_BACKEND")
+                        help="physics backend: density (exact, default) "
+                             "or analytic; falls back to $REPRO_BACKEND")
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode: assert the sharded sweep merges "
                              "field-for-field identical to a serial sweep")

@@ -62,9 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch", type=int, default=50,
                         help="MHP attempt batch size (larger = faster)")
     parser.add_argument("--backend", default=None,
-                        help="physics backend: density (exact, default), "
-                             "analytic (closed-form fast path) or "
-                             "analytic-exact; falls back to $REPRO_BACKEND")
+                        help="physics backend: density (exact, default) "
+                             "or analytic (closed-form fast path); falls "
+                             "back to $REPRO_BACKEND")
     parser.add_argument("--reset", action="store_true",
                         help="discard state a previous (different) sweep "
                              "left in --cluster-dir")

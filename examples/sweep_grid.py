@@ -41,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch", type=int, default=50,
                         help="MHP attempt batch size (larger = faster)")
     parser.add_argument("--backend", default=None,
-                        help="physics backend: density (exact, default), "
-                             "analytic (closed-form fast path) or "
-                             "analytic-exact; falls back to $REPRO_BACKEND")
+                        help="physics backend: density (exact, default) "
+                             "or analytic (closed-form fast path); falls "
+                             "back to $REPRO_BACKEND")
     parser.add_argument("--out", default="",
                         help="write the sweep result JSON to this path")
     return parser

@@ -12,10 +12,11 @@ Backends
     Closed-form probabilities/fidelities with geometric fast-forward of
     failed attempt cycles; equivalent in distribution, O(1) events per
     herald.
-``"analytic-exact"``
-    The analytic model without fast-forward: same event granularity and
-    random-number consumption as ``"density"``, used by the cross-backend
-    equivalence tests.
+
+``AnalyticBackend(fast_forward=False)`` is the analytic model without
+fast-forward (same event granularity and random-number consumption as
+``"density"``); the cross-backend equivalence tests build it directly, and
+it has no registered name.
 
 Selection
 ---------
@@ -36,9 +37,8 @@ chain of deterministic steps from one of a handful of herald states, so
 :class:`PhysicsBackend` replays a step it has recorded (keyed by the
 state's chain key and the step's parameters) as a copy of the recorded
 matrix, and draws readout outcomes with the exact arithmetic of
-``rng.choice``; results are bit-identical to recomputing every step.  An
-analytic cohort (:mod:`repro.runtime.batch`) shares one plain
-:class:`AnalyticBackend`, and with it these memos, across its members.
+``rng.choice``; results are bit-identical to recomputing every step.  The
+runs that share a :class:`BackendSet` share these memos too.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ DEFAULT_BACKEND = "density"
 _FACTORIES = MappingProxyType({
     "density": DensityMatrixBackend,
     "analytic": AnalyticBackend,
-    "analytic-exact": lambda: AnalyticBackend(fast_forward=False),
 })
 
 

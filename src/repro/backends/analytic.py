@@ -320,8 +320,8 @@ class AnalyticBackend(PhysicsBackend):
         exchange to cover up to ``max_window_seconds`` of attempt cycles, so
         long runs of failed attempts cost O(1) events.  ``False`` keeps the
         conservative exact-model batching — useful for trajectory-level
-        comparisons against the density backend (registered as
-        ``"analytic-exact"``).
+        comparisons against the density backend (results record it as
+        ``"analytic-exact"``, which is not a registered backend name).
     max_window_seconds:
         Upper bound on the simulated time one fast-forwarded exchange may
         span.  This bounds the scheduling granularity: a newly arriving

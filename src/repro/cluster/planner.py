@@ -38,17 +38,8 @@ class StaticCostModel:
 
     #: Relative cost factor per resolved backend (unknown names get
     #: ``DEFAULT_BACKEND_FACTOR`` — assume expensive).
-    BACKEND_FACTORS = {"density": 6.0, "analytic-exact": 6.0, "analytic": 1.0}
+    BACKEND_FACTORS = {"density": 6.0, "analytic": 1.0}
     DEFAULT_BACKEND_FACTOR = 6.0
-
-    #: Saturating per-member speedup of analytic cohort execution: a
-    #: cohort of B analytic members costs roughly ``B / min(B, this)`` solo
-    #: runs.  Solo runs share FEU tables through their backend too, so only
-    #: the cohort's memoized pair physics counts: 1.05 is the ratio of the
-    #: mean solo to the mean cohort wall time of
-    #: ``benchmarks/bench_vectorized_grid.py`` over 15 runs.  Like the other
-    #: factors, only the ranking matters.
-    ANALYTIC_COHORT_SPEEDUP = 1.05
 
     def estimate(self, spec: ScenarioSpec, duration: float) -> float:
         features = spec.cost_features()
@@ -68,16 +59,6 @@ class StaticCostModel:
         # link count.
         links = max(1, int(features.get("links", 1)))
         return max(duration, 1e-9) * max(units, 1e-6) * backend * links
-
-    def cohort_estimate(self, spec: ScenarioSpec, duration: float,
-                        cohort_size: int) -> float:
-        base = self.estimate(spec, duration)
-        if (cohort_size <= 1 or spec.backend_name() != "analytic"
-                or getattr(spec, "topology", None) is not None):
-            # Only single-link analytic scenarios join cohorts
-            # (see repro.runtime.batch.cohortable).
-            return base
-        return base / min(float(cohort_size), self.ANALYTIC_COHORT_SPEEDUP)
 
 
 @dataclass
@@ -128,26 +109,17 @@ class ShardPlan:
 
 
 def plan_shards(specs: Sequence[ScenarioSpec], num_shards: int,
-                duration: float, cohort_size: int = 1) -> ShardPlan:
+                duration: float) -> ShardPlan:
     """Partition ``specs`` into ``num_shards`` shards with LPT greedy.
 
     Deterministic: equal inputs always produce the identical plan (costs tie
     on scenario index, shard loads tie on shard id).  Shards can end up
     empty when there are fewer scenarios than shards.
-
-    ``cohort_size > 1`` plans for workers running vectorized cohorts of
-    that size: analytic scenarios are weighted by their batched cost
-    (:meth:`StaticCostModel.cohort_estimate`), so an analytic-heavy shard is
-    sized for its true throughput instead of its solo cost.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     model = StaticCostModel()
-    if cohort_size > 1:
-        costs = [float(model.cohort_estimate(spec, duration, cohort_size))
-                 for spec in specs]
-    else:
-        costs = [float(model.estimate(spec, duration)) for spec in specs]
+    costs = [float(model.estimate(spec, duration)) for spec in specs]
     order = sorted(range(len(specs)), key=lambda i: (-costs[i], i))
     shards: list[list[int]] = [[] for _ in range(num_shards)]
     heap = [(0.0, shard_id) for shard_id in range(num_shards)]

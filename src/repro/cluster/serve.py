@@ -290,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch", type=int, default=50,
                         help="MHP attempt batch size")
     parser.add_argument("--backend", default=None,
-                        help="physics backend (density/analytic/"
-                             "analytic-exact; default $REPRO_BACKEND)")
+                        help="physics backend (density/analytic; "
+                             "default $REPRO_BACKEND)")
     parser.add_argument("--cache-dir", default="",
                         help="coordinator-local resume-cache directory "
                              "advertised in the plan ('' disables)")

@@ -30,12 +30,9 @@ Outcomes stream through
 :meth:`~repro.cluster.transport.Transport.submit_result`, which is durable
 before the done marker exists — crash-and-resume is safe at every point.
 
-With ``batch_size > 1`` a worker claims up to that many *analytic* scenarios
-per step and advances them as one vectorized cohort
-(:mod:`repro.runtime.batch`): one lease per member, each refreshed by the
-same heartbeat thread, so the failure story is unchanged — a member whose
-lease was taken over mid-cohort is aborted individually while the others
-still submit.
+Every scenario runs through :func:`~repro.runtime.sweep.execute_scenario`
+on the worker's own :class:`~repro.backends.BackendSet`, so each distinct
+hardware config's FEU table is built once per worker.
 
 When the plan carries a :class:`~repro.runtime.guard.GuardPolicy` the worker
 executes under it (event budgets, wall deadlines, result validation) and
@@ -44,8 +41,7 @@ reports failed outcomes through
 submitting them: the coordinator charges the scenario's retry budget,
 releases the lease for a retry, and quarantines the scenario once the
 budget is spent.  A ``MemoryError`` anywhere in execution is reported as an
-``oom`` failure and halves this worker's cohort batch size — the usual
-reason a cohort blows the memory ceiling is the cohort itself.
+``oom`` failure.
 
 CLI — the whole multi-machine deployment story::
 
@@ -200,10 +196,8 @@ class ClusterWorker:
         ``cache_dir`` (shared-filesystem deployments); socket workers
         typically pass a machine-local directory or ``None``.
     batch_size:
-        Cohort size for vectorized execution.  With ``batch_size > 1`` each
-        step claims up to this many analytic scenarios and runs them as one
-        cohort; non-analytic scenarios keep the solo path.  Default 1:
-        every scenario runs solo.
+        Scenarios claimed per step; only ``1`` is accepted, and any other
+        value raises ``ValueError``.
     """
 
     def __init__(self, cluster: "Transport | str | Path",
@@ -226,7 +220,9 @@ class ClusterWorker:
         self.steal = steal
         if cache_dir is ...:
             cache_dir = self.plan.cache_dir
-        self.batch_size = max(1, int(batch_size))
+        if batch_size != 1:
+            raise ValueError(f"batch_size {batch_size!r}: a worker claims "
+                             f"one scenario per step, so it must be 1")
         self.crash_after_claims = crash_after_claims
         self.on_outcome = on_outcome
         self.crashed = False
@@ -254,11 +250,8 @@ class ClusterWorker:
         #: Whether ``_candidates`` came from a snapshot taken during the
         #: current :meth:`step` — refusals then just move on.
         self._fresh = False
-        #: Runs this worker's cohorts on one shared backend, so FEU tables
-        #: and physics chains stay warm between steps.
-        self._cohorts = None
-        #: This worker's backends, one per name, for its solo scenarios:
-        #: each distinct FEU table is built once per worker.
+        #: This worker's backends, one per name: each distinct FEU table
+        #: is built once per worker.
         self._backends = BackendSet()
         self._cache = None if cache_dir is None else ResumeCache(cache_dir)
         #: Refreshes the leases of the scenarios running right now.
@@ -431,9 +424,7 @@ class ClusterWorker:
         to pending for a retry — possibly by this same worker) and, once
         the budget is spent, quarantines it: a durable record plus a
         synthetic ``quarantined`` outcome in the sinks, so the sweep still
-        completes.  An ``oom`` failure additionally halves this worker's
-        cohort batch size — smaller cohorts are the one lever a worker has
-        against its own memory ceiling.
+        completes.
         """
         self._attempts += 1
         self.failed.append(index)
@@ -443,11 +434,6 @@ class ClusterWorker:
         if self.metrics is not None:
             self.metrics.counter("repro_worker_failures_total",
                                  status=outcome.status)
-        if outcome.status == "oom" and self.batch_size > 1:
-            self.batch_size = max(1, self.batch_size // 2)
-            logger.warning("[%s] oom on scenario %d; cohort batch size "
-                           "halved to %d", self.worker_id, index,
-                           self.batch_size)
         charged = self.transport.record_failure(self.worker_id, index,
                                                 outcome,
                                                 attempt=self._attempts)
@@ -493,8 +479,8 @@ class ClusterWorker:
 
     def _crash_hook(self) -> bool:
         """Test hook: simulated death after the N-th successful claim —
-        keep the lease(s), never heartbeat, write nothing.  The leases go
-        stale and the scenarios are reclaimed by peers."""
+        keep the lease, never heartbeat, write nothing.  The lease goes
+        stale and the scenario is reclaimed by a peer."""
         if (self.crash_after_claims is not None
                 and self._claims >= self.crash_after_claims):
             self.crashed = True
@@ -502,8 +488,7 @@ class ClusterWorker:
         return False
 
     def step(self) -> Optional[int]:
-        """Claim and execute one scenario (or one cohort of scenarios, with
-        ``batch_size > 1``); ``None`` when nothing is left.
+        """Claim and execute one scenario; ``None`` when nothing is left.
 
         "Nothing" means: no pending scenario this worker may take right now.
         Live leases held by other workers are *not* waited for — callers
@@ -525,8 +510,6 @@ class ClusterWorker:
         if self.crashed:
             return None
         self._fresh = False
-        if self.batch_size > 1:
-            return self._step_cohort()
         while (index := self._peek()) is not None:
             if not self._claim(index):
                 continue
@@ -534,76 +517,6 @@ class ClusterWorker:
                 return None
             return self._execute_claimed(index)
         return None
-
-    def _step_cohort(self) -> Optional[int]:
-        """Claim up to ``batch_size`` analytic scenarios and run them as one
-        vectorized cohort — one watched lease per member, so each
-        member aborts or submits individually exactly as on the solo path.
-        """
-        from repro.runtime.batch import CohortExecutor, cohortable
-
-        claimed: list[int] = []
-        while len(claimed) < self.batch_size:
-            if claimed and not self._candidates:
-                break  # run the members in hand; the next step refreshes
-            index = self._peek()
-            if index is None:
-                break
-            solo = not cohortable(self.plan.specs[index])
-            if solo and claimed:
-                # Run the cohort gathered so far first; the non-analytic
-                # scenario stays claimable for the next step (or a peer).
-                break
-            if not self._claim(index):
-                continue
-            if self._crash_hook():
-                return None
-            if solo:
-                return self._execute_claimed(index)
-            claimed.append(index)
-        if not claimed:
-            return None
-        if len(claimed) == 1:
-            return self._execute_claimed(claimed[0])
-
-        # Cache hits submit straight away (their leases are fresh); the
-        # misses form the cohort.
-        payloads = []
-        for index in claimed:
-            outcome = self._load_cached(index)
-            if outcome is not None:
-                self._submit(index, outcome)
-            else:
-                payloads.append((index, self.plan.specs[index],
-                                 self.plan.seeds[index], self.plan.duration))
-        if not payloads:
-            return claimed[0]
-        if self._cohorts is None:
-            self._cohorts = CohortExecutor()
-        for payload in payloads:
-            self._heartbeat.watch(payload[0])
-        try:
-            # A cohort that blows the memory ceiling comes back as oom
-            # failures, and _report_failure halves the batch size so the
-            # retries come back smaller.
-            outcomes = self._cohorts.execute(payloads, guard=self.guard)
-        finally:
-            lost = {payload[0]: self._heartbeat.unwatch(payload[0])
-                    for payload in payloads}
-        # Per-member loss flags are final once unwatched: a displaced
-        # member aborts while the rest submit.
-        specs = {payload[0]: payload[1] for payload in payloads}
-        for index, outcome in outcomes:
-            if lost[index]:
-                self._abort(index)
-                continue
-            if self.guard is not None and not outcome.ok:
-                self._report_failure(index, outcome)
-                continue
-            if self._cache is not None:
-                self._cache.store(specs[index], outcome, self.plan.duration)
-            self._submit(index, outcome)
-        return claimed[0]
 
     def run(self, poll_interval: float = 0.2,
             wait_for_stragglers: bool = True,
@@ -705,11 +618,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="machine-local resume-cache directory "
                              "(default: the plan's cache_dir; '' disables "
                              "caching)")
-    parser.add_argument("--batch-size", type=int, default=1,
-                        help="vectorized cohort size: claim up to this many "
-                             "analytic scenarios per step and advance them "
-                             "as one cohort (default: 1, every scenario "
-                             "runs solo)")
     parser.add_argument("--no-steal", action="store_true",
                         help="never take work from other shards")
     parser.add_argument("--no-wait", action="store_true",
@@ -745,7 +653,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         transport, worker_id=args.worker_id, shard=args.shard,
         steal=not args.no_steal, on_outcome=progress,
         crash_after_claims=args.crash_after_claims,
-        cache_dir=cache_dir, batch_size=args.batch_size)
+        cache_dir=cache_dir)
     logger.info("[%s] serving shard %d of %d over %s (%d scenarios total)",
                 worker.worker_id, worker.shard,
                 worker.plan.shard_plan.num_shards, transport.kind,

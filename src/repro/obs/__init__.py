@@ -8,7 +8,7 @@ runtime, and the cluster:
   (scheduled/executed/cancelled/elided) plus protocol-level records
   (midpoint cycle outcomes, EGP OKs/errors and queue depths, swap
   provenance).  Bit-identical for a ``(spec, seed)`` pair across repeat
-  runs and across solo vs cohort execution.
+  runs.
 - **metrics** — a labelled counter/gauge/histogram registry
   (:class:`~repro.obs.metrics.MetricsRegistry`) serializing to JSON and
   Prometheus text, aggregated per-run → per-shard → per-sweep; cluster
@@ -132,9 +132,9 @@ def _slug(name: str) -> str:
 class ObsSession:
     """One run's observability state: tracer + metrics + profiler.
 
-    A session is created per simulation run (solo or cohort member),
-    attached to the network's engine and protocol entities, and asked to
-    write its artifacts once the run finalizes.  Attachment only *sets
+    A session is created per simulation run, attached to the network's
+    engine and protocol entities, and asked to write its artifacts once
+    the run finalizes.  Attachment only *sets
     ``tracer`` attributes* — instrumented code reads state, never
     mutates it, so enabling observability cannot perturb outcomes.
     """

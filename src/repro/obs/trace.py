@@ -4,10 +4,9 @@ A :class:`Tracer` collects *sim-time keyed* records from the simulation
 layers (engine, MHP/EGP, swap-ASAP) plus per-kind event accounting
 (scheduled / executed / cancelled / elided).  Records never contain
 wall-clock readings, thread ids, or memory addresses, so the trace of a
-``(spec, seed)`` pair is bit-identical across repeat runs, across
-backends with equivalent physics, and across solo vs cohort execution —
-which makes traces diffable and a sound input for the planned
-commutativity analysis.
+``(spec, seed)`` pair is bit-identical across repeat runs and across
+backends with equivalent physics — which makes traces diffable and a
+sound input for the planned commutativity analysis.
 
 The zero-cost default is *no tracer at all*: instrumented code holds a
 ``tracer`` attribute that is ``None`` unless observability is enabled

@@ -34,8 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
 #: the filename instead of the key hash; outcomes record events_processed.
 #: v4: the event engine joins the filename (``<key>.<backend>.<engine>.json``)
 #: and the wrapper payload; outcomes record the engine.
-#: v5: outcomes record the cohort size when produced by a vectorized cohort
-#: (``None`` on the solo path) — provenance like the engine field.
+#: v5: outcomes gained a ``cohort`` provenance field, the cohort size of a
+#: since-removed batched executor; every scenario now runs alone, so it is
+#: always ``None``.
 #: v6: the wrapper payload records the topology (name + identity hash,
 #: ``None`` for single-link scenarios) so a topology redefinition under an
 #: unchanged scenario name is found and reported, and outcomes carry the

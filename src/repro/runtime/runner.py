@@ -131,10 +131,9 @@ class Run:
         self.network.run(duration)
         return self.finalize(duration)
 
-    # The start / advance_to / finalize split lets a cohort runner
-    # interleave many simulations in one process (repro.runtime.batch):
-    # each member's engine is independent, so slicing its advancement into
-    # steps composes to exactly the same run as one run(duration) call.
+    # The start / advance_to / finalize split lets a caller advance a run
+    # in steps (the topology tests do): slicing the advancement composes
+    # to exactly the same run as one run(duration) call.
     def start(self) -> None:
         """Begin the workload; the run can then be advanced incrementally."""
         for generator in self.generators:

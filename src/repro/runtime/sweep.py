@@ -152,11 +152,9 @@ class ScenarioOutcome:
     engine: str = field(default=ENGINE, compare=False)
     wall_time: float = field(default=0.0, compare=False)
     from_cache: bool = field(default=False, compare=False)
-    #: Cohort size when the scenario ran inside a vectorized cohort
-    #: (``None`` for the solo path).  Provenance like ``engine`` — the
-    #: results are bit-identical either way, so it is excluded from
-    #: comparison; recorded so batched and solo wall-clock can be told
-    #: apart.
+    #: Always ``None``; kept so every cached and JSONL record keeps its
+    #: bytes (dropping it is a format change).  Provenance, excluded from
+    #: comparison.
     cohort: Optional[int] = field(default=None, compare=False)
     #: Per-link hop digests of a topology run (see
     #: :attr:`repro.runtime.runner.RunResult.hops`); ``None`` for
@@ -389,30 +387,15 @@ def _init_pool_worker() -> None:
 
 
 def _execute_task(task: tuple, backends: Optional[BackendSet] = None,
-                  cohorts=None) -> list[tuple[int, ScenarioOutcome]]:
-    """Dispatcher for solo scenarios and whole cohorts.
-
-    ``("solo", payload, guard)`` runs one scenario on ``backends`` (the
-    pool worker's own set when ``None``); ``("cohort", payloads, guard)``
-    runs a list of payloads as one vectorized cohort in this process, on
-    ``cohorts`` (a :class:`~repro.runtime.batch.CohortExecutor`) when
-    given, else on the analytic backend of ``backends``.  Either way the
-    result is a list of ``(index, outcome)`` pairs.
-    """
-    kind, payload, guard = task
+                  ) -> tuple[int, ScenarioOutcome]:
+    """Run one ``((index, spec, seed, duration), guard)`` task on
+    ``backends`` (the pool worker's own set when ``None``) and return
+    ``(index, outcome)``."""
+    (index, spec, seed, duration), guard = task
     if backends is None:
         backends = _pool_backends
-    if kind == "solo":
-        index, spec, seed, duration = payload
-        return [(index, execute_scenario(spec, seed, duration, guard=guard,
-                                         backends=backends))]
-    if cohorts is not None:
-        return cohorts.execute(payload, guard=guard)
-    from repro.runtime.batch import execute_cohort
-
-    return execute_cohort(
-        payload, guard=guard,
-        backend=None if backends is None else backends.get("analytic"))
+    return index, execute_scenario(spec, seed, duration, guard=guard,
+                                   backends=backends)
 
 
 class SweepRunner:
@@ -447,13 +430,9 @@ class SweepRunner:
         which makes e.g. scheduler comparisons paired.  Default: every
         scenario gets its own index-derived seed.
     batch_size:
-        Cohort size for vectorized execution (``repro.runtime.batch``).
-        With ``batch_size > 1``, pending scenarios that resolve to the
-        ``analytic`` backend are grouped (in scenario order) into cohorts
-        of up to this many members, each advanced as one vectorized unit;
-        everything else runs on the solo path.  Results, seeds, resume
-        caching and failure isolation are identical to ``batch_size=1`` —
-        a cohort sweep is field-for-field equal to a serial sweep.
+        Scenarios handed to a pool worker process at a time (the
+        ``chunksize`` of the pool's ``imap_unordered``); no effect on an
+        in-process sweep.  Results are identical for every value.
     guard:
         Optional :class:`~repro.runtime.guard.GuardPolicy` supervising
         every execution: engine-level deadlines/budgets, result
@@ -582,9 +561,6 @@ class SweepRunner:
                              outcome.events_processed)
             registry.counter("repro_sweep_events_elided_total",
                              outcome.events_elided)
-            if outcome.cohort:
-                registry.observe("repro_sweep_cohort_occupancy",
-                                 outcome.cohort)
 
         seeds = self.scenario_seeds()
         outcomes: list[Optional[ScenarioOutcome]] = [None] * len(self.scenarios)
@@ -619,38 +595,31 @@ class SweepRunner:
                 self.on_outcome(outcome)
 
         # In-process runs share one backend per name for the whole sweep,
-        # and cohorts one analytic backend, as a ClusterWorker's do; a pool
-        # worker process shares its own set between its solo and cohort
-        # tasks.  Each hardware config's FEU table is built once per
-        # process.
+        # as a ClusterWorker's do; a pool worker process shares its own
+        # set between its tasks.  Each hardware config's FEU table is
+        # built once per process.
         from repro.backends import BackendSet
 
         backends = BackendSet()
-        cohorts = None
-        if self.batch_size > 1:
-            from repro.runtime.batch import CohortExecutor
-
-            cohorts = CohortExecutor()
 
         def execute(payloads: list[tuple[int, ScenarioSpec, int, float]],
                     ) -> None:
-            tasks = self._build_tasks(payloads)
+            tasks = [(payload, self.guard) for payload in payloads]
             if self.guard is not None:
                 for payload in payloads:
                     attempts[payload[0]] = attempts.get(payload[0], 0) + 1
             if self.workers == 1 or len(tasks) == 1:
                 for task in tasks:
-                    for index, outcome in _execute_task(task, backends,
-                                                        cohorts):
-                        record(index, outcome)
+                    record(*_execute_task(task, backends))
             else:
                 context = multiprocessing.get_context(self.start_method)
                 processes = min(self.workers, len(tasks))
                 with context.Pool(processes=processes,
                                   initializer=_init_pool_worker) as pool:
-                    for pairs in pool.imap_unordered(_execute_task, tasks):
-                        for index, outcome in pairs:
-                            record(index, outcome)
+                    for index, outcome in pool.imap_unordered(
+                            _execute_task, tasks,
+                            chunksize=self.batch_size):
+                        record(index, outcome)
 
         if pending:
             execute(pending)
@@ -736,33 +705,6 @@ class SweepRunner:
             registry.counter("repro_sweep_quarantined_total",
                              status=last.status)
         record(index, final)
-
-    def _build_tasks(self, pending: list[tuple[int, ScenarioSpec, int, float]],
-                     ) -> list[tuple]:
-        """Partition pending payloads into solo and cohort tasks.
-
-        Cohorts are formed over the analytic scenarios in scenario order;
-        a chunk of one falls back to the solo path (nothing to share).
-        Each task carries the runner's guard (``None`` when unguarded).
-        """
-        if self.batch_size <= 1:
-            return [("solo", payload, self.guard) for payload in pending]
-        from repro.runtime.batch import cohortable
-
-        tasks: list[tuple] = []
-        eligible: list[tuple[int, ScenarioSpec, int, float]] = []
-        for payload in pending:
-            if cohortable(payload[1]):
-                eligible.append(payload)
-            else:
-                tasks.append(("solo", payload, self.guard))
-        for start in range(0, len(eligible), self.batch_size):
-            chunk = eligible[start:start + self.batch_size]
-            if len(chunk) == 1:
-                tasks.append(("solo", chunk[0], self.guard))
-            else:
-                tasks.append(("cohort", chunk, self.guard))
-        return tasks
 
 
 def run_sweep(scenarios: Sequence[ScenarioSpec], duration: float,

@@ -7,8 +7,9 @@ strongest correctness check the physics layer has:
   heralding distribution (probabilities *and* conditional states) to
   numerical precision,
 * the analytic device-noise operations must act identically on pair states,
-* a full simulation run under ``analytic-exact`` (same event granularity and
-  random-number consumption as ``density``) must produce identical metrics,
+* a full simulation run under ``AnalyticBackend(fast_forward=False)`` (same
+  event granularity and random-number consumption as ``density``) must
+  produce identical metrics,
 * the fast-forward ``analytic`` backend must stay statistically equivalent
   on the paper's Table-1 slice, and
 * backend selection must round-trip through the sweep cache.
@@ -48,8 +49,30 @@ ALPHAS = (0.05, 0.18, 0.35, 0.5)
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_available_backends(self):
-        assert {"density", "analytic", "analytic-exact"} <= \
-            set(available_backends())
+        assert available_backends() == ["analytic", "density"]
+
+    def test_analytic_exact_is_not_a_backend_name(self, monkeypatch,
+                                                  tmp_path):
+        from repro.cluster import ClusterCoordinator
+
+        message = (r"unknown physics backend 'analytic-exact'; "
+                   r"available: \['analytic', 'density'\]")
+        with pytest.raises(ValueError, match=message):
+            resolve_backend_name("analytic-exact")
+        with pytest.raises(ValueError, match=message):
+            get_backend("analytic-exact")
+        spec = single_kind_scenarios(
+            "Lab", kinds=("MD",), loads=("High",), max_pairs_options=(1,),
+            origins=("A",), include_md_k255=False,
+            backend="analytic-exact")[0]
+        with pytest.raises(ValueError, match=message):
+            spec.run(0.01, seed=1)
+        with pytest.raises(ValueError, match=message):
+            ClusterCoordinator([spec], 0.01, tmp_path / "cluster",
+                               num_shards=1).write_plan()
+        monkeypatch.setenv("REPRO_BACKEND", "analytic-exact")
+        with pytest.raises(ValueError, match=message):
+            resolve_backend_name(None)
 
     def test_named_backends_are_fresh(self):
         # No process-wide registry: every name builds a new instance, so a
@@ -303,7 +326,7 @@ class TestRunEquivalence:
         exact = spec.run(1.5, seed=17, attempt_batch_size=batch,
                          backend="density")
         fast = spec.run(1.5, seed=17, attempt_batch_size=batch,
-                        backend="analytic-exact")
+                        backend=AnalyticBackend(fast_forward=False))
         assert fast.summary.to_dict() == exact.summary.to_dict()
         assert exact.backend == "density"
         assert fast.backend == "analytic-exact"

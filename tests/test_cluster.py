@@ -141,13 +141,10 @@ class TestShardPlanner:
             origins=("A",), include_md_k255=False, backend="density")[0]
         assert model.estimate(dense, 1.0) > model.estimate(k1, 1.0)
 
-    @pytest.mark.parametrize("num_shards,cohort_size",
-                             [(1, 1), (5, 1), (3, 8)])
-    def test_every_layout_covers_every_scenario_once(self, num_shards,
-                                                     cohort_size):
+    @pytest.mark.parametrize("num_shards", [1, 5, 3])
+    def test_every_layout_covers_every_scenario_once(self, num_shards):
         specs = grid(backend="analytic") + grid(count=4, backend="density")
-        plan = plan_shards(specs, num_shards, DURATION,
-                           cohort_size=cohort_size)
+        plan = plan_shards(specs, num_shards, DURATION)
         seen = sorted(index for shard in plan.shards for index in shard)
         assert seen == list(range(len(specs)))
         assert len(plan.shards) == num_shards
@@ -166,17 +163,6 @@ class TestShardPlanner:
                 assert plan.shard_of(index) == shard_id
         with pytest.raises(KeyError):
             plan.shard_of(len(specs))
-
-    def test_cohort_estimate_discounts_only_analytic_scenarios(self):
-        model = StaticCostModel()
-        analytic = grid(count=1, backend="analytic")[0]
-        dense = grid(count=1, backend="density")[0]
-        solo = model.estimate(analytic, 1.0)
-        assert model.cohort_estimate(analytic, 1.0, 1) == solo
-        assert model.cohort_estimate(analytic, 1.0, 64) == pytest.approx(
-            solo / model.ANALYTIC_COHORT_SPEEDUP)
-        assert (model.cohort_estimate(dense, 1.0, 64)
-                == model.estimate(dense, 1.0))
 
 
 # --------------------------------------------------------------------------- #
@@ -576,9 +562,20 @@ class TestClusterProtocol:
         specs = grid(count=3, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs, num_shards=1)
         worker = ClusterWorker(coordinator.cluster_dir, "w", shard=0)
-        assert worker.batch_size == 1
         assert worker.step() == coordinator.plan().shards[0][0]
         assert worker.executed == [coordinator.plan().shards[0][0]]
+
+    @pytest.mark.parametrize("batch_size", [0, 2, 64])
+    def test_worker_rejects_batch_sizes_other_than_one(self, tmp_path,
+                                                       batch_size):
+        specs = grid(count=3, backend="analytic")
+        coordinator = self.make_cluster(tmp_path, specs, num_shards=1)
+        with pytest.raises(ValueError, match="must be 1"):
+            ClusterWorker(coordinator.cluster_dir, "w", shard=0,
+                          batch_size=batch_size)
+        worker = ClusterWorker(coordinator.cluster_dir, "w", shard=0,
+                               batch_size=1)
+        assert worker.step() == coordinator.plan().shards[0][0]
 
     def test_a_sharded_sweep_adds_only_results_to_the_cache(self, tmp_path):
         # The cache holds scenario results and nothing else: no calibration

@@ -197,14 +197,13 @@ class TestSnapshotListing:
 # The claim path
 # --------------------------------------------------------------------------- #
 class TestClaimPath:
-    @pytest.mark.parametrize("batch_size", [1, 3])
     def test_draining_a_plan_takes_at_most_two_snapshots(
-            self, tmp_path, connect, batch_size):
+            self, tmp_path, connect):
         specs = grid(7, backend="analytic")
         coordinator = plan_cluster(tmp_path, specs, num_shards=3)
         transport = connect(coordinator)
         worker = ClusterWorker(transport, worker_id="solo", shard=0,
-                               batch_size=batch_size)
+                               batch_size=1)
         assert worker.run(poll_interval=0.01) == len(specs)
         assert transport.snapshots <= 2
         assert sorted(transport.granted()) == list(range(len(specs)))

@@ -590,32 +590,6 @@ class TestPerWorkerHeartbeat:
         assert [outcome.scenario_name for outcome in merged.outcomes] == [
             spec.name for spec in specs]
 
-    def test_displaced_cohort_member_aborts_while_peers_submit(
-            self, tmp_path, monkeypatch):
-        import repro.runtime.batch as batch_module
-
-        specs = grid(count=4)
-        coordinator = plan_cluster(tmp_path, specs, num_shards=1,
-                                   lease_timeout=0.15,
-                                   clock_skew_tolerance=0.0)
-        doomed = list(coordinator.plan().shards[0])[1]
-        transport = _LeaseLossTransport(coordinator.cluster_dir, {doomed})
-
-        def execute_cohort(payloads, backend=None, guard=None):
-            time.sleep(0.2)  # several heartbeat intervals
-            return [(index, _canned_outcome(spec, seed, duration))
-                    for index, spec, seed, duration in payloads]
-
-        monkeypatch.setattr(batch_module, "execute_cohort", execute_cohort)
-        worker = ClusterWorker(transport, "cohort", steal=False,
-                               cache_dir=None, batch_size=4)
-        assert worker.step() is not None
-        worker.close()
-        assert worker.aborted == [doomed]
-        assert sorted(worker.executed) == sorted({0, 1, 2, 3} - {doomed})
-        assert set(transport.beats) == {0, 1, 2, 3}
-        assert coordinator.is_complete()
-
 
 # --------------------------------------------------------------------------- #
 # Satellite: connect deadline clamping

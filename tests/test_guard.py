@@ -3,7 +3,7 @@
 Covers the engine's deterministic event budget and wall-clock deadline,
 ``GuardPolicy`` round-trips, result validation, the quarantine store, the
 scenario fault plan, the ``SweepRunner`` retry/quarantine loop (including
-cohort degradation and resume), every failure status through the JSONL
+batched sweeps and resume), every failure status through the JSONL
 result sink, and the cluster-side retry budget: ``record_failure``
 charging, repeated-lease-death quarantine, the serve ``fail`` op, and the
 frame-rejection regression (oversized / garbage frames must get structured
@@ -278,7 +278,7 @@ class TestGuardedSweep:
         assert resumed.outcomes == result.outcomes
         assert all(o.from_cache for o in resumed.outcomes)
 
-    def test_cohort_degrades_failing_members_to_solo(
+    def test_batched_sweep_quarantines_only_the_failing_scenario(
             self, tmp_path, monkeypatch):
         specs = grid()
         baseline = run_sweep(specs, DURATION, master_seed=21)

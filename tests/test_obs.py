@@ -6,8 +6,7 @@ The load-bearing guarantees:
   about a run's results: summary, event counts and the engine's
   ``(time, name)`` trace are bit-identical with observability on or off.
 * **Trace determinism** — the structured trace of a ``(spec, seed)``
-  pair is identical across repeat runs and byte-identical across solo vs
-  cohort execution.
+  pair is identical across repeat runs, and its artifact byte-identical.
 * **Telemetry** — cluster workers ship their metrics registry through
   the idempotent ``telemetry`` transport op and the coordinator merges
   the per-worker snapshots into ``SweepResult.telemetry``.
@@ -42,7 +41,6 @@ from repro.obs.logconf import configure_logging
 from repro.obs.report import main as report_main
 from repro.obs.trace import read_jsonl
 from repro.runtime import ScenarioSpec, single_kind_scenarios
-from repro.runtime.batch import execute_cohort
 from repro.runtime.runner import SimulationRun
 from repro.runtime.sweep import ScenarioOutcome, SweepRunner, execute_scenario
 
@@ -179,30 +177,30 @@ class TestTraceDeterminism:
             "trace captured no protocol events"
         assert first.tracer.to_dict() == second.tracer.to_dict()
 
-    def test_solo_vs_cohort_traces_byte_identical(self, monkeypatch, tmp_path):
+    def test_repeat_executions_write_byte_identical_traces(self, monkeypatch,
+                                                          tmp_path):
         specs = grid(2)
         seeds = [31, 32]
-        solo_dir = tmp_path / "solo"
-        cohort_dir = tmp_path / "cohort"
+        first_dir = tmp_path / "first"
+        second_dir = tmp_path / "second"
         monkeypatch.setenv("REPRO_OBS", "trace")
 
-        monkeypatch.setenv("REPRO_OBS_DIR", str(solo_dir))
-        solo_outcomes = [execute_scenario(spec, seed, DURATION)
-                         for spec, seed in zip(specs, seeds)]
+        monkeypatch.setenv("REPRO_OBS_DIR", str(first_dir))
+        first_outcomes = [execute_scenario(spec, seed, DURATION)
+                          for spec, seed in zip(specs, seeds)]
 
-        monkeypatch.setenv("REPRO_OBS_DIR", str(cohort_dir))
-        payloads = [(i, spec, seed, DURATION)
-                    for i, (spec, seed) in enumerate(zip(specs, seeds))]
-        outcomes = execute_cohort(payloads)
-        assert all(outcome.ok for _, outcome in outcomes)
+        monkeypatch.setenv("REPRO_OBS_DIR", str(second_dir))
+        outcomes = [execute_scenario(spec, seed, DURATION)
+                    for spec, seed in zip(specs, seeds)]
+        assert all(outcome.ok for outcome in outcomes)
 
         traced_ids = []
-        for spec, seed, outcome in zip(specs, seeds, solo_outcomes):
+        for spec, seed, outcome in zip(specs, seeds, first_outcomes):
             name = f"{spec.name}-seed{seed}"
-            solo = (solo_dir / name / "trace.jsonl").read_bytes()
-            cohort = (cohort_dir / name / "trace.jsonl").read_bytes()
-            assert solo == cohort
-            records, summary = read_jsonl(solo_dir / name / "trace.jsonl")
+            first = (first_dir / name / "trace.jsonl").read_bytes()
+            second = (second_dir / name / "trace.jsonl").read_bytes()
+            assert first == second
+            records, summary = read_jsonl(first_dir / name / "trace.jsonl")
             assert summary is not None and records
             # OKs and errors carry the run's own create ids: each run
             # counts from 1, whatever ran before it in this process.

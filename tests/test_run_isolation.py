@@ -198,7 +198,7 @@ def test_pool_initializer_gives_the_worker_process_its_backends(
         received.append(backends)
 
     monkeypatch.setattr(sweep_module, "execute_scenario", execute)
-    task = ("solo", (0, _link_spec("Lab", "CK"), 1, DURATION), None)
+    task = ((0, _link_spec("Lab", "CK"), 1, DURATION), None)
     sweep_module._init_pool_worker()
     pool_backends = sweep_module._pool_backends
     assert isinstance(pool_backends, BackendSet)

@@ -115,13 +115,17 @@ class TestSerialization:
 
 
 class TestResumeFromCache:
-    def test_rerun_hits_cache_for_every_scenario(self, tmp_path):
+    @pytest.mark.parametrize("workers,batch_size", [(1, 1), (2, 1), (2, 2)])
+    def test_rerun_hits_cache_for_every_scenario(self, tmp_path, workers,
+                                                 batch_size):
         specs = small_grid(2)
-        first = run_sweep(specs, DURATION, master_seed=3, cache_dir=tmp_path)
+        first = run_sweep(specs, DURATION, master_seed=3, cache_dir=tmp_path,
+                          workers=workers, batch_size=batch_size)
         assert not any(o.from_cache for o in first.outcomes)
         executed = []
         second = SweepRunner(specs, DURATION, master_seed=3,
-                             cache_dir=tmp_path,
+                             cache_dir=tmp_path, workers=workers,
+                             batch_size=batch_size,
                              on_outcome=executed.append).run()
         assert all(o.from_cache for o in second.outcomes)
         assert len(executed) == 2
@@ -167,15 +171,21 @@ class TestResumeFromCache:
 
 
 class TestFailureIsolation:
-    def test_failing_scenario_reports_instead_of_hanging(self):
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_failing_scenario_reports_instead_of_hanging(self, batch_size):
+        # batch_size 2 and 3 put the failing scenario in one pool chunk
+        # with good ones: it must not take them down.
         specs = small_grid(2) + [failing_spec()]
-        result = run_sweep(specs, DURATION, master_seed=9, workers=2)
+        result = run_sweep(specs, DURATION, master_seed=9, workers=2,
+                           batch_size=batch_size)
         assert len(result.outcomes) == 3
         assert len(result.completed) == 2
         (failed,) = result.failed
         assert failed.scenario_name == "broken"
         assert failed.summary is None
         assert "NoSuchScheduler" in failed.error
+        clean = run_sweep(specs[:2], DURATION, master_seed=9)
+        assert result.outcomes[:2] == clean.outcomes
 
     def test_failures_are_not_cached(self, tmp_path):
         specs = [failing_spec()]
@@ -325,3 +335,157 @@ class TestCacheReport:
         runner.run()
         assert runner.cache_report().counts() == \
             {"hits": 1, "misses": 0, "skips": 0}
+
+
+class TestSharedBackends:
+    """A sweep runs every scenario on backends it owns: each distinct
+    hardware config's FEU table is built once per process, whatever the
+    ``batch_size``, and results equal a serial sweep."""
+
+    @staticmethod
+    def record_table_builds(monkeypatch, log):
+        from repro.backends import PhysicsBackend
+
+        real = PhysicsBackend.feu_table
+
+        def recording(backend, scenario, alphas):
+            log((id(backend), scenario,
+                 (scenario, alphas) not in backend._feu_tables))
+            return real(backend, scenario, alphas)
+
+        monkeypatch.setattr(PhysicsBackend, "feu_table", recording)
+
+    def test_in_process_sweep_builds_one_table_per_config(self, monkeypatch):
+        specs = paper_grid(attempt_batch_size=100, backend="analytic")
+        calls = []
+        self.record_table_builds(monkeypatch, calls.append)
+        batched = SweepRunner(specs, 0.05, master_seed=12345,
+                              batch_size=64).run()
+        built = [(backend, config) for backend, config, fresh in calls
+                 if fresh]
+        assert len({call[0] for call in calls}) == 1
+        assert len(built) == len({config for _, config in built}) \
+            == len({spec.scenario for spec in specs})
+        monkeypatch.undo()
+        serial = SweepRunner(specs, 0.05, master_seed=12345).run()
+        assert batched.outcomes == serial.outcomes
+
+    def test_pool_workers_build_each_table_once_per_process(
+            self, monkeypatch, tmp_path):
+        import os
+
+        specs = paper_grid(attempt_batch_size=100, backend="analytic")
+        configs = list(dict.fromkeys(spec.scenario for spec in specs))
+
+        def log(call):
+            _, scenario, fresh = call
+            with open(tmp_path / f"{os.getpid()}.log", "a") as out:
+                out.write(f"{configs.index(scenario)} {int(fresh)}\n")
+
+        # Pool workers fork after the patch, so they record too.
+        self.record_table_builds(monkeypatch, log)
+        pooled = SweepRunner(specs, 0.05, master_seed=12345, workers=2,
+                             batch_size=64, start_method="fork").run()
+        logs = list(tmp_path.glob("*.log"))
+        assert logs and str(os.getpid()) not in {log.stem for log in logs}
+        for path in logs:
+            calls = [tuple(map(int, line.split()))
+                     for line in path.read_text().splitlines()]
+            ran = {config for config, _ in calls}
+            built = [config for config, fresh in calls if fresh]
+            assert sorted(built) == sorted(ran), path.name
+        monkeypatch.undo()
+        serial = SweepRunner(specs, 0.05, master_seed=12345).run()
+        assert pooled.outcomes == serial.outcomes
+
+
+def analytic_grid(count: int) -> list[ScenarioSpec]:
+    """First ``count`` analytic long-run scenarios (both hardware setups,
+    so counts beyond one setup's 63 are available)."""
+    specs = (single_kind_scenarios("Lab", backend="analytic")
+             + single_kind_scenarios("QL2020", backend="analytic"))
+    assert len(specs) >= count
+    return specs[:count]
+
+
+class TestBatchSize:
+    """``batch_size`` is the pool's chunk size and nothing more: results
+    are the same for every value (resume and failure isolation are
+    parametrized over it above)."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        specs = analytic_grid(6)
+        # A density straggler among the analytic scenarios.
+        density = ScenarioSpec(name="density_straggler",
+                               scenario=specs[0].scenario,
+                               workload=specs[0].workload, backend="density")
+        return specs + [density]
+
+    @pytest.fixture(scope="class")
+    def serial(self, grid):
+        return SweepRunner(grid, DURATION, master_seed=77).run()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_results_do_not_depend_on_batch_size(self, grid, serial,
+                                                 workers, batch_size):
+        result = SweepRunner(grid, DURATION, master_seed=77, workers=workers,
+                             batch_size=batch_size).run()
+        assert result.outcomes == serial.outcomes
+        assert all(outcome.ok for outcome in result.outcomes)
+        assert all(outcome.cohort is None for outcome in result.outcomes)
+
+
+class TestSoloEquivalence:
+    """A scenario's sweep outcome is its standalone run: sharing backends
+    across a sweep changes no result."""
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_sweep_outcomes_equal_standalone_runs(self, size):
+        specs = analytic_grid(size)
+        runner = SweepRunner(specs, DURATION, master_seed=9000,
+                             batch_size=64)
+        result = runner.run()
+        for spec, seed, outcome in zip(specs, runner.scenario_seeds(),
+                                       result.outcomes):
+            reference = spec.run(DURATION, seed=seed)
+            assert outcome.ok
+            assert outcome.summary == reference.summary
+            assert outcome.events_processed == reference.events_processed
+            assert outcome.requests_issued == reference.requests_issued
+
+    @pytest.mark.parametrize("steps", [2, 3, 8])
+    def test_stepped_advance_equals_one_run(self, steps):
+        from repro.runtime.runner import SimulationRun
+
+        for spec, duration in zip(analytic_grid(3), (0.07, 0.31, 0.2)):
+            reference = spec.run(duration, seed=5)
+            run = SimulationRun(spec.scenario, spec.workload,
+                                scheduler=spec.scheduler, seed=5,
+                                attempt_batch_size=spec.attempt_batch_size,
+                                backend=spec.backend)
+            run.start()
+            for step in range(1, steps):
+                run.advance_to(duration * step / steps)
+            run.advance_to(duration)
+            result = run.finalize(duration)
+            assert result.summary == reference.summary
+            assert result.events_processed == reference.events_processed
+            assert result.requests_issued == reference.requests_issued
+
+    @pytest.mark.parametrize("backend", ["analytic", "density"])
+    def test_warm_backend_reproduces_a_fresh_one(self, backend):
+        from repro.backends import get_backend
+
+        specs = [ScenarioSpec(name=spec.name, scenario=spec.scenario,
+                              workload=spec.workload,
+                              attempt_batch_size=spec.attempt_batch_size,
+                              backend=backend)
+                 for spec in analytic_grid(2)]
+        shared = get_backend(backend)
+        for spec in specs + specs:
+            warm = spec.run(DURATION, seed=6, backend=shared)
+            fresh = spec.run(DURATION, seed=6)
+            assert warm.summary == fresh.summary
+            assert warm.events_processed == fresh.events_processed

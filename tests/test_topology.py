@@ -19,7 +19,6 @@ from repro.runtime import (
     paper_grid,
     star_grid,
 )
-from repro.runtime.batch import cohortable
 from repro.runtime.cache import ResumeCache
 from repro.runtime.sweep import ScenarioOutcome
 from repro.topology import (
@@ -274,15 +273,6 @@ class TestSwitchedStar:
 
 
 class TestSweepIntegration:
-    def test_cohortable_rejects_topology_scenarios(self):
-        spec = chain_spec(3, backend="analytic")
-        assert not cohortable(spec)
-        single = ScenarioSpec(
-            name="solo", scenario=lab_scenario(),
-            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
-            backend="analytic")
-        assert cohortable(single)
-
     def test_chain_sweep_serial_equals_sharded(self, tmp_path):
         from repro.cluster import ClusterCoordinator
 
@@ -363,11 +353,3 @@ class TestCostModelLinks:
         chain3 = chain_spec(3)
         assert model.estimate(chain5, 1.0) > model.estimate(chain3, 1.0)
         assert chain5.cost_features()["links"] == 4
-
-    def test_no_cohort_discount_for_topologies(self):
-        from repro.cluster.planner import StaticCostModel
-
-        model = StaticCostModel()
-        spec = chain_spec(3, backend="analytic")
-        assert model.cohort_estimate(spec, 1.0, 8) == model.estimate(spec,
-                                                                     1.0)
