@@ -41,6 +41,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import repro.cluster
 from repro.cluster import ClusterCoordinator
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import GuardPolicy, ScenarioFaultPlan, SweepRunner
@@ -138,7 +139,13 @@ def run_chaos_sweep(specs, args, faults: ScenarioFaultPlan,
         lease_timeout=args.lease_timeout, clock_skew_tolerance=0.5,
         guard=guard)
     coordinator.write_plan()
-    env = dict(os.environ, PYTHONPATH="src",
+    # The workers import the same package as this process, wherever the
+    # example is run from.  ``repro`` is a namespace package (no
+    # ``__file__``), so the source root comes from one of its modules.
+    source = str(Path(repro.cluster.__file__).resolve().parents[2])
+    pythonpath = os.pathsep.join(
+        entry for entry in (source, os.environ.get("PYTHONPATH")) if entry)
+    env = dict(os.environ, PYTHONPATH=pythonpath,
                REPRO_SCENARIO_FAULTS=faults.to_env())
     env.pop("REPRO_OBS", None)  # workers need no obs artifacts here
 

@@ -18,8 +18,11 @@ shared filesystem across machines, or a local path for multi-process runs):
     most one timeout.
 
 ``tasks/<index>.done``
-    Completion marker, written (atomically, tmp + rename) only *after* the
-    outcome is durable in the worker's sink part.
+    Completion marker: an empty file, created only *after* the outcome is
+    durable in the worker's sink part and the submit's completion record
+    ``tasks/<first index>.done.<worker>.<attempt>.json`` (worker, attempt
+    token, wall time and finish time of every index the submit finished)
+    is durable beside it.
 
 ``results/part-<worker>.jsonl``
     One JSONL sink part per worker (see :mod:`repro.cluster.sinks`).

@@ -17,16 +17,23 @@ and adversarially perturbs its operations:
 * **delay** — the request is held briefly before delivery;
 * **crash** — the worker dies at a chosen claim/submit point
   (:class:`InjectedWorkerCrash` propagates out of the worker loop, leaving
-  its lease to go stale exactly like a machine loss);
+  its leases to go stale exactly like a machine loss) — before the frame is
+  applied, after it, or, for a submit over a filesystem transport, between
+  the sink fsync and the done markers;
 * **clock skew** — the wrapped filesystem transport reads and writes lease
   times on a clock offset from true time, exercising the skew-tolerance
   lease math.
+
+Claims and submits are list-carrying frames, so each fault hits a whole
+batch: a dropped claim leases none of its indices, a reset submit is
+applied for all of its results and then sent again, a duplicated claim
+re-grants every index to its owner.
 
 Every decision is a pure function of ``(seed, operation, nth call of that
 operation)`` — see :meth:`FaultSchedule.decide` — so a failing run is
 replayable from its seed alone regardless of thread interleaving, and the
 consumed schedule can be dumped (:meth:`FaultSchedule.to_dict`) as a CI
-artifact.
+artifact, with the indices each faulted claim or submit frame carried.
 
 Like a real client, :class:`FaultyTransport` retries operations whose
 delivery failed: the whole protocol is idempotent
@@ -57,7 +64,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.cluster.transport import (
     FilesystemTransport,
@@ -115,8 +122,9 @@ class FaultDecision:
     replay_stale: bool = False
     #: Seconds to hold the request before delivery.
     delay: float = 0.0
-    #: Worker death: ``None``, ``"before"`` (op not applied) or ``"after"``
-    #: (op applied, worker dies before using the response).
+    #: Worker death: ``None``, ``"before"`` (op not applied), ``"after"``
+    #: (op applied, worker dies before using the response) or
+    #: ``"between"`` (a submit's records written, its done markers not).
     crash: Optional[str] = None
 
     @property
@@ -153,7 +161,8 @@ class FaultSchedule:
     #: transport lease reads/writes) — simulated cross-machine skew.
     clock_skew: float = 0.0
     #: Crash the worker on the ``crash_call``-th delivery of ``crash_op``
-    #: (``"claim"`` / ``"submit"``), ``"before"`` or ``"after"`` applying it.
+    #: (``"claim"`` / ``"submit"``), ``"before"`` or ``"after"`` applying it,
+    #: or ``"between"`` the sink fsync and the done markers of a submit.
     crash_op: Optional[str] = None
     crash_call: int = 1
     crash_mode: str = "after"
@@ -161,17 +170,26 @@ class FaultSchedule:
     fault_ops: frozenset = DEFAULT_FAULT_OPS
 
     def __post_init__(self) -> None:
-        if self.crash_mode not in ("before", "after"):
-            raise ValueError(f"crash_mode must be 'before' or 'after', "
-                             f"got {self.crash_mode!r}")
+        if self.crash_mode not in ("before", "after", "between"):
+            raise ValueError(f"crash_mode must be 'before', 'after' or "
+                             f"'between', got {self.crash_mode!r}")
+        if self.crash_mode == "between" and self.crash_op != "submit":
+            raise ValueError("crash_mode 'between' splits a submit; "
+                             f"crash_op must be 'submit', got "
+                             f"{self.crash_op!r}")
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
-        #: Every non-clean decision taken, as ``(op, n, decision)`` — the
-        #: replay log dumped into CI artifacts on a mismatch.
-        self.injected: list[tuple[str, int, FaultDecision]] = []
+        #: Every non-clean decision taken, as ``(op, n, decision,
+        #: indices)`` — the replay log dumped into CI artifacts on a
+        #: mismatch; ``indices`` are the scenarios a claim or submit frame
+        #: carried.
+        self.injected: list[tuple[str, int, FaultDecision,
+                                  tuple[int, ...]]] = []
 
-    def decide(self, op: str) -> FaultDecision:
-        """The (deterministic) fate of the next delivery of ``op``."""
+    def decide(self, op: str, indices: tuple[int, ...] = ()) -> FaultDecision:
+        """The (deterministic) fate of the next delivery of ``op``; a
+        faulted delivery is logged with the ``indices`` its frame
+        carries."""
         with self._lock:
             n = self._counts.get(op, 0) + 1
             self._counts[op] = n
@@ -193,7 +211,7 @@ class FaultSchedule:
             decision = FaultDecision(crash=crash)
         if not decision.is_clean:
             with self._lock:
-                self.injected.append((op, n, decision))
+                self.injected.append((op, n, decision, tuple(indices)))
         return decision
 
     def to_dict(self) -> dict:
@@ -207,12 +225,12 @@ class FaultSchedule:
             "clock_skew": self.clock_skew,
             "crash": {"op": self.crash_op, "call": self.crash_call,
                       "mode": self.crash_mode},
-            "injected": [{"op": op, "call": n,
+            "injected": [{"op": op, "call": n, "indices": list(indices),
                           "faults": [name for name in
                                      ("drop", "reset", "duplicate",
                                       "replay_stale", "crash")
                                      if getattr(decision, name)]}
-                         for op, n, decision in self.injected],
+                         for op, n, decision, indices in self.injected],
         }
 
 
@@ -232,6 +250,12 @@ class FaultyTransport(Transport):
 
     def __init__(self, inner: Transport, schedule: FaultSchedule,
                  max_retries: int = 8, retry_delay: float = 0.002) -> None:
+        if (schedule.crash_mode == "between"
+                and not isinstance(inner, FilesystemTransport)):
+            raise ValueError(
+                f"a crash between a submit's records and its done markers "
+                f"happens where the sink is written; the {inner.kind} "
+                f"transport writes it on the coordinator")
         self.inner = inner
         self.schedule = schedule
         self.max_retries = max(0, int(max_retries))
@@ -269,16 +293,23 @@ class FaultyTransport(Transport):
     # ------------------------------------------------------------------ #
     # Fault application
     # ------------------------------------------------------------------ #
-    def _apply(self, op: str, func: Callable, *args):
-        """Deliver ``func(*args)`` under the schedule's faults for ``op``."""
+    def _apply(self, op: str, func: Callable, *args,
+                indices: tuple[int, ...] = ()):
+        """Deliver ``func(*args)`` under the schedule's faults for ``op``;
+        ``indices`` are the scenarios the frame carries (for the log)."""
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.retry_delay)
-            decision = self.schedule.decide(op)
+            decision = self.schedule.decide(op, indices)
             if decision.crash == "before":
                 raise InjectedWorkerCrash(
                     f"injected crash before {op!r} "
                     f"(call {self.schedule._counts[op]})")
+            if decision.crash == "between":
+                self._write_records_only(*args)
+                raise InjectedWorkerCrash(
+                    f"injected crash between the records and the done "
+                    f"markers of {op!r} (call {self.schedule._counts[op]})")
             if decision.delay:
                 time.sleep(decision.delay)
             if decision.drop:
@@ -319,17 +350,31 @@ class FaultyTransport(Transport):
     def snapshot(self) -> TaskSnapshot:
         return self._apply("snapshot", self.inner.snapshot)
 
-    def try_claim(self, index: int, worker_id: str) -> bool:
-        return self._apply("claim", self.inner.try_claim, index, worker_id)
+    def claim_many(self, indices: Sequence[int],
+                   worker_id: str) -> list[int]:
+        indices = list(indices)
+        return self._apply("claim", self.inner.claim_many, indices,
+                           worker_id, indices=tuple(indices))
 
     def heartbeat(self, index: int, worker_id: str) -> bool:
         return self._apply("heartbeat", self.inner.heartbeat,
                            index, worker_id)
 
-    def submit_result(self, worker_id: str, index: int,
-                      outcome: ScenarioOutcome, attempt: int = 0) -> None:
-        return self._apply("submit", self.inner.submit_result,
-                           worker_id, index, outcome, attempt)
+    def submit_many(self, worker_id: str,
+                    results: Sequence[tuple[int, ScenarioOutcome, int]],
+                    ) -> None:
+        results = list(results)
+        return self._apply("submit", self.inner.submit_many, worker_id,
+                           results,
+                           indices=tuple(index for index, _, _ in results))
+
+    def _write_records_only(self, worker_id: str,
+                            results: list[tuple[int, ScenarioOutcome, int]],
+                            ) -> None:
+        """Half a submit: its sink records, durable, but no done marker —
+        what a filesystem worker leaves when it dies in between."""
+        with self.inner._lock:
+            self.inner._write_records(worker_id, results)
 
     def record_failure(self, worker_id: str, index: int,
                        outcome: ScenarioOutcome, attempt: int = 0) -> dict:

@@ -63,7 +63,9 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
     One handler thread per worker connection; state-changing operations are
     applied to the local filesystem transport (claims additionally serialise
     on a server-side lock, making the lease grant atomic even across
-    noncompliant filesystems).
+    noncompliant filesystems).  A ``claim`` or ``submit`` frame carries a
+    list, applied index by index in order: a claim under the lock, a submit
+    as one sink append and fsync followed by its done markers.
     """
 
     allow_reuse_address = True
@@ -132,20 +134,23 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
                 return {"ok": True,
                         "snapshot": self.local.snapshot().to_dict()}
             if op == "claim":
-                index = self._checked_index(frame)
+                indices = [self._checked_index(index)
+                           for index in frame["indices"]]
                 with self._claim_lock:
-                    granted = self.local.try_claim(index,
-                                                   str(frame["worker_id"]))
+                    granted = self.local.claim_many(indices,
+                                                    str(frame["worker_id"]))
                 return {"ok": True, "granted": granted}
             if op == "heartbeat":
-                alive = self.local.heartbeat(self._checked_index(frame),
-                                             str(frame["worker_id"]))
+                alive = self.local.heartbeat(
+                    self._checked_index(frame["index"]),
+                    str(frame["worker_id"]))
                 return {"ok": True, "alive": alive}
             if op == "submit":
-                outcome = ScenarioOutcome.from_dict(frame["outcome"])
-                self.local.submit_result(str(frame["worker_id"]),
-                                         self._checked_index(frame), outcome,
-                                         attempt=int(frame.get("attempt", 0)))
+                results = [(self._checked_index(entry["index"]),
+                            ScenarioOutcome.from_dict(entry["outcome"]),
+                            int(entry.get("attempt", 0)))
+                           for entry in frame["results"]]
+                self.local.submit_many(str(frame["worker_id"]), results)
                 return {"ok": True}
             if op == "fail":
                 outcome = ScenarioOutcome.from_dict(frame["outcome"])
@@ -154,8 +159,9 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
                 # claims so a takeover cannot race the quarantine decision.
                 with self._claim_lock:
                     charged = self.local.record_failure(
-                        str(frame["worker_id"]), self._checked_index(frame),
-                        outcome, attempt=int(frame.get("attempt", 0)))
+                        str(frame["worker_id"]),
+                        self._checked_index(frame["index"]), outcome,
+                        attempt=int(frame.get("attempt", 0)))
                 return {"ok": True, **charged}
             if op == "telemetry":
                 metrics = frame["metrics"]
@@ -169,8 +175,8 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         except (KeyError, TypeError, ValueError, TransportError) as error:
             return {"ok": False, "error": f"{op}: {error!r}"}
 
-    def _checked_index(self, frame: dict) -> int:
-        index = int(frame["index"])
+    def _checked_index(self, value) -> int:
+        index = int(value)
         if not 0 <= index < len(self.local.plan.specs):
             raise ValueError(f"scenario index {index} out of range")
         return index

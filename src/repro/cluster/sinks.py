@@ -1,12 +1,12 @@
 """Append-only JSON Lines result parts for sharded sweeps.
 
 A :class:`ResultSink` receives ``(global scenario index, ScenarioOutcome)``
-pairs as workers finish scenarios and persists them durably — ``write``
-returning means the outcome survives a worker crash.  Its one format,
-:class:`JsonlResultSink`, writes one header line, then one outcome per line,
-flushed and fsynced per write.  A crash mid-write loses at most the partial
-trailing line, which the loader detects and drops and a resumed sink
-truncates.
+pairs as workers finish scenarios and persists them durably — ``write_many``
+returning means the outcomes survive a worker crash.  Its one format,
+:class:`JsonlResultSink`, writes one header line, then one outcome per line;
+a batch of records is one append, flushed and fsynced once.  A crash
+mid-write loses at most the partial trailing line, which the loader detects
+and drops and a resumed sink truncates.
 
 Parts merge into a canonical :class:`~repro.runtime.sweep.SweepResult` via
 :func:`merge_results`, ordered by global index and therefore *field-for-field
@@ -21,7 +21,7 @@ import json
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.runtime.cache import CACHE_VERSION
 from repro.runtime.sweep import ScenarioOutcome, SweepResult
@@ -34,9 +34,9 @@ class SinkError(ValueError):
 class ResultSink(ABC):
     """Write-side interface workers stream outcomes through.
 
-    Implementations must make :meth:`write` durable before returning — the
-    coordinator's done-markers are written after the sink write, and a done
-    marker with no recoverable sink record would lose a scenario.
+    Implementations must make :meth:`write_many` durable before returning —
+    the coordinator's done-markers are written after the sink write, and a
+    done marker with no recoverable sink record would lose a scenario.
     """
 
     #: Format name used in plan files.
@@ -49,8 +49,13 @@ class ResultSink(ABC):
         self.duration = duration
 
     @abstractmethod
+    def write_many(self,
+                   records: Sequence[tuple[int, ScenarioOutcome]]) -> None:
+        """Durably record each ``(global scenario index, outcome)``."""
+
     def write(self, index: int, outcome: ScenarioOutcome) -> None:
         """Durably record ``outcome`` for global scenario ``index``."""
+        self.write_many([(index, outcome)])
 
     def close(self) -> None:
         """Flush any remaining state (writes are already durable)."""
@@ -73,7 +78,7 @@ class JsonlResultSink(ResultSink):
                       "cache_version": CACHE_VERSION,
                       "master_seed": self.master_seed,
                       "duration": self.duration}
-            self._append(header)
+            self._append([header])
 
     def _repair_torn_tail(self) -> None:
         """Truncate a partial trailing line left by a crash mid-write.
@@ -92,13 +97,16 @@ class JsonlResultSink(ResultSink):
         with self.path.open("r+b") as handle:
             handle.truncate(keep)
 
-    def _append(self, record: dict) -> None:
-        self._handle.write(json.dumps(record) + "\n")
+    def _append(self, records: Iterable[dict]) -> None:
+        self._handle.write("".join(json.dumps(record) + "\n"
+                                   for record in records))
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def write(self, index: int, outcome: ScenarioOutcome) -> None:
-        self._append({"index": index, "outcome": outcome.to_dict()})
+    def write_many(self,
+                   records: Sequence[tuple[int, ScenarioOutcome]]) -> None:
+        self._append({"index": index, "outcome": outcome.to_dict()}
+                     for index, outcome in records)
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -2,10 +2,11 @@
 
 PR 3's shard/lease/steal protocol was defined directly in terms of files in
 a shared directory.  This module lifts the protocol's *operations* — fetch
-the plan, register a worker, snapshot task state, claim a lease (including
-stale-lease takeover), heartbeat, submit a durable result — into a
-:class:`Transport` contract that the planner/worker/stealing/lease machinery
-runs against unchanged.  Two implementations:
+the plan, register a worker, snapshot task state, claim a batch of leases
+(including stale-lease takeover), heartbeat, submit a batch of durable
+results — into a :class:`Transport` contract that the
+planner/worker/stealing/lease machinery runs against unchanged.  Two
+implementations:
 
 :class:`FilesystemTransport`
     The shared-directory protocol, verbatim: atomic ``O_CREAT | O_EXCL``
@@ -34,10 +35,24 @@ Requests carry ``{"op": <name>, ...}``; responses carry ``{"ok": true, ...}``
 or ``{"ok": false, "error": <message>}``.  One request is answered by exactly
 one response, in order, per connection.
 
+Claims and submits are **batched**: a ``claim`` frame carries a list of
+``indices`` and is answered with the ``granted`` sublist, and a ``submit``
+frame carries a list of ``results`` (``index``, ``outcome``, ``attempt``).
+The coordinator applies the single-index semantics to each element in order
+— one lease grant or takeover per index, and for a submit one sink append
+and one fsync for the whole frame, then one durable done marker per index.
+The ops are idempotent and commute per scenario index, so a batch equals
+its elements applied one after another (the Scalable Commutativity Rule),
+and a single-index call (:meth:`Transport.try_claim`,
+:meth:`Transport.submit_result`) is simply a batch of one.  A stale lease
+is taken over only by a claim of that index alone: after a worker dies
+holding a batch, its indices are re-leased one at a time, so a scenario
+that kills its workers is found without charging its batch neighbours.
+
 Delivery semantics: every protocol operation is **idempotent** — claims
-re-grant to their current owner, registrations return the recorded shard,
-submits are deduplicated on ``(task_index, worker_id, attempt)`` and by the
-done marker, heartbeats are pure refreshes.  A client that loses the
+re-grant each index to its current owner, registrations return the recorded
+shard, submits are deduplicated per result on ``(task_index, worker_id,
+attempt)`` and by the done marker, heartbeats are pure refreshes.  A client that loses the
 connection mid-request therefore cannot tell whether the operation was
 applied, *and does not need to*: :meth:`SocketTransport.request` retries
 idempotent operations with bounded backoff, and a duplicate delivery
@@ -62,7 +77,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.cluster.coordinator import (
     RESULTS_DIR,
@@ -115,9 +130,10 @@ class FrameDecodeError(TransportError):
     """
 
 
-#: Operations that are safe to deliver more than once: claims re-grant to
-#: their owner, registrations return the recorded shard, submits dedupe on
-#: ``(index, worker_id, attempt)``, heartbeats are pure refreshes, telemetry
+#: Operations that are safe to deliver more than once: claims re-grant each
+#: of their indices to its owner, registrations return the recorded shard,
+#: submits dedupe each of their results on ``(index, worker_id, attempt)``,
+#: heartbeats are pure refreshes, telemetry
 #: uploads are whole-snapshot last-write-wins, and the read-only ops
 #: (plan/snapshot/status) have no effect at all.  Only these may be retried
 #: after a connection error whose outcome is unknown — which, after this set
@@ -133,7 +149,9 @@ IDEMPOTENT_OPS = frozenset({
 # --------------------------------------------------------------------------- #
 _FRAME_HEADER = struct.Struct(">I")
 
-#: Upper bound on one frame (a submit carries one outcome — far below this).
+#: Upper bound on one frame.  A submit carries at most
+#: :data:`repro.cluster.worker.SUBMIT_FRAME` outcomes of a few kB each, and a
+#: claim one index list — both far below this.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -209,8 +227,8 @@ class TaskSnapshot:
 
     Workers select claim candidates from a snapshot (one bulk operation —
     one network round trip on the socket transport instead of two per
-    scenario) and then validate each choice with the authoritative, atomic
-    :meth:`Transport.try_claim`; a stale snapshot therefore costs at most a
+    scenario) and then validate their choices with the authoritative, atomic
+    :meth:`Transport.claim_many`; a stale snapshot therefore costs at most a
     refused claim, never a double execution.
 
     That is why a worker keeps claiming from the candidate list of its last
@@ -219,8 +237,8 @@ class TaskSnapshot:
     runs dry (see :meth:`repro.cluster.worker.ClusterWorker.step`).  The
     protocol ops are idempotent and commute per scenario index, so a claim
     made from an old view is either granted exactly as from a new one or
-    refused: a sweep pass costs O(N) RPCs instead of O(N) snapshots of
-    O(N) each.
+    refused: a sweep pass costs one claim and one submit per batch instead
+    of O(N) snapshots of O(N) each.
     """
 
     done: frozenset[int]
@@ -261,13 +279,15 @@ class Transport(ABC):
 
     Implementations must guarantee:
 
-    * :meth:`try_claim` is **atomic**: of any number of concurrent claims for
-      one index, at most one is granted — and a grant on an index whose lease
-      is stale *takes the lease over* (the crashed owner's heartbeats, if it
-      resurrects, report the lease as lost).
-    * :meth:`submit_result` is **durable before it returns**, and records the
-      result *before* the done marker — a crash between the two re-executes
-      the scenario (harmless, deterministic) rather than losing it.
+    * :meth:`claim_many` is **atomic per index**: of any number of concurrent
+      claims for one index, at most one is granted — and a claim of that
+      index *alone* on an index whose lease is stale *takes the lease over*
+      (the crashed owner's heartbeats, if it resurrects, report the lease
+      as lost).
+    * :meth:`submit_many` is **durable before it returns**, and records the
+      results *before* their done markers — a crash between the two
+      re-executes the scenarios (harmless, deterministic) rather than
+      losing them.
     * Every operation is **idempotent** (see :data:`IDEMPOTENT_OPS`): a
       duplicated or retried delivery commutes into a no-op, so a caller that
       cannot tell whether a request was applied may simply send it again.
@@ -289,8 +309,15 @@ class Transport(ABC):
         """Current done/lease state of every scenario."""
 
     @abstractmethod
+    def claim_many(self, indices: Sequence[int],
+                   worker_id: str) -> list[int]:
+        """Try to acquire the lease of each of ``indices``, in order;
+        returns the granted ones.  A stale lease is taken over only when
+        ``indices`` holds that one index."""
+
     def try_claim(self, index: int, worker_id: str) -> bool:
         """Atomically try to acquire the lease for ``index``."""
+        return bool(self.claim_many([index], worker_id))
 
     @abstractmethod
     def heartbeat(self, index: int, worker_id: str) -> bool:
@@ -298,15 +325,23 @@ class Transport(ABC):
         ``worker_id`` (taken over after going stale) — stop beating then."""
 
     @abstractmethod
-    def submit_result(self, worker_id: str, index: int,
-                      outcome: ScenarioOutcome, attempt: int = 0) -> None:
-        """Durably record ``outcome`` and then mark ``index`` done.
+    def submit_many(self, worker_id: str,
+                    results: Sequence[tuple[int, ScenarioOutcome, int]],
+                    ) -> None:
+        """Durably record each ``(index, outcome, attempt)`` and then mark
+        its index done.
 
         ``attempt`` distinguishes separate *executions* by the same worker
-        from duplicate *deliveries* of one execution: re-sending a submit
+        from duplicate *deliveries* of one execution: re-sending a result
         with the same ``(index, worker_id, attempt)`` key (a retry after a
         connection reset whose first delivery may have been applied) writes
-        the sink record at most once."""
+        its sink record at most once.  A done marker wins over any lease:
+        a result needs no lease to be submitted."""
+
+    def submit_result(self, worker_id: str, index: int,
+                      outcome: ScenarioOutcome, attempt: int = 0) -> None:
+        """Durably record ``outcome`` and then mark ``index`` done."""
+        self.submit_many(worker_id, [(index, outcome, attempt)])
 
     def record_failure(self, worker_id: str, index: int,
                        outcome: ScenarioOutcome, attempt: int = 0) -> dict:
@@ -494,7 +529,14 @@ class FilesystemTransport(Transport):
         os.utime(lease, (now, now))
 
     # -- claiming ------------------------------------------------------ #
-    def try_claim(self, index: int, worker_id: str) -> bool:
+    def claim_many(self, indices: Sequence[int],
+                   worker_id: str) -> list[int]:
+        batch = len(indices)
+        return [index for index in indices
+                if self._claim(index, worker_id, batch)]
+
+    def _claim(self, index: int, worker_id: str, batch: int) -> bool:
+        """One index of a claim of ``batch`` indices."""
         # Done wins over any view the caller claimed from — including a
         # quarantined scenario, whose lease was already released.
         if self._is_done(index):
@@ -502,7 +544,7 @@ class FilesystemTransport(Transport):
         lease = lease_path(self.cluster_dir, index)
         lease.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps({"worker_id": worker_id,
-                              "claimed_at": self.clock()})
+                              "claimed_at": self.clock(), "batch": batch})
         try:
             descriptor = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -523,7 +565,15 @@ class FilesystemTransport(Transport):
                 except (OSError, json.JSONDecodeError):
                     return False
                 return owner == worker_id
-            if self.guard is not None:
+            if batch > 1:
+                # Stale leases are re-leased one index at a time, so the
+                # next death on this index is attributable to it alone.
+                return False
+            try:
+                dead = json.loads(lease.read_text())
+            except (OSError, json.JSONDecodeError):
+                dead = {}
+            if self.guard is not None and dead.get("batch", 1) == 1:
                 # The stale lease is a worker that died (or wedged) mid-
                 # scenario and never reported back.  Charge the death
                 # against the scenario's retry budget *before* handing the
@@ -531,12 +581,11 @@ class FilesystemTransport(Transport):
                 # on one index are the only observable signature of a
                 # poison scenario that OOM-kills its workers, and without
                 # this check it would take the fleet down one worker at a
-                # time.  The marker is keyed on the dead lease's claimed_at
-                # stamp so racing takeovers record one death, not two.
-                try:
-                    dead = json.loads(lease.read_text())
-                except (OSError, json.JSONDecodeError):
-                    dead = {}
+                # time.  Only the death of a lease claimed alone is
+                # charged: a worker that dies holding a batch was running
+                # one of its scenarios, and nothing tells which.  The
+                # marker is keyed on the dead lease's claimed_at stamp so
+                # racing takeovers record one death, not two.
                 stamp = str(dead.get("claimed_at", "unknown"))
                 stamp = stamp.replace(".", "_")
                 atomic_write_json(
@@ -594,25 +643,61 @@ class FilesystemTransport(Transport):
                 self._sinks[worker_id] = sink
             return sink
 
-    def submit_result(self, worker_id: str, index: int,
-                      outcome: ScenarioOutcome, attempt: int = 0) -> None:
+    def submit_many(self, worker_id: str,
+                    results: Sequence[tuple[int, ScenarioOutcome, int]],
+                    ) -> None:
         with self._lock:
-            key = (index, worker_id, attempt)
-            # Dedupe duplicate deliveries: a done marker proves *some* sink
-            # record for this index is already durable (markers are written
-            # after the sink write, and fsynced), and a seen (index, worker,
-            # attempt) key means *this very delivery* was applied even if
-            # the crash window between sink write and done marker was hit.
-            if key not in self._applied_submits and not self._is_done(index):
-                self._sink_for(worker_id).write(index, outcome)
-            self._applied_submits.add(key)
-            if not self._is_done(index):
-                atomic_write_json(done_path(self.cluster_dir, index),
-                                  {"index": index, "worker_id": worker_id,
-                                   "attempt": attempt,
-                                   "wall_time": outcome.wall_time,
-                                   "finished_at": self.clock()},
-                                  durable=True)
+            self._write_records(worker_id, results)
+            self._mark_done(worker_id, results)
+
+    def _write_records(self, worker_id: str,
+                       results: Sequence[tuple[int, ScenarioOutcome, int]],
+                       ) -> None:
+        """The sink half of a submit: one append and one fsync."""
+        # Dedupe duplicate deliveries: a done marker proves *some* sink
+        # record for this index is already durable (markers are written
+        # after the sink write, and fsynced), and a seen (index, worker,
+        # attempt) key means *this very delivery* was applied even if the
+        # crash window between sink write and done marker was hit.
+        fresh = [(index, outcome) for index, outcome, attempt in results
+                 if (index, worker_id, attempt) not in self._applied_submits
+                 and not self._is_done(index)]
+        if fresh:
+            self._sink_for(worker_id).write_many(fresh)
+        self._applied_submits.update((index, worker_id, attempt)
+                                     for index, _, attempt in results)
+
+    def _mark_done(self, worker_id: str,
+                   results: Sequence[tuple[int, ScenarioOutcome, int]],
+                   ) -> None:
+        """The marker half of a submit, after the records are durable.
+
+        One durable completion record for the frame's newly finished
+        indices (who finished each, under which attempt token, when), then
+        one empty done marker per index.  Creating an empty file is one
+        metadata operation; a marker with content of its own would cost a
+        data write per scenario, several times the rest of a submit.
+        """
+        pending = [(index, outcome, attempt)
+                   for index, outcome, attempt in results
+                   if not self._is_done(index)]
+        if not pending:
+            return
+        first, _, token = pending[0]
+        atomic_write_json(
+            self.cluster_dir / TASKS_DIR
+            / f"{first}.done.{worker_id}.{token}.json",
+            {"worker_id": worker_id, "finished_at": self.clock(),
+             "results": [{"index": index, "attempt": attempt,
+                          "wall_time": outcome.wall_time}
+                         for index, outcome, attempt in pending]},
+            durable=True)
+        for index, _, _ in pending:
+            try:
+                os.close(os.open(done_path(self.cluster_dir, index),
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass  # a racing submit marked it first
 
     # -- failures and quarantine --------------------------------------- #
     def _spent_attempts(self, index: int) -> int:
@@ -860,9 +945,11 @@ class SocketTransport(Transport):
     def snapshot(self) -> TaskSnapshot:
         return TaskSnapshot.from_dict(self.request("snapshot")["snapshot"])
 
-    def try_claim(self, index: int, worker_id: str) -> bool:
-        return bool(self.request("claim", index=index,
-                                 worker_id=worker_id)["granted"])
+    def claim_many(self, indices: Sequence[int],
+                   worker_id: str) -> list[int]:
+        return [int(index) for index in
+                self.request("claim", indices=list(indices),
+                             worker_id=worker_id)["granted"]]
 
     def heartbeat(self, index: int, worker_id: str) -> bool:
         try:
@@ -877,10 +964,13 @@ class SocketTransport(Transport):
             # takeover is reported authoritatively as ``alive: False``.
             return True
 
-    def submit_result(self, worker_id: str, index: int,
-                      outcome: ScenarioOutcome, attempt: int = 0) -> None:
-        self.request("submit", worker_id=worker_id, index=index,
-                     outcome=outcome.to_dict(), attempt=attempt)
+    def submit_many(self, worker_id: str,
+                    results: Sequence[tuple[int, ScenarioOutcome, int]],
+                    ) -> None:
+        self.request("submit", worker_id=worker_id,
+                     results=[{"index": index, "outcome": outcome.to_dict(),
+                               "attempt": attempt}
+                              for index, outcome, attempt in results])
 
     def record_failure(self, worker_id: str, index: int,
                        outcome: ScenarioOutcome, attempt: int = 0) -> dict:

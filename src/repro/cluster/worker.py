@@ -4,31 +4,43 @@ A worker is stateless: point it at a cluster directory (filesystem
 transport) or a coordinator address (socket transport) and it rebuilds the
 scenario list, seeds and shard plan from the plan document, then loops:
 
-1. **Claim** the next pending scenario of its own shard (front to back — the
-   planner puts the costliest first).  Claims go through the transport's
-   atomic :meth:`~repro.cluster.transport.Transport.try_claim`, drawn from
-   the candidate list of the worker's last snapshot; losing a race on a
-   stale list refreshes it, on a fresh one just moves on to the next
-   candidate (see :meth:`ClusterWorker.step`).
-2. **Steal** when its shard is exhausted: victims are ranked by estimated
+1. **Look up** every candidate of a new snapshot in the resume cache, once.
+   Hits are submitted straight away, in frames of at most
+   :data:`SUBMIT_FRAME` outcomes, without taking a lease: a done marker
+   wins over any lease, and a cached record equals the one an execution
+   would write, so the merge dedupes a peer's duplicate.
+2. **Claim** the misses of its own shard front to back (the planner puts
+   the costliest first), in batches of about ``1 / (CLAIM_BATCHES_PER_SHARD
+   * num_shards)`` of the plan's estimated cost and at most
+   :data:`SUBMIT_FRAME` scenarios.  One claim RPC leases a whole batch
+   through :meth:`~repro.cluster.transport.Transport.claim_many`, drawn
+   from the candidate list of the worker's last snapshot; losing a race on
+   a stale list refreshes it, on a fresh one just moves on to the next
+   candidates (see :meth:`ClusterWorker.step`).  Each :meth:`step` runs one
+   scenario of the batch, and the batch's results go back in one submit.
+3. **Steal** when its shard is exhausted: victims are ranked by estimated
    *remaining* cost (the slowest shard is robbed first) and scenarios are
    taken from the back of the victim's list (the cheapest remaining work),
    so stragglers never gate the grid while the victim keeps its expensive
    head-of-line work.
-3. **Reclaim** scenarios whose lease heartbeat went stale — a worker died
-   mid-scenario.  Takeover is atomic inside the transport; if two workers
-   race, both re-execute the scenario, which is harmless: execution is
+4. **Reclaim** scenarios whose lease heartbeat went stale — a worker died
+   holding them.  Each is claimed alone (the transport takes over a stale
+   lease only in a claim of one), so after a death in a batch only the
+   scenario that kills workers is charged against the guard's retry
+   budget.  Takeover is atomic inside the transport; if two workers race,
+   both re-execute the scenario, which is harmless: execution is
    deterministic, so the duplicate sink records are identical and the merge
    dedupes them.
 
-While a scenario runs, the worker's one daemon heartbeat thread refreshes
-its lease through the transport at a third of the lease timeout, so long
-scenarios are never mistaken for dead workers; a heartbeat that reports the
-lease lost (taken over while this worker was presumed dead) stops beating
-that lease, and the worker aborts the scenario instead of submitting it.
-Outcomes stream through
-:meth:`~repro.cluster.transport.Transport.submit_result`, which is durable
-before the done marker exists — crash-and-resume is safe at every point.
+From claim to submit, the worker's one daemon heartbeat thread refreshes
+every lease of its batch through the transport at a third of the lease
+timeout, so neither a long scenario nor the unstarted scenarios queued
+behind it are mistaken for a dead worker; a heartbeat that reports a lease
+lost (taken over while this worker was presumed dead) stops beating that
+lease, and the worker drops that scenario instead of submitting it.
+Outcomes go through
+:meth:`~repro.cluster.transport.Transport.submit_many`, which is durable
+before the done markers exist — crash-and-resume is safe at every point.
 
 Every scenario runs through :func:`~repro.runtime.sweep.execute_scenario`
 on the worker's own :class:`~repro.backends.BackendSet`, so each distinct
@@ -77,18 +89,29 @@ from repro.runtime.sweep import (
 
 logger = logging.getLogger("repro.cluster.worker")
 
+#: Most outcomes one submit frame carries, and most scenarios one claim
+#: batch holds: a frame stays small (about 50 kB on the paper grid) however
+#: many cache hits a snapshot finds.
+SUBMIT_FRAME = 64
+#: A claim batch holds about ``1 / (CLAIM_BATCHES_PER_SHARD * num_shards)``
+#: of the plan's estimated cost, so a worker draining one shard claims it in
+#: about this many batches (more where single scenarios outweigh a batch).
+CLAIM_BATCHES_PER_SHARD = 4
+
+
 class _Heartbeat:
     """The worker's one daemon thread refreshing every watched lease.
 
-    :meth:`watch` adds a lease when its scenario starts running: its first
-    beat is due one interval later, then one per interval.  A transient
+    :meth:`watch` adds a lease when its batch is claimed: its first beat is
+    due one interval later, then one per interval.  A transient
     :class:`TransportError` is not a loss — the lease keeps beating.  An
     authoritative ``alive: false`` (stale takeover by a peer) marks that
-    lease **lost** and stops refreshing it; :meth:`unwatch` returns the
-    flag, final from then on, and the worker must check it before
-    submitting: a displaced worker that submits anyway double-counts the
-    scenario (its peer took over and will submit it too).  An answer that
-    arrives after its lease was unwatched marks nothing.
+    lease **lost** and stops refreshing it; :meth:`lost` reads the flag
+    and :meth:`unwatch` returns it, final from then on, and the worker must
+    check it before starting or submitting a scenario: a displaced worker
+    that submits anyway double-counts the scenario (its peer took over and
+    will submit it too).  An answer that arrives after its lease was
+    unwatched marks nothing.
 
     The thread starts with the first watch and lives until :meth:`close`,
     so a worker pays for one thread, not one per scenario.
@@ -117,6 +140,11 @@ class _Heartbeat:
                     daemon=True)
                 self._thread.start()
             self._wakeup.notify()
+
+    def lost(self, index: int) -> bool:
+        """Whether the watched lease of ``index`` was lost so far."""
+        with self._wakeup:
+            return self._watched[index][1]
 
     def unwatch(self, index: int) -> bool:
         """Stop refreshing ``index``; whether its lease was lost."""
@@ -186,9 +214,10 @@ class ClusterWorker:
     steal:
         Whether to take work from other shards once the home shard is done.
     crash_after_claims:
-        Test hook — the worker "dies" (stops, leaving its last lease without
-        a heartbeat) immediately after its N-th successful claim, simulating
-        a machine lost mid-scenario.
+        Test hook — the worker "dies" (stops, leaving the leases of its last
+        claim without a heartbeat) immediately after the claim that brings
+        its granted leases to N or more, simulating a machine lost while
+        running the first scenario of that batch.
     on_outcome:
         Optional progress callback, as in ``SweepRunner``.
     cache_dir:
@@ -196,8 +225,10 @@ class ClusterWorker:
         ``cache_dir`` (shared-filesystem deployments); socket workers
         typically pass a machine-local directory or ``None``.
     batch_size:
-        Scenarios claimed per step; only ``1`` is accepted, and any other
-        value raises ``ValueError``.
+        Vestigial: only ``1`` is accepted, and any other value raises
+        ``ValueError``.  Claim batches are sized from the plan's
+        ``scenario_costs`` instead; the parameter goes once the ladder
+        benchmark stops passing it (ROADMAP item 1(c)).
     """
 
     def __init__(self, cluster: "Transport | str | Path",
@@ -221,8 +252,8 @@ class ClusterWorker:
         if cache_dir is ...:
             cache_dir = self.plan.cache_dir
         if batch_size != 1:
-            raise ValueError(f"batch_size {batch_size!r}: a worker claims "
-                             f"one scenario per step, so it must be 1")
+            raise ValueError(f"batch_size {batch_size!r}: claim batches are "
+                             f"sized from the plan, so it must be 1")
         self.crash_after_claims = crash_after_claims
         self.on_outcome = on_outcome
         self.crashed = False
@@ -250,6 +281,17 @@ class ClusterWorker:
         #: Whether ``_candidates`` came from a snapshot taken during the
         #: current :meth:`step` — refusals then just move on.
         self._fresh = False
+        #: Indices whose cache lookup missed: looked up once, then claimed.
+        self._misses: set[int] = set()
+        #: The claimed batch's leased scenarios not started yet, in order.
+        self._batch: collections.deque[int] = collections.deque()
+        #: ``(index, outcome, attempt)`` of the batch's finished scenarios,
+        #: submitted together once the batch is exhausted.
+        self._finished: list[tuple[int, ScenarioOutcome, int]] = []
+        self._costs = self.plan.shard_plan.scenario_costs
+        #: Estimated cost one claim batch may hold.
+        self._claim_budget = sum(self._costs) / (
+            CLAIM_BATCHES_PER_SHARD * self.plan.shard_plan.num_shards)
         #: This worker's backends, one per name: each distinct FEU table
         #: is built once per worker.
         self._backends = BackendSet()
@@ -288,34 +330,68 @@ class ClusterWorker:
         return [index for index in self.plan.shard_plan.shards[shard_id]
                 if snapshot.is_available(index, timeout)]
 
-    def _refresh(self) -> None:
-        """Take a new snapshot and rebuild the candidate list from it."""
-        self._last_snapshot = self.transport.snapshot()
-        self._candidates = collections.deque(
-            self._next_candidates(self._last_snapshot))
-        self._fresh = True
+    def _refresh(self) -> Optional[int]:
+        """Take a new snapshot, submit the cache hits among its candidates
+        and queue the rest; returns the last index submitted, if any.
 
-    def _peek(self) -> Optional[int]:
-        """Next candidate, refreshing once the cached list runs dry;
-        ``None`` when even a fresh snapshot has nothing to offer."""
-        if not self._candidates and not self._fresh:
-            self._refresh()
-        return self._candidates[0] if self._candidates else None
-
-    def _claim(self, index: int) -> bool:
-        """Try to claim the head candidate ``index``.
-
-        A refusal on a cached (not fresh) view means the view is stale:
-        the list is dropped so the next :meth:`_peek` reads a new snapshot.
-        A refusal on a fresh view just moves on to the next candidate.
+        Each candidate is looked up once: a miss stays a miss for this
+        worker, and a hit is done once submitted.  Hits go out in frames of
+        at most :data:`SUBMIT_FRAME`, so at most one frame of outcomes is
+        held at a time.
         """
-        self._candidates.popleft()
-        if self.transport.try_claim(index, self.worker_id):
-            self._note_claim(index)
-            return True
-        if not self._fresh:
+        self._last_snapshot = self.transport.snapshot()
+        self._candidates.clear()
+        self._fresh = True
+        hits: list[tuple[int, ScenarioOutcome, int]] = []
+        last = None
+        for index in self._next_candidates(self._last_snapshot):
+            if index not in self._misses:
+                outcome = self._load_cached(index)
+                if outcome is not None:
+                    self._attempts += 1
+                    hits.append((index, outcome, self._attempts))
+                    if len(hits) == SUBMIT_FRAME:
+                        self._send(hits)
+                        last, hits = index, []
+                    continue
+                self._misses.add(index)
+            self._candidates.append(index)
+        if hits:
+            self._send(hits)
+            last = hits[-1][0]
+        return last
+
+    def _takeover(self, index: int) -> bool:
+        """Whether the last snapshot saw a stale lease on ``index``."""
+        age = self._last_snapshot.lease_ages.get(index)
+        return age is not None and age >= self.plan.lease_timeout
+
+    def _claim_batch(self) -> list[int]:
+        """Claim the next candidates as one batch; returns the granted ones.
+
+        The batch takes candidates from the front while their estimated
+        cost fits the claim budget (always at least one), up to
+        :data:`SUBMIT_FRAME`.  A candidate behind a stale lease is claimed
+        alone: the transport takes a stale lease over only in a claim of
+        one.  A refusal on a cached (not fresh) view means the view is
+        stale: the list is dropped so the next claim reads a new snapshot.
+        A refusal on a fresh view just moves on to the next candidates.
+        """
+        head = self._candidates.popleft()
+        batch, cost = [head], self._costs[head]
+        while (self._candidates and len(batch) < SUBMIT_FRAME
+               and not self._takeover(head)
+               and not self._takeover(self._candidates[0])
+               and cost + self._costs[self._candidates[0]]
+               <= self._claim_budget):
+            batch.append(self._candidates.popleft())
+            cost += self._costs[batch[-1]]
+        granted = self.transport.claim_many(batch, self.worker_id)
+        if len(granted) < len(batch) and not self._fresh:
             self._candidates.clear()
-        return False
+        for index in granted:
+            self._note_claim(index)
+        return granted
 
     def _next_candidates(self, snapshot: TaskSnapshot):
         """Yield candidate indices in claim-priority order.
@@ -358,28 +434,23 @@ class ClusterWorker:
             self.cache_report.misses.append(spec.name)
         return outcome
 
-    def _compute(self, index: int) -> ScenarioOutcome:
-        """Produce the outcome for ``index`` (cache hit or execution) —
-        submission is separate so the lease can be re-checked between the
-        two."""
-        outcome = self._load_cached(index)
-        if outcome is None:
-            spec = self.plan.specs[index]
-            try:
-                outcome = execute_scenario(spec, self.plan.seeds[index],
-                                           self.plan.duration,
-                                           guard=self.guard,
-                                           backends=self._backends)
-            except MemoryError:
-                # execute_scenario catches MemoryError from the scenario
-                # itself; this one fired outside it (cache I/O, outcome
-                # assembly).  Same taxonomy: an oom failure.
-                outcome = _failure_outcome(
-                    spec, self.plan.seeds[index], self.plan.duration,
-                    "oom", "MemoryError outside scenario execution",
-                    time.perf_counter())
-            if self._cache is not None:
-                self._cache.store(spec, outcome, self.plan.duration)
+    def _execute(self, index: int) -> ScenarioOutcome:
+        """Execute ``index`` and store its outcome in the cache."""
+        spec = self.plan.specs[index]
+        try:
+            outcome = execute_scenario(spec, self.plan.seeds[index],
+                                       self.plan.duration, guard=self.guard,
+                                       backends=self._backends)
+        except MemoryError:
+            # execute_scenario catches MemoryError from the scenario
+            # itself; this one fired outside it (outcome assembly).  Same
+            # taxonomy: an oom failure.
+            outcome = _failure_outcome(
+                spec, self.plan.seeds[index], self.plan.duration,
+                "oom", "MemoryError outside scenario execution",
+                time.perf_counter())
+        if self._cache is not None:
+            self._cache.store(spec, outcome, self.plan.duration)
         return outcome
 
     def _note_claim(self, index: int) -> None:
@@ -390,32 +461,47 @@ class ClusterWorker:
         self.metrics.counter("repro_worker_claims_total")
         if index not in self._own_indices:
             self.metrics.counter("repro_worker_steals_total")
-        age = self._last_snapshot.lease_ages.get(index)
-        if age is not None and age >= self.plan.lease_timeout:
+        if self._takeover(index):
             # The claim displaced a stale lease: a peer died (or was
             # presumed dead) mid-scenario and this worker took over.
             self.metrics.counter("repro_worker_takeovers_total")
 
-    def _submit(self, index: int, outcome: ScenarioOutcome) -> None:
-        self._attempts += 1
-        self.transport.submit_result(self.worker_id, index, outcome,
-                                     attempt=self._attempts)
-        self.executed.append(index)
-        if self.metrics is not None:
-            self.metrics.counter("repro_worker_submits_total",
-                                 status=outcome.status)
-            if outcome.from_cache:
-                self.metrics.counter("repro_worker_cache_hits_total")
-            else:
-                self.metrics.counter("repro_worker_scenarios_executed_total")
-                self.metrics.observe("repro_worker_scenario_wall_seconds",
-                                     outcome.wall_time)
-            self.metrics.counter("repro_worker_events_processed_total",
-                                 outcome.events_processed)
-            self.metrics.counter("repro_worker_events_elided_total",
-                                 outcome.events_elided)
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
+    def _send(self, results: list[tuple[int, ScenarioOutcome, int]]) -> None:
+        """Submit one frame of results and account for them."""
+        self.transport.submit_many(self.worker_id, results)
+        for index, outcome, _ in results:
+            self.executed.append(index)
+            if self.metrics is not None:
+                self.metrics.counter("repro_worker_submits_total",
+                                     status=outcome.status)
+                if outcome.from_cache:
+                    self.metrics.counter("repro_worker_cache_hits_total")
+                else:
+                    self.metrics.counter(
+                        "repro_worker_scenarios_executed_total")
+                    self.metrics.observe(
+                        "repro_worker_scenario_wall_seconds",
+                        outcome.wall_time)
+                self.metrics.counter("repro_worker_events_processed_total",
+                                     outcome.events_processed)
+                self.metrics.counter("repro_worker_events_elided_total",
+                                     outcome.events_elided)
+            if self.on_outcome is not None:
+                self.on_outcome(outcome)
+
+    def _submit_finished(self) -> None:
+        """Submit the batch's finished scenarios whose leases still hold.
+
+        A failed submit keeps them (and their heartbeats) for the next
+        :meth:`step` to send again under the same attempt tokens.
+        """
+        self._finished = [entry for entry in self._finished
+                          if not self._dropped(entry[0])]
+        if self._finished:
+            self._send(self._finished)
+        for index, _, _ in self._finished:
+            self._heartbeat.unwatch(index)
+        self._finished = []
 
     def _report_failure(self, index: int, outcome: ScenarioOutcome) -> None:
         """Charge a failed execution against the scenario's retry budget.
@@ -446,41 +532,52 @@ class ClusterWorker:
         if self.on_outcome is not None:
             self.on_outcome(outcome)
 
-    def _execute_claimed(self, index: int) -> int:
-        """Run one freshly claimed scenario under its heartbeat and submit
-        (or abort/report) it."""
-        self._heartbeat.watch(index)
-        try:
-            outcome = self._compute(index)
-        finally:
-            lost = self._heartbeat.unwatch(index)
-        # The loss flag is final once unwatched.  A worker that was
-        # presumed dead and displaced must abort instead of submitting —
-        # its peer took the lease over and owns this scenario's submission
-        # now; submitting both would double-count it.
-        if lost:
-            self._abort(index)
-            return index
-        if (self.guard is not None and not outcome.ok
-                and not outcome.from_cache):
-            self._report_failure(index, outcome)
-            return index
-        self._submit(index, outcome)
+    def _run_next(self) -> int:
+        """Run the batch's next scenario; submit the batch after its last.
+
+        A lease lost before the scenario starts or while it runs drops the
+        scenario: the peer that took the lease over owns its submission
+        now, and submitting both would double-count it.  A guarded failure
+        is reported at once, so its retry is not held up by the batch.
+        """
+        index = self._batch.popleft()
+        if not self._dropped(index):
+            self._finish(index, self._execute(index))
+        if not self._batch:
+            self._submit_finished()
         return index
 
-    def _abort(self, index: int) -> None:
+    def _finish(self, index: int, outcome: ScenarioOutcome) -> None:
+        """Queue ``outcome`` for the batch's submit, or report a guarded
+        failure at once; nothing if the lease was lost while it ran."""
+        if self._dropped(index):
+            return
+        if self.guard is not None and not outcome.ok:
+            self._heartbeat.unwatch(index)
+            self._report_failure(index, outcome)
+            return
+        self._attempts += 1
+        self._finished.append((index, outcome, self._attempts))
+
+    def _dropped(self, index: int) -> bool:
+        """Whether the lease of ``index`` was lost; if so, stop watching it
+        and leave the scenario to the peer that took it over."""
+        if not self._heartbeat.lost(index):
+            return False
+        self._heartbeat.unwatch(index)
         self.aborted.append(index)
         self._candidates.clear()  # a peer took over: our view is stale
         if self.metrics is not None:
             self.metrics.counter("repro_worker_aborts_total")
         logger.warning(
-            "[%s] lease for scenario %d was taken over while "
-            "running; discarding the local result", self.worker_id, index)
+            "[%s] lease for scenario %d was taken over; leaving it to the "
+            "peer", self.worker_id, index)
+        return True
 
     def _crash_hook(self) -> bool:
-        """Test hook: simulated death after the N-th successful claim —
-        keep the lease, never heartbeat, write nothing.  The lease goes
-        stale and the scenario is reclaimed by a peer."""
+        """Test hook: simulated death once ``crash_after_claims`` leases
+        were granted — keep the leases, never heartbeat, write nothing.
+        The leases go stale and their scenarios are reclaimed by peers."""
         if (self.crash_after_claims is not None
                 and self._claims >= self.crash_after_claims):
             self.crashed = True
@@ -488,35 +585,66 @@ class ClusterWorker:
         return False
 
     def step(self) -> Optional[int]:
-        """Claim and execute one scenario; ``None`` when nothing is left.
+        """Run one scenario or submit one pass of cache hits; returns the
+        index handled last, ``None`` when nothing is left.
 
         "Nothing" means: no pending scenario this worker may take right now.
         Live leases held by other workers are *not* waited for — callers
         that want to drain a grid poll :meth:`step` (or use :meth:`run`)
         until the coordinator reports completion.
 
-        Claims go through the candidate list built from the last snapshot,
-        so a pass over N scenarios costs O(N) RPCs, not O(N) snapshots of
-        N scenarios each.  A new snapshot is taken only when the cached
-        view is known to be stale: a claim was refused, a failure was
-        reported (the retry must come first), a lease was aborted, or the
-        list ran dry.  Claiming from a stale view is safe because
-        :meth:`~repro.cluster.transport.Transport.try_claim` is atomic and
-        authoritative — the worst a stale candidate costs is one refused
+        A step runs the next scenario of the claimed batch.  Once the batch
+        is exhausted, the next step claims a new one from the candidate
+        list built from the last snapshot, so a pass over N scenarios costs
+        one claim and one submit per batch, not O(N) snapshots of N
+        scenarios each.  A new snapshot is taken only when the cached view
+        is known to be stale: a claim was refused, a failure was reported
+        (the retry must come first), a lease was lost, or the list ran dry.
+        Its cache hits are submitted in the same step.  Claiming from a
+        stale view is safe because
+        :meth:`~repro.cluster.transport.Transport.claim_many` is atomic and
+        authoritative — the worst a stale candidate costs is a refused
         claim.  ``None`` is returned only after a fresh snapshot offered
         nothing, so :meth:`run`'s completion check always reads a snapshot
         taken in this step.
+
+        An exception other than a :class:`TransportError` ends the worker
+        as a death would: its heartbeat stops, and its leases go stale.
         """
         if self.crashed:
             return None
+        try:
+            return self._step()
+        except TransportError:
+            raise
+        except BaseException:
+            self.crashed = True
+            self._heartbeat.close()
+            raise
+
+    def _step(self) -> Optional[int]:
+        if self._batch:
+            return self._run_next()
+        if self._finished:
+            self._submit_finished()  # the last step's submit failed
         self._fresh = False
-        while (index := self._peek()) is not None:
-            if not self._claim(index):
+        handled = None
+        while True:
+            if not self._candidates and not self._fresh:
+                submitted = self._refresh()
+                if submitted is not None:
+                    handled = submitted
+            if not self._candidates:
+                return handled
+            granted = self._claim_batch()
+            if not granted:
                 continue
             if self._crash_hook():
                 return None
-            return self._execute_claimed(index)
-        return None
+            for index in granted:
+                self._heartbeat.watch(index)
+            self._batch.extend(granted)
+            return self._run_next()
 
     def run(self, poll_interval: float = 0.2,
             wait_for_stragglers: bool = True,

@@ -77,16 +77,16 @@ class CountingTransport(Transport):
         self.snapshots += 1
         return self.inner.snapshot()
 
-    def try_claim(self, index, worker_id):
-        granted = self.inner.try_claim(index, worker_id)
-        self.claims.append((index, granted))
+    def claim_many(self, indices, worker_id):
+        granted = self.inner.claim_many(indices, worker_id)
+        self.claims.extend((index, index in granted) for index in indices)
         return granted
 
     def heartbeat(self, index, worker_id):
         return self.inner.heartbeat(index, worker_id)
 
-    def submit_result(self, worker_id, index, outcome, attempt=0):
-        self.inner.submit_result(worker_id, index, outcome, attempt=attempt)
+    def submit_many(self, worker_id, results):
+        self.inner.submit_many(worker_id, results)
 
     def record_failure(self, worker_id, index, outcome, attempt=0):
         return self.inner.record_failure(worker_id, index, outcome,

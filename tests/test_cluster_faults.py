@@ -177,15 +177,15 @@ class _ScriptedTransport:
         self.calls.append("snapshot")
         return "snapshot"
 
-    def try_claim(self, index, worker_id):
+    def claim_many(self, indices, worker_id):
         self.calls.append("claim")
-        return True
+        return list(indices)
 
     def heartbeat(self, index, worker_id):
         self.calls.append("heartbeat")
         return True
 
-    def submit_result(self, worker_id, index, outcome, attempt=0):
+    def submit_many(self, worker_id, results):
         self.calls.append("submit")
 
     def close(self):

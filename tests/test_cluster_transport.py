@@ -318,7 +318,7 @@ class TestSocketTransport:
             with pytest.raises(TransportError, match="unknown operation"):
                 transport.request("frobnicate")
             with pytest.raises(TransportError, match="out of range"):
-                transport.request("claim", index=99, worker_id="w")
+                transport.request("claim", indices=[99], worker_id="w")
         finally:
             cluster.close()
 
