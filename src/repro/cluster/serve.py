@@ -135,7 +135,7 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
                         "snapshot": self.local.snapshot().to_dict()}
             if op == "claim":
                 indices = [self._checked_index(index)
-                           for index in frame["indices"]]
+                           for index in self._list(frame, "indices")]
                 with self._claim_lock:
                     granted = self.local.claim_many(indices,
                                                     str(frame["worker_id"]))
@@ -149,7 +149,7 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
                 results = [(self._checked_index(entry["index"]),
                             ScenarioOutcome.from_dict(entry["outcome"]),
                             int(entry.get("attempt", 0)))
-                           for entry in frame["results"]]
+                           for entry in self._list(frame, "results")]
                 self.local.submit_many(str(frame["worker_id"]), results)
                 return {"ok": True}
             if op == "fail":
@@ -174,6 +174,14 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
             return {"ok": False, "error": f"unknown operation {op!r}"}
         except (KeyError, TypeError, ValueError, TransportError) as error:
             return {"ok": False, "error": f"{op}: {error!r}"}
+
+    @staticmethod
+    def _list(frame: dict, key: str) -> list:
+        value = frame[key]
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, got "
+                             f"{type(value).__name__}")
+        return value
 
     def _checked_index(self, value) -> int:
         index = int(value)

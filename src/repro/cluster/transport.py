@@ -40,7 +40,8 @@ Claims and submits are **batched**: a ``claim`` frame carries a list of
 frame carries a list of ``results`` (``index``, ``outcome``, ``attempt``).
 The coordinator applies the single-index semantics to each element in order
 — one lease grant or takeover per index, and for a submit one sink append
-and one fsync for the whole frame, then one durable done marker per index.
+and one fsync for the whole frame, one durable completion record, then one
+empty done marker per index.
 The ops are idempotent and commute per scenario index, so a batch equals
 its elements applied one after another (the Scalable Commutativity Rule),
 and a single-index call (:meth:`Transport.try_claim`,
@@ -52,11 +53,11 @@ that kills its workers is found without charging its batch neighbours.
 Delivery semantics: every protocol operation is **idempotent** — claims
 re-grant each index to its current owner, registrations return the recorded
 shard, submits are deduplicated per result on ``(task_index, worker_id,
-attempt)`` and by the done marker, heartbeats are pure refreshes.  A client that loses the
-connection mid-request therefore cannot tell whether the operation was
-applied, *and does not need to*: :meth:`SocketTransport.request` retries
-idempotent operations with bounded backoff, and a duplicate delivery
-commutes into a no-op.  Lease ages are computed on a single clock
+attempt)`` and by the done marker, heartbeats are pure refreshes.  A client
+that loses the connection mid-request therefore cannot tell whether the
+operation was applied, *and does not need to*:
+:meth:`SocketTransport.request` retries idempotent operations with bounded
+backoff, and a duplicate delivery commutes into a no-op.  Lease ages are computed on a single clock
 authority — the coordinator's clock for the socket transport, and
 mtime-relative with a configurable skew tolerance for the filesystem
 transport (see ``ClusterPlan.clock_skew_tolerance``) — so cross-machine
@@ -150,8 +151,8 @@ IDEMPOTENT_OPS = frozenset({
 _FRAME_HEADER = struct.Struct(">I")
 
 #: Upper bound on one frame.  A submit carries at most
-#: :data:`repro.cluster.worker.SUBMIT_FRAME` outcomes of a few kB each, and a
-#: claim one index list — both far below this.
+#: :data:`repro.cluster.worker.SUBMIT_FRAME` outcomes of about 1 kB each, and
+#: a claim one index list — both far below this.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
@@ -655,8 +656,8 @@ class FilesystemTransport(Transport):
                        ) -> None:
         """The sink half of a submit: one append and one fsync."""
         # Dedupe duplicate deliveries: a done marker proves *some* sink
-        # record for this index is already durable (markers are written
-        # after the sink write, and fsynced), and a seen (index, worker,
+        # record for this index is already durable (markers are created
+        # only after the sink write is fsynced), and a seen (index, worker,
         # attempt) key means *this very delivery* was applied even if the
         # crash window between sink write and done marker was hit.
         fresh = [(index, outcome) for index, outcome, attempt in results

@@ -222,6 +222,23 @@ class TestBatchEqualsElements:
         assert not list((coordinator.cluster_dir / "tasks").glob("*.lease"))
         assert coordinator.merge().outcomes == serial.outcomes
 
+    def test_frames_must_carry_lists(self, tmp_path):
+        coordinator = plan_cluster(tmp_path, grid(2))
+        server = ClusterCoordinatorServer(coordinator)
+        server.start_background()
+        try:
+            for frame in ({"op": "claim", "worker_id": "w", "indices": "1"},
+                          {"op": "claim", "worker_id": "w", "index": 1},
+                          {"op": "submit", "worker_id": "w",
+                           "results": {"index": 1}}):
+                response = server.dispatch(frame)
+                assert not response["ok"], frame
+            assert server.dispatch({"op": "claim", "worker_id": "w",
+                                    "indices": [1]}) == {"ok": True,
+                                                         "granted": [1]}
+        finally:
+            server.stop()
+
     def test_submit_needs_no_lease_and_wins_over_a_live_one(
             self, tmp_path, connect):
         """A hit is submitted without a lease, possibly while a peer that
