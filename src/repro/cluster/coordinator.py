@@ -12,17 +12,15 @@ shared filesystem across machines, or a local path for multi-process runs):
 ``tasks/<index>.lease``
     Claim + heartbeat for one scenario.  Created atomically
     (``O_CREAT | O_EXCL``) by the claiming worker; its mtime is refreshed by
-    a heartbeat thread while the scenario runs.  A lease whose heartbeat is
-    older than the lease timeout belongs to a dead worker and may be taken
-    over (atomic rename), so a crash mid-scenario delays that scenario by at
-    most one timeout.
+    the worker's heartbeat thread from the claim until the submit.  A lease
+    whose heartbeat is older than the lease timeout belongs to a dead
+    worker and may be taken over (atomic rename), so a crash mid-scenario
+    delays that scenario by at most one timeout.
 
 ``tasks/<index>.done``
     Completion marker: an empty file, created only *after* the outcome is
-    durable in the worker's sink part and the submit's completion record
-    ``tasks/<first index>.done.<worker>.<attempt>.json`` (worker, attempt
-    token, wall time and finish time of every index the submit finished)
-    is durable beside it.
+    durable (fsynced) in the worker's sink part, so a visible marker always
+    vouches for a durable record.
 
 ``results/part-<worker>.jsonl``
     One JSONL sink part per worker (see :mod:`repro.cluster.sinks`).

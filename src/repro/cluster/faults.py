@@ -24,16 +24,18 @@ and adversarially perturbs its operations:
   times on a clock offset from true time, exercising the skew-tolerance
   lease math.
 
-Claims and submits are list-carrying frames, so each fault hits a whole
-batch: a dropped claim leases none of its indices, a reset submit is
-applied for all of its results and then sent again, a duplicated claim
-re-grants every index to its owner.
+Claims, heartbeats and submits are list-carrying frames, so each fault
+hits a whole batch: a dropped claim leases none of its indices, a reset
+submit is applied for all of its results and then sent again, a duplicated
+claim re-grants every index to its owner, a dropped heartbeat refreshes
+none of its leases.
 
 Every decision is a pure function of ``(seed, operation, nth call of that
 operation)`` — see :meth:`FaultSchedule.decide` — so a failing run is
 replayable from its seed alone regardless of thread interleaving, and the
 consumed schedule can be dumped (:meth:`FaultSchedule.to_dict`) as a CI
-artifact, with the indices each faulted claim or submit frame carried.
+artifact, with the indices each faulted claim, heartbeat or submit frame
+carried.
 
 Like a real client, :class:`FaultyTransport` retries operations whose
 delivery failed: the whole protocol is idempotent
@@ -181,8 +183,8 @@ class FaultSchedule:
         self._lock = threading.Lock()
         #: Every non-clean decision taken, as ``(op, n, decision,
         #: indices)`` — the replay log dumped into CI artifacts on a
-        #: mismatch; ``indices`` are the scenarios a claim or submit frame
-        #: carried.
+        #: mismatch; ``indices`` are the scenarios a claim, heartbeat or
+        #: submit frame carried.
         self.injected: list[tuple[str, int, FaultDecision,
                                   tuple[int, ...]]] = []
 
@@ -356,9 +358,11 @@ class FaultyTransport(Transport):
         return self._apply("claim", self.inner.claim_many, indices,
                            worker_id, indices=tuple(indices))
 
-    def heartbeat(self, index: int, worker_id: str) -> bool:
-        return self._apply("heartbeat", self.inner.heartbeat,
-                           index, worker_id)
+    def heartbeat_many(self, indices: Sequence[int],
+                       worker_id: str) -> list[int]:
+        indices = list(indices)
+        return self._apply("heartbeat", self.inner.heartbeat_many, indices,
+                           worker_id, indices=tuple(indices))
 
     def submit_many(self, worker_id: str,
                     results: Sequence[tuple[int, ScenarioOutcome, int]],

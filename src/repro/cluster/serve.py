@@ -63,9 +63,10 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
     One handler thread per worker connection; state-changing operations are
     applied to the local filesystem transport (claims additionally serialise
     on a server-side lock, making the lease grant atomic even across
-    noncompliant filesystems).  A ``claim`` or ``submit`` frame carries a
-    list, applied index by index in order: a claim under the lock, a submit
-    as one sink append and fsync followed by its done markers.
+    noncompliant filesystems).  A ``claim``, ``heartbeat`` or ``submit``
+    frame carries a list, applied index by index in order: a claim under
+    the lock, a heartbeat as one lease refresh per index, a submit as one
+    sink append and fsync followed by its done markers.
     """
 
     allow_reuse_address = True
@@ -141,8 +142,9 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
                                                     str(frame["worker_id"]))
                 return {"ok": True, "granted": granted}
             if op == "heartbeat":
-                alive = self.local.heartbeat(
-                    self._checked_index(frame["index"]),
+                alive = self.local.heartbeat_many(
+                    [self._checked_index(index)
+                     for index in self._list(frame, "indices")],
                     str(frame["worker_id"]))
                 return {"ok": True, "alive": alive}
             if op == "submit":

@@ -3,8 +3,8 @@
 PR 3's shard/lease/steal protocol was defined directly in terms of files in
 a shared directory.  This module lifts the protocol's *operations* — fetch
 the plan, register a worker, snapshot task state, claim a batch of leases
-(including stale-lease takeover), heartbeat, submit a batch of durable
-results — into a :class:`Transport` contract that the
+(including stale-lease takeover), heartbeat a batch of leases, submit a
+batch of durable results — into a :class:`Transport` contract that the
 planner/worker/stealing/lease machinery runs against unchanged.  Two
 implementations:
 
@@ -35,17 +35,19 @@ Requests carry ``{"op": <name>, ...}``; responses carry ``{"ok": true, ...}``
 or ``{"ok": false, "error": <message>}``.  One request is answered by exactly
 one response, in order, per connection.
 
-Claims and submits are **batched**: a ``claim`` frame carries a list of
-``indices`` and is answered with the ``granted`` sublist, and a ``submit``
-frame carries a list of ``results`` (``index``, ``outcome``, ``attempt``).
-The coordinator applies the single-index semantics to each element in order
-— one lease grant or takeover per index, and for a submit one sink append
-and one fsync for the whole frame, one durable completion record, then one
-empty done marker per index.
+Claims, heartbeats and submits are **batched**: a ``claim`` frame carries
+a list of ``indices`` and is answered with the ``granted`` sublist, a
+``heartbeat`` frame carries ``indices`` and is answered with the ``alive``
+sublist, and a ``submit`` frame carries a list of ``results`` (``index``,
+``outcome``, ``attempt``).  The coordinator applies the single-index
+semantics to each element in order — one lease grant or takeover per
+index, one lease refresh per index, and for a submit one sink append and
+one fsync for the whole frame, then one empty done marker per index.
 The ops are idempotent and commute per scenario index, so a batch equals
 its elements applied one after another (the Scalable Commutativity Rule),
 and a single-index call (:meth:`Transport.try_claim`,
-:meth:`Transport.submit_result`) is simply a batch of one.  A stale lease
+:meth:`Transport.heartbeat`, :meth:`Transport.submit_result`) is simply a
+batch of one.  A stale lease
 is taken over only by a claim of that index alone: after a worker dies
 holding a batch, its indices are re-leased one at a time, so a scenario
 that kills its workers is found without charging its batch neighbours.
@@ -134,7 +136,7 @@ class FrameDecodeError(TransportError):
 #: Operations that are safe to deliver more than once: claims re-grant each
 #: of their indices to its owner, registrations return the recorded shard,
 #: submits dedupe each of their results on ``(index, worker_id, attempt)``,
-#: heartbeats are pure refreshes, telemetry
+#: heartbeats are pure refreshes of each of their leases, telemetry
 #: uploads are whole-snapshot last-write-wins, and the read-only ops
 #: (plan/snapshot/status) have no effect at all.  Only these may be retried
 #: after a connection error whose outcome is unknown — which, after this set
@@ -246,6 +248,9 @@ class TaskSnapshot:
     #: Global index -> seconds since the lease's last heartbeat.  Absent
     #: indices are unleased.
     lease_ages: Mapping[int, float] = field(default_factory=dict)
+    #: Worker registrations so far (never decreases): the fleet size claim
+    #: batches are sized for.  Not task state, so not compared.
+    workers: int = field(default=0, compare=False)
 
     def is_done(self, index: int) -> bool:
         """Whether ``index`` has a done marker."""
@@ -262,14 +267,16 @@ class TaskSnapshot:
         """JSON-serialisable form (JSON keys become strings)."""
         return {"done": sorted(self.done),
                 "lease_ages": {str(index): age
-                               for index, age in self.lease_ages.items()}}
+                               for index, age in self.lease_ages.items()},
+                "workers": self.workers}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TaskSnapshot":
         """Rebuild a snapshot received over the wire."""
         return cls(done=frozenset(data["done"]),
                    lease_ages={int(index): age
-                               for index, age in data["lease_ages"].items()})
+                               for index, age in data["lease_ages"].items()},
+                   workers=int(data.get("workers", 0)))
 
 
 # --------------------------------------------------------------------------- #
@@ -321,9 +328,15 @@ class Transport(ABC):
         return bool(self.claim_many([index], worker_id))
 
     @abstractmethod
+    def heartbeat_many(self, indices: Sequence[int],
+                       worker_id: str) -> list[int]:
+        """Refresh the lease of each of ``indices``; returns the ones still
+        owned by ``worker_id``.  A missing index was taken over after going
+        stale (or released) — stop beating it then."""
+
     def heartbeat(self, index: int, worker_id: str) -> bool:
-        """Refresh the lease; ``False`` once the lease is no longer owned by
-        ``worker_id`` (taken over after going stale) — stop beating then."""
+        """Refresh the lease of ``index``; ``False`` once it is lost."""
+        return bool(self.heartbeat_many([index], worker_id))
 
     @abstractmethod
     def submit_many(self, worker_id: str,
@@ -410,11 +423,12 @@ class FilesystemTransport(Transport):
         #: Supervision policy of the plan (``None`` = pre-guard protocol:
         #: no death markers, no failure budget, no quarantine).
         self.guard: Optional[GuardPolicy] = self.plan.guard_policy()
-        # Reentrant: submit_result holds it across the sink lookup *and* the
+        # Reentrant: submit_many holds it across the sink lookup *and* the
         # write — when this instance backs the TCP coordinator, a client
         # that timed out and reconnected can have two server threads
         # submitting under the same worker id, and interleaved writes on
-        # one sink would tear the part.
+        # one sink would tear the part — and _quarantine's submit takes it
+        # again inside record_failure and claim_many.
         self._lock = threading.RLock()
 
     @property
@@ -522,7 +536,8 @@ class FilesystemTransport(Transport):
             except OSError:
                 continue  # released or replaced since the listing
             lease_ages[index] = max(0.0, now - mtime - tolerance)
-        return TaskSnapshot(done=frozenset(done), lease_ages=lease_ages)
+        return TaskSnapshot(done=frozenset(done), lease_ages=lease_ages,
+                            workers=self.registered_workers())
 
     def _touch(self, lease: Path) -> None:
         """Stamp the lease mtime from this process's (possibly skewed) clock."""
@@ -617,7 +632,13 @@ class FilesystemTransport(Transport):
         self._touch(lease)
         return True
 
-    def heartbeat(self, index: int, worker_id: str) -> bool:
+    def heartbeat_many(self, indices: Sequence[int],
+                       worker_id: str) -> list[int]:
+        return [index for index in indices
+                if self._refresh_lease(index, worker_id)]
+
+    def _refresh_lease(self, index: int, worker_id: str) -> bool:
+        """One index of a heartbeat: whether ``worker_id`` still owns it."""
         lease = lease_path(self.cluster_dir, index)
         try:
             owner = json.loads(lease.read_text()).get("worker_id")
@@ -649,7 +670,7 @@ class FilesystemTransport(Transport):
                     ) -> None:
         with self._lock:
             self._write_records(worker_id, results)
-            self._mark_done(worker_id, results)
+            self._mark_done(results)
 
     def _write_records(self, worker_id: str,
                        results: Sequence[tuple[int, ScenarioOutcome, int]],
@@ -668,32 +689,13 @@ class FilesystemTransport(Transport):
         self._applied_submits.update((index, worker_id, attempt)
                                      for index, _, attempt in results)
 
-    def _mark_done(self, worker_id: str,
-                   results: Sequence[tuple[int, ScenarioOutcome, int]],
+    def _mark_done(self, results: Sequence[tuple[int, ScenarioOutcome, int]],
                    ) -> None:
-        """The marker half of a submit, after the records are durable.
-
-        One durable completion record for the frame's newly finished
-        indices (who finished each, under which attempt token, when), then
-        one empty done marker per index.  Creating an empty file is one
-        metadata operation; a marker with content of its own would cost a
-        data write per scenario, several times the rest of a submit.
-        """
-        pending = [(index, outcome, attempt)
-                   for index, outcome, attempt in results
-                   if not self._is_done(index)]
-        if not pending:
-            return
-        first, _, token = pending[0]
-        atomic_write_json(
-            self.cluster_dir / TASKS_DIR
-            / f"{first}.done.{worker_id}.{token}.json",
-            {"worker_id": worker_id, "finished_at": self.clock(),
-             "results": [{"index": index, "attempt": attempt,
-                          "wall_time": outcome.wall_time}
-                         for index, outcome, attempt in pending]},
-            durable=True)
-        for index, _, _ in pending:
+        """The marker half of a submit, after the records are durable:
+        one empty done marker per index.  A marker's existence is all any
+        reader checks, and the sink fsync before it is what makes a visible
+        marker safe; creating an empty file is one metadata operation."""
+        for index, _, _ in results:
             try:
                 os.close(os.open(done_path(self.cluster_dir, index),
                                  os.O_CREAT | os.O_EXCL | os.O_WRONLY))
@@ -952,18 +954,21 @@ class SocketTransport(Transport):
                 self.request("claim", indices=list(indices),
                              worker_id=worker_id)["granted"]]
 
-    def heartbeat(self, index: int, worker_id: str) -> bool:
+    def heartbeat_many(self, indices: Sequence[int],
+                       worker_id: str) -> list[int]:
         try:
-            return bool(self.request("heartbeat", index=index,
-                                     worker_id=worker_id)["alive"])
+            return [int(index) for index in
+                    self.request("heartbeat", indices=list(indices),
+                                 worker_id=worker_id)["alive"]]
         except TransportError:
             # Unknown is not "lost": a transient outage (coordinator
             # restart, network blip) must not silence the heartbeat for
             # good — that would let the lease of a *healthy* worker go
             # stale and its scenario run twice fleet-wide.  Keep beating;
             # request() reconnects on the next attempt, and a genuine
-            # takeover is reported authoritatively as ``alive: False``.
-            return True
+            # takeover is reported authoritatively by its absence from
+            # ``alive``.
+            return list(indices)
 
     def submit_many(self, worker_id: str,
                     results: Sequence[tuple[int, ScenarioOutcome, int]],

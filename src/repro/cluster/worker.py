@@ -4,25 +4,34 @@ A worker is stateless: point it at a cluster directory (filesystem
 transport) or a coordinator address (socket transport) and it rebuilds the
 scenario list, seeds and shard plan from the plan document, then loops:
 
-1. **Look up** every candidate of a new snapshot in the resume cache, once.
-   Hits are submitted straight away, in frames of at most
-   :data:`SUBMIT_FRAME` outcomes, without taking a lease: a done marker
-   wins over any lease, and a cached record equals the one an execution
-   would write, so the merge dedupes a peer's duplicate.
+1. **Look up** every candidate of its own shard in a new snapshot in the
+   resume cache, once.  Hits are submitted straight away, in frames of at
+   most :data:`SUBMIT_FRAME` outcomes, without taking a lease: a done
+   marker wins over any lease, and a cached record equals the one an
+   execution would write, so the merge dedupes a peer's duplicate.  Other
+   shards' candidates are left to their owners and looked up only once
+   stolen, under a lease, so a fleet sharing one cache loads each record
+   once rather than once per worker.
 2. **Claim** the misses of its own shard front to back (the planner puts
-   the costliest first), in batches of about ``1 / (CLAIM_BATCHES_PER_SHARD
-   * num_shards)`` of the plan's estimated cost and at most
-   :data:`SUBMIT_FRAME` scenarios.  One claim RPC leases a whole batch
-   through :meth:`~repro.cluster.transport.Transport.claim_many`, drawn
-   from the candidate list of the worker's last snapshot; losing a race on
-   a stale list refreshes it, on a fresh one just moves on to the next
-   candidates (see :meth:`ClusterWorker.step`).  Each :meth:`step` runs one
-   scenario of the batch, and the batch's results go back in one submit.
+   the costliest first), in batches sized by guided self-scheduling: with
+   a fleet of ``P = max(num_shards, registered workers)``, a batch holds at
+   most ``1 / P`` of the estimated cost its shard still has pending (at
+   least one scenario, at most :data:`SUBMIT_FRAME`), so batches shrink to
+   single scenarios as a shard drains and the tail of a sweep is stolen
+   one scenario at a time, as before batching.  One
+   claim RPC leases a whole batch through
+   :meth:`~repro.cluster.transport.Transport.claim_many`, drawn from the
+   candidate list of the worker's last snapshot; losing a race on a stale
+   list refreshes it, on a fresh one just moves on to the next candidates
+   (see :meth:`ClusterWorker.step`).  Each :meth:`step` runs one scenario
+   of the batch, and the batch's results go back in one submit — sooner if
+   the oldest held result is one heartbeat interval old, so a death loses
+   at most about one interval of finished work.
 3. **Steal** when its shard is exhausted: victims are ranked by estimated
    *remaining* cost (the slowest shard is robbed first) and scenarios are
    taken from the back of the victim's list (the cheapest remaining work),
-   so stragglers never gate the grid while the victim keeps its expensive
-   head-of-line work.
+   in batches sized as above, so stragglers never gate the grid while the
+   victim keeps its expensive head-of-line work.
 4. **Reclaim** scenarios whose lease heartbeat went stale — a worker died
    holding them.  Each is claimed alone (the transport takes over a stale
    lease only in a claim of one), so after a death in a batch only the
@@ -33,11 +42,13 @@ scenario list, seeds and shard plan from the plan document, then loops:
    dedupes them.
 
 From claim to submit, the worker's one daemon heartbeat thread refreshes
-every lease of its batch through the transport at a third of the lease
-timeout, so neither a long scenario nor the unstarted scenarios queued
-behind it are mistaken for a dead worker; a heartbeat that reports a lease
-lost (taken over while this worker was presumed dead) stops beating that
-lease, and the worker drops that scenario instead of submitting it.
+every lease of its batch at a third of the lease timeout, all due leases
+in one :meth:`~repro.cluster.transport.Transport.heartbeat_many` RPC, so
+neither a long scenario nor the unstarted scenarios queued behind it are
+mistaken for a dead worker, and a held batch costs one heartbeat RPC per
+interval whatever its size; a heartbeat that reports a lease lost (taken
+over while this worker was presumed dead) stops beating that lease, and
+the worker drops that scenario instead of submitting it.
 Outcomes go through
 :meth:`~repro.cluster.transport.Transport.submit_many`, which is durable
 before the done markers exist — crash-and-resume is safe at every point.
@@ -93,25 +104,23 @@ logger = logging.getLogger("repro.cluster.worker")
 #: batch holds: a frame stays small (about 50 kB on the paper grid) however
 #: many cache hits a snapshot finds.
 SUBMIT_FRAME = 64
-#: A claim batch holds about ``1 / (CLAIM_BATCHES_PER_SHARD * num_shards)``
-#: of the plan's estimated cost, so a worker draining one shard claims it in
-#: about this many batches (more where single scenarios outweigh a batch).
-CLAIM_BATCHES_PER_SHARD = 4
 
 
 class _Heartbeat:
     """The worker's one daemon thread refreshing every watched lease.
 
     :meth:`watch` adds a lease when its batch is claimed: its first beat is
-    due one interval later, then one per interval.  A transient
-    :class:`TransportError` is not a loss — the lease keeps beating.  An
-    authoritative ``alive: false`` (stale takeover by a peer) marks that
-    lease **lost** and stops refreshing it; :meth:`lost` reads the flag
-    and :meth:`unwatch` returns it, final from then on, and the worker must
-    check it before starting or submitting a scenario: a displaced worker
-    that submits anyway double-counts the scenario (its peer took over and
-    will submit it too).  An answer that arrives after its lease was
-    unwatched marks nothing.
+    due one interval later, then one per interval; the leases due at one
+    wake-up are refreshed in one
+    :meth:`~repro.cluster.transport.Transport.heartbeat_many` call.  A
+    transient :class:`TransportError` is not a loss — the lease keeps
+    beating.  An authoritative answer without the index (stale takeover by
+    a peer) marks that lease **lost** and stops refreshing it;
+    :meth:`lost` reads the flag and :meth:`unwatch` returns it, final from
+    then on, and the worker must check it before starting or submitting a
+    scenario: a displaced worker that submits anyway double-counts the
+    scenario (its peer took over and will submit it too).  An answer that
+    arrives after its lease was unwatched marks nothing.
 
     The thread starts with the first watch and lives until :meth:`close`,
     so a worker pays for one thread, not one per scenario.
@@ -121,7 +130,8 @@ class _Heartbeat:
                  interval: float) -> None:
         self._transport = transport
         self._worker_id = worker_id
-        self._interval = max(interval, 0.05)
+        #: Seconds between beats of one lease.
+        self.interval = max(interval, 0.05)
         self._wakeup = threading.Condition()
         #: index -> [next beat due (monotonic), lost flag]; a fresh list
         #: per watch, so a late answer cannot reach a later watch.
@@ -132,7 +142,7 @@ class _Heartbeat:
     def watch(self, index: int) -> None:
         """Start refreshing the lease of ``index``."""
         with self._wakeup:
-            self._watched[index] = [time.monotonic() + self._interval, False]
+            self._watched[index] = [time.monotonic() + self.interval, False]
             if self._thread is None:
                 self._closed = False
                 self._thread = threading.Thread(
@@ -161,36 +171,40 @@ class _Heartbeat:
             self._thread = None
 
     def _due(self) -> Optional[list[tuple[int, list]]]:
-        """Wait for the next due beats; ``None`` once closed."""
+        """Wait for the next due beats; ``None`` once closed.
+
+        Once one lease is due, every lease due within the next half
+        interval beats with it: the leases of a batch, watched one after
+        another, share one frame from their first beat on.
+        """
         with self._wakeup:
             while not self._closed:
                 now = time.monotonic()
-                due = []
-                next_at = None
-                for index, entry in self._watched.items():
-                    if entry[1]:
-                        continue
-                    if entry[0] <= now:
-                        entry[0] = now + self._interval
-                        due.append((index, entry))
-                    elif next_at is None or entry[0] < next_at:
-                        next_at = entry[0]
-                if due:
+                live = [(index, entry)
+                        for index, entry in self._watched.items()
+                        if not entry[1]]
+                next_at = min((entry[0] for _, entry in live), default=None)
+                if next_at is not None and next_at <= now:
+                    due = [(index, entry) for index, entry in live
+                           if entry[0] <= now + self.interval / 2]
+                    for _, entry in due:
+                        entry[0] = now + self.interval
                     return due
                 self._wakeup.wait(None if next_at is None else next_at - now)
             return None
 
     def _beat(self) -> None:
         while (due := self._due()) is not None:
+            try:
+                alive = set(self._transport.heartbeat_many(
+                    [index for index, _ in due], self._worker_id))
+            except TransportError:
+                # Transient outage — unknown is not "lost".  Keep beating;
+                # the transport reconnects/retries, and a genuine takeover
+                # is reported authoritatively by its absence from alive.
+                continue
             for index, entry in due:
-                try:
-                    alive = self._transport.heartbeat(index, self._worker_id)
-                except TransportError:
-                    # Transient outage — unknown is not "lost".  Keep
-                    # beating; the transport reconnects/retries, and a
-                    # genuine takeover is reported authoritatively as False.
-                    continue
-                if not alive:
+                if index not in alive:
                     # Taken over: stop beating it.  The flag lands on this
                     # watch's own entry, so an answer arriving after the
                     # unwatch marks nothing the worker still reads.
@@ -286,12 +300,16 @@ class ClusterWorker:
         #: The claimed batch's leased scenarios not started yet, in order.
         self._batch: collections.deque[int] = collections.deque()
         #: ``(index, outcome, attempt)`` of the batch's finished scenarios,
-        #: submitted together once the batch is exhausted.
+        #: submitted together once the batch is exhausted or the oldest is
+        #: one heartbeat interval old.
         self._finished: list[tuple[int, ScenarioOutcome, int]] = []
+        #: Monotonic time the oldest entry of ``_finished`` was queued.
+        self._held_since = 0.0
         self._costs = self.plan.shard_plan.scenario_costs
-        #: Estimated cost one claim batch may hold.
-        self._claim_budget = sum(self._costs) / (
-            CLAIM_BATCHES_PER_SHARD * self.plan.shard_plan.num_shards)
+        #: Global index -> the shard it belongs to.
+        self._shard_of = {index: shard_id for shard_id, shard
+                          in enumerate(self.plan.shard_plan.shards)
+                          for index in shard}
         #: This worker's backends, one per name: each distinct FEU table
         #: is built once per worker.
         self._backends = BackendSet()
@@ -331,13 +349,15 @@ class ClusterWorker:
                 if snapshot.is_available(index, timeout)]
 
     def _refresh(self) -> Optional[int]:
-        """Take a new snapshot, submit the cache hits among its candidates
-        and queue the rest; returns the last index submitted, if any.
+        """Take a new snapshot, submit the cache hits among its own-shard
+        candidates and queue the rest; returns the last index submitted, if
+        any.
 
-        Each candidate is looked up once: a miss stays a miss for this
+        Each own candidate is looked up once: a miss stays a miss for this
         worker, and a hit is done once submitted.  Hits go out in frames of
         at most :data:`SUBMIT_FRAME`, so at most one frame of outcomes is
-        held at a time.
+        held at a time.  Other shards' candidates are looked up only once
+        stolen (see :meth:`_run_next`).
         """
         self._last_snapshot = self.transport.snapshot()
         self._candidates.clear()
@@ -345,7 +365,7 @@ class ClusterWorker:
         hits: list[tuple[int, ScenarioOutcome, int]] = []
         last = None
         for index in self._next_candidates(self._last_snapshot):
-            if index not in self._misses:
+            if index in self._own_indices and index not in self._misses:
                 outcome = self._load_cached(index)
                 if outcome is not None:
                     self._attempts += 1
@@ -369,21 +389,33 @@ class ClusterWorker:
     def _claim_batch(self) -> list[int]:
         """Claim the next candidates as one batch; returns the granted ones.
 
-        The batch takes candidates from the front while their estimated
-        cost fits the claim budget (always at least one), up to
-        :data:`SUBMIT_FRAME`.  A candidate behind a stale lease is claimed
-        alone: the transport takes a stale lease over only in a claim of
-        one.  A refusal on a cached (not fresh) view means the view is
-        stale: the list is dropped so the next claim reads a new snapshot.
-        A refusal on a fresh view just moves on to the next candidates.
+        The batch takes candidates of the head's shard from the front while
+        their estimated cost stays within ``1 / P`` of the cost that shard
+        still has among the candidates, for a fleet of ``P = max(num_shards,
+        registered workers)`` (guided self-scheduling: always at least one
+        scenario, up to :data:`SUBMIT_FRAME`).  A
+        candidate behind a stale lease is claimed alone: the transport
+        takes a stale lease over only in a claim of one.  A refusal on a
+        cached (not fresh) view means the view is stale: the list is
+        dropped so the next claim reads a new snapshot.  A refusal on a
+        fresh view just moves on to the next candidates.
         """
         head = self._candidates.popleft()
+        shard = self._shard_of[head]
         batch, cost = [head], self._costs[head]
+        # Summed in claim order, so with one shard the whole list's prefix
+        # sum equals the budget exactly.
+        pending = cost
+        for index in self._candidates:
+            if self._shard_of[index] == shard:
+                pending += self._costs[index]
+        budget = pending / max(self.plan.shard_plan.num_shards,
+                               self._last_snapshot.workers)
         while (self._candidates and len(batch) < SUBMIT_FRAME
                and not self._takeover(head)
                and not self._takeover(self._candidates[0])
-               and cost + self._costs[self._candidates[0]]
-               <= self._claim_budget):
+               and self._shard_of[self._candidates[0]] == shard
+               and cost + self._costs[self._candidates[0]] <= budget):
             batch.append(self._candidates.popleft())
             cost += self._costs[batch[-1]]
         granted = self.transport.claim_many(batch, self.worker_id)
@@ -533,17 +565,25 @@ class ClusterWorker:
             self.on_outcome(outcome)
 
     def _run_next(self) -> int:
-        """Run the batch's next scenario; submit the batch after its last.
+        """Run the batch's next scenario; submit the batch after its last,
+        or earlier once the oldest held result is a heartbeat interval old.
 
-        A lease lost before the scenario starts or while it runs drops the
-        scenario: the peer that took the lease over owns its submission
-        now, and submitting both would double-count it.  A guarded failure
-        is reported at once, so its retry is not held up by the batch.
+        A stolen scenario is looked up in the resume cache first (own
+        candidates were looked up at the snapshot).  A lease lost before
+        the scenario starts or while it runs drops the scenario: the peer
+        that took the lease over owns its submission now, and submitting
+        both would double-count it.  A guarded failure is reported at once,
+        so its retry is not held up by the batch.
         """
         index = self._batch.popleft()
         if not self._dropped(index):
-            self._finish(index, self._execute(index))
-        if not self._batch:
+            outcome = None
+            if index not in self._own_indices:
+                outcome = self._load_cached(index)
+            self._finish(index, outcome or self._execute(index))
+        if not self._batch or (
+                self._finished and time.monotonic() - self._held_since
+                >= self._heartbeat.interval):
             self._submit_finished()
         return index
 
@@ -552,10 +592,13 @@ class ClusterWorker:
         failure at once; nothing if the lease was lost while it ran."""
         if self._dropped(index):
             return
-        if self.guard is not None and not outcome.ok:
+        if self.guard is not None and not outcome.ok \
+                and not outcome.from_cache:
             self._heartbeat.unwatch(index)
             self._report_failure(index, outcome)
             return
+        if not self._finished:
+            self._held_since = time.monotonic()
         self._attempts += 1
         self._finished.append((index, outcome, self._attempts))
 

@@ -558,12 +558,21 @@ class TestClusterProtocol:
         merged = coordinator.merge()
         assert merged.outcomes == serial.outcomes
 
-    def test_worker_runs_one_scenario_per_step_by_default(self, tmp_path):
+    def test_worker_runs_one_scenario_per_step_by_default(self, tmp_path,
+                                                          monkeypatch):
         specs = grid(count=3, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs, num_shards=1)
         worker = ClusterWorker(coordinator.cluster_dir, "w", shard=0)
-        assert worker.step() == coordinator.plan().shards[0][0]
-        assert worker.executed == [coordinator.plan().shards[0][0]]
+        ran = []
+        execute = worker._execute
+        monkeypatch.setattr(worker, "_execute", lambda index: (
+            ran.append(index), execute(index))[1])
+        order = coordinator.plan().shards[0]
+        for count, index in enumerate(order, start=1):
+            assert worker.step() == index
+            assert ran == order[:count]
+        # The shard was one claim batch; its results went out together.
+        assert worker.executed == order
 
     @pytest.mark.parametrize("batch_size", [0, 2, 64])
     def test_worker_rejects_batch_sizes_other_than_one(self, tmp_path,

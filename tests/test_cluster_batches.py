@@ -1,18 +1,25 @@
 """Tests for batched claims and submits in the cluster protocol.
 
-* A ``claim`` or ``submit`` carries a list and equals its elements applied
-  in order: a JSONL batch is one append and one fsync with the same lines
-  as single writes, and a worker drains a plan in one claim and one submit
-  per cost-bounded batch, merging equal to a serial sweep.
-* Cache hits skip the lease: a warm cache drains a plan with no claim at
-  all, in submit frames of at most ``SUBMIT_FRAME`` outcomes.
+* A ``claim``, ``heartbeat`` or ``submit`` carries a list and equals its
+  elements applied in order: a JSONL batch is one append and one fsync
+  with the same lines as single writes, and a worker drains a plan in one
+  claim and one submit per batch, merging equal to a serial sweep.
+* Claim batches are guided self-scheduled: at most ``1 / num_shards`` of
+  the cost the shard still has pending, shrinking to single scenarios as
+  it drains.
+* Cache hits of the worker's own shard skip the lease: a warm cache drains
+  a plan with no claim at all, in submit frames of at most
+  ``SUBMIT_FRAME`` outcomes; other shards' hits are loaded only once
+  stolen.
 * A stale lease is re-leased one index at a time, and only the death of a
   lease claimed alone is charged against the retry budget, so a worker
   that dies holding a batch quarantines no innocent neighbour.
 * Fault injection reaches the list-carrying frames: duplicated batched
   submits, reset batched claims, and a crash between a submit's sink fsync
   and its done markers.
-* Every lease of a held batch is heartbeated from claim time.
+* Every lease of a held batch is heartbeated from claim time, all of them
+  in one frame per interval, and held results are submitted once the
+  oldest is an interval old.
 """
 
 from __future__ import annotations
@@ -94,20 +101,16 @@ def canned(spec, seed, duration) -> ScenarioOutcome:
                            duration=duration, backend=spec.backend_name())
 
 
-@pytest.fixture
-def one_batch(monkeypatch):
-    """Claim a whole shard in one batch (up to ``SUBMIT_FRAME``)."""
-    monkeypatch.setattr(worker_module, "CLAIM_BATCHES_PER_SHARD", 1)
-
-
 class FrameLog(Transport):
-    """Delegates to ``inner``, recording every claim and submit frame."""
+    """Delegates to ``inner``, recording every claim, heartbeat and submit
+    frame."""
 
     def __init__(self, inner: Transport) -> None:
         self.inner = inner
         self.kind = inner.kind
         self.plan = inner.plan
         self.claims: list[list[int]] = []
+        self.heartbeats: list[list[int]] = []
         self.submits: list[list[int]] = []
 
     def register_worker(self, worker_id, shard):
@@ -120,8 +123,9 @@ class FrameLog(Transport):
         self.claims.append(list(indices))
         return self.inner.claim_many(indices, worker_id)
 
-    def heartbeat(self, index, worker_id):
-        return self.inner.heartbeat(index, worker_id)
+    def heartbeat_many(self, indices, worker_id):
+        self.heartbeats.append(list(indices))
+        return self.inner.heartbeat_many(indices, worker_id)
 
     def submit_many(self, worker_id, results):
         self.submits.append([index for index, _, _ in results])
@@ -194,15 +198,41 @@ class TestBatchEqualsElements:
         transport = FrameLog(connect(coordinator))
         worker = ClusterWorker(transport, "w", cache_dir=None)
         worker.run(poll_interval=0.01)
-        costs = coordinator.cluster_plan().shard_plan.scenario_costs
-        budget = sum(costs) / worker_module.CLAIM_BATCHES_PER_SHARD
-        assert len(transport.claims) < len(specs)
-        assert any(len(batch) > 1 for batch in transport.claims)
-        for batch in transport.claims:
-            assert len(batch) == 1 or sum(costs[i] for i in batch) <= budget
-        # One submit per batch, carrying exactly the batch.
+        # One shard, one worker: the whole shard is one batch, claimed and
+        # submitted in one frame each.
+        assert transport.claims == [coordinator.plan().shards[0]]
         assert transport.submits == transport.claims
         assert sorted(worker.executed) == list(range(len(specs)))
+        assert coordinator.merge().outcomes == serial_outcomes(specs)
+
+    def test_batches_shrink_to_one_scenario_as_a_shard_drains(
+            self, tmp_path, connect):
+        """Guided self-scheduling over three shards: each batch holds at
+        most a third of the cost its shard had pending, so the tail of
+        every shard is claimed (and stealable) one scenario at a time."""
+        specs = grid(24)
+        coordinator = plan_cluster(tmp_path, specs, num_shards=3)
+        plan = coordinator.plan()
+        costs = plan.scenario_costs
+        transport = FrameLog(connect(coordinator))
+        worker = ClusterWorker(transport, "w", shard=0, cache_dir=None)
+        worker.run(poll_interval=0.01)
+        pending = {shard_id: set(shard)
+                   for shard_id, shard in enumerate(plan.shards)}
+        for batch in transport.claims:
+            (shard_id,) = {shard_id for shard_id, shard
+                           in enumerate(plan.shards) if batch[0] in shard}
+            assert set(batch) <= pending[shard_id]
+            budget = sum(costs[index] for index in pending[shard_id]) / 3
+            assert len(batch) == 1 or sum(costs[i] for i in batch) <= budget
+            pending[shard_id] -= set(batch)
+        assert any(len(batch) > 1 for batch in transport.claims)
+        assert len(transport.claims) < len(specs)
+        # Each shard's last batch is a single scenario.
+        for shard in plan.shards:
+            last = [batch for batch in transport.claims if batch[0] in shard]
+            assert len(last[-1]) == 1
+        assert transport.submits == transport.claims
         assert coordinator.merge().outcomes == serial_outcomes(specs)
 
     def test_warm_cache_submits_hits_without_a_lease(
@@ -222,6 +252,35 @@ class TestBatchEqualsElements:
         assert not list((coordinator.cluster_dir / "tasks").glob("*.lease"))
         assert coordinator.merge().outcomes == serial.outcomes
 
+    def test_other_shards_hits_are_loaded_only_once_stolen(
+            self, tmp_path, connect, monkeypatch):
+        """A worker submits its own shard's hits without a lease and
+        leaves the other shards' hits to their owners: it loads one of
+        those only after stealing it, so a fleet sharing a cache loads each
+        record once, not once per worker."""
+        specs = grid(12)
+        cache_dir = tmp_path / "cache"
+        serial = run_sweep(specs, DURATION, master_seed=SEED,
+                           cache_dir=cache_dir)
+        coordinator = plan_cluster(tmp_path, specs, num_shards=2)
+        own, other = coordinator.plan().shards
+        transport = FrameLog(connect(coordinator))
+        worker = ClusterWorker(transport, "w", shard=0, cache_dir=cache_dir)
+        loads = []
+        real_load = worker._cache.load
+        monkeypatch.setattr(worker._cache, "load", lambda spec, *args: (
+            loads.append(spec.name), real_load(spec, *args))[1])
+        worker.run(poll_interval=0.01)
+        # The own shard's hits went out first, in one frame, before any
+        # record of the other shard was loaded.
+        assert transport.submits[0] == list(own)
+        assert loads[:len(own)] == [specs[index].name for index in own]
+        # The other shard was stolen under leases, each hit loaded once.
+        assert sorted(index for batch in transport.claims
+                      for index in batch) == sorted(other)
+        assert sorted(loads) == sorted(spec.name for spec in specs)
+        assert coordinator.merge().outcomes == serial.outcomes
+
     def test_frames_must_carry_lists(self, tmp_path):
         coordinator = plan_cluster(tmp_path, grid(2))
         server = ClusterCoordinatorServer(coordinator)
@@ -229,6 +288,9 @@ class TestBatchEqualsElements:
         try:
             for frame in ({"op": "claim", "worker_id": "w", "indices": "1"},
                           {"op": "claim", "worker_id": "w", "index": 1},
+                          {"op": "heartbeat", "worker_id": "w", "index": 1},
+                          {"op": "heartbeat", "worker_id": "w",
+                           "indices": 1},
                           {"op": "submit", "worker_id": "w",
                            "results": {"index": 1}}):
                 response = server.dispatch(frame)
@@ -236,6 +298,9 @@ class TestBatchEqualsElements:
             assert server.dispatch({"op": "claim", "worker_id": "w",
                                     "indices": [1]}) == {"ok": True,
                                                          "granted": [1]}
+            assert server.dispatch({"op": "heartbeat", "worker_id": "w",
+                                    "indices": [0, 1]}) == {"ok": True,
+                                                            "alive": [1]}
         finally:
             server.stop()
 
@@ -284,8 +349,7 @@ class TestPoisonIsolation:
         assert [path.name.split(".")[0]
                 for path in tasks.glob("*.death.*")] == ["0"]
 
-    def test_batch_death_alone_quarantines_nothing(self, tmp_path,
-                                                   one_batch):
+    def test_batch_death_alone_quarantines_nothing(self, tmp_path):
         specs = grid(6)
         coordinator = plan_cluster(
             tmp_path, specs,
@@ -305,7 +369,7 @@ class TestPoisonIsolation:
         assert coordinator.merge().outcomes == serial_outcomes(specs)
 
     def test_only_the_scenario_that_kills_workers_is_quarantined(
-            self, tmp_path, one_batch):
+            self, tmp_path):
         """``max_attempts=1``: the holder dies holding a batch of six
         leases.  The batch's indices are re-leased one at a time; the
         second worker dies running the first of them, and that death —
@@ -399,7 +463,7 @@ class TestBatchedFrameFaults:
         faulty.close()
 
     def test_crash_between_records_and_markers_reexecutes(
-            self, tmp_path, one_batch):
+            self, tmp_path):
         specs = grid(5)
         coordinator = plan_cluster(tmp_path, specs)
         schedule = FaultSchedule(seed=1, crash_op="submit", crash_call=1,
@@ -443,7 +507,7 @@ class TestBatchedFrameFaults:
 # --------------------------------------------------------------------------- #
 class TestBatchHeartbeat:
     def test_unstarted_leases_stay_live_behind_a_long_scenario(
-            self, tmp_path, monkeypatch, one_batch):
+            self, tmp_path, monkeypatch):
         lease_timeout = 0.3
         specs = grid(4)
         coordinator = plan_cluster(tmp_path, specs,
@@ -478,8 +542,56 @@ class TestBatchHeartbeat:
         assert worker.aborted == []
         assert sorted(worker.executed) == list(range(len(specs)))
 
+    def test_a_held_batch_beats_in_one_frame_per_interval(
+            self, tmp_path, monkeypatch):
+        """Every beat of a held batch refreshes all its leases in one
+        heartbeat frame, so a batch costs one heartbeat RPC per interval
+        however many leases it holds."""
+        specs = grid(4)
+        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.3,
+                                   clock_skew_tolerance=0.0)
+        order = coordinator.plan().shards[0]
+
+        def execute(spec, seed, duration, **kwargs):
+            time.sleep(0.25)  # over two heartbeat intervals
+            return canned(spec, seed, duration)
+
+        monkeypatch.setattr(worker_module, "execute_scenario", execute)
+        transport = FrameLog(FilesystemTransport(coordinator.cluster_dir))
+        worker = ClusterWorker(transport, "w", cache_dir=None)
+        assert worker.step() == order[0]
+        worker.close()
+        assert transport.claims == [order]
+        assert len(transport.heartbeats) >= 2
+        assert transport.heartbeats[0] == order
+
+    def test_held_results_are_submitted_once_an_interval_old(
+            self, tmp_path, monkeypatch):
+        """Scenarios longer than a heartbeat interval: the batch's held
+        results go out every other scenario instead of only after the
+        last, so a death loses about one interval of finished work."""
+        specs = grid(4)
+        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.3,
+                                   clock_skew_tolerance=0.0)
+        order = coordinator.plan().shards[0]
+
+        def execute(spec, seed, duration, **kwargs):
+            time.sleep(0.15)  # longer than one heartbeat interval (0.1 s)
+            return canned(spec, seed, duration)
+
+        monkeypatch.setattr(worker_module, "execute_scenario", execute)
+        transport = FrameLog(FilesystemTransport(coordinator.cluster_dir))
+        worker = ClusterWorker(transport, "w", cache_dir=None)
+        worker.run(wait_for_stragglers=False)
+        assert transport.claims == [order]
+        assert transport.submits == [order[:2], order[2:]]
+        assert worker.executed == order
+        assert coordinator.merge().outcomes == [
+            canned(spec, seed, DURATION)
+            for spec, seed in zip(specs, coordinator.cluster_plan().seeds)]
+
     def test_lease_lost_before_its_turn_is_never_run(
-            self, tmp_path, monkeypatch, one_batch):
+            self, tmp_path, monkeypatch):
         """A peer takes over an unstarted lease of the batch (as if it
         had gone stale) and submits it: the worker skips that scenario,
         runs and submits the rest."""
@@ -490,15 +602,15 @@ class TestBatchHeartbeat:
         doomed = order[2]
 
         class TakenOverOnFirstBeat(FilesystemTransport):
-            def heartbeat(self, index, worker_id):
-                if index == doomed and not self.taken:
+            def heartbeat_many(self, indices, worker_id):
+                if doomed in indices and not self.taken:
                     self.taken = True
                     backdate_leases(self.cluster_dir)
-                    assert self.try_claim(index, "rescuer")
-                    self.submit_result("rescuer", index, canned(
-                        self.plan.specs[index], self.plan.seeds[index],
+                    assert self.try_claim(doomed, "rescuer")
+                    self.submit_result("rescuer", doomed, canned(
+                        self.plan.specs[doomed], self.plan.seeds[doomed],
                         self.plan.duration), attempt=1)
-                return super().heartbeat(index, worker_id)
+                return super().heartbeat_many(indices, worker_id)
 
         transport = TakenOverOnFirstBeat(coordinator.cluster_dir)
         transport.taken = False

@@ -82,8 +82,8 @@ class CountingTransport(Transport):
         self.claims.extend((index, index in granted) for index in indices)
         return granted
 
-    def heartbeat(self, index, worker_id):
-        return self.inner.heartbeat(index, worker_id)
+    def heartbeat_many(self, indices, worker_id):
+        return self.inner.heartbeat_many(indices, worker_id)
 
     def submit_many(self, worker_id, results):
         self.inner.submit_many(worker_id, results)
@@ -237,7 +237,11 @@ class TestClaimPath:
         assert coordinator.merge().outcomes == serial.outcomes
 
     def test_refused_claim_on_a_stale_view_refreshes_it(
-            self, tmp_path, connect):
+            self, tmp_path, connect, monkeypatch):
+        import repro.cluster.worker as worker_module
+
+        # Claims of one scenario each, so every claim below is one index.
+        monkeypatch.setattr(worker_module, "SUBMIT_FRAME", 1)
         specs = grid(5)
         coordinator = plan_cluster(tmp_path, specs)
         order = coordinator.cluster_plan().shard_plan.shards[0]
@@ -287,6 +291,9 @@ class TestClaimPath:
             self, tmp_path, connect, monkeypatch):
         import repro.cluster.worker as worker_module
 
+        # One scenario per claim, so the others are still pending (not
+        # leased in the flaky scenario's batch) when the failure is reported.
+        monkeypatch.setattr(worker_module, "SUBMIT_FRAME", 1)
         specs = grid(5)
         coordinator = plan_cluster(
             tmp_path, specs,

@@ -181,9 +181,9 @@ class _ScriptedTransport:
         self.calls.append("claim")
         return list(indices)
 
-    def heartbeat(self, index, worker_id):
+    def heartbeat_many(self, indices, worker_id):
         self.calls.append("heartbeat")
-        return True
+        return list(indices)
 
     def submit_many(self, worker_id, results):
         self.calls.append("submit")
@@ -409,11 +409,11 @@ class TestHeartbeatLoss:
             def __init__(self):
                 self.beats = 0
 
-            def heartbeat(self, index, worker_id):
+            def heartbeat_many(self, indices, worker_id):
                 self.beats += 1
                 if self.beats == 1:
                     raise TransportError("blip")
-                return True
+                return list(indices)
 
         transport = FlakyTransport()
         heartbeat = _Heartbeat(transport, "w", interval=0.05)
@@ -437,13 +437,13 @@ class TestHeartbeatLoss:
                 self.release = threading.Event()
                 self.beats = 0
 
-            def heartbeat(self, index, worker_id):
+            def heartbeat_many(self, indices, worker_id):
                 self.beats += 1
                 if self.beats == 1:
                     self.started.set()
                     self.release.wait(5.0)
-                    return False  # the late, authoritative "lost"
-                return True
+                    return []  # the late, authoritative "lost"
+                return list(indices)
 
         transport = BlockingTransport()
         heartbeat = _Heartbeat(transport, "w", interval=0.05)
@@ -470,14 +470,14 @@ class TestHeartbeatLoss:
         class GenerationTransport:
             generation = 0
 
-            def heartbeat(self, index, worker_id):
+            def heartbeat_many(self, indices, worker_id):
                 began = self.generation
                 time.sleep(0.0002)
-                return began % 2 == 0
+                return list(indices) if began % 2 == 0 else []
 
         transport = GenerationTransport()
         heartbeat = _Heartbeat(transport, "w", interval=0.05)
-        heartbeat._interval = 0.0001  # beat far faster than the floor
+        heartbeat.interval = 0.0001  # beat far faster than the floor
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         marked = []
@@ -511,17 +511,18 @@ class _LeaseLossTransport(FilesystemTransport):
         self.lost_indices = set(lost_indices)
         self.beats: list[int] = []
 
-    def heartbeat(self, index, worker_id):
-        self.beats.append(index)
-        if index in self.lost_indices:
-            self.lost_indices.discard(index)
-            past = time.time() - 3600.0
-            os.utime(lease_path(self.cluster_dir, index), (past, past))
-            assert self.try_claim(index, "rescuer")
-            self.submit_result("rescuer", index, _canned_outcome(
-                self.plan.specs[index], self.plan.seeds[index],
-                self.plan.duration), attempt=1)
-        return super().heartbeat(index, worker_id)
+    def heartbeat_many(self, indices, worker_id):
+        for index in indices:
+            self.beats.append(index)
+            if index in self.lost_indices:
+                self.lost_indices.discard(index)
+                past = time.time() - 3600.0
+                os.utime(lease_path(self.cluster_dir, index), (past, past))
+                assert self.try_claim(index, "rescuer")
+                self.submit_result("rescuer", index, _canned_outcome(
+                    self.plan.specs[index], self.plan.seeds[index],
+                    self.plan.duration), attempt=1)
+        return super().heartbeat_many(indices, worker_id)
 
 
 def _canned_outcome(spec, seed, duration):
