@@ -12,7 +12,9 @@ asks, so the MHP/EGP/FEU never touch a concrete quantum model directly:
 * **Memory decay and local operations** — T1/T2 idling, gate depolarising,
   attempt dephasing, the Psi-/Psi+ correction and noisy readout applied to
   one side of a stored :class:`~repro.hardware.pair.EntangledPair`.
-* **FEU tables** — per-``alpha`` fidelities.
+* **FEU tables** — per-``alpha`` heralded and delivered fidelities and
+  success probabilities (:class:`FeuTable`), each row computed on first
+  use.
 * **Pair-physics memo** — device noise on a delivered pair is a chain of
   deterministic steps applied to one of a handful of herald states, so a
   repeated step is replayed, not recomputed (see below).
@@ -22,7 +24,11 @@ asks, so the MHP/EGP/FEU never touch a concrete quantum model directly:
 
 Attempt models, FEU tables and pair physics are memoized per backend
 instance, never per process, so a run's cost depends only on the backend it
-was given.
+was given.  Attempt models and FEU tables are keyed on a scenario's
+:attr:`~repro.hardware.parameters.ScenarioConfig.physics_key` (gates, both
+optics and timing), not on the whole scenario: scenarios that differ only in
+name, classical link or memory sizes, such as a frame-loss variant of Lab,
+share them.
 
 The pair-physics memo wraps the subclasses' single-shot ops.  A state
 carries a *chain key* (``DensityMatrix.chain_key``): equal keys mean
@@ -166,6 +172,71 @@ class AttemptModel(abc.ABC):
         """
 
 
+class FeuTable:
+    """The FEU's per-``alpha`` rows for one physics key and alpha grid.
+
+    Row ``index`` holds the heralded fidelity, the success probability and
+    one delivered fidelity per request type at ``alphas[index]``.  Nothing
+    is computed up front: the first read of a row's heralded fidelity or
+    success probability fetches the backend's attempt model and evaluates
+    both, the first read of a request type's delivered fidelity evaluates
+    that, and every value is kept.  Each value is exactly what the attempt
+    model returns, so a row equals an eagerly built one bit for bit.
+
+    The FEUs reading the table keep their answers on it
+    (:attr:`estimates`, :attr:`baselines`, :attr:`success_probabilities`),
+    so each answer is computed once per backend and physics key, not once
+    per FEU.
+    """
+
+    def __init__(self, backend: "PhysicsBackend", scenario: "ScenarioConfig",
+                 alphas: tuple[float, ...]) -> None:
+        self.alphas = alphas
+        self._backend = backend
+        self._scenario = scenario
+        self._indices = {alpha: index for index, alpha in enumerate(alphas)}
+        #: index -> (heralded fidelity, success probability)
+        self._heralding: dict[int, tuple[float, float]] = {}
+        #: (request type, index) -> delivered fidelity
+        self._delivered: dict[tuple, float] = {}
+        self.estimates: dict[tuple, object] = {}
+        self.baselines: dict[tuple, float] = {}
+        self.success_probabilities: dict[tuple, float] = {}
+
+    def index_of(self, alpha: float) -> Optional[int]:
+        """Row index of ``alpha``, or ``None`` if it is not on the grid."""
+        return self._indices.get(alpha)
+
+    def heralded_fidelity(self, index: int) -> float:
+        """Success-weighted fidelity of the heralded state of row ``index``."""
+        return self._heralded(index)[0]
+
+    def success_probability(self, index: int) -> float:
+        """Heralding success probability of row ``index``."""
+        return self._heralded(index)[1]
+
+    def delivered_fidelity(self, index: int,
+                           request_type: "RequestType") -> float:
+        """Delivered fidelity of row ``index`` for ``request_type``."""
+        key = (request_type, index)
+        fidelity = self._delivered.get(key)
+        if fidelity is None:
+            fidelity = self._delivered[key] = self._model(
+                index).delivered_fidelity(request_type)
+        return fidelity
+
+    def _heralded(self, index: int) -> tuple[float, float]:
+        values = self._heralding.get(index)
+        if values is None:
+            model = self._model(index)
+            values = self._heralding[index] = (
+                model.average_success_fidelity(), model.success_probability)
+        return values
+
+    def _model(self, index: int) -> AttemptModel:
+        return self._backend.attempt_model(self._scenario, self.alphas[index])
+
+
 class PhysicsBackend(abc.ABC):
     """Pluggable physics model behind the MHP/EGP hot loop."""
 
@@ -181,7 +252,7 @@ class PhysicsBackend(abc.ABC):
 
     def __init__(self) -> None:
         self._attempt_models: dict[tuple, AttemptModel] = {}
-        self._feu_tables: dict[tuple, Mapping] = {}
+        self._feu_tables: dict[tuple, FeuTable] = {}
         self._chain_keys = itertools.count(1)
         #: ``(in-key, step)`` -> ``(out-key, matrix)``, or a :class:`_Readout`
         #: for a measurement step.
@@ -196,8 +267,8 @@ class PhysicsBackend(abc.ABC):
     def attempt_model(self, scenario: "ScenarioConfig",
                       alpha: float) -> AttemptModel:
         """The attempt model for symmetric population ``alpha``, built once
-        per backend instance."""
-        key = (scenario, float(alpha))
+        per backend instance and physics key."""
+        key = (scenario.physics_key, float(alpha))
         model = self._attempt_models.get(key)
         if model is None:
             if len(self._attempt_models) >= self.ATTEMPT_MODEL_CACHE_SIZE:
@@ -209,27 +280,16 @@ class PhysicsBackend(abc.ABC):
         return model
 
     def feu_table(self, scenario: "ScenarioConfig",
-                  alphas: tuple[float, ...]) -> Mapping:
-        """The immutable FEU table of ``(scenario, alphas)``, built once.
-
-        Maps each request type to one ``(alpha, heralded fidelity, delivered
-        fidelity, success probability)`` row per ``alpha``; the FEU reads it.
-        """
-        from repro.core.messages import RequestType
-
-        key = (scenario, alphas)
+                  alphas: tuple[float, ...]) -> "FeuTable":
+        """The FEU table of ``alphas`` under ``scenario``'s physics key,
+        created once per backend instance; its rows are computed on first
+        use."""
+        key = (scenario.physics_key, alphas)
         table = self._feu_tables.get(key)
         if table is None:
             if len(self._feu_tables) >= self.FEU_TABLE_CACHE_SIZE:
                 self._feu_tables.clear()
-            models = [self.attempt_model(scenario, alpha) for alpha in alphas]
-            table = self._feu_tables[key] = MappingProxyType({
-                request_type: tuple(
-                    (alpha, model.average_success_fidelity(),
-                     model.delivered_fidelity(request_type),
-                     model.success_probability)
-                    for alpha, model in zip(alphas, models))
-                for request_type in RequestType})
+            table = self._feu_tables[key] = FeuTable(self, scenario, alphas)
         return table
 
     # ------------------------------------------------------------------ #

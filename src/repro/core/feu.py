@@ -12,6 +12,14 @@ The FEU answers two questions for the EGP:
    just delivered?  The baseline estimate comes from the hardware model; it is
    refined by interspersed test rounds whose measured QBER feeds a moving
    window estimate (Appendix B).
+
+The hardware model is read through the backend's
+:class:`~repro.backends.base.FeuTable` for the scenario's physics key, whose
+rows are computed on first use.  The forward rule scans the alpha grid from
+high to low and stops at the first feasible row, so a query computes the
+delivered fidelities of the rows it reaches and no others.  The FEU's answers
+(estimates, goodness baselines, success probabilities) are kept on the table
+too, so every FEU of one backend and physics key shares them.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +35,22 @@ from repro.core.messages import RequestType
 from repro.hardware.parameters import ScenarioConfig
 from repro.quantum.fidelity import fidelity_from_qber
 from repro.quantum.states import BellIndex
+
+
+def _validated_alpha_grid(alphas: Sequence[float]) -> tuple[float, ...]:
+    """``alphas`` as a tuple of floats, checked to increase strictly within
+    (0, 1] (``np.interp``, which the FEU interpolates with, needs an
+    increasing grid)."""
+    grid = tuple(map(float, alphas))
+    if not all(0.0 < alpha <= 1.0 for alpha in grid):
+        raise ValueError("alpha grid values must lie in (0, 1]")
+    if any(later <= earlier for earlier, later in zip(grid, grid[1:])):
+        raise ValueError("alpha grid values must increase strictly")
+    return grid
+
+
+#: The bright-state populations an FEU tabulates unless given its own grid.
+DEFAULT_ALPHA_GRID = _validated_alpha_grid(np.linspace(0.02, 0.60, 30))
 
 
 @dataclass(frozen=True)
@@ -70,7 +94,8 @@ class FidelityEstimationUnit:
     scenario:
         Hardware scenario (Lab or QL2020) whose heralded-state model is used.
     alpha_grid:
-        Bright-state populations to tabulate.
+        Bright-state populations to tabulate, strictly increasing within
+        (0, 1]; :data:`DEFAULT_ALPHA_GRID` when omitted.
     test_window:
         Number of recent test rounds used for the measured QBER estimate.
     test_round_fraction:
@@ -90,7 +115,7 @@ class FidelityEstimationUnit:
     ANSWER_CACHE_SIZE = 256
 
     def __init__(self, scenario: ScenarioConfig,
-                 alpha_grid: Optional[np.ndarray] = None,
+                 alpha_grid: Optional[Sequence[float]] = None,
                  test_window: int = 256,
                  test_round_fraction: float = 0.0,
                  backend=None) -> None:
@@ -98,11 +123,8 @@ class FidelityEstimationUnit:
 
         self.scenario = scenario
         self.backend = get_backend(backend)
-        if alpha_grid is None:
-            alpha_grid = np.linspace(0.02, 0.60, 30)
-        self.alpha_grid = np.asarray(alpha_grid, dtype=float)
-        if np.any(self.alpha_grid <= 0) or np.any(self.alpha_grid > 1):
-            raise ValueError("alpha grid values must lie in (0, 1]")
+        self.alpha_grid = (DEFAULT_ALPHA_GRID if alpha_grid is None
+                           else _validated_alpha_grid(alpha_grid))
         self.test_window = test_window
         self.test_round_fraction = test_round_fraction
         self._test_rounds: deque[TestRoundRecord] = deque(maxlen=test_window)
@@ -112,13 +134,7 @@ class FidelityEstimationUnit:
     # Hardware-model based estimates
     # ------------------------------------------------------------------ #
     def _build_tables(self) -> None:
-        self._table = self.backend.feu_table(
-            self.scenario, tuple(map(float, self.alpha_grid)))
-        # The table never changes, so each answer it gives is computed once
-        # per (input, request type).
-        self._estimates: dict[tuple, Optional[FidelityEstimate]] = {}
-        self._baselines: dict[tuple, float] = {}
-        self._success_probabilities: dict[tuple, float] = {}
+        self._table = self.backend.feu_table(self.scenario, self.alpha_grid)
 
     def _remember(self, memo: dict, key: tuple, answer):
         if len(memo) >= self.ANSWER_CACHE_SIZE:
@@ -142,30 +158,31 @@ class FidelityEstimationUnit:
         Returns ``None`` when the requested fidelity is unattainable on this
         hardware (the EGP then rejects the request with UNSUPP).
         """
+        table = self._table
         key = (min_fidelity, request_type)
         try:
-            return self._estimates[key]
+            return table.estimates[key]
         except KeyError:
             pass
         if not 0.0 <= min_fidelity <= 1.0:
             raise ValueError(f"min_fidelity {min_fidelity} not in [0, 1]")
-        rows = self._table[request_type]
-        feasible = [
-            row for row in rows
-            if (row[1] >= min_fidelity + self.HERALDED_FIDELITY_MARGIN
-                and row[2] >= min_fidelity - self.DELIVERED_FIDELITY_TOLERANCE)
-        ]
-        if not feasible:
-            return self._remember(self._estimates, key, None)
+        heralded_floor = min_fidelity + self.HERALDED_FIDELITY_MARGIN
+        delivered_floor = min_fidelity - self.DELIVERED_FIDELITY_TOLERANCE
         # Highest alpha (fastest generation) that still meets the target.
-        alpha, _heralded, delivered, p_succ = max(feasible,
-                                                  key=lambda row: row[0])
-        return self._remember(self._estimates, key, FidelityEstimate(
-            alpha=alpha,
-            expected_fidelity=delivered,
-            success_probability=p_succ,
-            expected_time_per_pair=self._time_per_pair(p_succ, request_type),
-        ))
+        # A delivered fidelity is computed only where the heralded bound holds.
+        for index in reversed(range(len(table.alphas))):
+            if table.heralded_fidelity(index) >= heralded_floor:
+                delivered = table.delivered_fidelity(index, request_type)
+                if delivered >= delivered_floor:
+                    p_succ = table.success_probability(index)
+                    estimate = FidelityEstimate(
+                        alpha=table.alphas[index],
+                        expected_fidelity=delivered,
+                        success_probability=p_succ,
+                        expected_time_per_pair=self._time_per_pair(
+                            p_succ, request_type))
+                    return self._remember(table.estimates, key, estimate)
+        return self._remember(table.estimates, key, None)
 
     def goodness(self, alpha: float, request_type: RequestType) -> float:
         """Baseline fidelity estimate for pairs generated at ``alpha``.
@@ -173,11 +190,13 @@ class FidelityEstimationUnit:
         Uses linear interpolation of the hardware-model table, blended with
         the measured test-round estimate when test data is available.
         """
-        baseline = self._baselines.get((alpha, request_type))
+        table = self._table
+        key = (alpha, request_type)
+        baseline = table.baselines.get(key)
         if baseline is None:
-            baseline = self._remember(self._baselines, (alpha, request_type),
-                                      self._interpolate(alpha, request_type,
-                                                        2))
+            baseline = self._remember(table.baselines, key, self._interpolate(
+                alpha, lambda index: table.delivered_fidelity(index,
+                                                              request_type)))
         measured = self.measured_fidelity()
         if measured is None:
             return baseline
@@ -188,21 +207,28 @@ class FidelityEstimationUnit:
     def success_probability(self, alpha: float,
                             request_type: RequestType) -> float:
         """Interpolated heralding success probability at ``alpha``."""
+        table = self._table
         key = (alpha, request_type)
-        probability = self._success_probabilities.get(key)
+        probability = table.success_probabilities.get(key)
         if probability is None:
-            probability = self._remember(self._success_probabilities, key,
-                                         self._interpolate(alpha,
-                                                           request_type, 3))
+            probability = self._remember(
+                table.success_probabilities, key,
+                self._interpolate(alpha, table.success_probability))
         return probability
 
-    def _interpolate(self, alpha: float, request_type: RequestType,
-                     column: int) -> float:
-        """Table ``column`` linearly interpolated at ``alpha``."""
-        rows = self._table[request_type]
-        alphas = np.array([row[0] for row in rows])
-        values = np.array([row[column] for row in rows])
-        return float(np.interp(alpha, alphas, values))
+    def _interpolate(self, alpha: float,
+                     value: Callable[[int], float]) -> float:
+        """``value(row index)`` linearly interpolated over the grid at
+        ``alpha``.  On a grid alpha that is the row's own value, which is
+        what ``np.interp`` returns there, so only off-grid alphas compute
+        the whole column."""
+        table = self._table
+        index = table.index_of(alpha)
+        if index is not None:
+            return float(value(index))
+        return float(np.interp(alpha, table.alphas,
+                               [value(index)
+                                for index in range(len(table.alphas))]))
 
     def _time_per_pair(self, success_probability: float,
                        request_type: RequestType) -> float:

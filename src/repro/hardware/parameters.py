@@ -187,6 +187,17 @@ class ScenarioConfig:
     #: Maximum number of outstanding requests in the distributed queue.
     max_queue_size: int = 256
 
+    @property
+    def physics_key(self) -> tuple:
+        """The fields that attempt models and FEU rows read.
+
+        Scenarios with equal keys herald the same states with the same
+        probabilities and deliver the same fidelities, whatever their name,
+        classical link or memory sizes; a backend keys its attempt models
+        and FEU tables on this.
+        """
+        return (self.gates, self.optics_a, self.optics_b, self.timing)
+
     def with_frame_loss(self, probability: float) -> "ScenarioConfig":
         """Copy of this scenario with a different classical frame-loss rate."""
         classical = replace(self.classical, frame_loss_probability=probability)

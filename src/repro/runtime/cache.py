@@ -162,17 +162,33 @@ class ResumeCache:
         #: lost mid-run) leaves one small entry behind.
         self._miss_keys: dict[tuple[int, int, float],
                               tuple["ScenarioSpec", str]] = {}
+        #: Hardware configs converted for :meth:`key`, shared across the
+        #: specs this cache keys (bounded: overflow clears).
+        self._configs: dict = {}
+        #: Entry filenames in the directory by cache key, listed by one
+        #: scan at the first miss and extended by this instance's stores.
+        #: Entries other processes write after that scan are not reported
+        #: as foreign variants; they are never served either way.
+        self._entries: Optional[dict[str, set[str]]] = None
 
     # ------------------------------------------------------------------ #
     # Keys and paths
     # ------------------------------------------------------------------ #
+    #: Bound of the converted-config memo.
+    CONFIG_MEMO_SIZE = 64
+
     @staticmethod
-    def key(spec: "ScenarioSpec", seed: int, duration: float) -> str:
+    def key(spec: "ScenarioSpec", seed: int, duration: float,
+            configs: Optional[dict] = None) -> str:
         """Hash of everything that determines a scenario's result — except
         the backend, engine and cache version, which live in the filename
-        and entry payload so that mismatches are detectable."""
+        and entry payload so that mismatches are detectable.
+
+        ``configs`` shares converted hardware configs across calls (see
+        :meth:`ScenarioSpec.to_dict`); the key is the same with or without
+        it."""
         payload = {
-            "identity": spec.identity_payload(),
+            "identity": spec.identity_payload(configs),
             "seed": seed,
             "duration": duration,
         }
@@ -201,7 +217,13 @@ class ResumeCache:
         entry = memo.pop(slot, None) if pop else memo.get(slot)
         if entry is not None and entry[0] is spec:
             return entry[1]
-        return self.key(spec, seed, duration)
+        return self._key(spec, seed, duration)
+
+    def _key(self, spec: "ScenarioSpec", seed: int, duration: float) -> str:
+        """:meth:`key` with this cache's converted-config memo."""
+        if len(self._configs) >= self.CONFIG_MEMO_SIZE:
+            self._configs.clear()
+        return self.key(spec, seed, duration, self._configs)
 
     # ------------------------------------------------------------------ #
     # Load / store
@@ -226,11 +248,12 @@ class ResumeCache:
 
         backend = spec.backend_name()
         engine = spec.engine
-        key = self.key(spec, seed, duration)
+        key = self._key(spec, seed, duration)
         path = self._path(key, spec, backend)
         if not path.exists():
             self._miss_keys[(id(spec), seed, duration)] = (spec, key)
-            reason = self._foreign_variant_reason(key, backend, engine)
+            reason = self._foreign_variant_reason(key, path.name, backend,
+                                                  engine)
             if reason is not None:
                 self._log_skip(spec.name, reason)
             return None, reason
@@ -344,34 +367,44 @@ class ResumeCache:
         if attempts is not None:
             payload["attempts"] = int(attempts)
         atomic_write_text(path, json.dumps(payload))
+        if self._entries is not None:
+            self._entries.setdefault(path.name.partition(".")[0],
+                                     set()).add(path.name)
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _foreign_variant_reason(self, stem: str, backend: str,
+    def _foreign_variant_reason(self, stem: str, own: str, backend: str,
                                 engine: str) -> Optional[str]:
         """Report entries for the same scenario (cache key ``stem``) under
         *other* backends or event engines (including pre-v4 entries without
-        an engine suffix): the files matching ``{stem}.*.json``, found in
-        one directory scan."""
-        prefix, suffix = f"{stem}.", ".json"
-        try:
-            with os.scandir(self.directory) as entries:
-                siblings = sorted(
-                    entry.name for entry in entries
-                    if entry.name.startswith(prefix)
-                    and entry.name.endswith(suffix)
-                    and len(entry.name) >= len(prefix) + len(suffix))
-        except FileNotFoundError:
+        an engine suffix): the files ``{stem}.*.json`` other than ``own``,
+        found in the entry index."""
+        others = sorted(self._entry_index().get(stem, set()) - {own})
+        if not others:
             return None
-        if not siblings:
-            return None
-        others = [name[len(prefix):-len(suffix)] for name in siblings]
         variants = ", ".join(
-            " + ".join(repr(part) for part in other.split("."))
-            for other in others)
+            " + ".join(repr(part)
+                       for part in name[len(stem) + 1:-len(".json")].split("."))
+            for name in others)
         return (f"cache entry exists only under {variants}, this run "
                 f"resolves to {backend!r} + {engine!r}")
+
+    def _entry_index(self) -> dict[str, set[str]]:
+        """Entry filenames (``{key}.{variant}.json``) by key, from one scan
+        of the directory per instance."""
+        if self._entries is None:
+            self._entries = {}
+            try:
+                with os.scandir(self.directory) as entries:
+                    for entry in entries:
+                        stem, dot, rest = entry.name.partition(".")
+                        if dot and rest.endswith(".json"):
+                            self._entries.setdefault(stem, set()).add(
+                                entry.name)
+            except FileNotFoundError:
+                pass
+        return self._entries
 
     @staticmethod
     def _log_skip(scenario_name: str, reason: str) -> None:

@@ -183,7 +183,8 @@ class ScenarioSpec:
                       if data.get("topology") else None),
         )
 
-    def identity_payload(self) -> dict:
+    def identity_payload(self, configs: Optional[dict[ScenarioConfig, dict]]
+                         = None) -> dict:
         """Everything that defines the scenario *itself*.
 
         Excludes the backend and the event engine (the same scenario
@@ -195,8 +196,11 @@ class ScenarioSpec:
         topology — which the resume cache records in the entry payload
         (name + content hash) so a topology redefinition under an unchanged
         scenario name is *found and reported* rather than silently missed.
+
+        ``configs`` is passed to :meth:`to_dict`: callers that key many
+        specs share one dict, so each hardware config is converted once.
         """
-        payload = self.to_dict()
+        payload = self.to_dict(configs)
         payload.pop("backend")
         payload.pop("engine")
         payload.pop("seed")

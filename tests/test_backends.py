@@ -29,6 +29,7 @@ from repro.backends import (
     resolve_backend_name,
 )
 from repro.backends.base import BatchGrant
+from repro.core.feu import DEFAULT_ALPHA_GRID
 from repro.core.messages import RequestType
 from repro.hardware.pair import EntangledPair
 from repro.hardware.parameters import lab_scenario, ql2020_scenario
@@ -448,8 +449,21 @@ class TestSweepIntegration:
 
 
 # --------------------------------------------------------------------------- #
-# FEU table memo: one table per (scenario, alpha grid) and backend instance
+# FEU table memo: one lazy table per (physics key, alpha grid) and backend
 # --------------------------------------------------------------------------- #
+def _eager_rows(name, scenario, request_type):
+    """The FEU rows the eager table computed: every alpha of the default
+    grid through standalone attempt models."""
+    model_class = get_backend(name).attempt_model_class
+    rows = []
+    for alpha in DEFAULT_ALPHA_GRID:
+        model = model_class(scenario, alpha)
+        rows.append((alpha, model.average_success_fidelity(),
+                     model.delivered_fidelity(request_type),
+                     model.success_probability))
+    return rows
+
+
 class TestFeuTableMemo:
     @staticmethod
     def _spec(hardware):
@@ -463,6 +477,7 @@ class TestFeuTableMemo:
 
         backend = get_backend(name)
         first = FidelityEstimationUnit(SCENARIOS["Lab"], backend=backend)
+        first.estimate_for_fidelity(0.64, RequestType.KEEP)
 
         def no_build(*args, **kwargs):
             raise AssertionError("the second FEU built a table")
@@ -470,6 +485,8 @@ class TestFeuTableMemo:
         monkeypatch.setattr(backend, "attempt_model", no_build)
         second = FidelityEstimationUnit(SCENARIOS["Lab"], backend=backend)
         assert second._table is first._table
+        assert (second.estimate_for_fidelity(0.64, RequestType.KEEP)
+                is first.estimate_for_fidelity(0.64, RequestType.KEEP))
 
     @pytest.mark.parametrize("name", ["analytic", "density"])
     def test_run_is_independent_of_memo_history(self, name):
@@ -489,17 +506,127 @@ class TestFeuTableMemo:
         assert after_other == cold
         assert after_itself == cold
 
-    def test_table_is_immutable(self):
-        table = AnalyticBackend().feu_table(SCENARIOS["Lab"], ALPHAS)
-        assert set(table) == set(RequestType)
-        rows = table[RequestType.KEEP]
-        assert [row[0] for row in rows] == list(ALPHAS)
-        with pytest.raises(TypeError):
-            table[RequestType.KEEP] = ()
-        with pytest.raises(TypeError):
-            rows[0] = rows[1]
-        with pytest.raises(TypeError):
-            rows[0][1] = 1.0
+    @pytest.mark.parametrize("name", ["analytic", "density"])
+    @pytest.mark.parametrize("hardware", ["Lab", "QL2020"])
+    def test_lazy_rows_equal_eager_rows(self, name, hardware):
+        scenario = SCENARIOS[hardware]
+        table = get_backend(name).feu_table(scenario, DEFAULT_ALPHA_GRID)
+        eager = {request_type: _eager_rows(name, scenario, request_type)
+                 for request_type in RequestType}
+        # Read from the top of the grid down, as the forward rule does.
+        for index in reversed(range(len(DEFAULT_ALPHA_GRID))):
+            for request_type in RequestType:
+                alpha, heralded, delivered, probability = \
+                    eager[request_type][index]
+                assert table.index_of(alpha) == index
+                assert table.heralded_fidelity(index) == heralded
+                assert table.delivered_fidelity(index,
+                                                request_type) == delivered
+                assert table.success_probability(index) == probability
+
+    def test_rows_are_computed_once_and_on_demand(self, monkeypatch):
+        backend = AnalyticBackend()
+        table = backend.feu_table(SCENARIOS["Lab"], ALPHAS)
+        models = []
+        real = backend.attempt_model
+
+        def counting(scenario, alpha):
+            models.append(alpha)
+            return real(scenario, alpha)
+
+        monkeypatch.setattr(backend, "attempt_model", counting)
+        assert models == []
+        first = [table.heralded_fidelity(3), table.success_probability(3),
+                 table.delivered_fidelity(3, RequestType.KEEP)]
+        assert models == [ALPHAS[3], ALPHAS[3]]
+        again = [table.heralded_fidelity(3), table.success_probability(3),
+                 table.delivered_fidelity(3, RequestType.KEEP)]
+        assert again == first and models == [ALPHAS[3], ALPHAS[3]]
+        table.delivered_fidelity(3, RequestType.MEASURE)
+        assert models == [ALPHAS[3]] * 3
+        assert table.index_of(0.123) is None
+
+    @pytest.mark.parametrize("name", ["analytic", "density"])
+    @pytest.mark.parametrize("hardware", ["Lab", "QL2020"])
+    def test_estimate_equals_eager_max_feasible_rule(self, name, hardware):
+        from repro.core.feu import FidelityEstimate, FidelityEstimationUnit
+
+        scenario = SCENARIOS[hardware]
+        feu = FidelityEstimationUnit(scenario, backend=get_backend(name))
+        margin = feu.HERALDED_FIDELITY_MARGIN
+        tolerance = feu.DELIVERED_FIDELITY_TOLERANCE
+        answers = []
+        for request_type in RequestType:
+            rows = _eager_rows(name, scenario, request_type)
+            for min_fidelity in np.linspace(0.0, 1.0, 201):
+                min_fidelity = float(min_fidelity)
+                feasible = [row for row in rows
+                            if row[1] >= min_fidelity + margin
+                            and row[2] >= min_fidelity - tolerance]
+                expected = None
+                if feasible:
+                    alpha, _, delivered, probability = max(
+                        feasible, key=lambda row: row[0])
+                    expected = FidelityEstimate(
+                        alpha, delivered, probability,
+                        feu._time_per_pair(probability, request_type))
+                got = feu.estimate_for_fidelity(min_fidelity, request_type)
+                assert got == expected, (request_type, min_fidelity)
+                answers.append(got)
+        assert None in answers
+        assert len({answer.alpha for answer in answers
+                    if answer is not None}) > 3
+
+    @pytest.mark.parametrize("name", ["analytic", "density"])
+    def test_goodness_and_success_probability_equal_np_interp(self, name):
+        from repro.core.feu import FidelityEstimationUnit
+
+        scenario = SCENARIOS["QL2020"]
+        feu = FidelityEstimationUnit(scenario, backend=get_backend(name))
+        # Grid alphas first (served from single rows), then off-grid ones,
+        # the grid's ends and beyond (the whole column).
+        alphas = list(DEFAULT_ALPHA_GRID) + [
+            float(alpha) for alpha in np.linspace(0.0, 0.7, 37)
+            if float(alpha) not in DEFAULT_ALPHA_GRID]
+        for request_type in RequestType:
+            rows = _eager_rows(name, scenario, request_type)
+            grid = [row[0] for row in rows]
+            delivered = np.array([row[2] for row in rows])
+            probability = np.array([row[3] for row in rows])
+            for alpha in alphas:
+                assert feu.goodness(alpha, request_type) == float(
+                    np.interp(alpha, grid, delivered)), alpha
+                assert feu.success_probability(alpha, request_type) == float(
+                    np.interp(alpha, grid, probability)), alpha
+
+    @pytest.mark.parametrize("name", ["analytic", "density"])
+    def test_frame_loss_variant_shares_the_table_and_models(self, name):
+        import dataclasses
+
+        from repro.core.feu import FidelityEstimationUnit
+        from repro.runtime.scenarios import robustness_scenarios
+
+        [lossy] = robustness_scenarios("Lab", loss_probabilities=(1e-3,),
+                                       attempt_batch_size=50)
+        lab = dataclasses.replace(lossy, name="Lab",
+                                  scenario=SCENARIOS["Lab"])
+        assert lossy.scenario != lab.scenario
+        assert lossy.scenario.physics_key == lab.scenario.physics_key
+
+        backend = get_backend(name)
+        tables = {FidelityEstimationUnit(spec.scenario,
+                                         backend=backend)._table
+                  for spec in (lab, lossy)}
+        assert len(tables) == 1
+        assert (backend.attempt_model(lossy.scenario, 0.3)
+                is backend.attempt_model(lab.scenario, 0.3))
+
+        def run(spec, on):
+            result = spec.run(0.1, seed=5, backend=on)
+            return result.summary.to_dict(), result.events_processed
+
+        run(lab, backend)
+        assert run(lossy, backend) == run(lossy, get_backend(name))
 
     def test_memo_stays_within_its_bound(self):
         backend = AnalyticBackend()
@@ -507,8 +634,13 @@ class TestFeuTableMemo:
         grids = [(0.01 + 1e-3 * index,) for index in range(bound + 2)]
         tables = [backend.feu_table(SCENARIOS["Lab"], grid) for grid in grids]
         assert len(backend._feu_tables) <= bound
-        # The newest table is still served; evicted ones are rebuilt equal.
+        # The newest table is still served; evicted ones are rebuilt with
+        # equal rows.
         assert backend.feu_table(SCENARIOS["Lab"], grids[-1]) is tables[-1]
         rebuilt = backend.feu_table(SCENARIOS["Lab"], grids[0])
-        assert rebuilt is not tables[0] and rebuilt == tables[0]
+        assert rebuilt is not tables[0]
+        for request_type in RequestType:
+            assert (rebuilt.delivered_fidelity(0, request_type)
+                    == tables[0].delivered_fidelity(0, request_type))
+        assert rebuilt.heralded_fidelity(0) == tables[0].heralded_fidelity(0)
         assert len(backend._feu_tables) <= bound

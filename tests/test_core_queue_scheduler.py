@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.distributed_queue import DistributedQueue, LocalQueue, QueueItem
@@ -298,6 +299,26 @@ class TestFidelityEstimationUnit:
                 feu.record_test_round(basis, *outcomes,
                                       target=BellIndex.PSI_PLUS)
         assert feu.measured_fidelity() == pytest.approx(1.0)
+
+    def test_default_alpha_grid_is_built_once(self, lab, monkeypatch):
+        from repro.core import feu as feu_module
+
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("the FEU rebuilt its default alpha grid")
+
+        monkeypatch.setattr(feu_module.np, "linspace", no_linspace)
+        feu = FidelityEstimationUnit(lab)
+        monkeypatch.undo()
+        assert feu.alpha_grid is feu_module.DEFAULT_ALPHA_GRID
+        assert feu.alpha_grid == tuple(
+            float(alpha) for alpha in np.linspace(0.02, 0.60, 30))
+
+    def test_alpha_grid_is_validated(self, lab):
+        for grid in ([0.0, 0.5], [0.2, 1.2], [0.3, 0.2], [0.2, 0.2]):
+            with pytest.raises(ValueError):
+                FidelityEstimationUnit(lab, alpha_grid=grid)
+        feu = FidelityEstimationUnit(lab, alpha_grid=np.array([0.1, 0.4]))
+        assert feu.alpha_grid == (0.1, 0.4)
 
     def test_invalid_fidelity_argument(self, lab):
         feu = FidelityEstimationUnit(lab)

@@ -1,8 +1,8 @@
 """The pair-physics memo and the FEU answer memo replay, never approximate.
 
 ``PhysicsBackend`` serves a repeated device-noise or readout step on a
-keyed pair state as a copy of the recorded matrix, and the FEU answers each
-(input, request type) once from its immutable table.  Both must be
+keyed pair state as a copy of the recorded matrix, and the FEUs sharing a
+table answer each (input, request type) once.  Both must be
 invisible: every matrix, outcome and generator state equals the one an
 unmemoized computation gives, bit for bit.
 """
@@ -212,12 +212,13 @@ def test_standalone_attempt_models_herald_unkeyed_states():
 @pytest.mark.parametrize("scenario", [lab_scenario(), ql2020_scenario()],
                          ids=["Lab", "QL2020"])
 def test_feu_memo_answers_equal_fresh_answers(name, scenario):
-    backend = get_backend(name)
-    feu = FidelityEstimationUnit(scenario, backend=backend)
+    feu = FidelityEstimationUnit(scenario, backend=get_backend(name))
+    # FEUs on one backend share their answers, so the fresh answers come
+    # from an FEU on a backend of its own.
+    fresh = FidelityEstimationUnit(scenario, backend=get_backend(name))
     answers = []
     for min_fidelity in np.linspace(0.0, 1.0, 41):
         for request_type in RequestType:
-            fresh = FidelityEstimationUnit(scenario, backend=backend)
             expected = fresh.estimate_for_fidelity(float(min_fidelity),
                                                    request_type)
             for _ in range(2):
@@ -228,7 +229,6 @@ def test_feu_memo_answers_equal_fresh_answers(name, scenario):
     assert None in answers and any(answer is not None for answer in answers)
     for alpha in np.linspace(0.02, 0.6, 23):
         for request_type in RequestType:
-            fresh = FidelityEstimationUnit(scenario, backend=backend)
             for _ in range(2):
                 assert (feu.goodness(float(alpha), request_type)
                         == fresh.goodness(float(alpha), request_type))

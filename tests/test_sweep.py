@@ -306,6 +306,51 @@ class TestCacheReport:
                           "'heap', 'density', this run resolves to "
                           "'analytic' + 'heap'")
 
+    def test_misses_list_the_directory_once(self, tmp_path, monkeypatch):
+        """A run of misses scans the cache directory once, and still
+        reports entries under other backends or engines: ones on disk
+        before the scan (the legacy engine-less layout too) and ones this
+        cache stored after it."""
+        import dataclasses
+        import os
+
+        from repro.runtime.cache import ResumeCache
+
+        scans = []
+        real_scandir = os.scandir
+
+        def counting_scandir(path="."):
+            if str(path) == str(tmp_path):
+                scans.append(path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        specs = [dataclasses.replace(spec, backend="analytic")
+                 for spec in single_kind_scenarios(
+                     "Lab", loads=("Low", "High"), max_pairs_options=(1,),
+                     origins=("A",), include_md_k255=False)]
+        assert len(specs) >= 6
+        cache = ResumeCache(tmp_path)
+        stems = [cache.key(spec, 3, DURATION) for spec in specs]
+        (tmp_path / f"{stems[0]}.density.heap.json").write_text("{}")
+        (tmp_path / f"{stems[1]}.density.json").write_text("{}")
+        reasons = [cache.load(spec, 3, DURATION)[1] for spec in specs]
+        assert len(scans) == 1
+        assert reasons[0] == ("cache entry exists only under 'density' + "
+                              "'heap', this run resolves to 'analytic' + "
+                              "'heap'")
+        assert reasons[1] == ("cache entry exists only under 'density', "
+                              "this run resolves to 'analytic' + 'heap'")
+        assert reasons[2:] == [None] * (len(specs) - 2)
+
+        outcome = SweepRunner(specs[2:3], DURATION).run().outcomes[0]
+        cache.store(specs[2], outcome, DURATION)
+        density = dataclasses.replace(specs[2], backend="density")
+        assert cache.load(density, outcome.seed, DURATION) == (None, (
+            "cache entry exists only under 'analytic' + 'heap', this run "
+            "resolves to 'density' + 'heap'"))
+        assert len(scans) == 1
+
     def test_miss_is_keyed_once(self, tmp_path, monkeypatch):
         """A miss and the store after it hash the scenario identity once."""
         from repro.runtime.cache import ResumeCache
@@ -313,9 +358,9 @@ class TestCacheReport:
         calls = []
         real_key = ResumeCache.key
 
-        def counting_key(spec, seed, duration):
+        def counting_key(spec, seed, duration, configs=None):
             calls.append(spec.name)
-            return real_key(spec, seed, duration)
+            return real_key(spec, seed, duration, configs)
 
         monkeypatch.setattr(ResumeCache, "key", staticmethod(counting_key))
         specs = small_grid(2)
@@ -338,9 +383,10 @@ class TestCacheReport:
 
 
 class TestSharedBackends:
-    """A sweep runs every scenario on backends it owns: each distinct
-    hardware config's FEU table is built once per process, whatever the
-    ``batch_size``, and results equal a serial sweep."""
+    """A sweep runs every scenario on backends it owns: the FEU table of
+    each distinct hardware physics key is built once per process, whatever
+    the ``batch_size`` (scenarios differing only in classical frame loss
+    share one), and results equal a serial sweep."""
 
     @staticmethod
     def record_table_builds(monkeypatch, log):
@@ -349,23 +395,40 @@ class TestSharedBackends:
         real = PhysicsBackend.feu_table
 
         def recording(backend, scenario, alphas):
-            log((id(backend), scenario,
-                 (scenario, alphas) not in backend._feu_tables))
+            log((id(backend), scenario.physics_key,
+                 (scenario.physics_key, alphas) not in backend._feu_tables))
             return real(backend, scenario, alphas)
 
         monkeypatch.setattr(PhysicsBackend, "feu_table", recording)
 
-    def test_in_process_sweep_builds_one_table_per_config(self, monkeypatch):
+    def test_in_process_sweep_builds_one_table_per_physics(self,
+                                                           monkeypatch):
+        from repro.backends.analytic import AnalyticAttemptModel
+        from repro.core.messages import RequestType
+
         specs = paper_grid(attempt_batch_size=100, backend="analytic")
+        physics = {spec.scenario.physics_key for spec in specs}
+        assert len(physics) == 2 < len({spec.scenario for spec in specs})
         calls = []
         self.record_table_builds(monkeypatch, calls.append)
+        delivered = []
+        real_delivered = AnalyticAttemptModel.delivered_fidelity
+
+        def counting_delivered(model, request_type):
+            delivered.append(request_type)
+            return real_delivered(model, request_type)
+
+        monkeypatch.setattr(AnalyticAttemptModel, "delivered_fidelity",
+                            counting_delivered)
         batched = SweepRunner(specs, 0.05, master_seed=12345,
                               batch_size=64).run()
-        built = [(backend, config) for backend, config, fresh in calls
-                 if fresh]
+        built = [key for _, key, fresh in calls if fresh]
         assert len({call[0] for call in calls}) == 1
-        assert len(built) == len({config for _, config in built}) \
-            == len({spec.scenario for spec in specs})
+        assert len(built) == len(set(built)) == len(physics)
+        # Every scenario asks for F_min 0.64, and the highest alpha that
+        # meets the heralded bound also meets the delivered one: one
+        # delivered fidelity per physics key and request type.
+        assert len(delivered) == len(physics) * len(RequestType)
         monkeypatch.undo()
         serial = SweepRunner(specs, 0.05, master_seed=12345).run()
         assert batched.outcomes == serial.outcomes
@@ -375,12 +438,13 @@ class TestSharedBackends:
         import os
 
         specs = paper_grid(attempt_batch_size=100, backend="analytic")
-        configs = list(dict.fromkeys(spec.scenario for spec in specs))
+        keys = list(dict.fromkeys(spec.scenario.physics_key
+                                  for spec in specs))
 
         def log(call):
-            _, scenario, fresh = call
+            _, key, fresh = call
             with open(tmp_path / f"{os.getpid()}.log", "a") as out:
-                out.write(f"{configs.index(scenario)} {int(fresh)}\n")
+                out.write(f"{keys.index(key)} {int(fresh)}\n")
 
         # Pool workers fork after the patch, so they record too.
         self.record_table_builds(monkeypatch, log)
@@ -391,8 +455,8 @@ class TestSharedBackends:
         for path in logs:
             calls = [tuple(map(int, line.split()))
                      for line in path.read_text().splitlines()]
-            ran = {config for config, _ in calls}
-            built = [config for config, fresh in calls if fresh]
+            ran = {key for key, _ in calls}
+            built = [key for key, fresh in calls if fresh]
             assert sorted(built) == sorted(ran), path.name
         monkeypatch.undo()
         serial = SweepRunner(specs, 0.05, master_seed=12345).run()
