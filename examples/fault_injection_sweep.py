@@ -38,7 +38,7 @@ from repro.cluster import (
     InjectedWorkerCrash,
     TransportError,
 )
-from repro.cluster.coordinator import done_path
+from repro.cluster.coordinator import read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import SweepRunner, single_kind_scenarios
 
@@ -98,9 +98,10 @@ def backdate_stale_leases(coordinator: ClusterCoordinator,
     would otherwise only be reclaimed after the real lease timeout)."""
     past = time.time() - seconds
     aged = 0
-    for lease in (coordinator.cluster_dir / "tasks").glob("*.lease"):
-        if not done_path(coordinator.cluster_dir, int(lease.stem)).exists():
-            os.utime(lease, (past, past))
+    done, leases = read_tasks(coordinator.cluster_dir)
+    for index, lease in leases.items():
+        if index not in done:
+            os.utime(lease.path, (past, past))
             aged += 1
     return aged
 

@@ -13,7 +13,7 @@ Pieces (see each module's docstring for the protocol details):
   static cost heuristic (:class:`StaticCostModel`); work stealing evens out
   what the estimate leaves.
 * :mod:`repro.cluster.coordinator` — planning, progress, merge, and the
-  shared-directory protocol layout (plan file, lease files, done markers).
+  shared-directory protocol layout (plan file, lease files, done records).
 * :mod:`repro.cluster.transport` — the protocol's operations as a
   :class:`Transport` contract: :class:`FilesystemTransport` (shared
   directory) and :class:`SocketTransport` (length-prefixed JSON frames to a

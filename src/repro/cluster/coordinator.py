@@ -17,10 +17,14 @@ shared filesystem across machines, or a local path for multi-process runs):
     worker and may be taken over (atomic rename), so a crash mid-scenario
     delays that scenario by at most one timeout.
 
-``tasks/<index>.done``
-    Completion marker: an empty file, created only *after* the outcome is
-    durable (fsynced) in the worker's sink part, so a visible marker always
-    vouches for a durable record.
+``tasks/<first-index>.done.<unique>.json``
+    Done record: ``{"indices": [...]}``, the sorted indices one submit
+    marked done, named after the first of them.  Written (tmp-and-rename,
+    so never seen partial) only *after* the submit's outcomes are durable
+    (fsynced) in the sink part, so a visible record always vouches for
+    durable sink records.  Each submit writes one record for the indices
+    it finishes that were not done yet; :func:`read_tasks` reads them all
+    with the leases in one listing.
 
 ``results/part-<worker>.jsonl``
     One JSONL sink part per worker (see :mod:`repro.cluster.sinks`).
@@ -37,10 +41,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.cluster.planner import ShardPlan, plan_shards
 from repro.cluster.sinks import check_sink_kind, merge_results
@@ -67,19 +73,80 @@ def lease_path(cluster_dir: Path, index: int) -> Path:
     return cluster_dir / TASKS_DIR / f"{index}.lease"
 
 
-def done_path(cluster_dir: Path, index: int) -> Path:
-    """Done marker for global scenario ``index``."""
-    return cluster_dir / TASKS_DIR / f"{index}.done"
-
-
 def atomic_write_json(path: Path, payload: dict,
                       durable: bool = False) -> None:
     """Write compact JSON via the shared atomic tmp-and-rename idiom.
 
-    ``durable`` fsyncs before the rename — done markers must never become
-    visible while the sink record they vouch for could still be lost.
+    ``durable`` fsyncs before the rename, for records whose existence is
+    proof (failure and death markers count against a retry budget).
     """
     atomic_write_text(path, json.dumps(payload), durable=durable)
+
+
+#: The task files :func:`read_tasks` reads: ``<index>.lease`` and
+#: ``<first-index>.done.<unique>.json``.  Tmp files (a record or a lease
+#: takeover being written) and fail/death markers never match.
+_TASK_FILE = re.compile(r"(0|[1-9][0-9]*)\.(lease|done\.[0-9a-f]+\.json)")
+
+
+def write_done_record(cluster_dir: Path, indices: Iterable[int],
+                      ) -> tuple[str, tuple[int, ...]]:
+    """Mark ``indices`` done with one record; returns its file name and
+    its sorted indices.
+
+    Call only once the sink records of ``indices`` are durable.  The record
+    is not fsynced: if a machine crash tears it, it reads as absent and its
+    scenarios run again (deterministic, so harmless).  A reader never sees
+    it partial, because it appears by rename.
+    """
+    done = tuple(sorted(indices))
+    name = f"{done[0]}.done.{uuid.uuid4().hex}.json"
+    atomic_write_json(cluster_dir / TASKS_DIR / name, {"indices": done})
+    return name, done
+
+
+def read_tasks(cluster_dir: Path,
+               records: Optional[dict[str, tuple[int, ...]]] = None,
+               ) -> tuple[set[int], dict[int, os.DirEntry]]:
+    """List ``tasks/`` once: the done indices and the lease entries by index.
+
+    ``records`` caches each done record's indices by file name — a record
+    never changes after its rename, so a long-lived caller parses each one
+    once.  The done set is rebuilt from the names listed now, and cached
+    names no longer listed are dropped, so a wiped ``tasks/`` (re-plan with
+    ``reset`` or :meth:`ClusterCoordinator.reset_state`) reads as nothing
+    done.  A record removed or unreadable since the listing counts as
+    absent.  Indices are not checked against any plan.
+    """
+    if records is None:
+        records = {}
+    done: set[int] = set()
+    leases: dict[int, os.DirEntry] = {}
+    listed = set()
+    try:
+        with os.scandir(cluster_dir / TASKS_DIR) as entries:
+            for entry in entries:
+                match = _TASK_FILE.fullmatch(entry.name)
+                if match is None:
+                    continue
+                if match[2] == "lease":
+                    leases[int(match[1])] = entry
+                    continue
+                indices = records.get(entry.name)
+                if indices is None:
+                    try:
+                        with open(entry.path) as handle:
+                            indices = tuple(json.load(handle)["indices"])
+                    except (OSError, ValueError, KeyError, TypeError):
+                        continue
+                    records[entry.name] = indices
+                listed.add(entry.name)
+                done.update(indices)
+    except FileNotFoundError:
+        pass  # nothing claimed yet, or wiped
+    for name in records.keys() - listed:
+        records.pop(name, None)
+    return done, leases
 
 
 @dataclass
@@ -258,6 +325,9 @@ class ClusterCoordinator:
         #: contents of ``plan.json`` (``None`` until written).  Its parsed
         #: form is :meth:`cluster_plan`.
         self.written_plan: Optional[dict] = None
+        #: Done records :meth:`status` and :meth:`is_complete` have read
+        #: (see :func:`read_tasks`).
+        self._done_records: dict[str, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -296,7 +366,7 @@ class ClusterCoordinator:
     def _sweep_identity(document: dict) -> dict:
         """The part of a plan document that determines result validity.
 
-        Existing done markers and sink parts stay valid exactly when the
+        Existing done records and sink parts stay valid exactly when the
         (spec, seed, duration) triple of every global index and the part
         format are unchanged — shard layout, lease timeout and cache
         directory are operational knobs a restart may legitimately change.
@@ -310,12 +380,12 @@ class ClusterCoordinator:
 
         Idempotent for the *same* sweep: re-planning a grid with the same
         scenarios, seeds and duration into the directory resumes it
-        (existing done markers and sink parts stay valid because execution
+        (existing done records and sink parts stay valid because execution
         is deterministic; the plan file is refreshed so operational
         changes — shard count, lease timeout — take effect).
         If the directory holds a **different** sweep — other scenarios,
         duration, seeds, or parts of another format — its leases, done
-        markers and parts describe the *old* sweep, and silently reusing
+        records and parts describe the *old* sweep, and silently reusing
         them would hand back the old results; that is refused unless
         ``reset=True``, which wipes the protocol state first.  Note an
         unseeded coordinator (``master_seed=None``) draws fresh entropy per
@@ -343,7 +413,7 @@ class ClusterCoordinator:
         return path
 
     def reset_state(self) -> None:
-        """Discard all protocol state (plan, leases, done markers, parts)."""
+        """Discard all protocol state (plan, leases, done records, parts)."""
         import shutil
 
         from repro.runtime.guard import QuarantineStore
@@ -357,8 +427,10 @@ class ClusterCoordinator:
     # Progress
     # ------------------------------------------------------------------ #
     def status(self) -> dict:
-        """Done / leased / pending counts, per shard and overall."""
+        """Done / leased / pending counts, per shard and overall, from one
+        listing of ``tasks/``."""
         plan = self.plan()
+        done, leases = read_tasks(self.cluster_dir, self._done_records)
         now = time.time()
         per_shard = []
         totals = {"done": 0, "leased": 0, "stale": 0, "pending": 0}
@@ -368,13 +440,17 @@ class ClusterCoordinator:
         for shard in plan.shards:
             counts = {"done": 0, "leased": 0, "stale": 0, "pending": 0}
             for index in shard:
-                if done_path(self.cluster_dir, index).exists():
+                if index in done:
                     counts["done"] += 1
                     continue
-                lease = lease_path(self.cluster_dir, index)
-                try:
-                    age = now - lease.stat().st_mtime
-                except OSError:
+                age = None
+                lease = leases.get(index)
+                if lease is not None:
+                    try:
+                        age = now - lease.stat().st_mtime
+                    except OSError:
+                        pass  # released since the listing
+                if age is None:
                     counts["pending"] += 1
                     continue
                 if age >= stale_after:
@@ -388,9 +464,9 @@ class ClusterCoordinator:
                 "scenarios": len(self.specs)}
 
     def is_complete(self) -> bool:
-        """Whether every scenario has a done marker."""
-        return all(done_path(self.cluster_dir, index).exists()
-                   for index in range(len(self.specs)))
+        """Whether a done record names every scenario."""
+        done, _ = read_tasks(self.cluster_dir, self._done_records)
+        return all(index in done for index in range(len(self.specs)))
 
     def quarantine_records(self) -> list:
         """Durable quarantine records of this sweep (guarded runs only).

@@ -19,7 +19,7 @@ and adversarially perturbs its operations:
   (:class:`InjectedWorkerCrash` propagates out of the worker loop, leaving
   its leases to go stale exactly like a machine loss) — before the frame is
   applied, after it, or, for a submit over a filesystem transport, between
-  the sink fsync and the done markers;
+  a submit frame's sink fsync and its done record;
 * **clock skew** — the wrapped filesystem transport reads and writes lease
   times on a clock offset from true time, exercising the skew-tolerance
   lease math.
@@ -126,7 +126,8 @@ class FaultDecision:
     delay: float = 0.0
     #: Worker death: ``None``, ``"before"`` (op not applied), ``"after"``
     #: (op applied, worker dies before using the response) or
-    #: ``"between"`` (a submit's records written, its done markers not).
+    #: ``"between"`` (a submit's sink records durable, its done record
+    #: not written).
     crash: Optional[str] = None
 
     @property
@@ -164,7 +165,7 @@ class FaultSchedule:
     clock_skew: float = 0.0
     #: Crash the worker on the ``crash_call``-th delivery of ``crash_op``
     #: (``"claim"`` / ``"submit"``), ``"before"`` or ``"after"`` applying it,
-    #: or ``"between"`` the sink fsync and the done markers of a submit.
+    #: or ``"between"`` the sink fsync and the done record of a submit.
     crash_op: Optional[str] = None
     crash_call: int = 1
     crash_mode: str = "after"
@@ -255,7 +256,7 @@ class FaultyTransport(Transport):
         if (schedule.crash_mode == "between"
                 and not isinstance(inner, FilesystemTransport)):
             raise ValueError(
-                f"a crash between a submit's records and its done markers "
+                f"a crash between a submit's records and its done record "
                 f"happens where the sink is written; the {inner.kind} "
                 f"transport writes it on the coordinator")
         self.inner = inner
@@ -311,7 +312,7 @@ class FaultyTransport(Transport):
                 self._write_records_only(*args)
                 raise InjectedWorkerCrash(
                     f"injected crash between the records and the done "
-                    f"markers of {op!r} (call {self.schedule._counts[op]})")
+                    f"record of {op!r} (call {self.schedule._counts[op]})")
             if decision.delay:
                 time.sleep(decision.delay)
             if decision.drop:
@@ -375,7 +376,7 @@ class FaultyTransport(Transport):
     def _write_records_only(self, worker_id: str,
                             results: list[tuple[int, ScenarioOutcome, int]],
                             ) -> None:
-        """Half a submit: its sink records, durable, but no done marker —
+        """Half a submit: its sink records, durable, but no done record —
         what a filesystem worker leaves when it dies in between."""
         with self.inner._lock:
             self.inner._write_records(worker_id, results)

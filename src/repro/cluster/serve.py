@@ -10,7 +10,7 @@ free:
 * **Atomic lease grants** — claims and stale-lease takeovers go through the
   same atomic file primitives the shared-directory protocol uses, serialised
   inside one process.
-* **Durable coordinator state** — leases, done markers and result parts
+* **Durable coordinator state** — leases, done records and result parts
   survive a coordinator restart; re-starting ``serve`` on the same directory
   resumes the sweep exactly like re-planning a filesystem cluster does.
 * **One semantics** — the filesystem and socket transports cannot drift,
@@ -66,7 +66,7 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
     noncompliant filesystems).  A ``claim``, ``heartbeat`` or ``submit``
     frame carries a list, applied index by index in order: a claim under
     the lock, a heartbeat as one lease refresh per index, a submit as one
-    sink append and fsync followed by its done markers.
+    sink append and fsync followed by one done record.
     """
 
     allow_reuse_address = True
@@ -202,7 +202,7 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         return status
 
     def is_complete(self) -> bool:
-        """Whether every scenario has a done marker."""
+        """Whether a done record names every scenario."""
         return self.coordinator.is_complete()
 
 

@@ -35,8 +35,10 @@ class ResultSink(ABC):
     """Write-side interface workers stream outcomes through.
 
     Implementations must make :meth:`write_many` durable before returning —
-    the coordinator's done-markers are written after the sink write, and a
-    done marker with no recoverable sink record would lose a scenario.
+    the coordinator writes a submit's done record (one
+    ``tasks/<first-index>.done.<unique>.json`` per submit frame) right after
+    the sink write, and a done record naming an index with no recoverable
+    sink record would lose that scenario.
     """
 
     #: Format name used in plan files.
@@ -86,7 +88,7 @@ class JsonlResultSink(ResultSink):
         Without this, resuming a part (same worker id after a restart)
         would append the next record onto the torn line, fusing two records
         into one corrupt line that the loader then drops — losing the
-        re-executed scenario *after* its done marker exists.
+        re-executed scenario *after* a done record names it.
         """
         if not self.path.exists():
             return

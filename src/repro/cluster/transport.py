@@ -10,9 +10,8 @@ implementations:
 
 :class:`FilesystemTransport`
     The shared-directory protocol, verbatim: atomic ``O_CREAT | O_EXCL``
-    lease creation, mtime heartbeats, tmp-and-rename takeovers and done
-    markers, per-worker sink parts.  A sharded sweep through this transport
-    is bit-identical to PR 3's behaviour.
+    lease creation, mtime heartbeats, tmp-and-rename takeovers, one done
+    record per submit, per-worker sink parts.
 
 :class:`SocketTransport`
     The same operations as length-prefixed JSON frames over one TCP
@@ -20,7 +19,7 @@ implementations:
     server answers every frame by applying the operation to its *local*
     :class:`FilesystemTransport` — leases are granted atomically server-side,
     results stream into the server's :class:`~repro.cluster.sinks.ResultSink`
-    parts, and coordinator state (leases, done markers, parts) stays durable
+    parts, and coordinator state (leases, done records, parts) stays durable
     across a coordinator restart.  Workers need no shared filesystem at all.
 
 Because both transports implement one contract over the *same* authoritative
@@ -42,7 +41,8 @@ sublist, and a ``submit`` frame carries a list of ``results`` (``index``,
 ``outcome``, ``attempt``).  The coordinator applies the single-index
 semantics to each element in order — one lease grant or takeover per
 index, one lease refresh per index, and for a submit one sink append and
-one fsync for the whole frame, then one empty done marker per index.
+one fsync for the whole frame, then one done record naming every index of
+the frame that was not done yet.
 The ops are idempotent and commute per scenario index, so a batch equals
 its elements applied one after another (the Scalable Commutativity Rule),
 and a single-index call (:meth:`Transport.try_claim`,
@@ -55,7 +55,7 @@ that kills its workers is found without charging its batch neighbours.
 Delivery semantics: every protocol operation is **idempotent** — claims
 re-grant each index to its current owner, registrations return the recorded
 shard, submits are deduplicated per result on ``(task_index, worker_id,
-attempt)`` and by the done marker, heartbeats are pure refreshes.  A client
+attempt)`` and by the done records, heartbeats are pure refreshes.  A client
 that loses the connection mid-request therefore cannot tell whether the
 operation was applied, *and does not need to*:
 :meth:`SocketTransport.request` retries idempotent operations with bounded
@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import socket
 import struct
 import threading
@@ -89,8 +88,9 @@ from repro.cluster.coordinator import (
     WORKERS_DIR,
     ClusterPlan,
     atomic_write_json,
-    done_path,
     lease_path,
+    read_tasks,
+    write_done_record,
 )
 from repro.cluster.sinks import JsonlResultSink, ResultSink, part_name
 from repro.runtime.guard import (
@@ -100,12 +100,6 @@ from repro.runtime.guard import (
     QuarantineStore,
 )
 from repro.runtime.sweep import ScenarioOutcome
-
-
-#: Names of the two task files a snapshot reads: ``<index>.done`` and
-#: ``<index>.lease`` (see :func:`~repro.cluster.coordinator.done_path` and
-#: :func:`~repro.cluster.coordinator.lease_path`).
-_TASK_MARKER = re.compile(r"(0|[1-9][0-9]*)\.(done|lease)")
 
 
 class TransportError(RuntimeError):
@@ -253,7 +247,7 @@ class TaskSnapshot:
     workers: int = field(default=0, compare=False)
 
     def is_done(self, index: int) -> bool:
-        """Whether ``index`` has a done marker."""
+        """Whether a done record names ``index``."""
         return index in self.done
 
     def is_available(self, index: int, lease_timeout: float) -> bool:
@@ -293,7 +287,7 @@ class Transport(ABC):
       (the crashed owner's heartbeats, if it resurrects, report the lease
       as lost).
     * :meth:`submit_many` is **durable before it returns**, and records the
-      results *before* their done markers — a crash between the two
+      results *before* their done record — a crash between the two
       re-executes the scenarios (harmless, deterministic) rather than
       losing them.
     * Every operation is **idempotent** (see :data:`IDEMPOTENT_OPS`): a
@@ -349,7 +343,7 @@ class Transport(ABC):
         from duplicate *deliveries* of one execution: re-sending a result
         with the same ``(index, worker_id, attempt)`` key (a retry after a
         connection reset whose first delivery may have been applied) writes
-        its sink record at most once.  A done marker wins over any lease:
+        its sink record at most once.  A done record wins over any lease:
         a result needs no lease to be submitted."""
 
     def submit_result(self, worker_id: str, index: int,
@@ -367,7 +361,7 @@ class Transport(ABC):
         retry budget — one unit per recorded failure *or* lease death.
         Returns ``{"attempts": <spent>, "quarantined": <bool>}``; once the
         budget is spent the scenario is quarantined (durable record, a
-        ``status="quarantined"`` sink outcome, done marker) so the sweep
+        ``status="quarantined"`` sink outcome, done record) so the sweep
         completes without it.  Deliveries dedupe on ``(index, worker_id,
         attempt)`` like submits, keeping the op idempotent.
         """
@@ -420,6 +414,12 @@ class FilesystemTransport(Transport):
         self._applied_submits: set[tuple[int, str, int]] = set()
         #: Failure deliveries already applied, same dedupe contract.
         self._applied_failures: set[tuple[int, str, int]] = set()
+        #: Done records listed so far, by file name (see
+        #: :func:`~repro.cluster.coordinator.read_tasks`).
+        self._records: dict[str, tuple[int, ...]] = {}
+        #: Indices the done records named at the last :meth:`_refresh`,
+        #: plus those of this instance's own records since.
+        self._done: set[int] = set()
         #: Supervision policy of the plan (``None`` = pre-guard protocol:
         #: no death markers, no failure budget, no quarantine).
         self.guard: Optional[GuardPolicy] = self.plan.guard_policy()
@@ -428,7 +428,9 @@ class FilesystemTransport(Transport):
         # that timed out and reconnected can have two server threads
         # submitting under the same worker id, and interleaved writes on
         # one sink would tear the part — and _quarantine's submit takes it
-        # again inside record_failure and claim_many.
+        # again inside record_failure and claim_many.  _refresh holds it
+        # too, so a listing taken before this instance's own record was
+        # renamed cannot drop that record from the done set.
         self._lock = threading.RLock()
 
     @property
@@ -481,8 +483,15 @@ class FilesystemTransport(Transport):
         return len(list(workers_dir.glob("*.json")))
 
     # -- task state ---------------------------------------------------- #
+    def _refresh(self) -> dict[int, os.DirEntry]:
+        """Re-list ``tasks/``: rebuild the done set, return the leases."""
+        with self._lock:
+            self._done, leases = read_tasks(self.cluster_dir, self._records)
+        return leases
+
     def _is_done(self, index: int) -> bool:
-        return done_path(self.cluster_dir, index).exists()
+        """Whether the done set of the last :meth:`_refresh` has ``index``."""
+        return index in self._done
 
     def _lease_age(self, index: int) -> Optional[float]:
         """Observed lease age on *this* process's clock, raw (no tolerance)."""
@@ -502,41 +511,28 @@ class FilesystemTransport(Transport):
         ``clock_skew_tolerance`` seconds of clock disagreement between the
         lease writer and this reader can never fake a stale lease.
 
-        One directory listing covers the whole plan: done markers and
-        leases are recognised by name, and only leases of scenarios that
-        are not done are stat'ed.  Every other file in ``tasks/`` (takeover
-        tmp files, fail/death markers, indices outside the plan) is ignored.
+        One directory listing covers the whole plan (see
+        :func:`~repro.cluster.coordinator.read_tasks`), and only leases of
+        scenarios that are not done are stat'ed.  Indices outside the plan
+        are ignored.
         """
         num_specs = len(self.plan.specs)
-        done = set()
-        leases = {}
-        try:
-            with os.scandir(self.cluster_dir / TASKS_DIR) as entries:
-                for entry in entries:
-                    match = _TASK_MARKER.fullmatch(entry.name)
-                    if match is None:
-                        continue
-                    index = int(match[1])
-                    if index >= num_specs:
-                        continue
-                    if match[2] == "done":
-                        done.add(index)
-                    else:
-                        leases[index] = entry
-        except FileNotFoundError:
-            pass  # nothing claimed yet
+        with self._lock:
+            leases = self._refresh()
+            done = frozenset(index for index in self._done
+                             if index < num_specs)
         now = self.clock()
         tolerance = self.plan.clock_skew_tolerance
         lease_ages = {}
         for index, entry in leases.items():
-            if index in done:
+            if index in done or index >= num_specs:
                 continue
             try:
                 mtime = entry.stat().st_mtime
             except OSError:
                 continue  # released or replaced since the listing
             lease_ages[index] = max(0.0, now - mtime - tolerance)
-        return TaskSnapshot(done=frozenset(done), lease_ages=lease_ages,
+        return TaskSnapshot(done=done, lease_ages=lease_ages,
                             workers=self.registered_workers())
 
     def _touch(self, lease: Path) -> None:
@@ -548,6 +544,7 @@ class FilesystemTransport(Transport):
     def claim_many(self, indices: Sequence[int],
                    worker_id: str) -> list[int]:
         batch = len(indices)
+        self._refresh()
         return [index for index in indices
                 if self._claim(index, worker_id, batch)]
 
@@ -564,8 +561,9 @@ class FilesystemTransport(Transport):
         try:
             descriptor = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            if self._is_done(index):
-                return False  # finished while we looked
+            # Every branch below refuses an index that is done; the done
+            # set is refreshed only where that decides the answer, since
+            # finishing while we looked is what a refresh would catch.
             age = self._lease_age(index)
             if age is None:
                 # Lease vanished between the existence check and now —
@@ -580,10 +578,16 @@ class FilesystemTransport(Transport):
                     owner = json.loads(lease.read_text()).get("worker_id")
                 except (OSError, json.JSONDecodeError):
                     return False
-                return owner == worker_id
+                if owner != worker_id:
+                    return False
+                self._refresh()
+                return not self._is_done(index)
             if batch > 1:
                 # Stale leases are re-leased one index at a time, so the
                 # next death on this index is attributable to it alone.
+                return False
+            self._refresh()
+            if self._is_done(index):
                 return False
             try:
                 dead = json.loads(lease.read_text())
@@ -626,6 +630,7 @@ class FilesystemTransport(Transport):
             tmp.write_text(payload)
             self._touch(tmp)
             tmp.replace(lease)
+            self._refresh()
             return not self._is_done(index)
         with os.fdopen(descriptor, "w") as handle:
             handle.write(payload)
@@ -676,11 +681,12 @@ class FilesystemTransport(Transport):
                        results: Sequence[tuple[int, ScenarioOutcome, int]],
                        ) -> None:
         """The sink half of a submit: one append and one fsync."""
-        # Dedupe duplicate deliveries: a done marker proves *some* sink
-        # record for this index is already durable (markers are created
+        # Dedupe duplicate deliveries: a done record proves *some* sink
+        # record for its indices is already durable (records are written
         # only after the sink write is fsynced), and a seen (index, worker,
         # attempt) key means *this very delivery* was applied even if the
-        # crash window between sink write and done marker was hit.
+        # crash window between sink write and done record was hit.
+        self._refresh()
         fresh = [(index, outcome) for index, outcome, attempt in results
                  if (index, worker_id, attempt) not in self._applied_submits
                  and not self._is_done(index)]
@@ -691,16 +697,15 @@ class FilesystemTransport(Transport):
 
     def _mark_done(self, results: Sequence[tuple[int, ScenarioOutcome, int]],
                    ) -> None:
-        """The marker half of a submit, after the records are durable:
-        one empty done marker per index.  A marker's existence is all any
-        reader checks, and the sink fsync before it is what makes a visible
-        marker safe; creating an empty file is one metadata operation."""
-        for index, _, _ in results:
-            try:
-                os.close(os.open(done_path(self.cluster_dir, index),
-                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-            except FileExistsError:
-                pass  # a racing submit marked it first
+        """The done half of a submit, after the sink records are durable:
+        one record naming the frame's indices that were not done at
+        :meth:`_write_records`' refresh, so a duplicate delivery writes
+        none."""
+        fresh = {index for index, _, _ in results} - self._done
+        if fresh:
+            name, indices = write_done_record(self.cluster_dir, fresh)
+            self._records[name] = indices
+            self._done.update(indices)
 
     # -- failures and quarantine --------------------------------------- #
     def _spent_attempts(self, index: int) -> int:
@@ -711,7 +716,7 @@ class FilesystemTransport(Transport):
                 + len(list(tasks.glob(f"{index}.death.*.json"))))
 
     def _quarantine(self, index: int, worker_id: str, status: str) -> None:
-        """Retire ``index``: durable record, sink outcome, done marker.
+        """Retire ``index``: durable record, sink outcome, done record.
 
         The sink outcome is **canonical** — built only from the plan and
         the failure status, never from per-run diagnostics — because two
@@ -719,6 +724,7 @@ class FilesystemTransport(Transport):
         budget spent) each submit it, and the merge requires duplicate
         index records to agree field-for-field.
         """
+        self._refresh()
         if self._is_done(index):
             return
         spec = self.plan.specs[index]
@@ -749,6 +755,7 @@ class FilesystemTransport(Transport):
                        outcome: ScenarioOutcome, attempt: int = 0) -> dict:
         with self._lock:
             key = (index, worker_id, attempt)
+            self._refresh()
             if key not in self._applied_failures and not self._is_done(index):
                 error = outcome.error or ""
                 atomic_write_json(

@@ -7,7 +7,7 @@ scenario list, seeds and shard plan from the plan document, then loops:
 1. **Look up** every candidate of its own shard in a new snapshot in the
    resume cache, once.  Hits are submitted straight away, in frames of at
    most :data:`SUBMIT_FRAME` outcomes, without taking a lease: a done
-   marker wins over any lease, and a cached record equals the one an
+   record wins over any lease, and a cached record equals the one an
    execution would write, so the merge dedupes a peer's duplicate.  Other
    shards' candidates are left to their owners and looked up only once
    stolen, under a lease, so a fleet sharing one cache loads each record
@@ -51,7 +51,7 @@ over while this worker was presumed dead) stops beating that lease, and
 the worker drops that scenario instead of submitting it.
 Outcomes go through
 :meth:`~repro.cluster.transport.Transport.submit_many`, which is durable
-before the done markers exist — crash-and-resume is safe at every point.
+before its done record exists — crash-and-resume is safe at every point.
 
 Every scenario runs through :func:`~repro.runtime.sweep.execute_scenario`
 on the worker's own :class:`~repro.backends.BackendSet`, so each distinct

@@ -74,7 +74,7 @@ def atomic_write_text(path: Path, text: str, durable: bool = False) -> None:
     With ``durable`` the tmp file is fsynced before the rename, so the
     rename can never expose a file whose *contents* are still in the page
     cache — required wherever a reader treats the file's existence as proof
-    of durability (done markers vs. sink records).
+    of durability (failure, death and quarantine records).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}"
@@ -99,6 +99,23 @@ def _topology_stamp(spec: "ScenarioSpec") -> Optional[dict]:
     if topology is None:
         return None
     return {"name": topology.name, "key": topology.identity_key()}
+
+
+#: Encodes the canonical JSON text cache keys hash.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
+
+
+def _spliced(mapping: dict, name: str, text: str) -> str:
+    """The canonical text of ``mapping``, with ``text`` as the already
+    encoded value of its key ``name``."""
+    before = {key: value for key, value in mapping.items() if key < name}
+    after = {key: value for key, value in mapping.items() if key > name}
+    parts = [f"{_ENCODER.encode(name)}: {text}"]
+    if before:
+        parts.insert(0, _ENCODER.encode(before)[1:-1])
+    if after:
+        parts.append(_ENCODER.encode(after)[1:-1])
+    return "{" + ", ".join(parts) + "}"
 
 
 def _topology_label(stamp: Optional[dict]) -> str:
@@ -162,8 +179,8 @@ class ResumeCache:
         #: lost mid-run) leaves one small entry behind.
         self._miss_keys: dict[tuple[int, int, float],
                               tuple["ScenarioSpec", str]] = {}
-        #: Hardware configs converted for :meth:`key`, shared across the
-        #: specs this cache keys (bounded: overflow clears).
+        #: Hardware configs converted and encoded for :meth:`key`, shared
+        #: across the specs this cache keys (bounded: overflow clears).
         self._configs: dict = {}
         #: Entry filenames in the directory by cache key, listed by one
         #: scan at the first miss and extended by this instance's stores.
@@ -185,17 +202,24 @@ class ResumeCache:
         and entry payload so that mismatches are detectable.
 
         ``configs`` shares converted hardware configs across calls (see
-        :meth:`ScenarioSpec.to_dict`); the key is the same with or without
-        it."""
-        payload = {
-            "identity": spec.identity_payload(configs),
-            "seed": seed,
-            "duration": duration,
-        }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True, default=repr).encode()
-        ).hexdigest()
-        return digest[:20]
+        :meth:`ScenarioSpec.to_dict`), and with them each config's encoded
+        JSON text, spliced into the payload's text unchanged; the key is
+        the same with or without it."""
+        identity = spec.identity_payload(configs)
+        payload = {"identity": identity, "seed": seed, "duration": duration}
+        if configs is None:
+            text = _ENCODER.encode(payload)
+        else:
+            # Keyed on the converted dict ``configs`` holds for this
+            # config, which lives exactly as long as the entry.
+            slot = ("json", id(identity["scenario"]))
+            scenario = configs.get(slot)
+            if scenario is None:
+                scenario = configs[slot] = _ENCODER.encode(
+                    identity["scenario"])
+            text = _spliced(payload, "identity",
+                            _spliced(identity, "scenario", scenario))
+        return hashlib.sha256(text.encode()).hexdigest()[:20]
 
     def path(self, spec: "ScenarioSpec", seed: int, duration: float,
              backend: Optional[str] = None) -> Path:

@@ -194,6 +194,18 @@ def test_cache_keys_unchanged():
         assert keys == pinned[f"{seed}|{duration!r}"]
 
 
+def test_cache_keys_through_the_config_memo_unchanged(tmp_path):
+    # One cache keys every point, so later keys splice the config texts
+    # its memo encoded for earlier ones.
+    pinned = expected()["cache_keys"]
+    cache = ResumeCache(tmp_path)
+    specs = key_specs()
+    for seed, duration in KEY_POINTS:
+        keys = {spec.name: cache._key(spec, seed, duration)
+                for spec in specs}
+        assert keys == pinned[f"{seed}|{duration!r}"]
+
+
 def test_grid_tcp_plan_document_unchanged(tmp_path):
     text = json.dumps(grid_tcp_plan_document(tmp_path))
     assert (hashlib.sha256(text.encode()).hexdigest()

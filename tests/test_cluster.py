@@ -28,7 +28,7 @@ from repro.cluster import (
     plan_shards,
     run_sharded_sweep,
 )
-from repro.cluster.coordinator import done_path, lease_path
+from repro.cluster.coordinator import lease_path, read_tasks
 from repro.cluster.sinks import SinkError, part_name
 from repro.cluster.worker import ClusterWorker
 from repro.runtime import (
@@ -55,10 +55,10 @@ def backdate_stale_leases(cluster_dir, seconds=3600.0) -> int:
     """Age every lease of an unfinished scenario past any timeout."""
     past = time.time() - seconds
     aged = 0
-    for lease in (cluster_dir / "tasks").glob("*.lease"):
-        index = int(lease.stem)
-        if not done_path(cluster_dir, index).exists():
-            os.utime(lease, (past, past))
+    done, leases = read_tasks(cluster_dir)
+    for index, lease in leases.items():
+        if index not in done:
+            os.utime(lease.path, (past, past))
             aged += 1
     return aged
 

@@ -16,7 +16,7 @@
   that dies holding a batch quarantines no innocent neighbour.
 * Fault injection reaches the list-carrying frames: duplicated batched
   submits, reset batched claims, and a crash between a submit's sink fsync
-  and its done markers.
+  and its done record.
 * Every lease of a held batch is heartbeated from claim time, all of them
   in one frame per interval, and held results are submitted once the
   oldest is an interval old.
@@ -44,7 +44,7 @@ from repro.cluster import (
     SocketTransport,
     Transport,
 )
-from repro.cluster.coordinator import done_path, lease_path
+from repro.cluster.coordinator import lease_path, read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import (
     GuardPolicy,
@@ -82,6 +82,10 @@ def backdate_leases(cluster_dir, seconds=3600.0) -> None:
     past = time.time() - seconds
     for lease in (cluster_dir / "tasks").glob("*.lease"):
         os.utime(lease, (past, past))
+
+
+def done_indices(cluster_dir) -> set[int]:
+    return read_tasks(cluster_dir)[0]
 
 
 def lease_of(cluster_dir, index) -> dict:
@@ -307,7 +311,7 @@ class TestBatchEqualsElements:
     def test_submit_needs_no_lease_and_wins_over_a_live_one(
             self, tmp_path, connect):
         """A hit is submitted without a lease, possibly while a peer that
-        claimed after the worker's snapshot holds one: the done marker
+        claimed after the worker's snapshot holds one: the done record
         wins, and the peer's later, identical record is not written."""
         specs = grid(2)
         coordinator = plan_cluster(tmp_path, specs)
@@ -316,7 +320,7 @@ class TestBatchEqualsElements:
         outcome = execute_scenario(specs[0], peer.plan.seeds[0], DURATION)
         transport = connect(coordinator)
         transport.submit_many("w", [(0, outcome, 1)])
-        assert done_path(coordinator.cluster_dir, 0).exists()
+        assert done_indices(coordinator.cluster_dir) == {0}
         peer.submit_result("peer", 0, outcome, attempt=1)
         peer.close()
         transport.close()
@@ -437,8 +441,7 @@ class TestBatchedFrameFaults:
         faulty.submit_many("w", results)  # and a retry of the whole frame
         faulty.close()
         assert sorted(part_records(coordinator.cluster_dir, "w")) == [0, 1, 2]
-        assert all(done_path(coordinator.cluster_dir, index).exists()
-                   for index in range(3))
+        assert done_indices(coordinator.cluster_dir) == {0, 1, 2}
         assert [entry["indices"] for entry in schedule.to_dict()["injected"]
                 if entry["op"] == "submit"] == [[0, 1, 2]] * 2
         assert coordinator.merge().outcomes == serial_outcomes(specs)
@@ -479,7 +482,7 @@ class TestBatchedFrameFaults:
         # The records are durable; no scenario is marked done.
         assert sorted(part_records(coordinator.cluster_dir, "doomed")) == \
             list(range(len(specs)))
-        assert not list((coordinator.cluster_dir / "tasks").glob("*.done"))
+        assert not done_indices(coordinator.cluster_dir)
         backdate_leases(coordinator.cluster_dir)
         rescuer = ClusterWorker(coordinator.cluster_dir, "rescuer",
                                 cache_dir=None)

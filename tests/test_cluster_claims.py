@@ -1,9 +1,9 @@
 """Tests for the worker's claim path: one snapshot per pass, not per claim.
 
 * The filesystem snapshot reads ``tasks/`` with one directory listing; it
-  must equal the per-index reference (a done check and a lease stat for
-  every scenario of the plan) on a directory holding every kind of task
-  file the protocol writes.
+  must equal the per-index reference (the done records' indices and a
+  lease stat for every scenario of the plan) on a directory holding every
+  kind of task file the protocol writes.
 * A worker claims through the candidate list of its last snapshot and
   refreshes only when that view is stale, so draining a plan costs at most
   two snapshots on either transport — while contending workers, whose
@@ -28,6 +28,7 @@ from repro.cluster import (
     TaskSnapshot,
     Transport,
 )
+from repro.cluster.coordinator import read_tasks, write_done_record
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import GuardPolicy, SweepRunner, single_kind_scenarios
 from repro.runtime.sweep import _failure_outcome
@@ -47,10 +48,11 @@ def grid(count, backend=None):
 def reference_snapshot(transport: FilesystemTransport) -> TaskSnapshot:
     """The per-index snapshot: one done check and one lease stat each."""
     tolerance = transport.plan.clock_skew_tolerance
+    recorded, _ = read_tasks(transport.cluster_dir)
     done = set()
     lease_ages = {}
     for index in range(len(transport.plan.specs)):
-        if transport._is_done(index):
+        if index in recorded:
             done.add(index)
             continue
         age = transport._lease_age(index)
@@ -146,25 +148,28 @@ class TestSnapshotListing:
         return FilesystemTransport(coordinator.cluster_dir,
                                    clock=lambda: self.NOW)
 
-    def touch(self, transport, name, age=1.0):
+    def touch(self, transport, name, age=1.0, text="{}"):
         path = transport.cluster_dir / "tasks" / name
-        path.write_text("{}")
+        path.write_text(text)
         os.utime(path, (self.NOW - age, self.NOW - age))
 
     def test_listing_equals_per_index_reference(self, tmp_path):
         transport = self.transport(tmp_path)
         timeout = transport.plan.lease_timeout
-        self.touch(transport, "0.done")
-        self.touch(transport, "1.done")
+        write_done_record(transport.cluster_dir, [1, 0])
         self.touch(transport, "1.lease")          # done, lease still there
         self.touch(transport, "2.lease", age=0.5)  # live
         self.touch(transport, "3.lease", age=3600.0)  # stale
         self.touch(transport, "4.lease.w9.tmp")   # takeover in flight
         self.touch(transport, "5.fail.w1.1.json")
         self.touch(transport, "5.death.1700000000_5.json")
-        self.touch(transport, "6.done.123.456.7.tmp")  # marker being written
+        # A record being written, and names that are not a record's.
+        record = '{"indices": [6, 7]}'
+        self.touch(transport, "6.done.0a1b.json.123.456.7.tmp", text=record)
+        self.touch(transport, "6.done.xyz.json", text=record)
+        self.touch(transport, "6.done", text=record)
         self.touch(transport, "07.lease")          # not a canonical name
-        self.touch(transport, "8.done")            # outside the 8-spec plan
+        write_done_record(transport.cluster_dir, [8])  # outside the plan
         self.touch(transport, "99.lease")
 
         snapshot = transport.snapshot()
@@ -181,7 +186,8 @@ class TestSnapshotListing:
         # A quarantined scenario: its lease was released, then marked done.
         # A worker claiming from an older view must not run it again.
         transport = self.transport(tmp_path)
-        self.touch(transport, "3.done")
+        transport.snapshot()  # the record below appears after this view
+        write_done_record(transport.cluster_dir, [3])
         assert not transport.try_claim(3, "late")
         assert not (transport.cluster_dir / "tasks" / "3.lease").exists()
 
@@ -230,9 +236,8 @@ class TestClaimPath:
         assert refused, "the peers' views never went stale"
         executed = [index for worker in workers for index in worker.executed]
         assert sorted(executed) == list(range(len(specs)))
-        tasks = coordinator.cluster_dir / "tasks"
-        assert sorted(path.name for path in tasks.glob("*.done")) == \
-            sorted(f"{index}.done" for index in range(len(specs)))
+        done, _ = read_tasks(coordinator.cluster_dir)
+        assert done == set(range(len(specs)))
         serial = SweepRunner(specs, DURATION, master_seed=SEED).run()
         assert coordinator.merge().outcomes == serial.outcomes
 

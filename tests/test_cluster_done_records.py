@@ -1,0 +1,357 @@
+"""Tests for done records: one ``tasks/<first-index>.done.<unique>.json``
+per submit frame.
+
+* A submit writes one record naming the frame's indices that were not done
+  yet, after the sink fsync; a duplicated frame writes no second record.
+* Every reader lists ``tasks/`` once (:func:`read_tasks`): transports on
+  one directory see each other's records at their next op, a record being
+  written is invisible until its rename, and a wiped ``tasks/`` reads as
+  nothing done even to an instance that cached the old records.  A claim
+  that finds a lease lists again before re-granting or taking it over, and
+  threads sharing one transport record each index once.
+* A crash between a frame's sink fsync and its record leaves the frame's
+  indices not done, and their redelivery writes the record without a
+  second sink record.
+* The paper grid through one TCP worker leaves one record per submit RPC
+  and no per-index marker.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import shutil
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+import repro.cluster.worker as worker_module
+from repro.cluster import (
+    ClusterCoordinator,
+    ClusterWorker,
+    FaultSchedule,
+    FaultyTransport,
+    FilesystemTransport,
+    InjectedWorkerCrash,
+    SocketTransport,
+    Transport,
+)
+from repro.cluster.coordinator import read_tasks
+from repro.cluster.serve import ClusterCoordinatorServer
+from repro.runtime import paper_grid, single_kind_scenarios
+from repro.runtime.sweep import ScenarioOutcome
+
+DURATION = 0.05
+SEED = 77
+
+
+def grid(count):
+    specs = single_kind_scenarios(
+        "Lab", kinds=("NL", "CK", "MD"), loads=("Low", "High"),
+        max_pairs_options=(1, 3), origins=("A", "B"),
+        include_md_k255=False, attempt_batch_size=40, backend="analytic")
+    return specs[:count]
+
+
+def plan_cluster(tmp_path, specs, **kwargs) -> ClusterCoordinator:
+    kwargs.setdefault("num_shards", 1)
+    coordinator = ClusterCoordinator(specs, DURATION, tmp_path / "cluster",
+                                     master_seed=SEED, **kwargs)
+    coordinator.write_plan()
+    return coordinator
+
+
+def canned(spec, seed, duration) -> ScenarioOutcome:
+    """A cheap stand-in outcome for tests that replace execution."""
+    return ScenarioOutcome(scenario_name=spec.name,
+                           scheduler_name=spec.scheduler_name(), seed=seed,
+                           duration=duration, backend=spec.backend_name())
+
+
+def results_of(coordinator, indices, attempt=1):
+    plan = coordinator.cluster_plan()
+    return [(index, canned(plan.specs[index], plan.seeds[index], DURATION),
+             attempt) for index in indices]
+
+
+def done_records(cluster_dir: Path) -> dict[str, list[int]]:
+    """Every done record in ``tasks/``, by name, parsed directly."""
+    return {path.name: json.loads(path.read_text())["indices"]
+            for path in (cluster_dir / "tasks").glob("*.done.*.json")}
+
+
+def part_records(cluster_dir, worker_id) -> list[int]:
+    part = cluster_dir / "results" / f"part-{worker_id}.jsonl"
+    return [json.loads(line)["index"]
+            for line in part.read_text().splitlines()[1:] if line.strip()]
+
+
+@pytest.fixture(params=("filesystem", "socket"))
+def connect(request):
+    """``connect(coordinator)`` -> a transport of the param kind."""
+    servers = []
+    transports = []
+
+    def factory(coordinator):
+        if request.param == "socket":
+            server = ClusterCoordinatorServer(coordinator)
+            server.start_background()
+            servers.append(server)
+            transport = SocketTransport(server.address)
+        else:
+            transport = FilesystemTransport(coordinator.cluster_dir)
+        transports.append(transport)
+        return transport
+
+    yield factory
+    for transport in transports:
+        transport.close()
+    for server in servers:
+        server.stop()
+
+
+class TestOneRecordPerFrame:
+    def test_a_frame_writes_one_record_of_its_sorted_indices(
+            self, tmp_path, connect):
+        coordinator = plan_cluster(tmp_path, grid(6))
+        transport = connect(coordinator)
+        transport.submit_many("w", results_of(coordinator, [4, 1, 3]))
+        records = done_records(coordinator.cluster_dir)
+        assert list(records.values()) == [[1, 3, 4]]
+        (name,) = records
+        assert re.fullmatch(r"1\.done\.[0-9a-f]+\.json", name)
+        assert read_tasks(coordinator.cluster_dir)[0] == {1, 3, 4}
+
+    def test_a_duplicated_frame_writes_no_second_record(
+            self, tmp_path, connect):
+        coordinator = plan_cluster(tmp_path, grid(4))
+        faulty = FaultyTransport(connect(coordinator),
+                                 FaultSchedule(seed=3, duplicate=1.0),
+                                 retry_delay=0.0)
+        results = results_of(coordinator, [0, 1, 2])
+        faulty.submit_many("w", results)  # delivered twice
+        faulty.submit_many("w", results)  # and retried whole
+        assert list(done_records(coordinator.cluster_dir).values()) == \
+            [[0, 1, 2]]
+        # A frame overlapping a recorded one records only its new index.
+        faulty.submit_many("w", results_of(coordinator, [2, 3]))
+        assert sorted(done_records(coordinator.cluster_dir).values()) == \
+            [[0, 1, 2], [3]]
+        faulty.close()
+        assert sorted(part_records(coordinator.cluster_dir, "w")) == \
+            [0, 1, 2, 3]
+
+
+class TestOneListing:
+    def test_instances_on_one_directory_see_each_others_records(
+            self, tmp_path):
+        coordinator = plan_cluster(tmp_path, grid(4))
+        first = FilesystemTransport(coordinator.cluster_dir)
+        second = FilesystemTransport(coordinator.cluster_dir)
+        assert first.snapshot().done == second.snapshot().done == set()
+        first.submit_many("a", results_of(coordinator, [0, 1]))
+        assert second.snapshot().done == {0, 1}
+        assert second.claim_many([0, 1, 2], "b") == [2]
+        second.submit_many("b", results_of(coordinator, [2]))
+        assert first.claim_many([2, 3], "a") == [3]
+        assert first.snapshot().done == {0, 1, 2}
+        first.close()
+        second.close()
+        assert coordinator.status()["total"]["done"] == 3
+        assert not coordinator.is_complete()
+
+    def test_a_record_is_invisible_until_its_rename(
+            self, tmp_path, monkeypatch):
+        coordinator = plan_cluster(tmp_path, grid(3))
+        writer = FilesystemTransport(coordinator.cluster_dir)
+        reader = FilesystemTransport(coordinator.cluster_dir)
+        seen = []
+        real_replace = Path.replace
+
+        def replace(self, target):
+            if ".done." in self.name and self.name.endswith(".tmp"):
+                assert json.loads(self.read_text()) == {"indices": [1]}
+                seen.append((reader.snapshot().done,
+                             coordinator.status()["total"]["done"]))
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+        writer.submit_many("w", results_of(coordinator, [1]))
+        assert seen == [(frozenset(), 0)]
+        assert reader.snapshot().done == {1}
+        writer.close()
+        reader.close()
+
+    def test_a_wiped_tasks_directory_reads_as_nothing_done(
+            self, tmp_path, connect):
+        specs = grid(3)
+        coordinator = plan_cluster(tmp_path, specs)
+        transport = connect(coordinator)
+        long_lived = FilesystemTransport(coordinator.cluster_dir)
+        transport.submit_many("w", results_of(coordinator, range(3)))
+        assert long_lived.snapshot().done == {0, 1, 2}
+        assert coordinator.is_complete()
+        shutil.rmtree(coordinator.cluster_dir / "tasks")
+        assert long_lived.snapshot().done == set()
+        assert coordinator.status()["total"]["pending"] == len(specs)
+        assert not coordinator.is_complete()
+        # Its cached records are gone too: a claim is granted again.
+        assert long_lived.claim_many([0], "again") == [0]
+        long_lived.close()
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["live", "stale"])
+def test_a_record_written_while_a_claim_looks_refuses_it(
+        tmp_path, monkeypatch, stale):
+    """The claim's own listing predates the record: the lease it finds is
+    the owner's (a re-delivered claim) or stale (a takeover), and the
+    done set is listed again before either is granted."""
+    coordinator = plan_cluster(tmp_path, grid(2), lease_timeout=1.0,
+                               clock_skew_tolerance=0.0)
+    owner = FilesystemTransport(coordinator.cluster_dir)
+    assert owner.claim_many([0], "owner") == [0]
+    lease = coordinator.cluster_dir / "tasks" / "0.lease"
+    if stale:
+        os.utime(lease, (0.0, 0.0))
+    claimant = FilesystemTransport(coordinator.cluster_dir)
+    peer = FilesystemTransport(coordinator.cluster_dir)
+    real_age = claimant._lease_age
+
+    def lease_age(index):
+        peer.submit_many("peer", results_of(coordinator, [index]))
+        return real_age(index)
+
+    monkeypatch.setattr(claimant, "_lease_age", lease_age)
+    assert claimant.claim_many([0], "other" if stale else "owner") == []
+    assert json.loads(lease.read_text())["worker_id"] == "owner"
+    for transport in (owner, claimant, peer):
+        transport.close()
+
+
+def test_concurrent_submits_record_each_index_once(tmp_path):
+    """Server threads share one transport: overlapping frames submitted
+    side by side, with snapshots racing them, leave every index in exactly
+    one done record and one sink record."""
+    specs = grid(12)
+    coordinator = plan_cluster(tmp_path, specs)
+    transport = FilesystemTransport(coordinator.cluster_dir)
+    frames = [results_of(coordinator, range(start, start + 6))
+              for start in range(0, 7)]
+    errors = []
+
+    def submit(worker, frame):
+        try:
+            transport.submit_many(worker, frame)
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    def snapshots():
+        for _ in range(20):
+            assert transport.snapshot().done <= set(range(len(specs)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=submit, args=(f"w{n}", frame))
+                   for n, frame in enumerate(frames)]
+        threads.append(threading.Thread(target=snapshots))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    transport.close()
+    assert errors == []
+    recorded = [index for indices in
+                done_records(coordinator.cluster_dir).values()
+                for index in indices]
+    assert sorted(recorded) == list(range(len(specs)))
+    written = [index for part in
+               (coordinator.cluster_dir / "results").glob("part-*.jsonl")
+               for index in part_records(coordinator.cluster_dir,
+                                         part.stem[len("part-"):])]
+    assert sorted(written) == list(range(len(specs)))
+
+
+class TestCrashBetweenRecordsAndDone:
+    def test_indices_stay_pending_and_their_redelivery_is_deduped(
+            self, tmp_path):
+        coordinator = plan_cluster(tmp_path, grid(4))
+        inner = FilesystemTransport(coordinator.cluster_dir)
+        faulty = FaultyTransport(inner, FaultSchedule(
+            crash_op="submit", crash_call=1, crash_mode="between"))
+        results = results_of(coordinator, [0, 2])
+        with pytest.raises(InjectedWorkerCrash, match="between"):
+            faulty.submit_many("w", results)
+        assert part_records(coordinator.cluster_dir, "w") == [0, 2]
+        assert done_records(coordinator.cluster_dir) == {}
+        assert inner.snapshot().done == set()
+        assert not coordinator.is_complete()
+        # The same delivery again: its sink records are already durable,
+        # so only the done record is written.
+        inner.submit_many("w", results)
+        assert part_records(coordinator.cluster_dir, "w") == [0, 2]
+        assert list(done_records(coordinator.cluster_dir).values()) == \
+            [[0, 2]]
+        inner.close()
+
+
+class SubmitCounter(Transport):
+    """Delegates to ``inner``, counting submit frames."""
+
+    def __init__(self, inner: Transport) -> None:
+        self.inner = inner
+        self.kind = inner.kind
+        self.plan = inner.plan
+        self.submits = 0
+
+    def register_worker(self, worker_id, shard):
+        return self.inner.register_worker(worker_id, shard)
+
+    def snapshot(self):
+        return self.inner.snapshot()
+
+    def claim_many(self, indices, worker_id):
+        return self.inner.claim_many(indices, worker_id)
+
+    def heartbeat_many(self, indices, worker_id):
+        return self.inner.heartbeat_many(indices, worker_id)
+
+    def submit_many(self, worker_id, results):
+        self.submits += 1
+        self.inner.submit_many(worker_id, results)
+
+    def close(self):
+        self.inner.close()
+
+
+def test_paper_grid_over_tcp_leaves_one_record_per_submit(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        worker_module, "execute_scenario",
+        lambda spec, seed, duration, **kwargs: canned(spec, seed, duration))
+    specs = paper_grid(attempt_batch_size=40, backend="analytic")
+    coordinator = plan_cluster(tmp_path, specs, num_shards=3)
+    server = ClusterCoordinatorServer(coordinator)
+    server.start_background()
+    try:
+        transport = SubmitCounter(SocketTransport(server.address))
+        worker = ClusterWorker(transport, "w", cache_dir=None)
+        worker.run(poll_interval=0.01)
+        worker.close()
+    finally:
+        server.stop()
+    tasks = coordinator.cluster_dir / "tasks"
+    records = done_records(coordinator.cluster_dir)
+    assert 1 < transport.submits < len(specs)
+    assert len(records) == transport.submits
+    assert sorted(index for indices in records.values()
+                  for index in indices) == list(range(len(specs)))
+    assert not [path.name for path in tasks.iterdir()
+                if re.fullmatch(r"[0-9]+\.done", path.name)]
+    assert coordinator.is_complete()

@@ -44,7 +44,7 @@ from repro.cluster import (
     SocketTransport,
     TransportError,
 )
-from repro.cluster.coordinator import ClusterPlan, done_path, lease_path
+from repro.cluster.coordinator import ClusterPlan, lease_path, read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import ScenarioSpec, SweepRunner, single_kind_scenarios
 from repro.runtime.cache import atomic_write_text
@@ -242,7 +242,7 @@ class TestIdempotentOps:
         outcome = execute_scenario(specs[0], transport.plan.seeds[0],
                                    DURATION)
         # The same delivery lands three times (a duplicated frame plus a
-        # retry after a reset): one sink record, one done marker.
+        # retry after a reset): one sink record, one done record.
         for _ in range(3):
             transport.submit_result("w", 0, outcome, attempt=1)
         transport.close()
@@ -259,7 +259,7 @@ class TestIdempotentOps:
         second = FilesystemTransport(coordinator.cluster_dir)
         outcome = execute_scenario(specs[0], first.plan.seeds[0], DURATION)
         first.submit_result("a", 0, outcome, attempt=1)
-        # A displaced peer submitting late (done marker already durable)
+        # A displaced peer submitting late (done record already written)
         # must not open a second part for the same scenario.
         second.submit_result("b", 0, outcome, attempt=1)
         first.close()
@@ -696,9 +696,9 @@ class TestFaultedSweepAcceptance:
     def backdate_stale_leases(coordinator, seconds=3600.0) -> int:
         past = time.time() - seconds
         aged = 0
-        for lease in (coordinator.cluster_dir / "tasks").glob("*.lease"):
-            if not done_path(coordinator.cluster_dir,
-                             int(lease.stem)).exists():
-                os.utime(lease, (past, past))
+        done, leases = read_tasks(coordinator.cluster_dir)
+        for index, lease in leases.items():
+            if index not in done:
+                os.utime(lease.path, (past, past))
                 aged += 1
         return aged

@@ -30,7 +30,7 @@ from repro.cluster import (
     TaskSnapshot,
     TransportError,
 )
-from repro.cluster.coordinator import done_path
+from repro.cluster.coordinator import read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.cluster.transport import parse_address, recv_frame, send_frame
 from repro.runtime import ScenarioSpec, SweepRunner, run_sweep, single_kind_scenarios
@@ -99,10 +99,10 @@ class TransportCluster:
         """
         past = time.time() - seconds
         aged = 0
-        cluster_dir = self.coordinator.cluster_dir
-        for lease in (cluster_dir / "tasks").glob("*.lease"):
-            if not done_path(cluster_dir, int(lease.stem)).exists():
-                os.utime(lease, (past, past))
+        done, leases = read_tasks(self.coordinator.cluster_dir)
+        for index, lease in leases.items():
+            if index not in done:
+                os.utime(lease.path, (past, past))
                 aged += 1
         return aged
 
@@ -411,7 +411,7 @@ class TestSocketTransport:
         assert 0 < done_before < len(specs)
         cluster.close()
 
-        # A fresh server over the same directory picks up the done markers
+        # A fresh server over the same directory picks up the done records
         # and result parts; a new worker finishes only the remainder — under
         # faults, its duplicated/reset submits must not double-count any
         # scenario across the restart boundary.
