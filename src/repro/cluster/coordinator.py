@@ -4,10 +4,15 @@ The protocol needs nothing but a directory every participant can reach (a
 shared filesystem across machines, or a local path for multi-process runs):
 
 ``plan.json``
-    Written once by the coordinator: the serialised scenario list, derived
+    Written once by the coordinator, as compact JSON in the
+    ``cluster-plan/v2`` format: the table of distinct hardware configs
+    (``configs``, each once, in first-use order), the serialised scenario
+    list (each entry's ``scenario`` an index into ``configs``), derived
     per-scenario seeds, the deterministic :class:`ShardPlan`, sink format,
     lease timeout and optional resume-cache directory.  Workers are stateless
-    — everything they need to execute any scenario is in the plan.
+    — everything they need to execute any scenario is in the plan.  A plan
+    in another format (``cluster-plan/v1`` embedded a full config in every
+    spec entry) is refused; re-plan with ``reset=True``.
 
 ``tasks/<index>.lease``
     Claim + heartbeat for one scenario.  Created atomically
@@ -50,6 +55,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.cluster.planner import ShardPlan, plan_shards
 from repro.cluster.sinks import check_sink_kind, merge_results
+from repro.hardware.parameters import ScenarioConfig
 from repro.runtime.cache import CACHE_VERSION, atomic_write_text
 from repro.runtime.scenarios import ScenarioSpec
 from repro.runtime.sweep import (
@@ -57,8 +63,11 @@ from repro.runtime.sweep import (
     _fresh_master_seed,
     derive_scenario_seeds,
 )
+from repro.topology.spec import build_dataclass
 
 PLAN_NAME = "plan.json"
+#: The one plan document format written and read.
+PLAN_FORMAT = "cluster-plan/v2"
 TASKS_DIR = "tasks"
 RESULTS_DIR = "results"
 WORKERS_DIR = "workers"
@@ -149,9 +158,19 @@ def read_tasks(cluster_dir: Path,
     return done, leases
 
 
+def check_plan_format(name: object) -> None:
+    """Reject a plan document in any format but :data:`PLAN_FORMAT` (e.g.
+    a ``cluster-plan/v1`` file an older version wrote)."""
+    if name != PLAN_FORMAT:
+        raise ValueError(f"unsupported cluster plan format {name!r}: only "
+                         f"{PLAN_FORMAT!r} plans are read; re-plan with "
+                         f"reset=True to replace it")
+
+
 @dataclass
 class ClusterPlan:
-    """The parsed contents of a ``plan.json``."""
+    """The parsed contents of a ``plan.json`` (format :data:`PLAN_FORMAT`).
+    """
 
     master_seed: int
     duration: float
@@ -184,13 +203,22 @@ class ClusterPlan:
     def to_dict(self) -> dict:
         """JSON-serialisable plan document.
 
-        Each distinct hardware config is converted once and its dict shared
-        by every spec entry that uses it (the paper grid has 4 across 169
-        specs); the document is written, never mutated.
+        Each distinct hardware config is converted once into the
+        ``configs`` table, in first-use order, and each spec entry's
+        ``scenario`` is its index there (the paper grid has 4 configs
+        across 169 specs).
         """
-        configs: dict = {}
+        converted: dict = {}
+        #: id of a converted config dict -> its index in the table.
+        index_of: dict[int, int] = {}
+        specs = []
+        for spec in self.specs:
+            entry = spec.to_dict(configs=converted)
+            entry["scenario"] = index_of.setdefault(id(entry["scenario"]),
+                                                    len(index_of))
+            specs.append(entry)
         document = {
-            "format": "cluster-plan/v1",
+            "format": PLAN_FORMAT,
             "cache_version": CACHE_VERSION,
             "master_seed": self.master_seed,
             "duration": self.duration,
@@ -199,7 +227,8 @@ class ClusterPlan:
             "clock_skew_tolerance": self.clock_skew_tolerance,
             "cache_dir": self.cache_dir,
             "seeds": list(self.seeds),
-            "specs": [spec.to_dict(configs=configs) for spec in self.specs],
+            "configs": list(converted.values()),
+            "specs": specs,
             "shard_plan": self.shard_plan.to_dict(),
         }
         if self.guard is not None:
@@ -212,14 +241,13 @@ class ClusterPlan:
     def from_dict(cls, data: dict) -> "ClusterPlan":
         """Parse a plan document.
 
-        Each distinct hardware config is built once and its frozen
-        instance shared by every spec that uses it (the paper grid has 4
-        across 169 specs).
+        Each entry of the ``configs`` table is built once and its frozen
+        instance shared by every spec that uses it.  A document in any
+        format but :data:`PLAN_FORMAT` raises ``ValueError``.
         """
-        if data.get("format") != "cluster-plan/v1":
-            raise ValueError(f"not a cluster plan: format "
-                             f"{data.get('format')!r}")
-        configs: list = []
+        check_plan_format(data.get("format"))
+        configs = [build_dataclass(ScenarioConfig, entry)
+                   for entry in data["configs"]]
         return cls(
             master_seed=data["master_seed"],
             duration=data["duration"],
@@ -325,6 +353,9 @@ class ClusterCoordinator:
         #: contents of ``plan.json`` (``None`` until written).  Its parsed
         #: form is :meth:`cluster_plan`.
         self.written_plan: Optional[dict] = None
+        #: The text of ``plan.json`` as written: ``json.dumps`` of
+        #: :attr:`written_plan`, encoded once.
+        self.written_plan_text: Optional[str] = None
         #: Done records :meth:`status` and :meth:`is_complete` have read
         #: (see :func:`read_tasks`).
         self._done_records: dict[str, tuple[int, ...]] = {}
@@ -370,10 +401,13 @@ class ClusterCoordinator:
         (spec, seed, duration) triple of every global index and the part
         format are unchanged — shard layout, lease timeout and cache
         directory are operational knobs a restart may legitimately change.
+        A spec entry names its hardware config by index, so the config
+        table belongs to the identity too: two sweeps differing only in a
+        hardware parameter have the same spec entries.
         """
         return {key: document.get(key)
-                for key in ("master_seed", "duration", "seeds", "specs",
-                            "sink")}
+                for key in ("master_seed", "duration", "seeds", "configs",
+                            "specs", "sink")}
 
     def write_plan(self, reset: bool = False) -> Path:
         """Write ``plan.json`` and create the protocol directories.
@@ -384,12 +418,13 @@ class ClusterCoordinator:
         is deterministic; the plan file is refreshed so operational
         changes — shard count, lease timeout — take effect).
         If the directory holds a **different** sweep — other scenarios,
-        duration, seeds, or parts of another format — its leases, done
-        records and parts describe the *old* sweep, and silently reusing
-        them would hand back the old results; that is refused unless
-        ``reset=True``, which wipes the protocol state first.  Note an
-        unseeded coordinator (``master_seed=None``) draws fresh entropy per
-        instance, so it never matches a prior plan.
+        hardware configs, duration, seeds, or parts of another format — or
+        a plan in another format, its leases, done records and parts
+        describe the *old* sweep, and silently reusing them would hand back
+        the old results; that is refused unless ``reset=True``, which wipes
+        the protocol state first.  Note an unseeded coordinator
+        (``master_seed=None``) draws fresh entropy per instance, so it
+        never matches a prior plan.
         """
         path = self.cluster_dir / PLAN_NAME
         document = self.cluster_plan().to_dict()
@@ -398,18 +433,26 @@ class ClusterCoordinator:
                 existing = json.loads(path.read_text())
             except json.JSONDecodeError:
                 existing = None
-            if (existing is None or self._sweep_identity(existing)
+            if not isinstance(existing, dict):
+                existing = {}
+            found = existing.get("format")
+            if (found != PLAN_FORMAT or self._sweep_identity(existing)
                     != self._sweep_identity(document)):
                 if not reset:
                     raise RuntimeError(
                         f"{self.cluster_dir} already holds state for a "
-                        f"different sweep plan; pass reset=True (or use a "
-                        f"fresh directory) to discard it")
+                        f"different sweep plan"
+                        + ("" if found == PLAN_FORMAT
+                           else f" (plan format {found!r})")
+                        + "; pass reset=True (or use a fresh directory) to "
+                          "discard it")
                 self.reset_state()
         for sub in (TASKS_DIR, RESULTS_DIR, WORKERS_DIR):
             (self.cluster_dir / sub).mkdir(parents=True, exist_ok=True)
-        atomic_write_json(path, document)
+        text = json.dumps(document)
+        atomic_write_text(path, text)
         self.written_plan = document
+        self.written_plan_text = text
         return path
 
     def reset_state(self) -> None:

@@ -366,16 +366,14 @@ class FaultyTransport(Transport):
                            worker_id, indices=tuple(indices))
 
     def submit_many(self, worker_id: str,
-                    results: Sequence[tuple[int, ScenarioOutcome, int]],
-                    ) -> None:
+                    results: Sequence[tuple[int, dict, int]]) -> None:
         results = list(results)
         return self._apply("submit", self.inner.submit_many, worker_id,
                            results,
                            indices=tuple(index for index, _, _ in results))
 
     def _write_records_only(self, worker_id: str,
-                            results: list[tuple[int, ScenarioOutcome, int]],
-                            ) -> None:
+                            results: list[tuple[int, dict, int]]) -> None:
         """Half a submit: its sink records, durable, but no done record —
         what a filesystem worker leaves when it dies in between."""
         with self.inner._lock:

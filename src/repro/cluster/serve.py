@@ -16,9 +16,12 @@ free:
 * **One semantics** — the filesystem and socket transports cannot drift,
   because the socket transport *is* the filesystem transport plus a wire.
 
-Workers stream results over their connection; the server writes them into
-ordinary per-worker :class:`~repro.cluster.sinks.ResultSink` parts and the
-merge is the standard :meth:`ClusterCoordinator.merge`.
+Workers stream results over their connection as plain outcome records; the
+server checks each record and writes it, as received, into ordinary
+per-worker :class:`~repro.cluster.sinks.ResultSink` parts, and the merge is
+the standard :meth:`ClusterCoordinator.merge`.  The ``plan`` response is
+built once from the text written to ``plan.json`` and sent as those bytes to
+every connection.
 
 Quickstart (three machines, no shared storage)::
 
@@ -50,6 +53,7 @@ from repro.cluster.transport import (
     TransportError,
     drain_exact,
     recv_frame,
+    send_body,
     send_frame,
 )
 from repro.runtime.sweep import ScenarioOutcome
@@ -66,7 +70,9 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
     noncompliant filesystems).  A ``claim``, ``heartbeat`` or ``submit``
     frame carries a list, applied index by index in order: a claim under
     the lock, a heartbeat as one lease refresh per index, a submit as one
-    sink append and fsync followed by one done record.
+    sink append and fsync followed by one done record.  A submit's outcome
+    records are checked (:meth:`ScenarioOutcome.check_record`) and written
+    as received, never rebuilt into outcomes.
     """
 
     allow_reuse_address = True
@@ -86,6 +92,11 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         # ``ClusterPlan.load`` would parse back out of plan.json.
         self.local = FilesystemTransport(coordinator.cluster_dir,
                                          plan=coordinator.cluster_plan())
+        #: The ``plan`` response body, ``json.dumps({"ok": True, "plan":
+        #: written_plan})`` byte for byte, built from the written text
+        #: once instead of encoding the document per connection.
+        self.plan_body = ('{"ok": true, "plan": '
+                          + coordinator.written_plan_text + "}").encode()
         self._claim_lock = threading.Lock()
         self._serve_thread: Optional[threading.Thread] = None
         super().__init__(address, _ClusterRequestHandler)
@@ -119,14 +130,13 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
     # ------------------------------------------------------------------ #
     # Operation dispatch
     # ------------------------------------------------------------------ #
-    def dispatch(self, frame: dict) -> dict:
-        """Apply one request frame; returns the response frame."""
+    def dispatch(self, frame: dict) -> "dict | bytes":
+        """Apply one request frame; returns the response frame, or for
+        ``plan`` its encoded body (:attr:`plan_body`)."""
         op = frame.get("op")
         try:
             if op == "plan":
-                # The document written to plan.json, not rebuilt per
-                # connection.
-                return {"ok": True, "plan": self.coordinator.written_plan}
+                return self.plan_body
             if op == "register":
                 shard = self.local.register_worker(
                     str(frame["worker_id"]), frame.get("shard"))
@@ -149,7 +159,7 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
                 return {"ok": True, "alive": alive}
             if op == "submit":
                 results = [(self._checked_index(entry["index"]),
-                            ScenarioOutcome.from_dict(entry["outcome"]),
+                            ScenarioOutcome.check_record(entry["outcome"]),
                             int(entry.get("attempt", 0)))
                            for entry in self._list(frame, "results")]
                 self.local.submit_many(str(frame["worker_id"]), results)
@@ -256,7 +266,10 @@ class _ClusterRequestHandler(socketserver.BaseRequestHandler):
                 return
             response = self.server.dispatch(frame)
             try:
-                send_frame(self.request, response)
+                if isinstance(response, bytes):
+                    send_body(self.request, response)
+                else:
+                    send_frame(self.request, response)
             except OSError:
                 return
 

@@ -1,8 +1,10 @@
 """Append-only JSON Lines result parts for sharded sweeps.
 
-A :class:`ResultSink` receives ``(global scenario index, ScenarioOutcome)``
+A :class:`ResultSink` receives ``(global scenario index, outcome record)``
 pairs as workers finish scenarios and persists them durably — ``write_many``
-returning means the outcomes survive a worker crash.  Its one format,
+returning means the outcomes survive a worker crash.  An outcome record is
+the plain :meth:`~repro.runtime.sweep.ScenarioOutcome.to_dict` form, written
+as it is received.  Its one format,
 :class:`JsonlResultSink`, writes one header line, then one outcome per line;
 a batch of records is one append, flushed and fsynced once.  A crash
 mid-write loses at most the partial trailing line, which the loader detects
@@ -51,13 +53,16 @@ class ResultSink(ABC):
         self.duration = duration
 
     @abstractmethod
-    def write_many(self,
-                   records: Sequence[tuple[int, ScenarioOutcome]]) -> None:
-        """Durably record each ``(global scenario index, outcome)``."""
+    def write_many(self, records: Sequence[tuple[int, dict]]) -> None:
+        """Durably record each ``(global scenario index, outcome record)``.
+
+        A record is a :meth:`ScenarioOutcome.to_dict` dict (checked by the
+        caller, e.g. with :meth:`ScenarioOutcome.check_record`), written
+        as it is."""
 
     def write(self, index: int, outcome: ScenarioOutcome) -> None:
         """Durably record ``outcome`` for global scenario ``index``."""
-        self.write_many([(index, outcome)])
+        self.write_many([(index, outcome.to_dict())])
 
     def close(self) -> None:
         """Flush any remaining state (writes are already durable)."""
@@ -105,10 +110,9 @@ class JsonlResultSink(ResultSink):
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def write_many(self,
-                   records: Sequence[tuple[int, ScenarioOutcome]]) -> None:
-        self._append({"index": index, "outcome": outcome.to_dict()}
-                     for index, outcome in records)
+    def write_many(self, records: Sequence[tuple[int, dict]]) -> None:
+        self._append({"index": index, "outcome": record}
+                     for index, record in records)
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -38,8 +38,12 @@ Claims, heartbeats and submits are **batched**: a ``claim`` frame carries
 a list of ``indices`` and is answered with the ``granted`` sublist, a
 ``heartbeat`` frame carries ``indices`` and is answered with the ``alive``
 sublist, and a ``submit`` frame carries a list of ``results`` (``index``,
-``outcome``, ``attempt``).  The coordinator applies the single-index
-semantics to each element in order — one lease grant or takeover per
+``outcome``, ``attempt``), each ``outcome`` the plain record
+:meth:`~repro.runtime.sweep.ScenarioOutcome.to_dict` returns — a cache hit's
+stored record goes out as it was read, and the coordinator checks each
+record and writes it to the sink as received.  The coordinator applies
+the single-index semantics to each element in order — one lease grant or
+takeover per
 index, one lease refresh per index, and for a submit one sink append and
 one fsync for the whole frame, then one done record naming every index of
 the frame that was not done yet.
@@ -154,7 +158,11 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 def send_frame(sock: socket.socket, payload: dict) -> None:
     """Send one length-prefixed JSON frame."""
-    body = json.dumps(payload).encode("utf-8")
+    send_body(sock, json.dumps(payload).encode("utf-8"))
+
+
+def send_body(sock: socket.socket, body: bytes) -> None:
+    """Send one frame whose JSON body is already encoded."""
     if len(body) > MAX_FRAME_BYTES:
         raise TransportError(f"frame of {len(body)} bytes exceeds the "
                              f"{MAX_FRAME_BYTES}-byte limit")
@@ -334,11 +342,13 @@ class Transport(ABC):
 
     @abstractmethod
     def submit_many(self, worker_id: str,
-                    results: Sequence[tuple[int, ScenarioOutcome, int]],
-                    ) -> None:
-        """Durably record each ``(index, outcome, attempt)`` and then mark
+                    results: Sequence[tuple[int, dict, int]]) -> None:
+        """Durably record each ``(index, record, attempt)`` and then mark
         its index done.
 
+        ``record`` is the outcome's plain record, the
+        :meth:`ScenarioOutcome.to_dict` form (a cache hit's stored record
+        marked ``from_cache``), written to the sink as it is.
         ``attempt`` distinguishes separate *executions* by the same worker
         from duplicate *deliveries* of one execution: re-sending a result
         with the same ``(index, worker_id, attempt)`` key (a retry after a
@@ -349,7 +359,7 @@ class Transport(ABC):
     def submit_result(self, worker_id: str, index: int,
                       outcome: ScenarioOutcome, attempt: int = 0) -> None:
         """Durably record ``outcome`` and then mark ``index`` done."""
-        self.submit_many(worker_id, [(index, outcome, attempt)])
+        self.submit_many(worker_id, [(index, outcome.to_dict(), attempt)])
 
     def record_failure(self, worker_id: str, index: int,
                        outcome: ScenarioOutcome, attempt: int = 0) -> dict:
@@ -671,15 +681,13 @@ class FilesystemTransport(Transport):
             return sink
 
     def submit_many(self, worker_id: str,
-                    results: Sequence[tuple[int, ScenarioOutcome, int]],
-                    ) -> None:
+                    results: Sequence[tuple[int, dict, int]]) -> None:
         with self._lock:
             self._write_records(worker_id, results)
             self._mark_done(results)
 
     def _write_records(self, worker_id: str,
-                       results: Sequence[tuple[int, ScenarioOutcome, int]],
-                       ) -> None:
+                       results: Sequence[tuple[int, dict, int]]) -> None:
         """The sink half of a submit: one append and one fsync."""
         # Dedupe duplicate deliveries: a done record proves *some* sink
         # record for its indices is already durable (records are written
@@ -687,7 +695,7 @@ class FilesystemTransport(Transport):
         # attempt) key means *this very delivery* was applied even if the
         # crash window between sink write and done record was hit.
         self._refresh()
-        fresh = [(index, outcome) for index, outcome, attempt in results
+        fresh = [(index, record) for index, record, attempt in results
                  if (index, worker_id, attempt) not in self._applied_submits
                  and not self._is_done(index)]
         if fresh:
@@ -695,8 +703,7 @@ class FilesystemTransport(Transport):
         self._applied_submits.update((index, worker_id, attempt)
                                      for index, _, attempt in results)
 
-    def _mark_done(self, results: Sequence[tuple[int, ScenarioOutcome, int]],
-                   ) -> None:
+    def _mark_done(self, results: Sequence[tuple[int, dict, int]]) -> None:
         """The done half of a submit, after the sink records are durable:
         one record naming the frame's indices that were not done at
         :meth:`_write_records`' refresh, so a duplicate delivery writes
@@ -978,12 +985,11 @@ class SocketTransport(Transport):
             return list(indices)
 
     def submit_many(self, worker_id: str,
-                    results: Sequence[tuple[int, ScenarioOutcome, int]],
-                    ) -> None:
+                    results: Sequence[tuple[int, dict, int]]) -> None:
         self.request("submit", worker_id=worker_id,
-                     results=[{"index": index, "outcome": outcome.to_dict(),
+                     results=[{"index": index, "outcome": record,
                                "attempt": attempt}
-                              for index, outcome, attempt in results])
+                              for index, record, attempt in results])
 
     def record_failure(self, worker_id: str, index: int,
                        outcome: ScenarioOutcome, attempt: int = 0) -> dict:

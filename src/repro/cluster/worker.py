@@ -8,7 +8,9 @@ scenario list, seeds and shard plan from the plan document, then loops:
    resume cache, once.  Hits are submitted straight away, in frames of at
    most :data:`SUBMIT_FRAME` outcomes, without taking a lease: a done
    record wins over any lease, and a cached record equals the one an
-   execution would write, so the merge dedupes a peer's duplicate.  Other
+   execution would write, so the merge dedupes a peer's duplicate.  A hit
+   goes into the frame as the outcome record the cache stored, marked
+   ``from_cache``, without being rebuilt into an outcome.  Other
    shards' candidates are left to their owners and looked up only once
    stolen, under a lease, so a fleet sharing one cache loads each record
    once rather than once per worker.
@@ -50,8 +52,9 @@ interval whatever its size; a heartbeat that reports a lease lost (taken
 over while this worker was presumed dead) stops beating that lease, and
 the worker drops that scenario instead of submitting it.
 Outcomes go through
-:meth:`~repro.cluster.transport.Transport.submit_many`, which is durable
-before its done record exists — crash-and-resume is safe at every point.
+:meth:`~repro.cluster.transport.Transport.submit_many` as plain records (an
+executed outcome is converted once), which is durable before its done
+record exists — crash-and-resume is safe at every point.
 
 Every scenario runs through :func:`~repro.runtime.sweep.execute_scenario`
 on the worker's own :class:`~repro.backends.BackendSet`, so each distinct
@@ -299,10 +302,10 @@ class ClusterWorker:
         self._misses: set[int] = set()
         #: The claimed batch's leased scenarios not started yet, in order.
         self._batch: collections.deque[int] = collections.deque()
-        #: ``(index, outcome, attempt)`` of the batch's finished scenarios,
-        #: submitted together once the batch is exhausted or the oldest is
-        #: one heartbeat interval old.
-        self._finished: list[tuple[int, ScenarioOutcome, int]] = []
+        #: ``(index, outcome record, attempt)`` of the batch's finished
+        #: scenarios, submitted together once the batch is exhausted or the
+        #: oldest is one heartbeat interval old.
+        self._finished: list[tuple[int, dict, int]] = []
         #: Monotonic time the oldest entry of ``_finished`` was queued.
         self._held_since = 0.0
         self._costs = self.plan.shard_plan.scenario_costs
@@ -362,14 +365,14 @@ class ClusterWorker:
         self._last_snapshot = self.transport.snapshot()
         self._candidates.clear()
         self._fresh = True
-        hits: list[tuple[int, ScenarioOutcome, int]] = []
+        hits: list[tuple[int, dict, int]] = []
         last = None
         for index in self._next_candidates(self._last_snapshot):
             if index in self._own_indices and index not in self._misses:
-                outcome = self._load_cached(index)
-                if outcome is not None:
+                record = self._load_cached(index)
+                if record is not None:
                     self._attempts += 1
-                    hits.append((index, outcome, self._attempts))
+                    hits.append((index, record, self._attempts))
                     if len(hits) == SUBMIT_FRAME:
                         self._send(hits)
                         last, hits = index, []
@@ -451,20 +454,21 @@ class ClusterWorker:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _load_cached(self, index: int) -> Optional[ScenarioOutcome]:
-        """Resume-cache lookup for ``index`` (updates the cache report)."""
+    def _load_cached(self, index: int) -> Optional[dict]:
+        """Resume-cache lookup for ``index``: a hit's stored outcome record
+        (see :meth:`ResumeCache.load_record`).  Updates the cache report."""
         if self._cache is None:
             return None
         spec = self.plan.specs[index]
-        outcome, reason = self._cache.load(spec, self.plan.seeds[index],
-                                           self.plan.duration)
-        if outcome is not None:
+        record, reason = self._cache.load_record(
+            spec, self.plan.seeds[index], self.plan.duration)
+        if record is not None:
             self.cache_report.hits.append(spec.name)
         elif reason is not None:
             self.cache_report.skips.append(CacheSkip(spec.name, reason))
         else:
             self.cache_report.misses.append(spec.name)
-        return outcome
+        return record
 
     def _execute(self, index: int) -> ScenarioOutcome:
         """Execute ``index`` and store its outcome in the cache."""
@@ -498,28 +502,28 @@ class ClusterWorker:
             # presumed dead) mid-scenario and this worker took over.
             self.metrics.counter("repro_worker_takeovers_total")
 
-    def _send(self, results: list[tuple[int, ScenarioOutcome, int]]) -> None:
+    def _send(self, results: list[tuple[int, dict, int]]) -> None:
         """Submit one frame of results and account for them."""
         self.transport.submit_many(self.worker_id, results)
-        for index, outcome, _ in results:
+        for index, record, _ in results:
             self.executed.append(index)
             if self.metrics is not None:
                 self.metrics.counter("repro_worker_submits_total",
-                                     status=outcome.status)
-                if outcome.from_cache:
+                                     status=record["status"])
+                if record["from_cache"]:
                     self.metrics.counter("repro_worker_cache_hits_total")
                 else:
                     self.metrics.counter(
                         "repro_worker_scenarios_executed_total")
                     self.metrics.observe(
                         "repro_worker_scenario_wall_seconds",
-                        outcome.wall_time)
+                        record["wall_time"])
                 self.metrics.counter("repro_worker_events_processed_total",
-                                     outcome.events_processed)
+                                     record["events_processed"])
                 self.metrics.counter("repro_worker_events_elided_total",
-                                     outcome.events_elided)
+                                     record["events_elided"])
             if self.on_outcome is not None:
-                self.on_outcome(outcome)
+                self.on_outcome(ScenarioOutcome.from_dict(record))
 
     def _submit_finished(self) -> None:
         """Submit the batch's finished scenarios whose leases still hold.
@@ -577,30 +581,32 @@ class ClusterWorker:
         """
         index = self._batch.popleft()
         if not self._dropped(index):
-            outcome = None
+            record = None
             if index not in self._own_indices:
-                outcome = self._load_cached(index)
-            self._finish(index, outcome or self._execute(index))
+                record = self._load_cached(index)
+            self._finish(index, record or self._execute(index))
         if not self._batch or (
                 self._finished and time.monotonic() - self._held_since
                 >= self._heartbeat.interval):
             self._submit_finished()
         return index
 
-    def _finish(self, index: int, outcome: ScenarioOutcome) -> None:
-        """Queue ``outcome`` for the batch's submit, or report a guarded
+    def _finish(self, index: int, result: "dict | ScenarioOutcome") -> None:
+        """Queue ``result`` — a cache hit's record or an executed outcome,
+        converted here once — for the batch's submit, or report a guarded
         failure at once; nothing if the lease was lost while it ran."""
         if self._dropped(index):
             return
-        if self.guard is not None and not outcome.ok \
-                and not outcome.from_cache:
-            self._heartbeat.unwatch(index)
-            self._report_failure(index, outcome)
-            return
+        if isinstance(result, ScenarioOutcome):
+            if self.guard is not None and not result.ok:
+                self._heartbeat.unwatch(index)
+                self._report_failure(index, result)
+                return
+            result = result.to_dict()
         if not self._finished:
             self._held_since = time.monotonic()
         self._attempts += 1
-        self._finished.append((index, outcome, self._attempts))
+        self._finished.append((index, result, self._attempts))
 
     def _dropped(self, index: int) -> bool:
         """Whether the lease of ``index`` was lost; if so, stop watching it

@@ -270,11 +270,31 @@ class ResumeCache:
         """
         from repro.runtime.sweep import ScenarioOutcome
 
+        record, reason = self.load_record(spec, seed, duration, max_attempts)
+        if record is None:
+            return None, reason
+        return ScenarioOutcome.from_dict(record), None
+
+    def load_record(self, spec: "ScenarioSpec", seed: int, duration: float,
+                    max_attempts: Optional[int] = None,
+                    ) -> tuple[Optional[dict], Optional[str]]:
+        """:meth:`load`, returning a hit as its stored outcome record.
+
+        The record is the entry's ``outcome`` dict as stored (the
+        :meth:`ScenarioOutcome.to_dict` form, see
+        :meth:`ScenarioOutcome.check_record`), marked ``from_cache``: the
+        dict :meth:`load`'s outcome would convert to, without building the
+        outcome.
+        """
+        from repro.runtime.sweep import ScenarioOutcome
+
         backend = spec.backend_name()
         engine = spec.engine
         key = self._key(spec, seed, duration)
         path = self._path(key, spec, backend)
-        if not path.exists():
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
             self._miss_keys[(id(spec), seed, duration)] = (spec, key)
             reason = self._foreign_variant_reason(key, path.name, backend,
                                                   engine)
@@ -282,7 +302,7 @@ class ResumeCache:
                 self._log_skip(spec.name, reason)
             return None, reason
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(text)
         except json.JSONDecodeError as error:
             reason = f"corrupt cache entry ({error.msg} at char {error.pos})"
             self._log_skip(spec.name, reason)
@@ -318,20 +338,21 @@ class ResumeCache:
             self._log_skip(spec.name, reason)
             return None, reason
         try:
-            outcome = ScenarioOutcome.from_dict(data["outcome"])
+            record = ScenarioOutcome.check_record(data["outcome"])
         except (KeyError, TypeError) as error:
             reason = f"corrupt cache entry ({error!r})"
             self._log_skip(spec.name, reason)
             return None, reason
-        if not outcome.ok:
+        status = record["status"]
+        if status != "ok":
             attempts = data.get("attempts")
-            if outcome.status == "quarantined" or (
+            if status == "quarantined" or (
                     max_attempts is not None and attempts is not None
                     and int(attempts) >= max_attempts):
                 # The scenario exhausted its retry budget in a previous
                 # run — quarantine is durable across resumes.
-                outcome.from_cache = True
-                return outcome, None
+                record["from_cache"] = True
+                return record, None
             if attempts is not None and max_attempts is not None:
                 reason = (f"cache entry records a failed run (attempt "
                           f"{attempts}/{max_attempts}); retrying")
@@ -339,8 +360,8 @@ class ResumeCache:
                 reason = "cache entry records a failed run; retrying"
             self._log_skip(spec.name, reason)
             return None, reason
-        outcome.from_cache = True
-        return outcome, None
+        record["from_cache"] = True
+        return record, None
 
     def recorded_attempts(self, spec: "ScenarioSpec", seed: int,
                           duration: float) -> int:

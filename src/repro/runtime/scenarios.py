@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from repro.core.messages import Priority, RequestType
 from repro.hardware.parameters import ScenarioConfig, lab_scenario, ql2020_scenario
@@ -126,11 +126,11 @@ class ScenarioSpec:
         :func:`repro.core.scheduler.make_scheduler`, so custom instances must
         be registered there to survive a plan round-trip.
 
-        ``configs`` mirrors :meth:`from_dict`'s: pass the same (initially
-        empty) dict for every spec of one document, and each distinct
-        hardware config is converted once — its ``scenario`` dict is then
-        shared, so the caller must not mutate it.  Without it every call
-        returns fresh containers.
+        ``configs`` shares converted hardware configs across calls: pass
+        the same (initially empty) dict for every spec of one document, and
+        each distinct hardware config is converted once — its ``scenario``
+        dict is then shared, so the caller must not mutate it.  Without it
+        every call returns fresh containers.
         """
         if configs is None:
             scenario = dataclass_to_dict(self.scenario)
@@ -155,14 +155,14 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict,
-                  configs: Optional[list[tuple[dict, ScenarioConfig]]] = None,
+                  configs: Optional[Sequence[ScenarioConfig]] = None,
                   ) -> "ScenarioSpec":
         """Rebuild a spec serialised with :meth:`to_dict`.
 
-        ``configs`` shares hardware configs across the specs of one
-        document: pass the same (initially empty) list for every spec, and
-        each distinct ``scenario`` dict is built once — the frozen
-        :class:`ScenarioConfig` instance is then shared.
+        With ``configs`` (a plan document's config table, built once), the
+        entry's ``scenario`` is an index into it and the frozen
+        :class:`ScenarioConfig` instance is shared; without it,
+        ``scenario`` is the config's dict.
         """
         workload = tuple(
             _build_dataclass(WorkloadSpec,
@@ -170,7 +170,8 @@ class ScenarioSpec:
             for entry in data["workload"])
         return cls(
             name=data["name"],
-            scenario=_shared_config(data["scenario"], configs),
+            scenario=(_build_dataclass(ScenarioConfig, data["scenario"])
+                      if configs is None else configs[data["scenario"]]),
             workload=workload,
             scheduler=data.get("scheduler", "FCFS"),
             seed=data.get("seed", 12345),
@@ -273,21 +274,6 @@ class ScenarioSpec:
                                 else attempt_batch_size),
             backend=self.backend if backend is None else backend,
             guard=guard).run(duration)
-
-
-def _shared_config(data: dict,
-                   configs: Optional[list[tuple[dict, ScenarioConfig]]],
-                   ) -> ScenarioConfig:
-    """The config for ``data``, built once per distinct dict in ``configs``
-    (``None``: always build)."""
-    if configs is None:
-        return _build_dataclass(ScenarioConfig, data)
-    for seen, config in configs:
-        if seen == data:
-            return config
-    config = _build_dataclass(ScenarioConfig, data)
-    configs.append((data, config))
-    return config
 
 
 def _hardware(name: str) -> ScenarioConfig:

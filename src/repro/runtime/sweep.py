@@ -33,7 +33,7 @@ import json
 import multiprocessing
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -201,6 +201,36 @@ class ScenarioOutcome:
             end_to_end=data.get("end_to_end"),
             topology=data.get("topology"),
         )
+
+    @classmethod
+    def check_record(cls, data: object) -> dict:
+        """``data`` as a plain outcome record, the :meth:`to_dict` form.
+
+        Refuses what :meth:`from_dict` refuses — a non-object, a missing
+        ``scenario_name`` / ``scheduler_name`` / ``seed`` / ``duration``, a
+        summary that is not an object or lacks a field — with a
+        ``TypeError`` or ``KeyError``.  A record already in the
+        :meth:`to_dict` form (every field, in field order, and the same for
+        its summary) is returned as it is, so a stored or received record
+        is passed on without being rebuilt; any other is normalised
+        through :meth:`from_dict`, exactly as rebuilding it would.
+        """
+        if not isinstance(data, dict):
+            raise TypeError(f"outcome record must be an object, got "
+                            f"{type(data).__name__}")
+        summary = data.get("summary")
+        if summary is not None and not isinstance(summary, dict):
+            raise TypeError(f"outcome summary must be an object, got "
+                            f"{type(summary).__name__}")
+        if tuple(data) == _RECORD_FIELDS and (
+                summary is None or tuple(summary) == _SUMMARY_FIELDS):
+            return data
+        return cls.from_dict(data).to_dict()
+
+
+#: :meth:`ScenarioOutcome.to_dict`'s keys, and its summary's, in order.
+_RECORD_FIELDS = tuple(f.name for f in fields(ScenarioOutcome))
+_SUMMARY_FIELDS = tuple(f.name for f in fields(MetricsSummary))
 
 
 @dataclass

@@ -6,8 +6,10 @@ merge reads parts written by older workers.  The recorded values in
 ``tests/data/byte_identity.json`` pin them byte for byte, so a faster
 serialiser can never change what lands on disk or on the wire.
 
-Regenerate only for a deliberate format change (which also bumps
-``CACHE_VERSION``)::
+Regenerate only for a deliberate format change, and re-record only the
+pins of the format that changed: ``CACHE_VERSION`` versions cache entries
+(and the outcome records in them and in sink parts), and the plan's
+``format`` field versions plan documents::
 
     PYTHONPATH=src python tests/test_byte_identity.py --write
 """

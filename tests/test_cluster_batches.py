@@ -189,7 +189,8 @@ class TestBatchEqualsElements:
                             lambda fd: (fsyncs.append(fd), real_fsync(fd)))
         batch = JsonlResultSink(tmp_path / "batch.jsonl", 5, DURATION)
         fsyncs.clear()  # the header's own append
-        batch.write_many(list(enumerate(outcomes)))
+        batch.write_many([(index, outcome.to_dict())
+                          for index, outcome in enumerate(outcomes)])
         batch.close()
         assert len(fsyncs) == 1
         assert ((tmp_path / "batch.jsonl").read_bytes()
@@ -271,9 +272,10 @@ class TestBatchEqualsElements:
         transport = FrameLog(connect(coordinator))
         worker = ClusterWorker(transport, "w", shard=0, cache_dir=cache_dir)
         loads = []
-        real_load = worker._cache.load
-        monkeypatch.setattr(worker._cache, "load", lambda spec, *args: (
-            loads.append(spec.name), real_load(spec, *args))[1])
+        real_load = worker._cache.load_record
+        monkeypatch.setattr(worker._cache, "load_record",
+                            lambda spec, *args: (loads.append(spec.name),
+                                                 real_load(spec, *args))[1])
         worker.run(poll_interval=0.01)
         # The own shard's hits went out first, in one frame, before any
         # record of the other shard was loaded.
@@ -319,7 +321,7 @@ class TestBatchEqualsElements:
         assert peer.try_claim(0, "peer")
         outcome = execute_scenario(specs[0], peer.plan.seeds[0], DURATION)
         transport = connect(coordinator)
-        transport.submit_many("w", [(0, outcome, 1)])
+        transport.submit_many("w", [(0, outcome.to_dict(), 1)])
         assert done_indices(coordinator.cluster_dir) == {0}
         peer.submit_result("peer", 0, outcome, attempt=1)
         peer.close()
@@ -435,7 +437,7 @@ class TestBatchedFrameFaults:
         faulty = FaultyTransport(inner, schedule, retry_delay=0.0)
         assert faulty.claim_many([0, 1, 2], "w") == [0, 1, 2]
         results = [(index, execute_scenario(
-            spec, inner.plan.seeds[index], DURATION), index + 1)
+            spec, inner.plan.seeds[index], DURATION).to_dict(), index + 1)
             for index, spec in enumerate(specs)]
         faulty.submit_many("w", results)
         faulty.submit_many("w", results)  # and a retry of the whole frame

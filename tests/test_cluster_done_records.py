@@ -72,9 +72,11 @@ def canned(spec, seed, duration) -> ScenarioOutcome:
 
 
 def results_of(coordinator, indices, attempt=1):
+    """A submit frame's ``(index, outcome record, attempt)`` entries."""
     plan = coordinator.cluster_plan()
-    return [(index, canned(plan.specs[index], plan.seeds[index], DURATION),
-             attempt) for index in indices]
+    return [(index, canned(plan.specs[index], plan.seeds[index],
+                           DURATION).to_dict(), attempt)
+            for index in indices]
 
 
 def done_records(cluster_dir: Path) -> dict[str, list[int]]:
