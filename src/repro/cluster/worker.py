@@ -456,12 +456,12 @@ class ClusterWorker:
     # ------------------------------------------------------------------ #
     def _load_cached(self, index: int) -> Optional[dict]:
         """Resume-cache lookup for ``index``: a hit's stored outcome record
-        (see :meth:`ResumeCache.load_record`).  Updates the cache report."""
+        (see :meth:`ResumeCache.load`).  Updates the cache report."""
         if self._cache is None:
             return None
         spec = self.plan.specs[index]
-        record, reason = self._cache.load_record(
-            spec, self.plan.seeds[index], self.plan.duration)
+        record, reason = self._cache.load(spec, self.plan.seeds[index],
+                                          self.plan.duration)
         if record is not None:
             self.cache_report.hits.append(spec.name)
         elif reason is not None:

@@ -254,37 +254,25 @@ class ResumeCache:
     # ------------------------------------------------------------------ #
     def load(self, spec: "ScenarioSpec", seed: int, duration: float,
              max_attempts: Optional[int] = None,
-             ) -> tuple[Optional["ScenarioOutcome"], Optional[str]]:
-        """Look up a cached outcome.
+             ) -> tuple[Optional[dict], Optional[str]]:
+        """Look up a cached outcome record.
 
-        Returns ``(outcome, None)`` on a usable hit, ``(None, None)`` on a
+        Returns ``(record, None)`` on a usable hit, ``(None, None)`` on a
         plain miss, and ``(None, reason)`` when an entry was found but had to
         be skipped (wrong cache version, different backend or engine,
         corrupt, or a recorded failure).  Skips are logged.
+
+        A hit is the entry's stored outcome record, the
+        :meth:`ScenarioOutcome.to_dict` form (see
+        :meth:`ScenarioOutcome.check_record`), marked ``from_cache``: a
+        cluster worker submits it as it is, and
+        ``ScenarioOutcome.from_dict`` rebuilds the outcome.
 
         ``max_attempts`` is the guard's retry budget: a recorded failure
         that already spent it — or was explicitly quarantined — is returned
         as a hit (it stays retired across resumes) instead of being
         retried; failures with budget left report their attempt count in
         the skip reason.  Without it, every recorded failure retries.
-        """
-        from repro.runtime.sweep import ScenarioOutcome
-
-        record, reason = self.load_record(spec, seed, duration, max_attempts)
-        if record is None:
-            return None, reason
-        return ScenarioOutcome.from_dict(record), None
-
-    def load_record(self, spec: "ScenarioSpec", seed: int, duration: float,
-                    max_attempts: Optional[int] = None,
-                    ) -> tuple[Optional[dict], Optional[str]]:
-        """:meth:`load`, returning a hit as its stored outcome record.
-
-        The record is the entry's ``outcome`` dict as stored (the
-        :meth:`ScenarioOutcome.to_dict` form, see
-        :meth:`ScenarioOutcome.check_record`), marked ``from_cache``: the
-        dict :meth:`load`'s outcome would convert to, without building the
-        outcome.
         """
         from repro.runtime.sweep import ScenarioOutcome
 

@@ -168,10 +168,18 @@ class ScenarioSpec:
             _build_dataclass(WorkloadSpec,
                              {**entry, "priority": Priority[entry["priority"]]})
             for entry in data["workload"])
+        if configs is None:
+            scenario = _build_dataclass(ScenarioConfig, data["scenario"])
+        else:
+            index = data["scenario"]
+            if type(index) is not int or not 0 <= index < len(configs):
+                raise ValueError(f"spec {data['name']!r}: config index "
+                                 f"{index!r} is not one of the "
+                                 f"{len(configs)} configs")
+            scenario = configs[index]
         return cls(
             name=data["name"],
-            scenario=(_build_dataclass(ScenarioConfig, data["scenario"])
-                      if configs is None else configs[data["scenario"]]),
+            scenario=scenario,
             workload=workload,
             scheduler=data.get("scheduler", "FCFS"),
             seed=data.get("seed", 12345),

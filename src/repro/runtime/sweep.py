@@ -541,15 +541,16 @@ class SweepRunner:
         if self._cache is None:
             return None
         max_attempts = None if self.guard is None else self.guard.max_attempts
-        outcome, reason = self._cache.load(spec, seed, self.duration,
-                                           max_attempts=max_attempts)
-        if outcome is not None:
+        record, reason = self._cache.load(spec, seed, self.duration,
+                                          max_attempts=max_attempts)
+        if record is not None:
             self._cache_report.hits.append(spec.name)
-        elif reason is not None:
+            return ScenarioOutcome.from_dict(record)
+        if reason is not None:
             self._cache_report.skips.append(CacheSkip(spec.name, reason))
         else:
             self._cache_report.misses.append(spec.name)
-        return outcome
+        return None
 
     def _store_cached(self, spec: ScenarioSpec, outcome: ScenarioOutcome,
                       attempts: Optional[int] = None) -> None:

@@ -272,10 +272,9 @@ class TestBatchEqualsElements:
         transport = FrameLog(connect(coordinator))
         worker = ClusterWorker(transport, "w", shard=0, cache_dir=cache_dir)
         loads = []
-        real_load = worker._cache.load_record
-        monkeypatch.setattr(worker._cache, "load_record",
-                            lambda spec, *args: (loads.append(spec.name),
-                                                 real_load(spec, *args))[1])
+        real_load = worker._cache.load
+        monkeypatch.setattr(worker._cache, "load", lambda spec, *args: (
+            loads.append(spec.name), real_load(spec, *args))[1])
         worker.run(poll_interval=0.01)
         # The own shard's hits went out first, in one frame, before any
         # record of the other shard was loaded.

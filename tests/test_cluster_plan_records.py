@@ -162,6 +162,16 @@ class TestPlanFormat:
         # Each config is built once and shared by the specs using it.
         assert len({id(spec.scenario) for spec in plan.specs}) == 4
 
+    @pytest.mark.parametrize("index", [-1, 1, "0", None])
+    def test_a_config_index_outside_the_table_is_refused(self, tmp_path,
+                                                        index):
+        document = coordinator_for(
+            tmp_path, grid(2)).cluster_plan().to_dict()
+        assert len(document["configs"]) == 1
+        document["specs"][1]["scenario"] = index
+        with pytest.raises(ValueError, match="config index"):
+            ClusterPlan.from_dict(document)
+
     def test_plan_frames_are_encoded_once(self, tmp_path, monkeypatch):
         coordinator = coordinator_for(tmp_path, grid(6), num_shards=2)
         server = ClusterCoordinatorServer(coordinator)

@@ -339,9 +339,9 @@ class TestResumeCacheTopology:
         cache = ResumeCache(tmp_path)
         spec = chain_spec(3, backend="analytic")
         cache.store(spec, self._outcome(spec, 1), DURATION)
-        outcome, reason = cache.load(spec, 1, DURATION)
+        record, reason = cache.load(spec, 1, DURATION)
         assert reason is None
-        assert outcome is not None and outcome.from_cache
+        assert record is not None and record["from_cache"]
 
 
 class TestCostModelLinks:
