@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=12345,
                         help="master seed (per-scenario seeds are derived)")
     parser.add_argument("--cluster-dir", default=".chain_cluster",
-                        help="shared directory for plan/leases/results")
+                        help="coordinator directory for the plan, done "
+                             "records and result parts")
     parser.add_argument("--batch", type=int, default=50,
                         help="MHP attempt batch size (larger = faster)")
     parser.add_argument("--backend", default=None,

@@ -13,21 +13,23 @@ worker processes through ``REPRO_SCENARIO_FAULTS``) poisons two scenarios:
   never be reported by the victim; the coordinator must infer it from
   repeated lease deaths.
 
-The harness keeps a fixed number of worker *processes* alive, respawning
-any the crash fault kills, until the grid completes.  It then checks, for
-each transport:
+The harness serves the grid from an in-process TCP coordinator
+(:class:`~repro.cluster.serve.ClusterCoordinatorServer`) and keeps a fixed
+number of ``python -m repro.cluster.worker`` *processes* connected to it,
+respawning any the crash fault kills, until the grid completes.  It then
+checks:
 
 1. exactly the two poisoned indices are quarantined, with durable
    quarantine records naming the right status (``timeout`` / ``crash``);
 2. every surviving outcome is field-for-field identical to a serial
    ``SweepRunner`` run of the same grid with the same master seed.
 
-Exit status 0 means both hold on every requested transport.  The consumed
-fault plan and the quarantine records are written to ``--records-out`` so
-CI can upload them as artifacts:
+Exit status 0 means both hold.  The consumed fault plan and the
+quarantine records are written to ``--records-out`` so CI can upload them
+as artifacts:
 
-    python examples/chaos_sweep.py --transport both --seed 20260808
-    python examples/chaos_sweep.py --transport socket --records-out chaos.json
+    python examples/chaos_sweep.py --seed 20260808
+    python examples/chaos_sweep.py --records-out chaos.json
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ from repro.runtime import single_kind_scenarios
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--transport", default="both",
-                        choices=("filesystem", "socket", "both"),
-                        help="transport(s) to run the chaos sweep over")
     parser.add_argument("--backend", default="analytic",
                         help="physics backend for the grid")
     parser.add_argument("--duration", type=float, default=0.3,
@@ -75,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds without a heartbeat before a dead "
                              "worker's lease may be taken over")
     parser.add_argument("--timeout", type=float, default=300.0,
-                        help="wall-clock budget per transport before the "
-                             "harness gives up")
+                        help="wall-clock budget before the harness gives "
+                             "up")
     parser.add_argument("--records-out", default="",
                         help="write the fault plan and quarantine records "
                              "(JSON) here — always on failure, also on "
@@ -128,17 +127,14 @@ def keep_workers_until_complete(coordinator: ClusterCoordinator,
     return deaths
 
 
-def run_chaos_sweep(specs, args, faults: ScenarioFaultPlan,
-                    transport_kind: str, work_dir: Path):
+def run_chaos_sweep(specs, args, faults: ScenarioFaultPlan, work_dir: Path):
     """One guarded, faulted cluster sweep; returns (merged, records)."""
     guard = GuardPolicy(max_events=args.max_events, wall_deadline=60.0,
                         max_attempts=args.max_attempts)
     coordinator = ClusterCoordinator(
-        specs, args.duration, work_dir / f"cluster-{transport_kind}",
+        specs, args.duration, work_dir / "cluster",
         master_seed=args.seed, num_shards=args.workers,
-        lease_timeout=args.lease_timeout, clock_skew_tolerance=0.5,
-        guard=guard)
-    coordinator.write_plan()
+        lease_timeout=args.lease_timeout, guard=guard)
     # The workers import the same package as this process, wherever the
     # example is run from.  ``repro`` is a namespace package (no
     # ``__file__``), so the source root comes from one of its modules.
@@ -149,51 +145,46 @@ def run_chaos_sweep(specs, args, faults: ScenarioFaultPlan,
                REPRO_SCENARIO_FAULTS=faults.to_env())
     env.pop("REPRO_OBS", None)  # workers need no obs artifacts here
 
-    server = None
+    server = ClusterCoordinatorServer(coordinator)
+    server.start_background()
     try:
-        if transport_kind == "socket":
-            server = ClusterCoordinatorServer(coordinator)
-            server.start_background()
-            worker_args = ["--coordinator", server.address]
-        else:
-            worker_args = ["--cluster-dir", str(coordinator.cluster_dir)]
         deaths = keep_workers_until_complete(
-            coordinator, worker_args, env, args.workers, args.timeout)
+            coordinator, ["--coordinator", server.address], env,
+            args.workers, args.timeout)
     finally:
-        if server is not None:
-            server.stop()
+        server.stop()
 
     records = coordinator.quarantine_records()
-    print(f"[chaos] {transport_kind}: {deaths} worker death(s), "
-          f"{len(records)} quarantine record(s)")
+    print(f"[chaos] {deaths} worker death(s), {len(records)} quarantine "
+          f"record(s)")
     return coordinator.merge(), records
 
 
-def check_transport(kind: str, merged, records, serial, args) -> list[str]:
-    """Acceptance checks for one transport; returns failure descriptions."""
+def check_sweep(merged, records, serial, args) -> list[str]:
+    """Acceptance checks; returns failure descriptions."""
     poisoned = {args.hang_index: "timeout", args.crash_index: "crash"}
     failures = []
     quarantined = sorted(index for index, outcome in enumerate(merged.outcomes)
                          if outcome.status == "quarantined")
     if quarantined != sorted(poisoned):
-        failures.append(f"{kind}: quarantined indices {quarantined}, "
+        failures.append(f"quarantined indices {quarantined}, "
                         f"expected {sorted(poisoned)}")
     by_index = {record.index: record for record in records}
     for index, status in poisoned.items():
         record = by_index.get(index)
         if record is None:
-            failures.append(f"{kind}: no durable quarantine record for "
+            failures.append(f"no durable quarantine record for "
                             f"index {index}")
         elif record.status != status:
-            failures.append(f"{kind}: index {index} quarantined as "
+            failures.append(f"index {index} quarantined as "
                             f"[{record.status}], expected [{status}]")
     survivors = [outcome for index, outcome in enumerate(merged.outcomes)
                  if index not in poisoned]
     expected = [outcome for index, outcome in enumerate(serial.outcomes)
                 if index not in poisoned]
     if survivors != expected:
-        failures.append(f"{kind}: surviving outcomes diverged from the "
-                        f"serial sweep")
+        failures.append("surviving outcomes diverged from the serial "
+                        "sweep")
     return failures
 
 
@@ -216,31 +207,22 @@ def main(argv=None) -> int:
 
     serial = SweepRunner(specs, args.duration, master_seed=args.seed).run()
 
-    kinds = (["filesystem", "socket"] if args.transport == "both"
-             else [args.transport])
-    failures = []
-    collected = {}
     with tempfile.TemporaryDirectory(prefix="chaos-sweep-") as tmp:
-        for kind in kinds:
-            merged, records = run_chaos_sweep(specs, args, faults, kind,
-                                              Path(tmp))
-            collected[kind] = [record.to_dict() for record in records]
-            problems = check_transport(kind, merged, records, serial, args)
-            if problems:
-                failures.extend(problems)
-                for problem in problems:
-                    print(f"[chaos] FAIL: {problem}", file=sys.stderr)
-            else:
-                print(f"[chaos] {kind}: exactly "
-                      f"{{{args.hang_index}, {args.crash_index}}} "
-                      f"quarantined, survivors identical to serial -- OK")
+        merged, records = run_chaos_sweep(specs, args, faults, Path(tmp))
+    failures = check_sweep(merged, records, serial, args)
+    for problem in failures:
+        print(f"[chaos] FAIL: {problem}", file=sys.stderr)
+    if not failures:
+        print(f"[chaos] exactly {{{args.hang_index}, {args.crash_index}}} "
+              f"quarantined, survivors identical to serial -- OK")
 
     if args.records_out or failures:
         out = Path(args.records_out or "chaos_records.json")
         out.write_text(json.dumps(
             {"seed": args.seed, "fault_plan": faults.to_dict(),
-             "transports": kinds, "failures": failures,
-             "quarantine_records": collected}, indent=2))
+             "failures": failures,
+             "quarantine_records": [record.to_dict()
+                                    for record in records]}, indent=2))
         print(f"[chaos] fault plan and quarantine records written to {out}")
     return 1 if failures else 0
 

@@ -3,8 +3,8 @@
 
 The coordinator partitions the grid into shards with a static cost
 heuristic, writes the plan into ``--cluster-dir``, and runs local worker
-processes through the same filesystem protocol real multi-machine
-deployments use.  Results stream through per-worker JSONL parts and merge
+processes through the same TCP protocol real multi-machine deployments
+use.  Results stream through per-worker JSONL parts and merge
 into a canonical sweep result that is field-for-field identical to a serial
 ``SweepRunner`` run:
 
@@ -13,13 +13,9 @@ into a canonical sweep result that is field-for-field identical to a serial
     python examples/cluster_sweep.py --paper-grid --backend analytic \
         --duration 30 --shards 8 --out grid.json
 
-Multi-machine over a shared filesystem: run this once with ``--plan-only``
-against a shared directory, then start one worker per machine with
-
-    python -m repro.cluster.worker --cluster-dir /shared/dir
-
-and finally re-invoke with ``--merge-only`` to collect the result.  For
-clusters *without* a shared filesystem, use the TCP coordinator instead
+Worker processes reach the coordinator over TCP: ``run_local`` binds a
+``ClusterCoordinatorServer`` on an ephemeral ``127.0.0.1`` port.  Across
+machines, run the same coordinator as a service and one worker per machine
 (see the README's cluster-architecture section):
 
     python -m repro.cluster.serve --port 7766 --paper-grid ...
@@ -34,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from pathlib import Path
 
 from repro.cluster import ClusterCoordinator
 from repro.runtime import paper_grid, single_kind_scenarios
@@ -54,9 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=12345,
                         help="master seed (per-scenario seeds are derived)")
     parser.add_argument("--cluster-dir", default=".sweep_cluster",
-                        help="shared directory for plan/leases/results")
+                        help="coordinator directory for the plan, done "
+                             "records and result parts")
     parser.add_argument("--cache-dir", default="",
-                        help="shared resume-cache directory ('' disables)")
+                        help="resume-cache directory the local workers "
+                             "share ('' disables)")
     parser.add_argument("--paper-grid", action="store_true",
                         help="run the full 169-scenario paper grid")
     parser.add_argument("--batch", type=int, default=50,
@@ -68,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reset", action="store_true",
                         help="discard state a previous (different) sweep "
                              "left in --cluster-dir")
-    parser.add_argument("--plan-only", action="store_true",
-                        help="write plan.json and exit (workers run "
-                             "elsewhere via python -m repro.cluster.worker)")
     parser.add_argument("--merge-only", action="store_true",
                         help="skip execution and merge existing parts")
     parser.add_argument("--out", default="",
@@ -101,13 +95,6 @@ def main() -> None:
                                                  plan.shard_costs)):
         print(f"  shard {shard_id}: {len(shard):>3} scenario(s), "
               f"estimated cost {cost:8.2f}")
-
-    if args.plan_only:
-        path = coordinator.write_plan(reset=args.reset)
-        print(f"plan written to {path}; start workers with:\n"
-              f"  python -m repro.cluster.worker --cluster-dir "
-              f"{args.cluster_dir}")
-        return
 
     started = time.perf_counter()
     if args.merge_only:

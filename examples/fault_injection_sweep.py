@@ -4,12 +4,13 @@
 The protocol-hardening acceptance check, as a CLI: three workers execute a
 scenario grid through :class:`~repro.cluster.faults.FaultyTransport`
 wrappers that drop, duplicate, reset, delay and stale-replay their protocol
-operations, one worker crashes mid-scenario at a scheduled claim, and the
-worker clocks are skewed ±2 simulated seconds — then the merged result is
-compared field-for-field against a serial ``SweepRunner`` run of the same
-grid.  Exit status 0 means identical; on a mismatch the failing seed and
-the consumed fault schedules are printed and written to
-``--schedule-out`` so the run can be replayed exactly:
+operations, and one worker crashes mid-scenario at a scheduled claim — then
+the merged result is compared field-for-field against a serial
+``SweepRunner`` run of the same grid.  The workers reach the coordinator's
+state over TCP (``socket``: a ``ClusterCoordinatorServer``) or in process
+(``local``: a ``LocalTransport``).  Exit status 0 means identical; on a
+mismatch the failing seed and the consumed fault schedules are printed and
+written to ``--schedule-out`` so the run can be replayed exactly:
 
     python examples/fault_injection_sweep.py --seed 20260808
     python examples/fault_injection_sweep.py --transport socket --seed 7
@@ -17,14 +18,15 @@ the consumed fault schedules are printed and written to
         --seed $RANDOM --schedule-out fault_schedule.json
 
 Every fault decision is a pure function of ``(seed, operation, nth call)``,
-so a failure reproduces from the seed alone regardless of timing.
+so a failure reproduces from the seed alone regardless of timing.  The
+crashed worker's leases are expired by stepping the coordinator's clock an
+hour ahead, not by waiting out the lease timeout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -36,9 +38,9 @@ from repro.cluster import (
     FaultSchedule,
     FaultyTransport,
     InjectedWorkerCrash,
+    LocalTransport,
     TransportError,
 )
-from repro.cluster.coordinator import read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import SweepRunner, single_kind_scenarios
 
@@ -49,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fault-schedule seed (worker schedules derive "
                              "from it); the one number needed to replay")
     parser.add_argument("--transport", default="both",
-                        choices=("filesystem", "socket", "both"),
+                        choices=("local", "socket", "both"),
                         help="transport(s) to run the faulted sweep over")
     parser.add_argument("--backend", default="analytic",
                         help="physics backend for the grid")
@@ -66,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-delivery duplication probability")
     parser.add_argument("--replay", type=float, default=0.05,
                         help="per-delivery stale-replay probability")
-    parser.add_argument("--skew", type=float, default=2.0,
-                        help="simulated clock skew in seconds (worker 1 "
-                             "runs ahead, worker 2 behind)")
     parser.add_argument("--schedule-out", default="",
                         help="write the consumed fault schedules (JSON) "
                              "here — always on mismatch, also on success "
@@ -77,54 +76,50 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def worker_schedules(args: argparse.Namespace) -> list[FaultSchedule]:
-    """Three derived schedules: a crasher, a chaotic peer, a skewed peer."""
+    """Three derived schedules: a crasher and two chaotic peers."""
     return [
         FaultSchedule(seed=args.seed, drop=args.drop,
                       duplicate=args.duplicate, crash_op="claim",
-                      crash_call=2, crash_mode="after",
-                      clock_skew=args.skew),
+                      crash_call=2, crash_mode="after"),
         FaultSchedule(seed=args.seed + 1, drop=args.drop, reset=args.reset,
                       duplicate=args.duplicate, replay=args.replay,
-                      delay=0.2, delay_seconds=0.001, clock_skew=args.skew),
+                      delay=0.2, delay_seconds=0.001),
         FaultSchedule(seed=args.seed + 2, drop=args.drop, reset=args.reset,
-                      duplicate=args.duplicate, replay=args.replay,
-                      clock_skew=-args.skew),
+                      duplicate=args.duplicate, replay=args.replay),
     ]
 
 
-def backdate_stale_leases(coordinator: ClusterCoordinator,
-                          seconds: float = 3600.0) -> int:
-    """Age every unfinished lease past staleness (a crashed worker's lease
-    would otherwise only be reclaimed after the real lease timeout)."""
-    past = time.time() - seconds
-    aged = 0
-    done, leases = read_tasks(coordinator.cluster_dir)
-    for index, lease in leases.items():
-        if index not in done:
-            os.utime(lease.path, (past, past))
-            aged += 1
-    return aged
+class SteppedClock:
+    """The coordinator's clock: wall time plus the seconds skipped ahead to
+    expire a crashed worker's leases."""
+
+    def __init__(self) -> None:
+        self.skipped = 0.0
+
+    def __call__(self) -> float:
+        return time.time() + self.skipped
 
 
 def run_faulted_sweep(specs, args, transport_kind: str, work_dir: Path):
-    """Drive three faulted workers over one transport; returns the merged
+    """Drive three faulted workers over one front-end; returns the merged
     result and the consumed schedules."""
     coordinator = ClusterCoordinator(
         specs, args.duration, work_dir / f"cluster-{transport_kind}",
-        master_seed=args.master_seed, num_shards=3, lease_timeout=120.0,
-        clock_skew_tolerance=max(5.0, args.skew + 1.0))
-    coordinator.write_plan()
+        master_seed=args.master_seed, num_shards=3, lease_timeout=120.0)
+    clock = SteppedClock()
     server = None
     if transport_kind == "socket":
-        server = ClusterCoordinatorServer(coordinator)
+        server = ClusterCoordinatorServer(coordinator, clock=clock)
         server.start_background()
+    else:
+        coordinator.write_plan()
 
     def make_transport(schedule):
         if transport_kind == "socket":
             return FaultyTransport.over_socket(server.address, schedule,
                                                retry_delay=0.0)
-        return FaultyTransport.over_filesystem(coordinator.cluster_dir,
-                                               schedule, retry_delay=0.0)
+        return FaultyTransport(LocalTransport(coordinator.state, clock),
+                               schedule, retry_delay=0.0)
 
     schedules = worker_schedules(args)
     workers = [ClusterWorker(make_transport(schedule), f"w{i}", shard=i,
@@ -148,9 +143,11 @@ def run_faulted_sweep(specs, args, transport_kind: str, work_dir: Path):
                     progressed = True  # injected outage burst; retry
             if coordinator.is_complete():
                 break
-            if not progressed and backdate_stale_leases(coordinator) == 0:
-                raise RuntimeError("no progress and no stale lease: "
-                                   "protocol deadlock")
+            if not progressed:
+                if not coordinator.status(clock())["total"]["leased"]:
+                    raise RuntimeError("no progress and no lease to "
+                                       "expire: protocol deadlock")
+                clock.skipped += 3600.0
         else:
             raise RuntimeError("faulted sweep did not complete")
     finally:
@@ -172,11 +169,11 @@ def main(argv=None) -> int:
         max_pairs_options=(1, 3), origins=("A", "B"),
         include_md_k255=False, attempt_batch_size=40, backend=args.backend)
     print(f"[faults] seed {args.seed}: {len(specs)} scenarios over "
-          f"{args.transport} transport(s), skew ±{args.skew:.1f}s")
+          f"{args.transport} transport(s)")
     serial = SweepRunner(specs, args.duration,
                          master_seed=args.master_seed).run()
 
-    kinds = (["filesystem", "socket"] if args.transport == "both"
+    kinds = (["local", "socket"] if args.transport == "both"
              else [args.transport])
     failures = []
     consumed = {}

@@ -13,21 +13,25 @@ Pieces (see each module's docstring for the protocol details):
   static cost heuristic (:class:`StaticCostModel`); work stealing evens out
   what the estimate leaves.
 * :mod:`repro.cluster.coordinator` — planning, progress, merge, and the
-  shared-directory protocol layout (plan file, lease files, done records).
+  plan document.
+* :mod:`repro.cluster.state` — :class:`CoordinatorState`, the one
+  in-memory state (registrations, leases, done set, attempt ledger,
+  quarantine) every protocol operation is applied to, stepped on an
+  explicit clock; its durable effects are done records, sink parts,
+  fail/death markers and quarantine records.
 * :mod:`repro.cluster.transport` — the protocol's operations as a
-  :class:`Transport` contract: :class:`FilesystemTransport` (shared
-  directory) and :class:`SocketTransport` (length-prefixed JSON frames to a
-  ``python -m repro.cluster.serve`` coordinator; no shared filesystem).
+  :class:`Transport` contract: :class:`SocketTransport` (length-prefixed
+  JSON frames to a ``python -m repro.cluster.serve`` coordinator; no shared
+  filesystem) and :class:`LocalTransport` (the state in process).
 * :mod:`repro.cluster.worker` — the transport-agnostic claim / steal /
   reclaim execution loop (also a CLI: ``python -m repro.cluster.worker``).
 * :mod:`repro.cluster.serve` — the TCP coordinator service
   (``python -m repro.cluster.serve``).
 * :mod:`repro.cluster.faults` — deterministic fault injection: a seeded
   :class:`FaultSchedule` driving a :class:`FaultyTransport` that drops,
-  duplicates, resets, delays and replays protocol operations, crashes
-  workers at chosen points and skews per-process clocks — the adversary
-  the protocol's idempotent operations and skew-tolerant leases are
-  verified against.
+  duplicates, resets, delays and replays protocol operations and crashes
+  workers at chosen points — the adversary the protocol's idempotent
+  operations are verified against.
 * :mod:`repro.cluster.sinks` — crash-safe append-only JSONL result parts
   that merge back into one canonical
   :class:`~repro.runtime.sweep.SweepResult`.
@@ -46,6 +50,7 @@ _LAZY = MappingProxyType({
     "ClusterCoordinator": "repro.cluster.coordinator",
     "ClusterPlan": "repro.cluster.coordinator",
     "ClusterWorker": "repro.cluster.worker",
+    "CoordinatorState": "repro.cluster.state",
     "FaultDecision": "repro.cluster.faults",
     "FaultSchedule": "repro.cluster.faults",
     "FaultyTransport": "repro.cluster.faults",
@@ -59,9 +64,9 @@ _LAZY = MappingProxyType({
     "ResultSink": "repro.cluster.sinks",
     "load_results": "repro.cluster.sinks",
     "merge_results": "repro.cluster.sinks",
-    "FilesystemTransport": "repro.cluster.transport",
     "FrameDecodeError": "repro.cluster.transport",
     "FrameTooLarge": "repro.cluster.transport",
+    "LocalTransport": "repro.cluster.transport",
     "SocketTransport": "repro.cluster.transport",
     "TaskSnapshot": "repro.cluster.transport",
     "Transport": "repro.cluster.transport",
@@ -80,15 +85,16 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterPlan",
     "ClusterWorker",
+    "CoordinatorState",
     "FaultDecision",
     "FaultSchedule",
     "FaultyTransport",
-    "FilesystemTransport",
     "FrameDecodeError",
     "FrameTooLarge",
     "InjectedFault",
     "InjectedWorkerCrash",
     "JsonlResultSink",
+    "LocalTransport",
     "ResultSink",
     "ScenarioFaultPlan",
     "ShardPlan",
@@ -110,7 +116,8 @@ def run_sharded_sweep(specs, duration, cluster_dir, master_seed=12345,
 
     Plans ``specs`` into ``num_shards`` shards, runs ``workers`` local
     worker processes (default: one per shard) through the full cluster
-    protocol, and returns the merged canonical
+    protocol over TCP (:meth:`ClusterCoordinator.run_local`), and returns
+    the merged canonical
     :class:`~repro.runtime.sweep.SweepResult`.
     """
     from repro.cluster.coordinator import ClusterCoordinator

@@ -1,7 +1,7 @@
-"""Coordinator side of the filesystem cluster protocol.
+"""Coordinator side of the cluster protocol: plan, progress, merge.
 
-The protocol needs nothing but a directory every participant can reach (a
-shared filesystem across machines, or a local path for multi-process runs):
+A :class:`ClusterCoordinator` plans a sharded sweep into a cluster
+directory that only the coordinator needs to reach:
 
 ``plan.json``
     Written once by the coordinator, as compact JSON in the
@@ -10,29 +10,23 @@ shared filesystem across machines, or a local path for multi-process runs):
     list (each entry's ``scenario`` an index into ``configs``), derived
     per-scenario seeds, the deterministic :class:`ShardPlan`, sink format,
     lease timeout and optional resume-cache directory.  Workers are stateless
-    — everything they need to execute any scenario is in the plan.  A plan
-    in another format (``cluster-plan/v1`` embedded a full config in every
-    spec entry) is refused; re-plan with ``reset=True``.
+    — everything they need to execute any scenario is in the plan, which
+    they fetch from the coordinator.  A plan in another format
+    (``cluster-plan/v1`` embedded a full config in every spec entry) is
+    refused; re-plan with ``reset=True``.
 
-``tasks/<index>.lease``
-    Claim + heartbeat for one scenario.  Created atomically
-    (``O_CREAT | O_EXCL``) by the claiming worker; its mtime is refreshed by
-    the worker's heartbeat thread from the claim until the submit.  A lease
-    whose heartbeat is older than the lease timeout belongs to a dead
-    worker and may be taken over (atomic rename), so a crash mid-scenario
-    delays that scenario by at most one timeout.
+``tasks/``, ``results/``, ``quarantine/``, ``telemetry/``
+    The durable effects of the coordinator's
+    :class:`~repro.cluster.state.CoordinatorState` (see
+    :mod:`repro.cluster.state`): done records, fail and death markers, one
+    JSONL sink part per worker, quarantine records and worker metrics.
+    Leases and registrations are the state's memory only.
 
-``tasks/<first-index>.done.<unique>.json``
-    Done record: ``{"indices": [...]}``, the sorted indices one submit
-    marked done, named after the first of them.  Written (tmp-and-rename,
-    so never seen partial) only *after* the submit's outcomes are durable
-    (fsynced) in the sink part, so a visible record always vouches for
-    durable sink records.  Each submit writes one record for the indices
-    it finishes that were not done yet; :func:`read_tasks` reads them all
-    with the leases in one listing.
-
-``results/part-<worker>.jsonl``
-    One JSONL sink part per worker (see :mod:`repro.cluster.sinks`).
+Workers reach the state through a
+:class:`~repro.cluster.serve.ClusterCoordinatorServer` over TCP
+(:meth:`ClusterCoordinator.run_local` binds one for its local worker
+processes) or in process through a
+:class:`~repro.cluster.transport.LocalTransport`.
 
 Correctness under reordering: per-scenario seeds depend only on
 ``(master_seed, global index)`` — the same ``SeedSequence.spawn`` derivation
@@ -45,13 +39,10 @@ work was stolen, or how many times a crashed scenario was re-executed.
 from __future__ import annotations
 
 import json
-import os
-import re
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.cluster.planner import ShardPlan, plan_shards
 from repro.cluster.sinks import check_sink_kind, merge_results
@@ -65,21 +56,18 @@ from repro.runtime.sweep import (
 )
 from repro.topology.spec import build_dataclass
 
+if TYPE_CHECKING:
+    from repro.cluster.state import CoordinatorState
+
 PLAN_NAME = "plan.json"
 #: The one plan document format written and read.
 PLAN_FORMAT = "cluster-plan/v2"
 TASKS_DIR = "tasks"
 RESULTS_DIR = "results"
-WORKERS_DIR = "workers"
 #: Per-worker observability metrics snapshots (``telemetry/<worker>.json``),
 #: uploaded through the transport's ``telemetry`` op when ``REPRO_OBS``
 #: enables metrics.  Side data: never read by the protocol itself.
 TELEMETRY_DIR = "telemetry"
-
-
-def lease_path(cluster_dir: Path, index: int) -> Path:
-    """Lease file for global scenario ``index``."""
-    return cluster_dir / TASKS_DIR / f"{index}.lease"
 
 
 def atomic_write_json(path: Path, payload: dict,
@@ -90,72 +78,6 @@ def atomic_write_json(path: Path, payload: dict,
     proof (failure and death markers count against a retry budget).
     """
     atomic_write_text(path, json.dumps(payload), durable=durable)
-
-
-#: The task files :func:`read_tasks` reads: ``<index>.lease`` and
-#: ``<first-index>.done.<unique>.json``.  Tmp files (a record or a lease
-#: takeover being written) and fail/death markers never match.
-_TASK_FILE = re.compile(r"(0|[1-9][0-9]*)\.(lease|done\.[0-9a-f]+\.json)")
-
-
-def write_done_record(cluster_dir: Path, indices: Iterable[int],
-                      ) -> tuple[str, tuple[int, ...]]:
-    """Mark ``indices`` done with one record; returns its file name and
-    its sorted indices.
-
-    Call only once the sink records of ``indices`` are durable.  The record
-    is not fsynced: if a machine crash tears it, it reads as absent and its
-    scenarios run again (deterministic, so harmless).  A reader never sees
-    it partial, because it appears by rename.
-    """
-    done = tuple(sorted(indices))
-    name = f"{done[0]}.done.{uuid.uuid4().hex}.json"
-    atomic_write_json(cluster_dir / TASKS_DIR / name, {"indices": done})
-    return name, done
-
-
-def read_tasks(cluster_dir: Path,
-               records: Optional[dict[str, tuple[int, ...]]] = None,
-               ) -> tuple[set[int], dict[int, os.DirEntry]]:
-    """List ``tasks/`` once: the done indices and the lease entries by index.
-
-    ``records`` caches each done record's indices by file name — a record
-    never changes after its rename, so a long-lived caller parses each one
-    once.  The done set is rebuilt from the names listed now, and cached
-    names no longer listed are dropped, so a wiped ``tasks/`` (re-plan with
-    ``reset`` or :meth:`ClusterCoordinator.reset_state`) reads as nothing
-    done.  A record removed or unreadable since the listing counts as
-    absent.  Indices are not checked against any plan.
-    """
-    if records is None:
-        records = {}
-    done: set[int] = set()
-    leases: dict[int, os.DirEntry] = {}
-    listed = set()
-    try:
-        with os.scandir(cluster_dir / TASKS_DIR) as entries:
-            for entry in entries:
-                match = _TASK_FILE.fullmatch(entry.name)
-                if match is None:
-                    continue
-                if match[2] == "lease":
-                    leases[int(match[1])] = entry
-                    continue
-                indices = records.get(entry.name)
-                if indices is None:
-                    try:
-                        with open(entry.path) as handle:
-                            indices = tuple(json.load(handle)["indices"])
-                    except (OSError, ValueError, KeyError, TypeError):
-                        continue
-                    records[entry.name] = indices
-                listed.add(entry.name)
-                done.update(indices)
-    except FileNotFoundError:
-        pass  # nothing claimed yet, or wiped
-    for name in records.keys() - listed:
-        records.pop(name, None)
-    return done, leases
 
 
 def check_plan_format(name: object) -> None:
@@ -180,10 +102,6 @@ class ClusterPlan:
     seeds: list[int]
     specs: list[ScenarioSpec]
     shard_plan: ShardPlan
-    #: Seconds of cross-machine clock disagreement the lease protocol
-    #: absorbs before declaring a lease stale (filesystem transport: lease
-    #: mtimes are written by one machine's clock and read by another's).
-    clock_skew_tolerance: float = 5.0
     #: Serialised :class:`repro.runtime.guard.GuardPolicy` every worker
     #: executes under (``None`` disables supervision — workers then behave
     #: exactly like the pre-guard protocol).
@@ -224,7 +142,6 @@ class ClusterPlan:
             "duration": self.duration,
             "sink": self.sink,
             "lease_timeout": self.lease_timeout,
-            "clock_skew_tolerance": self.clock_skew_tolerance,
             "cache_dir": self.cache_dir,
             "seeds": list(self.seeds),
             "configs": list(converted.values()),
@@ -253,7 +170,6 @@ class ClusterPlan:
             duration=data["duration"],
             sink=data["sink"],
             lease_timeout=data["lease_timeout"],
-            clock_skew_tolerance=data.get("clock_skew_tolerance", 5.0),
             cache_dir=data.get("cache_dir"),
             seeds=list(data["seeds"]),
             specs=[ScenarioSpec.from_dict(entry, configs=configs)
@@ -280,7 +196,8 @@ class ClusterCoordinator:
     duration:
         Simulated seconds per scenario.
     cluster_dir:
-        Shared directory for the plan, leases and sink parts.
+        The coordinator's directory for the plan, done records and sink
+        parts (workers never read it).
     master_seed:
         Root of the per-scenario seed derivation; ``None`` draws fresh OS
         entropy once and records it in the plan.
@@ -293,24 +210,16 @@ class ClusterCoordinator:
         Seconds without a heartbeat before a claimed scenario is considered
         abandoned and may be stolen.  Must comfortably exceed the heartbeat
         interval (it does by construction: workers heartbeat at a third of
-        this) — it does *not* need to exceed scenario runtime.
-    clock_skew_tolerance:
-        Extra seconds of observed lease age forgiven before a lease counts
-        as stale.  On the filesystem transport, lease mtimes are written by
-        the owning worker's machine and read by every other machine; a
-        reader whose clock runs ahead of the writer's inflates every
-        observed age by the skew, and without this slack a *healthy*
-        worker's lease would be falsely taken over.  The socket transport
-        computes all ages on the coordinator's single clock, where this
-        merely adds caution.
+        this) — it does *not* need to exceed scenario runtime.  Leases are
+        timed on the coordinator's clock alone.
     cache_dir:
-        Optional shared resume-cache directory (see
+        Optional resume-cache directory advertised in the plan (see
         :class:`~repro.runtime.cache.ResumeCache`).
     guard:
         Optional :class:`~repro.runtime.guard.GuardPolicy` (or its
         ``to_dict`` form) recorded in the plan: workers bound every
         execution with it, report failures through the transport's
-        ``fail`` op, and the coordinator-side transport quarantines a
+        ``fail`` op, and the coordinator's state quarantines a
         scenario once its failures plus lease deaths spend the retry
         budget.  ``None`` keeps the pre-guard protocol bit-for-bit.
     """
@@ -321,7 +230,6 @@ class ClusterCoordinator:
                  num_shards: int = 3,
                  sink: str = "jsonl",
                  lease_timeout: float = 60.0,
-                 clock_skew_tolerance: float = 5.0,
                  cache_dir: Optional[str | Path] = None,
                  guard=None) -> None:
         self.specs = list(specs)
@@ -334,8 +242,6 @@ class ClusterCoordinator:
         check_sink_kind(sink)
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
-        if clock_skew_tolerance < 0:
-            raise ValueError("clock_skew_tolerance must be non-negative")
         self.duration = duration
         self.cluster_dir = Path(cluster_dir)
         self.master_seed = (master_seed if master_seed is not None
@@ -343,7 +249,6 @@ class ClusterCoordinator:
         self.num_shards = max(1, int(num_shards))
         self.sink = sink
         self.lease_timeout = lease_timeout
-        self.clock_skew_tolerance = clock_skew_tolerance
         self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.guard = (guard.to_dict() if hasattr(guard, "to_dict")
                       else guard)
@@ -356,9 +261,7 @@ class ClusterCoordinator:
         #: The text of ``plan.json`` as written: ``json.dumps`` of
         #: :attr:`written_plan`, encoded once.
         self.written_plan_text: Optional[str] = None
-        #: Done records :meth:`status` and :meth:`is_complete` have read
-        #: (see :func:`read_tasks`).
-        self._done_records: dict[str, tuple[int, ...]] = {}
+        self._state: Optional["CoordinatorState"] = None
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -374,8 +277,8 @@ class ClusterCoordinator:
         """The full plan workers execute from (built once, then cached).
 
         Equal field for field to :meth:`ClusterPlan.load` of the written
-        ``plan.json``, so the TCP coordinator serves from it instead of
-        re-reading the file.
+        ``plan.json``, so the coordinator's state and the TCP coordinator
+        use it instead of re-reading the file.
         """
         if self._cluster_plan is None:
             self._cluster_plan = ClusterPlan(
@@ -383,7 +286,6 @@ class ClusterCoordinator:
                 duration=self.duration,
                 sink=self.sink,
                 lease_timeout=self.lease_timeout,
-                clock_skew_tolerance=self.clock_skew_tolerance,
                 cache_dir=self.cache_dir,
                 seeds=derive_scenario_seeds(self.master_seed,
                                             len(self.specs)),
@@ -419,7 +321,7 @@ class ClusterCoordinator:
         changes — shard count, lease timeout — take effect).
         If the directory holds a **different** sweep — other scenarios,
         hardware configs, duration, seeds, or parts of another format — or
-        a plan in another format, its leases, done records and parts
+        a plan in another format, its done records and parts
         describe the *old* sweep, and silently reusing them would hand back
         the old results; that is refused unless ``reset=True``, which wipes
         the protocol state first.  Note an unseeded coordinator
@@ -447,7 +349,7 @@ class ClusterCoordinator:
                         + "; pass reset=True (or use a fresh directory) to "
                           "discard it")
                 self.reset_state()
-        for sub in (TASKS_DIR, RESULTS_DIR, WORKERS_DIR):
+        for sub in (TASKS_DIR, RESULTS_DIR):
             (self.cluster_dir / sub).mkdir(parents=True, exist_ok=True)
         text = json.dumps(document)
         atomic_write_text(path, text)
@@ -456,12 +358,16 @@ class ClusterCoordinator:
         return path
 
     def reset_state(self) -> None:
-        """Discard all protocol state (plan, leases, done records, parts)."""
+        """Discard all protocol state (plan, done records, parts, and the
+        in-memory state with its leases)."""
         import shutil
 
         from repro.runtime.guard import QuarantineStore
 
-        for sub in (TASKS_DIR, RESULTS_DIR, WORKERS_DIR, TELEMETRY_DIR,
+        if self._state is not None:
+            self._state.close()
+            self._state = None
+        for sub in (TASKS_DIR, RESULTS_DIR, TELEMETRY_DIR,
                     QuarantineStore.DIRNAME):
             shutil.rmtree(self.cluster_dir / sub, ignore_errors=True)
         (self.cluster_dir / PLAN_NAME).unlink(missing_ok=True)
@@ -469,47 +375,32 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Progress
     # ------------------------------------------------------------------ #
-    def status(self) -> dict:
-        """Done / leased / pending counts, per shard and overall, from one
-        listing of ``tasks/``."""
-        plan = self.plan()
-        done, leases = read_tasks(self.cluster_dir, self._done_records)
-        now = time.time()
-        per_shard = []
-        totals = {"done": 0, "leased": 0, "stale": 0, "pending": 0}
-        # Same staleness rule the transports apply: forgive up to the skew
-        # tolerance of observed age before declaring a lease abandoned.
-        stale_after = self.lease_timeout + self.clock_skew_tolerance
-        for shard in plan.shards:
-            counts = {"done": 0, "leased": 0, "stale": 0, "pending": 0}
-            for index in shard:
-                if index in done:
-                    counts["done"] += 1
-                    continue
-                age = None
-                lease = leases.get(index)
-                if lease is not None:
-                    try:
-                        age = now - lease.stat().st_mtime
-                    except OSError:
-                        pass  # released since the listing
-                if age is None:
-                    counts["pending"] += 1
-                    continue
-                if age >= stale_after:
-                    counts["stale"] += 1
-                    continue
-                counts["leased"] += 1
-            per_shard.append(counts)
-            for key, value in counts.items():
-                totals[key] += value
-        return {"shards": per_shard, "total": totals,
-                "scenarios": len(self.specs)}
+    @property
+    def state(self) -> "CoordinatorState":
+        """The coordinator's in-memory state, built on first use from the
+        done records and markers in the cluster directory (so a new
+        coordinator over a used directory resumes it, with every lease of
+        the old run expired)."""
+        if self._state is None:
+            from repro.cluster.state import CoordinatorState
+
+            self._state = CoordinatorState(self.cluster_dir,
+                                           self.cluster_plan())
+        return self._state
+
+    def status(self, now: Optional[float] = None) -> dict:
+        """Done / leased / stale / pending counts, per shard and overall,
+        from the state; lease ages are taken at ``now`` (default: the
+        wall clock)."""
+        state = self.state
+        with state.lock:
+            return state.status(time.time() if now is None else now)
 
     def is_complete(self) -> bool:
         """Whether a done record names every scenario."""
-        done, _ = read_tasks(self.cluster_dir, self._done_records)
-        return all(index in done for index in range(len(self.specs)))
+        state = self.state
+        with state.lock:
+            return state.is_complete()
 
     def quarantine_records(self) -> list:
         """Durable quarantine records of this sweep (guarded runs only).
@@ -594,31 +485,41 @@ class ClusterCoordinator:
                   reset: bool = False) -> SweepResult:
         """Run the whole grid with local worker *processes* and merge.
 
-        One worker per shard by default.  Real multi-machine deployments
-        run ``python -m repro.cluster.worker`` against the shared directory
-        instead; this helper exists so examples, tests and CI exercise the
-        identical protocol on one box.
+        Binds a :class:`~repro.cluster.serve.ClusterCoordinatorServer` on
+        ``127.0.0.1`` (an ephemeral port) and starts one worker process
+        per shard by default, each connecting with a
+        :class:`~repro.cluster.transport.SocketTransport` — the protocol
+        a multi-machine deployment runs with ``python -m
+        repro.cluster.serve`` and ``python -m repro.cluster.worker``.
         """
         import multiprocessing
 
-        self.write_plan(reset=reset)
+        from repro.cluster.serve import ClusterCoordinatorServer
+
         if workers is None:
             workers = self.num_shards
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
         context = multiprocessing.get_context(start_method)
-        processes = []
-        for worker_index in range(max(1, workers)):
-            shard = worker_index % self.num_shards
-            process = context.Process(
-                target=_run_worker_process,
-                args=(str(self.cluster_dir), f"local-{worker_index}", shard),
-            )
-            process.start()
-            processes.append(process)
-        for process in processes:
-            process.join()
+        server = ClusterCoordinatorServer(self, ("127.0.0.1", 0),
+                                          reset=reset)
+        try:
+            processes = [
+                context.Process(target=_run_worker_process,
+                                args=(server.address, f"local-{index}",
+                                      index % self.num_shards))
+                for index in range(max(1, workers))]
+            for process in processes:
+                process.start()
+            # Serve only once every worker is forked, so no server thread
+            # is copied into a worker; their connections wait in the
+            # listen backlog until then.
+            server.start_background()
+            for process in processes:
+                process.join()
+        finally:
+            server.stop()
         failed = [p.exitcode for p in processes if p.exitcode != 0]
         if failed:
             raise RuntimeError(f"{len(failed)} local worker process(es) "
@@ -626,8 +527,9 @@ class ClusterCoordinator:
         return self.merge()
 
 
-def _run_worker_process(cluster_dir: str, worker_id: str, shard: int) -> None:
+def _run_worker_process(address: str, worker_id: str, shard: int) -> None:
     """Module-level worker entry point (picklable for spawn contexts)."""
+    from repro.cluster.transport import SocketTransport
     from repro.cluster.worker import ClusterWorker
 
-    ClusterWorker(cluster_dir, worker_id, shard=shard).run()
+    ClusterWorker(SocketTransport(address), worker_id, shard=shard).run()

@@ -18,11 +18,13 @@ and adversarially perturbs its operations:
 * **crash** — the worker dies at a chosen claim/submit point
   (:class:`InjectedWorkerCrash` propagates out of the worker loop, leaving
   its leases to go stale exactly like a machine loss) — before the frame is
-  applied, after it, or, for a submit over a filesystem transport, between
-  a submit frame's sink fsync and its done record;
-* **clock skew** — the wrapped filesystem transport reads and writes lease
-  times on a clock offset from true time, exercising the skew-tolerance
-  lease math.
+  applied or after it.
+
+Leases are timed on the coordinator's clock alone, so a worker's clock has
+no way into the protocol and is not perturbed here.  A *coordinator* crash
+between a submit's sink fsync and its done record is a state restart, not
+a wire fault: ``tests/test_cluster_state.py`` steps it on a
+:class:`~repro.cluster.state.CoordinatorState`.
 
 Claims, heartbeats and submits are list-carrying frames, so each fault
 hits a whole batch: a dropped claim leases none of its indices, a reset
@@ -64,12 +66,10 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.transport import (
-    FilesystemTransport,
     SocketTransport,
     TaskSnapshot,
     Transport,
@@ -124,10 +124,8 @@ class FaultDecision:
     replay_stale: bool = False
     #: Seconds to hold the request before delivery.
     delay: float = 0.0
-    #: Worker death: ``None``, ``"before"`` (op not applied), ``"after"``
-    #: (op applied, worker dies before using the response) or
-    #: ``"between"`` (a submit's sink records durable, its done record
-    #: not written).
+    #: Worker death: ``None``, ``"before"`` (op not applied) or
+    #: ``"after"`` (op applied, worker dies before using the response).
     crash: Optional[str] = None
 
     @property
@@ -160,12 +158,8 @@ class FaultSchedule:
     #: P(delivery held for ``delay_seconds``).
     delay: float = 0.0
     delay_seconds: float = 0.002
-    #: Seconds added to the wrapped process's wall clock (filesystem
-    #: transport lease reads/writes) — simulated cross-machine skew.
-    clock_skew: float = 0.0
     #: Crash the worker on the ``crash_call``-th delivery of ``crash_op``
-    #: (``"claim"`` / ``"submit"``), ``"before"`` or ``"after"`` applying it,
-    #: or ``"between"`` the sink fsync and the done record of a submit.
+    #: (``"claim"`` / ``"submit"``), ``"before"`` or ``"after"`` applying it.
     crash_op: Optional[str] = None
     crash_call: int = 1
     crash_mode: str = "after"
@@ -173,13 +167,9 @@ class FaultSchedule:
     fault_ops: frozenset = DEFAULT_FAULT_OPS
 
     def __post_init__(self) -> None:
-        if self.crash_mode not in ("before", "after", "between"):
-            raise ValueError(f"crash_mode must be 'before', 'after' or "
-                             f"'between', got {self.crash_mode!r}")
-        if self.crash_mode == "between" and self.crash_op != "submit":
-            raise ValueError("crash_mode 'between' splits a submit; "
-                             f"crash_op must be 'submit', got "
-                             f"{self.crash_op!r}")
+        if self.crash_mode not in ("before", "after"):
+            raise ValueError(f"crash_mode must be 'before' or 'after', "
+                             f"got {self.crash_mode!r}")
         self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
         #: Every non-clean decision taken, as ``(op, n, decision,
@@ -225,7 +215,6 @@ class FaultSchedule:
                       "duplicate": self.duplicate, "replay": self.replay,
                       "delay": self.delay},
             "delay_seconds": self.delay_seconds,
-            "clock_skew": self.clock_skew,
             "crash": {"op": self.crash_op, "call": self.crash_call,
                       "mode": self.crash_mode},
             "injected": [{"op": op, "call": n, "indices": list(indices),
@@ -247,18 +236,11 @@ class FaultyTransport(Transport):
     safe), mirroring :meth:`SocketTransport.request`'s retry path; a burst
     outlasting ``max_retries`` surfaces as :class:`InjectedFault`.
 
-    Construct directly over any transport, or use :meth:`over_filesystem` /
-    :meth:`over_socket` to also wire in the schedule's simulated clock skew.
+    Construct directly over any transport, or use :meth:`over_socket`.
     """
 
     def __init__(self, inner: Transport, schedule: FaultSchedule,
                  max_retries: int = 8, retry_delay: float = 0.002) -> None:
-        if (schedule.crash_mode == "between"
-                and not isinstance(inner, FilesystemTransport)):
-            raise ValueError(
-                f"a crash between a submit's records and its done record "
-                f"happens where the sink is written; the {inner.kind} "
-                f"transport writes it on the coordinator")
         self.inner = inner
         self.schedule = schedule
         self.max_retries = max(0, int(max_retries))
@@ -273,25 +255,10 @@ class FaultyTransport(Transport):
     # Construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def over_filesystem(cls, cluster_dir: "str | Path",
-                        schedule: FaultSchedule,
-                        **kwargs) -> "FaultyTransport":
-        """Faulty shared-directory transport whose process clock is offset
-        by the schedule's ``clock_skew`` (lease mtime writes *and* reads)."""
-        skew = schedule.clock_skew
-        inner = FilesystemTransport(cluster_dir,
-                                    clock=lambda: time.time() + skew)
-        return cls(inner, schedule, **kwargs)
-
-    @classmethod
     def over_socket(cls, address: "str | tuple[str, int]",
                     schedule: FaultSchedule, **kwargs) -> "FaultyTransport":
-        """Faulty TCP transport.  The schedule's ``clock_skew`` is recorded
-        but has no pathway into the protocol: the coordinator is the single
-        clock authority for socket workers, which is exactly the property
-        the acceptance tests pin (a skewed worker cannot perturb leases)."""
-        inner = SocketTransport(address)
-        return cls(inner, schedule, **kwargs)
+        """Faulty TCP transport to the coordinator at ``address``."""
+        return cls(SocketTransport(address), schedule, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Fault application
@@ -308,11 +275,6 @@ class FaultyTransport(Transport):
                 raise InjectedWorkerCrash(
                     f"injected crash before {op!r} "
                     f"(call {self.schedule._counts[op]})")
-            if decision.crash == "between":
-                self._write_records_only(*args)
-                raise InjectedWorkerCrash(
-                    f"injected crash between the records and the done "
-                    f"record of {op!r} (call {self.schedule._counts[op]})")
             if decision.delay:
                 time.sleep(decision.delay)
             if decision.drop:
@@ -371,13 +333,6 @@ class FaultyTransport(Transport):
         return self._apply("submit", self.inner.submit_many, worker_id,
                            results,
                            indices=tuple(index for index, _, _ in results))
-
-    def _write_records_only(self, worker_id: str,
-                            results: list[tuple[int, dict, int]]) -> None:
-        """Half a submit: its sink records, durable, but no done record —
-        what a filesystem worker leaves when it dies in between."""
-        with self.inner._lock:
-            self.inner._write_records(worker_id, results)
 
     def record_failure(self, worker_id: str, index: int,
                        outcome: ScenarioOutcome, attempt: int = 0) -> dict:

@@ -3,18 +3,16 @@
 ``python -m repro.cluster.serve`` plans a grid, listens on a socket, and
 answers the length-prefixed JSON frames of
 :class:`~repro.cluster.transport.SocketTransport` workers.  Every operation
-is applied to a **local** :class:`~repro.cluster.transport.FilesystemTransport`
-over the server's own cluster directory, which buys three properties for
-free:
+is applied to the coordinator's one
+:class:`~repro.cluster.state.CoordinatorState`, under one lock, with the
+server's clock as the time of the operation: lease grants are atomic
+because they are serialised in one process, and lease ages are measured on
+one clock whatever the workers' clocks say.
 
-* **Atomic lease grants** — claims and stale-lease takeovers go through the
-  same atomic file primitives the shared-directory protocol uses, serialised
-  inside one process.
-* **Durable coordinator state** — leases, done records and result parts
-  survive a coordinator restart; re-starting ``serve`` on the same directory
-  resumes the sweep exactly like re-planning a filesystem cluster does.
-* **One semantics** — the filesystem and socket transports cannot drift,
-  because the socket transport *is* the filesystem transport plus a wire.
+The state's durable effects — done records, result parts, fail and death
+markers, quarantine records — stay in the server's cluster directory;
+re-starting ``serve`` on the same directory resumes the sweep, with every
+lease of the old run expired.
 
 Workers stream results over their connection as plain outcome records; the
 server checks each record and writes it, as received, into ordinary
@@ -42,12 +40,11 @@ import socketserver
 import threading
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
-    FilesystemTransport,
     FrameDecodeError,
     FrameTooLarge,
     TransportError,
@@ -62,25 +59,27 @@ logger = logging.getLogger("repro.cluster.serve")
 
 
 class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP frontend over a :class:`ClusterCoordinator`'s directory.
+    """Threaded TCP front-end over a :class:`ClusterCoordinator`'s state.
 
-    One handler thread per worker connection; state-changing operations are
-    applied to the local filesystem transport (claims additionally serialise
-    on a server-side lock, making the lease grant atomic even across
-    noncompliant filesystems).  A ``claim``, ``heartbeat`` or ``submit``
-    frame carries a list, applied index by index in order: a claim under
-    the lock, a heartbeat as one lease refresh per index, a submit as one
-    sink append and fsync followed by one done record.  A submit's outcome
-    records are checked (:meth:`ScenarioOutcome.check_record`) and written
-    as received, never rebuilt into outcomes.
+    One handler thread per worker connection; every frame is applied to
+    :attr:`ClusterCoordinator.state` while holding the state's lock, at
+    ``clock()``.  A ``claim``, ``heartbeat`` or ``submit`` frame carries a
+    list, applied index by index in order.  A submit's and a failure's
+    outcome records are checked (:meth:`ScenarioOutcome.check_record`) and
+    passed on as received, never rebuilt into outcomes; a malformed frame
+    is answered ``ok: false`` and the connection keeps serving.
     """
 
     allow_reuse_address = True
     daemon_threads = True
+    #: Seconds between the serving thread's checks for :meth:`stop`, which
+    #: waits for the next one.
+    poll_interval = 0.05
 
     def __init__(self, coordinator: ClusterCoordinator,
                  address: tuple[str, int] = ("127.0.0.1", 0),
-                 reset: bool = False) -> None:
+                 reset: bool = False,
+                 clock: Callable[[], float] = time.time) -> None:
         # Unconditional: refreshes the plan of the *same* sweep (resume) and
         # raises loudly if the directory holds a different sweep's state —
         # silently serving a stale plan.json would hand workers the wrong
@@ -88,16 +87,14 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         # owns plan writing; pass ``reset`` to discard a different sweep.
         coordinator.write_plan(reset=reset)
         self.coordinator = coordinator
-        # The plan just written, from memory: the same fields
-        # ``ClusterPlan.load`` would parse back out of plan.json.
-        self.local = FilesystemTransport(coordinator.cluster_dir,
-                                         plan=coordinator.cluster_plan())
+        self.state = coordinator.state
+        #: The coordinator's one clock: the time of every operation.
+        self.clock = clock
         #: The ``plan`` response body, ``json.dumps({"ok": True, "plan":
         #: written_plan})`` byte for byte, built from the written text
         #: once instead of encoding the document per connection.
         self.plan_body = ('{"ok": true, "plan": '
                           + coordinator.written_plan_text + "}").encode()
-        self._claim_lock = threading.Lock()
         self._serve_thread: Optional[threading.Thread] = None
         super().__init__(address, _ClusterRequestHandler)
 
@@ -114,18 +111,20 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         """Serve connections on a daemon thread; returns the thread."""
         if self._serve_thread is None:
             self._serve_thread = threading.Thread(
-                target=self.serve_forever, name="cluster-serve", daemon=True)
+                target=self.serve_forever, args=(self.poll_interval,),
+                name="cluster-serve", daemon=True)
             self._serve_thread.start()
         return self._serve_thread
 
     def stop(self) -> None:
-        """Stop accepting, close the listener and flush the sinks."""
-        self.shutdown()
-        self.server_close()
-        self.local.close()
+        """Stop accepting, close the listener and the sink parts."""
         if self._serve_thread is not None:
+            self.shutdown()
             self._serve_thread.join(timeout=10.0)
             self._serve_thread = None
+        self.server_close()
+        with self.state.lock:
+            self.state.close()
 
     # ------------------------------------------------------------------ #
     # Operation dispatch
@@ -134,52 +133,52 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         """Apply one request frame; returns the response frame, or for
         ``plan`` its encoded body (:attr:`plan_body`)."""
         op = frame.get("op")
+        state = self.state
         try:
             if op == "plan":
                 return self.plan_body
             if op == "register":
-                shard = self.local.register_worker(
-                    str(frame["worker_id"]), frame.get("shard"))
+                with state.lock:
+                    shard = state.register(str(frame["worker_id"]),
+                                           frame.get("shard"))
                 return {"ok": True, "shard": shard}
             if op == "snapshot":
-                return {"ok": True,
-                        "snapshot": self.local.snapshot().to_dict()}
+                with state.lock:
+                    snapshot = state.snapshot(self.clock())
+                return {"ok": True, "snapshot": snapshot.to_dict()}
             if op == "claim":
-                indices = [self._checked_index(index)
-                           for index in self._list(frame, "indices")]
-                with self._claim_lock:
-                    granted = self.local.claim_many(indices,
-                                                    str(frame["worker_id"]))
+                indices = self._list(frame, "indices")
+                with state.lock:
+                    granted = state.claim(indices, str(frame["worker_id"]),
+                                          self.clock())
                 return {"ok": True, "granted": granted}
             if op == "heartbeat":
-                alive = self.local.heartbeat_many(
-                    [self._checked_index(index)
-                     for index in self._list(frame, "indices")],
-                    str(frame["worker_id"]))
+                indices = self._list(frame, "indices")
+                with state.lock:
+                    alive = state.heartbeat(indices, str(frame["worker_id"]),
+                                            self.clock())
                 return {"ok": True, "alive": alive}
             if op == "submit":
-                results = [(self._checked_index(entry["index"]),
+                results = [(entry["index"],
                             ScenarioOutcome.check_record(entry["outcome"]),
                             int(entry.get("attempt", 0)))
                            for entry in self._list(frame, "results")]
-                self.local.submit_many(str(frame["worker_id"]), results)
+                with state.lock:
+                    state.submit(str(frame["worker_id"]), results)
                 return {"ok": True}
             if op == "fail":
-                outcome = ScenarioOutcome.from_dict(frame["outcome"])
-                # Failure accounting can trigger a quarantine, which submits
-                # a synthetic result and releases the lease — serialise with
-                # claims so a takeover cannot race the quarantine decision.
-                with self._claim_lock:
-                    charged = self.local.record_failure(
-                        str(frame["worker_id"]),
-                        self._checked_index(frame["index"]), outcome,
-                        attempt=int(frame.get("attempt", 0)))
+                record = ScenarioOutcome.check_record(frame["outcome"])
+                with state.lock:
+                    charged = state.fail(
+                        str(frame["worker_id"]), frame["index"], record,
+                        int(frame.get("attempt", 0)), self.clock())
                 return {"ok": True, **charged}
             if op == "telemetry":
                 metrics = frame["metrics"]
                 if not isinstance(metrics, dict):
                     raise ValueError("telemetry metrics must be an object")
-                self.local.send_telemetry(str(frame["worker_id"]), metrics)
+                with state.lock:
+                    state.telemetry(str(frame["worker_id"]), metrics)
                 return {"ok": True}
             if op == "status":
                 return {"ok": True, "status": self.status()}
@@ -195,21 +194,12 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
                              f"{type(value).__name__}")
         return value
 
-    def _checked_index(self, value) -> int:
-        index = int(value)
-        if not 0 <= index < len(self.local.plan.specs):
-            raise ValueError(f"scenario index {index} out of range")
-        return index
-
     # ------------------------------------------------------------------ #
     # Monitoring
     # ------------------------------------------------------------------ #
     def status(self) -> dict:
         """Coordinator progress plus completion/registration counters."""
-        status = self.coordinator.status()
-        status["complete"] = status["total"]["done"] >= status["scenarios"]
-        status["registered_workers"] = self.local.registered_workers()
-        return status
+        return self.coordinator.status(self.clock())
 
     def is_complete(self) -> bool:
         """Whether a done record names every scenario."""
@@ -296,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=7766,
                         help="TCP port to listen on")
     parser.add_argument("--cluster-dir", default=".serve_cluster",
-                        help="coordinator-local directory for plan, leases "
-                             "and result parts (not shared with workers)")
+                        help="coordinator-local directory for the plan, "
+                             "done records and result parts (not shared "
+                             "with workers)")
     parser.add_argument("--hardware", default="Lab",
                         choices=("Lab", "QL2020"),
                         help="hardware scenario for the sub-grid")
@@ -312,10 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lease-timeout", type=float, default=60.0,
                         help="seconds without a heartbeat before a lease "
                              "may be taken over")
-    parser.add_argument("--skew-tolerance", type=float, default=5.0,
-                        help="extra seconds of observed lease age forgiven "
-                             "for cross-machine clock skew before a lease "
-                             "counts as stale")
     parser.add_argument("--batch", type=int, default=50,
                         help="MHP attempt batch size")
     parser.add_argument("--backend", default=None,
@@ -388,7 +375,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         specs, args.duration, args.cluster_dir, master_seed=args.seed,
         num_shards=args.shards,
         lease_timeout=args.lease_timeout,
-        clock_skew_tolerance=args.skew_tolerance,
         cache_dir=args.cache_dir or None, guard=guard)
     server = ClusterCoordinatorServer(coordinator, (args.host, args.port),
                                       reset=args.reset)
@@ -418,8 +404,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 break
             time.sleep(args.poll_interval)
     except KeyboardInterrupt:
-        logger.info("[serve] interrupted; coordinator state is durable — "
-                    "re-run serve on the same --cluster-dir to resume")
+        logger.info("[serve] interrupted; done records and result parts are "
+                    "durable — re-run serve on the same --cluster-dir to "
+                    "resume")
         server.stop()
         return 130
 

@@ -1,29 +1,25 @@
 """Transport abstraction for the cluster coordinator/worker protocol.
 
-PR 3's shard/lease/steal protocol was defined directly in terms of files in
-a shared directory.  This module lifts the protocol's *operations* — fetch
-the plan, register a worker, snapshot task state, claim a batch of leases
-(including stale-lease takeover), heartbeat a batch of leases, submit a
-batch of durable results — into a :class:`Transport` contract that the
-planner/worker/stealing/lease machinery runs against unchanged.  Two
-implementations:
-
-:class:`FilesystemTransport`
-    The shared-directory protocol, verbatim: atomic ``O_CREAT | O_EXCL``
-    lease creation, mtime heartbeats, tmp-and-rename takeovers, one done
-    record per submit, per-worker sink parts.
+The protocol's *operations* — fetch the plan, register a worker, snapshot
+task state, claim a batch of leases (including stale-lease takeover),
+heartbeat a batch of leases, submit a batch of durable results, report a
+failure — form a :class:`Transport` contract that the worker's claim /
+steal / reclaim loop runs against.  Every operation is decided by one
+:class:`~repro.cluster.state.CoordinatorState`, the coordinator's
+in-memory state; the transports only differ in how a worker reaches it:
 
 :class:`SocketTransport`
-    The same operations as length-prefixed JSON frames over one TCP
-    connection to a ``python -m repro.cluster.serve`` coordinator.  The
-    server answers every frame by applying the operation to its *local*
-    :class:`FilesystemTransport` — leases are granted atomically server-side,
-    results stream into the server's :class:`~repro.cluster.sinks.ResultSink`
-    parts, and coordinator state (leases, done records, parts) stays durable
-    across a coordinator restart.  Workers need no shared filesystem at all.
+    Length-prefixed JSON frames over one TCP connection to a
+    :class:`~repro.cluster.serve.ClusterCoordinatorServer` (``python -m
+    repro.cluster.serve``, or the server :meth:`ClusterCoordinator.run_local
+    <repro.cluster.coordinator.ClusterCoordinator.run_local>` binds for its
+    worker processes).  Workers need no shared filesystem at all.
 
-Because both transports implement one contract over the *same* authoritative
-semantics, the merged :class:`~repro.runtime.sweep.SweepResult` of a sweep is
+:class:`LocalTransport`
+    The same operations applied in process to a ``CoordinatorState`` (for
+    workers in the coordinator's own interpreter).
+
+The merged :class:`~repro.runtime.sweep.SweepResult` of a sweep is
 field-for-field identical regardless of transport, shard count, stealing
 order or crash history — execution determinism depends only on
 (spec, seed, backend), never on the wire.
@@ -43,10 +39,9 @@ sublist, and a ``submit`` frame carries a list of ``results`` (``index``,
 stored record goes out as it was read, and the coordinator checks each
 record and writes it to the sink as received.  The coordinator applies
 the single-index semantics to each element in order — one lease grant or
-takeover per
-index, one lease refresh per index, and for a submit one sink append and
-one fsync for the whole frame, then one done record naming every index of
-the frame that was not done yet.
+takeover per index, one lease refresh per index, and for a submit one sink
+append and one fsync for the whole frame, then one done record naming
+every index of the frame that was not done yet.
 The ops are idempotent and commute per scenario index, so a batch equals
 its elements applied one after another (the Scalable Commutativity Rule),
 and a single-index call (:meth:`Transport.try_claim`,
@@ -63,47 +58,29 @@ attempt)`` and by the done records, heartbeats are pure refreshes.  A client
 that loses the connection mid-request therefore cannot tell whether the
 operation was applied, *and does not need to*:
 :meth:`SocketTransport.request` retries idempotent operations with bounded
-backoff, and a duplicate delivery commutes into a no-op.  Lease ages are computed on a single clock
-authority — the coordinator's clock for the socket transport, and
-mtime-relative with a configurable skew tolerance for the filesystem
-transport (see ``ClusterPlan.clock_skew_tolerance``) — so cross-machine
-clock skew cannot fake a stale lease.  ``repro.cluster.faults`` injects
-drops, duplicates, resets, delays, stale replays, crashes and skew against
-exactly these guarantees.
+backoff, and a duplicate delivery commutes into a no-op.  Lease ages are
+computed on a single clock authority, the coordinator's, so a worker's
+clock never enters them.  ``repro.cluster.faults`` injects drops,
+duplicates, resets, delays, stale replays and crashes against exactly these
+guarantees.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import socket
 import struct
 import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
-from repro.cluster.coordinator import (
-    RESULTS_DIR,
-    TASKS_DIR,
-    TELEMETRY_DIR,
-    WORKERS_DIR,
-    ClusterPlan,
-    atomic_write_json,
-    lease_path,
-    read_tasks,
-    write_done_record,
-)
-from repro.cluster.sinks import JsonlResultSink, ResultSink, part_name
-from repro.runtime.guard import (
-    QUARANTINED,
-    GuardPolicy,
-    QuarantineRecord,
-    QuarantineStore,
-)
+from repro.cluster.coordinator import ClusterPlan
 from repro.runtime.sweep import ScenarioOutcome
+
+if TYPE_CHECKING:
+    from repro.cluster.state import CoordinatorState
 
 
 class TransportError(RuntimeError):
@@ -295,8 +272,8 @@ class Transport(ABC):
       (the crashed owner's heartbeats, if it resurrects, report the lease
       as lost).
     * :meth:`submit_many` is **durable before it returns**, and records the
-      results *before* their done record — a crash between the two
-      re-executes the scenarios (harmless, deterministic) rather than
+      results *before* their done record — a coordinator crash between the
+      two re-executes the scenarios (harmless, deterministic) rather than
       losing them.
     * Every operation is **idempotent** (see :data:`IDEMPOTENT_OPS`): a
       duplicated or retried delivery commutes into a no-op, so a caller that
@@ -393,415 +370,65 @@ class Transport(ABC):
 
 
 # --------------------------------------------------------------------------- #
-# Filesystem implementation (the PR 3 protocol, extracted)
+# In-process implementation
 # --------------------------------------------------------------------------- #
-class FilesystemTransport(Transport):
-    """Shared-directory transport — every operation is an atomic file op.
+class LocalTransport(Transport):
+    """The in-process front-end over a
+    :class:`~repro.cluster.state.CoordinatorState`.
 
-    This is the protocol :mod:`repro.cluster.coordinator` documents, moved
-    out of ``ClusterWorker`` so the worker loop is transport-agnostic.  It is
-    also the authoritative state store behind ``repro.cluster.serve``: the
-    TCP coordinator applies every remote operation to a local instance, so
-    both transports share one battle-tested semantics.
+    Each operation holds the state's lock and passes ``clock()`` as the
+    coordinator's time; transports over one state share its lock, and
+    should share one clock.  A refused operation raises
+    :class:`TransportError`, as the socket transport does for an ``ok:
+    false`` answer.
     """
 
-    kind = "filesystem"
+    kind = "local"
 
-    def __init__(self, cluster_dir: str | Path,
-                 plan: Optional[ClusterPlan] = None,
+    def __init__(self, state: "CoordinatorState",
                  clock: Callable[[], float] = time.time) -> None:
-        self.cluster_dir = Path(cluster_dir)
-        self.plan = plan if plan is not None else ClusterPlan.load(cluster_dir)
-        #: This process's notion of wall-clock time.  Lease mtimes are
-        #: written from it explicitly (instead of the filesystem's implicit
-        #: "now") so fault injection can simulate a machine whose clock is
-        #: skewed — and so the skew-tolerance math is testable at all.
+        self.state = state
+        self.plan = state.plan
         self.clock = clock
-        self._sinks: dict[str, ResultSink] = {}
-        #: Submit deliveries already applied by this process, keyed on
-        #: ``(index, worker_id, attempt)`` — duplicate deliveries (retries
-        #: after a reset, duplicated frames) skip the sink write.
-        self._applied_submits: set[tuple[int, str, int]] = set()
-        #: Failure deliveries already applied, same dedupe contract.
-        self._applied_failures: set[tuple[int, str, int]] = set()
-        #: Done records listed so far, by file name (see
-        #: :func:`~repro.cluster.coordinator.read_tasks`).
-        self._records: dict[str, tuple[int, ...]] = {}
-        #: Indices the done records named at the last :meth:`_refresh`,
-        #: plus those of this instance's own records since.
-        self._done: set[int] = set()
-        #: Supervision policy of the plan (``None`` = pre-guard protocol:
-        #: no death markers, no failure budget, no quarantine).
-        self.guard: Optional[GuardPolicy] = self.plan.guard_policy()
-        # Reentrant: submit_many holds it across the sink lookup *and* the
-        # write — when this instance backs the TCP coordinator, a client
-        # that timed out and reconnected can have two server threads
-        # submitting under the same worker id, and interleaved writes on
-        # one sink would tear the part — and _quarantine's submit takes it
-        # again inside record_failure and claim_many.  _refresh holds it
-        # too, so a listing taken before this instance's own record was
-        # renamed cannot drop that record from the done set.
-        self._lock = threading.RLock()
 
-    @property
-    def _stale_after(self) -> float:
-        """Observed lease age at which a lease counts as abandoned.
+    def _apply(self, op: Callable, *args):
+        with self.state.lock:
+            try:
+                return op(*args)
+            except ValueError as error:
+                raise TransportError(str(error)) from None
 
-        The lease timeout plus the plan's clock-skew tolerance: an observed
-        age mixes the writer's clock (mtime) with the reader's (now), so up
-        to ``clock_skew_tolerance`` seconds of the age may be clock
-        disagreement rather than missed heartbeats.
-        """
-        return self.plan.lease_timeout + self.plan.clock_skew_tolerance
-
-    # -- registration -------------------------------------------------- #
     def register_worker(self, worker_id: str, shard: Optional[int]) -> int:
-        workers_dir = self.cluster_dir / WORKERS_DIR
-        num_shards = self.plan.shard_plan.num_shards
-        with self._lock:
-            workers_dir.mkdir(parents=True, exist_ok=True)
-            record = workers_dir / f"{worker_id}.json"
-            if record.exists():
-                # Idempotent re-registration (a retried register frame, or a
-                # resurrected worker with the same id): return the recorded
-                # shard instead of re-counting registrations — counting
-                # again would round-robin the duplicate onto a *different*
-                # shard.
-                try:
-                    recorded = json.loads(record.read_text()).get("shard")
-                except (OSError, json.JSONDecodeError):
-                    recorded = None
-                if recorded is not None and (shard is None
-                                             or shard == recorded):
-                    return int(recorded)
-            if shard is None:
-                existing = len(list(workers_dir.glob("*.json")))
-                shard = existing % num_shards
-            if not 0 <= shard < num_shards:
-                raise TransportError(f"shard {shard} out of range "
-                                     f"(plan has {num_shards} shards)")
-            atomic_write_json(record,
-                              {"worker_id": worker_id, "shard": shard,
-                               "registered_at": self.clock()})
-        return shard
-
-    def registered_workers(self) -> int:
-        """Number of worker registrations (never decreases)."""
-        workers_dir = self.cluster_dir / WORKERS_DIR
-        if not workers_dir.exists():
-            return 0
-        return len(list(workers_dir.glob("*.json")))
-
-    # -- task state ---------------------------------------------------- #
-    def _refresh(self) -> dict[int, os.DirEntry]:
-        """Re-list ``tasks/``: rebuild the done set, return the leases."""
-        with self._lock:
-            self._done, leases = read_tasks(self.cluster_dir, self._records)
-        return leases
-
-    def _is_done(self, index: int) -> bool:
-        """Whether the done set of the last :meth:`_refresh` has ``index``."""
-        return index in self._done
-
-    def _lease_age(self, index: int) -> Optional[float]:
-        """Observed lease age on *this* process's clock, raw (no tolerance)."""
-        try:
-            return self.clock() - lease_path(self.cluster_dir,
-                                             index).stat().st_mtime
-        except OSError:
-            return None
+        return self._apply(self.state.register, worker_id, shard)
 
     def snapshot(self) -> TaskSnapshot:
-        """Done/lease state with **skew-adjusted** lease ages.
+        return self._apply(self.state.snapshot, self.clock())
 
-        Reported ages are the observed age minus the skew tolerance (floored
-        at zero), so a consumer comparing them against the plain lease
-        timeout — :meth:`TaskSnapshot.is_available` — applies exactly the
-        single staleness rule of this transport, and up to
-        ``clock_skew_tolerance`` seconds of clock disagreement between the
-        lease writer and this reader can never fake a stale lease.
-
-        One directory listing covers the whole plan (see
-        :func:`~repro.cluster.coordinator.read_tasks`), and only leases of
-        scenarios that are not done are stat'ed.  Indices outside the plan
-        are ignored.
-        """
-        num_specs = len(self.plan.specs)
-        with self._lock:
-            leases = self._refresh()
-            done = frozenset(index for index in self._done
-                             if index < num_specs)
-        now = self.clock()
-        tolerance = self.plan.clock_skew_tolerance
-        lease_ages = {}
-        for index, entry in leases.items():
-            if index in done or index >= num_specs:
-                continue
-            try:
-                mtime = entry.stat().st_mtime
-            except OSError:
-                continue  # released or replaced since the listing
-            lease_ages[index] = max(0.0, now - mtime - tolerance)
-        return TaskSnapshot(done=done, lease_ages=lease_ages,
-                            workers=self.registered_workers())
-
-    def _touch(self, lease: Path) -> None:
-        """Stamp the lease mtime from this process's (possibly skewed) clock."""
-        now = self.clock()
-        os.utime(lease, (now, now))
-
-    # -- claiming ------------------------------------------------------ #
     def claim_many(self, indices: Sequence[int],
                    worker_id: str) -> list[int]:
-        batch = len(indices)
-        self._refresh()
-        return [index for index in indices
-                if self._claim(index, worker_id, batch)]
-
-    def _claim(self, index: int, worker_id: str, batch: int) -> bool:
-        """One index of a claim of ``batch`` indices."""
-        # Done wins over any view the caller claimed from — including a
-        # quarantined scenario, whose lease was already released.
-        if self._is_done(index):
-            return False
-        lease = lease_path(self.cluster_dir, index)
-        lease.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({"worker_id": worker_id,
-                              "claimed_at": self.clock(), "batch": batch})
-        try:
-            descriptor = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            # Every branch below refuses an index that is done; the done
-            # set is refreshed only where that decides the answer, since
-            # finishing while we looked is what a refresh would catch.
-            age = self._lease_age(index)
-            if age is None:
-                # Lease vanished between the existence check and now —
-                # retry through the normal candidate loop.
-                return False
-            if age < self._stale_after:
-                # Live lease.  If *we* own it, this is a duplicate delivery
-                # of a claim that was already granted (a retry after a
-                # reset, or a duplicated frame): re-grant idempotently
-                # instead of refusing and sending the owner elsewhere.
-                try:
-                    owner = json.loads(lease.read_text()).get("worker_id")
-                except (OSError, json.JSONDecodeError):
-                    return False
-                if owner != worker_id:
-                    return False
-                self._refresh()
-                return not self._is_done(index)
-            if batch > 1:
-                # Stale leases are re-leased one index at a time, so the
-                # next death on this index is attributable to it alone.
-                return False
-            self._refresh()
-            if self._is_done(index):
-                return False
-            try:
-                dead = json.loads(lease.read_text())
-            except (OSError, json.JSONDecodeError):
-                dead = {}
-            if self.guard is not None and dead.get("batch", 1) == 1:
-                # The stale lease is a worker that died (or wedged) mid-
-                # scenario and never reported back.  Charge the death
-                # against the scenario's retry budget *before* handing the
-                # same scenario to the next worker — repeated lease deaths
-                # on one index are the only observable signature of a
-                # poison scenario that OOM-kills its workers, and without
-                # this check it would take the fleet down one worker at a
-                # time.  Only the death of a lease claimed alone is
-                # charged: a worker that dies holding a batch was running
-                # one of its scenarios, and nothing tells which.  The
-                # marker is keyed on the dead lease's claimed_at stamp so
-                # racing takeovers record one death, not two.
-                stamp = str(dead.get("claimed_at", "unknown"))
-                stamp = stamp.replace(".", "_")
-                atomic_write_json(
-                    self.cluster_dir / TASKS_DIR
-                    / f"{index}.death.{stamp}.json",
-                    {"index": index,
-                     "worker_id": dead.get("worker_id"),
-                     "claimed_at": dead.get("claimed_at"),
-                     "observed_by": worker_id,
-                     "observed_at": self.clock()},
-                    durable=True)
-                with self._lock:
-                    if (self._spent_attempts(index)
-                            >= self.guard.max_attempts):
-                        self._quarantine(index, worker_id, "crash")
-                        return False
-            # Stale lease: take it over atomically.  If two workers race
-            # here both takeovers "succeed" and the scenario runs twice —
-            # deterministic execution makes that merely wasteful, and the
-            # merge dedupes the identical records.
-            tmp = lease.with_name(f"{lease.name}.{worker_id}.tmp")
-            tmp.write_text(payload)
-            self._touch(tmp)
-            tmp.replace(lease)
-            self._refresh()
-            return not self._is_done(index)
-        with os.fdopen(descriptor, "w") as handle:
-            handle.write(payload)
-        self._touch(lease)
-        return True
+        return self._apply(self.state.claim, indices, worker_id,
+                           self.clock())
 
     def heartbeat_many(self, indices: Sequence[int],
                        worker_id: str) -> list[int]:
-        return [index for index in indices
-                if self._refresh_lease(index, worker_id)]
-
-    def _refresh_lease(self, index: int, worker_id: str) -> bool:
-        """One index of a heartbeat: whether ``worker_id`` still owns it."""
-        lease = lease_path(self.cluster_dir, index)
-        try:
-            owner = json.loads(lease.read_text()).get("worker_id")
-        except (OSError, json.JSONDecodeError):
-            return False  # lease gone or torn: stop beating
-        if owner != worker_id:
-            return False  # lease was taken over while we were presumed dead
-        try:
-            self._touch(lease)
-        except OSError:
-            return False
-        return True
-
-    # -- results ------------------------------------------------------- #
-    def _sink_for(self, worker_id: str) -> ResultSink:
-        with self._lock:
-            sink = self._sinks.get(worker_id)
-            if sink is None:
-                sink = JsonlResultSink(
-                    self.cluster_dir / RESULTS_DIR / part_name(worker_id),
-                    master_seed=self.plan.master_seed,
-                    duration=self.plan.duration,
-                )
-                self._sinks[worker_id] = sink
-            return sink
+        return self._apply(self.state.heartbeat, indices, worker_id,
+                           self.clock())
 
     def submit_many(self, worker_id: str,
                     results: Sequence[tuple[int, dict, int]]) -> None:
-        with self._lock:
-            self._write_records(worker_id, results)
-            self._mark_done(results)
-
-    def _write_records(self, worker_id: str,
-                       results: Sequence[tuple[int, dict, int]]) -> None:
-        """The sink half of a submit: one append and one fsync."""
-        # Dedupe duplicate deliveries: a done record proves *some* sink
-        # record for its indices is already durable (records are written
-        # only after the sink write is fsynced), and a seen (index, worker,
-        # attempt) key means *this very delivery* was applied even if the
-        # crash window between sink write and done record was hit.
-        self._refresh()
-        fresh = [(index, record) for index, record, attempt in results
-                 if (index, worker_id, attempt) not in self._applied_submits
-                 and not self._is_done(index)]
-        if fresh:
-            self._sink_for(worker_id).write_many(fresh)
-        self._applied_submits.update((index, worker_id, attempt)
-                                     for index, _, attempt in results)
-
-    def _mark_done(self, results: Sequence[tuple[int, dict, int]]) -> None:
-        """The done half of a submit, after the sink records are durable:
-        one record naming the frame's indices that were not done at
-        :meth:`_write_records`' refresh, so a duplicate delivery writes
-        none."""
-        fresh = {index for index, _, _ in results} - self._done
-        if fresh:
-            name, indices = write_done_record(self.cluster_dir, fresh)
-            self._records[name] = indices
-            self._done.update(indices)
-
-    # -- failures and quarantine --------------------------------------- #
-    def _spent_attempts(self, index: int) -> int:
-        """Executions charged against ``index``: reported failures plus
-        observed lease deaths (each durable as one marker file)."""
-        tasks = self.cluster_dir / TASKS_DIR
-        return (len(list(tasks.glob(f"{index}.fail.*.json")))
-                + len(list(tasks.glob(f"{index}.death.*.json"))))
-
-    def _quarantine(self, index: int, worker_id: str, status: str) -> None:
-        """Retire ``index``: durable record, sink outcome, done record.
-
-        The sink outcome is **canonical** — built only from the plan and
-        the failure status, never from per-run diagnostics — because two
-        racing quarantine decisions (e.g. two workers both observing the
-        budget spent) each submit it, and the merge requires duplicate
-        index records to agree field-for-field.
-        """
-        self._refresh()
-        if self._is_done(index):
-            return
-        spec = self.plan.specs[index]
-        budget = self.guard.max_attempts
-        QuarantineStore(self.cluster_dir).record(QuarantineRecord(
-            index=index,
-            scenario_name=spec.name,
-            seed=self.plan.seeds[index],
-            attempts=self._spent_attempts(index),
-            status=status,
-            error=None,
-            source="coordinator",
-            recorded_at=self.clock(),
-        ))
-        outcome = ScenarioOutcome(
-            scenario_name=spec.name,
-            scheduler_name=spec.scheduler_name(),
-            seed=self.plan.seeds[index],
-            duration=self.plan.duration,
-            status=QUARANTINED,
-            error=(f"quarantined after spending the retry budget "
-                   f"({budget} attempt(s)); last failure [{status}]"),
-            backend=spec.backend_name(),
-        )
-        self.submit_result(worker_id, index, outcome, attempt=-1)
+        self._apply(self.state.submit, worker_id, results)
 
     def record_failure(self, worker_id: str, index: int,
                        outcome: ScenarioOutcome, attempt: int = 0) -> dict:
-        with self._lock:
-            key = (index, worker_id, attempt)
-            self._refresh()
-            if key not in self._applied_failures and not self._is_done(index):
-                error = outcome.error or ""
-                atomic_write_json(
-                    self.cluster_dir / TASKS_DIR
-                    / f"{index}.fail.{worker_id}.{attempt}.json",
-                    {"index": index, "worker_id": worker_id,
-                     "attempt": attempt, "status": outcome.status,
-                     "error": error[:2000], "recorded_at": self.clock()},
-                    durable=True)
-            self._applied_failures.add(key)
-            # Release the reporter's lease so the retry (here or on any
-            # other worker) does not have to wait out a lease timeout.
-            lease = lease_path(self.cluster_dir, index)
-            try:
-                if json.loads(lease.read_text()).get("worker_id") == worker_id:
-                    lease.unlink()
-            except (OSError, json.JSONDecodeError):
-                pass
-            spent = self._spent_attempts(index)
-            quarantined = (QuarantineStore(self.cluster_dir).path(index)
-                           .exists())
-            if (not quarantined and self.guard is not None
-                    and spent >= self.guard.max_attempts):
-                self._quarantine(index, worker_id, outcome.status)
-                quarantined = True
-            return {"attempts": spent, "quarantined": quarantined}
+        return self._apply(self.state.fail, worker_id, index,
+                           outcome.to_dict(), attempt, self.clock())
 
     def send_telemetry(self, worker_id: str, metrics: dict) -> None:
-        # One file per worker, replaced whole on every upload: duplicate
-        # deliveries (and retries of unknown outcome) are last-write-wins
-        # over identical content, which keeps the op in IDEMPOTENT_OPS.
-        atomic_write_json(
-            self.cluster_dir / TELEMETRY_DIR / f"{worker_id}.json", metrics)
+        self._apply(self.state.telemetry, worker_id, metrics)
 
-    def close(self) -> None:
-        with self._lock:
-            for sink in self._sinks.values():
-                sink.close()
-            self._sinks.clear()
+    def status(self) -> dict:
+        """Coordinator-side progress counters (monitoring)."""
+        return self._apply(self.state.status, self.clock())
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,10 @@
 """Worker side of the cluster protocol, over any transport.
 
-A worker is stateless: point it at a cluster directory (filesystem
-transport) or a coordinator address (socket transport) and it rebuilds the
-scenario list, seeds and shard plan from the plan document, then loops:
+A worker is stateless: point it at a coordinator (a
+:class:`~repro.cluster.transport.SocketTransport` to its address, or a
+:class:`~repro.cluster.transport.LocalTransport` in process) and it
+rebuilds the scenario list, seeds and shard plan from the plan document,
+then loops:
 
 1. **Look up** every candidate of its own shard in a new snapshot in the
    resume cache, once.  Hits are submitted straight away, in frames of at
@@ -35,11 +37,12 @@ scenario list, seeds and shard plan from the plan document, then loops:
    in batches sized as above, so stragglers never gate the grid while the
    victim keeps its expensive head-of-line work.
 4. **Reclaim** scenarios whose lease heartbeat went stale — a worker died
-   holding them.  Each is claimed alone (the transport takes over a stale
+   holding them.  Each is claimed alone (the coordinator takes over a stale
    lease only in a claim of one), so after a death in a batch only the
    scenario that kills workers is charged against the guard's retry
-   budget.  Takeover is atomic inside the transport; if two workers race,
-   both re-execute the scenario, which is harmless: execution is
+   budget.  A takeover is atomic on the coordinator; a displaced worker
+   that resurrects learns of it from its heartbeat and drops the scenario,
+   and if it submits anyway the result is harmless: execution is
    deterministic, so the duplicate sink records are identical and the merge
    dedupes them.
 
@@ -71,8 +74,7 @@ budget is spent.  A ``MemoryError`` anywhere in execution is reported as an
 
 CLI — the whole multi-machine deployment story::
 
-    python -m repro.cluster.worker --cluster-dir DIR          # shared filesystem
-    python -m repro.cluster.worker --coordinator HOST:PORT    # plain TCP
+    python -m repro.cluster.worker --coordinator HOST:PORT
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ from typing import Callable, Optional
 
 from repro.backends import BackendSet
 from repro.cluster.transport import (
-    FilesystemTransport,
     SocketTransport,
     TaskSnapshot,
     Transport,
@@ -219,12 +220,13 @@ class ClusterWorker:
 
     Parameters
     ----------
-    cluster:
-        A :class:`~repro.cluster.transport.Transport`, or a cluster
-        directory path (opened as a :class:`FilesystemTransport`).
+    transport:
+        The :class:`~repro.cluster.transport.Transport` to the coordinator.
     worker_id:
         Unique name; used for the sink part, lease ownership and the
-        registration.  Defaults to ``<hostname>-<pid>``.
+        registration, so it must be a file-name-safe token (see
+        :data:`repro.cluster.state.WORKER_ID`).  Defaults to
+        ``<hostname>-<pid>``.
     shard:
         Home shard id.  ``None`` auto-assigns round-robin over the existing
         worker registrations.
@@ -239,8 +241,8 @@ class ClusterWorker:
         Optional progress callback, as in ``SweepRunner``.
     cache_dir:
         Resume-cache directory override.  Defaults to the plan's
-        ``cache_dir`` (shared-filesystem deployments); socket workers
-        typically pass a machine-local directory or ``None``.
+        ``cache_dir`` (workers on the coordinator's machine); workers
+        elsewhere typically pass a machine-local directory or ``None``.
     batch_size:
         Vestigial: only ``1`` is accepted, and any other value raises
         ``ValueError``.  Claim batches are sized from the plan's
@@ -248,7 +250,7 @@ class ClusterWorker:
         benchmark stops passing it (ROADMAP item 1(c)).
     """
 
-    def __init__(self, cluster: "Transport | str | Path",
+    def __init__(self, transport: Transport,
                  worker_id: Optional[str] = None,
                  shard: Optional[int] = None,
                  steal: bool = True,
@@ -257,10 +259,7 @@ class ClusterWorker:
                  cache_dir: "Optional[str | Path]" = ...,
                  batch_size: int = 1,
                  ) -> None:
-        if isinstance(cluster, Transport):
-            self.transport = cluster
-        else:
-            self.transport = FilesystemTransport(cluster)
+        self.transport = transport
         self.plan = self.transport.plan
         if worker_id is None:
             worker_id = f"{os.uname().nodename}-{os.getpid()}"
@@ -779,14 +778,11 @@ class ClusterWorker:
 def main(argv: Optional[list[str]] = None) -> int:
     """CLI entry point: ``python -m repro.cluster.worker``."""
     parser = argparse.ArgumentParser(
-        description="Run one sweep-cluster worker against a shared cluster "
-                    "directory or a TCP coordinator.")
-    where = parser.add_mutually_exclusive_group(required=True)
-    where.add_argument("--cluster-dir", default=None,
-                       help="shared directory containing plan.json")
-    where.add_argument("--coordinator", default=None, metavar="HOST:PORT",
-                       help="TCP coordinator started with "
-                            "python -m repro.cluster.serve")
+        description="Run one sweep-cluster worker against a TCP "
+                    "coordinator.")
+    parser.add_argument("--coordinator", required=True, metavar="HOST:PORT",
+                        help="TCP coordinator started with "
+                             "python -m repro.cluster.serve")
     parser.add_argument("--worker-id", default=None,
                         help="unique worker name (default: <host>-<pid>)")
     parser.add_argument("--shard", type=int, default=None,
@@ -811,10 +807,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     configure_logging(verbose=args.verbose)
 
-    if args.coordinator is not None:
-        transport: Transport = SocketTransport(args.coordinator)
-    else:
-        transport = FilesystemTransport(args.cluster_dir)
+    transport = SocketTransport(args.coordinator)
 
     def progress(outcome: ScenarioOutcome) -> None:
         tag = "cached" if outcome.from_cache else (

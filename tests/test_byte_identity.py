@@ -279,20 +279,20 @@ def test_plan_file_is_compact_json_of_the_written_plan(tmp_path):
     None, GuardPolicy(max_events=10**6, wall_deadline=30.0, max_attempts=3,
                       validate=True)], ids=["unguarded", "guarded"])
 def test_server_plan_equals_the_plan_file(tmp_path, guard):
-    """The server builds its transport from the coordinator's plan in
-    memory; it must be the plan a filesystem worker parses from disk."""
+    """The server's state holds the coordinator's plan in memory; it must
+    be the plan parsed back from ``plan.json``."""
     coordinator = grid_tcp_coordinator(tmp_path, guard=guard)
     server = ClusterCoordinatorServer(coordinator)
     server.start_background()
     try:
-        local = server.local.plan
+        local = server.state.plan
         loaded = ClusterPlan.load(tmp_path)
         assert local.specs == loaded.specs
         assert local.seeds == loaded.seeds
         assert local.shard_plan == loaded.shard_plan
         assert local.guard == loaded.guard
         assert local == loaded
-        assert server.local.guard == loaded.guard_policy()
+        assert server.state.guard == loaded.guard_policy()
         assert (guard is None) == (local.guard is None)
     finally:
         server.stop()

@@ -12,7 +12,6 @@ sharded run with 3 shards, stealing and a mid-grid crash, under both the
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pytest
@@ -21,6 +20,7 @@ from repro.cluster import (
     ClusterCoordinator,
     ClusterPlan,
     JsonlResultSink,
+    LocalTransport,
     ShardPlan,
     StaticCostModel,
     load_results,
@@ -28,7 +28,6 @@ from repro.cluster import (
     plan_shards,
     run_sharded_sweep,
 )
-from repro.cluster.coordinator import lease_path, read_tasks
 from repro.cluster.sinks import SinkError, part_name
 from repro.cluster.worker import ClusterWorker
 from repro.runtime import (
@@ -38,6 +37,8 @@ from repro.runtime import (
     single_kind_scenarios,
 )
 from repro.runtime.cache import CACHE_VERSION
+
+from cluster_support import ManualClock, expire_leases
 
 DURATION = 0.05
 
@@ -51,24 +52,17 @@ def grid(count=None, backend=None, loads=("Low", "High"),
     return specs if count is None else specs[:count]
 
 
-def backdate_stale_leases(cluster_dir, seconds=3600.0) -> int:
-    """Age every lease of an unfinished scenario past any timeout."""
-    past = time.time() - seconds
-    aged = 0
-    done, leases = read_tasks(cluster_dir)
-    for index, lease in leases.items():
-        if index not in done:
-            os.utime(lease.path, (past, past))
-            aged += 1
-    return aged
+def local(coordinator, clock=time.time) -> LocalTransport:
+    """An in-process transport onto ``coordinator``'s state."""
+    return LocalTransport(coordinator.state, clock)
 
 
-def drive_workers(coordinator, workers, max_rounds=500) -> None:
+def drive_workers(coordinator, workers, clock, max_rounds=500) -> None:
     """Round-robin workers' step() until the grid completes.
 
     When nobody can make progress (all remaining work is behind the crashed
-    worker's live lease), age the stale leases so the timeout "passes"
-    without wall-clock sleeping.
+    worker's live lease), step the coordinator's ``clock`` past the lease
+    timeout instead of sleeping.
     """
     for _ in range(max_rounds):
         progressed = False
@@ -78,7 +72,7 @@ def drive_workers(coordinator, workers, max_rounds=500) -> None:
         if coordinator.is_complete():
             return
         if not progressed:
-            assert backdate_stale_leases(coordinator.cluster_dir) > 0, \
+            assert expire_leases(coordinator, clock) > 0, \
                 "no progress and no stale lease to reclaim: deadlock"
     raise AssertionError("grid did not complete")
 
@@ -417,7 +411,7 @@ class TestClusterProtocol:
     def test_write_plan_refuses_a_different_sweeps_state(self, tmp_path):
         specs = grid(count=4, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs)
-        ClusterWorker(coordinator.cluster_dir, "w", shard=0).run()
+        ClusterWorker(local(coordinator), "w", shard=0).run()
         assert coordinator.is_complete()
         # Re-planning the identical sweep resumes (done markers stay valid).
         again = ClusterCoordinator(
@@ -443,7 +437,7 @@ class TestClusterProtocol:
         # work).
         specs = grid(count=4, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs)
-        ClusterWorker(coordinator.cluster_dir, "w", shard=0).run()
+        ClusterWorker(local(coordinator), "w", shard=0).run()
         result = coordinator.merge()
 
         resumed = ClusterCoordinator(
@@ -471,13 +465,11 @@ class TestClusterProtocol:
         path.write_text(json.dumps(document))
         with pytest.raises(ValueError, match="jsonl"):
             ClusterPlan.load(coordinator.cluster_dir)
-        with pytest.raises(ValueError, match="jsonl"):
-            ClusterWorker(coordinator.cluster_dir, "w", shard=0)
 
     def test_single_worker_drains_all_shards(self, tmp_path):
         specs = grid(count=6, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs)
-        worker = ClusterWorker(coordinator.cluster_dir, "solo", shard=0)
+        worker = ClusterWorker(local(coordinator), "solo", shard=0)
         executed = worker.run()
         assert executed == 6  # stole shards 1 and 2 after finishing shard 0
         assert coordinator.is_complete()
@@ -488,7 +480,7 @@ class TestClusterProtocol:
     def test_no_steal_worker_stays_in_its_shard(self, tmp_path):
         specs = grid(count=6, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs)
-        worker = ClusterWorker(coordinator.cluster_dir, "homebody",
+        worker = ClusterWorker(local(coordinator), "homebody",
                                shard=1, steal=False)
         worker.run(wait_for_stragglers=False)
         own = set(coordinator.plan().shards[1])
@@ -503,22 +495,24 @@ class TestClusterProtocol:
         # fresh thief must then steal from shard 0 (the only, hence
         # slowest, victim) starting at the cheap tail.
         for shard in (1, 2):
-            ClusterWorker(coordinator.cluster_dir, f"w{shard}", shard=shard,
+            ClusterWorker(local(coordinator), f"w{shard}", shard=shard,
                           steal=False).run(wait_for_stragglers=False)
-        thief = ClusterWorker(coordinator.cluster_dir, "thief", shard=1)
+        thief = ClusterWorker(local(coordinator), "thief", shard=1)
         stolen = thief.step()
         assert stolen == plan.shards[0][-1]  # cheapest remaining of shard 0
 
     def test_crashed_lease_is_reclaimed(self, tmp_path):
         specs = grid(count=6, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs)
-        victim = ClusterWorker(coordinator.cluster_dir, "victim", shard=0,
+        clock = ManualClock()
+        victim = ClusterWorker(local(coordinator, clock), "victim", shard=0,
                                crash_after_claims=1)
         assert victim.step() is None and victim.crashed
         crashed_index = coordinator.plan().shards[0][0]
-        assert lease_path(coordinator.cluster_dir, crashed_index).exists()
-        rescuer = ClusterWorker(coordinator.cluster_dir, "rescuer", shard=0)
-        drive_workers(coordinator, [rescuer])
+        assert crashed_index in coordinator.state.snapshot(clock()).lease_ages
+        rescuer = ClusterWorker(local(coordinator, clock), "rescuer",
+                                shard=0)
+        drive_workers(coordinator, [rescuer], clock)
         assert crashed_index in rescuer.executed
         merged = coordinator.merge()
         serial = SweepRunner(specs, DURATION, master_seed=77).run()
@@ -527,11 +521,11 @@ class TestClusterProtocol:
     def test_live_lease_is_not_stolen(self, tmp_path):
         specs = grid(count=6, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs)
-        holder = ClusterWorker(coordinator.cluster_dir, "holder", shard=0,
+        holder = ClusterWorker(local(coordinator), "holder", shard=0,
                                crash_after_claims=1)
         holder.step()  # holds a live (fresh) lease on shard 0's head
         held = coordinator.plan().shards[0][0]
-        other = ClusterWorker(coordinator.cluster_dir, "other", shard=0)
+        other = ClusterWorker(local(coordinator), "other", shard=0)
         executed = other.run(wait_for_stragglers=False)
         assert held not in other.executed
         assert executed == len(specs) - 1
@@ -540,7 +534,7 @@ class TestClusterProtocol:
         specs = grid(count=6, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs)
         assert coordinator.status()["total"]["pending"] == 6
-        ClusterWorker(coordinator.cluster_dir, "w", shard=0).run()
+        ClusterWorker(local(coordinator), "w", shard=0).run()
         status = coordinator.status()
         assert status["total"]["done"] == 6
         assert coordinator.is_complete()
@@ -552,7 +546,7 @@ class TestClusterProtocol:
                            cache_dir=cache_dir)
         coordinator = self.make_cluster(tmp_path, specs,
                                         cache_dir=cache_dir)
-        worker = ClusterWorker(coordinator.cluster_dir, "w", shard=0)
+        worker = ClusterWorker(local(coordinator), "w", shard=0)
         worker.run()
         assert worker.cache_report.counts()["hits"] == 4
         merged = coordinator.merge()
@@ -562,7 +556,7 @@ class TestClusterProtocol:
                                                           monkeypatch):
         specs = grid(count=3, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs, num_shards=1)
-        worker = ClusterWorker(coordinator.cluster_dir, "w", shard=0)
+        worker = ClusterWorker(local(coordinator), "w", shard=0)
         ran = []
         execute = worker._execute
         monkeypatch.setattr(worker, "_execute", lambda index: (
@@ -580,9 +574,9 @@ class TestClusterProtocol:
         specs = grid(count=3, backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs, num_shards=1)
         with pytest.raises(ValueError, match="must be 1"):
-            ClusterWorker(coordinator.cluster_dir, "w", shard=0,
+            ClusterWorker(local(coordinator), "w", shard=0,
                           batch_size=batch_size)
-        worker = ClusterWorker(coordinator.cluster_dir, "w", shard=0,
+        worker = ClusterWorker(local(coordinator), "w", shard=0,
                                batch_size=1)
         assert worker.step() == coordinator.plan().shards[0][0]
 
@@ -616,13 +610,14 @@ class TestSerialShardedEquivalence:
             specs, DURATION, tmp_path / "cluster", master_seed=77,
             num_shards=3, lease_timeout=120.0)
         coordinator.write_plan()
+        clock = ManualClock()
         workers = [
-            ClusterWorker(coordinator.cluster_dir, "w0", shard=0,
+            ClusterWorker(local(coordinator, clock), "w0", shard=0,
                           crash_after_claims=3),
-            ClusterWorker(coordinator.cluster_dir, "w1", shard=1),
-            ClusterWorker(coordinator.cluster_dir, "w2", shard=2),
+            ClusterWorker(local(coordinator, clock), "w1", shard=1),
+            ClusterWorker(local(coordinator, clock), "w2", shard=2),
         ]
-        drive_workers(coordinator, workers)
+        drive_workers(coordinator, workers, clock)
         for worker in workers:
             worker.close()
 
@@ -640,8 +635,8 @@ class TestSerialShardedEquivalence:
         assert stolen
 
     def test_run_local_processes_match_serial(self, tmp_path):
-        # The multiprocess convenience path (real worker processes through
-        # the same protocol) on a smaller analytic grid.
+        # The multiprocess convenience path (real worker processes over a
+        # TCP coordinator on localhost) on a smaller analytic grid.
         specs = grid(count=8, backend="analytic")
         serial = SweepRunner(specs, DURATION, master_seed=77).run()
         merged = run_sharded_sweep(specs, DURATION, tmp_path / "cluster",

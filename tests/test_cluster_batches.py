@@ -15,8 +15,7 @@
   lease claimed alone is charged against the retry budget, so a worker
   that dies holding a batch quarantines no innocent neighbour.
 * Fault injection reaches the list-carrying frames: duplicated batched
-  submits, reset batched claims, and a crash between a submit's sink fsync
-  and its done record.
+  submits and reset batched claims.
 * Every lease of a held batch is heartbeated from claim time, all of them
   in one frame per interval, and held results are submitted once the
   oldest is an interval old.
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 
 import pytest
@@ -38,13 +36,11 @@ from repro.cluster import (
     ClusterWorker,
     FaultSchedule,
     FaultyTransport,
-    FilesystemTransport,
-    InjectedWorkerCrash,
     JsonlResultSink,
+    LocalTransport,
     SocketTransport,
     Transport,
 )
-from repro.cluster.coordinator import lease_path, read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import (
     GuardPolicy,
@@ -53,6 +49,8 @@ from repro.runtime import (
     single_kind_scenarios,
 )
 from repro.runtime.sweep import ScenarioOutcome, execute_scenario
+
+from cluster_support import ManualClock, expire_leases
 
 DURATION = 0.05
 SEED = 77
@@ -78,18 +76,13 @@ def serial_outcomes(specs):
     return SweepRunner(specs, DURATION, master_seed=SEED).run().outcomes
 
 
-def backdate_leases(cluster_dir, seconds=3600.0) -> None:
-    past = time.time() - seconds
-    for lease in (cluster_dir / "tasks").glob("*.lease"):
-        os.utime(lease, (past, past))
+def done_indices(coordinator) -> set[int]:
+    return set(coordinator.state.snapshot(time.time()).done)
 
 
-def done_indices(cluster_dir) -> set[int]:
-    return read_tasks(cluster_dir)[0]
-
-
-def lease_of(cluster_dir, index) -> dict:
-    return json.loads(lease_path(cluster_dir, index).read_text())
+def lease_of(coordinator, index):
+    """The coordinator's lease of ``index`` (owner, batch, times)."""
+    return coordinator.state._leases[index]
 
 
 def part_records(cluster_dir, worker_id) -> list[int]:
@@ -143,7 +136,7 @@ class FrameLog(Transport):
         self.inner.close()
 
 
-@pytest.fixture(params=("filesystem", "socket"))
+@pytest.fixture(params=("local", "socket"))
 def connect(request):
     """``connect(coordinator)`` -> a transport of the param kind."""
     servers = {}
@@ -158,7 +151,7 @@ def connect(request):
                 server.start_background()
             transport = SocketTransport(server.address)
         else:
-            transport = FilesystemTransport(coordinator.cluster_dir)
+            transport = LocalTransport(coordinator.state)
         transports.append(transport)
         return transport
 
@@ -254,7 +247,6 @@ class TestBatchEqualsElements:
         assert transport.claims == []
         assert [len(frame) for frame in transport.submits] == [4, 4, 2]
         assert worker.cache_report.counts()["hits"] == len(specs)
-        assert not list((coordinator.cluster_dir / "tasks").glob("*.lease"))
         assert coordinator.merge().outcomes == serial.outcomes
 
     def test_other_shards_hits_are_loaded_only_once_stolen(
@@ -316,12 +308,12 @@ class TestBatchEqualsElements:
         wins, and the peer's later, identical record is not written."""
         specs = grid(2)
         coordinator = plan_cluster(tmp_path, specs)
-        peer = FilesystemTransport(coordinator.cluster_dir)
+        peer = LocalTransport(coordinator.state)
         assert peer.try_claim(0, "peer")
         outcome = execute_scenario(specs[0], peer.plan.seeds[0], DURATION)
         transport = connect(coordinator)
         transport.submit_many("w", [(0, outcome.to_dict(), 1)])
-        assert done_indices(coordinator.cluster_dir) == {0}
+        assert done_indices(coordinator) == {0}
         peer.submit_result("peer", 0, outcome, attempt=1)
         peer.close()
         transport.close()
@@ -335,37 +327,20 @@ class TestBatchEqualsElements:
 # Re-leasing after a death, one index at a time
 # --------------------------------------------------------------------------- #
 class TestPoisonIsolation:
-    def test_stale_leases_are_taken_over_only_one_at_a_time(self, tmp_path):
-        coordinator = plan_cluster(
-            tmp_path, grid(4),
-            guard=GuardPolicy(max_events=10**9, max_attempts=2))
-        transport = FilesystemTransport(coordinator.cluster_dir)
-        tasks = coordinator.cluster_dir / "tasks"
-        assert transport.claim_many([0, 1, 2], "dead") == [0, 1, 2]
-        backdate_leases(coordinator.cluster_dir)
-        assert transport.claim_many([0, 1], "peer") == []
-        # The dead lease was one of a batch: re-leased, not charged.
-        assert transport.try_claim(0, "peer")
-        assert lease_of(coordinator.cluster_dir, 0)["batch"] == 1
-        assert not list(tasks.glob("*.death.*"))
-        # The death of a lease claimed alone is the scenario's own.
-        backdate_leases(coordinator.cluster_dir)
-        assert transport.try_claim(0, "third")
-        assert [path.name.split(".")[0]
-                for path in tasks.glob("*.death.*")] == ["0"]
-
     def test_batch_death_alone_quarantines_nothing(self, tmp_path):
         specs = grid(6)
         coordinator = plan_cluster(
             tmp_path, specs,
             guard=GuardPolicy(max_events=10**9, max_attempts=1))
-        holder = ClusterWorker(coordinator.cluster_dir, "holder",
-                               crash_after_claims=1, cache_dir=None)
+        clock = ManualClock()
+        holder = ClusterWorker(LocalTransport(coordinator.state, clock),
+                               "holder", crash_after_claims=1,
+                               cache_dir=None)
         assert holder.step() is None and holder.crashed
-        assert all(lease_of(coordinator.cluster_dir, index)["batch"] == 6
+        assert all(lease_of(coordinator, index).batch == 6
                    for index in range(len(specs)))
-        backdate_leases(coordinator.cluster_dir)
-        transport = FrameLog(FilesystemTransport(coordinator.cluster_dir))
+        assert expire_leases(coordinator, clock) == 6
+        transport = FrameLog(LocalTransport(coordinator.state, clock))
         rescuer = ClusterWorker(transport, "rescuer", cache_dir=None)
         rescuer.run(poll_interval=0.01)
         assert transport.claims == [[index] for index in
@@ -386,21 +361,24 @@ class TestPoisonIsolation:
             guard=GuardPolicy(max_events=10**9, max_attempts=1))
         order = coordinator.plan().shards[0]
         poison = order[0]
-        holder = ClusterWorker(coordinator.cluster_dir, "holder",
-                               crash_after_claims=1, cache_dir=None)
+        clock = ManualClock()
+
+        def local():
+            return LocalTransport(coordinator.state, clock)
+
+        holder = ClusterWorker(local(), "holder", crash_after_claims=1,
+                               cache_dir=None)
         assert holder.step() is None and holder.crashed
-        backdate_leases(coordinator.cluster_dir)
-        second = ClusterWorker(coordinator.cluster_dir, "second",
-                               crash_after_claims=1, cache_dir=None)
+        expire_leases(coordinator, clock)
+        second = ClusterWorker(local(), "second", crash_after_claims=1,
+                               cache_dir=None)
         assert second.step() is None and second.crashed
-        assert lease_of(coordinator.cluster_dir, poison) == {
-            **lease_of(coordinator.cluster_dir, poison),
-            "worker_id": "second", "batch": 1}
-        assert all(lease_of(coordinator.cluster_dir, index)["worker_id"]
-                   == "holder" for index in order[1:])
-        backdate_leases(coordinator.cluster_dir)
-        rescuer = ClusterWorker(coordinator.cluster_dir, "rescuer",
-                                cache_dir=None)
+        lease = lease_of(coordinator, poison)
+        assert (lease.owner, lease.batch) == ("second", 1)
+        assert all(lease_of(coordinator, index).owner == "holder"
+                   for index in order[1:])
+        expire_leases(coordinator, clock)
+        rescuer = ClusterWorker(local(), "rescuer", cache_dir=None)
         rescuer.run(poll_interval=0.01)
         assert sorted(rescuer.executed) == sorted(order[1:])
         records = coordinator.quarantine_records()
@@ -442,7 +420,7 @@ class TestBatchedFrameFaults:
         faulty.submit_many("w", results)  # and a retry of the whole frame
         faulty.close()
         assert sorted(part_records(coordinator.cluster_dir, "w")) == [0, 1, 2]
-        assert done_indices(coordinator.cluster_dir) == {0, 1, 2}
+        assert done_indices(coordinator) == {0, 1, 2}
         assert [entry["indices"] for entry in schedule.to_dict()["injected"]
                 if entry["op"] == "submit"] == [[0, 1, 2]] * 2
         assert coordinator.merge().outcomes == serial_outcomes(specs)
@@ -461,99 +439,23 @@ class TestBatchedFrameFaults:
         assert [(entry["faults"], entry["indices"])
                 for entry in schedule.to_dict()["injected"]] == [
             (["reset"], [0, 1, 3])]
-        peer = FilesystemTransport(coordinator.cluster_dir)
+        peer = LocalTransport(coordinator.state)
         assert peer.claim_many([0, 1, 2, 3], "peer") == [2]
         peer.close()
         faulty.close()
-
-    def test_crash_between_records_and_markers_reexecutes(
-            self, tmp_path):
-        specs = grid(5)
-        coordinator = plan_cluster(tmp_path, specs)
-        schedule = FaultSchedule(seed=1, crash_op="submit", crash_call=1,
-                                 crash_mode="between")
-        doomed = ClusterWorker(
-            FaultyTransport.over_filesystem(coordinator.cluster_dir,
-                                            schedule),
-            "doomed", cache_dir=None)
-        with pytest.raises(InjectedWorkerCrash, match="between"):
-            while doomed.step() is not None:
-                pass
-        assert doomed.crashed
-        # The records are durable; no scenario is marked done.
-        assert sorted(part_records(coordinator.cluster_dir, "doomed")) == \
-            list(range(len(specs)))
-        assert not done_indices(coordinator.cluster_dir)
-        backdate_leases(coordinator.cluster_dir)
-        rescuer = ClusterWorker(coordinator.cluster_dir, "rescuer",
-                                cache_dir=None)
-        rescuer.run(poll_interval=0.01)
-        assert sorted(rescuer.executed) == list(range(len(specs)))
-        assert coordinator.merge().outcomes == serial_outcomes(specs)
-
-    def test_between_crash_needs_the_sink_writer(self, tmp_path):
-        coordinator = plan_cluster(tmp_path, grid(2))
-        server = ClusterCoordinatorServer(coordinator)
-        server.start_background()
-        try:
-            with pytest.raises(ValueError, match="sink"):
-                FaultyTransport.over_socket(
-                    server.address,
-                    FaultSchedule(crash_op="submit", crash_mode="between"))
-        finally:
-            server.stop()
-        with pytest.raises(ValueError, match="crash_op must be 'submit'"):
-            FaultSchedule(crash_op="claim", crash_mode="between")
 
 
 # --------------------------------------------------------------------------- #
 # Heartbeat of a held batch
 # --------------------------------------------------------------------------- #
 class TestBatchHeartbeat:
-    def test_unstarted_leases_stay_live_behind_a_long_scenario(
-            self, tmp_path, monkeypatch):
-        lease_timeout = 0.3
-        specs = grid(4)
-        coordinator = plan_cluster(tmp_path, specs,
-                                   lease_timeout=lease_timeout,
-                                   clock_skew_tolerance=0.0)
-        order = coordinator.plan().shards[0]
-        started = threading.Event()
-
-        def execute(spec, seed, duration, **kwargs):
-            if not started.is_set():
-                started.set()
-                time.sleep(4 * lease_timeout)  # the long first scenario
-            return canned(spec, seed, duration)
-
-        monkeypatch.setattr(worker_module, "execute_scenario", execute)
-        worker = ClusterWorker(FilesystemTransport(coordinator.cluster_dir),
-                               "holder", cache_dir=None)
-        first = threading.Thread(target=worker.step)
-        first.start()
-        assert started.wait(5.0)
-        time.sleep(2 * lease_timeout)  # an unbeaten lease would be stale
-        peer = FilesystemTransport(coordinator.cluster_dir)
-        try:
-            assert peer.snapshot().lease_ages.keys() == set(order)
-            for index in order[1:]:
-                assert not peer.try_claim(index, "peer"), (
-                    f"the unstarted lease of scenario {index} went stale")
-        finally:
-            first.join()
-            peer.close()
-        worker.run(poll_interval=0.01)
-        assert worker.aborted == []
-        assert sorted(worker.executed) == list(range(len(specs)))
-
     def test_a_held_batch_beats_in_one_frame_per_interval(
             self, tmp_path, monkeypatch):
         """Every beat of a held batch refreshes all its leases in one
         heartbeat frame, so a batch costs one heartbeat RPC per interval
         however many leases it holds."""
         specs = grid(4)
-        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.3,
-                                   clock_skew_tolerance=0.0)
+        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.3)
         order = coordinator.plan().shards[0]
 
         def execute(spec, seed, duration, **kwargs):
@@ -561,7 +463,7 @@ class TestBatchHeartbeat:
             return canned(spec, seed, duration)
 
         monkeypatch.setattr(worker_module, "execute_scenario", execute)
-        transport = FrameLog(FilesystemTransport(coordinator.cluster_dir))
+        transport = FrameLog(LocalTransport(coordinator.state))
         worker = ClusterWorker(transport, "w", cache_dir=None)
         assert worker.step() == order[0]
         worker.close()
@@ -575,8 +477,7 @@ class TestBatchHeartbeat:
         results go out every other scenario instead of only after the
         last, so a death loses about one interval of finished work."""
         specs = grid(4)
-        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.3,
-                                   clock_skew_tolerance=0.0)
+        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.3)
         order = coordinator.plan().shards[0]
 
         def execute(spec, seed, duration, **kwargs):
@@ -584,7 +485,7 @@ class TestBatchHeartbeat:
             return canned(spec, seed, duration)
 
         monkeypatch.setattr(worker_module, "execute_scenario", execute)
-        transport = FrameLog(FilesystemTransport(coordinator.cluster_dir))
+        transport = FrameLog(LocalTransport(coordinator.state))
         worker = ClusterWorker(transport, "w", cache_dir=None)
         worker.run(wait_for_stragglers=False)
         assert transport.claims == [order]
@@ -600,23 +501,22 @@ class TestBatchHeartbeat:
         had gone stale) and submits it: the worker skips that scenario,
         runs and submits the rest."""
         specs = grid(4)
-        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.15,
-                                   clock_skew_tolerance=0.0)
+        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.15)
         order = coordinator.plan().shards[0]
         doomed = order[2]
 
-        class TakenOverOnFirstBeat(FilesystemTransport):
+        class TakenOverOnFirstBeat(LocalTransport):
             def heartbeat_many(self, indices, worker_id):
                 if doomed in indices and not self.taken:
                     self.taken = True
-                    backdate_leases(self.cluster_dir)
+                    self.clock.advance(3600.0)
                     assert self.try_claim(doomed, "rescuer")
                     self.submit_result("rescuer", doomed, canned(
                         self.plan.specs[doomed], self.plan.seeds[doomed],
                         self.plan.duration), attempt=1)
                 return super().heartbeat_many(indices, worker_id)
 
-        transport = TakenOverOnFirstBeat(coordinator.cluster_dir)
+        transport = TakenOverOnFirstBeat(coordinator.state, ManualClock())
         transport.taken = False
         ran = []
 

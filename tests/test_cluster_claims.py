@@ -1,9 +1,5 @@
 """Tests for the worker's claim path: one snapshot per pass, not per claim.
 
-* The filesystem snapshot reads ``tasks/`` with one directory listing; it
-  must equal the per-index reference (the done records' indices and a
-  lease stat for every scenario of the plan) on a directory holding every
-  kind of task file the protocol writes.
 * A worker claims through the candidate list of its last snapshot and
   refreshes only when that view is stale, so draining a plan costs at most
   two snapshots on either transport — while contending workers, whose
@@ -13,7 +9,6 @@
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -23,15 +18,15 @@ import pytest
 from repro.cluster import (
     ClusterCoordinator,
     ClusterWorker,
-    FilesystemTransport,
+    LocalTransport,
     SocketTransport,
-    TaskSnapshot,
     Transport,
 )
-from repro.cluster.coordinator import read_tasks, write_done_record
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import GuardPolicy, SweepRunner, single_kind_scenarios
 from repro.runtime.sweep import _failure_outcome
+
+from cluster_support import ManualClock
 
 DURATION = 0.05
 SEED = 77
@@ -43,22 +38,6 @@ def grid(count, backend=None):
         max_pairs_options=(1, 3), origins=("A", "B"),
         include_md_k255=False, attempt_batch_size=40, backend=backend)
     return specs[:count]
-
-
-def reference_snapshot(transport: FilesystemTransport) -> TaskSnapshot:
-    """The per-index snapshot: one done check and one lease stat each."""
-    tolerance = transport.plan.clock_skew_tolerance
-    recorded, _ = read_tasks(transport.cluster_dir)
-    done = set()
-    lease_ages = {}
-    for index in range(len(transport.plan.specs)):
-        if index in recorded:
-            done.add(index)
-            continue
-        age = transport._lease_age(index)
-        if age is not None:
-            lease_ages[index] = max(0.0, age - tolerance)
-    return TaskSnapshot(done=frozenset(done), lease_ages=lease_ages)
 
 
 class CountingTransport(Transport):
@@ -109,94 +88,35 @@ def plan_cluster(tmp_path, specs, num_shards=1, **kwargs):
     return coordinator
 
 
-@pytest.fixture(params=("filesystem", "socket"))
+@pytest.fixture(params=("local", "socket"))
 def connect(request):
     """``connect(coordinator)`` -> a counting transport of the param kind;
-    socket transports of one coordinator share one server."""
+    socket transports of one coordinator share one server, and every
+    front-end times leases on ``connect.clock``."""
     servers = {}
     transports = []
+    clock = ManualClock()
 
     def factory(coordinator):
         if request.param == "socket":
             server = servers.get(id(coordinator))
             if server is None:
                 server = servers[id(coordinator)] = \
-                    ClusterCoordinatorServer(coordinator)
+                    ClusterCoordinatorServer(coordinator, clock=clock)
                 server.start_background()
             inner = SocketTransport(server.address)
         else:
-            inner = FilesystemTransport(coordinator.cluster_dir)
+            inner = LocalTransport(coordinator.state, clock)
         transport = CountingTransport(inner)
         transports.append(transport)
         return transport
 
+    factory.clock = clock
     yield factory
     for transport in transports:
         transport.close()
     for server in servers.values():
         server.stop()
-
-
-# --------------------------------------------------------------------------- #
-# The scandir snapshot
-# --------------------------------------------------------------------------- #
-class TestSnapshotListing:
-    NOW = 1_700_000_000.0
-
-    def transport(self, tmp_path, count=8):
-        coordinator = plan_cluster(tmp_path, grid(count))
-        return FilesystemTransport(coordinator.cluster_dir,
-                                   clock=lambda: self.NOW)
-
-    def touch(self, transport, name, age=1.0, text="{}"):
-        path = transport.cluster_dir / "tasks" / name
-        path.write_text(text)
-        os.utime(path, (self.NOW - age, self.NOW - age))
-
-    def test_listing_equals_per_index_reference(self, tmp_path):
-        transport = self.transport(tmp_path)
-        timeout = transport.plan.lease_timeout
-        write_done_record(transport.cluster_dir, [1, 0])
-        self.touch(transport, "1.lease")          # done, lease still there
-        self.touch(transport, "2.lease", age=0.5)  # live
-        self.touch(transport, "3.lease", age=3600.0)  # stale
-        self.touch(transport, "4.lease.w9.tmp")   # takeover in flight
-        self.touch(transport, "5.fail.w1.1.json")
-        self.touch(transport, "5.death.1700000000_5.json")
-        # A record being written, and names that are not a record's.
-        record = '{"indices": [6, 7]}'
-        self.touch(transport, "6.done.0a1b.json.123.456.7.tmp", text=record)
-        self.touch(transport, "6.done.xyz.json", text=record)
-        self.touch(transport, "6.done", text=record)
-        self.touch(transport, "07.lease")          # not a canonical name
-        write_done_record(transport.cluster_dir, [8])  # outside the plan
-        self.touch(transport, "99.lease")
-
-        snapshot = transport.snapshot()
-        assert snapshot == reference_snapshot(transport)
-        assert snapshot.done == {0, 1}
-        assert set(snapshot.lease_ages) == {2, 3}
-        assert not snapshot.is_available(2, timeout)
-        assert snapshot.is_available(3, timeout)
-        assert all(snapshot.is_available(index, timeout)
-                   for index in (4, 5, 6, 7))
-
-    def test_claim_on_a_done_scenario_without_a_lease_is_refused(
-            self, tmp_path):
-        # A quarantined scenario: its lease was released, then marked done.
-        # A worker claiming from an older view must not run it again.
-        transport = self.transport(tmp_path)
-        transport.snapshot()  # the record below appears after this view
-        write_done_record(transport.cluster_dir, [3])
-        assert not transport.try_claim(3, "late")
-        assert not (transport.cluster_dir / "tasks" / "3.lease").exists()
-
-    def test_missing_tasks_directory_is_an_empty_snapshot(self, tmp_path):
-        transport = self.transport(tmp_path)
-        (transport.cluster_dir / "tasks").rmdir()
-        snapshot = transport.snapshot()
-        assert snapshot == reference_snapshot(transport)
-        assert snapshot == TaskSnapshot(done=frozenset(), lease_ages={})
 
 
 # --------------------------------------------------------------------------- #
@@ -236,8 +156,7 @@ class TestClaimPath:
         assert refused, "the peers' views never went stale"
         executed = [index for worker in workers for index in worker.executed]
         assert sorted(executed) == list(range(len(specs)))
-        done, _ = read_tasks(coordinator.cluster_dir)
-        assert done == set(range(len(specs)))
+        assert coordinator.is_complete()
         serial = SweepRunner(specs, DURATION, master_seed=SEED).run()
         assert coordinator.merge().outcomes == serial.outcomes
 
@@ -250,16 +169,16 @@ class TestClaimPath:
         specs = grid(5)
         coordinator = plan_cluster(tmp_path, specs)
         order = coordinator.cluster_plan().shard_plan.shards[0]
-        peer = FilesystemTransport(coordinator.cluster_dir)
+        peer = LocalTransport(coordinator.state, connect.clock)
         assert peer.try_claim(order[0], "peer")
         transport = connect(coordinator)
         worker = ClusterWorker(transport, worker_id="w", shard=0,
                                batch_size=1)
         assert worker.step() == order[1]
-        # Behind the worker's cached view, the peer releases its lease and
-        # takes the worker's next candidate: the refusal must refresh the
-        # view, which puts the released scenario first again.
-        (coordinator.cluster_dir / "tasks" / f"{order[0]}.lease").unlink()
+        # Behind the worker's cached view, the peer's lease goes stale and
+        # the peer takes the worker's next candidate: the refusal must
+        # refresh the view, which puts the stale scenario first again.
+        connect.clock.advance(3600.0)
         assert peer.try_claim(order[2], "peer")
         assert worker.step() == order[0]
         assert transport.claims == [(order[1], True), (order[2], False),

@@ -2,44 +2,36 @@
 per submit frame.
 
 * A submit writes one record naming the frame's indices that were not done
-  yet, after the sink fsync; a duplicated frame writes no second record.
-* Every reader lists ``tasks/`` once (:func:`read_tasks`): transports on
-  one directory see each other's records at their next op, a record being
-  written is invisible until its rename, and a wiped ``tasks/`` reads as
-  nothing done even to an instance that cached the old records.  A claim
-  that finds a lease lists again before re-granting or taking it over, and
-  threads sharing one transport record each index once.
-* A crash between a frame's sink fsync and its record leaves the frame's
-  indices not done, and their redelivery writes the record without a
-  second sink record.
-* The paper grid through one TCP worker leaves one record per submit RPC
-  and no per-index marker.
+  yet, after the sink fsync; a duplicated frame writes no second record,
+  and threads submitting through one state record each index once.
+* A done record that fails to be written leaves the frame's indices not
+  done, and their redelivery writes the record without a second sink
+  record.
+* The paper grid through one TCP worker leaves one record per submit RPC,
+  no per-index marker and no lease file.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
-import shutil
 import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+import repro.cluster.state as state_module
 import repro.cluster.worker as worker_module
 from repro.cluster import (
     ClusterCoordinator,
     ClusterWorker,
     FaultSchedule,
     FaultyTransport,
-    FilesystemTransport,
-    InjectedWorkerCrash,
+    LocalTransport,
     SocketTransport,
     Transport,
 )
-from repro.cluster.coordinator import read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import paper_grid, single_kind_scenarios
 from repro.runtime.sweep import ScenarioOutcome
@@ -91,7 +83,7 @@ def part_records(cluster_dir, worker_id) -> list[int]:
             for line in part.read_text().splitlines()[1:] if line.strip()]
 
 
-@pytest.fixture(params=("filesystem", "socket"))
+@pytest.fixture(params=("local", "socket"))
 def connect(request):
     """``connect(coordinator)`` -> a transport of the param kind."""
     servers = []
@@ -104,7 +96,7 @@ def connect(request):
             servers.append(server)
             transport = SocketTransport(server.address)
         else:
-            transport = FilesystemTransport(coordinator.cluster_dir)
+            transport = LocalTransport(coordinator.state)
         transports.append(transport)
         return transport
 
@@ -125,7 +117,8 @@ class TestOneRecordPerFrame:
         assert list(records.values()) == [[1, 3, 4]]
         (name,) = records
         assert re.fullmatch(r"1\.done\.[0-9a-f]+\.json", name)
-        assert read_tasks(coordinator.cluster_dir)[0] == {1, 3, 4}
+        assert state_module.read_tasks(coordinator.cluster_dir)[0] == {
+            1, 3, 4}
 
     def test_a_duplicated_frame_writes_no_second_record(
             self, tmp_path, connect):
@@ -147,99 +140,13 @@ class TestOneRecordPerFrame:
             [0, 1, 2, 3]
 
 
-class TestOneListing:
-    def test_instances_on_one_directory_see_each_others_records(
-            self, tmp_path):
-        coordinator = plan_cluster(tmp_path, grid(4))
-        first = FilesystemTransport(coordinator.cluster_dir)
-        second = FilesystemTransport(coordinator.cluster_dir)
-        assert first.snapshot().done == second.snapshot().done == set()
-        first.submit_many("a", results_of(coordinator, [0, 1]))
-        assert second.snapshot().done == {0, 1}
-        assert second.claim_many([0, 1, 2], "b") == [2]
-        second.submit_many("b", results_of(coordinator, [2]))
-        assert first.claim_many([2, 3], "a") == [3]
-        assert first.snapshot().done == {0, 1, 2}
-        first.close()
-        second.close()
-        assert coordinator.status()["total"]["done"] == 3
-        assert not coordinator.is_complete()
-
-    def test_a_record_is_invisible_until_its_rename(
-            self, tmp_path, monkeypatch):
-        coordinator = plan_cluster(tmp_path, grid(3))
-        writer = FilesystemTransport(coordinator.cluster_dir)
-        reader = FilesystemTransport(coordinator.cluster_dir)
-        seen = []
-        real_replace = Path.replace
-
-        def replace(self, target):
-            if ".done." in self.name and self.name.endswith(".tmp"):
-                assert json.loads(self.read_text()) == {"indices": [1]}
-                seen.append((reader.snapshot().done,
-                             coordinator.status()["total"]["done"]))
-            return real_replace(self, target)
-
-        monkeypatch.setattr(Path, "replace", replace)
-        writer.submit_many("w", results_of(coordinator, [1]))
-        assert seen == [(frozenset(), 0)]
-        assert reader.snapshot().done == {1}
-        writer.close()
-        reader.close()
-
-    def test_a_wiped_tasks_directory_reads_as_nothing_done(
-            self, tmp_path, connect):
-        specs = grid(3)
-        coordinator = plan_cluster(tmp_path, specs)
-        transport = connect(coordinator)
-        long_lived = FilesystemTransport(coordinator.cluster_dir)
-        transport.submit_many("w", results_of(coordinator, range(3)))
-        assert long_lived.snapshot().done == {0, 1, 2}
-        assert coordinator.is_complete()
-        shutil.rmtree(coordinator.cluster_dir / "tasks")
-        assert long_lived.snapshot().done == set()
-        assert coordinator.status()["total"]["pending"] == len(specs)
-        assert not coordinator.is_complete()
-        # Its cached records are gone too: a claim is granted again.
-        assert long_lived.claim_many([0], "again") == [0]
-        long_lived.close()
-
-
-@pytest.mark.parametrize("stale", [False, True], ids=["live", "stale"])
-def test_a_record_written_while_a_claim_looks_refuses_it(
-        tmp_path, monkeypatch, stale):
-    """The claim's own listing predates the record: the lease it finds is
-    the owner's (a re-delivered claim) or stale (a takeover), and the
-    done set is listed again before either is granted."""
-    coordinator = plan_cluster(tmp_path, grid(2), lease_timeout=1.0,
-                               clock_skew_tolerance=0.0)
-    owner = FilesystemTransport(coordinator.cluster_dir)
-    assert owner.claim_many([0], "owner") == [0]
-    lease = coordinator.cluster_dir / "tasks" / "0.lease"
-    if stale:
-        os.utime(lease, (0.0, 0.0))
-    claimant = FilesystemTransport(coordinator.cluster_dir)
-    peer = FilesystemTransport(coordinator.cluster_dir)
-    real_age = claimant._lease_age
-
-    def lease_age(index):
-        peer.submit_many("peer", results_of(coordinator, [index]))
-        return real_age(index)
-
-    monkeypatch.setattr(claimant, "_lease_age", lease_age)
-    assert claimant.claim_many([0], "other" if stale else "owner") == []
-    assert json.loads(lease.read_text())["worker_id"] == "owner"
-    for transport in (owner, claimant, peer):
-        transport.close()
-
-
 def test_concurrent_submits_record_each_index_once(tmp_path):
-    """Server threads share one transport: overlapping frames submitted
-    side by side, with snapshots racing them, leave every index in exactly
-    one done record and one sink record."""
+    """Threads share one state: overlapping frames submitted side by side,
+    with snapshots racing them, leave every index in exactly one done
+    record and one sink record."""
     specs = grid(12)
     coordinator = plan_cluster(tmp_path, specs)
-    transport = FilesystemTransport(coordinator.cluster_dir)
+    transport = LocalTransport(coordinator.state)
     frames = [results_of(coordinator, range(start, start + 6))
               for start in range(0, 7)]
     errors = []
@@ -280,27 +187,31 @@ def test_concurrent_submits_record_each_index_once(tmp_path):
     assert sorted(written) == list(range(len(specs)))
 
 
-class TestCrashBetweenRecordsAndDone:
+class TestDoneRecordWriteFails:
     def test_indices_stay_pending_and_their_redelivery_is_deduped(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         coordinator = plan_cluster(tmp_path, grid(4))
-        inner = FilesystemTransport(coordinator.cluster_dir)
-        faulty = FaultyTransport(inner, FaultSchedule(
-            crash_op="submit", crash_call=1, crash_mode="between"))
+        transport = LocalTransport(coordinator.state)
+        real_write = state_module.write_done_record
+
+        def refuse(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(state_module, "write_done_record", refuse)
         results = results_of(coordinator, [0, 2])
-        with pytest.raises(InjectedWorkerCrash, match="between"):
-            faulty.submit_many("w", results)
+        with pytest.raises(OSError):
+            transport.submit_many("w", results)
         assert part_records(coordinator.cluster_dir, "w") == [0, 2]
         assert done_records(coordinator.cluster_dir) == {}
-        assert inner.snapshot().done == set()
+        assert transport.snapshot().done == set()
         assert not coordinator.is_complete()
         # The same delivery again: its sink records are already durable,
         # so only the done record is written.
-        inner.submit_many("w", results)
+        monkeypatch.setattr(state_module, "write_done_record", real_write)
+        transport.submit_many("w", results)
         assert part_records(coordinator.cluster_dir, "w") == [0, 2]
         assert list(done_records(coordinator.cluster_dir).values()) == \
             [[0, 2]]
-        inner.close()
 
 
 class SubmitCounter(Transport):
@@ -356,4 +267,5 @@ def test_paper_grid_over_tcp_leaves_one_record_per_submit(
                   for index in indices) == list(range(len(specs)))
     assert not [path.name for path in tasks.iterdir()
                 if re.fullmatch(r"[0-9]+\.done", path.name)]
+    assert not list(tasks.glob("*.lease"))
     assert coordinator.is_complete()

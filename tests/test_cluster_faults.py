@@ -1,7 +1,7 @@
-"""Tests for the protocol-hardening PR: ``repro.cluster.faults``, idempotent
-operations, skew-safe leases, heartbeat-loss abort and torn-write fixes.
+"""Tests for ``repro.cluster.faults``, idempotent operations, heartbeat-loss
+abort and torn-write fixes.
 
-The regression tests here are written to fail on the pre-PR code:
+The regression tests here were written to fail on the code before them:
 
 * ``test_concurrent_threads_never_tear_atomic_writes`` — per-pid tmp names
   collide across threads of one process (the TCP coordinator's handler
@@ -10,24 +10,20 @@ The regression tests here are written to fail on the pre-PR code:
   used to append a second sink record.
 * ``test_reclaim_by_owner_is_idempotent`` — a retried claim whose first
   delivery was applied used to be refused, stranding the owner.
-* ``test_clock_skew_does_not_fake_a_stale_lease`` — a reader clock running
-  2s ahead of the lease writer used to inflate lease ages and falsely take
-  over a *healthy* worker's lease.
 * ``test_displaced_worker_aborts_instead_of_double_submitting`` — a worker
   whose heartbeat reported the lease lost used to submit its result anyway.
 * ``test_connect_deadline_is_clamped`` — the connect retry loop used to
   sleep a fixed 0.2s past the deadline and buy an extra attempt.
 
 The acceptance test runs a seeded fault-injection sweep — drops, resets,
-duplicates, stale replays, delays, one mid-scenario worker crash and 2s of
-simulated clock skew — over **both** transports and requires the merged
-result to be field-for-field identical to a serial ``SweepRunner`` run.
+duplicates, stale replays, delays and one mid-scenario worker crash — over
+**both** front-ends (in process and TCP) and requires the merged result to
+be field-for-field identical to a serial ``SweepRunner`` run.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 
@@ -38,17 +34,18 @@ from repro.cluster import (
     ClusterWorker,
     FaultSchedule,
     FaultyTransport,
-    FilesystemTransport,
     InjectedFault,
     InjectedWorkerCrash,
+    LocalTransport,
     SocketTransport,
     TransportError,
 )
-from repro.cluster.coordinator import ClusterPlan, lease_path, read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import ScenarioSpec, SweepRunner, single_kind_scenarios
 from repro.runtime.cache import atomic_write_text
 from repro.runtime.sweep import execute_scenario
+
+from cluster_support import ManualClock, expire_leases
 
 DURATION = 0.05
 
@@ -237,7 +234,7 @@ class TestIdempotentOps:
     def test_duplicate_submit_writes_one_sink_record(self, tmp_path):
         specs = grid(count=4)
         coordinator = plan_cluster(tmp_path, specs)
-        transport = FilesystemTransport(coordinator.cluster_dir)
+        transport = LocalTransport(coordinator.state)
         assert transport.try_claim(0, "w")
         outcome = execute_scenario(specs[0], transport.plan.seeds[0],
                                    DURATION)
@@ -255,8 +252,8 @@ class TestIdempotentOps:
     def test_submit_after_done_is_a_noop(self, tmp_path):
         specs = grid(count=4)
         coordinator = plan_cluster(tmp_path, specs)
-        first = FilesystemTransport(coordinator.cluster_dir)
-        second = FilesystemTransport(coordinator.cluster_dir)
+        first = LocalTransport(coordinator.state)
+        second = LocalTransport(coordinator.state)
         outcome = execute_scenario(specs[0], first.plan.seeds[0], DURATION)
         first.submit_result("a", 0, outcome, attempt=1)
         # A displaced peer submitting late (done record already written)
@@ -274,7 +271,7 @@ class TestIdempotentOps:
         owner — pre-PR it was refused as 'someone holds the lease'."""
         specs = grid(count=4)
         coordinator = plan_cluster(tmp_path, specs)
-        transport = FilesystemTransport(coordinator.cluster_dir)
+        transport = LocalTransport(coordinator.state)
         assert transport.try_claim(0, "w")
         assert transport.try_claim(0, "w")  # duplicate delivery: re-granted
         assert not transport.try_claim(0, "other")  # non-owners still lose
@@ -282,64 +279,13 @@ class TestIdempotentOps:
     def test_register_is_idempotent(self, tmp_path):
         specs = grid(count=4)
         coordinator = plan_cluster(tmp_path, specs)
-        transport = FilesystemTransport(coordinator.cluster_dir)
+        transport = LocalTransport(coordinator.state)
         shard = transport.register_worker("w", None)
         # A retried register must return the recorded shard, not round-robin
         # the duplicate onto the next one.
         assert transport.register_worker("w", None) == shard
         assert transport.register_worker("w", shard) == shard
-        assert transport.registered_workers() == 1
-
-
-# --------------------------------------------------------------------------- #
-# Skew-safe leases
-# --------------------------------------------------------------------------- #
-class TestClockSkew:
-    def test_clock_skew_does_not_fake_a_stale_lease(self, tmp_path):
-        """A reader 2s ahead of the lease writer must not observe a healthy
-        lease as stale.  Pre-PR there was no tolerance: with a 1s lease
-        timeout the skew alone aged the lease past staleness and the rescuer
-        'took over' a live worker's scenario."""
-        specs = grid(count=4)
-        coordinator = plan_cluster(tmp_path, specs, lease_timeout=1.0,
-                                   clock_skew_tolerance=5.0)
-        writer = FilesystemTransport(coordinator.cluster_dir)
-        reader = FilesystemTransport(coordinator.cluster_dir,
-                                     clock=lambda: time.time() + 2.0)
-        assert writer.try_claim(0, "healthy")
-        assert writer.heartbeat(0, "healthy")
-        snapshot = reader.snapshot()
-        assert not snapshot.is_available(0, reader.plan.lease_timeout), \
-            "2s of clock skew faked a stale lease"
-        assert not reader.try_claim(0, "usurper")
-        assert writer.heartbeat(0, "healthy")  # the owner was never displaced
-
-    def test_genuinely_stale_lease_is_still_reclaimed_under_skew(
-            self, tmp_path):
-        specs = grid(count=4)
-        coordinator = plan_cluster(tmp_path, specs, lease_timeout=1.0,
-                                   clock_skew_tolerance=5.0)
-        writer = FilesystemTransport(coordinator.cluster_dir)
-        reader = FilesystemTransport(coordinator.cluster_dir,
-                                     clock=lambda: time.time() + 2.0)
-        assert writer.try_claim(0, "doomed")
-        lease = lease_path(coordinator.cluster_dir, 0)
-        past = time.time() - 3600.0
-        os.utime(lease, (past, past))
-        assert reader.snapshot().is_available(0, reader.plan.lease_timeout)
-        assert reader.try_claim(0, "rescuer")
-        assert not writer.heartbeat(0, "doomed")
-
-    def test_plan_round_trips_the_skew_tolerance(self, tmp_path):
-        specs = grid(count=4)
-        coordinator = plan_cluster(tmp_path, specs,
-                                   clock_skew_tolerance=7.5)
-        plan = ClusterPlan.load(coordinator.cluster_dir)
-        assert plan.clock_skew_tolerance == 7.5
-        # Pre-PR plan documents (no tolerance field) load with the default.
-        document = plan.to_dict()
-        del document["clock_skew_tolerance"]
-        assert ClusterPlan.from_dict(document).clock_skew_tolerance == 5.0
+        assert transport.status()["registered_workers"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -355,9 +301,9 @@ class TestHeartbeatLoss:
         specs = grid(count=4)
         # Tiny lease timeout: the heartbeat interval (timeout / 3, floored
         # at 50ms) fires several times during the slowed execution below.
-        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.15,
-                                   clock_skew_tolerance=0.0)
-        rescuer = FilesystemTransport(coordinator.cluster_dir)
+        coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.15)
+        clock = ManualClock()
+        rescuer = LocalTransport(coordinator.state, clock)
         takeover_done = threading.Event()
 
         import repro.cluster.worker as worker_module
@@ -369,12 +315,10 @@ class TestHeartbeatLoss:
                 # While the original is "still computing": its lease goes
                 # stale and the rescuer takes it over and submits.  The
                 # original's heartbeat thread may refresh the lease between
-                # the backdate and the claim, so retry the pair.
+                # the clock step and the claim, so retry the pair.
                 index = rescuer.plan.specs.index(spec)
-                lease = lease_path(coordinator.cluster_dir, index)
-                past = time.time() - 3600.0
                 for _ in range(50):
-                    os.utime(lease, (past, past))
+                    clock.advance(3600.0)
                     if rescuer.try_claim(index, "rescuer"):
                         break
                 else:
@@ -386,7 +330,7 @@ class TestHeartbeatLoss:
 
         monkeypatch.setattr(worker_module, "execute_scenario",
                             execute_and_get_displaced)
-        original = ClusterWorker(FilesystemTransport(coordinator.cluster_dir),
+        original = ClusterWorker(LocalTransport(coordinator.state, clock),
                                  "original", shard=0, steal=False,
                                  cache_dir=None)
         index = original.step()
@@ -498,16 +442,16 @@ class TestHeartbeatLoss:
         assert all(generation % 2 for generation in marked), marked
 
 
-class _LeaseLossTransport(FilesystemTransport):
-    """Filesystem transport on which a peer displaces chosen leases.
+class _LeaseLossTransport(LocalTransport):
+    """In-process transport on which a peer displaces chosen leases.
 
     The first heartbeat of a chosen lease finds it stale-taken-over by
     ``rescuer``, which submits the scenario itself — so the beat reports
     the lease lost, and the scenario is done for everyone else.
     """
 
-    def __init__(self, cluster_dir, lost_indices):
-        super().__init__(cluster_dir)
+    def __init__(self, state, lost_indices):
+        super().__init__(state, ManualClock())
         self.lost_indices = set(lost_indices)
         self.beats: list[int] = []
 
@@ -516,8 +460,7 @@ class _LeaseLossTransport(FilesystemTransport):
             self.beats.append(index)
             if index in self.lost_indices:
                 self.lost_indices.discard(index)
-                past = time.time() - 3600.0
-                os.utime(lease_path(self.cluster_dir, index), (past, past))
+                self.clock.advance(3600.0)
                 assert self.try_claim(index, "rescuer")
                 self.submit_result("rescuer", index, _canned_outcome(
                     self.plan.specs[index], self.plan.seeds[index],
@@ -542,8 +485,7 @@ class TestPerWorkerHeartbeat:
 
         specs = grid(count=20)
         coordinator = plan_cluster(tmp_path, specs, num_shards=1,
-                                   lease_timeout=0.15,
-                                   clock_skew_tolerance=0.0)
+                                   lease_timeout=0.15)
         started: list[str] = []
         real_start = threading.Thread.start
 
@@ -558,7 +500,7 @@ class TestPerWorkerHeartbeat:
             return _canned_outcome(spec, seed, duration)
 
         monkeypatch.setattr(worker_module, "execute_scenario", execute)
-        worker = ClusterWorker(FilesystemTransport(coordinator.cluster_dir),
+        worker = ClusterWorker(LocalTransport(coordinator.state),
                                "solo", cache_dir=None, batch_size=1)
         assert worker.run(wait_for_stragglers=False) == 20
         assert sorted(worker.executed) == list(range(20))
@@ -570,11 +512,10 @@ class TestPerWorkerHeartbeat:
 
         specs = grid(count=4)
         coordinator = plan_cluster(tmp_path, specs, num_shards=1,
-                                   lease_timeout=0.15,
-                                   clock_skew_tolerance=0.0)
+                                   lease_timeout=0.15)
         queue = list(coordinator.plan().shards[0])  # claim order
         doomed, successor = queue[1], queue[2]
-        transport = _LeaseLossTransport(coordinator.cluster_dir, {doomed})
+        transport = _LeaseLossTransport(coordinator.state, {doomed})
 
         def execute(spec, seed, duration, **kwargs):
             time.sleep(0.2)  # several heartbeat intervals
@@ -613,44 +554,43 @@ class TestConnectDeadline:
 
 
 # --------------------------------------------------------------------------- #
-# Acceptance: seeded faulted sweep == serial, both transports
+# Acceptance: seeded faulted sweep == serial, both front-ends
 # --------------------------------------------------------------------------- #
 class TestFaultedSweepAcceptance:
     """Drops + resets + duplicates + stale replays + delays + one
-    mid-scenario worker crash + 2s simulated clock skew, over both
-    transports — the merged result must be field-for-field identical to a
-    serial ``SweepRunner`` run."""
+    mid-scenario worker crash, in process and over TCP — the merged result
+    must be field-for-field identical to a serial ``SweepRunner`` run."""
 
     def worker_schedules(self, seed):
         crashy = FaultSchedule(seed=seed, drop=0.1, duplicate=0.1,
                                delay=0.2, delay_seconds=0.001,
                                crash_op="claim", crash_call=2,
-                               crash_mode="after", clock_skew=2.0)
+                               crash_mode="after")
         chaotic = FaultSchedule(seed=seed + 1, drop=0.15, reset=0.15,
                                 duplicate=0.15, replay=0.1, delay=0.2,
-                                delay_seconds=0.001, clock_skew=2.0)
-        skewed = FaultSchedule(seed=seed + 2, drop=0.1, reset=0.1,
-                               duplicate=0.1, replay=0.1, clock_skew=-2.0)
-        return [crashy, chaotic, skewed]
+                                delay_seconds=0.001)
+        steady = FaultSchedule(seed=seed + 2, drop=0.1, reset=0.1,
+                               duplicate=0.1, replay=0.1)
+        return [crashy, chaotic, steady]
 
-    @pytest.mark.parametrize("transport_kind", ["filesystem", "socket"])
+    @pytest.mark.parametrize("transport_kind", ["local", "socket"])
     def test_faulted_sweep_equals_serial(self, tmp_path, transport_kind):
         specs = grid()
         assert len(specs) >= 24
         serial = SweepRunner(specs, DURATION, master_seed=77).run()
-        coordinator = plan_cluster(tmp_path, specs, lease_timeout=120.0,
-                                   clock_skew_tolerance=5.0)
+        coordinator = plan_cluster(tmp_path, specs, lease_timeout=120.0)
+        clock = ManualClock()
         server = None
         if transport_kind == "socket":
-            server = ClusterCoordinatorServer(coordinator)
+            server = ClusterCoordinatorServer(coordinator, clock=clock)
             server.start_background()
 
         def make_transport(schedule):
             if transport_kind == "socket":
                 return FaultyTransport.over_socket(server.address, schedule,
                                                    retry_delay=0.0)
-            return FaultyTransport.over_filesystem(coordinator.cluster_dir,
-                                                   schedule, retry_delay=0.0)
+            return FaultyTransport(LocalTransport(coordinator.state, clock),
+                                   schedule, retry_delay=0.0)
 
         schedules = self.worker_schedules(seed=20260808)
         workers = [ClusterWorker(make_transport(schedule), f"w{i}", shard=i,
@@ -674,8 +614,8 @@ class TestFaultedSweepAcceptance:
                 if coordinator.is_complete():
                     break
                 if not progressed:
-                    aged = self.backdate_stale_leases(coordinator)
-                    assert aged > 0, "deadlock: no progress, no stale lease"
+                    assert expire_leases(coordinator, clock) > 0, \
+                        "deadlock: no progress, no lease to expire"
             else:
                 raise AssertionError("faulted grid did not complete")
         finally:
@@ -691,14 +631,3 @@ class TestFaultedSweepAcceptance:
         assert merged.duration == serial.duration
         assert merged.outcomes == serial.outcomes
         assert merged == serial
-
-    @staticmethod
-    def backdate_stale_leases(coordinator, seconds=3600.0) -> int:
-        past = time.time() - seconds
-        aged = 0
-        done, leases = read_tasks(coordinator.cluster_dir)
-        for index, lease in leases.items():
-            if index not in done:
-                os.utime(lease.path, (past, past))
-                aged += 1
-        return aged

@@ -28,7 +28,7 @@ from repro.cluster import (
     ClusterCoordinator,
     ClusterPlan,
     ClusterWorker,
-    FilesystemTransport,
+    LocalTransport,
     SocketTransport,
 )
 from repro.cluster.coordinator import PLAN_FORMAT
@@ -83,7 +83,7 @@ def cached_line(index: int, entry_outcome: dict) -> str:
     return json.dumps({"index": index, "outcome": outcome.to_dict()})
 
 
-@pytest.fixture(params=("filesystem", "socket"))
+@pytest.fixture(params=("local", "socket"))
 def connect(request):
     """``connect(coordinator)`` -> a transport of the param kind."""
     servers, transports = [], []
@@ -96,7 +96,7 @@ def connect(request):
             transport = SocketTransport(server.address)
         else:
             coordinator.write_plan()
-            transport = FilesystemTransport(coordinator.cluster_dir)
+            transport = LocalTransport(coordinator.state)
         transports.append(transport)
         return transport
 
@@ -117,14 +117,25 @@ class TestPlanFormat:
         path.write_text(json.dumps(v1_document(coordinator.written_plan)))
         with pytest.raises(ValueError, match="'cluster-plan/v1'"):
             ClusterPlan.load(coordinator.cluster_dir)
-        with pytest.raises(ValueError, match="'cluster-plan/v1'"):
-            ClusterWorker(coordinator.cluster_dir, "w", shard=0)
         again = coordinator_for(tmp_path, grid(4))
         with pytest.raises(RuntimeError, match="'cluster-plan/v1'"):
             again.write_plan()
         again.write_plan(reset=True)
         assert json.loads(path.read_text())["format"] == PLAN_FORMAT
         assert ClusterPlan.load(coordinator.cluster_dir).specs == grid(4)
+
+    def test_a_plan_with_the_retired_skew_field_still_loads(self, tmp_path):
+        """Plans written while leases had a clock-skew allowance carry a
+        ``clock_skew_tolerance`` field; it is ignored, and re-planning the
+        same sweep over such a plan resumes it."""
+        coordinator = coordinator_for(tmp_path, grid(4))
+        path = coordinator.write_plan()
+        path.write_text(json.dumps({**coordinator.written_plan,
+                                    "clock_skew_tolerance": 5.0}))
+        assert ClusterPlan.load(coordinator.cluster_dir) == \
+            coordinator.cluster_plan()
+        coordinator_for(tmp_path, grid(4)).write_plan()
+        assert "clock_skew_tolerance" not in json.loads(path.read_text())
 
     def test_a_changed_hardware_parameter_is_a_different_sweep(
             self, tmp_path):

@@ -3,7 +3,8 @@
 Covers the wire codec, the :class:`Transport` contract's lease edge cases —
 double-claim races, stale-lease takeover while the original worker
 resurrects, resume-cache skip reporting — **parametrized over both
-transports** (shared filesystem and TCP), and the acceptance bar: a sweep
+front-ends** of the coordinator's state (in process and TCP), and the
+acceptance bar: a sweep
 sharded over ``SocketTransport`` with three workers, work stealing and a
 mid-grid worker crash, where workers share *no* filesystem (distinct temp
 dirs), merging field-for-field identical to a serial ``SweepRunner`` run
@@ -13,7 +14,6 @@ under both backends.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
@@ -25,20 +25,21 @@ from repro.cluster import (
     ClusterWorker,
     FaultSchedule,
     FaultyTransport,
-    FilesystemTransport,
+    LocalTransport,
     SocketTransport,
     TaskSnapshot,
     TransportError,
 )
-from repro.cluster.coordinator import read_tasks
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.cluster.transport import parse_address, recv_frame, send_frame
 from repro.runtime import ScenarioSpec, SweepRunner, run_sweep, single_kind_scenarios
 from repro.runtime.sweep import execute_scenario
 
+from cluster_support import ManualClock, expire_leases
+
 DURATION = 0.05
 
-TRANSPORTS = ("filesystem", "socket")
+TRANSPORTS = ("local", "socket")
 
 
 def grid(count=None, backend=None, loads=("Low", "High"),
@@ -58,10 +59,10 @@ def fault_schedule(seed: int) -> FaultSchedule:
 class TransportCluster:
     """One planned cluster reachable over a configurable transport kind.
 
-    The coordinator state always lives in a local directory (that is what
-    makes it durable); ``transport()`` hands out either a direct
-    :class:`FilesystemTransport` onto it or a :class:`SocketTransport` to a
-    :class:`ClusterCoordinatorServer` fronting it.
+    ``transport()`` hands out either a :class:`LocalTransport` onto the
+    coordinator's state or a :class:`SocketTransport` to a
+    :class:`ClusterCoordinatorServer` fronting it; both time leases on one
+    :class:`ManualClock`.
     """
 
     def __init__(self, tmp_path, kind, specs, lease_timeout=120.0, cache_dir=None, master_seed=77,
@@ -72,10 +73,12 @@ class TransportCluster:
             num_shards=num_shards, lease_timeout=lease_timeout,
             cache_dir=cache_dir)
         self.coordinator.write_plan()
+        self.clock = ManualClock()
         self.server = None
         self._transports = []
         if kind == "socket":
-            self.server = ClusterCoordinatorServer(self.coordinator)
+            self.server = ClusterCoordinatorServer(self.coordinator,
+                                                   clock=self.clock)
             self.server.start_background()
 
     def transport(self, schedule=None):
@@ -85,26 +88,16 @@ class TransportCluster:
         if self.kind == "socket":
             transport = SocketTransport(self.server.address)
         else:
-            transport = FilesystemTransport(self.coordinator.cluster_dir)
+            transport = LocalTransport(self.coordinator.state, self.clock)
         if schedule is not None:
             transport = FaultyTransport(transport, schedule, retry_delay=0.0)
         self._transports.append(transport)
         return transport
 
-    def backdate_stale_leases(self, seconds=3600.0) -> int:
-        """Age every lease of an unfinished scenario past any timeout.
-
-        Test-only manipulation of the coordinator's *local* state — workers
-        only ever see the effect through their transport.
-        """
-        past = time.time() - seconds
-        aged = 0
-        done, leases = read_tasks(self.coordinator.cluster_dir)
-        for index, lease in leases.items():
-            if index not in done:
-                os.utime(lease.path, (past, past))
-                aged += 1
-        return aged
+    def expire_leases(self, seconds=3600.0) -> int:
+        """Step the coordinator's clock past every lease; returns how many
+        leases of unfinished scenarios there were."""
+        return expire_leases(self.coordinator, self.clock, seconds)
 
     def close(self):
         for transport in self._transports:
@@ -180,7 +173,7 @@ class TestFraming:
 
 
 # --------------------------------------------------------------------------- #
-# Transport contract (parametrized over filesystem and socket)
+# Transport contract (parametrized over the local and socket front-ends)
 # --------------------------------------------------------------------------- #
 class TestTransportContract:
     def test_plan_and_registration_match_the_coordinator(self, make_cluster):
@@ -242,7 +235,7 @@ class TestTransportContract:
 
         # The original goes silent; its lease ages past the timeout and a
         # rescuer takes it over atomically.
-        assert cluster.backdate_stale_leases() == 1
+        assert cluster.expire_leases() == 1
         assert rescuer.try_claim(0, "rescuer")
 
         # The resurrected original discovers the takeover through its
@@ -258,7 +251,7 @@ class TestTransportContract:
         for transport in (original, rescuer):
             assert transport.snapshot().is_done(0)
         # A claim on a done scenario is refused, stale lease or not.
-        cluster.backdate_stale_leases(seconds=7200.0)
+        cluster.expire_leases()
         assert not rescuer.try_claim(0, "third")
         cluster.close()
         merged = cluster.coordinator.merge(require_complete=False)
@@ -291,7 +284,7 @@ class TestTransportContract:
         merged = cluster.coordinator.merge()
         assert merged.outcomes == serial.outcomes
 
-    def test_worker_equivalence_over_either_transport(self, make_cluster):
+    def test_worker_equivalence_over_either_front_end(self, make_cluster):
         specs = grid(count=8, backend="analytic")
         serial = SweepRunner(specs, DURATION, master_seed=77).run()
         cluster = make_cluster(specs)
@@ -411,11 +404,14 @@ class TestSocketTransport:
         assert 0 < done_before < len(specs)
         cluster.close()
 
-        # A fresh server over the same directory picks up the done records
-        # and result parts; a new worker finishes only the remainder — under
+        # A restarted coordinator over the same directory reads the done
+        # records back; a new worker finishes only the remainder — under
         # faults, its duplicated/reset submits must not double-count any
         # scenario across the restart boundary.
-        server = ClusterCoordinatorServer(cluster.coordinator)
+        restarted = ClusterCoordinator(
+            specs, DURATION, cluster.coordinator.cluster_dir, master_seed=77,
+            num_shards=3, lease_timeout=120.0)
+        server = ClusterCoordinatorServer(restarted)
         server.start_background()
         try:
             transport = SocketTransport(server.address)
@@ -425,7 +421,7 @@ class TestSocketTransport:
             finisher = ClusterWorker(transport, "w1", shard=1)
             finisher.run(wait_for_stragglers=False)
             assert len(finisher.executed) == len(specs) - done_before
-            merged = cluster.coordinator.merge()
+            merged = restarted.merge()
             serial = SweepRunner(specs, DURATION, master_seed=77).run()
             assert merged.outcomes == serial.outcomes
         finally:
@@ -486,7 +482,7 @@ class TestSocketShardedEquivalence:
             if cluster.coordinator.is_complete():
                 break
             if not progressed:
-                assert cluster.backdate_stale_leases() > 0, \
+                assert cluster.expire_leases() > 0, \
                     "no progress and no stale lease to reclaim: deadlock"
         else:
             raise AssertionError("grid did not complete")

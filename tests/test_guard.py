@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterCoordinator, FilesystemTransport
+from repro.cluster import ClusterCoordinator, LocalTransport
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.cluster.sinks import (
     JsonlResultSink,
@@ -373,7 +373,7 @@ class TestClusterGuard:
 
     def test_record_failure_charges_then_quarantines(self, tmp_path):
         coordinator = self.coordinator(tmp_path)
-        transport = FilesystemTransport(coordinator.cluster_dir)
+        transport = LocalTransport(coordinator.state)
         assert transport.try_claim(0, "w1")
         charged = transport.record_failure(
             "w1", 0, self.failure(coordinator, 0), attempt=1)
@@ -395,23 +395,19 @@ class TestClusterGuard:
         transport.close()
 
     def test_repeated_lease_deaths_quarantine_silent_crashers(
-            self, tmp_path, monkeypatch):
-        import os as _os
+            self, tmp_path):
+        from cluster_support import ManualClock
 
         coordinator = self.coordinator(tmp_path)
-        transport = FilesystemTransport(coordinator.cluster_dir)
-
-        def age_lease(index):
-            past = time.time() - 3600.0
-            lease = coordinator.cluster_dir / "tasks" / f"{index}.lease"
-            _os.utime(lease, (past, past))
+        clock = ManualClock()
+        transport = LocalTransport(coordinator.state, clock)
 
         # Death 1: w1 claims and "dies" (never heartbeats, never reports).
         assert transport.try_claim(1, "w1")
-        age_lease(1)
+        clock.advance(3600.0)
         # w2's takeover writes the death marker and wins the lease.
         assert transport.try_claim(1, "w2")
-        age_lease(1)
+        clock.advance(3600.0)
         # Death 2 spends the budget: the takeover is refused and the
         # scenario is quarantined as a crash without any failure report.
         assert not transport.try_claim(1, "w3")
@@ -424,9 +420,7 @@ class TestClusterGuard:
         coordinator = self.coordinator(tmp_path, guard=None)
         assert "guard" not in coordinator.cluster_plan().to_dict()
         # Unguarded protocol: failures are not tracked, deaths not counted.
-        transport = FilesystemTransport(coordinator.cluster_dir)
-        assert transport.guard is None
-        transport.close()
+        assert coordinator.state.guard is None
 
 
 # --------------------------------------------------------------------------- #

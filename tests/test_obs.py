@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterCoordinator, ClusterWorker, FilesystemTransport
+from repro.cluster import ClusterCoordinator, ClusterWorker, LocalTransport
 from repro.cluster.coordinator import TELEMETRY_DIR
 from repro.cluster.transport import IDEMPOTENT_OPS
 from repro.obs import (
@@ -318,12 +318,12 @@ class TestClusterTelemetry:
     def test_telemetry_is_idempotent_op(self):
         assert "telemetry" in IDEMPOTENT_OPS
 
-    def test_filesystem_transport_writes_snapshot(self, tmp_path):
+    def test_local_transport_writes_snapshot(self, tmp_path):
         specs = grid(2)
         coordinator = ClusterCoordinator(specs, DURATION, tmp_path,
                                          master_seed=77, num_shards=1)
         coordinator.write_plan()
-        transport = FilesystemTransport(tmp_path)
+        transport = LocalTransport(coordinator.state)
         transport.send_telemetry("w1", {"format": "repro-metrics/v1",
                                         "counters": []})
         transport.send_telemetry("w1", {"format": "repro-metrics/v1",
@@ -340,7 +340,8 @@ class TestClusterTelemetry:
         coordinator = ClusterCoordinator(specs, DURATION, cluster_dir,
                                          master_seed=77, num_shards=2)
         coordinator.write_plan()
-        workers = [ClusterWorker(cluster_dir, worker_id=f"w{i}", shard=i)
+        workers = [ClusterWorker(LocalTransport(coordinator.state),
+                                 worker_id=f"w{i}", shard=i)
                    for i in range(2)]
         for worker in workers:
             while worker.step() is not None:
@@ -368,7 +369,8 @@ class TestClusterTelemetry:
         coordinator = ClusterCoordinator(specs, DURATION, cluster_dir,
                                          master_seed=77, num_shards=1)
         coordinator.write_plan()
-        worker = ClusterWorker(cluster_dir, worker_id="w0", shard=0)
+        worker = ClusterWorker(LocalTransport(coordinator.state),
+                               worker_id="w0", shard=0)
         assert worker.metrics is None
         while worker.step() is not None:
             pass

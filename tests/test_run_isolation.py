@@ -26,7 +26,7 @@ import repro.runtime.sweep as sweep_module
 from repro.backends import BackendSet, PhysicsBackend, get_backend
 from repro.backends.analytic import AnalyticAttemptModel
 from repro.backends.density import DensityAttemptModel
-from repro.cluster import ClusterCoordinator, ClusterWorker, FilesystemTransport
+from repro.cluster import ClusterCoordinator, ClusterWorker, LocalTransport
 from repro.core.messages import EntanglementRequest, RequestType
 from repro.hardware.parameters import lab_scenario
 from repro.network.network import LinkLayerNetwork
@@ -224,7 +224,7 @@ def test_cluster_worker_solo_runs_share_its_backends(tmp_path, monkeypatch):
         return real_execute(spec, seed, duration, **kwargs)
 
     monkeypatch.setattr(worker_module, "execute_scenario", execute)
-    worker = ClusterWorker(FilesystemTransport(coordinator.cluster_dir),
+    worker = ClusterWorker(LocalTransport(coordinator.state),
                            "solo", cache_dir=None, batch_size=1)
     assert worker.run(wait_for_stragglers=False) == 3
     assert len(received) == 3 and isinstance(received[0], BackendSet)
