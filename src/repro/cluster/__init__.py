@@ -16,20 +16,25 @@ Pieces (see each module's docstring for the protocol details):
   plan document.
 * :mod:`repro.cluster.state` — :class:`CoordinatorState`, the one
   in-memory state (registrations, leases, done set, attempt ledger,
-  quarantine) every protocol operation is applied to, stepped on an
-  explicit clock; its durable effects are done records, sink parts,
-  fail/death markers and quarantine records.
-* :mod:`repro.cluster.transport` — the protocol's operations as a
-  :class:`Transport` contract: :class:`SocketTransport` (length-prefixed
-  JSON frames to a ``python -m repro.cluster.serve`` coordinator; no shared
-  filesystem) and :class:`LocalTransport` (the state in process).
+  quarantine), stepped on an explicit clock.  Its
+  :meth:`~CoordinatorState.apply` *is* the protocol: one function of a
+  request frame and the coordinator's time that checks the frame and
+  applies its operation.  Its durable effects are done records, sink
+  parts, fail/death markers and quarantine records.
+* :mod:`repro.cluster.transport` — every client operation defined once on
+  :class:`Transport`, over one ``request(op, **payload)``; the transports
+  only carry frames to ``apply``: :class:`SocketTransport`
+  (length-prefixed JSON frames to a ``python -m repro.cluster.serve``
+  coordinator; no shared filesystem) and :class:`LocalTransport` (the
+  state in process).
 * :mod:`repro.cluster.worker` — the transport-agnostic claim / steal /
   reclaim execution loop (also a CLI: ``python -m repro.cluster.worker``).
 * :mod:`repro.cluster.serve` — the TCP coordinator service
-  (``python -m repro.cluster.serve``).
+  (``python -m repro.cluster.serve``), which carries frames to ``apply``.
 * :mod:`repro.cluster.faults` — deterministic fault injection: a seeded
   :class:`FaultSchedule` driving a :class:`FaultyTransport` that drops,
-  duplicates, resets, delays and replays protocol operations and crashes
+  duplicates, resets, delays and replays the frames of
+  :meth:`Transport.request` and crashes
   workers at chosen points — the adversary the protocol's idempotent
   operations are verified against.
 * :mod:`repro.cluster.sinks` — crash-safe append-only JSONL result parts

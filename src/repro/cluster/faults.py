@@ -4,7 +4,10 @@ The link layer the source paper defines is characterised by how it behaves
 under loss, delay, duplication and reordering — this module applies the same
 discipline to our own coordinator/worker protocol.  A
 :class:`FaultyTransport` wraps any :class:`~repro.cluster.transport.Transport`
-and adversarially perturbs its operations:
+and adversarially perturbs the frames it carries: every operation is one
+frame through :meth:`~repro.cluster.transport.Transport.request`, applied by
+:meth:`CoordinatorState.apply <repro.cluster.state.CoordinatorState.apply>`
+on the coordinator side, so the faults sit around that one call:
 
 * **drop** — the request never reaches the coordinator (the caller sees a
   connection error before delivery);
@@ -67,11 +70,10 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from repro.cluster.transport import (
     SocketTransport,
-    TaskSnapshot,
     Transport,
     TransportError,
 )
@@ -80,7 +82,6 @@ from repro.runtime.guard import (  # noqa: F401  (re-exported)
     ScenarioFaultPlan,
     injected_scenario_fault,
 )
-from repro.runtime.sweep import ScenarioOutcome
 
 #: Operations faults are injected into by default.  ``plan`` is excluded:
 #: it is fetched once while the transport is being constructed, before the
@@ -229,12 +230,15 @@ class FaultSchedule:
 class FaultyTransport(Transport):
     """Adversarial wrapper applying a :class:`FaultSchedule` to a transport.
 
-    Faults are injected *around* the inner transport's operations — the
-    wrapper plays both the unreliable network and the disciplined client:
-    a drop or reset raises internally and is retried (every protocol
-    operation is idempotent, so retrying a possibly-applied request is
-    safe), mirroring :meth:`SocketTransport.request`'s retry path; a burst
-    outlasting ``max_retries`` surfaces as :class:`InjectedFault`.
+    Faults are injected *around* the inner transport's
+    :meth:`~repro.cluster.transport.Transport.request` — the wrapper plays
+    both the unreliable network and the disciplined client: a drop or
+    reset raises internally and is retried (every protocol operation is
+    idempotent, so retrying a possibly-applied request is safe), mirroring
+    :meth:`SocketTransport.request`'s retry path; a burst outlasting
+    ``max_retries`` surfaces as :class:`InjectedFault`.  Every client
+    operation of :class:`~repro.cluster.transport.Transport` goes through
+    it, so each is faulted the same way.
 
     Construct directly over any transport, or use :meth:`over_socket`.
     """
@@ -247,26 +251,24 @@ class FaultyTransport(Transport):
         self.retry_delay = max(0.0, retry_delay)
         self.kind = f"faulty+{inner.kind}"
         self.plan = inner.plan
-        #: The previous applied operation, for stale-replay redelivery.
-        self._last: Optional[tuple[str, Callable, tuple]] = None
+        #: The previous applied ``(op, payload)``, for stale-replay
+        #: redelivery.
+        self._last: Optional[tuple[str, dict]] = None
         self._lock = threading.RLock()
 
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
     @classmethod
     def over_socket(cls, address: "str | tuple[str, int]",
                     schedule: FaultSchedule, **kwargs) -> "FaultyTransport":
         """Faulty TCP transport to the coordinator at ``address``."""
         return cls(SocketTransport(address), schedule, **kwargs)
 
-    # ------------------------------------------------------------------ #
-    # Fault application
-    # ------------------------------------------------------------------ #
-    def _apply(self, op: str, func: Callable, *args,
-                indices: tuple[int, ...] = ()):
-        """Deliver ``func(*args)`` under the schedule's faults for ``op``;
-        ``indices`` are the scenarios the frame carries (for the log)."""
+    def request(self, op: str, **payload) -> dict:
+        """Deliver ``op`` under the schedule's faults for it; a faulted
+        delivery is logged with the scenarios its frame carries."""
+        if op == "submit":
+            indices = tuple(entry["index"] for entry in payload["results"])
+        else:
+            indices = tuple(payload.get("indices", ()))
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.retry_delay)
@@ -283,13 +285,15 @@ class FaultyTransport(Transport):
                 raise InjectedFault(f"injected drop of {op!r} outlasted "
                                     f"{self.max_retries} retries")
             with self._lock:
-                result = func(*args)
+                response = self.inner.request(op, **payload)
                 if decision.duplicate:
-                    func(*args)  # retransmitted frame; response discarded
+                    # Retransmitted frame; response discarded.
+                    self.inner.request(op, **payload)
                 if decision.replay_stale and self._last is not None:
-                    _, last_func, last_args = self._last
-                    last_func(*last_args)  # stale frame arriving late
-                self._last = (op, func, args)
+                    last_op, last_payload = self._last
+                    # Stale frame arriving late.
+                    self.inner.request(last_op, **last_payload)
+                self._last = (op, payload)
             if decision.crash == "after":
                 raise InjectedWorkerCrash(
                     f"injected crash after {op!r} "
@@ -302,46 +306,8 @@ class FaultyTransport(Transport):
                     continue
                 raise InjectedFault(f"injected reset of {op!r} outlasted "
                                     f"{self.max_retries} retries")
-            return result
+            return response
         raise AssertionError("unreachable")  # pragma: no cover
-
-    # ------------------------------------------------------------------ #
-    # Transport contract
-    # ------------------------------------------------------------------ #
-    def register_worker(self, worker_id: str, shard: Optional[int]) -> int:
-        return self._apply("register", self.inner.register_worker,
-                           worker_id, shard)
-
-    def snapshot(self) -> TaskSnapshot:
-        return self._apply("snapshot", self.inner.snapshot)
-
-    def claim_many(self, indices: Sequence[int],
-                   worker_id: str) -> list[int]:
-        indices = list(indices)
-        return self._apply("claim", self.inner.claim_many, indices,
-                           worker_id, indices=tuple(indices))
-
-    def heartbeat_many(self, indices: Sequence[int],
-                       worker_id: str) -> list[int]:
-        indices = list(indices)
-        return self._apply("heartbeat", self.inner.heartbeat_many, indices,
-                           worker_id, indices=tuple(indices))
-
-    def submit_many(self, worker_id: str,
-                    results: Sequence[tuple[int, dict, int]]) -> None:
-        results = list(results)
-        return self._apply("submit", self.inner.submit_many, worker_id,
-                           results,
-                           indices=tuple(index for index, _, _ in results))
-
-    def record_failure(self, worker_id: str, index: int,
-                       outcome: ScenarioOutcome, attempt: int = 0) -> dict:
-        return self._apply("fail", self.inner.record_failure,
-                           worker_id, index, outcome, attempt)
-
-    def send_telemetry(self, worker_id: str, metrics: dict) -> None:
-        return self._apply("telemetry", self.inner.send_telemetry,
-                           worker_id, metrics)
 
     def close(self) -> None:
         self.inner.close()

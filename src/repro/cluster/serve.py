@@ -1,13 +1,15 @@
 """TCP coordinator service: the cluster protocol without a shared filesystem.
 
 ``python -m repro.cluster.serve`` plans a grid, listens on a socket, and
-answers the length-prefixed JSON frames of
-:class:`~repro.cluster.transport.SocketTransport` workers.  Every operation
-is applied to the coordinator's one
-:class:`~repro.cluster.state.CoordinatorState`, under one lock, with the
-server's clock as the time of the operation: lease grants are atomic
-because they are serialised in one process, and lease ages are measured on
-one clock whatever the workers' clocks say.
+carries the length-prefixed JSON frames of
+:class:`~repro.cluster.transport.SocketTransport` workers to the
+coordinator's one :class:`~repro.cluster.state.CoordinatorState`.  The
+server decides nothing itself: it answers ``plan`` and hands every other
+frame to :meth:`CoordinatorState.apply
+<repro.cluster.state.CoordinatorState.apply>`, which is the protocol, with
+the server's clock as the time of the operation.  Lease grants are atomic
+because the state serialises them in one process, and lease ages are
+measured on one clock whatever the workers' clocks say.
 
 The state's durable effects — done records, result parts, fail and death
 markers, quarantine records — stay in the server's cluster directory;
@@ -15,7 +17,7 @@ re-starting ``serve`` on the same directory resumes the sweep, with every
 lease of the old run expired.
 
 Workers stream results over their connection as plain outcome records; the
-server checks each record and writes it, as received, into ordinary
+state checks each record and writes it, as received, into ordinary
 per-worker :class:`~repro.cluster.sinks.ResultSink` parts, and the merge is
 the standard :meth:`ClusterCoordinator.merge`.  The ``plan`` response is
 built once from the text written to ``plan.json`` and sent as those bytes to
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import socket
 import socketserver
 import threading
 import time
@@ -53,7 +56,6 @@ from repro.cluster.transport import (
     send_body,
     send_frame,
 )
-from repro.runtime.sweep import ScenarioOutcome
 
 logger = logging.getLogger("repro.cluster.serve")
 
@@ -61,13 +63,10 @@ logger = logging.getLogger("repro.cluster.serve")
 class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
     """Threaded TCP front-end over a :class:`ClusterCoordinator`'s state.
 
-    One handler thread per worker connection; every frame is applied to
-    :attr:`ClusterCoordinator.state` while holding the state's lock, at
-    ``clock()``.  A ``claim``, ``heartbeat`` or ``submit`` frame carries a
-    list, applied index by index in order.  A submit's and a failure's
-    outcome records are checked (:meth:`ScenarioOutcome.check_record`) and
-    passed on as received, never rebuilt into outcomes; a malformed frame
-    is answered ``ok: false`` and the connection keeps serving.
+    One handler thread per worker connection; every frame but ``plan`` is
+    passed to :meth:`CoordinatorState.apply` at ``clock()``, and its
+    response sent back.  A frame the state refuses is answered ``ok:
+    false`` and the connection keeps serving.
     """
 
     allow_reuse_address = True
@@ -96,6 +95,8 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         self.plan_body = ('{"ok": true, "plan": '
                           + coordinator.written_plan_text + "}").encode()
         self._serve_thread: Optional[threading.Thread] = None
+        #: The open worker connections, shut down by :meth:`stop`.
+        self.connections: set[socket.socket] = set()
         super().__init__(address, _ClusterRequestHandler)
 
     # ------------------------------------------------------------------ #
@@ -117,12 +118,19 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
         return self._serve_thread
 
     def stop(self) -> None:
-        """Stop accepting, close the listener and the sink parts."""
+        """Stop accepting, close the listener, every open connection and
+        the sink parts: a stopped server answers no frame, as if its
+        process had exited."""
         if self._serve_thread is not None:
             self.shutdown()
             self._serve_thread.join(timeout=10.0)
             self._serve_thread = None
         self.server_close()
+        for connection in list(self.connections):
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         with self.state.lock:
             self.state.close()
 
@@ -130,69 +138,12 @@ class ClusterCoordinatorServer(socketserver.ThreadingTCPServer):
     # Operation dispatch
     # ------------------------------------------------------------------ #
     def dispatch(self, frame: dict) -> "dict | bytes":
-        """Apply one request frame; returns the response frame, or for
-        ``plan`` its encoded body (:attr:`plan_body`)."""
-        op = frame.get("op")
-        state = self.state
-        try:
-            if op == "plan":
-                return self.plan_body
-            if op == "register":
-                with state.lock:
-                    shard = state.register(str(frame["worker_id"]),
-                                           frame.get("shard"))
-                return {"ok": True, "shard": shard}
-            if op == "snapshot":
-                with state.lock:
-                    snapshot = state.snapshot(self.clock())
-                return {"ok": True, "snapshot": snapshot.to_dict()}
-            if op == "claim":
-                indices = self._list(frame, "indices")
-                with state.lock:
-                    granted = state.claim(indices, str(frame["worker_id"]),
-                                          self.clock())
-                return {"ok": True, "granted": granted}
-            if op == "heartbeat":
-                indices = self._list(frame, "indices")
-                with state.lock:
-                    alive = state.heartbeat(indices, str(frame["worker_id"]),
-                                            self.clock())
-                return {"ok": True, "alive": alive}
-            if op == "submit":
-                results = [(entry["index"],
-                            ScenarioOutcome.check_record(entry["outcome"]),
-                            int(entry.get("attempt", 0)))
-                           for entry in self._list(frame, "results")]
-                with state.lock:
-                    state.submit(str(frame["worker_id"]), results)
-                return {"ok": True}
-            if op == "fail":
-                record = ScenarioOutcome.check_record(frame["outcome"])
-                with state.lock:
-                    charged = state.fail(
-                        str(frame["worker_id"]), frame["index"], record,
-                        int(frame.get("attempt", 0)), self.clock())
-                return {"ok": True, **charged}
-            if op == "telemetry":
-                metrics = frame["metrics"]
-                if not isinstance(metrics, dict):
-                    raise ValueError("telemetry metrics must be an object")
-                with state.lock:
-                    state.telemetry(str(frame["worker_id"]), metrics)
-                return {"ok": True}
-            if op == "status":
-                return {"ok": True, "status": self.status()}
-            return {"ok": False, "error": f"unknown operation {op!r}"}
-        except (KeyError, TypeError, ValueError, TransportError) as error:
-            return {"ok": False, "error": f"{op}: {error!r}"}
-
-    @staticmethod
-    def _list(frame: dict, key: str) -> list:
-        value = frame[key]
-        if not isinstance(value, list):
-            raise ValueError(f"{key} must be a list, got "
-                             f"{type(value).__name__}")
-        return value
+        """Answer one request frame: ``plan`` with its encoded body
+        (:attr:`plan_body`), every other frame with
+        :meth:`CoordinatorState.apply` at ``clock()``."""
+        if frame.get("op") == "plan":
+            return self.plan_body
+        return self.state.apply(frame, self.clock())
 
     # ------------------------------------------------------------------ #
     # Monitoring
@@ -228,6 +179,12 @@ class _ClusterRequestHandler(socketserver.BaseRequestHandler):
     #: Most bytes we are willing to discard to resynchronise after an
     #: oversized frame announcement before giving up on the connection.
     MAX_DRAIN_BYTES = 4 * MAX_FRAME_BYTES
+
+    def setup(self) -> None:
+        self.server.connections.add(self.request)
+
+    def finish(self) -> None:
+        self.server.connections.discard(self.request)
 
     def handle(self) -> None:  # pragma: no cover - exercised via transport
         while True:

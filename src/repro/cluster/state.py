@@ -1,21 +1,24 @@
-"""The coordinator's state: one in-memory object every front-end drives.
+"""The coordinator's state, and the cluster protocol as one function of it.
 
 :class:`CoordinatorState` holds what the cluster protocol decides —
 worker registrations, leases, the done set, the attempt ledger and the
-quarantine — and applies each protocol operation to it per scenario index.
-It starts no thread and reads no clock: every operation takes the
+quarantine.  :meth:`CoordinatorState.apply` *is* the protocol: it takes one
+request frame (``{"op": <name>, ...}``) and the coordinator's time, decodes
+and checks it, applies the operation per scenario index, and returns the
+response frame (``{"ok": true, ...}`` or ``{"ok": false, "error": ...}``).
+It is the one place that maps an operation name to the state.  The state
+starts no thread and reads no clock: every operation takes the
 coordinator's time as an argument, ``now``, so a test steps leases through
 expiry by passing a later ``now`` instead of sleeping.
 
-Two front-ends drive it, each holding :attr:`CoordinatorState.lock` around
-every operation:
+The front-ends only carry frames to :meth:`~CoordinatorState.apply`:
 
 * :class:`~repro.cluster.serve.ClusterCoordinatorServer` — the TCP
   coordinator that :class:`~repro.cluster.transport.SocketTransport`
   workers (and :meth:`ClusterCoordinator.run_local`'s worker processes)
-  connect to;
-* :class:`~repro.cluster.transport.LocalTransport` — the same operations
-  in process, for workers that share the coordinator's interpreter (tests,
+  connect to; it answers ``plan`` itself and passes every other frame on;
+* :class:`~repro.cluster.transport.LocalTransport` — the same frames in
+  process, for workers that share the coordinator's interpreter (tests,
   drivers stepping workers by hand).
 
 **Soft state** lives in memory only.  A lease is ``(owner, claimed at,
@@ -49,9 +52,14 @@ once.  A coordinator that dies between a submit's sink fsync and its done
 record leaves those scenarios pending; they run again (deterministically),
 and the merge dedupes the identical records.
 
-Every worker id is checked once, here, against :data:`WORKER_ID`: ids name
-files (``part-<id>.jsonl``, ``telemetry/<id>.json``, fail markers), so one
-holding a path separator or starting with a dot is refused.
+Every frame is checked once, in :meth:`~CoordinatorState.apply`, before
+anything changes.  A worker id must be a ``str`` matching
+:data:`WORKER_ID`: ids name files (``part-<id>.jsonl``,
+``telemetry/<id>.json``, fail markers), so one holding a path separator or
+starting with a dot is refused.  Indices, shards and attempts must be
+``int`` (never ``bool``) and in range, and every submitted or failed
+outcome must pass :meth:`ScenarioOutcome.check_record
+<repro.runtime.sweep.ScenarioOutcome.check_record>`.
 """
 
 from __future__ import annotations
@@ -81,10 +89,31 @@ from repro.runtime.sweep import ScenarioOutcome
 #: the default ``<hostname>-<pid>``.  No path separator, no leading dot.
 WORKER_ID = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,127}")
 
+#: The operations :meth:`CoordinatorState.apply` applies (``plan`` is
+#: answered by the TCP front-end from the written plan).  A tuple, so a
+#: frame's unhashable ``op`` is compared, not hashed.
+OPS = ("register", "snapshot", "claim", "heartbeat", "submit", "fail",
+       "telemetry", "status")
+
 #: The durable task files read back on start: done records, and the fail
 #: and death markers of the attempt ledger.  Tmp files never match.
 _TASK_FILE = re.compile(
     r"(0|[1-9][0-9]*)\.(done\.[0-9a-f]+|fail\..+|death\.[0-9a-f]+)\.json")
+
+
+def check_int(value: object, name: str) -> int:
+    """``value`` if it is an ``int`` (never a ``bool``), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_list(value: object, name: str) -> list:
+    """``value`` if it is a list, else ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got "
+                         f"{type(value).__name__}")
+    return value
 
 
 def write_done_record(cluster_dir: Path, indices: Iterable[int],
@@ -146,9 +175,10 @@ class Lease:
 class CoordinatorState:
     """The coordinator's decisions, applied per scenario index.
 
-    Not thread-safe by itself: a front-end holds :attr:`lock` around each
-    operation.  Bad input — an unsafe worker id, an index outside the plan,
-    a shard out of range — raises ``ValueError`` before anything changes.
+    :meth:`apply` checks a frame and holds :attr:`lock` around the
+    operation it names.  The per-op methods it calls (:meth:`register`,
+    :meth:`claim`, ...) take checked arguments and hold no lock: a test
+    steps them directly, with a clock.
     """
 
     def __init__(self, cluster_dir: "str | Path", plan: ClusterPlan) -> None:
@@ -157,7 +187,7 @@ class CoordinatorState:
         #: Supervision policy of the plan (``None``: no failure budget, no
         #: death charges, no quarantine).
         self.guard = plan.guard_policy()
-        #: Held by every front-end around every operation.
+        #: Held around every operation :meth:`apply` makes.
         self.lock = threading.RLock()
         #: Worker id -> home shard, in registration order.
         self._shards: dict[str, int] = {}
@@ -173,6 +203,75 @@ class CoordinatorState:
         self._quarantined = self._quarantine.indices()
 
     # ------------------------------------------------------------------ #
+    # The protocol
+    # ------------------------------------------------------------------ #
+    def apply(self, frame: dict, now: float) -> dict:
+        """Apply one request frame at ``now``; returns the response frame.
+
+        The frame is decoded and checked outside :attr:`lock`, and the
+        operation it names is applied under it.  A frame naming no known
+        operation, missing a field, or holding a value :meth:`check_worker`,
+        :meth:`check_index`, :func:`check_int` or
+        :meth:`ScenarioOutcome.check_record` refuses is answered ``{"ok":
+        false, "error": ...}`` with nothing changed; any other error (a
+        full disk) propagates to the front-end.
+        """
+        op = frame.get("op")
+        if op not in OPS:
+            return {"ok": False, "error": f"unknown operation {op!r}"}
+        try:
+            if op == "snapshot":
+                with self.lock:
+                    snapshot = self.snapshot(now)
+                return {"ok": True, "snapshot": snapshot.to_dict()}
+            if op == "status":
+                with self.lock:
+                    return {"ok": True, "status": self.status(now)}
+            worker_id = self.check_worker(frame["worker_id"])
+            if op == "register":
+                shard = frame.get("shard")
+                if shard is not None:
+                    self.check_shard(shard)
+                with self.lock:
+                    return {"ok": True,
+                            "shard": self.register(worker_id, shard)}
+            if op == "claim":
+                indices = self.check_indices(frame["indices"])
+                with self.lock:
+                    granted = self.claim(indices, worker_id, now)
+                return {"ok": True, "granted": granted}
+            if op == "heartbeat":
+                indices = self.check_indices(frame["indices"])
+                with self.lock:
+                    alive = self.heartbeat(indices, worker_id, now)
+                return {"ok": True, "alive": alive}
+            if op == "submit":
+                results = [(self.check_index(entry["index"]),
+                            ScenarioOutcome.check_record(entry["outcome"]),
+                            check_int(entry.get("attempt", 0), "attempt"))
+                           for entry in check_list(frame["results"],
+                                                   "results")]
+                with self.lock:
+                    self.submit(worker_id, results)
+                return {"ok": True}
+            if op == "fail":
+                index = self.check_index(frame["index"])
+                record = ScenarioOutcome.check_record(frame["outcome"])
+                attempt = check_int(frame.get("attempt", 0), "attempt")
+                with self.lock:
+                    charged = self.fail(worker_id, index, record, attempt,
+                                        now)
+                return {"ok": True, **charged}
+            metrics = frame["metrics"]  # op == "telemetry"
+            if not isinstance(metrics, dict):
+                raise ValueError("telemetry metrics must be an object")
+            with self.lock:
+                self.telemetry(worker_id, metrics)
+            return {"ok": True}
+        except (KeyError, TypeError, ValueError) as error:
+            return {"ok": False, "error": f"{op}: {error!r}"}
+
+    # ------------------------------------------------------------------ #
     # Boundary checks
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -185,11 +284,27 @@ class CoordinatorState:
         return worker_id
 
     def check_index(self, value: object) -> int:
-        """``value`` as a scenario index of the plan, else ValueError."""
-        index = int(value)
+        """``value`` if it is a scenario index of the plan, else
+        ValueError."""
+        index = check_int(value, "scenario index")
         if not 0 <= index < len(self.plan.specs):
             raise ValueError(f"scenario index {index} out of range")
         return index
+
+    def check_indices(self, value: object) -> list[int]:
+        """``value`` if it is a list of scenario indices, else
+        ValueError."""
+        return [self.check_index(index)
+                for index in check_list(value, "indices")]
+
+    def check_shard(self, value: object) -> int:
+        """``value`` if it is a shard of the plan, else ValueError."""
+        shard = check_int(value, "shard")
+        num_shards = self.plan.shard_plan.num_shards
+        if not 0 <= shard < num_shards:
+            raise ValueError(f"shard {shard} out of range "
+                             f"(plan has {num_shards} shards)")
+        return shard
 
     # ------------------------------------------------------------------ #
     # Operations
@@ -198,16 +313,11 @@ class CoordinatorState:
         """Register ``worker_id``; returns its home shard (round-robin over
         registrations when ``shard`` is None).  Idempotent: a repeated
         registration returns the recorded shard."""
-        self.check_worker(worker_id)
         recorded = self._shards.get(worker_id)
         if recorded is not None and shard in (None, recorded):
             return recorded
-        num_shards = self.plan.shard_plan.num_shards
         if shard is None:
-            shard = len(self._shards) % num_shards
-        if not 0 <= shard < num_shards:
-            raise ValueError(f"shard {shard} out of range "
-                             f"(plan has {num_shards} shards)")
+            shard = len(self._shards) % self.plan.shard_plan.num_shards
         self._shards[worker_id] = shard
         return shard
 
@@ -231,8 +341,6 @@ class CoordinatorState:
         alone is charged against the scenario's retry budget first, and a
         spent budget quarantines the scenario instead of re-leasing it.
         """
-        self.check_worker(worker_id)
-        indices = [self.check_index(index) for index in indices]
         return [index for index in indices
                 if self._claim(index, worker_id, len(indices), now)]
 
@@ -267,9 +375,8 @@ class CoordinatorState:
         """Refresh each lease of ``indices`` ``worker_id`` still owns;
         returns those.  An index missing from the answer was taken over,
         released, finished or forgotten by a restart: stop beating it."""
-        self.check_worker(worker_id)
         alive = []
-        for index in [self.check_index(index) for index in indices]:
+        for index in indices:
             lease = self._leases.get(index)
             if lease is not None and lease.owner == worker_id:
                 lease.beat_at = now
@@ -287,9 +394,6 @@ class CoordinatorState:
         only while its index is not done, so duplicate deliveries write
         nothing twice.
         """
-        self.check_worker(worker_id)
-        results = [(self.check_index(index), record, attempt)
-                   for index, record, attempt in results]
         fresh = [(index, record) for index, record, attempt in results
                  if (index, worker_id, attempt) not in self._applied_submits
                  and index not in self._done]
@@ -314,8 +418,6 @@ class CoordinatorState:
         ``{"attempts": <spent>, "quarantined": <bool>}``.  Deliveries
         dedupe on ``(index, worker_id, attempt)``.
         """
-        self.check_worker(worker_id)
-        index = self.check_index(index)
         key = (index, worker_id, attempt)
         if key not in self._applied_failures and index not in self._done:
             error = record.get("error") or ""
@@ -335,7 +437,6 @@ class CoordinatorState:
     def telemetry(self, worker_id: str, metrics: dict) -> None:
         """Store one worker's metrics snapshot, replacing its last one
         (last-write-wins, so a duplicate delivery changes nothing)."""
-        self.check_worker(worker_id)
         atomic_write_json(
             self.cluster_dir / TELEMETRY_DIR / f"{worker_id}.json", metrics)
 

@@ -1,22 +1,25 @@
-"""Transport abstraction for the cluster coordinator/worker protocol.
+"""Transports: how a worker's protocol frames reach the coordinator.
 
 The protocol's *operations* — fetch the plan, register a worker, snapshot
 task state, claim a batch of leases (including stale-lease takeover),
 heartbeat a batch of leases, submit a batch of durable results, report a
-failure — form a :class:`Transport` contract that the worker's claim /
-steal / reclaim loop runs against.  Every operation is decided by one
-:class:`~repro.cluster.state.CoordinatorState`, the coordinator's
-in-memory state; the transports only differ in how a worker reaches it:
+failure, ship telemetry, read the status — are decided in one place,
+:meth:`CoordinatorState.apply <repro.cluster.state.CoordinatorState.apply>`,
+a function of one request frame and the coordinator's time.  The
+:class:`Transport` base class defines every client operation once, as a
+frame sent through one abstract :meth:`Transport.request`; the transports
+only carry frames:
 
 :class:`SocketTransport`
     Length-prefixed JSON frames over one TCP connection to a
     :class:`~repro.cluster.serve.ClusterCoordinatorServer` (``python -m
     repro.cluster.serve``, or the server :meth:`ClusterCoordinator.run_local
     <repro.cluster.coordinator.ClusterCoordinator.run_local>` binds for its
-    worker processes).  Workers need no shared filesystem at all.
+    worker processes), with connect and retry.  Workers need no shared
+    filesystem at all.
 
 :class:`LocalTransport`
-    The same operations applied in process to a ``CoordinatorState`` (for
+    The same frames handed to a ``CoordinatorState`` in process (for
     workers in the coordinator's own interpreter).
 
 The merged :class:`~repro.runtime.sweep.SweepResult` of a sweep is
@@ -262,9 +265,12 @@ class TaskSnapshot:
 # Contract
 # --------------------------------------------------------------------------- #
 class Transport(ABC):
-    """The coordinator/worker protocol, independent of how bytes move.
+    """The worker's side of the protocol, over one :meth:`request`.
 
-    Implementations must guarantee:
+    Every operation is defined here once, as a frame sent through
+    :meth:`request` and the decoding of its response; an implementation
+    only carries frames to a :class:`~repro.cluster.state.CoordinatorState`
+    and back.  The state guarantees:
 
     * :meth:`claim_many` is **atomic per index**: of any number of concurrent
       claims for one index, at most one is granted — and a claim of that
@@ -287,37 +293,47 @@ class Transport(ABC):
     plan: ClusterPlan
 
     @abstractmethod
+    def request(self, op: str, **payload) -> dict:
+        """Deliver the frame ``{"op": op, **payload}`` and return its
+        ``ok: true`` response; raise :class:`TransportError` on an ``ok:
+        false`` one, or when the frame cannot be delivered."""
+
     def register_worker(self, worker_id: str, shard: Optional[int]) -> int:
         """Register ``worker_id`` and return its home shard (auto-assigned
         round-robin over existing registrations when ``shard`` is None)."""
+        return self.request("register", worker_id=worker_id,
+                            shard=shard)["shard"]
 
-    @abstractmethod
     def snapshot(self) -> TaskSnapshot:
         """Current done/lease state of every scenario."""
+        return TaskSnapshot.from_dict(self.request("snapshot")["snapshot"])
 
-    @abstractmethod
     def claim_many(self, indices: Sequence[int],
                    worker_id: str) -> list[int]:
         """Try to acquire the lease of each of ``indices``, in order;
         returns the granted ones.  A stale lease is taken over only when
         ``indices`` holds that one index."""
+        return self.request("claim", indices=list(indices),
+                            worker_id=worker_id)["granted"]
 
     def try_claim(self, index: int, worker_id: str) -> bool:
         """Atomically try to acquire the lease for ``index``."""
         return bool(self.claim_many([index], worker_id))
 
-    @abstractmethod
     def heartbeat_many(self, indices: Sequence[int],
                        worker_id: str) -> list[int]:
         """Refresh the lease of each of ``indices``; returns the ones still
         owned by ``worker_id``.  A missing index was taken over after going
-        stale (or released) — stop beating it then."""
+        stale (or released) — stop beating it then.  A failed delivery
+        raises :class:`TransportError`: whether the leases live is then
+        unknown, which the caller must not read as lost."""
+        return self.request("heartbeat", indices=list(indices),
+                            worker_id=worker_id)["alive"]
 
     def heartbeat(self, index: int, worker_id: str) -> bool:
         """Refresh the lease of ``index``; ``False`` once it is lost."""
         return bool(self.heartbeat_many([index], worker_id))
 
-    @abstractmethod
     def submit_many(self, worker_id: str,
                     results: Sequence[tuple[int, dict, int]]) -> None:
         """Durably record each ``(index, record, attempt)`` and then mark
@@ -332,6 +348,10 @@ class Transport(ABC):
         connection reset whose first delivery may have been applied) writes
         its sink record at most once.  A done record wins over any lease:
         a result needs no lease to be submitted."""
+        self.request("submit", worker_id=worker_id,
+                     results=[{"index": index, "outcome": record,
+                               "attempt": attempt}
+                              for index, record, attempt in results])
 
     def submit_result(self, worker_id: str, index: int,
                       outcome: ScenarioOutcome, attempt: int = 0) -> None:
@@ -352,8 +372,10 @@ class Transport(ABC):
         completes without it.  Deliveries dedupe on ``(index, worker_id,
         attempt)`` like submits, keeping the op idempotent.
         """
-        raise TransportError(
-            f"{self.kind} transport does not support failure reporting")
+        response = self.request("fail", worker_id=worker_id, index=index,
+                                outcome=outcome.to_dict(), attempt=attempt)
+        return {"attempts": response["attempts"],
+                "quarantined": response["quarantined"]}
 
     def send_telemetry(self, worker_id: str, metrics: dict) -> None:
         """Ship one worker's observability metrics snapshot.
@@ -361,12 +383,23 @@ class Transport(ABC):
         ``metrics`` is a whole-registry snapshot
         (:meth:`repro.obs.metrics.MetricsRegistry.to_dict`), so a duplicate
         or reordered delivery is last-write-wins over the same content —
-        idempotent by construction.  Telemetry is best-effort side data: the
-        default implementation drops it, and no sweep result depends on it.
+        idempotent by construction.  No sweep result depends on it.
         """
+        self.request("telemetry", worker_id=worker_id, metrics=metrics)
+
+    def status(self) -> dict:
+        """Coordinator-side progress counters (monitoring)."""
+        return self.request("status")["status"]
 
     def close(self) -> None:
         """Release connections / flush sinks."""
+
+
+def _checked(op: str, response: dict) -> dict:
+    """``response`` if it is ``ok: true``, else :class:`TransportError`."""
+    if not response.get("ok"):
+        raise TransportError(response.get("error", f"{op!r} failed"))
+    return response
 
 
 # --------------------------------------------------------------------------- #
@@ -376,11 +409,9 @@ class LocalTransport(Transport):
     """The in-process front-end over a
     :class:`~repro.cluster.state.CoordinatorState`.
 
-    Each operation holds the state's lock and passes ``clock()`` as the
-    coordinator's time; transports over one state share its lock, and
-    should share one clock.  A refused operation raises
-    :class:`TransportError`, as the socket transport does for an ``ok:
-    false`` answer.
+    Each frame goes to :meth:`CoordinatorState.apply` at ``clock()``, the
+    coordinator's time; transports over one state should share one clock.
+    A refused frame raises :class:`TransportError`, as it does over TCP.
     """
 
     kind = "local"
@@ -391,44 +422,9 @@ class LocalTransport(Transport):
         self.plan = state.plan
         self.clock = clock
 
-    def _apply(self, op: Callable, *args):
-        with self.state.lock:
-            try:
-                return op(*args)
-            except ValueError as error:
-                raise TransportError(str(error)) from None
-
-    def register_worker(self, worker_id: str, shard: Optional[int]) -> int:
-        return self._apply(self.state.register, worker_id, shard)
-
-    def snapshot(self) -> TaskSnapshot:
-        return self._apply(self.state.snapshot, self.clock())
-
-    def claim_many(self, indices: Sequence[int],
-                   worker_id: str) -> list[int]:
-        return self._apply(self.state.claim, indices, worker_id,
-                           self.clock())
-
-    def heartbeat_many(self, indices: Sequence[int],
-                       worker_id: str) -> list[int]:
-        return self._apply(self.state.heartbeat, indices, worker_id,
-                           self.clock())
-
-    def submit_many(self, worker_id: str,
-                    results: Sequence[tuple[int, dict, int]]) -> None:
-        self._apply(self.state.submit, worker_id, results)
-
-    def record_failure(self, worker_id: str, index: int,
-                       outcome: ScenarioOutcome, attempt: int = 0) -> dict:
-        return self._apply(self.state.fail, worker_id, index,
-                           outcome.to_dict(), attempt, self.clock())
-
-    def send_telemetry(self, worker_id: str, metrics: dict) -> None:
-        self._apply(self.state.telemetry, worker_id, metrics)
-
-    def status(self) -> dict:
-        """Coordinator-side progress counters (monitoring)."""
-        return self._apply(self.state.status, self.clock())
+    def request(self, op: str, **payload) -> dict:
+        return _checked(op, self.state.apply({"op": op, **payload},
+                                           self.clock()))
 
 
 # --------------------------------------------------------------------------- #
@@ -576,61 +572,8 @@ class SocketTransport(Transport):
                         f"coordinator closed the connection during {op!r} "
                         f"(attempt {attempt + 1}/{attempts})")
                     continue
-            if not response.get("ok"):
-                raise TransportError(response.get("error", f"{op!r} failed"))
-            return response
+            return _checked(op, response)
         raise last_error
-
-    # -- protocol operations ------------------------------------------- #
-    def register_worker(self, worker_id: str, shard: Optional[int]) -> int:
-        return int(self.request("register", worker_id=worker_id,
-                                shard=shard)["shard"])
-
-    def snapshot(self) -> TaskSnapshot:
-        return TaskSnapshot.from_dict(self.request("snapshot")["snapshot"])
-
-    def claim_many(self, indices: Sequence[int],
-                   worker_id: str) -> list[int]:
-        return [int(index) for index in
-                self.request("claim", indices=list(indices),
-                             worker_id=worker_id)["granted"]]
-
-    def heartbeat_many(self, indices: Sequence[int],
-                       worker_id: str) -> list[int]:
-        try:
-            return [int(index) for index in
-                    self.request("heartbeat", indices=list(indices),
-                                 worker_id=worker_id)["alive"]]
-        except TransportError:
-            # Unknown is not "lost": a transient outage (coordinator
-            # restart, network blip) must not silence the heartbeat for
-            # good — that would let the lease of a *healthy* worker go
-            # stale and its scenario run twice fleet-wide.  Keep beating;
-            # request() reconnects on the next attempt, and a genuine
-            # takeover is reported authoritatively by its absence from
-            # ``alive``.
-            return list(indices)
-
-    def submit_many(self, worker_id: str,
-                    results: Sequence[tuple[int, dict, int]]) -> None:
-        self.request("submit", worker_id=worker_id,
-                     results=[{"index": index, "outcome": record,
-                               "attempt": attempt}
-                              for index, record, attempt in results])
-
-    def record_failure(self, worker_id: str, index: int,
-                       outcome: ScenarioOutcome, attempt: int = 0) -> dict:
-        response = self.request("fail", worker_id=worker_id, index=index,
-                                outcome=outcome.to_dict(), attempt=attempt)
-        return {"attempts": int(response.get("attempts", 0)),
-                "quarantined": bool(response.get("quarantined", False))}
-
-    def send_telemetry(self, worker_id: str, metrics: dict) -> None:
-        self.request("telemetry", worker_id=worker_id, metrics=metrics)
-
-    def status(self) -> dict:
-        """Coordinator-side progress counters (monitoring)."""
-        return self.request("status")["status"]
 
     def close(self) -> None:
         with self._lock:

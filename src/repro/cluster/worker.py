@@ -203,9 +203,12 @@ class _Heartbeat:
                 alive = set(self._transport.heartbeat_many(
                     [index for index, _ in due], self._worker_id))
             except TransportError:
-                # Transient outage — unknown is not "lost".  Keep beating;
-                # the transport reconnects/retries, and a genuine takeover
-                # is reported authoritatively by its absence from alive.
+                # Transient outage — unknown is not "lost".  Reading it as
+                # lost would abort a healthy worker's scenario and let its
+                # lease go stale, so the scenario runs twice.  Keep
+                # beating; the transport reconnects/retries, and a genuine
+                # takeover is reported authoritatively by its absence from
+                # alive.
                 continue
             for index, entry in due:
                 if index not in alive:

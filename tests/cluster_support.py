@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.cluster.transport import Transport
+
 
 class ManualClock:
     """A coordinator clock the test steps by hand.
@@ -29,3 +31,39 @@ def expire_leases(coordinator, clock: ManualClock,
     total = coordinator.status(clock())["total"]
     clock.advance(seconds)
     return total["leased"] + total["stale"]
+
+
+class FrameRecorder(Transport):
+    """Carries every frame to ``inner`` and keeps it with its answer.
+
+    Wrap any transport (local, socket, faulty) to assert which frames a
+    worker sent: :attr:`frames` lists ``(op, payload, response)`` per
+    answered frame, in call order.
+    """
+
+    def __init__(self, inner: Transport) -> None:
+        self.inner = inner
+        self.kind = inner.kind
+        self.plan = inner.plan
+        self.frames: list[tuple[str, dict, dict]] = []
+
+    def request(self, op: str, **payload) -> dict:
+        response = self.inner.request(op, **payload)
+        self.frames.append((op, payload, response))
+        return response
+
+    def sent(self, op: str) -> list[tuple[dict, dict]]:
+        """``(payload, response)`` of every answered ``op`` frame."""
+        return [(payload, response) for sent, payload, response
+                in self.frames if sent == op]
+
+    def indices(self, op: str) -> list[list[int]]:
+        """The scenario indices each answered ``claim``, ``heartbeat`` or
+        ``submit`` frame carried."""
+        if op == "submit":
+            return [[entry["index"] for entry in payload["results"]]
+                    for payload, _ in self.sent(op)]
+        return [payload["indices"] for payload, _ in self.sent(op)]
+
+    def close(self) -> None:
+        self.inner.close()

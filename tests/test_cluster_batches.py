@@ -39,7 +39,6 @@ from repro.cluster import (
     JsonlResultSink,
     LocalTransport,
     SocketTransport,
-    Transport,
 )
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import (
@@ -50,7 +49,7 @@ from repro.runtime import (
 )
 from repro.runtime.sweep import ScenarioOutcome, execute_scenario
 
-from cluster_support import ManualClock, expire_leases
+from cluster_support import FrameRecorder, ManualClock, expire_leases
 
 DURATION = 0.05
 SEED = 77
@@ -96,44 +95,6 @@ def canned(spec, seed, duration) -> ScenarioOutcome:
     return ScenarioOutcome(scenario_name=spec.name,
                            scheduler_name=spec.scheduler_name(), seed=seed,
                            duration=duration, backend=spec.backend_name())
-
-
-class FrameLog(Transport):
-    """Delegates to ``inner``, recording every claim, heartbeat and submit
-    frame."""
-
-    def __init__(self, inner: Transport) -> None:
-        self.inner = inner
-        self.kind = inner.kind
-        self.plan = inner.plan
-        self.claims: list[list[int]] = []
-        self.heartbeats: list[list[int]] = []
-        self.submits: list[list[int]] = []
-
-    def register_worker(self, worker_id, shard):
-        return self.inner.register_worker(worker_id, shard)
-
-    def snapshot(self):
-        return self.inner.snapshot()
-
-    def claim_many(self, indices, worker_id):
-        self.claims.append(list(indices))
-        return self.inner.claim_many(indices, worker_id)
-
-    def heartbeat_many(self, indices, worker_id):
-        self.heartbeats.append(list(indices))
-        return self.inner.heartbeat_many(indices, worker_id)
-
-    def submit_many(self, worker_id, results):
-        self.submits.append([index for index, _, _ in results])
-        self.inner.submit_many(worker_id, results)
-
-    def record_failure(self, worker_id, index, outcome, attempt=0):
-        return self.inner.record_failure(worker_id, index, outcome,
-                                         attempt=attempt)
-
-    def close(self):
-        self.inner.close()
 
 
 @pytest.fixture(params=("local", "socket"))
@@ -193,13 +154,13 @@ class TestBatchEqualsElements:
             self, tmp_path, connect):
         specs = grid(24)
         coordinator = plan_cluster(tmp_path, specs)
-        transport = FrameLog(connect(coordinator))
+        transport = FrameRecorder(connect(coordinator))
         worker = ClusterWorker(transport, "w", cache_dir=None)
         worker.run(poll_interval=0.01)
         # One shard, one worker: the whole shard is one batch, claimed and
         # submitted in one frame each.
-        assert transport.claims == [coordinator.plan().shards[0]]
-        assert transport.submits == transport.claims
+        assert transport.indices("claim") == [coordinator.plan().shards[0]]
+        assert transport.indices("submit") == transport.indices("claim")
         assert sorted(worker.executed) == list(range(len(specs)))
         assert coordinator.merge().outcomes == serial_outcomes(specs)
 
@@ -212,25 +173,26 @@ class TestBatchEqualsElements:
         coordinator = plan_cluster(tmp_path, specs, num_shards=3)
         plan = coordinator.plan()
         costs = plan.scenario_costs
-        transport = FrameLog(connect(coordinator))
+        transport = FrameRecorder(connect(coordinator))
         worker = ClusterWorker(transport, "w", shard=0, cache_dir=None)
         worker.run(poll_interval=0.01)
         pending = {shard_id: set(shard)
                    for shard_id, shard in enumerate(plan.shards)}
-        for batch in transport.claims:
+        claims = transport.indices("claim")
+        for batch in claims:
             (shard_id,) = {shard_id for shard_id, shard
                            in enumerate(plan.shards) if batch[0] in shard}
             assert set(batch) <= pending[shard_id]
             budget = sum(costs[index] for index in pending[shard_id]) / 3
             assert len(batch) == 1 or sum(costs[i] for i in batch) <= budget
             pending[shard_id] -= set(batch)
-        assert any(len(batch) > 1 for batch in transport.claims)
-        assert len(transport.claims) < len(specs)
+        assert any(len(batch) > 1 for batch in claims)
+        assert len(claims) < len(specs)
         # Each shard's last batch is a single scenario.
         for shard in plan.shards:
-            last = [batch for batch in transport.claims if batch[0] in shard]
+            last = [batch for batch in claims if batch[0] in shard]
             assert len(last[-1]) == 1
-        assert transport.submits == transport.claims
+        assert transport.indices("submit") == claims
         assert coordinator.merge().outcomes == serial_outcomes(specs)
 
     def test_warm_cache_submits_hits_without_a_lease(
@@ -241,11 +203,11 @@ class TestBatchEqualsElements:
         serial = run_sweep(specs, DURATION, master_seed=SEED,
                            cache_dir=cache_dir)
         coordinator = plan_cluster(tmp_path, specs)
-        transport = FrameLog(connect(coordinator))
+        transport = FrameRecorder(connect(coordinator))
         worker = ClusterWorker(transport, "w", cache_dir=cache_dir)
         worker.run(poll_interval=0.01)
-        assert transport.claims == []
-        assert [len(frame) for frame in transport.submits] == [4, 4, 2]
+        assert transport.indices("claim") == []
+        assert [len(frame) for frame in transport.indices("submit")] == [4, 4, 2]
         assert worker.cache_report.counts()["hits"] == len(specs)
         assert coordinator.merge().outcomes == serial.outcomes
 
@@ -261,7 +223,7 @@ class TestBatchEqualsElements:
                            cache_dir=cache_dir)
         coordinator = plan_cluster(tmp_path, specs, num_shards=2)
         own, other = coordinator.plan().shards
-        transport = FrameLog(connect(coordinator))
+        transport = FrameRecorder(connect(coordinator))
         worker = ClusterWorker(transport, "w", shard=0, cache_dir=cache_dir)
         loads = []
         real_load = worker._cache.load
@@ -270,10 +232,10 @@ class TestBatchEqualsElements:
         worker.run(poll_interval=0.01)
         # The own shard's hits went out first, in one frame, before any
         # record of the other shard was loaded.
-        assert transport.submits[0] == list(own)
+        assert transport.indices("submit")[0] == list(own)
         assert loads[:len(own)] == [specs[index].name for index in own]
         # The other shard was stolen under leases, each hit loaded once.
-        assert sorted(index for batch in transport.claims
+        assert sorted(index for batch in transport.indices("claim")
                       for index in batch) == sorted(other)
         assert sorted(loads) == sorted(spec.name for spec in specs)
         assert coordinator.merge().outcomes == serial.outcomes
@@ -340,11 +302,11 @@ class TestPoisonIsolation:
         assert all(lease_of(coordinator, index).batch == 6
                    for index in range(len(specs)))
         assert expire_leases(coordinator, clock) == 6
-        transport = FrameLog(LocalTransport(coordinator.state, clock))
+        transport = FrameRecorder(LocalTransport(coordinator.state, clock))
         rescuer = ClusterWorker(transport, "rescuer", cache_dir=None)
         rescuer.run(poll_interval=0.01)
-        assert transport.claims == [[index] for index in
-                                    coordinator.plan().shards[0]]
+        assert transport.indices("claim") == [
+            [index] for index in coordinator.plan().shards[0]]
         assert coordinator.quarantine_records() == []
         assert coordinator.merge().outcomes == serial_outcomes(specs)
 
@@ -463,13 +425,13 @@ class TestBatchHeartbeat:
             return canned(spec, seed, duration)
 
         monkeypatch.setattr(worker_module, "execute_scenario", execute)
-        transport = FrameLog(LocalTransport(coordinator.state))
+        transport = FrameRecorder(LocalTransport(coordinator.state))
         worker = ClusterWorker(transport, "w", cache_dir=None)
         assert worker.step() == order[0]
         worker.close()
-        assert transport.claims == [order]
-        assert len(transport.heartbeats) >= 2
-        assert transport.heartbeats[0] == order
+        assert transport.indices("claim") == [order]
+        assert len(transport.indices("heartbeat")) >= 2
+        assert transport.indices("heartbeat")[0] == order
 
     def test_held_results_are_submitted_once_an_interval_old(
             self, tmp_path, monkeypatch):
@@ -485,11 +447,11 @@ class TestBatchHeartbeat:
             return canned(spec, seed, duration)
 
         monkeypatch.setattr(worker_module, "execute_scenario", execute)
-        transport = FrameLog(LocalTransport(coordinator.state))
+        transport = FrameRecorder(LocalTransport(coordinator.state))
         worker = ClusterWorker(transport, "w", cache_dir=None)
         worker.run(wait_for_stragglers=False)
-        assert transport.claims == [order]
-        assert transport.submits == [order[:2], order[2:]]
+        assert transport.indices("claim") == [order]
+        assert transport.indices("submit") == [order[:2], order[2:]]
         assert worker.executed == order
         assert coordinator.merge().outcomes == [
             canned(spec, seed, DURATION)

@@ -20,13 +20,12 @@ from repro.cluster import (
     ClusterWorker,
     LocalTransport,
     SocketTransport,
-    Transport,
 )
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import GuardPolicy, SweepRunner, single_kind_scenarios
 from repro.runtime.sweep import _failure_outcome
 
-from cluster_support import ManualClock
+from cluster_support import FrameRecorder, ManualClock
 
 DURATION = 0.05
 SEED = 77
@@ -40,41 +39,19 @@ def grid(count, backend=None):
     return specs[:count]
 
 
-class CountingTransport(Transport):
-    """Delegates every op to ``inner``, counting snapshots and claims."""
+class CountingTransport(FrameRecorder):
+    """Records every frame, counting snapshots and claims."""
 
-    def __init__(self, inner: Transport) -> None:
-        self.inner = inner
-        self.kind = inner.kind
-        self.plan = inner.plan
-        self.snapshots = 0
-        #: ``(index, granted)`` per claim, in call order.
-        self.claims: list[tuple[int, bool]] = []
+    @property
+    def snapshots(self) -> int:
+        return len(self.sent("snapshot"))
 
-    def register_worker(self, worker_id, shard):
-        return self.inner.register_worker(worker_id, shard)
-
-    def snapshot(self):
-        self.snapshots += 1
-        return self.inner.snapshot()
-
-    def claim_many(self, indices, worker_id):
-        granted = self.inner.claim_many(indices, worker_id)
-        self.claims.extend((index, index in granted) for index in indices)
-        return granted
-
-    def heartbeat_many(self, indices, worker_id):
-        return self.inner.heartbeat_many(indices, worker_id)
-
-    def submit_many(self, worker_id, results):
-        self.inner.submit_many(worker_id, results)
-
-    def record_failure(self, worker_id, index, outcome, attempt=0):
-        return self.inner.record_failure(worker_id, index, outcome,
-                                         attempt=attempt)
-
-    def close(self):
-        self.inner.close()
+    @property
+    def claims(self) -> list[tuple[int, bool]]:
+        """``(index, granted)`` per claimed index, in call order."""
+        return [(index, index in response["granted"])
+                for payload, response in self.sent("claim")
+                for index in payload["indices"]]
 
     def granted(self) -> list[int]:
         return [index for index, granted in self.claims if granted]

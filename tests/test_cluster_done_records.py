@@ -30,11 +30,12 @@ from repro.cluster import (
     FaultyTransport,
     LocalTransport,
     SocketTransport,
-    Transport,
 )
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.runtime import paper_grid, single_kind_scenarios
 from repro.runtime.sweep import ScenarioOutcome
+
+from cluster_support import FrameRecorder
 
 DURATION = 0.05
 SEED = 77
@@ -214,35 +215,6 @@ class TestDoneRecordWriteFails:
             [[0, 2]]
 
 
-class SubmitCounter(Transport):
-    """Delegates to ``inner``, counting submit frames."""
-
-    def __init__(self, inner: Transport) -> None:
-        self.inner = inner
-        self.kind = inner.kind
-        self.plan = inner.plan
-        self.submits = 0
-
-    def register_worker(self, worker_id, shard):
-        return self.inner.register_worker(worker_id, shard)
-
-    def snapshot(self):
-        return self.inner.snapshot()
-
-    def claim_many(self, indices, worker_id):
-        return self.inner.claim_many(indices, worker_id)
-
-    def heartbeat_many(self, indices, worker_id):
-        return self.inner.heartbeat_many(indices, worker_id)
-
-    def submit_many(self, worker_id, results):
-        self.submits += 1
-        self.inner.submit_many(worker_id, results)
-
-    def close(self):
-        self.inner.close()
-
-
 def test_paper_grid_over_tcp_leaves_one_record_per_submit(
         tmp_path, monkeypatch):
     monkeypatch.setattr(
@@ -253,7 +225,7 @@ def test_paper_grid_over_tcp_leaves_one_record_per_submit(
     server = ClusterCoordinatorServer(coordinator)
     server.start_background()
     try:
-        transport = SubmitCounter(SocketTransport(server.address))
+        transport = FrameRecorder(SocketTransport(server.address))
         worker = ClusterWorker(transport, "w", cache_dir=None)
         worker.run(poll_interval=0.01)
         worker.close()
@@ -261,8 +233,9 @@ def test_paper_grid_over_tcp_leaves_one_record_per_submit(
         server.stop()
     tasks = coordinator.cluster_dir / "tasks"
     records = done_records(coordinator.cluster_dir)
-    assert 1 < transport.submits < len(specs)
-    assert len(records) == transport.submits
+    submits = len(transport.sent("submit"))
+    assert 1 < submits < len(specs)
+    assert len(records) == submits
     assert sorted(index for indices in records.values()
                   for index in indices) == list(range(len(specs)))
     assert not [path.name for path in tasks.iterdir()

@@ -38,6 +38,8 @@ from repro.cluster import (
     InjectedWorkerCrash,
     LocalTransport,
     SocketTransport,
+    TaskSnapshot,
+    Transport,
     TransportError,
 )
 from repro.cluster.serve import ClusterCoordinatorServer
@@ -157,7 +159,7 @@ class TestFaultSchedule:
             FaultSchedule(seed=1, crash_mode="sideways")
 
 
-class _ScriptedTransport:
+class _ScriptedTransport(Transport):
     """Minimal transport double recording deliveries."""
 
     kind = "scripted"
@@ -166,24 +168,10 @@ class _ScriptedTransport:
     def __init__(self):
         self.calls: list[str] = []
 
-    def register_worker(self, worker_id, shard):
-        self.calls.append("register")
-        return 0
-
-    def snapshot(self):
-        self.calls.append("snapshot")
-        return "snapshot"
-
-    def claim_many(self, indices, worker_id):
-        self.calls.append("claim")
-        return list(indices)
-
-    def heartbeat_many(self, indices, worker_id):
-        self.calls.append("heartbeat")
-        return list(indices)
-
-    def submit_many(self, worker_id, results):
-        self.calls.append("submit")
+    def request(self, op, **payload):
+        self.calls.append(op)
+        return {"ok": True, "granted": payload.get("indices"),
+                "snapshot": TaskSnapshot(done=frozenset()).to_dict()}
 
     def close(self):
         self.calls.append("close")

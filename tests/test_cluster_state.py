@@ -35,7 +35,9 @@ from repro.cluster import (
     ClusterWorker,
     CoordinatorState,
     LocalTransport,
+    SocketTransport,
     TaskSnapshot,
+    TransportError,
 )
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.cluster.transport import recv_frame, send_frame
@@ -344,8 +346,6 @@ class TestWorkerIds:
             done=frozenset(), lease_ages={}, workers=0)
 
     def test_the_local_transport_refuses_an_unsafe_id(self, tmp_path):
-        from repro.cluster import TransportError
-
         transport = LocalTransport(coordinator_for(tmp_path).state)
         with pytest.raises(TransportError, match="unsafe worker id"):
             transport.register_worker("../../escaped", None)
@@ -376,6 +376,71 @@ def test_a_malformed_fail_frame_is_refused_and_the_connection_serves_on(
     assert markers(coordinator, "fail") == []
 
 
+@pytest.fixture(params=("local", "socket"))
+def front_end(request, tmp_path):
+    """``(coordinator, transport)``: a transport of the param kind over a
+    fresh 4-scenario plan."""
+    coordinator = coordinator_for(tmp_path)
+    server = None
+    if request.param == "socket":
+        server = ClusterCoordinatorServer(coordinator)
+        server.start_background()
+        transport = SocketTransport(server.address)
+    else:
+        transport = LocalTransport(coordinator.state)
+    yield coordinator, transport
+    transport.close()
+    if server is not None:
+        server.stop()
+
+
+def written(coordinator) -> list[str]:
+    """Every file under the cluster directory's results/ and tasks/."""
+    return [path.name for name in ("results", "tasks")
+            for path in (coordinator.cluster_dir / name).glob("*")]
+
+
+def test_mistyped_ids_and_integers_are_refused(front_end):
+    coordinator, transport = front_end
+    ok = record(coordinator.state, 0)
+    frames = [
+        ("register", {"worker_id": None, "shard": None}),
+        ("register", {"worker_id": 123, "shard": None}),
+        ("register", {"worker_id": "w", "shard": 0.9}),
+        ("register", {"worker_id": "w", "shard": True}),
+        ("claim", {"worker_id": "w", "indices": [1.7]}),
+        ("claim", {"worker_id": "w", "indices": ["2"]}),
+        ("claim", {"worker_id": "w", "indices": [True]}),
+        ("claim", {"worker_id": None, "indices": [0]}),
+        ("heartbeat", {"worker_id": "w", "indices": [0.0]}),
+        ("submit", {"worker_id": "w", "results": [
+            {"index": 0, "outcome": ok, "attempt": 1.0}]}),
+        ("submit", {"worker_id": "w", "results": [
+            {"index": False, "outcome": ok, "attempt": 1}]}),
+        ("fail", {"worker_id": "w", "index": 0, "outcome": ok,
+                  "attempt": True}),
+    ]
+    for op, payload in frames:
+        with pytest.raises(TransportError, match=f"^{op}: ValueError"):
+            transport.request(op, **payload)
+    assert coordinator.state.snapshot(now=0.0) == TaskSnapshot(
+        done=frozenset(), lease_ages={}, workers=0)
+    assert written(coordinator) == []
+
+
+@pytest.mark.parametrize("outcome", ["not a record", [1, 2], None])
+def test_a_non_object_outcome_is_refused_and_writes_nothing(front_end,
+                                                            outcome):
+    coordinator, transport = front_end
+    with pytest.raises(TransportError, match="must be an object"):
+        transport.submit_many("w", [(0, outcome, 1)])
+    with pytest.raises(TransportError, match="must be an object"):
+        transport.request("fail", worker_id="w", index=0, outcome=outcome,
+                          attempt=1)
+    assert written(coordinator) == []
+    assert coordinator.state.snapshot(now=0.0).done == frozenset()
+
+
 def test_the_state_reads_no_clock_and_starts_no_thread(tmp_path,
                                                        monkeypatch):
     coordinator = guarded(tmp_path, max_attempts=1)
@@ -397,4 +462,6 @@ def test_the_state_reads_no_clock_and_starts_no_thread(tmp_path,
     assert state.claim([2], "v", now=3.0 + TIMEOUT) == []  # a death
     state.telemetry("w", {"format": "repro-metrics/v1"})
     assert state.status(now=4.0)["total"]["done"] == 3
+    assert state.apply({"op": "claim", "worker_id": "w", "indices": [3]},
+                       now=5.0) == {"ok": True, "granted": [3]}
     monkeypatch.undo()

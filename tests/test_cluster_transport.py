@@ -315,6 +315,21 @@ class TestSocketTransport:
         finally:
             cluster.close()
 
+    def test_heartbeat_against_a_stopped_server_raises(self, tmp_path):
+        """Unknown is not lost, but that is the worker's rule
+        (``_Heartbeat``): the transport reports the failed delivery."""
+        specs = grid(count=2, backend="analytic")
+        cluster = TransportCluster(tmp_path, "socket", specs)
+        transport = SocketTransport(cluster.server.address, max_attempts=1)
+        try:
+            assert transport.try_claim(0, "w")
+            cluster.server.stop()
+            with pytest.raises(TransportError):
+                transport.heartbeat(0, "w")
+        finally:
+            transport.close()
+            cluster.close()
+
     def test_connect_failure_raises_transport_error(self):
         with pytest.raises(TransportError, match="cannot connect"):
             SocketTransport("127.0.0.1:1", connect_retry=0.0)
