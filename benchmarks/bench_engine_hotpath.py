@@ -10,7 +10,9 @@ cancelled (reply watchdogs) or to fire provably-no-op polls.
 PR 5 attacked it on two fronts:
 
 * slim ``__slots__`` events that double as their own handles, positional
-  callback args instead of closures, reusable/periodic timers;
+  callback args instead of closures (it also added reusable and periodic
+  timers that recycled event objects; they measured no gain over plain
+  events and were later removed);
 * timer elision for the GEN/REPLY hot path: reply watchdogs skipped when
   frames cannot be lost, the blocked-EGP follow-up poll skipped, the
   post-REPLY poll deferred past the K attempt spacing, and batched REPLYs
@@ -35,7 +37,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from benchmarks.conftest import print_table, record_perf, scaled
 
@@ -47,9 +49,8 @@ from benchmarks.conftest import print_table, record_perf, scaled
 # an ordered-dataclass event (tuple-building __lt__ on every heap
 # comparison), a separate handle object per schedule, and a closure per
 # callback that carries arguments — exactly what every schedule allocated
-# before PR 5.  The thin ``timer``/``schedule_periodic`` adapters reproduce
-# the seed's fresh-event-per-arm / reschedule-per-tick patterns so the
-# current protocol code runs on it unchanged.
+# before PR 5.  The protocol code schedules plain events only
+# (``schedule_at``/``schedule_after``), so it runs on this engine unchanged.
 
 
 @dataclass(order=True)
@@ -81,60 +82,6 @@ class _RefHandle:
         self._event.cancelled = True
         if not self._event.popped:
             self._engine._note_cancelled()
-
-
-class _RefTimer:
-    """Seed pattern: every arm allocates a fresh event + handle + closure."""
-
-    def __init__(self, engine: "ReferenceEngine", callback, name=""):
-        self._engine = engine
-        self._callback = callback
-        self._name = name
-        self._handle: Optional[_RefHandle] = None
-
-    def arm_at(self, when: float, args: tuple = ()) -> _RefHandle:
-        self._handle = self._engine.schedule_at(when, self._callback,
-                                                name=self._name, args=args)
-        return self._handle
-
-    def arm_after(self, delay: float, args: tuple = ()) -> _RefHandle:
-        return self.arm_at(self._engine._now + delay, args=args)
-
-    def cancel(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-
-    @property
-    def active(self) -> bool:
-        handle = self._handle
-        return (handle is not None and not handle.cancelled
-                and not handle._event.popped)
-
-
-class _RefPeriodic:
-    """Seed pattern: the callback reschedules itself every interval."""
-
-    def __init__(self, engine, interval, callback, start, name):
-        self._engine = engine
-        self.interval = interval
-        self._callback = callback
-        self._name = name
-        self._stopped = False
-        self._handle = engine.schedule_at(start, self._fire, name=name)
-
-    def _fire(self) -> None:
-        self._callback()
-        if not self._stopped:
-            self._handle = self._engine.schedule_after(
-                self.interval, self._fire, name=self._name)
-
-    @property
-    def active(self) -> bool:
-        return not self._stopped
-
-    def cancel(self) -> None:
-        self._stopped = True
-        self._handle.cancel()
 
 
 class ReferenceEngine:
@@ -184,16 +131,6 @@ class ReferenceEngine:
             raise RuntimeError(f"negative delay {delay}")
         return self.schedule_at(self._now + delay, callback, name=name,
                                 args=args)
-
-    def schedule_now(self, callback, name="", args=()):
-        return self.schedule_at(self._now, callback, name=name, args=args)
-
-    def schedule_periodic(self, interval, callback, start=None, name=""):
-        first = self._now + interval if start is None else float(start)
-        return _RefPeriodic(self, interval, callback, first, name)
-
-    def timer(self, callback, name=""):
-        return _RefTimer(self, callback, name=name)
 
     def step(self) -> bool:
         while self._queue:

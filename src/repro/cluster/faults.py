@@ -43,8 +43,8 @@ artifact, with the indices each faulted claim, heartbeat or submit frame
 carried.
 
 Like a real client, :class:`FaultyTransport` retries operations whose
-delivery failed: the whole protocol is idempotent
-(:data:`~repro.cluster.transport.IDEMPOTENT_OPS`), so retrying a possibly
+delivery failed: every operation of the protocol is idempotent (see
+:class:`~repro.cluster.transport.Transport`), so retrying a possibly
 applied operation is safe by contract.  A fault burst longer than the retry
 budget surfaces as an :class:`InjectedFault` (a ``TransportError``), which
 the worker loop already treats as a coordinator outage.

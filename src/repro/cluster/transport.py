@@ -60,7 +60,7 @@ shard, submits are deduplicated per result on ``(task_index, worker_id,
 attempt)`` and by the done records, heartbeats are pure refreshes.  A client
 that loses the connection mid-request therefore cannot tell whether the
 operation was applied, *and does not need to*:
-:meth:`SocketTransport.request` retries idempotent operations with bounded
+:meth:`SocketTransport.request` retries every operation with bounded
 backoff, and a duplicate delivery commutes into a no-op.  Lease ages are
 computed on a single clock authority, the coordinator's, so a worker's
 clock never enters them.  ``repro.cluster.faults`` injects drops,
@@ -109,20 +109,6 @@ class FrameDecodeError(TransportError):
     The stream is still at a frame boundary, so the connection can keep
     serving after a structured error response.
     """
-
-
-#: Operations that are safe to deliver more than once: claims re-grant each
-#: of their indices to its owner, registrations return the recorded shard,
-#: submits dedupe each of their results on ``(index, worker_id, attempt)``,
-#: heartbeats are pure refreshes of each of their leases, telemetry
-#: uploads are whole-snapshot last-write-wins, and the read-only ops
-#: (plan/snapshot/status) have no effect at all.  Only these may be retried
-#: after a connection error whose outcome is unknown — which, after this set
-#: grew to cover the whole protocol, is every operation.
-IDEMPOTENT_OPS = frozenset({
-    "plan", "register", "snapshot", "claim", "heartbeat", "submit", "status",
-    "telemetry", "fail",
-})
 
 
 # --------------------------------------------------------------------------- #
@@ -281,9 +267,15 @@ class Transport(ABC):
       results *before* their done record — a coordinator crash between the
       two re-executes the scenarios (harmless, deterministic) rather than
       losing them.
-    * Every operation is **idempotent** (see :data:`IDEMPOTENT_OPS`): a
-      duplicated or retried delivery commutes into a no-op, so a caller that
-      cannot tell whether a request was applied may simply send it again.
+    * Every operation is **idempotent**: claims re-grant each of their
+      indices to its owner, registrations return the recorded shard,
+      submits and failure reports dedupe each of their results on
+      ``(index, worker_id, attempt)``, heartbeats are pure refreshes,
+      telemetry uploads are whole-snapshot last-write-wins, and the
+      read-only ops (plan, snapshot, status) have no effect at all.  A
+      duplicated or retried delivery commutes into a no-op, so a caller
+      that cannot tell whether a request was applied may simply send it
+      again.
     """
 
     #: Transport name used in logs and tests.
@@ -458,11 +450,11 @@ class SocketTransport(Transport):
         Keep retrying the initial connection for this many seconds (covers
         workers racing a coordinator that is still starting up).
     max_attempts:
-        Delivery attempts per request for **idempotent** operations (see
-        :data:`IDEMPOTENT_OPS`): a connection error whose outcome is
-        unknown is retried, with exponential backoff, because a duplicate
-        delivery of an idempotent operation is a no-op.  Server-side
-        rejections (the request was delivered and refused) never retry.
+        Delivery attempts per request: a connection error whose outcome is
+        unknown is retried, with exponential backoff, because every
+        operation is idempotent and a duplicate delivery is a no-op.
+        Server-side rejections (the request was delivered and refused)
+        never retry.
     retry_backoff:
         Initial sleep between delivery attempts, doubled per retry.
     """
@@ -536,15 +528,15 @@ class SocketTransport(Transport):
         resumes transparently.
 
         Connection errors leave the outcome of the in-flight request
-        unknown (it may or may not have been applied); for operations in
-        :data:`IDEMPOTENT_OPS` — where a duplicate delivery is harmless by
-        contract — the request is re-sent up to ``max_attempts`` times with
-        exponential backoff before the error surfaces.  A response with
+        unknown (it may or may not have been applied); every operation is
+        idempotent, so a duplicate delivery is harmless and the request is
+        re-sent up to ``max_attempts`` times with exponential backoff before
+        the error surfaces.  A response with
         ``ok: false`` is a server-side rejection of a *delivered* request
         and is never retried.
         """
         frame = {"op": op, **payload}
-        attempts = self.max_attempts if op in IDEMPOTENT_OPS else 1
+        attempts = self.max_attempts
         delay = self.retry_backoff
         last_error: Optional[TransportError] = None
         for attempt in range(attempts):

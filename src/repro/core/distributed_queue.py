@@ -36,7 +36,7 @@ from repro.core.messages import (
 )
 from repro.sim.channel import ClassicalChannel
 from repro.sim.engine import SimulationEngine
-from repro.sim.entity import Protocol
+from repro.sim.entity import Entity
 
 #: The first-come-first-serve order of ready items: arrival time, with the
 #: absolute queue id breaking ties.  Unique within a lane, and the default
@@ -271,7 +271,7 @@ class _PendingAdd:
     retries: int = 0
 
 
-class DistributedQueue(Protocol):
+class DistributedQueue(Entity):
     """One node's end of the distributed queue.
 
     Parameters

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 from repro.core.distributed_queue import DistributedQueue, QueueItem
 from repro.core.feu import FidelityEstimationUnit
 from repro.core.messages import (
@@ -44,7 +42,7 @@ from repro.hardware.parameters import ScenarioConfig
 from repro.quantum.fidelity import qber_from_fidelity_werner
 from repro.sim.channel import ClassicalChannel
 from repro.sim.engine import SimulationEngine
-from repro.sim.entity import Protocol
+from repro.sim.entity import Entity
 
 #: Measurement bases cycled through for measure-directly requests when the
 #: request does not pin a basis.  Indexed by the midpoint sequence number so
@@ -83,7 +81,7 @@ class _PendingExpire:
     retries: int = 0
 
 
-class EGP(Protocol):
+class EGP(Entity):
     """Link-layer Entanglement Generation Protocol for one node.
 
     Parameters
@@ -102,8 +100,6 @@ class EGP(Protocol):
         Fidelity estimation unit.
     scheduler:
         Scheduling strategy (FCFS or WFQ variants).
-    rng:
-        Random generator (measurement sampling).
     emission_multiplexing:
         Allow measure-directly attempts in every MHP cycle without waiting for
         the previous REPLY (Section 5.2.5).
@@ -132,7 +128,6 @@ class EGP(Protocol):
                  scenario: ScenarioConfig, device: NVQuantumProcessor,
                  mhp: NodeMHP, dqp: DistributedQueue,
                  feu: FidelityEstimationUnit, scheduler: SchedulingStrategy,
-                 rng: Optional[np.random.Generator] = None,
                  emission_multiplexing: bool = True,
                  attempt_batch_size: int = 1,
                  backend=None,
@@ -151,7 +146,6 @@ class EGP(Protocol):
         self.dqp = dqp
         self.feu = feu
         self.scheduler = scheduler
-        self.rng = rng if rng is not None else np.random.default_rng()
         self.emission_multiplexing = emission_multiplexing
         if attempt_batch_size < 1:
             raise ValueError(f"attempt_batch_size must be >= 1, "
@@ -194,11 +188,7 @@ class EGP(Protocol):
         self._attempt_spacing_k = timing.attempt_spacing_k
         self._carbon_reinit_period = scenario.gates.carbon_reinit_period
         self._carbon_reinit_duration = scenario.gates.carbon_reinit_duration
-        #: At most one blocking attempt is in flight at a time, so a single
-        #: reusable timer serves every reply watchdog without allocating.
         self._reply_watchdog_name = f"{self.name}.reply_watchdog"
-        self._watchdog_timer = engine.timer(
-            self._reply_watchdog, name=self._reply_watchdog_name)
         self._request_timeout_name = f"{self.name}.request_timeout"
         self._expire_retry_name = f"{self.name}.expire_retry"
         #: Names of the polls this EGP elides, built once: the engine
@@ -610,7 +600,9 @@ class EGP(Protocol):
         cycles = 1 if grant is None else grant.cycles
         deadline = (2 * max(timing.midpoint_delay_a, timing.midpoint_delay_b)
                     + (cycles + 20) * timing.mhp_cycle)
-        return self._watchdog_timer.arm_after(deadline, args=(cycle,))
+        return self._engine.schedule_after(deadline, self._reply_watchdog,
+                                           self._reply_watchdog_name,
+                                           (cycle,))
 
     def _reply_watchdog(self, cycle: int) -> None:
         """Recover from a REPLY that never arrived (lost classical frame)."""

@@ -40,8 +40,8 @@ from repro.core.messages import (
 from repro.hardware.pair import EntangledPair
 from repro.hardware.parameters import ScenarioConfig
 from repro.sim.channel import ClassicalChannel
-from repro.sim.engine import EventHandle, ReusableTimer, SimulationEngine
-from repro.sim.entity import Protocol
+from repro.sim.engine import Event, SimulationEngine
+from repro.sim.entity import Entity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import AttemptModel, PhysicsBackend
@@ -63,7 +63,7 @@ def _gated_sample():
     return _GATED_SAMPLE
 
 
-class NodeMHP(Protocol):
+class NodeMHP(Entity):
     """Node-side MHP: polls the EGP each cycle and talks to the midpoint.
 
     Parameters
@@ -87,13 +87,10 @@ class NodeMHP(Protocol):
         #: Callback into the EGP: (MHPReply) -> None.
         self.reply_callback: Optional[Callable[[MHPReply], None]] = None
         self._channel: Optional[ClassicalChannel] = None
-        #: One reusable event object serves the whole poll series — the
-        #: MHP's fixed-cadence cycle timer is the engine's hottest customer,
-        #: and the name is precomputed for the same reason.
-        self._poll_timer: ReusableTimer = engine.timer(
-            self._poll, name=f"{self.name}.poll")
-        #: Names of the polls this MHP elides, built once for the same
-        #: reason (the engine counts every elision; a tracer sees the name).
+        #: Event names built once: the poll is the engine's hottest
+        #: customer (the engine counts every elision; a tracer sees the
+        #: name).
+        self._poll_name = f"{self.name}.poll"
         self._dup_poll_name = f"{self.name}.dup_poll"
         self._followup_poll_name = f"{self.name}.followup_poll"
         self._next_poll_scheduled: Optional[float] = None
@@ -202,7 +199,7 @@ class NodeMHP(Protocol):
             self._engine.note_elided(self._dup_poll_name)
             return
         self._next_poll_scheduled = poll_time
-        self._poll_timer.arm_at(poll_time)
+        self._engine.schedule_at(poll_time, self._poll, self._poll_name)
 
     def _poll(self) -> None:
         self._next_poll_scheduled = None
@@ -247,7 +244,7 @@ class NodeMHP(Protocol):
             self._engine.note_elided(self._followup_poll_name)
 
 
-class MidpointHeraldingService(Protocol):
+class MidpointHeraldingService(Entity):
     """Heralding station service matching GEN frames and issuing REPLYs.
 
     Parameters
@@ -303,7 +300,7 @@ class MidpointHeraldingService(Protocol):
         #: GEN frames waiting for their counterpart, by cycle: the frame
         #: and the handle of its match-window timeout (cancelled once the
         #: peer's GEN arrives).
-        self._pending: dict[int, tuple[GenMessage, EventHandle]] = {}
+        self._pending: dict[int, tuple[GenMessage, Event]] = {}
         #: Attempt model per alpha.  The scenario is fixed, so this skips
         #: hashing the whole ``ScenarioConfig`` in the backend's memo on
         #: every attempt window.

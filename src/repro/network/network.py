@@ -82,7 +82,7 @@ class LinkLayerNetwork:
         master_rng = np.random.default_rng(seed)
         self._rngs = {name: np.random.default_rng(master_rng.integers(2 ** 63))
                       for name in ("midpoint", "device_a", "device_b",
-                                   "channels", "egp_a", "egp_b")}
+                                   "channels")}
 
         loss = scenario.classical.frame_loss_probability
         timing = scenario.timing
@@ -138,8 +138,7 @@ class LinkLayerNetwork:
                                          test_round_fraction=test_round_fraction,
                                          backend=self.backend)
             egp = EGP(self.engine, name, peer, scenario, device, mhp, dqp, feu,
-                      sched, rng=self._rngs[f"egp_{name.lower()}"],
-                      emission_multiplexing=emission_multiplexing,
+                      sched, emission_multiplexing=emission_multiplexing,
                       attempt_batch_size=attempt_batch_size,
                       backend=self.backend,
                       elide_watchdog=elide_watchdog,

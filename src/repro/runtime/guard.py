@@ -514,7 +514,11 @@ def perform_injected_fault(kind: str, scenario_name: str,
         engine = SimulationEngine()
         if guard is not None:
             guard.install(engine)
-        engine.schedule_periodic(1.0, lambda: None, name="injected-hang")
+
+        def spin() -> None:
+            engine.schedule_after(1.0, spin, "injected-hang")
+
+        spin()
         engine.run()
         return
     raise ValueError(f"unknown injected fault kind {kind!r}")

@@ -174,15 +174,16 @@ class RequestGenerator(Entity):
         for index in range(len(self.specs)):
             self._schedule_next_arrival(index)
         if self.metrics is not None and self.queue_length_sample_interval > 0:
-            # A fixed-cadence sampler is exactly what schedule_periodic is
-            # for: one reusable event instead of a push per sample.
-            self.engine.schedule_periodic(self.queue_length_sample_interval,
-                                          self._sample_queue,
-                                          name="queue_sample")
+            self._schedule_sample()
+
+    def _schedule_sample(self) -> None:
+        self.engine.schedule_after(self.queue_length_sample_interval,
+                                   self._sample_queue, "queue_sample")
 
     def _sample_queue(self) -> None:
-        if self.metrics is not None:
-            self.metrics.sample_queue_length()
+        """Sample the queue length, then schedule the next sample."""
+        self.metrics.sample_queue_length()
+        self._schedule_sample()
 
     def _schedule_next_arrival(self, spec_index: int) -> None:
         per_cycle, _ = self._arrival_rates[spec_index]

@@ -3,47 +3,33 @@
 This package provides the simulation engine that every other subsystem of the
 reproduction runs on top of.  It plays the role of NetSquid/DynAA in the
 original paper: a timestamped event queue, simulation entities that schedule
-callbacks, and classical/quantum channels with configurable delay and loss
-models.
+callbacks, and classical channels with configurable delay and loss.
 
 Public API
 ----------
 ``SimulationEngine``
     The event loop.  Create one per simulation run.
-``Entity`` / ``Protocol``
-    Base classes for things that live on the timeline.
-``ClassicalChannel`` / ``QuantumChannel``
-    Point-to-point connections with delay and loss.
-``Clock``
-    Periodic trigger used for MHP cycles.
+``Event``
+    The one event kind: a scheduled callback that doubles as its own
+    cancellation handle.
+``Entity``
+    Base class for things that live on the timeline (the MHP, the midpoint,
+    the EGP, the distributed queue, channels).
+``ClassicalChannel``
+    Point-to-point classical connection with delay and loss.
 """
 
-from repro.sim.engine import (
-    Event,
-    EventHandle,
-    PeriodicHandle,
-    ReusableTimer,
-    SimulationEngine,
-    SimulationError,
-)
-from repro.sim.entity import Entity, Protocol
-from repro.sim.channel import ClassicalChannel, QuantumChannel, ChannelDelivery
-from repro.sim.clock import Clock
-from repro.sim.queues import ENGINE, HeapEventQueue
+from repro.sim.engine import Event, SimulationEngine, SimulationError
+from repro.sim.entity import Entity
+from repro.sim.channel import ClassicalChannel, ChannelDelivery
+from repro.sim.queues import ENGINE
 
 __all__ = [
     "SimulationEngine",
     "SimulationError",
     "Event",
-    "EventHandle",
-    "PeriodicHandle",
-    "ReusableTimer",
     "Entity",
-    "Protocol",
     "ClassicalChannel",
-    "QuantumChannel",
     "ChannelDelivery",
-    "Clock",
     "ENGINE",
-    "HeapEventQueue",
 ]

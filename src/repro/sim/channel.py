@@ -1,19 +1,12 @@
-"""Point-to-point channels with delay and loss.
+"""Point-to-point classical channels with delay and loss.
 
-Two channel families are provided:
-
-``ClassicalChannel``
-    Carries classical messages (MHP GEN/REPLY frames, DQP frames, EGP
-    EXPIRE frames).  Each message is delayed by the propagation delay of the
-    connection and independently dropped with a configurable loss
-    probability — the knob used for the robustness study of Section 6.1.
-
-``QuantumChannel``
-    Carries "flying qubit" payloads (the photonic qubits travelling to the
-    heralding station).  Losses on the quantum channel are *not* modelled
-    here — photon loss is part of the optical model applied by the hardware
-    layer (amplitude damping on the presence/absence encoding), so the
-    quantum channel only contributes propagation delay.
+A :class:`ClassicalChannel` carries classical messages (MHP GEN/REPLY
+frames, DQP frames, EGP EXPIRE frames).  Each message is delayed by the
+propagation delay of the connection and independently dropped with a
+configurable loss probability — the knob used for the robustness study of
+Section 6.1.  Photons travelling to the heralding station need no channel
+of their own: photon loss is part of the optical model applied by the
+hardware layer, and their propagation delay is part of the MHP timing.
 """
 
 from __future__ import annotations
@@ -155,34 +148,3 @@ class ClassicalChannel(Entity):
                 sent_at=self.now + delay, delivered_at=delivered_at,
                 lost=lost, payload=payload))
         return not lost
-
-
-class QuantumChannel(Entity):
-    """Unidirectional quantum channel contributing only propagation delay.
-
-    Photon loss is accounted for in the optical model (collection,
-    transmission and detection efficiencies folded into the heralding
-    success probability), so this channel never drops payloads.
-    """
-
-    def __init__(self, engine: SimulationEngine, delay: float,
-                 name: str = "") -> None:
-        super().__init__(engine, name=name or "QuantumChannel")
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.delay = float(delay)
-        self._receiver: Optional[Callable[[Any], None]] = None
-        self._deliver_name = f"{self.name}.deliver"
-        self.qubits_sent = 0
-
-    def connect(self, receiver: Callable[[Any], None]) -> None:
-        """Register the callback invoked when a flying qubit arrives."""
-        self._receiver = receiver
-
-    def send(self, payload: Any) -> None:
-        """Send a flying-qubit payload down the fibre."""
-        if self._receiver is None:
-            raise RuntimeError(f"channel {self.name} has no receiver connected")
-        self.qubits_sent += 1
-        self.call_after(self.delay, self._receiver, args=(payload,),
-                        name=self._deliver_name)

@@ -1,16 +1,14 @@
-"""Simulation entities and protocols.
+"""Simulation entities.
 
 An :class:`Entity` is anything that lives on the simulation timeline and can
-schedule callbacks (a node, a heralding station, a channel).  A
-:class:`Protocol` is an entity with an explicit ``start``/``stop`` lifecycle —
-the MHP and EGP are protocols.
+schedule callbacks (a protocol layer, a heralding station, a channel).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.sim.engine import EventHandle, SimulationEngine
+from repro.sim.engine import Event, SimulationEngine
 
 
 class Entity:
@@ -42,58 +40,16 @@ class Entity:
         return self._engine._now
 
     def call_at(self, time: float, callback: Callable[..., None],
-                name: str = "", args: tuple = ()) -> EventHandle:
+                name: str = "", args: tuple = ()) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
         return self._engine.schedule_at(time, callback,
                                         name=name or self.name, args=args)
 
     def call_after(self, delay: float, callback: Callable[..., None],
-                   name: str = "", args: tuple = ()) -> EventHandle:
+                   name: str = "", args: tuple = ()) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         return self._engine.schedule_after(delay, callback,
                                            name=name or self.name, args=args)
 
-    def call_now(self, callback: Callable[..., None],
-                 name: str = "", args: tuple = ()) -> EventHandle:
-        """Schedule ``callback(*args)`` at the current time."""
-        return self._engine.schedule_now(callback, name=name or self.name,
-                                         args=args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"<{self.__class__.__name__} {self.name!r} t={self.now:.6f}>"
-
-
-class Protocol(Entity):
-    """An entity with a start/stop lifecycle.
-
-    Subclasses override :meth:`on_start` and :meth:`on_stop`.
-    """
-
-    def __init__(self, engine: SimulationEngine, name: str = "") -> None:
-        super().__init__(engine, name=name)
-        self._started = False
-
-    @property
-    def is_running(self) -> bool:
-        """Whether the protocol has been started and not stopped."""
-        return self._started
-
-    def start(self) -> None:
-        """Start the protocol.  Idempotent."""
-        if self._started:
-            return
-        self._started = True
-        self.on_start()
-
-    def stop(self) -> None:
-        """Stop the protocol.  Idempotent."""
-        if not self._started:
-            return
-        self._started = False
-        self.on_stop()
-
-    def on_start(self) -> None:
-        """Hook called when the protocol starts."""
-
-    def on_stop(self) -> None:
-        """Hook called when the protocol stops."""

@@ -17,6 +17,7 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -30,10 +31,12 @@ from repro.cluster import (
     TaskSnapshot,
     TransportError,
 )
+from repro.cluster import transport as transport_module
 from repro.cluster.serve import ClusterCoordinatorServer
+from repro.cluster.state import OPS
 from repro.cluster.transport import parse_address, recv_frame, send_frame
 from repro.runtime import ScenarioSpec, SweepRunner, run_sweep, single_kind_scenarios
-from repro.runtime.sweep import execute_scenario
+from repro.runtime.sweep import ScenarioOutcome, execute_scenario
 
 from cluster_support import ManualClock, expire_leases
 
@@ -302,7 +305,67 @@ class TestTransportContract:
 # --------------------------------------------------------------------------- #
 # Socket specifics
 # --------------------------------------------------------------------------- #
+def op_payload(op: str, plan) -> dict:
+    """A frame body the coordinator answers ``ok: true`` for ``op``."""
+    outcome = ScenarioOutcome(
+        scenario_name=plan.specs[0].name,
+        scheduler_name=plan.specs[0].scheduler_name(), seed=plan.seeds[0],
+        duration=plan.duration, backend=plan.specs[0].backend_name())
+    return {
+        "plan": {}, "snapshot": {}, "status": {},
+        "register": {"worker_id": "w"},
+        "claim": {"worker_id": "w", "indices": [0]},
+        "heartbeat": {"worker_id": "w", "indices": [0]},
+        "submit": {"worker_id": "w", "results": [
+            {"index": 0, "outcome": outcome.to_dict(), "attempt": 0}]},
+        "fail": {"worker_id": "w", "index": 0, "attempt": 1,
+                 "outcome": replace(outcome, status="failed",
+                                    error="injected").to_dict()},
+        "telemetry": {"worker_id": "w",
+                      "metrics": {"format": "repro-metrics/v1",
+                                  "counters": []}},
+    }[op]
+
+
 class TestSocketTransport:
+    @pytest.mark.parametrize("op", OPS + ("plan",))
+    def test_request_dropped_before_send_is_retried_and_answered_once(
+            self, tmp_path, monkeypatch, op):
+        """Every operation is idempotent, so every one is retried: a
+        connection lost before the frame went out costs one retry, and the
+        coordinator answers the frame exactly once."""
+        specs = grid(count=2, backend="analytic")
+        cluster = TransportCluster(tmp_path, "socket", specs)
+        server = cluster.server
+        answered = []
+
+        def counting_dispatch(frame, dispatch=server.dispatch):
+            answered.append(frame["op"])
+            return dispatch(frame)
+
+        server.dispatch = counting_dispatch
+        sends = []
+
+        def dropping_send(sock, payload):
+            sends.append(payload["op"])
+            if len(sends) == 1:
+                raise ConnectionResetError("dropped before send")
+            send_frame(sock, payload)
+
+        try:
+            transport = SocketTransport(server.address, retry_backoff=0.0)
+            payload = op_payload(op, transport.plan)
+            answered.clear()
+            monkeypatch.setattr(transport_module, "send_frame", dropping_send)
+            response = transport.request(op, **payload)
+            assert response["ok"] is True
+            assert sends == [op, op]
+            assert answered == [op]
+            assert transport.retries == 1
+            transport.close()
+        finally:
+            cluster.close()
+
     def test_unknown_op_and_bad_index_are_rejected(self, tmp_path):
         specs = grid(count=2, backend="analytic")
         cluster = TransportCluster(tmp_path, "socket", specs)

@@ -1,7 +1,7 @@
 """Behaviour of the simulation engine's event queue.
 
-Ordering, cancellation, ``run(until=...)`` bounds, periodic and reusable
-timers and reset inertness, plus a randomized check of the heap against an
+Ordering, cancellation, ``run(until=...)`` bounds and reset inertness,
+plus a randomized check of the heap against an
 independent sorted-list model of ``(time, sequence)`` order.  The heap's
 compaction internals are pinned in ``test_sim_engine.py``.
 
@@ -34,7 +34,7 @@ def _supervise(engine):
 
 
 def _compact_eagerly(engine):
-    engine._queue.COMPACTION_MIN_CANCELLED = 1
+    engine.COMPACTION_MIN_CANCELLED = 1
 
 
 #: Engine setups each test runs under, by test id.
@@ -217,7 +217,7 @@ class TestCancelCompactInterleavings:
         engine.run()
         assert fired == 2000
         # Cancelled watchdogs must not accumulate without bound.
-        assert len(engine._queue) <= 256
+        assert len(engine._heap) <= 256
 
     def test_cancel_then_compact_preserves_order(self, engine):
         fired = []
@@ -367,103 +367,9 @@ class TestRandomizedEquivalence:
             f"engine trace diverged from the sorted-list model (seed {seed})"
 
 
-class TestPeriodicScheduling:
-    def test_periodic_fires_on_cadence(self, engine):
-        ticks = []
-        engine.schedule_periodic(0.5, lambda: ticks.append(engine.now))
-        engine.run(until=2.6)
-        assert ticks == [0.5, 1.0, 1.5, 2.0, 2.5]
-
-    def test_periodic_custom_start(self, engine):
-        ticks = []
-        engine.schedule_periodic(1.0, lambda: ticks.append(engine.now),
-                                 start=0.25)
-        engine.run(until=2.5)
-        assert ticks == [0.25, 1.25, 2.25]
-
-    def test_periodic_reuses_one_event_object(self, engine):
-        handle = engine.schedule_periodic(1.0, lambda: None)
-        event = handle._event
-        engine.run(until=10.0)
-        assert handle._event is event  # same object across 10 firings
-        assert engine.processed_events == 10
-
-    def test_periodic_cancel_stops_series(self, engine):
-        ticks = []
-        handle = engine.schedule_periodic(1.0, lambda: ticks.append(1))
-        engine.run(until=2.5)
-        handle.cancel()
-        assert not handle.active
-        engine.run(until=10.0)
-        assert ticks == [1, 1]
-        assert engine.pending_events == 0
-
-    def test_periodic_cancel_from_inside_callback(self, engine):
-        ticks = []
-        handle = engine.schedule_periodic(
-            1.0, lambda: (ticks.append(1),
-                          handle.cancel() if len(ticks) >= 3 else None))
-        engine.run(until=20.0)
-        assert ticks == [1, 1, 1]
-
-    def test_periodic_interval_must_be_positive(self, engine):
-        with pytest.raises(SimulationError):
-            engine.schedule_periodic(0.0, lambda: None)
-
-    def test_periodic_interleaves_fifo_with_plain_events(self, engine):
-        order = []
-        engine.schedule_periodic(1.0, lambda: order.append("tick"))
-        engine.schedule_at(1.0, lambda: order.append("plain"))
-        engine.run(until=1.0)
-        # The periodic series was scheduled first, so its occurrence at
-        # t=1.0 fires before the plain event at the same timestamp.
-        assert order == ["tick", "plain"]
-
-
-class TestReusableTimer:
-    def test_timer_rearms_same_event_object(self, engine):
-        fired = []
-        timer = engine.timer(lambda: fired.append(engine.now))
-        timer.arm_at(1.0)
-        engine.run()
-        first_event = timer._event
-        timer.arm_at(2.0)
-        assert timer._event is first_event  # recycled, not reallocated
-        engine.run()
-        assert fired == [1.0, 2.0]
-
-    def test_timer_arm_while_pending_schedules_independent_event(
-            self, engine):
-        fired = []
-        timer = engine.timer(lambda: fired.append(engine.now))
-        timer.arm_at(2.0)
-        timer.arm_at(1.0)  # earlier arm while the first is still pending
-        engine.run()
-        assert fired == [1.0, 2.0]  # both occurrences fire
-
-    def test_timer_cancel(self, engine):
-        fired = []
-        timer = engine.timer(lambda: fired.append(1))
-        timer.arm_after(1.0)
-        assert timer.active
-        timer.cancel()
-        assert not timer.active
-        engine.run()
-        assert fired == []
-
-    def test_timer_args_per_arm(self, engine):
-        seen = []
-        timer = engine.timer(lambda tag: seen.append(tag))
-        timer.arm_at(1.0, args=("a",))
-        engine.run()
-        timer.arm_at(2.0, args=("b",))
-        engine.run()
-        assert seen == ["a", "b"]
-
-
 class TestResetInertness:
-    """Satellite: handles from before ``reset()`` must be inert — they can
-    never resurrect accounting or re-arm into the fresh queue."""
+    """Handles from before ``reset()`` must be inert — cancelling one never
+    touches the fresh queue's accounting."""
 
     def test_cancel_of_stale_handle_does_not_corrupt_accounting(
             self, engine):
@@ -483,30 +389,6 @@ class TestResetInertness:
         handle.cancel()
         engine.schedule_at(2.0, lambda: None)
         assert engine.pending_events == 1
-
-    def test_periodic_from_before_reset_never_rearms(self, engine):
-        ticks = []
-        handle = engine.schedule_periodic(1.0, lambda: ticks.append(1))
-        engine.run(until=1.5)
-        assert ticks == [1]
-        engine.reset()
-        assert not handle.active
-        engine.run(until=20.0)
-        assert ticks == [1]
-        assert engine.pending_events == 0
-
-    def test_reusable_timer_from_before_reset_allocates_fresh(
-            self, engine):
-        fired = []
-        timer = engine.timer(lambda: fired.append(engine.now))
-        timer.arm_at(1.0)
-        engine.run()
-        stale_event = timer._event
-        engine.reset()
-        timer.arm_at(3.0)  # must not resurrect the pre-reset event object
-        assert timer._event is not stale_event
-        engine.run()
-        assert fired == [1.0, 3.0]
 
     def test_reset_restarts_clock_and_counters(self, engine):
         engine.schedule_at(5.0, lambda: None)

@@ -75,11 +75,19 @@ def grid(count=None, loads=("Low", "High")) -> list[ScenarioSpec]:
 # --------------------------------------------------------------------------- #
 # Engine guard hooks
 # --------------------------------------------------------------------------- #
+def _tick_forever(engine: SimulationEngine) -> None:
+    """Schedule a tick every simulated second, without end."""
+    def tick() -> None:
+        engine.schedule_after(1.0, tick, "tick")
+
+    tick()
+
+
 class TestEngineGuards:
     def test_event_budget_interrupts_at_the_exact_event(self):
         def run_with_budget(budget):
             engine = SimulationEngine()
-            engine.schedule_periodic(1.0, lambda: None, name="tick")
+            _tick_forever(engine)
             engine.event_budget = budget
             with pytest.raises(EventBudgetExceeded) as err:
                 engine.run()
@@ -92,7 +100,7 @@ class TestEngineGuards:
 
     def test_wall_deadline_interrupts(self):
         engine = SimulationEngine()
-        engine.schedule_periodic(1.0, lambda: None, name="tick")
+        _tick_forever(engine)
         engine.deadline_at = time.perf_counter() - 1.0  # already past
         with pytest.raises(DeadlineExceeded) as err:
             engine.run(until=5000.0)
@@ -102,7 +110,7 @@ class TestEngineGuards:
 
     def test_unset_guards_leave_run_unbounded(self):
         engine = SimulationEngine()
-        engine.schedule_periodic(1.0, lambda: None, name="tick")
+        _tick_forever(engine)
         engine.run(until=2000.0)  # > one deadline polling stride
 
 

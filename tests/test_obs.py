@@ -25,7 +25,6 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, ClusterWorker, LocalTransport
 from repro.cluster.coordinator import TELEMETRY_DIR
-from repro.cluster.transport import IDEMPOTENT_OPS
 from repro.obs import (
     DEFAULT_OBS_DIR,
     MetricsRegistry,
@@ -315,9 +314,6 @@ class TestSweepMetrics:
 # Cluster telemetry op
 # --------------------------------------------------------------------------- #
 class TestClusterTelemetry:
-    def test_telemetry_is_idempotent_op(self):
-        assert "telemetry" in IDEMPOTENT_OPS
-
     def test_local_transport_writes_snapshot(self, tmp_path):
         specs = grid(2)
         coordinator = ClusterCoordinator(specs, DURATION, tmp_path,

@@ -1,4 +1,4 @@
-"""Unit tests for classical/quantum channels and the MHP clock."""
+"""Unit tests for classical channels."""
 
 from __future__ import annotations
 
@@ -11,11 +11,9 @@ from repro.hardware.parameters import lab_scenario
 from repro.network import LinkLayerNetwork
 from repro.sim.channel import (
     ClassicalChannel,
-    QuantumChannel,
     FIBRE_LIGHT_SPEED_KM_S,
     fibre_delay,
 )
-from repro.sim.clock import Clock
 from repro.sim.engine import SimulationEngine
 
 
@@ -157,54 +155,3 @@ class TestLossDraws:
         assert ({id(channel) for channel in built}
                 == {id(channel)
                     for channel in network.classical_channels.values()})
-
-
-class TestQuantumChannel:
-    def test_delivers_payload_after_delay(self, engine):
-        channel = QuantumChannel(engine, delay=1e-4)
-        received = []
-        channel.connect(lambda q: received.append((engine.now, q)))
-        channel.send("photon")
-        engine.run()
-        assert received == [(1e-4, "photon")]
-        assert channel.qubits_sent == 1
-
-    def test_requires_receiver(self, engine):
-        channel = QuantumChannel(engine, delay=0.0)
-        with pytest.raises(RuntimeError):
-            channel.send("photon")
-
-
-class TestClock:
-    def test_ticks_at_fixed_period(self, engine):
-        clock = Clock(engine, period=0.1)
-        ticks = []
-        clock.add_listener(lambda n: ticks.append((n, engine.now)))
-        clock.start()
-        engine.run(until=0.35)
-        assert [t for _, t in ticks] == pytest.approx([0.0, 0.1, 0.2, 0.3])
-
-    def test_cycle_time_conversions_roundtrip(self, engine):
-        clock = Clock(engine, period=10e-6)
-        for cycle in (0, 1, 7, 1000):
-            assert clock.time_to_cycle(clock.cycle_to_time(cycle)) == cycle
-
-    def test_next_cycle_at_or_after(self, engine):
-        clock = Clock(engine, period=1.0)
-        assert clock.next_cycle_at_or_after(0.0) == 0
-        assert clock.next_cycle_at_or_after(0.5) == 1
-        assert clock.next_cycle_at_or_after(2.0) == 2
-
-    def test_stop_prevents_further_ticks(self, engine):
-        clock = Clock(engine, period=0.1)
-        ticks = []
-        clock.add_listener(lambda n: ticks.append(n))
-        clock.start()
-        engine.run(until=0.15)
-        clock.stop()
-        engine.run(until=1.0)
-        assert len(ticks) == 2
-
-    def test_invalid_period(self, engine):
-        with pytest.raises(ValueError):
-            Clock(engine, period=0.0)

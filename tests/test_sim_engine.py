@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import SimulationEngine, SimulationError
-from repro.sim.queues import HeapEventQueue
 
 
 class TestScheduling:
@@ -178,13 +177,13 @@ class TestLazyCompaction:
                 for i in range(10)]
         doomed = [engine.schedule_at(float(i), lambda: None)
                   for i in range(200)]
-        assert len(engine._queue) == 210
+        assert len(engine._heap) == 210
         for handle in doomed:
             handle.cancel()
         # Cancelled events outnumber live ones: the heap was compacted down
         # to the live events plus at most the compaction trigger threshold.
-        assert len(engine._queue) <= \
-            10 + HeapEventQueue.COMPACTION_MIN_CANCELLED
+        assert len(engine._heap) <= \
+            10 + SimulationEngine.COMPACTION_MIN_CANCELLED
         assert engine.pending_events == 10
         assert all(not handle.cancelled for handle in keep)
 
@@ -227,7 +226,7 @@ class TestLazyCompaction:
         engine.schedule_at(0.0, tick)
         engine.run()
         assert fired == 2000
-        assert len(engine._queue) <= HeapEventQueue.COMPACTION_MIN_CANCELLED * 2
+        assert len(engine._heap) <= SimulationEngine.COMPACTION_MIN_CANCELLED * 2
 
     def test_cancel_after_fire_is_a_noop_for_accounting(self):
         engine = SimulationEngine()
@@ -247,10 +246,10 @@ class TestLazyCompaction:
         assert engine.pending_events == 0
 
     def test_compaction_inside_run_keeps_order_and_heap_list(self):
-        # ``run`` pops the queue's heap list directly, so a compaction
+        # ``run`` holds a reference to the heap list, so a compaction
         # triggered by a callback must rebuild that same list in place.
         engine = SimulationEngine()
-        heap = engine._queue.heap
+        heap = engine._heap
         fired = []
         doomed = []
 
@@ -261,8 +260,8 @@ class TestLazyCompaction:
             record("cancel")
             for handle in doomed:
                 handle.cancel()
-            assert engine._queue.heap is heap
-            assert len(heap) < 2 * HeapEventQueue.COMPACTION_MIN_CANCELLED
+            assert engine._heap is heap
+            assert len(heap) < 2 * SimulationEngine.COMPACTION_MIN_CANCELLED
 
         engine.schedule_at(1.0, cancel_all)
         # Survivors: ties at one time (fire in scheduling order) and a
@@ -279,7 +278,7 @@ class TestLazyCompaction:
                            args=(2.0, record, "", ("late",)))
 
         engine.run()
-        assert engine._queue.heap is heap
+        assert engine._heap is heap
         expected.append((2.0, "late"))
         expected.sort(key=lambda entry: entry[0])  # stable: ties in order
         assert fired == [(1.0, "cancel")] + expected
