@@ -1,8 +1,10 @@
 """Behaviour of the simulation engine's event queue.
 
-Ordering, cancellation, ``run(until=...)`` bounds and reset inertness,
-plus a randomized check of the heap against an
-independent sorted-list model of ``(time, sequence)`` order.  The heap's
+Ordering, cancellation, ``run(until=...)`` bounds, self-rescheduling
+series and re-scheduled callbacks (the patterns of the MHP poll, the reply
+watchdog and the queue sampler) and reset inertness, plus a randomized
+check of the heap against an independent sorted-list model of
+``(time, sequence)`` order.  The heap's
 compaction internals are pinned in ``test_sim_engine.py``.
 
 Every test runs under each engine setup in :data:`ENGINE_SETUPS`: the run
@@ -365,6 +367,162 @@ class TestRandomizedEquivalence:
         assert len([e for e in reference if e[2] != "nested"]) < scheduled
         assert self._run_engine(engine, script) == reference, \
             f"engine trace diverged from the sorted-list model (seed {seed})"
+
+
+def _series(engine, interval, body, start=None, name="series"):
+    """Start a fixed-cadence series the way the simulator's callers do.
+
+    Each occurrence runs ``body`` and then, unless ``body`` returned
+    ``False``, schedules the next occurrence ``interval`` later.  The
+    workload's queue sampler and the injected ``hang`` fault follow this
+    pattern.  Returns a one-item list holding the pending event, so a test
+    can cancel the series from outside.
+    """
+    pending = [None]
+
+    def fire():
+        if body() is not False:
+            pending[0] = engine.schedule_after(interval, fire, name)
+
+    if start is None:
+        pending[0] = engine.schedule_after(interval, fire, name)
+    else:
+        pending[0] = engine.schedule_at(start, fire, name)
+    return pending
+
+
+class TestSelfReschedulingSeries:
+    """A series of plain events, each scheduling its successor."""
+
+    def test_series_fires_on_cadence(self, engine):
+        ticks = []
+        _series(engine, 0.5, lambda: ticks.append(engine.now))
+        engine.run(until=2.6)
+        assert ticks == [0.5, 1.0, 1.5, 2.0, 2.5]
+
+    def test_series_custom_start(self, engine):
+        ticks = []
+        _series(engine, 1.0, lambda: ticks.append(engine.now), start=0.25)
+        engine.run(until=2.5)
+        assert ticks == [0.25, 1.25, 2.25]
+
+    def test_series_schedules_a_fresh_event_per_occurrence(self, engine):
+        seen = []
+        pending = _series(engine, 1.0, lambda: seen.append(pending[0]))
+        engine.run(until=10.0)
+        assert engine.processed_events == 10
+        # Ten distinct events, each popped once it fired.
+        assert len({id(event) for event in seen}) == 10
+        assert all(event.popped for event in seen)
+
+    def test_cancelling_pending_occurrence_stops_series(self, engine):
+        ticks = []
+        pending = _series(engine, 1.0, lambda: ticks.append(1))
+        engine.run(until=2.5)
+        pending[0].cancel()
+        engine.run(until=10.0)
+        assert ticks == [1, 1]
+        assert engine.pending_events == 0
+
+    def test_series_stops_from_inside_its_body(self, engine):
+        ticks = []
+
+        def body():
+            ticks.append(1)
+            return len(ticks) < 3
+
+        _series(engine, 1.0, body)
+        engine.run(until=20.0)
+        assert ticks == [1, 1, 1]
+        assert engine.pending_events == 0
+
+    def test_series_interleaves_fifo_with_plain_events(self, engine):
+        order = []
+        _series(engine, 1.0, lambda: order.append("tick"))
+        engine.schedule_at(1.0, lambda: order.append("plain"))
+        engine.run(until=1.0)
+        # The series was scheduled first, so its occurrence at t=1.0 fires
+        # before the plain event at the same timestamp.
+        assert order == ["tick", "plain"]
+
+    def test_next_occurrence_draws_its_sequence_after_the_body(
+            self, engine):
+        order = []
+
+        def body():
+            order.append("tick")
+            if len(order) == 1:
+                # Scheduled by the body for the time of the next
+                # occurrence: the body runs before the reschedule, so this
+                # event holds the lower sequence number and fires first.
+                engine.schedule_after(1.0, lambda: order.append("plain"))
+            return len(order) < 3
+
+        _series(engine, 1.0, body)
+        engine.run()
+        assert order == ["tick", "plain", "tick"]
+
+    def test_series_from_before_reset_never_fires(self, engine):
+        ticks = []
+        _series(engine, 1.0, lambda: ticks.append(1))
+        engine.run(until=1.5)
+        assert ticks == [1]
+        engine.reset()
+        engine.run(until=20.0)
+        assert ticks == [1]
+        assert engine.pending_events == 0
+
+
+class TestRescheduledCallback:
+    """One callback scheduled again and again, as the MHP poll and the EGP
+    reply watchdog are: each schedule is a fresh, independent event."""
+
+    def test_schedule_again_after_firing(self, engine):
+        fired = []
+
+        def callback():
+            fired.append(engine.now)
+
+        first = engine.schedule_at(1.0, callback, "poll")
+        engine.run()
+        second = engine.schedule_at(2.0, callback, "poll")
+        assert second is not first
+        assert first.popped and not second.popped
+        engine.run()
+        assert fired == [1.0, 2.0]
+
+    def test_schedule_while_pending_adds_independent_event(self, engine):
+        fired = []
+
+        def callback():
+            fired.append(engine.now)
+
+        engine.schedule_at(2.0, callback)
+        engine.schedule_at(1.0, callback)  # earlier, while the first waits
+        assert engine.pending_events == 2
+        engine.run()
+        assert fired == [1.0, 2.0]  # both occurrences fire
+
+    def test_cancel_one_of_two_pending_schedules(self, engine):
+        fired = []
+
+        def callback(tag):
+            fired.append(tag)
+
+        watchdog = engine.schedule_after(1.0, callback, "watchdog", ("a",))
+        engine.schedule_after(2.0, callback, "watchdog", ("b",))
+        watchdog.cancel()
+        assert engine.pending_events == 1
+        engine.run()
+        assert fired == ["b"]
+
+    def test_args_belong_to_each_schedule(self, engine):
+        seen = []
+        engine.schedule_at(1.0, seen.append, "watchdog", ("a",))
+        engine.run()
+        engine.schedule_at(2.0, seen.append, "watchdog", ("b",))
+        engine.run()
+        assert seen == ["a", "b"]
 
 
 class TestResetInertness:

@@ -65,6 +65,42 @@ class TestWorkloadSpec:
         assert issued and all(n == 4 for n in issued)
 
 
+class TestQueueSampler:
+    """The queue sampler is a self-rescheduling series of plain events."""
+
+    @staticmethod
+    def _run(interval, duration):
+        from repro.analysis.metrics import MetricsCollector
+        from repro.network.network import LinkLayerNetwork
+
+        network = LinkLayerNetwork(lab_scenario(), seed=1,
+                                   attempt_batch_size=50)
+        network.engine.trace = []
+        metrics = MetricsCollector(network)
+        spec = WorkloadSpec(priority=Priority.MD, load_fraction=0.5,
+                            num_pairs=1, origin="A", min_fidelity=0.6)
+        RequestGenerator(network, [spec], metrics=metrics, seed=2,
+                         queue_length_sample_interval=interval).start()
+        network.run(duration)
+        samples = [entry for entry in network.engine.trace
+                   if entry[2] == "queue_sample"]
+        return metrics, samples
+
+    def test_samples_once_per_interval(self):
+        metrics, samples = self._run(0.25, 1.1)
+        times = [time for time, _ in metrics.queue_samples]
+        assert times == [0.25, 0.5, 0.75, 1.0]
+        assert [time for time, _, _ in samples] == times
+        # Each occurrence is a fresh event, scheduled after the last one ran.
+        sequences = [sequence for _, sequence, _ in samples]
+        assert sequences == sorted(set(sequences))
+
+    def test_zero_interval_disables_sampling(self):
+        metrics, samples = self._run(0.0, 0.5)
+        assert metrics.queue_samples == []
+        assert samples == []
+
+
 class TestPairDraw:
     """The number of pairs per request is drawn by bisecting a CDF, and must
     match ``Generator.choice(p=...)`` draw for draw, stream included."""
