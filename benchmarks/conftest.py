@@ -17,7 +17,8 @@ Environment knobs:
     call in the benchmark modules.
 ``REPRO_BENCH_JSON_DIR``
     Directory the machine-readable perf records are written to (default:
-    current working directory).  One ``BENCH_<module>.json`` file per
+    ``benchmarks/``, next to the tracked records, whatever the working
+    directory).  One ``BENCH_<module>.json`` file per
     benchmark module tracks wall-clock per test, events/sec where the
     benchmark reports it, and the backend its timed runs used — the perf
     trajectory across changes.
@@ -139,7 +140,8 @@ def pytest_sessionfinish(session, exitstatus):
     records = _records()
     if not records:
         return
-    out_dir = Path(os.environ.get("REPRO_BENCH_JSON_DIR", "."))
+    out_dir = Path(os.environ.get("REPRO_BENCH_JSON_DIR",
+                                  Path(__file__).resolve().parent))
     out_dir.mkdir(parents=True, exist_ok=True)
     for module, tests in records.items():
         named = [test.pop("backend") for test in tests.values()

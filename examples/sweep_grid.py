@@ -2,9 +2,9 @@
 """Run a scenario grid through the parallel sweep engine.
 
 By default this runs a 12-scenario single-kind sub-grid of the paper's
-Section-6.2 long runs over a 2-worker pool with a resume cache, then prints a
-per-scenario metrics table.  The full 169-scenario paper grid is one flag
-away (expect a long run at realistic durations):
+Section-6.2 long runs on 2 local worker processes with a resume cache, then
+prints a per-scenario metrics table.  The full 169-scenario paper grid is one
+flag away (expect a long run at realistic durations):
 
     python examples/sweep_grid.py                       # quick sub-grid
     python examples/sweep_grid.py --workers 4 --duration 1.0

@@ -1,9 +1,10 @@
 """Distributed sweep execution: sharding, stealing, sinks, transports.
 
-The package turns :class:`~repro.runtime.sweep.SweepRunner`'s single-machine
-sweep into a cluster subsystem while keeping its defining property intact:
-the merged result of any sharded run is field-for-field identical to a
-serial sweep, because per-scenario seeds depend only on the master seed and
+The package runs sweeps across machines — and every local
+:class:`~repro.runtime.sweep.SweepRunner` sweep, which is a one-machine
+cluster sweep — while keeping the sweep's defining property intact: the
+merged result of any sharded run is field-for-field identical to a serial
+sweep, because per-scenario seeds depend only on the master seed and
 the scenario's global grid index — never on which worker ran it, in what
 order, over which transport, or how many times.
 

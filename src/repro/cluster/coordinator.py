@@ -26,14 +26,16 @@ Workers reach the state through a
 :class:`~repro.cluster.serve.ClusterCoordinatorServer` over TCP
 (:meth:`ClusterCoordinator.run_local` binds one for its local worker
 processes) or in process through a
-:class:`~repro.cluster.transport.LocalTransport`.
+:class:`~repro.cluster.transport.LocalTransport` (a one-worker
+``SweepRunner`` sweep).
 
 Correctness under reordering: per-scenario seeds depend only on
-``(master_seed, global index)`` — the same ``SeedSequence.spawn`` derivation
-the serial sweep uses — and execution is deterministic given (spec, seed,
-backend), so the merged result is field-for-field identical to a serial
-``SweepRunner`` run no matter how many shards, which worker ran what, how
-work was stolen, or how many times a crashed scenario was re-executed.
+``(master_seed, global index)`` — the ``SeedSequence.spawn`` derivation —
+or are given as ``seeds`` (a ``SweepRunner`` under a ``seed_key``), and
+execution is deterministic given (spec, seed, backend), so the merged
+result is field-for-field identical to a serial ``SweepRunner`` run no
+matter how many shards, which worker ran what, how work was stolen, or how
+many times a crashed scenario was re-executed.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ RESULTS_DIR = "results"
 #: uploaded through the transport's ``telemetry`` op when ``REPRO_OBS``
 #: enables metrics.  Side data: never read by the protocol itself.
 TELEMETRY_DIR = "telemetry"
+#: The merged worker metrics :meth:`ClusterCoordinator.merge` writes.
+METRICS_JSON = "metrics.json"
+METRICS_PROM = "metrics.prom"
 
 
 def atomic_write_json(path: Path, payload: dict,
@@ -191,8 +196,8 @@ class ClusterCoordinator:
     Parameters
     ----------
     specs:
-        Scenario list; names must be unique (same contract as
-        :class:`~repro.runtime.sweep.SweepRunner`).
+        Scenario list; names must be unique (a duplicate raises
+        ``ValueError``).
     duration:
         Simulated seconds per scenario.
     cluster_dir:
@@ -222,6 +227,12 @@ class ClusterCoordinator:
         ``fail`` op, and the coordinator's state quarantines a
         scenario once its failures plus lease deaths spend the retry
         budget.  ``None`` keeps the pre-guard protocol bit-for-bit.
+    seeds:
+        Per-scenario seeds, one per spec (e.g.
+        :meth:`SweepRunner.scenario_seeds
+        <repro.runtime.sweep.SweepRunner.scenario_seeds>` under a
+        ``seed_key``).  ``None`` derives them from ``master_seed`` and the
+        scenario index.
     """
 
     def __init__(self, specs: Sequence[ScenarioSpec], duration: float,
@@ -231,7 +242,8 @@ class ClusterCoordinator:
                  sink: str = "jsonl",
                  lease_timeout: float = 60.0,
                  cache_dir: Optional[str | Path] = None,
-                 guard=None) -> None:
+                 guard=None,
+                 seeds: Optional[Sequence[int]] = None) -> None:
         self.specs = list(specs)
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -242,6 +254,9 @@ class ClusterCoordinator:
         check_sink_kind(sink)
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
+        if seeds is not None and len(seeds) != len(self.specs):
+            raise ValueError(f"{len(seeds)} seeds for {len(self.specs)} "
+                             f"scenarios")
         self.duration = duration
         self.cluster_dir = Path(cluster_dir)
         self.master_seed = (master_seed if master_seed is not None
@@ -252,6 +267,8 @@ class ClusterCoordinator:
         self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.guard = (guard.to_dict() if hasattr(guard, "to_dict")
                       else guard)
+        self.seeds = (derive_scenario_seeds(self.master_seed, len(self.specs))
+                      if seeds is None else [int(seed) for seed in seeds])
         self._shard_plan: Optional[ShardPlan] = None
         self._cluster_plan: Optional[ClusterPlan] = None
         #: The plan document :meth:`write_plan` last wrote — the parsed
@@ -287,8 +304,7 @@ class ClusterCoordinator:
                 sink=self.sink,
                 lease_timeout=self.lease_timeout,
                 cache_dir=self.cache_dir,
-                seeds=derive_scenario_seeds(self.master_seed,
-                                            len(self.specs)),
+                seeds=self.seeds,
                 specs=self.specs,
                 shard_plan=self.plan(),
                 guard=self.guard,
@@ -358,8 +374,8 @@ class ClusterCoordinator:
         return path
 
     def reset_state(self) -> None:
-        """Discard all protocol state (plan, done records, parts, and the
-        in-memory state with its leases)."""
+        """Discard all protocol state (plan, done records, parts, merged
+        metrics, and the in-memory state with its leases)."""
         import shutil
 
         from repro.runtime.guard import QuarantineStore
@@ -370,7 +386,8 @@ class ClusterCoordinator:
         for sub in (TASKS_DIR, RESULTS_DIR, TELEMETRY_DIR,
                     QuarantineStore.DIRNAME):
             shutil.rmtree(self.cluster_dir / sub, ignore_errors=True)
-        (self.cluster_dir / PLAN_NAME).unlink(missing_ok=True)
+        for name in (PLAN_NAME, METRICS_JSON, METRICS_PROM):
+            (self.cluster_dir / name).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # Progress
@@ -447,9 +464,9 @@ class ClusterCoordinator:
         telemetry = self.merged_telemetry()
         if telemetry is not None:
             result.telemetry = telemetry.to_dict()
-            atomic_write_text(self.cluster_dir / "metrics.json",
+            atomic_write_text(self.cluster_dir / METRICS_JSON,
                               telemetry.to_json(indent=2) + "\n")
-            atomic_write_text(self.cluster_dir / "metrics.prom",
+            atomic_write_text(self.cluster_dir / METRICS_PROM,
                               telemetry.to_prometheus())
         return result
 

@@ -45,7 +45,7 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.coordinator import METRICS_JSON, ClusterCoordinator
 from repro.cluster.transport import (
     MAX_FRAME_BYTES,
     FrameDecodeError,
@@ -377,7 +377,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 len(result.failed))
     if result.telemetry is not None:
         logger.info("[serve] merged worker telemetry written to %s",
-                    Path(args.cluster_dir) / "metrics.json")
+                    Path(args.cluster_dir) / METRICS_JSON)
     if args.out:
         result.save(args.out)
         logger.info("[serve] merged sweep result written to %s", args.out)

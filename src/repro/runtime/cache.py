@@ -1,4 +1,4 @@
-"""Resume cache for sweeps and cluster workers.
+"""Resume cache of the cluster workers (and so of every sweep).
 
 Each completed scenario is persisted as one JSON file keyed by a hash of the
 scenario *identity* (hardware, workload, scheduler, batch size) plus the
@@ -9,8 +9,12 @@ stale or foreign entry is *found and reported* instead of silently missed: a
 sweep can tell the operator "skipped, written by cache version 2" rather
 than quietly recomputing.
 
+Only successful outcomes are cached.  Retry budgets and quarantine are
+the cluster coordinator's (:mod:`repro.cluster.state`), not the cache's.
+
 Skip reasons are logged through the ``repro.runtime.cache`` logger and
-surfaced via :class:`CacheReport` (see ``SweepRunner.cache_report()``).
+surfaced via :class:`CacheReport` (see ``SweepRunner.cache_report()`` and
+``ClusterWorker.cache_report``).
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
 #: outcome-preserving timer elision) alongside ``events_processed`` —
 #: provenance like the engine field, but old entries would silently
 #: report 0, so the version forces a recompute.
-#: v8: guarded sweeps persist *failed* outcomes too, with an ``attempts``
-#: count in the wrapper payload, so retry budgets and quarantine decisions
-#: survive resumes (unguarded sweeps still cache only successes).
+#: v8: guarded sweeps persisted *failed* outcomes too, with an ``attempts``
+#: count in the wrapper payload.  That ledger is gone (the coordinator keeps
+#: retry budgets); ``ok`` entries are unchanged, and a failed entry an older
+#: version wrote is skipped.
 CACHE_VERSION = 8
 
 logger = logging.getLogger("repro.runtime.cache")
@@ -158,15 +163,13 @@ class CacheReport:
 
 
 class ResumeCache:
-    """Per-scenario result cache shared by :class:`SweepRunner` and cluster
-    workers.
+    """Per-scenario result cache of the cluster workers
+    (:class:`~repro.cluster.worker.ClusterWorker`, which every
+    ``SweepRunner`` runs).
 
-    Unguarded runs store only successful outcomes, so failures are retried
-    on the next attempt.  Guarded runs (``repro.runtime.guard``) also
-    persist failed outcomes together with an ``attempts`` count, so the
-    retry budget — and a quarantine decision — survives resumes.  Writes
-    are atomic (tmp + rename): a killed run never leaves a half-written
-    entry.
+    Only successful outcomes are stored, so failures are retried on the
+    next run.  Writes are atomic (tmp + rename): a killed run never leaves
+    a half-written entry.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -253,7 +256,6 @@ class ResumeCache:
     # Load / store
     # ------------------------------------------------------------------ #
     def load(self, spec: "ScenarioSpec", seed: int, duration: float,
-             max_attempts: Optional[int] = None,
              ) -> tuple[Optional[dict], Optional[str]]:
         """Look up a cached outcome record.
 
@@ -267,12 +269,6 @@ class ResumeCache:
         :meth:`ScenarioOutcome.check_record`), marked ``from_cache``: a
         cluster worker submits it as it is, and
         ``ScenarioOutcome.from_dict`` rebuilds the outcome.
-
-        ``max_attempts`` is the guard's retry budget: a recorded failure
-        that already spent it — or was explicitly quarantined — is returned
-        as a hit (it stays retired across resumes) instead of being
-        retried; failures with budget left report their attempt count in
-        the skip reason.  Without it, every recorded failure retries.
         """
         from repro.runtime.sweep import ScenarioOutcome
 
@@ -331,61 +327,17 @@ class ResumeCache:
             reason = f"corrupt cache entry ({error!r})"
             self._log_skip(spec.name, reason)
             return None, reason
-        status = record["status"]
-        if status != "ok":
-            attempts = data.get("attempts")
-            if status == "quarantined" or (
-                    max_attempts is not None and attempts is not None
-                    and int(attempts) >= max_attempts):
-                # The scenario exhausted its retry budget in a previous
-                # run — quarantine is durable across resumes.
-                record["from_cache"] = True
-                return record, None
-            if attempts is not None and max_attempts is not None:
-                reason = (f"cache entry records a failed run (attempt "
-                          f"{attempts}/{max_attempts}); retrying")
-            else:
-                reason = "cache entry records a failed run; retrying"
+        if record["status"] != "ok":
+            reason = "cache entry records a failed run; retrying"
             self._log_skip(spec.name, reason)
             return None, reason
         record["from_cache"] = True
         return record, None
 
-    def recorded_attempts(self, spec: "ScenarioSpec", seed: int,
-                          duration: float) -> int:
-        """Attempts already charged against ``spec`` by previous runs.
-
-        Reads the ``attempts`` count of a recorded failure for the same
-        cache identity (version, backend, engine); 0 when there is no such
-        entry.  Lets a resumed guarded sweep continue a retry budget
-        instead of resetting it.
-        """
-        path = self.path(spec, seed, duration)
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return 0
-        if not isinstance(data, dict):
-            return 0
-        if data.get("cache_version") != CACHE_VERSION:
-            return 0
-        if (data.get("backend") != spec.backend_name()
-                or data.get("engine") != spec.engine):
-            return 0
-        attempts = data.get("attempts")
-        return int(attempts) if isinstance(attempts, int) else 0
-
     def store(self, spec: "ScenarioSpec", outcome: "ScenarioOutcome",
-              duration: float, attempts: Optional[int] = None) -> None:
-        """Persist an outcome.
-
-        Successful outcomes are always stored.  Failed outcomes are stored
-        only when ``attempts`` is given (a guarded run tracking its retry
-        budget) — the count lands in the wrapper payload so the budget
-        survives resumes; unguarded runs keep the never-cache-failures
-        behavior.
-        """
-        if not outcome.ok and attempts is None:
+              duration: float) -> None:
+        """Persist a successful outcome; a failed one is not stored."""
+        if not outcome.ok:
             self._miss_keys.pop((id(spec), outcome.seed, duration), None)
             return
         path = self._path(self._key_of(spec, outcome.seed, duration, pop=True),
@@ -397,8 +349,6 @@ class ResumeCache:
             "topology": _topology_stamp(spec),
             "outcome": outcome.to_dict(),
         }
-        if attempts is not None:
-            payload["attempts"] = int(attempts)
         atomic_write_text(path, json.dumps(payload))
         if self._entries is not None:
             self._entries.setdefault(path.name.partition(".")[0],

@@ -8,8 +8,9 @@ retry, give up durably):
 :class:`GuardPolicy`
     The knobs — a deterministic event budget and a wall-clock deadline
     enforced *inside* :class:`~repro.sim.engine.SimulationEngine`'s run
-    loop, a retry budget (``max_attempts``) consumed by the sweep runner
-    and the cluster protocol, and an optional result-validation pass.
+    loop, a retry budget (``max_attempts``) consumed by the cluster
+    coordinator (which every sweep runs through), and an optional
+    result-validation pass.
     The all-``None`` default policy changes nothing: traces, summaries and
     serialized sweeps are bit-identical to an unguarded run.
 
@@ -22,9 +23,9 @@ Failure taxonomy
     marks a scenario retired after exhausting its retry budget.
 
 :class:`QuarantineStore`
-    Durable one-file-per-scenario quarantine records next to the resume
-    cache (or in the cluster directory), written with the shared atomic +
-    fsync idiom so a quarantine decision survives crashes and resumes.
+    Durable one-file-per-scenario quarantine records in the coordinator
+    directory, written with the shared atomic + fsync idiom so a quarantine
+    decision survives crashes and coordinator restarts.
 
 Validation
     :func:`validate_outcome` checks the plain-data summary (fidelities and
@@ -72,7 +73,6 @@ __all__ = [
     "ScenarioFaultPlan",
     "injected_scenario_fault",
     "perform_injected_fault",
-    "quarantined_outcome",
     "validate_density_state",
     "validate_outcome",
     "validate_summary_data",
@@ -305,8 +305,9 @@ class QuarantineRecord:
     #: coordinator quarantined on lease deaths without any report).
     status: str
     error: Optional[str] = None
-    #: Who decided: ``"sweep"`` (in-process retry loop) or
-    #: ``"coordinator"`` (cluster claim path).
+    #: Who decided: ``"coordinator"`` for every record written now (local
+    #: sweeps run through the coordinator too); ``"sweep"`` in records of
+    #: the since-removed in-process retry loop.
     source: str = "sweep"
     recorded_at: float = field(default_factory=time.time)
 
@@ -335,10 +336,10 @@ class QuarantineRecord:
 class QuarantineStore:
     """One durable JSON record per quarantined scenario.
 
-    Lives in a ``quarantine/`` subdirectory of the resume-cache or cluster
-    directory.  Writes use the atomic + fsync idiom (a record's existence
-    is proof of the decision), and records are keyed by scenario index so
-    racing writers converge on one file.
+    Lives in a ``quarantine/`` subdirectory of the coordinator directory
+    (a local sweep's ``cache_dir``).  Writes use the atomic + fsync idiom
+    (a record's existence is proof of the decision), and records are keyed
+    by scenario index so racing writers converge on one file.
     """
 
     DIRNAME = "quarantine"
@@ -385,30 +386,11 @@ class QuarantineStore:
         return {record.index for record in self.load_all()}
 
 
-def quarantined_outcome(last: "ScenarioOutcome",
-                        attempts: int) -> "ScenarioOutcome":
-    """The placeholder outcome recorded for a quarantined scenario.
-
-    Carries the last failure's identity and provenance so the merged sweep
-    still accounts for the scenario, with ``status="quarantined"`` so no
-    consumer mistakes it for data.
-    """
-    from dataclasses import replace
-
-    return replace(
-        last,
-        status=QUARANTINED,
-        summary=None,
-        error=(f"quarantined after {attempts} attempt(s); last failure "
-               f"[{last.status}]: {last.error or 'no diagnostic'}"),
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Scenario-level fault injection
 # --------------------------------------------------------------------------- #
 #: Environment variable carrying a :class:`ScenarioFaultPlan` into worker
-#: processes (sweep pool children and cluster workers alike).
+#: processes (every sweep runs them as cluster workers).
 SCENARIO_FAULTS_ENV = "REPRO_SCENARIO_FAULTS"
 
 
@@ -421,8 +403,8 @@ class ScenarioFaultPlan:
     ``MemoryError`` at execution time; ``crash`` members kill their worker
     process outright (``os._exit``), leaving the lease to go stale exactly
     like an OOM-killed machine.  Serialised through one environment
-    variable so every execution layer — in-process sweep, pool workers,
-    cluster workers — sees the same schedule.
+    variable so every worker — in process or a separate process — sees
+    the same schedule.
     """
 
     hang: frozenset = frozenset()

@@ -1,10 +1,10 @@
-"""Parallel scenario sweeps — the engine behind the paper's 169-run grid.
+"""Scenario sweeps — the engine behind the paper's 169-run grid.
 
 The paper's evaluation (Section 6.2) rests on a grid of 169 long-run
-scenarios plus mixed-kind and robustness sweeps.  :class:`SweepRunner` fans a
-list of :class:`~repro.runtime.scenarios.ScenarioSpec` out over a
-``multiprocessing`` pool and collects the per-scenario
-:class:`~repro.analysis.metrics.MetricsSummary` objects into a serialisable
+scenarios plus mixed-kind and robustness sweeps.  :class:`SweepRunner` runs
+a list of :class:`~repro.runtime.scenarios.ScenarioSpec` as a one-machine
+cluster sweep (see :mod:`repro.cluster`) and returns the per-scenario
+:class:`~repro.analysis.metrics.MetricsSummary` objects as a serialisable
 :class:`SweepResult`.
 
 Design points:
@@ -17,20 +17,23 @@ Design points:
 * **Plain-data payloads** — workers ship back :class:`ScenarioOutcome`
   records holding only summaries and strings; the live network / collector
   handles never cross the process boundary.
-* **Resume** — with a ``cache_dir``, each completed scenario is written to
-  disk keyed by a hash of everything that determines its result (workload,
-  scheduler, seed, duration, batch size).  Re-running an interrupted sweep
-  skips the finished scenarios.
-* **Fault isolation** — a scenario that raises inside a worker is reported
-  as a failed outcome instead of poisoning the pool; the rest of the sweep
+* **One pipeline** — the local sweep plans, runs and merges through
+  :class:`~repro.cluster.coordinator.ClusterCoordinator` and
+  :class:`~repro.cluster.worker.ClusterWorker`, so the resume cache
+  (:class:`~repro.runtime.cache.ResumeCache`), the retry budget, the
+  quarantine and the sweep metrics each have one definition, the
+  cluster's.
+* **Fault isolation** — a scenario that raises is reported as a failed
+  outcome (:func:`execute_scenario` never raises); the rest of the sweep
   completes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-import multiprocessing
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field, fields
@@ -40,16 +43,13 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from repro.analysis.metrics import MetricsSummary
-from repro.runtime.cache import CACHE_VERSION, CacheReport, CacheSkip, ResumeCache
+from repro.runtime.cache import CACHE_VERSION, CacheReport
 from repro.runtime.guard import (
     QUARANTINED,
     EngineInterrupt,
     GuardPolicy,
-    QuarantineRecord,
-    QuarantineStore,
     injected_scenario_fault,
     perform_injected_fault,
-    quarantined_outcome,
     validate_backend_states,
     validate_outcome,
 )
@@ -68,9 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CACHE_VERSION",
     "CacheReport",
-    "CacheSkip",
-    "GuardPolicy",
-    "ResumeCache",
     "ScenarioOutcome",
     "SweepResult",
     "SweepRunner",
@@ -338,10 +335,11 @@ def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
                      ) -> ScenarioOutcome:
     """Run one scenario and fold the result into a plain-data outcome.
 
-    This is the single execution primitive shared by the in-process sweep,
-    the multiprocessing pool workers and the ``repro.cluster`` workers.
-    Always returns an outcome — any exception becomes a failed record so a
-    bad scenario cannot poison a pool or a shard.  With a ``guard``, the
+    This is the single execution primitive: every
+    :class:`~repro.cluster.worker.ClusterWorker` — and so every sweep —
+    runs its scenarios through it.  Always returns an outcome — any
+    exception becomes a failed record so a bad scenario cannot take its
+    worker down.  With a ``guard``, the
     engine's event budget / wall deadline bound the run (``timeout``
     outcomes carry partial provenance: events processed, sim-time reached),
     ``MemoryError`` is folded to ``oom``, and a validation pass demotes
@@ -403,74 +401,67 @@ def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
                                 traceback.format_exc(), started)
 
 
-#: This pool worker process's backends, one per name, made by the pool
-#: initializer: the solo tasks the process runs share them.
-_pool_backends: Optional[BackendSet] = None
-
-
-def _init_pool_worker() -> None:
-    """Pool initializer: give the worker process its own backends."""
-    global _pool_backends
-    from repro.backends import BackendSet
-
-    _pool_backends = BackendSet()
-
-
-def _execute_task(task: tuple, backends: Optional[BackendSet] = None,
-                  ) -> tuple[int, ScenarioOutcome]:
-    """Run one ``((index, spec, seed, duration), guard)`` task on
-    ``backends`` (the pool worker's own set when ``None``) and return
-    ``(index, outcome)``."""
-    (index, spec, seed, duration), guard = task
-    if backends is None:
-        backends = _pool_backends
-    return index, execute_scenario(spec, seed, duration, guard=guard,
-                                   backends=backends)
-
-
 class SweepRunner:
-    """Run many scenarios, optionally in parallel, with deterministic seeds.
+    """Run many scenarios on this machine, with deterministic seeds.
+
+    A local sweep is a cluster sweep with the coordinator in process:
+    :meth:`run` plans the scenarios with a
+    :class:`~repro.cluster.coordinator.ClusterCoordinator`, runs them with
+    cluster workers (:class:`~repro.cluster.worker.ClusterWorker`) and
+    merges their sink parts.  Caching, retries, quarantine and metrics are
+    the cluster's, so a local sweep and a sharded one follow the same rules
+    and return the same outcomes.
 
     Parameters
     ----------
     scenarios:
         The :class:`ScenarioSpec` list to run.  Names must be unique — the
-        resume cache and :meth:`SweepResult.summaries` key on them.
+        resume cache and :meth:`SweepResult.summaries` key on them; a
+        duplicate makes :meth:`run` raise ``ValueError``.
     duration:
         Simulated seconds per scenario.
     master_seed:
         Root of the per-scenario seed derivation (see
         :func:`derive_scenario_seeds`).
     workers:
-        Worker processes; ``<= 1`` runs serially in-process.  Results are
-        identical either way.
+        ``1`` runs one worker in process, over a
+        :class:`~repro.cluster.transport.LocalTransport`; more runs
+        :meth:`ClusterCoordinator.run_local
+        <repro.cluster.coordinator.ClusterCoordinator.run_local>` with that
+        many worker processes.  Results are identical either way.
     cache_dir:
-        Directory for per-scenario resume files; ``None`` disables caching.
-        Only successful outcomes are cached, so failures are retried on the
-        next attempt.
+        Resume-cache directory (see :class:`ResumeCache`); ``None`` disables
+        caching.  Only successful outcomes are cached, so failures are
+        retried on the next run.  It is also the run's coordinator
+        directory (plan, sink parts, quarantine records, merged metrics),
+        whose protocol state every :meth:`run` resets: run one sweep at a
+        time per directory.  Without it, the coordinator directory is a
+        temporary one, removed after the merge.
     start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheap on Linux) and ``spawn`` otherwise.
+        ``multiprocessing`` start method of the worker processes when
+        ``workers > 1`` (see :meth:`ClusterCoordinator.run_local`).
     on_outcome:
-        Optional callback invoked with each :class:`ScenarioOutcome` as it
-        completes (progress reporting).
+        Optional callback invoked with each :class:`ScenarioOutcome`: as it
+        completes with one worker (failed attempts of a guarded sweep
+        included), from the merged result after the run with more.
     seed_key:
         Optional grouping function ``spec -> key``.  Scenarios with equal
         keys get the *same* derived seed (see :func:`derive_keyed_seed`),
         which makes e.g. scheduler comparisons paired.  Default: every
         scenario gets its own index-derived seed.
     batch_size:
-        Scenarios handed to a pool worker process at a time (the
-        ``chunksize`` of the pool's ``imap_unordered``); no effect on an
-        in-process sweep.  Results are identical for every value.
+        Vestigial: accepted and ignored, like
+        :class:`~repro.cluster.worker.ClusterWorker`'s.  Claim batches are
+        sized from the plan's scenario costs.
     guard:
         Optional :class:`~repro.runtime.guard.GuardPolicy` supervising
         every execution: engine-level deadlines/budgets, result
         validation, and a retry budget — a scenario still failing after
-        ``guard.max_attempts`` executions is **quarantined** (durable
-        record under ``cache_dir``, ``status="quarantined"`` outcome) and
-        the sweep completes without it.  ``None`` (the default) preserves
-        the unguarded behavior bit-for-bit.
+        ``guard.max_attempts`` executions is **quarantined** by the
+        coordinator (a record under the coordinator directory, a
+        ``status="quarantined"`` outcome) and the sweep completes without
+        it.  The budget and the quarantine last one :meth:`run`.  ``None``
+        (the default) preserves the unguarded behavior bit-for-bit.
     """
 
     def __init__(self, scenarios: Sequence[ScenarioSpec], duration: float,
@@ -485,10 +476,6 @@ class SweepRunner:
         self.scenarios = list(scenarios)
         if duration <= 0:
             raise ValueError("duration must be positive")
-        names = [spec.name for spec in self.scenarios]
-        duplicates = {name for name in names if names.count(name) > 1}
-        if duplicates:
-            raise ValueError(f"duplicate scenario names: {sorted(duplicates)}")
         self.duration = duration
         # Resolve an unseeded sweep to a concrete seed once, so all seed
         # derivations within this runner agree and the SweepResult records
@@ -497,23 +484,12 @@ class SweepRunner:
                             else _fresh_master_seed())
         self.workers = max(1, int(workers))
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
-        self._cache = None if cache_dir is None else ResumeCache(cache_dir)
         self._cache_report = CacheReport()
         self.on_outcome = on_outcome
         self.seed_key = seed_key
-        self.batch_size = max(1, int(batch_size))
         self.guard = guard
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
         self.start_method = start_method
-        #: Sweep-level ``repro.obs.MetricsRegistry`` of the most recent
-        #: :meth:`run`, when ``REPRO_OBS`` enabled metrics (else ``None``).
-        self.metrics_registry = None
 
-    # ------------------------------------------------------------------ #
-    # Seeds and cache keys
-    # ------------------------------------------------------------------ #
     def scenario_seeds(self) -> list[int]:
         """The derived per-scenario seeds, in scenario order."""
         if self.seed_key is not None:
@@ -521,221 +497,64 @@ class SweepRunner:
                     for spec in self.scenarios]
         return derive_scenario_seeds(self.master_seed, len(self.scenarios))
 
-    @staticmethod
-    def cache_key(spec: ScenarioSpec, seed: int, duration: float) -> str:
-        """Hash of the scenario identity + run parameters (see
-        :meth:`ResumeCache.key`; the backend lives in the filename)."""
-        return ResumeCache.key(spec, seed, duration)
-
     def cache_report(self) -> CacheReport:
         """What the resume cache did for the most recent :meth:`run`.
 
         Distinguishes plain misses from entries that were *found* but
         skipped — e.g. written by a different ``CACHE_VERSION`` or physics
-        backend — with the reason per scenario.
+        backend — with the reason per scenario.  With ``workers > 1`` it is
+        read from the merged outcomes (hits are the ``from_cache`` ones,
+        every other scenario a miss), so skips are not reported.
         """
         return self._cache_report
 
-    def _load_cached(self, spec: ScenarioSpec,
-                     seed: int) -> Optional[ScenarioOutcome]:
-        if self._cache is None:
-            return None
-        max_attempts = None if self.guard is None else self.guard.max_attempts
-        record, reason = self._cache.load(spec, seed, self.duration,
-                                          max_attempts=max_attempts)
-        if record is not None:
-            self._cache_report.hits.append(spec.name)
-            return ScenarioOutcome.from_dict(record)
-        if reason is not None:
-            self._cache_report.skips.append(CacheSkip(spec.name, reason))
-        else:
-            self._cache_report.misses.append(spec.name)
-        return None
-
-    def _store_cached(self, spec: ScenarioSpec, outcome: ScenarioOutcome,
-                      attempts: Optional[int] = None) -> None:
-        if self._cache is not None:
-            self._cache.store(spec, outcome, self.duration,
-                              attempts=attempts)
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def run(self) -> SweepResult:
-        """Run the sweep and return outcomes in scenario order."""
+        """Plan, run and merge the sweep; returns outcomes in scenario
+        order."""
+        from repro.cluster.coordinator import ClusterCoordinator
+
+        # Never more processes than scenarios: a spare one only idles.
+        workers = min(self.workers, max(1, len(self.scenarios)))
+        with (tempfile.TemporaryDirectory(prefix="repro-sweep-")
+              if self.cache_dir is None
+              else contextlib.nullcontext(self.cache_dir)) as directory:
+            coordinator = ClusterCoordinator(
+                self.scenarios, self.duration, directory,
+                master_seed=self.master_seed, num_shards=workers,
+                cache_dir=self.cache_dir, guard=self.guard,
+                seeds=self.scenario_seeds())
+            # The resume cache is the only memory a local sweep keeps
+            # across runs: the done records of the last one must not
+            # short-circuit it.
+            coordinator.reset_state()
+            try:
+                if workers == 1:
+                    return self._run_in_process(coordinator)
+                result = coordinator.run_local(workers, self.start_method)
+            finally:
+                coordinator.state.close()
         self._cache_report = CacheReport()
-        # Sweep-level metrics when REPRO_OBS enables them (None otherwise:
-        # the loop below then only pays one ``is not None`` per outcome).
-        from repro.obs import config_from_env
-
-        obs_config = config_from_env()
-        registry = None
-        if obs_config is not None and obs_config.metrics:
-            from repro.obs import MetricsRegistry
-
-            registry = MetricsRegistry()
-        self.metrics_registry = registry
-
-        def observe(outcome: ScenarioOutcome) -> None:
-            registry.counter("repro_sweep_scenarios_total",
-                             status=outcome.status)
-            if outcome.status == "timeout":
-                registry.counter("repro_sweep_timeouts_total")
-            if outcome.from_cache:
-                registry.counter("repro_sweep_cache_hits_total")
-            else:
-                # Cached outcomes report the original run's wall time;
-                # only fresh executions feed the wall-clock histogram.
-                registry.observe("repro_sweep_scenario_wall_seconds",
-                                 outcome.wall_time)
-            registry.counter("repro_sweep_events_processed_total",
-                             outcome.events_processed)
-            registry.counter("repro_sweep_events_elided_total",
-                             outcome.events_elided)
-
-        seeds = self.scenario_seeds()
-        outcomes: list[Optional[ScenarioOutcome]] = [None] * len(self.scenarios)
-        pending: list[tuple[int, ScenarioSpec, int, float]] = []
-        # Executions charged against each scenario's retry budget (guarded
-        # sweeps only), seeded from the resume cache so attempts spent in a
-        # previous interrupted run still count.
-        attempts: dict[int, int] = {}
-        for index, (spec, seed) in enumerate(zip(self.scenarios, seeds)):
-            cached = self._load_cached(spec, seed)
-            if cached is not None:
-                outcomes[index] = cached
-                if registry is not None:
-                    observe(cached)
-                if self.on_outcome is not None:
-                    self.on_outcome(cached)
-            else:
-                pending.append((index, spec, seed, self.duration))
-                if self.guard is not None and self._cache is not None:
-                    prior = self._cache.recorded_attempts(
-                        spec, seed, self.duration)
-                    if prior:
-                        attempts[index] = prior
-
-        def record(index: int, outcome: ScenarioOutcome) -> None:
-            outcomes[index] = outcome
-            self._store_cached(self.scenarios[index], outcome,
-                               attempts=attempts.get(index))
-            if registry is not None:
-                observe(outcome)
+        for outcome in result.outcomes:
+            if self.cache_dir is not None:
+                (self._cache_report.hits if outcome.from_cache
+                 else self._cache_report.misses).append(outcome.scenario_name)
             if self.on_outcome is not None:
                 self.on_outcome(outcome)
+        return result
 
-        # In-process runs share one backend per name for the whole sweep,
-        # as a ClusterWorker's do; a pool worker process shares its own
-        # set between its tasks.  Each hardware config's FEU table is
-        # built once per process.
-        from repro.backends import BackendSet
+    def _run_in_process(self, coordinator) -> SweepResult:
+        """One :class:`~repro.cluster.worker.ClusterWorker` over a
+        :class:`~repro.cluster.transport.LocalTransport` to the
+        coordinator's state, then the merge."""
+        from repro.cluster.transport import LocalTransport
+        from repro.cluster.worker import ClusterWorker
 
-        backends = BackendSet()
-
-        def execute(payloads: list[tuple[int, ScenarioSpec, int, float]],
-                    ) -> None:
-            tasks = [(payload, self.guard) for payload in payloads]
-            if self.guard is not None:
-                for payload in payloads:
-                    attempts[payload[0]] = attempts.get(payload[0], 0) + 1
-            if self.workers == 1 or len(tasks) == 1:
-                for task in tasks:
-                    record(*_execute_task(task, backends))
-            else:
-                context = multiprocessing.get_context(self.start_method)
-                processes = min(self.workers, len(tasks))
-                with context.Pool(processes=processes,
-                                  initializer=_init_pool_worker) as pool:
-                    for index, outcome in pool.imap_unordered(
-                            _execute_task, tasks,
-                            chunksize=self.batch_size):
-                        record(index, outcome)
-
-        if pending:
-            execute(pending)
-
-        # A cached failure is only ever *returned* (rather than retried)
-        # when its budget is spent — if the previous run died before
-        # formally quarantining it, finish the job now.
-        if self.guard is not None and self._cache is not None:
-            for index, outcome in enumerate(outcomes):
-                if (outcome is not None and outcome.from_cache
-                        and not outcome.ok
-                        and outcome.status != QUARANTINED):
-                    attempts[index] = self._cache.recorded_attempts(
-                        self.scenarios[index], seeds[index], self.duration)
-                    self._quarantine(index, outcome, attempts[index],
-                                     record, registry)
-
-        # Retry/quarantine rounds — guarded sweeps only.  Each failed
-        # scenario is re-executed until it succeeds or its budget runs out,
-        # at which point it is durably quarantined and the sweep moves on.
-        if pending and self.guard is not None:
-            scheduled = {payload[0] for payload in pending}
-            while True:
-                retry: list[tuple[int, ScenarioSpec, int, float]] = []
-                for index in sorted(scheduled):
-                    outcome = outcomes[index]
-                    if outcome is None or outcome.ok:
-                        continue
-                    if outcome.status == QUARANTINED:
-                        continue
-                    if attempts.get(index, 0) >= self.guard.max_attempts:
-                        self._quarantine(index, outcome,
-                                         attempts.get(index, 0), record,
-                                         registry)
-                    else:
-                        if registry is not None:
-                            registry.counter("repro_sweep_retries_total",
-                                             status=outcome.status)
-                        retry.append((index, self.scenarios[index],
-                                      seeds[index], self.duration))
-                if not retry:
-                    break
-                execute(retry)
-
-        assert all(outcome is not None for outcome in outcomes)
-        telemetry = None
-        if registry is not None:
-            telemetry = registry.to_dict()
-            if obs_config.out_dir is not None:
-                out_dir = Path(obs_config.out_dir)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / "sweep_metrics.json").write_text(
-                    registry.to_json(indent=2) + "\n", encoding="utf-8")
-                (out_dir / "sweep_metrics.prom").write_text(
-                    registry.to_prometheus(), encoding="utf-8")
-        return SweepResult(master_seed=self.master_seed,
-                           duration=self.duration,
-                           outcomes=list(outcomes),
-                           telemetry=telemetry)
-
-    def _quarantine(self, index: int, last: ScenarioOutcome, attempts: int,
-                    record: Callable[[int, ScenarioOutcome], None],
-                    registry) -> None:
-        """Retire scenario ``index``: durable record + placeholder outcome.
-
-        The quarantine record lands under ``cache_dir`` (when caching is
-        on) so resumed sweeps — and operators via ``repro.obs.report`` —
-        see the decision; the recorded outcome keeps the last failure's
-        diagnosis with ``status="quarantined"``.
-        """
-        final = quarantined_outcome(last, attempts)
-        if self.cache_dir is not None:
-            QuarantineStore(self.cache_dir).record(QuarantineRecord(
-                index=index,
-                scenario_name=last.scenario_name,
-                seed=last.seed,
-                attempts=attempts,
-                status=last.status,
-                error=last.error,
-                source="sweep",
-            ))
-        if registry is not None:
-            registry.counter("repro_sweep_quarantined_total",
-                             status=last.status)
-        record(index, final)
+        coordinator.write_plan()
+        worker = ClusterWorker(LocalTransport(coordinator.state), "local-0",
+                               shard=0, on_outcome=self.on_outcome)
+        worker.run()
+        self._cache_report = worker.cache_report
+        return coordinator.merge()
 
 
 def run_sweep(scenarios: Sequence[ScenarioSpec], duration: float,

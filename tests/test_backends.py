@@ -432,8 +432,8 @@ class TestSweepIntegration:
         spec_density = self._specs("density")[0]
         spec_analytic = self._specs("analytic")[0]
         cache = ResumeCache("unused-dir")
-        assert SweepRunner.cache_key(spec_density, 1, 1.0) == \
-            SweepRunner.cache_key(spec_analytic, 1, 1.0)
+        assert ResumeCache.key(spec_density, 1, 1.0) == \
+            ResumeCache.key(spec_analytic, 1, 1.0)
         assert cache.path(spec_density, 1, 1.0) != \
             cache.path(spec_analytic, 1, 1.0)
 

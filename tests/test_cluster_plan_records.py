@@ -339,8 +339,11 @@ class TestRecordPath:
             index: cached_line(index, record)
             for index, record in stored.items()}
 
-    def test_a_cached_quarantine_under_a_guard_is_submitted_not_reported(
+    def test_a_cached_quarantine_under_a_guard_is_executed_again(
             self, tmp_path, connect, monkeypatch):
+        """The cache keeps no failure ledger: a quarantined entry an older
+        guarded sweep wrote (with its ``attempts``) is skipped, and the
+        scenario runs under the coordinator's own retry budget."""
         specs = grid(3)
         coordinator = coordinator_for(
             tmp_path, specs, guard=GuardPolicy(max_attempts=2))
@@ -352,7 +355,12 @@ class TestRecordPath:
             duration=DURATION, status="quarantined",
             error="quarantined after spending the retry budget",
             backend=specs[1].backend_name())
-        cache.store(specs[1], quarantined, DURATION, attempts=2)
+        path = cache.path(specs[1], plan.seeds[1], DURATION)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({
+            "cache_version": CACHE_VERSION, "backend": quarantined.backend,
+            "engine": specs[1].engine, "topology": None,
+            "outcome": quarantined.to_dict(), "attempts": 2}))
         executed = []
         real_execute = worker_module.execute_scenario
 
@@ -365,12 +373,13 @@ class TestRecordPath:
                                cache_dir=tmp_path / "cache")
         worker.run(poll_interval=0.01)
         assert worker.failed == []
-        assert sorted(executed) == sorted([specs[0].name, specs[2].name])
-        assert part_lines(coordinator.cluster_dir)[1] == cached_line(
-            1, quarantined.to_dict())
+        assert sorted(executed) == sorted(spec.name for spec in specs)
+        (skip,) = worker.cache_report.skips
+        assert skip.scenario_name == specs[1].name
+        assert "failed run" in skip.reason
         merged = coordinator.merge()
-        assert merged.quarantined_indices == [1]
-        assert merged.outcomes[1].from_cache
+        assert merged.quarantined_indices == []
+        assert merged.outcomes[1].ok and not merged.outcomes[1].from_cache
 
 
 def _no_execution(*args, **kwargs):

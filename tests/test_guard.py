@@ -2,12 +2,12 @@
 
 Covers the engine's deterministic event budget and wall-clock deadline,
 ``GuardPolicy`` round-trips, result validation, the quarantine store, the
-scenario fault plan, the ``SweepRunner`` retry/quarantine loop (including
-batched sweeps and resume), every failure status through the JSONL
-result sink, and the cluster-side retry budget: ``record_failure``
-charging, repeated-lease-death quarantine, the serve ``fail`` op, and the
-frame-rejection regression (oversized / garbage frames must get structured
-errors without taking the connection down).
+scenario fault plan, guarded ``SweepRunner`` sweeps (retries and
+quarantine through the coordinator, and what a rerun keeps), every failure
+status through the JSONL result sink, and the cluster-side retry budget:
+``record_failure`` charging, repeated-lease-death quarantine, the serve
+``fail`` op, and the frame-rejection regression (oversized / garbage frames
+must get structured errors without taking the connection down).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.runtime.guard import (
     QuarantineRecord,
     QuarantineStore,
     ScenarioFaultPlan,
-    quarantined_outcome,
     validate_density_state,
     validate_outcome,
     validate_summary_data,
@@ -200,16 +199,6 @@ class TestQuarantine:
         assert loaded == record
         assert QuarantineRecord.from_dict(record.to_dict()) == record
 
-    def test_quarantined_outcome_keeps_identity_fields(self):
-        spec = grid(1)[0]
-        last = _failure_outcome(spec, 9, DURATION, "oom", "MemoryError",
-                                time.perf_counter())
-        final = quarantined_outcome(last, attempts=2)
-        assert final.status == QUARANTINED
-        assert final.scenario_name == last.scenario_name
-        assert final.seed == last.seed
-        assert "2 attempt(s)" in final.error and "[oom]" in final.error
-
 
 # --------------------------------------------------------------------------- #
 # Scenario fault plan
@@ -255,7 +244,11 @@ class TestGuardedSweep:
         records = QuarantineStore(tmp_path).load_all()
         assert [r.index for r in records] == [0, 1]
         assert all(r.status == "timeout" and r.attempts == 2
-                   and r.source == "sweep" for r in records)
+                   and r.source == "coordinator" for r in records)
+        # The coordinator's canonical outcome, the same as a cluster's.
+        assert all(o.error == "quarantined after spending the retry budget "
+                              "(2 attempt(s)); last failure [timeout]"
+                   for o in result.outcomes)
 
     def test_fault_plan_quarantines_exactly_the_poisoned(
             self, tmp_path, monkeypatch):
@@ -278,13 +271,16 @@ class TestGuardedSweep:
                     for r in QuarantineStore(tmp_path).load_all()}
         assert statuses == {1: "timeout", 3: "oom"}
 
-        # Resume from the same cache without the faults: the quarantine is
-        # durable — nothing re-executes and nothing un-quarantines.
+        # Rerun from the same cache without the faults: the retry budget
+        # and the quarantine lasted one run, so the quarantined scenarios
+        # run again (and now succeed); the others come from the cache.
         monkeypatch.delenv(SCENARIO_FAULTS_ENV)
         resumed = SweepRunner(specs, DURATION, master_seed=21, guard=guard,
                               cache_dir=tmp_path).run()
-        assert resumed.outcomes == result.outcomes
-        assert all(o.from_cache for o in resumed.outcomes)
+        assert resumed.outcomes == baseline.outcomes
+        assert [i for i, o in enumerate(resumed.outcomes)
+                if not o.from_cache] == [1, 3]
+        assert QuarantineStore(tmp_path).load_all() == []
 
     def test_batched_sweep_quarantines_only_the_failing_scenario(
             self, tmp_path, monkeypatch):
@@ -299,6 +295,41 @@ class TestGuardedSweep:
         survivors = [o for i, o in enumerate(result.outcomes) if i != 2]
         assert survivors == [o for i, o in enumerate(baseline.outcomes)
                              if i != 2]
+
+    def test_serial_equals_sharded_under_faults(self, tmp_path, monkeypatch):
+        """A guarded, fault-planned sweep gives the same outcomes —
+        quarantined ones included — and the same quarantine records in
+        process, with worker processes, and through the cluster."""
+        specs = grid()
+        plan = ScenarioFaultPlan(hang=frozenset({specs[1].name}),
+                                 oom=frozenset({specs[3].name}))
+        monkeypatch.setenv(SCENARIO_FAULTS_ENV, plan.to_env())
+        guard = GuardPolicy(max_events=200_000, wall_deadline=60.0,
+                            max_attempts=2)
+
+        def records(directory):
+            return [(r.index, r.status, r.attempts)
+                    for r in QuarantineStore(directory).load_all()]
+
+        runs = {}
+        for workers in (1, 2):
+            directory = tmp_path / f"sweep-{workers}"
+            result = SweepRunner(specs, DURATION, master_seed=21,
+                                 workers=workers, guard=guard,
+                                 cache_dir=directory).run()
+            runs[f"SweepRunner(workers={workers})"] = (result,
+                                                       records(directory))
+        coordinator = ClusterCoordinator(specs, DURATION, tmp_path / "cl",
+                                         master_seed=21, num_shards=2,
+                                         guard=guard)
+        runs["run_local"] = (coordinator.run_local(),
+                             records(coordinator.cluster_dir))
+        serial, serial_records = runs["SweepRunner(workers=1)"]
+        assert serial.quarantined_indices == [1, 3]
+        assert serial_records == [(1, "timeout", 2), (3, "oom", 2)]
+        for name, (result, quarantine) in runs.items():
+            assert result.outcomes == serial.outcomes, name
+            assert quarantine == serial_records, name
 
 
 # --------------------------------------------------------------------------- #
@@ -317,7 +348,10 @@ class TestFailureStatusSinks:
             for index, (spec, status) in enumerate(
                 zip(specs, FAILURE_STATUSES))
         ]
-        outcomes.append(quarantined_outcome(outcomes[0], attempts=2))
+        outcomes.append(dataclasses.replace(
+            outcomes[0], status=QUARANTINED,
+            error="quarantined after spending the retry budget "
+                  "(2 attempt(s)); last failure [timeout]"))
         return outcomes
 
     def test_every_failure_status_survives_the_sink(self, failure_outcomes,

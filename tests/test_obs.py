@@ -289,16 +289,27 @@ class TestMetricsRegistry:
 # --------------------------------------------------------------------------- #
 class TestSweepMetrics:
     def test_sweep_telemetry_attached_and_written(self, monkeypatch, tmp_path):
+        # A sweep's metrics are its worker's registry, merged by the
+        # coordinator into the coordinator directory (the cache_dir).
         monkeypatch.setenv("REPRO_OBS", "metrics")
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         specs = grid(2)
-        result = SweepRunner(specs, DURATION, master_seed=77).run()
+        result = SweepRunner(specs, DURATION, master_seed=77,
+                             cache_dir=tmp_path / "cache").run()
         assert result.telemetry is not None
         registry = MetricsRegistry.from_dict(result.telemetry)
-        assert registry.counter_value("repro_sweep_scenarios_total",
+        assert registry.counter_value("repro_worker_submits_total",
+                                      worker="local-0", shard="0",
                                       status="ok") == len(specs)
-        assert (tmp_path / "sweep_metrics.json").exists()
-        assert (tmp_path / "sweep_metrics.prom").exists()
+        assert (tmp_path / "cache" / "metrics.json").exists()
+        assert (tmp_path / "cache" / "metrics.prom").exists()
+        # A rerun without metrics leaves no stale merged metrics behind.
+        monkeypatch.delenv("REPRO_OBS")
+        rerun = SweepRunner(specs, DURATION, master_seed=77,
+                            cache_dir=tmp_path / "cache").run()
+        assert rerun.telemetry is None
+        assert not (tmp_path / "cache" / "metrics.json").exists()
+        assert not (tmp_path / "cache" / "metrics.prom").exists()
         # The serialized sweep keeps the telemetry section.
         rebuilt = type(result).from_dict(result.to_dict())
         assert rebuilt.telemetry == result.telemetry

@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.runtime.sweep as sweep_module
 from repro.backends import BackendSet, PhysicsBackend, get_backend
 from repro.backends.analytic import AnalyticAttemptModel
 from repro.backends.density import DensityAttemptModel
@@ -189,26 +188,6 @@ def test_sweep_solo_runs_share_one_backend_per_run_call(monkeypatch):
     assert all(backend is seen[3] for backend in seen[3:])
 
 
-def test_pool_initializer_gives_the_worker_process_its_backends(
-        monkeypatch):
-    monkeypatch.setattr(sweep_module, "_pool_backends", None)
-    received = []
-
-    def execute(spec, seed, duration, guard=None, backends=None):
-        received.append(backends)
-
-    monkeypatch.setattr(sweep_module, "execute_scenario", execute)
-    task = ((0, _link_spec("Lab", "CK"), 1, DURATION), None)
-    sweep_module._init_pool_worker()
-    pool_backends = sweep_module._pool_backends
-    assert isinstance(pool_backends, BackendSet)
-    sweep_module._execute_task(task)
-    sweep_module._execute_task(task)
-    own = BackendSet()
-    sweep_module._execute_task(task, own)
-    assert received == [pool_backends, pool_backends, own]
-
-
 def test_cluster_worker_solo_runs_share_its_backends(tmp_path, monkeypatch):
     import repro.cluster.worker as worker_module
 
@@ -248,9 +227,6 @@ ALLOWED_STATE = {
         "only makes temp file names unique",
     ("repro.core.mhp", "_GATED_SAMPLE"):
         "an immutable constant, built lazily to break an import cycle",
-    ("repro.runtime.sweep", "_pool_backends"):
-        "the pool worker process's own backends, set by the pool "
-        "initializer; never set in the parent",
 }
 
 _MUTABLE = (list, dict, set, bytearray, collections.deque, itertools.count,

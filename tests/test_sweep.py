@@ -9,6 +9,7 @@ import pytest
 from repro.core.messages import Priority
 from repro.hardware.parameters import lab_scenario
 from repro.runtime import (
+    ResumeCache,
     ScenarioSpec,
     SweepResult,
     SweepRunner,
@@ -66,10 +67,12 @@ class TestSeedSpawning:
             SweepRunner(specs, DURATION, master_seed=None,
                         seed_key=lambda spec: spec.name).scenario_seeds()
 
-    def test_duplicate_scenario_names_rejected(self):
+    def test_duplicate_scenario_names_rejected(self, tmp_path):
+        # The coordinator refuses them when the run plans the sweep.
         specs = small_grid(1) * 2
         with pytest.raises(ValueError, match="duplicate"):
-            SweepRunner(specs, DURATION)
+            SweepRunner(specs, DURATION, cache_dir=tmp_path).run()
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_key_groups_share_a_seed(self):
         # Pair scenarios by their workload kind: same kind -> same arrival
@@ -89,6 +92,23 @@ class TestSeedSpawning:
                         reordered.scenario_seeds())) == \
             dict(zip([s.name for s in per_name.scenarios],
                      per_name.scenario_seeds()))
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keyed_seeds_reach_every_worker(self, workers):
+        specs = small_grid(2)
+        runner = SweepRunner(specs, DURATION, master_seed=5, workers=workers,
+                             seed_key=lambda spec: "shared")
+        result = runner.run()
+        assert [o.seed for o in result.outcomes] == runner.scenario_seeds()
+        assert len({o.seed for o in result.outcomes}) == 1
+
+    def test_coordinator_refuses_a_seed_list_of_another_length(self,
+                                                               tmp_path):
+        from repro.cluster import ClusterCoordinator
+
+        with pytest.raises(ValueError, match="1 seeds for 2 scenarios"):
+            ClusterCoordinator(small_grid(2), DURATION, tmp_path, seeds=[7])
 
 
 class TestSerialization:
@@ -130,6 +150,18 @@ class TestResumeFromCache:
         assert all(o.from_cache for o in second.outcomes)
         assert len(executed) == 2
         assert second.summaries() == first.summaries()
+
+    def test_a_rerun_reads_the_cache_not_the_last_run(self, tmp_path):
+        # Every run resets the coordinator state in cache_dir: the done
+        # records of the last run never stand in for a cache entry.
+        specs = small_grid(2)
+        first = run_sweep(specs, DURATION, master_seed=3, cache_dir=tmp_path)
+        cache = ResumeCache(tmp_path)
+        cache.path(specs[1], first.outcomes[1].seed, DURATION).unlink()
+        second = run_sweep(specs, DURATION, master_seed=3,
+                           cache_dir=tmp_path)
+        assert [o.from_cache for o in second.outcomes] == [True, False]
+        assert second.outcomes == first.outcomes
 
     def test_interrupted_sweep_resumes_where_it_left_off(self, tmp_path):
         specs = small_grid(2)
@@ -173,8 +205,8 @@ class TestResumeFromCache:
 class TestFailureIsolation:
     @pytest.mark.parametrize("batch_size", [1, 2, 3])
     def test_failing_scenario_reports_instead_of_hanging(self, batch_size):
-        # batch_size 2 and 3 put the failing scenario in one pool chunk
-        # with good ones: it must not take them down.
+        # The failing scenario shares a worker process with good ones: it
+        # must not take them down, whatever the (vestigial) batch_size.
         specs = small_grid(2) + [failing_spec()]
         result = run_sweep(specs, DURATION, master_seed=9, workers=2,
                            batch_size=batch_size)
@@ -241,7 +273,9 @@ class TestCacheReport:
 
         specs = small_grid(1)
         self.run_with_report(specs, tmp_path)
-        (entry,) = tmp_path.glob("*.json")
+        # ``<key>.<backend>.<engine>.json``: the directory also holds the
+        # run's plan.json.
+        (entry,) = tmp_path.glob("*.*.*.json")
         data = json_module.loads(entry.read_text())
         data["cache_version"] = 1
         entry.write_text(json_module.dumps(data))
@@ -446,7 +480,7 @@ class TestSharedBackends:
             with open(tmp_path / f"{os.getpid()}.log", "a") as out:
                 out.write(f"{keys.index(key)} {int(fresh)}\n")
 
-        # Pool workers fork after the patch, so they record too.
+        # Worker processes fork after the patch, so they record too.
         self.record_table_builds(monkeypatch, log)
         pooled = SweepRunner(specs, 0.05, master_seed=12345, workers=2,
                              batch_size=64, start_method="fork").run()
@@ -473,9 +507,8 @@ def analytic_grid(count: int) -> list[ScenarioSpec]:
 
 
 class TestBatchSize:
-    """``batch_size`` is the pool's chunk size and nothing more: results
-    are the same for every value (resume and failure isolation are
-    parametrized over it above)."""
+    """``batch_size`` is vestigial: results are the same for every value
+    (resume and failure isolation are parametrized over it above)."""
 
     @pytest.fixture(scope="class")
     def grid(self):
