@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run a scenario grid as a sharded cluster sweep with work stealing.
 
-The coordinator partitions the grid into shards with a static cost
-heuristic, writes the plan into ``--cluster-dir``, and runs local worker
+The coordinator deals the grid round-robin into shards (shard ``s`` of
+``n`` is the scenarios ``s, s + n, ...``), writes the plan into
+``--cluster-dir``, and runs local worker
 processes through the same TCP protocol real multi-machine deployments
 use.  Results stream through per-worker JSONL parts and merge
 into a canonical sweep result that is field-for-field identical to a serial
@@ -87,14 +88,13 @@ def main() -> None:
     coordinator = ClusterCoordinator(
         specs, args.duration, args.cluster_dir, master_seed=args.seed,
         num_shards=args.shards, cache_dir=args.cache_dir or None)
-    plan = coordinator.plan()
+    plan = coordinator.cluster_plan()
     print(f"Planned {len(specs)} scenarios x {args.duration:.2f} simulated "
           f"seconds into {plan.num_shards} shard(s), backend "
           f"{specs[0].backend_name()}")
-    for shard_id, (shard, cost) in enumerate(zip(plan.shards,
-                                                 plan.shard_costs)):
-        print(f"  shard {shard_id}: {len(shard):>3} scenario(s), "
-              f"estimated cost {cost:8.2f}")
+    for shard_id in range(plan.num_shards):
+        print(f"  shard {shard_id}: {len(plan.shard(shard_id)):>3} "
+              f"scenario(s)")
 
     started = time.perf_counter()
     if args.merge_only:

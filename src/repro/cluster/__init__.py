@@ -10,11 +10,10 @@ order, over which transport, or how many times.
 
 Pieces (see each module's docstring for the protocol details):
 
-* :mod:`repro.cluster.planner` — deterministic LPT shard planning over a
-  static cost heuristic (:class:`StaticCostModel`); work stealing evens out
-  what the estimate leaves.
 * :mod:`repro.cluster.coordinator` — planning, progress, merge, and the
-  plan document.
+  plan document.  Shard ``s`` of ``n`` is the scenario indices ``s, s + n,
+  s + 2n, ...``: the plan stores only the count, and work stealing evens
+  out the shards' uneven costs.
 * :mod:`repro.cluster.state` — :class:`CoordinatorState`, the one
   in-memory state (registrations, leases, done set, attempt ledger,
   quarantine), stepped on an explicit clock.  Its
@@ -29,7 +28,9 @@ Pieces (see each module's docstring for the protocol details):
   coordinator; no shared filesystem) and :class:`LocalTransport` (the
   state in process).
 * :mod:`repro.cluster.worker` — the transport-agnostic claim / steal /
-  reclaim execution loop (also a CLI: ``python -m repro.cluster.worker``).
+  reclaim execution loop, with claim batches and steal victims chosen by
+  pending-scenario counts (also a CLI: ``python -m
+  repro.cluster.worker``).
 * :mod:`repro.cluster.serve` — the TCP coordinator service
   (``python -m repro.cluster.serve``), which carries frames to ``apply``.
 * :mod:`repro.cluster.faults` — deterministic fault injection: a seeded
@@ -63,9 +64,6 @@ _LAZY = MappingProxyType({
     "InjectedFault": "repro.cluster.faults",
     "InjectedWorkerCrash": "repro.cluster.faults",
     "ScenarioFaultPlan": "repro.cluster.faults",
-    "ShardPlan": "repro.cluster.planner",
-    "StaticCostModel": "repro.cluster.planner",
-    "plan_shards": "repro.cluster.planner",
     "JsonlResultSink": "repro.cluster.sinks",
     "ResultSink": "repro.cluster.sinks",
     "load_results": "repro.cluster.sinks",
@@ -103,15 +101,12 @@ __all__ = [
     "LocalTransport",
     "ResultSink",
     "ScenarioFaultPlan",
-    "ShardPlan",
     "SocketTransport",
-    "StaticCostModel",
     "TaskSnapshot",
     "Transport",
     "TransportError",
     "load_results",
     "merge_results",
-    "plan_shards",
     "run_sharded_sweep",
 ]
 
@@ -120,7 +115,7 @@ def run_sharded_sweep(specs, duration, cluster_dir, master_seed=12345,
                       num_shards=3, workers=None, **coordinator_kwargs):
     """One-shot sharded sweep on the local machine.
 
-    Plans ``specs`` into ``num_shards`` shards, runs ``workers`` local
+    Splits ``specs`` into ``num_shards`` shards, runs ``workers`` local
     worker processes (default: one per shard) through the full cluster
     protocol over TCP (:meth:`ClusterCoordinator.run_local`), and returns
     the merged canonical

@@ -5,15 +5,18 @@ directory that only the coordinator needs to reach:
 
 ``plan.json``
     Written once by the coordinator, as compact JSON in the
-    ``cluster-plan/v2`` format: the table of distinct hardware configs
+    ``cluster-plan/v3`` format: the table of distinct hardware configs
     (``configs``, each once, in first-use order), the serialised scenario
     list (each entry's ``scenario`` an index into ``configs``), derived
-    per-scenario seeds, the deterministic :class:`ShardPlan`, sink format,
-    lease timeout and optional resume-cache directory.  Workers are stateless
-    — everything they need to execute any scenario is in the plan, which
-    they fetch from the coordinator.  A plan in another format
-    (``cluster-plan/v1`` embedded a full config in every spec entry) is
-    refused; re-plan with ``reset=True``.
+    per-scenario seeds, the shard count, sink format, lease timeout and
+    optional resume-cache directory.  Shard ``s`` of ``n`` is the indices
+    ``s, s + n, s + 2n, ...`` (:meth:`ClusterPlan.shard`), so the count is
+    the whole layout.  Workers are stateless — everything they need to
+    execute any scenario is in the plan, which they fetch from the
+    coordinator.  A plan in another format (``cluster-plan/v1`` embedded a
+    full config in every spec entry, ``cluster-plan/v2`` stored estimated
+    costs and an explicit shard list) is refused; re-plan with
+    ``reset=True``.
 
 ``tasks/``, ``results/``, ``quarantine/``, ``telemetry/``
     The durable effects of the coordinator's
@@ -46,12 +49,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.cluster.planner import ShardPlan, plan_shards
 from repro.cluster.sinks import check_sink_kind, merge_results
 from repro.hardware.parameters import ScenarioConfig
 from repro.runtime.cache import CACHE_VERSION, atomic_write_text
 from repro.runtime.scenarios import ScenarioSpec
 from repro.runtime.sweep import (
+    ScenarioOutcome,
     SweepResult,
     _fresh_master_seed,
     derive_scenario_seeds,
@@ -63,7 +66,7 @@ if TYPE_CHECKING:
 
 PLAN_NAME = "plan.json"
 #: The one plan document format written and read.
-PLAN_FORMAT = "cluster-plan/v2"
+PLAN_FORMAT = "cluster-plan/v3"
 TASKS_DIR = "tasks"
 RESULTS_DIR = "results"
 #: Per-worker observability metrics snapshots (``telemetry/<worker>.json``),
@@ -87,7 +90,7 @@ def atomic_write_json(path: Path, payload: dict,
 
 def check_plan_format(name: object) -> None:
     """Reject a plan document in any format but :data:`PLAN_FORMAT` (e.g.
-    a ``cluster-plan/v1`` file an older version wrote)."""
+    a ``cluster-plan/v1`` or ``v2`` file an older version wrote)."""
     if name != PLAN_FORMAT:
         raise ValueError(f"unsupported cluster plan format {name!r}: only "
                          f"{PLAN_FORMAT!r} plans are read; re-plan with "
@@ -106,7 +109,8 @@ class ClusterPlan:
     cache_dir: Optional[str]
     seeds: list[int]
     specs: list[ScenarioSpec]
-    shard_plan: ShardPlan
+    #: Shard count; the layout itself is computed (:meth:`shard`).
+    num_shards: int
     #: Serialised :class:`repro.runtime.guard.GuardPolicy` every worker
     #: executes under (``None`` disables supervision — workers then behave
     #: exactly like the pre-guard protocol).
@@ -114,6 +118,15 @@ class ClusterPlan:
 
     def __post_init__(self) -> None:
         check_sink_kind(self.sink)
+        if type(self.num_shards) is not int or self.num_shards < 1:
+            raise ValueError(f"num_shards must be an integer >= 1, got "
+                             f"{self.num_shards!r}")
+
+    def shard(self, shard_id: int) -> range:
+        """The global indices of shard ``shard_id``: ``shard_id, shard_id +
+        num_shards, ...`` in index order (empty when there are more shards
+        than scenarios)."""
+        return range(shard_id, len(self.specs), self.num_shards)
 
     def guard_policy(self):
         """The parsed :class:`~repro.runtime.guard.GuardPolicy`, or ``None``."""
@@ -122,6 +135,30 @@ class ClusterPlan:
         from repro.runtime.guard import GuardPolicy
 
         return GuardPolicy.from_dict(self.guard)
+
+    def quarantined_outcome(self, index: int, status: str) -> ScenarioOutcome:
+        """The outcome a guarded plan merges for ``index`` once its retry
+        budget is spent, the last failure having status ``status``.
+
+        Canonical — built only from the plan and that status, never from
+        per-run diagnostics — so it is the same whichever delivery decides
+        the quarantine, and a worker can report it to its progress callback
+        exactly as the coordinator writes it to the sink.
+        """
+        from repro.runtime.guard import QUARANTINED
+
+        spec = self.specs[index]
+        return ScenarioOutcome(
+            scenario_name=spec.name,
+            scheduler_name=spec.scheduler_name(),
+            seed=self.seeds[index],
+            duration=self.duration,
+            status=QUARANTINED,
+            error=(f"quarantined after spending the retry budget "
+                   f"({self.guard_policy().max_attempts} attempt(s)); last "
+                   f"failure [{status}]"),
+            backend=spec.backend_name(),
+        )
 
     def to_dict(self) -> dict:
         """JSON-serialisable plan document.
@@ -151,7 +188,7 @@ class ClusterPlan:
             "seeds": list(self.seeds),
             "configs": list(converted.values()),
             "specs": specs,
-            "shard_plan": self.shard_plan.to_dict(),
+            "num_shards": self.num_shards,
         }
         if self.guard is not None:
             # Emitted only when set: an unguarded plan document stays
@@ -179,7 +216,7 @@ class ClusterPlan:
             seeds=list(data["seeds"]),
             specs=[ScenarioSpec.from_dict(entry, configs=configs)
                    for entry in data["specs"]],
-            shard_plan=ShardPlan.from_dict(data["shard_plan"]),
+            num_shards=data["num_shards"],
             guard=data.get("guard"),
         )
 
@@ -196,8 +233,9 @@ class ClusterCoordinator:
     Parameters
     ----------
     specs:
-        Scenario list; names must be unique (a duplicate raises
-        ``ValueError``).
+        Scenario list; names must be unique and backend names known (a
+        duplicate or an unknown backend raises ``ValueError`` here, not in
+        every worker).
     duration:
         Simulated seconds per scenario.
     cluster_dir:
@@ -251,6 +289,8 @@ class ClusterCoordinator:
         duplicates = {name for name in names if names.count(name) > 1}
         if duplicates:
             raise ValueError(f"duplicate scenario names: {sorted(duplicates)}")
+        for spec in self.specs:
+            spec.backend_name()
         check_sink_kind(sink)
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
@@ -269,7 +309,6 @@ class ClusterCoordinator:
                       else guard)
         self.seeds = (derive_scenario_seeds(self.master_seed, len(self.specs))
                       if seeds is None else [int(seed) for seed in seeds])
-        self._shard_plan: Optional[ShardPlan] = None
         self._cluster_plan: Optional[ClusterPlan] = None
         #: The plan document :meth:`write_plan` last wrote — the parsed
         #: contents of ``plan.json`` (``None`` until written).  Its parsed
@@ -283,13 +322,6 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Planning
     # ------------------------------------------------------------------ #
-    def plan(self) -> ShardPlan:
-        """The deterministic shard plan (computed once, then cached)."""
-        if self._shard_plan is None:
-            self._shard_plan = plan_shards(self.specs, self.num_shards,
-                                           self.duration)
-        return self._shard_plan
-
     def cluster_plan(self) -> ClusterPlan:
         """The full plan workers execute from (built once, then cached).
 
@@ -306,7 +338,7 @@ class ClusterCoordinator:
                 cache_dir=self.cache_dir,
                 seeds=self.seeds,
                 specs=self.specs,
-                shard_plan=self.plan(),
+                num_shards=self.num_shards,
                 guard=self.guard,
             )
         return self._cluster_plan

@@ -336,10 +336,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     server = ClusterCoordinatorServer(coordinator, (args.host, args.port),
                                       reset=args.reset)
     server.start_background()
-    plan = coordinator.plan()
     logger.info("[serve] %d scenarios x %.2fs simulated in %d shard(s) on "
                 "%s (lease timeout %.0fs)", len(specs),
-                args.duration, plan.num_shards, server.address,
+                args.duration, coordinator.num_shards, server.address,
                 args.lease_timeout)
     logger.info("[serve] workers: python -m repro.cluster.worker "
                 "--coordinator <this-host>:%d", server.server_address[1])

@@ -82,7 +82,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.sinks import JsonlResultSink, ResultSink, part_name
 from repro.cluster.transport import TaskSnapshot
-from repro.runtime.guard import QUARANTINED, QuarantineRecord, QuarantineStore
+from repro.runtime.guard import QuarantineRecord, QuarantineStore
 from repro.runtime.sweep import ScenarioOutcome
 
 #: A worker id the coordinator accepts: a file-name-safe token that admits
@@ -300,7 +300,7 @@ class CoordinatorState:
     def check_shard(self, value: object) -> int:
         """``value`` if it is a shard of the plan, else ValueError."""
         shard = check_int(value, "shard")
-        num_shards = self.plan.shard_plan.num_shards
+        num_shards = self.plan.num_shards
         if not 0 <= shard < num_shards:
             raise ValueError(f"shard {shard} out of range "
                              f"(plan has {num_shards} shards)")
@@ -317,7 +317,7 @@ class CoordinatorState:
         if recorded is not None and shard in (None, recorded):
             return recorded
         if shard is None:
-            shard = len(self._shards) % self.plan.shard_plan.num_shards
+            shard = len(self._shards) % self.plan.num_shards
         self._shards[worker_id] = shard
         return shard
 
@@ -445,9 +445,9 @@ class CoordinatorState:
         plus completion and the registration count."""
         per_shard = []
         totals = {"done": 0, "leased": 0, "stale": 0, "pending": 0}
-        for shard in self.plan.shard_plan.shards:
+        for shard_id in range(self.plan.num_shards):
             counts = {"done": 0, "leased": 0, "stale": 0, "pending": 0}
-            for index in shard:
+            for index in self.plan.shard(shard_id):
                 lease = self._leases.get(index)
                 if index in self._done:
                     counts["done"] += 1
@@ -499,12 +499,8 @@ class CoordinatorState:
 
     def _retire(self, index: int, worker_id: str, status: str,
                 now: float) -> None:
-        """Quarantine ``index``: durable record, sink outcome, done record.
-
-        The sink outcome is canonical — built only from the plan and the
-        failure status, never from per-run diagnostics — so it is the same
-        whichever delivery decides the quarantine.
-        """
+        """Quarantine ``index``: durable record, sink outcome
+        (:meth:`ClusterPlan.quarantined_outcome`), done record."""
         if index in self._done:
             return
         spec = self.plan.specs[index]
@@ -514,16 +510,6 @@ class CoordinatorState:
             status=status, error=None, source="coordinator",
             recorded_at=now))
         self._quarantined.add(index)
-        outcome = ScenarioOutcome(
-            scenario_name=spec.name,
-            scheduler_name=spec.scheduler_name(),
-            seed=self.plan.seeds[index],
-            duration=self.plan.duration,
-            status=QUARANTINED,
-            error=(f"quarantined after spending the retry budget "
-                   f"({self.guard.max_attempts} attempt(s)); last failure "
-                   f"[{status}]"),
-            backend=spec.backend_name(),
-        )
+        outcome = self.plan.quarantined_outcome(index, status)
         self.submit(worker_id, [(index, outcome.to_dict(), -1)])
 

@@ -3,8 +3,9 @@
 A worker is stateless: point it at a coordinator (a
 :class:`~repro.cluster.transport.SocketTransport` to its address, or a
 :class:`~repro.cluster.transport.LocalTransport` in process) and it
-rebuilds the scenario list, seeds and shard plan from the plan document,
-then loops:
+rebuilds the scenario list, seeds and shard count from the plan document
+(shard ``s`` of ``n`` is the indices ``s, s + n, s + 2n, ...``), then
+loops:
 
 1. **Look up** every candidate of its own shard in a new snapshot in the
    resume cache, once.  Hits are submitted straight away, in frames of at
@@ -16,13 +17,12 @@ then loops:
    shards' candidates are left to their owners and looked up only once
    stolen, under a lease, so a fleet sharing one cache loads each record
    once rather than once per worker.
-2. **Claim** the misses of its own shard front to back (the planner puts
-   the costliest first), in batches sized by guided self-scheduling: with
-   a fleet of ``P = max(num_shards, registered workers)``, a batch holds at
-   most ``1 / P`` of the estimated cost its shard still has pending (at
-   least one scenario, at most :data:`SUBMIT_FRAME`), so batches shrink to
-   single scenarios as a shard drains and the tail of a sweep is stolen
-   one scenario at a time, as before batching.  One
+2. **Claim** the misses of its own shard in index order, in batches sized
+   by guided self-scheduling: with a fleet of ``P = max(num_shards,
+   registered workers)``, a batch holds ``max(1, pending // P)`` of the
+   scenarios its shard still has pending (at most :data:`SUBMIT_FRAME`),
+   so batches shrink to single scenarios as a shard drains and the tail of
+   a sweep is stolen one scenario at a time.  One
    claim RPC leases a whole batch through
    :meth:`~repro.cluster.transport.Transport.claim_many`, drawn from the
    candidate list of the worker's last snapshot; losing a race on a stale
@@ -31,11 +31,11 @@ then loops:
    of the batch, and the batch's results go back in one submit — sooner if
    the oldest held result is one heartbeat interval old, so a death loses
    at most about one interval of finished work.
-3. **Steal** when its shard is exhausted: victims are ranked by estimated
-   *remaining* cost (the slowest shard is robbed first) and scenarios are
-   taken from the back of the victim's list (the cheapest remaining work),
-   in batches sized as above, so stragglers never gate the grid while the
-   victim keeps its expensive head-of-line work.
+3. **Steal** when its shard is exhausted: victims are ranked by the
+   number of scenarios they still have pending (the fullest shard is
+   robbed first, ties to the lower shard id) and scenarios are taken from
+   the back of the victim's list, in batches sized as above, so stragglers
+   never gate the grid while the victim keeps working from its front.
 4. **Reclaim** scenarios whose lease heartbeat went stale — a worker died
    holding them.  Each is claimed alone (the coordinator takes over a stale
    lease only in a claim of one), so after a death in a batch only the
@@ -241,16 +241,20 @@ class ClusterWorker:
         its granted leases to N or more, simulating a machine lost while
         running the first scenario of that batch.
     on_outcome:
-        Optional progress callback, as in ``SweepRunner``.
+        Optional progress callback: called with every outcome this worker
+        submits and every failed attempt it reports, and — when that
+        failure spends a guarded plan's retry budget — then with the
+        ``quarantined`` outcome the coordinator merges for the scenario, so
+        the last call for a scenario is its merged outcome.
     cache_dir:
         Resume-cache directory override.  Defaults to the plan's
         ``cache_dir`` (workers on the coordinator's machine); workers
         elsewhere typically pass a machine-local directory or ``None``.
     batch_size:
         Vestigial: only ``1`` is accepted, and any other value raises
-        ``ValueError``.  Claim batches are sized from the plan's
-        ``scenario_costs`` instead; the parameter goes once the ladder
-        benchmark stops passing it (ROADMAP item 1(c)).
+        ``ValueError``.  Claim batches are sized from the count of pending
+        scenarios instead; the parameter goes once the ladder benchmark
+        stops passing it (ROADMAP item 1(c)).
     """
 
     def __init__(self, transport: Transport,
@@ -310,11 +314,6 @@ class ClusterWorker:
         self._finished: list[tuple[int, dict, int]] = []
         #: Monotonic time the oldest entry of ``_finished`` was queued.
         self._held_since = 0.0
-        self._costs = self.plan.shard_plan.scenario_costs
-        #: Global index -> the shard it belongs to.
-        self._shard_of = {index: shard_id for shard_id, shard
-                          in enumerate(self.plan.shard_plan.shards)
-                          for index in shard}
         #: This worker's backends, one per name: each distinct FEU table
         #: is built once per worker.
         self._backends = BackendSet()
@@ -327,8 +326,7 @@ class ClusterWorker:
         #: failures through ``record_failure`` instead of ``submit_result``.
         self.guard = self.plan.guard_policy()
         self.shard = self.transport.register_worker(self.worker_id, shard)
-        self._own_indices = frozenset(
-            self.plan.shard_plan.shards[self.shard])
+        self._own_indices = self.plan.shard(self.shard)
         # Observability: a per-worker metrics registry when REPRO_OBS
         # enables metrics, shipped to the coordinator through the
         # transport's idempotent ``telemetry`` op on close().  None — the
@@ -350,7 +348,7 @@ class ClusterWorker:
     def _pending_of_shard(self, snapshot: TaskSnapshot,
                           shard_id: int) -> list[int]:
         timeout = self.plan.lease_timeout
-        return [index for index in self.plan.shard_plan.shards[shard_id]
+        return [index for index in self.plan.shard(shard_id)
                 if snapshot.is_available(index, timeout)]
 
     def _refresh(self) -> Optional[int]:
@@ -394,11 +392,10 @@ class ClusterWorker:
     def _claim_batch(self) -> list[int]:
         """Claim the next candidates as one batch; returns the granted ones.
 
-        The batch takes candidates of the head's shard from the front while
-        their estimated cost stays within ``1 / P`` of the cost that shard
-        still has among the candidates, for a fleet of ``P = max(num_shards,
-        registered workers)`` (guided self-scheduling: always at least one
-        scenario, up to :data:`SUBMIT_FRAME`).  A
+        The batch takes ``max(1, pending // P)`` candidates of the head's
+        shard from the front, where ``pending`` counts that shard's
+        candidates and ``P = max(num_shards, registered workers)`` (guided
+        self-scheduling), up to :data:`SUBMIT_FRAME`.  A
         candidate behind a stale lease is claimed alone: the transport
         takes a stale lease over only in a claim of one.  A refusal on a
         cached (not fresh) view means the view is stale: the list is
@@ -406,23 +403,18 @@ class ClusterWorker:
         fresh view just moves on to the next candidates.
         """
         head = self._candidates.popleft()
-        shard = self._shard_of[head]
-        batch, cost = [head], self._costs[head]
-        # Summed in claim order, so with one shard the whole list's prefix
-        # sum equals the budget exactly.
-        pending = cost
-        for index in self._candidates:
-            if self._shard_of[index] == shard:
-                pending += self._costs[index]
-        budget = pending / max(self.plan.shard_plan.num_shards,
-                               self._last_snapshot.workers)
-        while (self._candidates and len(batch) < SUBMIT_FRAME
+        num_shards = self.plan.num_shards
+        shard = head % num_shards
+        pending = 1 + sum(index % num_shards == shard
+                          for index in self._candidates)
+        size = min(SUBMIT_FRAME, max(
+            1, pending // max(num_shards, self._last_snapshot.workers)))
+        batch = [head]
+        while (self._candidates and len(batch) < size
                and not self._takeover(head)
                and not self._takeover(self._candidates[0])
-               and self._shard_of[self._candidates[0]] == shard
-               and cost + self._costs[self._candidates[0]] <= budget):
+               and self._candidates[0] % num_shards == shard):
             batch.append(self._candidates.popleft())
-            cost += self._costs[batch[-1]]
         granted = self.transport.claim_many(batch, self.worker_id)
         if len(granted) < len(batch) and not self._fresh:
             self._candidates.clear()
@@ -434,23 +426,17 @@ class ClusterWorker:
         """Yield candidate indices in claim-priority order.
 
         Own shard front-to-back first; then, if stealing, other shards by
-        descending remaining estimated cost, robbed back-to-front.
+        descending pending count (ties to the lower shard id), robbed
+        back-to-front.
         """
         yield from self._pending_of_shard(snapshot, self.shard)
         if not self.steal:
             return
-        plan = self.plan.shard_plan
-        victims = []
-        for shard_id in range(plan.num_shards):
-            if shard_id == self.shard:
-                continue
-            pending = self._pending_of_shard(snapshot, shard_id)
-            if not pending:
-                continue
-            remaining = sum(plan.scenario_costs[index] for index in pending)
-            victims.append((-remaining, shard_id, pending))
-        victims.sort()
-        for _, _, pending in victims:
+        victims = [self._pending_of_shard(snapshot, shard_id)
+                   for shard_id in range(self.plan.num_shards)
+                   if shard_id != self.shard]
+        # A stable sort keeps shard-id order among equal counts.
+        for pending in sorted(victims, key=len, reverse=True):
             yield from reversed(pending)
 
     # ------------------------------------------------------------------ #
@@ -548,7 +534,8 @@ class ClusterWorker:
         to pending for a retry — possibly by this same worker) and, once
         the budget is spent, quarantines it: a durable record plus a
         synthetic ``quarantined`` outcome in the sinks, so the sweep still
-        completes.
+        completes.  The progress callback sees the failed outcome and then,
+        on a quarantine, the quarantined one.
         """
         self._attempts += 1
         self.failed.append(index)
@@ -569,6 +556,9 @@ class ClusterWorker:
             outcome.error)
         if self.on_outcome is not None:
             self.on_outcome(outcome)
+            if charged["quarantined"]:
+                self.on_outcome(self.plan.quarantined_outcome(
+                    index, outcome.status))
 
     def _run_next(self) -> int:
         """Run the batch's next scenario; submit the batch after its last,
@@ -829,7 +819,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cache_dir=cache_dir)
     logger.info("[%s] serving shard %d of %d over %s (%d scenarios total)",
                 worker.worker_id, worker.shard,
-                worker.plan.shard_plan.num_shards, transport.kind,
+                worker.plan.num_shards, transport.kind,
                 len(worker.plan.specs))
     executed = worker.run(wait_for_stragglers=not args.no_wait)
     logger.info("[%s] done: %d scenario(s) executed", worker.worker_id,

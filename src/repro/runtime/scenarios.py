@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
-from repro.core.messages import Priority, RequestType
+from repro.core.messages import Priority
 from repro.hardware.parameters import ScenarioConfig, lab_scenario, ql2020_scenario
 from repro.runtime.runner import RunResult, SimulationRun
 from repro.runtime.workload import UsagePattern, WorkloadSpec
@@ -110,7 +110,7 @@ class ScenarioSpec:
         return resolve_backend_name(self.backend)
 
     # ------------------------------------------------------------------ #
-    # Serialisation and identity (cluster plans, resume cache, shard planner)
+    # Serialisation and identity (cluster plans, resume cache)
     # ------------------------------------------------------------------ #
     def scheduler_name(self) -> str:
         """Scheduler name whether ``scheduler`` is a string or an instance."""
@@ -220,37 +220,11 @@ class ScenarioSpec:
         """Stable short hash of :meth:`identity_payload`.
 
         Depends only on the scenario definition — never on grid position,
-        backend or master seed — so recorded costs and cache entries survive
-        grid reordering and extension.
+        backend or master seed — so cache entries survive grid reordering
+        and extension.
         """
         canonical = json.dumps(self.identity_payload(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:20]
-
-    def cost_features(self) -> dict:
-        """Plain-data features for static cost heuristics.
-
-        Per workload kind: ``pairs`` is the per-request pair count (the
-        paper's k255 MD runs dominate wall-clock), ``keep`` whether the kind
-        is create-and-keep (K attempts are orders of magnitude longer than
-        M attempts, scaled by the hardware's expected MHP cycles per K
-        attempt).  This is the *only* place pair/kind cost features are
-        derived — the shard planner consumes the dict rather than
-        re-deriving.
-        """
-        return {
-            "hardware": self.scenario.name,
-            "expected_cycles_k": self.scenario.timing.expected_cycles_per_attempt_k,
-            "batch": self.attempt_batch_size,
-            # Multi-link topologies simulate one full MHP/EGP stack per link
-            # on a shared engine, so cost scales roughly linearly in links.
-            "links": 1 if self.topology is None else len(self.topology.links),
-            "workloads": [{
-                "pairs": (w.num_pairs if w.num_pairs is not None
-                          else w.max_pairs),
-                "load": w.load_fraction,
-                "keep": w.request_type is RequestType.KEEP,
-            } for w in self.workload],
-        }
 
     def run(self, duration: float, seed: Optional[int] = None,
             attempt_batch_size: Optional[int] = None,

@@ -443,7 +443,10 @@ class SweepRunner:
     on_outcome:
         Optional callback invoked with each :class:`ScenarioOutcome`: as it
         completes with one worker (failed attempts of a guarded sweep
-        included), from the merged result after the run with more.
+        included, then the quarantined outcome once a scenario's retry
+        budget is spent), from the merged result after the run with more.
+        Either way the last call for a scenario is its outcome in the
+        returned result.
     seed_key:
         Optional grouping function ``spec -> key``.  Scenarios with equal
         keys get the *same* derived seed (see :func:`derive_keyed_seed`),
@@ -452,7 +455,7 @@ class SweepRunner:
     batch_size:
         Vestigial: accepted and ignored, like
         :class:`~repro.cluster.worker.ClusterWorker`'s.  Claim batches are
-        sized from the plan's scenario costs.
+        sized from the count of pending scenarios.
     guard:
         Optional :class:`~repro.runtime.guard.GuardPolicy` supervising
         every execution: engine-level deadlines/budgets, result

@@ -1,6 +1,6 @@
 """Tests for the distributed sweep subsystem (``repro.cluster``).
 
-Covers the shard planner (determinism, coverage, cost ranking), the JSONL
+Covers the round-robin shard layout and the plan document, the JSONL
 result sink (round-trips, merge checks, crash tolerance, rejection of other
 formats), the coordinator/worker lease protocol (work stealing, stale
 lease reclaim after a simulated worker death) and — the acceptance bar —
@@ -21,11 +21,8 @@ from repro.cluster import (
     ClusterPlan,
     JsonlResultSink,
     LocalTransport,
-    ShardPlan,
-    StaticCostModel,
     load_results,
     merge_results,
-    plan_shards,
     run_sharded_sweep,
 )
 from repro.cluster.sinks import SinkError, part_name
@@ -78,85 +75,69 @@ def drive_workers(coordinator, workers, clock, max_rounds=500) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Shard planner
+# Shard layout
 # --------------------------------------------------------------------------- #
-class TestShardPlanner:
-    def test_plan_covers_every_scenario_exactly_once(self):
+def plan_of(specs, num_shards, tmp_path) -> ClusterPlan:
+    return ClusterCoordinator(specs, DURATION, tmp_path,
+                              num_shards=num_shards).cluster_plan()
+
+
+class TestShardLayout:
+    @pytest.mark.parametrize("num_shards", [1, 3, 5])
+    def test_round_robin_covers_every_scenario_once(self, num_shards,
+                                                   tmp_path):
         specs = grid()
-        plan = plan_shards(specs, 3, DURATION)
-        seen = sorted(index for shard in plan.shards for index in shard)
-        assert seen == list(range(len(specs)))
-        assert plan.num_shards == 3
-        assert len(plan.scenario_costs) == len(specs)
+        plan = plan_of(specs, num_shards, tmp_path)
+        shards = [list(plan.shard(shard_id))
+                  for shard_id in range(num_shards)]
+        assert sorted(index for shard in shards for index in shard) == \
+            list(range(len(specs)))
+        for shard_id, shard in enumerate(shards):
+            # Shard s of n: s, s + n, s + 2n, ... in index order.
+            assert shard == list(range(shard_id, len(specs), num_shards))
 
-    def test_plan_is_deterministic(self):
-        specs = grid()
-        first = plan_shards(specs, 4, DURATION)
-        second = plan_shards(specs, 4, DURATION)
-        assert first.shards == second.shards
-        assert first.shard_costs == second.shard_costs
+    def test_more_shards_than_scenarios_leaves_empty_shards(self, tmp_path):
+        plan = plan_of(grid(count=2), 5, tmp_path)
+        assert [list(plan.shard(shard_id)) for shard_id in range(5)] == \
+            [[0], [1], [], [], []]
 
-    def test_plan_balances_heterogeneous_costs(self):
-        # The MD k3 scenarios are much costlier than NL k1 under the static
-        # model; LPT must keep the shard cost spread narrow.
-        specs = grid()
-        plan = plan_shards(specs, 3, DURATION)
-        assert max(plan.shard_costs) <= 1.5 * min(plan.shard_costs)
+    def test_plan_round_trips_through_json(self, tmp_path):
+        plan = plan_of(grid(), 3, tmp_path)
+        document = json.loads(json.dumps(plan.to_dict()))
+        assert document["format"] == "cluster-plan/v3"
+        assert document["num_shards"] == 3
+        assert not {"shard_plan", "shard_costs",
+                    "scenario_costs"} & set(document)
+        assert ClusterPlan.from_dict(document) == plan
 
-    def test_more_shards_than_scenarios_leaves_empty_shards(self):
-        specs = grid(count=2)
-        plan = plan_shards(specs, 5, DURATION)
-        assert plan.num_scenarios == 2
-        assert sum(1 for shard in plan.shards if not shard) == 3
+    def test_a_v2_plan_is_refused_until_replanned_with_reset(self, tmp_path):
+        coordinator = ClusterCoordinator(grid(count=4), DURATION, tmp_path,
+                                         num_shards=2)
+        path = coordinator.write_plan()
+        # The v2 layout: a stored shard list with estimated costs.
+        v2 = {key: value for key, value in coordinator.written_plan.items()
+              if key != "num_shards"}
+        v2["format"] = "cluster-plan/v2"
+        v2["shard_plan"] = {"num_shards": 2, "shards": [[0, 2], [1, 3]],
+                            "shard_costs": [2.0, 2.0],
+                            "scenario_costs": [1.0] * 4}
+        path.write_text(json.dumps(v2))
+        with pytest.raises(ValueError, match="'cluster-plan/v2'"):
+            ClusterPlan.load(tmp_path)
+        again = ClusterCoordinator(grid(count=4), DURATION, tmp_path,
+                                   num_shards=2)
+        with pytest.raises(RuntimeError, match="'cluster-plan/v2'"):
+            again.write_plan()
+        again.write_plan(reset=True)
+        assert ClusterPlan.load(tmp_path).num_shards == 2
 
-    def test_shards_are_ordered_costliest_first(self):
-        specs = grid()
-        plan = plan_shards(specs, 3, DURATION)
-        for shard in plan.shards:
-            costs = [plan.scenario_costs[index] for index in shard]
-            assert costs == sorted(costs, reverse=True)
-
-    def test_plan_round_trips_through_json(self):
-        plan = plan_shards(grid(), 3, DURATION)
-        again = ShardPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert again == plan
-
-    def test_static_model_ranks_k255_and_density_costlier(self):
-        model = StaticCostModel()
-        k255 = single_kind_scenarios(
-            "Lab", kinds=("MD",), loads=("High",), max_pairs_options=(255,),
-            origins=("A",), include_md_k255=False, backend="analytic")[0]
-        k1 = single_kind_scenarios(
-            "Lab", kinds=("MD",), loads=("High",), max_pairs_options=(1,),
-            origins=("A",), include_md_k255=False, backend="analytic")[0]
-        assert model.estimate(k255, 1.0) > 10 * model.estimate(k1, 1.0)
-        dense = single_kind_scenarios(
-            "Lab", kinds=("MD",), loads=("High",), max_pairs_options=(1,),
-            origins=("A",), include_md_k255=False, backend="density")[0]
-        assert model.estimate(dense, 1.0) > model.estimate(k1, 1.0)
-
-    @pytest.mark.parametrize("num_shards", [1, 5, 3])
-    def test_every_layout_covers_every_scenario_once(self, num_shards):
-        specs = grid(backend="analytic") + grid(count=4, backend="density")
-        plan = plan_shards(specs, num_shards, DURATION)
-        seen = sorted(index for shard in plan.shards for index in shard)
-        assert seen == list(range(len(specs)))
-        assert len(plan.shards) == num_shards
-        assert sum(plan.shard_costs) == pytest.approx(
-            sum(plan.scenario_costs))
-
-    def test_plan_rejects_fewer_than_one_shard(self):
+    @pytest.mark.parametrize("num_shards", [0, -1, 1.0, True])
+    def test_plan_rejects_anything_but_a_positive_shard_count(
+            self, num_shards, tmp_path):
+        document = plan_of(grid(count=2), 1, tmp_path).to_dict()
+        document["num_shards"] = num_shards
         with pytest.raises(ValueError, match="num_shards"):
-            plan_shards(grid(count=2), 0, DURATION)
-
-    def test_shard_of_names_the_assigned_shard(self):
-        specs = grid()
-        plan = plan_shards(specs, 3, DURATION)
-        for shard_id, shard in enumerate(plan.shards):
-            for index in shard:
-                assert plan.shard_of(index) == shard_id
-        with pytest.raises(KeyError):
-            plan.shard_of(len(specs))
+            ClusterPlan.from_dict(document)
 
 
 # --------------------------------------------------------------------------- #
@@ -404,7 +385,7 @@ class TestClusterProtocol:
         coordinator = self.make_cluster(tmp_path, specs)
         plan = ClusterPlan.load(coordinator.cluster_dir)
         assert plan.specs == specs
-        assert plan.shard_plan == coordinator.plan()
+        assert plan.num_shards == coordinator.num_shards == 3
         assert plan.seeds == SweepRunner(specs, DURATION,
                                          master_seed=77).scenario_seeds()
 
@@ -431,8 +412,8 @@ class TestClusterProtocol:
         assert other.result_parts() == []
 
     def test_replan_resumes_despite_a_new_shard_layout(self, tmp_path):
-        # Shard count and estimated costs are operational: re-planning the
-        # same sweep with another layout must not be mistaken for a
+        # The shard count is operational: re-planning the same sweep with
+        # another layout must not be mistaken for a
         # "different sweep" (it would force --reset and discard completed
         # work).
         specs = grid(count=4, backend="analytic")
@@ -443,7 +424,8 @@ class TestClusterProtocol:
         resumed = ClusterCoordinator(
             specs, DURATION, tmp_path / "cluster", master_seed=77,
             num_shards=2, sink="jsonl", lease_timeout=120.0)
-        assert resumed.plan().shards != coordinator.plan().shards
+        assert (resumed.cluster_plan().shard(0)
+                != coordinator.cluster_plan().shard(0))
         resumed.write_plan()  # same sweep identity: resumes, no reset needed
         assert resumed.is_complete()
         assert resumed.merge().outcomes == result.outcomes
@@ -483,23 +465,23 @@ class TestClusterProtocol:
         worker = ClusterWorker(local(coordinator), "homebody",
                                shard=1, steal=False)
         worker.run(wait_for_stragglers=False)
-        own = set(coordinator.plan().shards[1])
+        own = set(coordinator.cluster_plan().shard(1))
         assert set(worker.executed) == own
         assert not coordinator.is_complete()
 
-    def test_thieves_rob_the_slowest_shard_first(self, tmp_path):
+    def test_thieves_rob_the_only_victim_from_the_back(self, tmp_path):
         specs = grid(backend="analytic")
         coordinator = self.make_cluster(tmp_path, specs, num_shards=3)
-        plan = coordinator.plan()
+        plan = coordinator.cluster_plan()
         # Finish shards 1 and 2 entirely, leaving shard 0 untouched; a
-        # fresh thief must then steal from shard 0 (the only, hence
-        # slowest, victim) starting at the cheap tail.
+        # fresh thief must then steal from shard 0 (the only victim)
+        # starting at its back.
         for shard in (1, 2):
             ClusterWorker(local(coordinator), f"w{shard}", shard=shard,
                           steal=False).run(wait_for_stragglers=False)
         thief = ClusterWorker(local(coordinator), "thief", shard=1)
         stolen = thief.step()
-        assert stolen == plan.shards[0][-1]  # cheapest remaining of shard 0
+        assert stolen == plan.shard(0)[-1]
 
     def test_crashed_lease_is_reclaimed(self, tmp_path):
         specs = grid(count=6, backend="analytic")
@@ -508,7 +490,7 @@ class TestClusterProtocol:
         victim = ClusterWorker(local(coordinator, clock), "victim", shard=0,
                                crash_after_claims=1)
         assert victim.step() is None and victim.crashed
-        crashed_index = coordinator.plan().shards[0][0]
+        crashed_index = list(coordinator.cluster_plan().shard(0))[0]
         assert crashed_index in coordinator.state.snapshot(clock()).lease_ages
         rescuer = ClusterWorker(local(coordinator, clock), "rescuer",
                                 shard=0)
@@ -524,7 +506,7 @@ class TestClusterProtocol:
         holder = ClusterWorker(local(coordinator), "holder", shard=0,
                                crash_after_claims=1)
         holder.step()  # holds a live (fresh) lease on shard 0's head
-        held = coordinator.plan().shards[0][0]
+        held = list(coordinator.cluster_plan().shard(0))[0]
         other = ClusterWorker(local(coordinator), "other", shard=0)
         executed = other.run(wait_for_stragglers=False)
         assert held not in other.executed
@@ -561,7 +543,7 @@ class TestClusterProtocol:
         execute = worker._execute
         monkeypatch.setattr(worker, "_execute", lambda index: (
             ran.append(index), execute(index))[1])
-        order = coordinator.plan().shards[0]
+        order = list(coordinator.cluster_plan().shard(0))
         for count, index in enumerate(order, start=1):
             assert worker.step() == index
             assert ran == order[:count]
@@ -578,7 +560,7 @@ class TestClusterProtocol:
                           batch_size=batch_size)
         worker = ClusterWorker(local(coordinator), "w", shard=0,
                                batch_size=1)
-        assert worker.step() == coordinator.plan().shards[0][0]
+        assert worker.step() == list(coordinator.cluster_plan().shard(0))[0]
 
     def test_a_sharded_sweep_adds_only_results_to_the_cache(self, tmp_path):
         # The cache holds scenario results and nothing else: no calibration
@@ -634,7 +616,7 @@ class TestSerialShardedEquivalence:
         assert merged.outcomes == serial.outcomes
         assert merged == serial
         # The survivors stole from the crashed worker's shard.
-        shard0 = set(coordinator.plan().shards[0])
+        shard0 = set(coordinator.cluster_plan().shard(0))
         stolen = shard0 & set(workers[1].executed + workers[2].executed)
         assert stolen
 

@@ -4,9 +4,10 @@
   elements applied in order: a JSONL batch is one append and one fsync
   with the same lines as single writes, and a worker drains a plan in one
   claim and one submit per batch, merging equal to a serial sweep.
-* Claim batches are guided self-scheduled: at most ``1 / num_shards`` of
-  the cost the shard still has pending, shrinking to single scenarios as
-  it drains.
+* Claim batches are guided self-scheduled: ``max(1, pending //
+  num_shards)`` of the scenarios the shard still has pending, shrinking to
+  single scenarios as it drains.  A thief robs the shard with the most
+  pending scenarios, from the back.
 * Cache hits of the worker's own shard skip the lease: a warm cache drains
   a plan with no claim at all, in submit frames of at most
   ``SUBMIT_FRAME`` outcomes; other shards' hits are loaded only once
@@ -159,7 +160,7 @@ class TestBatchEqualsElements:
         worker.run(poll_interval=0.01)
         # One shard, one worker: the whole shard is one batch, claimed and
         # submitted in one frame each.
-        assert transport.indices("claim") == [coordinator.plan().shards[0]]
+        assert transport.indices("claim") == [list(coordinator.cluster_plan().shard(0))]
         assert transport.indices("submit") == transport.indices("claim")
         assert sorted(worker.executed) == list(range(len(specs)))
         assert coordinator.merge().outcomes == serial_outcomes(specs)
@@ -167,33 +168,54 @@ class TestBatchEqualsElements:
     def test_batches_shrink_to_one_scenario_as_a_shard_drains(
             self, tmp_path, connect):
         """Guided self-scheduling over three shards: each batch holds at
-        most a third of the cost its shard had pending, so the tail of
+        most a third of the scenarios its shard had pending, so the tail of
         every shard is claimed (and stealable) one scenario at a time."""
         specs = grid(24)
         coordinator = plan_cluster(tmp_path, specs, num_shards=3)
-        plan = coordinator.plan()
-        costs = plan.scenario_costs
         transport = FrameRecorder(connect(coordinator))
         worker = ClusterWorker(transport, "w", shard=0, cache_dir=None)
         worker.run(poll_interval=0.01)
-        pending = {shard_id: set(shard)
-                   for shard_id, shard in enumerate(plan.shards)}
+        pending = {shard_id: set(coordinator.cluster_plan().shard(shard_id))
+                   for shard_id in range(3)}
         claims = transport.indices("claim")
         for batch in claims:
-            (shard_id,) = {shard_id for shard_id, shard
-                           in enumerate(plan.shards) if batch[0] in shard}
+            shard_id = batch[0] % 3
             assert set(batch) <= pending[shard_id]
-            budget = sum(costs[index] for index in pending[shard_id]) / 3
-            assert len(batch) == 1 or sum(costs[i] for i in batch) <= budget
+            assert len(batch) <= max(1, len(pending[shard_id]) // 3)
             pending[shard_id] -= set(batch)
+        assert not any(pending.values())
         assert any(len(batch) > 1 for batch in claims)
         assert len(claims) < len(specs)
-        # Each shard's last batch is a single scenario.
-        for shard in plan.shards:
-            last = [batch for batch in claims if batch[0] in shard]
+        # Each shard's last batch holds one index.
+        for shard_id in range(3):
+            last = [batch for batch in claims if batch[0] % 3 == shard_id]
             assert len(last[-1]) == 1
         assert transport.indices("submit") == claims
         assert coordinator.merge().outcomes == serial_outcomes(specs)
+
+    @pytest.mark.parametrize("held_shard,victim", [(0, 2), (2, 0)])
+    def test_a_thief_robs_the_fullest_shard_from_the_back(
+            self, tmp_path, held_shard, victim):
+        """With its own shard done, a worker steals from the shard with the
+        most pending scenarios (whichever shard id that is), starting at
+        that shard's last index, in a batch sized from its count."""
+        specs = grid(24)
+        coordinator = plan_cluster(tmp_path, specs, num_shards=3)
+        plan = coordinator.cluster_plan()
+        ClusterWorker(LocalTransport(coordinator.state), "w1", shard=1,
+                      steal=False,
+                      cache_dir=None).run(wait_for_stragglers=False)
+        # A live peer holds three scenarios of one shard, leaving it fewer
+        # pending than the other.
+        held = list(plan.shard(held_shard)[:3])
+        assert LocalTransport(coordinator.state).claim_many(
+            held, "peer") == held
+        transport = FrameRecorder(LocalTransport(coordinator.state))
+        thief = ClusterWorker(transport, "thief", shard=1, cache_dir=None)
+        thief.step()
+        # Eight pending in the victim, three shards: a batch of two.
+        robbed = plan.shard(victim)
+        assert transport.indices("claim") == [[robbed[-1], robbed[-2]]]
 
     def test_warm_cache_submits_hits_without_a_lease(
             self, tmp_path, connect, monkeypatch):
@@ -222,7 +244,8 @@ class TestBatchEqualsElements:
         serial = run_sweep(specs, DURATION, master_seed=SEED,
                            cache_dir=cache_dir)
         coordinator = plan_cluster(tmp_path, specs, num_shards=2)
-        own, other = coordinator.plan().shards
+        own, other = (coordinator.cluster_plan().shard(shard_id)
+                      for shard_id in range(2))
         transport = FrameRecorder(connect(coordinator))
         worker = ClusterWorker(transport, "w", shard=0, cache_dir=cache_dir)
         loads = []
@@ -306,7 +329,7 @@ class TestPoisonIsolation:
         rescuer = ClusterWorker(transport, "rescuer", cache_dir=None)
         rescuer.run(poll_interval=0.01)
         assert transport.indices("claim") == [
-            [index] for index in coordinator.plan().shards[0]]
+            [index] for index in list(coordinator.cluster_plan().shard(0))]
         assert coordinator.quarantine_records() == []
         assert coordinator.merge().outcomes == serial_outcomes(specs)
 
@@ -321,7 +344,7 @@ class TestPoisonIsolation:
         coordinator = plan_cluster(
             tmp_path, specs,
             guard=GuardPolicy(max_events=10**9, max_attempts=1))
-        order = coordinator.plan().shards[0]
+        order = list(coordinator.cluster_plan().shard(0))
         poison = order[0]
         clock = ManualClock()
 
@@ -418,7 +441,7 @@ class TestBatchHeartbeat:
         however many leases it holds."""
         specs = grid(4)
         coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.3)
-        order = coordinator.plan().shards[0]
+        order = list(coordinator.cluster_plan().shard(0))
 
         def execute(spec, seed, duration, **kwargs):
             time.sleep(0.25)  # over two heartbeat intervals
@@ -440,7 +463,7 @@ class TestBatchHeartbeat:
         last, so a death loses about one interval of finished work."""
         specs = grid(4)
         coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.3)
-        order = coordinator.plan().shards[0]
+        order = list(coordinator.cluster_plan().shard(0))
 
         def execute(spec, seed, duration, **kwargs):
             time.sleep(0.15)  # longer than one heartbeat interval (0.1 s)
@@ -464,7 +487,7 @@ class TestBatchHeartbeat:
         runs and submits the rest."""
         specs = grid(4)
         coordinator = plan_cluster(tmp_path, specs, lease_timeout=0.15)
-        order = coordinator.plan().shards[0]
+        order = list(coordinator.cluster_plan().shard(0))
         doomed = order[2]
 
         class TakenOverOnFirstBeat(LocalTransport):

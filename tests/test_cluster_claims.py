@@ -145,7 +145,7 @@ class TestClaimPath:
         monkeypatch.setattr(worker_module, "SUBMIT_FRAME", 1)
         specs = grid(5)
         coordinator = plan_cluster(tmp_path, specs)
-        order = coordinator.cluster_plan().shard_plan.shards[0]
+        order = list(coordinator.cluster_plan().shard(0))
         peer = LocalTransport(coordinator.state, connect.clock)
         assert peer.try_claim(order[0], "peer")
         transport = connect(coordinator)
@@ -199,7 +199,7 @@ class TestClaimPath:
         coordinator = plan_cluster(
             tmp_path, specs,
             guard=GuardPolicy(max_events=10**9, max_attempts=2))
-        order = coordinator.cluster_plan().shard_plan.shards[0]
+        order = list(coordinator.cluster_plan().shard(0))
         flaky = order[1]
         execute = worker_module.execute_scenario
         failed_once = []

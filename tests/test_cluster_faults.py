@@ -501,7 +501,7 @@ class TestPerWorkerHeartbeat:
         specs = grid(count=4)
         coordinator = plan_cluster(tmp_path, specs, num_shards=1,
                                    lease_timeout=0.15)
-        queue = list(coordinator.plan().shards[0])  # claim order
+        queue = list(coordinator.cluster_plan().shard(0))  # claim order
         doomed, successor = queue[1], queue[2]
         transport = _LeaseLossTransport(coordinator.state, {doomed})
 

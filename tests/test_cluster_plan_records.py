@@ -1,6 +1,6 @@
 """Tests for the cluster data that moves in its stored form.
 
-* The plan document (``cluster-plan/v2``) holds each distinct hardware
+* The plan document (``cluster-plan/v3``) holds each distinct hardware
   config once, in a ``configs`` table its spec entries index into.  A
   ``cluster-plan/v1`` document is refused by every reader; re-planning with
   ``reset=True`` replaces it.  The config table belongs to the sweep
@@ -322,7 +322,7 @@ class TestRecordPath:
             outcome = execute_scenario(spec, plan.seeds[index], DURATION)
             cache.store(spec, outcome, DURATION)
             stored[index] = outcome.to_dict()
-        stolen = coordinator.plan().shards[1]
+        stolen = list(coordinator.cluster_plan().shard(1))
         monkeypatch.setattr(worker_module, "execute_scenario", _no_execution)
         transport = connect(coordinator)
         worker = ClusterWorker(transport, "w", shard=0,

@@ -184,7 +184,7 @@ class TestTransportContract:
         cluster = make_cluster(specs)
         transport = cluster.transport()
         assert transport.plan.specs == specs
-        assert transport.plan.shard_plan == cluster.coordinator.plan()
+        assert transport.plan.num_shards == cluster.coordinator.num_shards
         # Auto shard assignment is round-robin over registrations.
         assert transport.register_worker("a", None) == 0
         assert transport.register_worker("b", None) == 1
@@ -573,6 +573,6 @@ class TestSocketShardedEquivalence:
         assert merged.outcomes == serial.outcomes
         assert merged == serial
         # The survivors stole from the crashed worker's shard.
-        shard0 = set(cluster.coordinator.plan().shards[0])
+        shard0 = set(cluster.coordinator.cluster_plan().shard(0))
         stolen = shard0 & set(workers[1].executed + workers[2].executed)
         assert stolen

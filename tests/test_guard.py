@@ -296,6 +296,30 @@ class TestGuardedSweep:
         assert survivors == [o for i, o in enumerate(baseline.outcomes)
                              if i != 2]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_last_callback_per_scenario_is_its_merged_outcome(
+            self, tmp_path, monkeypatch, workers):
+        """A progress callback sees the quarantine: whatever attempts it
+        saw before, its last call for each scenario is the outcome the
+        sweep returns for it."""
+        specs = grid(2)
+        plan = ScenarioFaultPlan(oom=frozenset({specs[1].name}))
+        monkeypatch.setenv(SCENARIO_FAULTS_ENV, plan.to_env())
+        seen = []
+        result = SweepRunner(specs, DURATION, master_seed=21,
+                             workers=workers, cache_dir=tmp_path,
+                             guard=GuardPolicy(max_attempts=2),
+                             on_outcome=seen.append).run()
+        assert [o.status for o in result.outcomes] == ["ok", QUARANTINED]
+        last = {outcome.scenario_name: outcome for outcome in seen}
+        assert last == {o.scenario_name: o for o in result.outcomes}
+        assert [o.status for o in seen].count(QUARANTINED) == 1
+        if workers == 1:
+            # As each attempt ends: both failed attempts, then the
+            # quarantine the second one decided.
+            assert [o.status for o in seen] == ["oom", "ok", "oom",
+                                                QUARANTINED]
+
     def test_serial_equals_sharded_under_faults(self, tmp_path, monkeypatch):
         """A guarded, fault-planned sweep gives the same outcomes —
         quarantined ones included — and the same quarantine records in

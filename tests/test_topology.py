@@ -34,6 +34,7 @@ from repro.topology import (
     werner_chain_fidelity,
     werner_state,
 )
+from repro.topology.network import derive_link_seeds
 
 DURATION = 0.5
 
@@ -232,6 +233,38 @@ class TestChainEndToEnd:
         assert first.events_processed == second.events_processed
 
 
+    def test_two_node_chain_equals_the_link_at_its_derived_seed(self):
+        """A 2-node chain is one link: it delivers the same pairs as the
+        single-link run of its spec at the chain's derived link seed.
+
+        The per-link statistics are bit-identical (the hop digest equals
+        the link summary).  The end-to-end mean differs from the link's in
+        the last bit, and not because of summation order: both runs see
+        the same per-pair fidelities and latencies in the same order, but
+        the link summary averages them with ``statistics.mean`` (the exact
+        mean, rounded once) while the chain's end-to-end record averages
+        them with ``sum(...) / pairs`` (rounded at every addition).  Hence
+        ``rel=1e-12`` on the means and exact equality on everything else.
+        """
+        spec = chain_grid(lengths=(2,), loads=("High",), backend="analytic",
+                          attempt_batch_size=100)[0]
+        chain = spec.run(2.0, seed=99)
+        link = dataclasses.replace(spec, topology=None).run(
+            2.0, seed=derive_link_seeds(99, 1)[0])
+        summary = link.summary
+        e2e = chain.end_to_end
+        assert e2e["pairs"] == summary.pairs_delivered["CK"] == 13
+        assert e2e["swaps"] == 0 and e2e["links"] == 1
+        assert e2e["fidelity"] == pytest.approx(
+            summary.average_fidelity["CK"], rel=1e-12)
+        assert e2e["latency"] == pytest.approx(
+            summary.average_pair_latency["CK"], rel=1e-12)
+        (hop,) = chain.hops
+        assert hop["pairs"] == 13
+        assert hop["fidelity"] == summary.average_fidelity["CK"]
+        assert hop["latency"] == summary.average_pair_latency["CK"]
+
+
 class TestSwitchedStar:
     def test_round_robin_schedule(self):
         schedule = SwitchSchedule(num_links=3, slot_duration=0.01)
@@ -343,13 +376,3 @@ class TestResumeCacheTopology:
         assert reason is None
         assert record is not None and record["from_cache"]
 
-
-class TestCostModelLinks:
-    def test_static_cost_scales_with_links(self):
-        from repro.cluster.planner import StaticCostModel
-
-        model = StaticCostModel()
-        chain5 = chain_spec(5)
-        chain3 = chain_spec(3)
-        assert model.estimate(chain5, 1.0) > model.estimate(chain3, 1.0)
-        assert chain5.cost_features()["links"] == 4
