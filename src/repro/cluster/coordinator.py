@@ -128,6 +128,10 @@ class ClusterPlan:
         than scenarios)."""
         return range(shard_id, len(self.specs), self.num_shards)
 
+    def shard_of(self, index: int) -> int:
+        """The shard that holds scenario ``index``."""
+        return index % self.num_shards
+
     def guard_policy(self):
         """The parsed :class:`~repro.runtime.guard.GuardPolicy`, or ``None``."""
         if self.guard is None:

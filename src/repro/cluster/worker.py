@@ -403,17 +403,17 @@ class ClusterWorker:
         fresh view just moves on to the next candidates.
         """
         head = self._candidates.popleft()
-        num_shards = self.plan.num_shards
-        shard = head % num_shards
-        pending = 1 + sum(index % num_shards == shard
+        shard_of = self.plan.shard_of
+        shard = shard_of(head)
+        pending = 1 + sum(shard_of(index) == shard
                           for index in self._candidates)
-        size = min(SUBMIT_FRAME, max(
-            1, pending // max(num_shards, self._last_snapshot.workers)))
+        size = min(SUBMIT_FRAME, max(1, pending // max(
+            self.plan.num_shards, self._last_snapshot.workers)))
         batch = [head]
         while (self._candidates and len(batch) < size
                and not self._takeover(head)
                and not self._takeover(self._candidates[0])
-               and self._candidates[0] % num_shards == shard):
+               and shard_of(self._candidates[0]) == shard):
             batch.append(self._candidates.popleft())
         granted = self.transport.claim_many(batch, self.worker_id)
         if len(granted) < len(batch) and not self._fresh:

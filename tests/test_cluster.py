@@ -95,6 +95,7 @@ class TestShardLayout:
         for shard_id, shard in enumerate(shards):
             # Shard s of n: s, s + n, s + 2n, ... in index order.
             assert shard == list(range(shard_id, len(specs), num_shards))
+            assert all(plan.shard_of(index) == shard_id for index in shard)
 
     def test_more_shards_than_scenarios_leaves_empty_shards(self, tmp_path):
         plan = plan_of(grid(count=2), 5, tmp_path)
