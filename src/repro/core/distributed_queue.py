@@ -357,10 +357,6 @@ class DistributedQueue(Entity):
         """Queue id used for requests of the given priority."""
         return int(priority)
 
-    def outstanding_adds(self) -> int:
-        """Number of local ADDs still awaiting acknowledgement."""
-        return len(self._pending)
-
     def total_length(self) -> int:
         """Total number of items across all priority lanes."""
         return sum(len(queue) for queue in self.queues.values())

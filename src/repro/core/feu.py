@@ -273,8 +273,3 @@ class FidelityEstimationUnit:
         if qber is None:
             return None
         return fidelity_from_qber(qber)
-
-    @property
-    def test_rounds_recorded(self) -> int:
-        """Number of test rounds currently in the window."""
-        return len(self._test_rounds)

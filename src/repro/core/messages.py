@@ -139,11 +139,6 @@ class EntanglementRequest:
         if not isinstance(self.priority, Priority):
             self.priority = Priority(self.priority)
 
-    @property
-    def is_measure_directly(self) -> bool:
-        """True for M (measure) requests."""
-        return self.request_type is RequestType.MEASURE
-
 
 @dataclass
 class OkMessage:

@@ -32,11 +32,6 @@ class QubitAllocation:
     communication: QubitSlot
     storage: Optional[QubitSlot] = None
 
-    @property
-    def storage_qubit_id(self) -> Optional[int]:
-        """Physical id of the storage qubit, if one was reserved."""
-        return self.storage.qubit_id if self.storage is not None else None
-
 
 class QuantumMemoryManager:
     """Allocates physical qubits of an NV device on behalf of the EGP.
@@ -135,11 +130,3 @@ class QuantumMemoryManager:
         """Free a storage qubit previously handed to the higher layer."""
         slot = self.device.slot_by_id(qubit_id)
         self.device.release(slot)
-
-    def logical_to_physical(self, logical_id: int) -> int:
-        """Translate a logical qubit id to a physical one.
-
-        The NV model uses the identity mapping; redundant encodings would
-        override this.
-        """
-        return logical_id

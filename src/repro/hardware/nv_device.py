@@ -134,11 +134,6 @@ class NVQuantumProcessor:
         slot.pair = None
         slot.metadata.clear()
 
-    def release_all(self) -> None:
-        """Release every slot (used on protocol reset)."""
-        for slot in self.slots:
-            self.release(slot)
-
     def slot_by_id(self, qubit_id: int) -> QubitSlot:
         """Look up a slot by physical qubit id."""
         for slot in self.slots:
