@@ -25,6 +25,7 @@ import sys
 import time
 
 from repro.cluster import ClusterCoordinator
+from repro.obs import config_from_env
 from repro.runtime import SweepRunner, chain_grid
 
 
@@ -64,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main() -> int:
     args = build_parser().parse_args()
+    obs = config_from_env()
     specs = chain_grid(lengths=tuple(args.lengths),
                        hardwares=(args.hardware,), loads=(args.load,),
                        attempt_batch_size=args.batch, backend=args.backend)
@@ -74,7 +76,8 @@ def main() -> int:
         specs, args.duration, args.cluster_dir, master_seed=args.seed,
         num_shards=args.shards)
     started = time.perf_counter()
-    result = coordinator.run_local(workers=args.workers, reset=True)
+    result = coordinator.run_local(workers=args.workers, reset=True,
+                                   obs=obs)
     wall = time.perf_counter() - started
 
     print(f"\n{'scenario':<28}{'links':>6}{'e2e pairs':>10}{'fidelity':>10}"
@@ -94,7 +97,7 @@ def main() -> int:
 
     if args.smoke:
         serial = SweepRunner(specs, args.duration,
-                             master_seed=args.seed).run()
+                             master_seed=args.seed, obs=obs).run()
         mismatches = [
             (a.scenario_name, field)
             for a, b in zip(serial.outcomes, result.outcomes)

@@ -2,9 +2,10 @@
 """Run a chaos sweep: poison scenarios must be quarantined, nothing else.
 
 The run-supervision acceptance check, as a CLI.  A scenario grid is swept
-through the full cluster protocol under a :class:`GuardPolicy` while a
-seeded :class:`~repro.runtime.guard.ScenarioFaultPlan` (published to the
-worker processes through ``REPRO_SCENARIO_FAULTS``) poisons two scenarios:
+through the full cluster protocol under a :class:`GuardPolicy` whose
+:class:`~repro.runtime.guard.ScenarioFaultPlan` (``GuardPolicy.faults``,
+carried to the worker processes in the plan they fetch from the
+coordinator) poisons two scenarios:
 
 * one **hangs** — it schedules an endless stream of no-op events, so only
   the guard's deterministic event budget can stop it;
@@ -24,9 +25,9 @@ checks:
 2. every surviving outcome is field-for-field identical to a serial
    ``SweepRunner`` run of the same grid with the same master seed.
 
-Exit status 0 means both hold.  The consumed fault plan and the
-quarantine records are written to ``--records-out`` so CI can upload them
-as artifacts:
+Exit status 0 means both hold.  The fault plan the workers ran (read back
+from the sweep's ``plan.json``) and the quarantine records are written to
+``--records-out`` so CI can upload them as artifacts:
 
     python examples/chaos_sweep.py --seed 20260808
     python examples/chaos_sweep.py --records-out chaos.json
@@ -45,7 +46,9 @@ from pathlib import Path
 
 import repro.cluster
 from repro.cluster import ClusterCoordinator
+from repro.cluster.coordinator import ClusterPlan
 from repro.cluster.serve import ClusterCoordinatorServer
+from repro.obs import config_from_env
 from repro.runtime import GuardPolicy, ScenarioFaultPlan, SweepRunner
 from repro.runtime import single_kind_scenarios
 
@@ -128,9 +131,10 @@ def keep_workers_until_complete(coordinator: ClusterCoordinator,
 
 
 def run_chaos_sweep(specs, args, faults: ScenarioFaultPlan, work_dir: Path):
-    """One guarded, faulted cluster sweep; returns (merged, records)."""
+    """One guarded, faulted cluster sweep; returns (merged, records, the
+    fault plan read back from the sweep's ``plan.json``)."""
     guard = GuardPolicy(max_events=args.max_events, wall_deadline=60.0,
-                        max_attempts=args.max_attempts)
+                        max_attempts=args.max_attempts, faults=faults)
     coordinator = ClusterCoordinator(
         specs, args.duration, work_dir / "cluster",
         master_seed=args.seed, num_shards=args.workers,
@@ -141,9 +145,7 @@ def run_chaos_sweep(specs, args, faults: ScenarioFaultPlan, work_dir: Path):
     source = str(Path(repro.cluster.__file__).resolve().parents[2])
     pythonpath = os.pathsep.join(
         entry for entry in (source, os.environ.get("PYTHONPATH")) if entry)
-    env = dict(os.environ, PYTHONPATH=pythonpath,
-               REPRO_SCENARIO_FAULTS=faults.to_env())
-    env.pop("REPRO_OBS", None)  # workers need no obs artifacts here
+    env = dict(os.environ, PYTHONPATH=pythonpath)
 
     server = ClusterCoordinatorServer(coordinator)
     server.start_background()
@@ -157,7 +159,8 @@ def run_chaos_sweep(specs, args, faults: ScenarioFaultPlan, work_dir: Path):
     records = coordinator.quarantine_records()
     print(f"[chaos] {deaths} worker death(s), {len(records)} quarantine "
           f"record(s)")
-    return coordinator.merge(), records
+    ran = ClusterPlan.load(coordinator.cluster_dir).guard_policy().faults
+    return coordinator.merge(), records, ran
 
 
 def check_sweep(merged, records, serial, args) -> list[str]:
@@ -205,10 +208,12 @@ def main(argv=None) -> int:
           f"crash={specs[args.crash_index].name} "
           f"(budget {args.max_attempts} attempt(s))")
 
-    serial = SweepRunner(specs, args.duration, master_seed=args.seed).run()
+    serial = SweepRunner(specs, args.duration, master_seed=args.seed,
+                         obs=config_from_env()).run()
 
     with tempfile.TemporaryDirectory(prefix="chaos-sweep-") as tmp:
-        merged, records = run_chaos_sweep(specs, args, faults, Path(tmp))
+        merged, records, ran = run_chaos_sweep(specs, args, faults,
+                                               Path(tmp))
     failures = check_sweep(merged, records, serial, args)
     for problem in failures:
         print(f"[chaos] FAIL: {problem}", file=sys.stderr)
@@ -219,7 +224,7 @@ def main(argv=None) -> int:
     if args.records_out or failures:
         out = Path(args.records_out or "chaos_records.json")
         out.write_text(json.dumps(
-            {"seed": args.seed, "fault_plan": faults.to_dict(),
+            {"seed": args.seed, "fault_plan": ran.to_dict(),
              "failures": failures,
              "quarantine_records": [record.to_dict()
                                     for record in records]}, indent=2))

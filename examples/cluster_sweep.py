@@ -33,6 +33,7 @@ import argparse
 import time
 
 from repro.cluster import ClusterCoordinator
+from repro.obs import config_from_env
 from repro.runtime import paper_grid, single_kind_scenarios
 
 
@@ -101,7 +102,8 @@ def main() -> None:
         result = coordinator.merge()
     else:
         result = coordinator.run_local(workers=args.workers,
-                                       reset=args.reset)
+                                       reset=args.reset,
+                                       obs=config_from_env())
     wall = time.perf_counter() - started
 
     print(f"\n{'scenario':<40}{'status':<8}{'pairs':>6}{'T (1/s)':>9}")

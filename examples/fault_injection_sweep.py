@@ -42,6 +42,7 @@ from repro.cluster import (
     TransportError,
 )
 from repro.cluster.serve import ClusterCoordinatorServer
+from repro.obs import config_from_env
 from repro.runtime import SweepRunner, single_kind_scenarios
 
 
@@ -100,7 +101,8 @@ class SteppedClock:
         return time.time() + self.skipped
 
 
-def run_faulted_sweep(specs, args, transport_kind: str, work_dir: Path):
+def run_faulted_sweep(specs, args, transport_kind: str, work_dir: Path,
+                      obs=None):
     """Drive three faulted workers over one front-end; returns the merged
     result and the consumed schedules."""
     coordinator = ClusterCoordinator(
@@ -123,7 +125,7 @@ def run_faulted_sweep(specs, args, transport_kind: str, work_dir: Path):
 
     schedules = worker_schedules(args)
     workers = [ClusterWorker(make_transport(schedule), f"w{i}", shard=i,
-                             cache_dir=None)
+                             cache_dir=None, obs=obs)
                for i, schedule in enumerate(schedules)]
     crashed = set()
     try:
@@ -170,8 +172,9 @@ def main(argv=None) -> int:
         include_md_k255=False, attempt_batch_size=40, backend=args.backend)
     print(f"[faults] seed {args.seed}: {len(specs)} scenarios over "
           f"{args.transport} transport(s)")
+    obs = config_from_env()
     serial = SweepRunner(specs, args.duration,
-                         master_seed=args.master_seed).run()
+                         master_seed=args.master_seed, obs=obs).run()
 
     kinds = (["local", "socket"] if args.transport == "both"
              else [args.transport])
@@ -180,7 +183,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="fault-sweep-") as tmp:
         for kind in kinds:
             merged, schedules = run_faulted_sweep(specs, args, kind,
-                                                  Path(tmp))
+                                                  Path(tmp), obs)
             consumed[kind] = [schedule.to_dict() for schedule in schedules]
             if merged == serial:
                 print(f"[faults] {kind}: merged result identical to serial "

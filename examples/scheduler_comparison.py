@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.backends import get_backend
 from repro.hardware import lab_scenario
+from repro.obs import config_from_env
 from repro.runtime.scenarios import USAGE_PATTERNS
 from repro.runtime.runner import SimulationRun
 
@@ -27,9 +28,11 @@ def main(simulated_seconds: float = 6.0) -> None:
           f"{'request latency (s)':<20}")
     # One backend for both runs: the second reuses the first's FEU table.
     backend = get_backend()
+    obs = config_from_env()
     for scheduler in ("FCFS", "HigherWFQ"):
         run = SimulationRun(lab_scenario(), pattern.specs, scheduler=scheduler,
-                            seed=17, attempt_batch_size=100, backend=backend)
+                            seed=17, attempt_batch_size=100, backend=backend,
+                            name=f"{pattern.name}-{scheduler}", obs=obs)
         summary = run.run(simulated_seconds).summary
         for kind in ("NL", "CK", "MD"):
             throughput = summary.throughput.get(kind, 0.0)

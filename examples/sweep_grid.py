@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import time
 
+from repro.obs import config_from_env
 from repro.runtime import SweepRunner, paper_grid, single_kind_scenarios
 
 
@@ -76,7 +77,7 @@ def main() -> None:
     runner = SweepRunner(specs, duration=args.duration,
                          master_seed=args.seed, workers=args.workers,
                          cache_dir=args.cache_dir or None,
-                         on_outcome=progress)
+                         on_outcome=progress, obs=config_from_env())
     started = time.perf_counter()
     result = runner.run()
     wall = time.perf_counter() - started

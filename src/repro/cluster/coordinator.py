@@ -70,8 +70,8 @@ PLAN_FORMAT = "cluster-plan/v3"
 TASKS_DIR = "tasks"
 RESULTS_DIR = "results"
 #: Per-worker observability metrics snapshots (``telemetry/<worker>.json``),
-#: uploaded through the transport's ``telemetry`` op when ``REPRO_OBS``
-#: enables metrics.  Side data: never read by the protocol itself.
+#: uploaded through the transport's ``telemetry`` op when a worker's
+#: ``obs`` enables metrics.  Side data: never read by the protocol itself.
 TELEMETRY_DIR = "telemetry"
 #: The merged worker metrics :meth:`ClusterCoordinator.merge` writes.
 METRICS_JSON = "metrics.json"
@@ -121,6 +121,7 @@ class ClusterPlan:
         if type(self.num_shards) is not int or self.num_shards < 1:
             raise ValueError(f"num_shards must be an integer >= 1, got "
                              f"{self.num_shards!r}")
+        self.guard_policy()  # a malformed guard raises ValueError here
 
     def shard(self, shard_id: int) -> range:
         """The global indices of shard ``shard_id``: ``shard_id, shard_id +
@@ -484,7 +485,7 @@ class ClusterCoordinator:
         scenario index is missing; pass ``False`` to collect a partial
         result from a still-running or abandoned grid.
 
-        When workers uploaded observability telemetry (``REPRO_OBS``
+        When workers uploaded observability telemetry (their ``obs``
         enabled metrics), the per-worker registries are merged and attached
         as ``SweepResult.telemetry`` — and written next to the parts as
         ``metrics.json`` / ``metrics.prom``.  Without telemetry the field
@@ -510,7 +511,7 @@ class ClusterCoordinator:
         """Merge every ``telemetry/<worker>.json`` into one registry.
 
         Returns a :class:`repro.obs.metrics.MetricsRegistry`, or ``None``
-        when no worker uploaded telemetry (the ``REPRO_OBS``-off default).
+        when no worker uploaded telemetry (the observability-off default).
         Unreadable snapshots are skipped — telemetry is best-effort side
         data and must never fail a merge.
         """
@@ -535,7 +536,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     def run_local(self, workers: Optional[int] = None,
                   start_method: Optional[str] = None,
-                  reset: bool = False) -> SweepResult:
+                  reset: bool = False, obs=None) -> SweepResult:
         """Run the whole grid with local worker *processes* and merge.
 
         Binds a :class:`~repro.cluster.serve.ClusterCoordinatorServer` on
@@ -544,6 +545,8 @@ class ClusterCoordinator:
         :class:`~repro.cluster.transport.SocketTransport` — the protocol
         a multi-machine deployment runs with ``python -m
         repro.cluster.serve`` and ``python -m repro.cluster.worker``.
+        ``obs`` (a :class:`repro.obs.ObsConfig` or ``None``) is passed to
+        every worker.
         """
         import multiprocessing
 
@@ -561,7 +564,7 @@ class ClusterCoordinator:
             processes = [
                 context.Process(target=_run_worker_process,
                                 args=(server.address, f"local-{index}",
-                                      index % self.num_shards))
+                                      index % self.num_shards, obs))
                 for index in range(max(1, workers))]
             for process in processes:
                 process.start()
@@ -580,9 +583,11 @@ class ClusterCoordinator:
         return self.merge()
 
 
-def _run_worker_process(address: str, worker_id: str, shard: int) -> None:
+def _run_worker_process(address: str, worker_id: str, shard: int,
+                        obs) -> None:
     """Module-level worker entry point (picklable for spawn contexts)."""
     from repro.cluster.transport import SocketTransport
     from repro.cluster.worker import ClusterWorker
 
-    ClusterWorker(SocketTransport(address), worker_id, shard=shard).run()
+    ClusterWorker(SocketTransport(address), worker_id, shard=shard,
+                  obs=obs).run()

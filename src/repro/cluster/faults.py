@@ -51,8 +51,8 @@ the worker loop already treats as a coordinator outage.
 
 Protocol faults compose with **scenario-level** faults from
 :mod:`repro.runtime.guard` (re-exported here): a
-:class:`~repro.runtime.guard.ScenarioFaultPlan` published through
-``REPRO_SCENARIO_FAULTS`` makes chosen scenarios hang, exhaust memory or
+:class:`~repro.runtime.guard.ScenarioFaultPlan`, carried in the plan as the
+guard policy's ``faults``, makes chosen scenarios hang, exhaust memory or
 kill their worker process outright, and the guard/quarantine machinery must
 contain the blast radius while *this* module shakes the wire underneath.
 ``examples/chaos_sweep.py`` runs both at once in CI.
@@ -77,11 +77,7 @@ from repro.cluster.transport import (
     Transport,
     TransportError,
 )
-from repro.runtime.guard import (  # noqa: F401  (re-exported)
-    SCENARIO_FAULTS_ENV,
-    ScenarioFaultPlan,
-    injected_scenario_fault,
-)
+from repro.runtime.guard import ScenarioFaultPlan  # noqa: F401  (re-exported)
 
 #: Operations faults are injected into by default.  ``plan`` is excluded:
 #: it is fetched once while the transport is being constructed, before the

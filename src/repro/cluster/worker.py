@@ -70,7 +70,8 @@ reports failed outcomes through
 submitting them: the coordinator charges the scenario's retry budget,
 releases the lease for a retry, and quarantines the scenario once the
 budget is spent.  A ``MemoryError`` anywhere in execution is reported as an
-``oom`` failure.
+``oom`` failure.  The faults the policy schedules (``GuardPolicy.faults``)
+come with the plan, so every worker injects the same ones.
 
 CLI — the whole multi-machine deployment story::
 
@@ -255,6 +256,10 @@ class ClusterWorker:
         ``ValueError``.  Claim batches are sized from the count of pending
         scenarios instead; the parameter goes once the ladder benchmark
         stops passing it (ROADMAP item 1(c)).
+    obs:
+        Optional :class:`~repro.obs.ObsConfig` of every execution.  With
+        ``metrics`` the worker also keeps a registry of its own, shipped to
+        the coordinator through the ``telemetry`` op on :meth:`close`.
     """
 
     def __init__(self, transport: Transport,
@@ -265,6 +270,7 @@ class ClusterWorker:
                  on_outcome: Optional[Callable[[ScenarioOutcome], None]] = None,
                  cache_dir: "Optional[str | Path]" = ...,
                  batch_size: int = 1,
+                 obs=None,
                  ) -> None:
         self.transport = transport
         self.plan = self.transport.plan
@@ -327,15 +333,11 @@ class ClusterWorker:
         self.guard = self.plan.guard_policy()
         self.shard = self.transport.register_worker(self.worker_id, shard)
         self._own_indices = self.plan.shard(self.shard)
-        # Observability: a per-worker metrics registry when REPRO_OBS
-        # enables metrics, shipped to the coordinator through the
-        # transport's idempotent ``telemetry`` op on close().  None — the
-        # production default — costs nothing on the claim/execute path.
-        from repro.obs import config_from_env
-
-        config = config_from_env()
+        self.obs = obs
+        # None — the production default — costs nothing on the
+        # claim/execute path.
         self.metrics = None
-        if config is not None and config.metrics:
+        if obs is not None and obs.metrics:
             from repro.obs.metrics import MetricsRegistry
 
             self.metrics = MetricsRegistry(
@@ -464,7 +466,7 @@ class ClusterWorker:
         try:
             outcome = execute_scenario(spec, self.plan.seeds[index],
                                        self.plan.duration, guard=self.guard,
-                                       backends=self._backends)
+                                       backends=self._backends, obs=self.obs)
         except MemoryError:
             # execute_scenario catches MemoryError from the scenario
             # itself; this one fired outside it (outcome assembly).  Same
@@ -743,8 +745,8 @@ class ClusterWorker:
     def close(self) -> None:
         """Flush sinks / release the coordinator connection.
 
-        Also the telemetry ship point: the metrics registry (when
-        ``REPRO_OBS`` enabled one) is uploaded as a whole snapshot through
+        Also the telemetry ship point: the metrics registry (when the
+        worker's ``obs`` enabled one) is uploaded as a whole snapshot through
         the transport — best-effort, so a coordinator that already exited
         never turns a clean worker shutdown into a failure.
         """
@@ -796,6 +798,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "$REPRO_LOG)")
     args = parser.parse_args(argv)
 
+    from repro.obs import config_from_env
     from repro.obs.logconf import configure_logging
 
     configure_logging(verbose=args.verbose)
@@ -816,7 +819,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         transport, worker_id=args.worker_id, shard=args.shard,
         steal=not args.no_steal, on_outcome=progress,
         crash_after_claims=args.crash_after_claims,
-        cache_dir=cache_dir)
+        cache_dir=cache_dir, obs=config_from_env())
     logger.info("[%s] serving shard %d of %d over %s (%d scenarios total)",
                 worker.worker_id, worker.shard,
                 worker.plan.num_shards, transport.kind,

@@ -18,19 +18,23 @@ runtime, and the cluster:
   (:class:`~repro.obs.profiler.SamplingProfiler`) emitting
   collapsed-stack output for flamegraphs.
 
-Enable via the environment::
+Enable by passing an :class:`ObsConfig` down: ``ScenarioSpec.run``,
+``Run``, ``execute_scenario``, ``SweepRunner``, ``ClusterWorker`` and
+``ClusterCoordinator.run_local`` each take ``obs=``.  A run writes its own
+artifacts to ``<out_dir>/<name>-seed<seed>/``.  No library call reads the
+environment; entry points (``python -m repro.cluster.worker`` and the
+examples) build the config once with :func:`config_from_env`::
 
     REPRO_OBS=trace,metrics          # features: trace, metrics, profile
     REPRO_OBS_DIR=obs_out            # artifact directory (default .repro_obs)
 
 and render artifacts with ``python -m repro.obs.report <path>``.
 
-With ``REPRO_OBS`` unset nothing is allocated and the instrumented hot
-paths reduce to ``if tracer is not None`` guards — simulation outcomes
-are bit-identical either way (enforced by tests and
+With ``obs=None`` nothing is allocated and the instrumented hot paths
+reduce to ``if tracer is not None`` guards — simulation outcomes are
+bit-identical either way (enforced by tests and
 ``benchmarks/bench_obs_overhead.py``).  Nothing is imported either: the
-trace, metrics, profiler and logging submodules load on first use, so a
-run that only asks :func:`session_from_env` pays for this module alone.
+trace, metrics, profiler and logging submodules load on first use.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ def __getattr__(name: str):
 __all__ = [
     "ObsConfig", "ObsSession", "Tracer", "NullTracer", "NULL_TRACER",
     "MetricsRegistry", "SamplingProfiler", "config_from_env",
-    "session_from_env", "configure_logging", "obs_features",
+    "configure_logging", "obs_features",
     "DEFAULT_OBS_DIR",
 ]
 
@@ -215,11 +219,3 @@ class ObsSession:
             (target / "profile.collapsed").write_text(
                 self.profiler.collapsed(), encoding="utf-8")
         return target
-
-
-def session_from_env() -> Optional[ObsSession]:
-    """Create a session from the environment, or ``None`` when disabled."""
-    config = config_from_env()
-    if config is None:
-        return None
-    return ObsSession(config)

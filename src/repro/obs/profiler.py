@@ -7,7 +7,7 @@ flamegraph tooling (e.g. ``flamegraph.pl`` or speedscope).
 
 Sampling is wall-clock based and therefore *not* deterministic; the
 profiler is strictly an observability aid and never feeds back into
-simulation results.  It is enabled only via ``REPRO_OBS=...,profile``.
+simulation results.  It is enabled only by an ``ObsConfig(profile=True)``.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class SamplingProfiler:
         return "".join(f"{stack} {count}\n" for stack, count in
                        sorted(self.samples.items(),
                               key=lambda item: (-item[1], item[0])))
-
-    @property
-    def sample_count(self) -> int:
-        return sum(self.samples.values())
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()

@@ -34,11 +34,13 @@ Validation
     PSD Hermiticity of a density matrix and is applied best-effort to the
     backend's heralded states where they are reachable.
 
-Scenario-level fault injection (``REPRO_SCENARIO_FAULTS``)
+Scenario-level fault injection
     :class:`ScenarioFaultPlan` schedules hangs, OOMs and worker-killing
-    crashes by scenario name, carried to worker processes through one
-    environment variable — re-exported by :mod:`repro.cluster.faults` so
-    the whole recovery path is replayable in CI.
+    crashes by scenario name.  It is a field of the :class:`GuardPolicy`,
+    so it travels in the cluster plan document to every worker, in process
+    or not, and a ``plan.json`` names the faults its run injected —
+    re-exported by :mod:`repro.cluster.faults` so the whole recovery path
+    is replayable in CI.
 """
 
 from __future__ import annotations
@@ -69,9 +71,7 @@ __all__ = [
     "QUARANTINED",
     "QuarantineRecord",
     "QuarantineStore",
-    "SCENARIO_FAULTS_ENV",
     "ScenarioFaultPlan",
-    "injected_scenario_fault",
     "perform_injected_fault",
     "validate_density_state",
     "validate_outcome",
@@ -91,6 +91,58 @@ QUARANTINED = "quarantined"
 # Policy
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
+class ScenarioFaultPlan:
+    """Scheduled scenario-level faults, keyed by scenario name.
+
+    ``hang`` members spin an unbounded event loop (a genuine hang that
+    only a guard deadline/budget can stop); ``oom`` members raise
+    ``MemoryError`` at execution time; ``crash`` members kill their worker
+    process outright (``os._exit``), leaving the lease to go stale exactly
+    like an OOM-killed machine.  Carried as :attr:`GuardPolicy.faults`, so
+    every worker — in process or a separate process — reads the same
+    schedule from the plan.
+    """
+
+    hang: frozenset = frozenset()
+    oom: frozenset = frozenset()
+    crash: frozenset = frozenset()
+
+    def fault_for(self, scenario_name: str) -> Optional[str]:
+        """The fault kind scheduled for ``scenario_name``, or ``None``."""
+        if scenario_name in self.hang:
+            return "hang"
+        if scenario_name in self.oom:
+            return "oom"
+        if scenario_name in self.crash:
+            return "crash"
+        return None
+
+    def __bool__(self) -> bool:
+        return bool(self.hang or self.oom or self.crash)
+
+    def to_dict(self) -> dict:
+        return {"hang": sorted(self.hang), "oom": sorted(self.oom),
+                "crash": sorted(self.crash)}
+
+    @classmethod
+    def from_dict(cls, data: object) -> "ScenarioFaultPlan":
+        """Rebuild a plan from :meth:`to_dict` output; a non-object, an
+        unknown kind or a kind that is not a list of names (a malformed
+        plan from the wire) raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"faults must be an object, got "
+                             f"{type(data).__name__}")
+        for kind, names in data.items():
+            if kind not in cls.__dataclass_fields__:
+                raise ValueError(f"unknown fault kind {kind!r}")
+            if not isinstance(names, list) or not all(
+                    isinstance(name, str) for name in names):
+                raise ValueError(f"faults[{kind!r}] must be a list of "
+                                 f"scenario names")
+        return cls(**{kind: frozenset(names) for kind, names in data.items()})
+
+
+@dataclass(frozen=True)
 class GuardPolicy:
     """Supervision knobs for one scenario execution.
 
@@ -109,12 +161,17 @@ class GuardPolicy:
     validate:
         Run :func:`validate_outcome` over successful results and demote
         silently-corrupt ones to ``status="invalid-result"``.
+    faults:
+        Scenario-level faults to inject (see :class:`ScenarioFaultPlan`);
+        empty by default.  A ``hang`` needs a policy that
+        :attr:`bounds_execution`, or it would spin forever.
     """
 
     max_events: Optional[int] = None
     wall_deadline: Optional[float] = None
     max_attempts: int = 2
     validate: bool = False
+    faults: ScenarioFaultPlan = ScenarioFaultPlan()
 
     def __post_init__(self) -> None:
         if self.max_events is not None and self.max_events <= 0:
@@ -123,6 +180,9 @@ class GuardPolicy:
             raise ValueError("wall_deadline must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if self.faults.hang and not self.bounds_execution:
+            raise ValueError("a hang fault needs max_events or "
+                             "wall_deadline to stop it")
 
     @property
     def bounds_execution(self) -> bool:
@@ -141,19 +201,25 @@ class GuardPolicy:
             engine.deadline_at = time.perf_counter() + self.wall_deadline
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (cluster plans, sweep metadata)."""
-        return {"max_events": self.max_events,
+        """JSON-serialisable form (cluster plans, sweep metadata); empty
+        ``faults`` are omitted, so fault-free plan documents stay stable."""
+        data = {"max_events": self.max_events,
                 "wall_deadline": self.wall_deadline,
                 "max_attempts": self.max_attempts,
                 "validate": self.validate}
+        if self.faults:
+            data["faults"] = self.faults.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "GuardPolicy":
-        """Rebuild a policy serialised with :meth:`to_dict`."""
+        """Rebuild a policy serialised with :meth:`to_dict`; malformed
+        ``faults`` raise ``ValueError``."""
         return cls(max_events=data.get("max_events"),
                    wall_deadline=data.get("wall_deadline"),
                    max_attempts=int(data.get("max_attempts", 2)),
-                   validate=bool(data.get("validate", False)))
+                   validate=bool(data.get("validate", False)),
+                   faults=ScenarioFaultPlan.from_dict(data.get("faults", {})))
 
 
 # --------------------------------------------------------------------------- #
@@ -389,102 +455,16 @@ class QuarantineStore:
 # --------------------------------------------------------------------------- #
 # Scenario-level fault injection
 # --------------------------------------------------------------------------- #
-#: Environment variable carrying a :class:`ScenarioFaultPlan` into worker
-#: processes (every sweep runs them as cluster workers).
-SCENARIO_FAULTS_ENV = "REPRO_SCENARIO_FAULTS"
-
-
-@dataclass(frozen=True)
-class ScenarioFaultPlan:
-    """Scheduled scenario-level faults, keyed by scenario name.
-
-    ``hang`` members spin an unbounded event loop (a genuine hang that
-    only a guard deadline/budget can stop); ``oom`` members raise
-    ``MemoryError`` at execution time; ``crash`` members kill their worker
-    process outright (``os._exit``), leaving the lease to go stale exactly
-    like an OOM-killed machine.  Serialised through one environment
-    variable so every worker — in process or a separate process — sees
-    the same schedule.
-    """
-
-    hang: frozenset = frozenset()
-    oom: frozenset = frozenset()
-    crash: frozenset = frozenset()
-
-    def fault_for(self, scenario_name: str) -> Optional[str]:
-        """The fault kind scheduled for ``scenario_name``, or ``None``."""
-        if scenario_name in self.hang:
-            return "hang"
-        if scenario_name in self.oom:
-            return "oom"
-        if scenario_name in self.crash:
-            return "crash"
-        return None
-
-    def to_dict(self) -> dict:
-        return {"hang": sorted(self.hang), "oom": sorted(self.oom),
-                "crash": sorted(self.crash)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioFaultPlan":
-        return cls(hang=frozenset(data.get("hang", ())),
-                   oom=frozenset(data.get("oom", ())),
-                   crash=frozenset(data.get("crash", ())))
-
-    def to_env(self) -> str:
-        """The ``REPRO_SCENARIO_FAULTS`` value carrying this plan."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_env(cls, value: Optional[str] = None,
-                 ) -> Optional["ScenarioFaultPlan"]:
-        """Parse the environment plan; ``None`` when unset/empty/invalid."""
-        if value is None:
-            value = os.environ.get(SCENARIO_FAULTS_ENV, "")
-        if not value:
-            return None
-        try:
-            data = json.loads(value)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(data, dict):
-            return None
-        return cls.from_dict(data)
-
-
-#: Parsed-plan cache keyed by the raw env value (re-parsing per scenario
-#: would put a JSON decode on the hot path of every faulted sweep).
-_fault_plan_cache: dict[str, Optional[ScenarioFaultPlan]] = {}
-
-
-def injected_scenario_fault(scenario_name: str) -> Optional[str]:
-    """The fault scheduled for ``scenario_name`` by the environment plan.
-
-    Returns ``None`` — at the cost of a single ``os.environ`` lookup —
-    whenever ``REPRO_SCENARIO_FAULTS`` is unset, which is the production
-    default.
-    """
-    value = os.environ.get(SCENARIO_FAULTS_ENV)
-    if not value:
-        return None
-    if value not in _fault_plan_cache:
-        _fault_plan_cache[value] = ScenarioFaultPlan.from_env(value)
-    plan = _fault_plan_cache[value]
-    if plan is None:
-        return None
-    return plan.fault_for(scenario_name)
-
-
 def perform_injected_fault(kind: str, scenario_name: str,
-                           guard: Optional[GuardPolicy]) -> None:
-    """Execute one scheduled scenario-level fault.
+                           guard: GuardPolicy) -> None:
+    """Execute one fault scheduled by ``guard.faults``.
 
-    ``hang`` builds a throwaway engine spinning no-op events — with a
-    guard installed the engine's own budget/deadline path interrupts it
-    (raising :class:`EngineInterrupt`), without one it spins forever,
-    which is exactly the failure mode the guard exists to bound.  ``oom``
-    raises ``MemoryError``; ``crash`` kills the process without cleanup
-    (no submit, no heartbeat shutdown), simulating an OOM-killed worker.
+    ``hang`` builds a throwaway engine spinning no-op events, which only
+    the guard's budget/deadline can interrupt (raising
+    :class:`EngineInterrupt`) — the policy refuses a hang it cannot bound.
+    ``oom`` raises ``MemoryError``; ``crash`` kills the process without
+    cleanup (no submit, no heartbeat shutdown), simulating an OOM-killed
+    worker.
     """
     if kind == "oom":
         raise MemoryError(f"injected oom for scenario {scenario_name!r}")
@@ -494,8 +474,7 @@ def perform_injected_fault(kind: str, scenario_name: str,
         from repro.sim.engine import SimulationEngine
 
         engine = SimulationEngine()
-        if guard is not None:
-            guard.install(engine)
+        guard.install(engine)
 
         def spin() -> None:
             engine.schedule_after(1.0, spin, "injected-hang")

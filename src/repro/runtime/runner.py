@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.metrics import MetricsCollector, MetricsSummary
@@ -60,14 +60,6 @@ class RunResult:
                                                 compare=False)
     network: Optional[LinkLayerNetwork] = field(default=None, repr=False,
                                                 compare=False)
-    #: Live observability session (``repro.obs.ObsSession``) of the run,
-    #: when ``REPRO_OBS`` enabled one — in-process only, like ``metrics``/
-    #: ``network``: the sweep layer writes its artifacts and drops it.
-    obs: Optional[object] = field(default=None, repr=False, compare=False)
-
-    def detached(self) -> "RunResult":
-        """A copy without the live simulation handles (picklable payload)."""
-        return replace(self, metrics=None, network=None, obs=None)
 
     def __getstate__(self) -> dict:
         # Never ship the live network/collector across processes: they hold
@@ -75,7 +67,6 @@ class RunResult:
         state = self.__dict__.copy()
         state["metrics"] = None
         state["network"] = None
-        state["obs"] = None
         return state
 
 
@@ -87,17 +78,20 @@ class Run:
     metrics collector per link; each link's workload uses its link seed
     ``+ 1``.  Subclasses build the network and assemble the summary.
 
-    ``obs`` is an ``ObsSession``, ``None`` to disable, or ``"env"`` to
-    resolve from ``REPRO_OBS``; attaching only sets tracer attributes.
-    ``guard`` (a :class:`repro.runtime.guard.GuardPolicy`) arms the engine
-    before the first event executes.
+    ``obs`` is a ``repro.obs.ObsConfig`` or ``None`` (record nothing).
+    The run keeps its ``ObsSession`` as :attr:`obs`; attaching it only sets
+    tracer attributes, and when the config has an ``out_dir``,
+    :meth:`finalize` writes the artifacts to
+    ``<out_dir>/<name>-seed<seed>/``.  ``guard`` (a
+    :class:`repro.runtime.guard.GuardPolicy`) arms the engine before the
+    first event executes.
     """
 
     def __init__(self, name: str, network, links: Sequence[LinkLayerNetwork],
                  link_seeds: Sequence[Optional[int]],
                  workload: Sequence[WorkloadSpec],
                  scheduler: str | SchedulingStrategy,
-                 seed: Optional[int], obs="env", guard=None,
+                 seed: Optional[int], obs=None, guard=None,
                  release_memory: bool = True) -> None:
         self.name = name
         self.seed = seed
@@ -114,14 +108,13 @@ class Run:
                                                   self.collectors)]
         self.scheduler_name = (scheduler if isinstance(scheduler, str)
                                else scheduler.name)
-        if obs == "env":
-            from repro.obs import session_from_env
-
-            obs = session_from_env()
-        self.obs = obs
+        self.obs = None
         if obs is not None:
-            obs.attach(network)
-            obs.start_profiler()
+            from repro.obs import ObsSession
+
+            self.obs = ObsSession(obs)
+            self.obs.attach(network)
+            self.obs.start_profiler()
         if guard is not None:
             guard.install(network.engine)
 
@@ -156,11 +149,11 @@ class Run:
             events_processed=self.network.engine.processed_events,
             events_elided=self.network.engine.elided_events,
             network=self.network,
-            obs=self.obs,
             **self._assemble(duration),
         )
         if self.obs is not None:
             self.obs.finish_run(result)
+            self.obs.write_artifacts(f"{self.name}-seed{self.seed}")
         return result
 
     def _assemble(self, duration: float) -> dict:
@@ -190,6 +183,9 @@ class SimulationRun(Run):
     elide_watchdog:
         Forwarded to the EGPs; ``None`` skips reply watchdogs exactly when
         the scenario cannot lose classical frames.
+    name:
+        The run's name (results, artifact directory); defaults to the
+        scenario's.
     obs, guard:
         See :class:`Run`.
     """
@@ -203,7 +199,8 @@ class SimulationRun(Run):
                  backend=None,
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True,
-                 obs="env", guard=None) -> None:
+                 name: Optional[str] = None,
+                 obs=None, guard=None) -> None:
         self.scenario = scenario
         network = LinkLayerNetwork(scenario, scheduler=scheduler, seed=seed,
                                    emission_multiplexing=emission_multiplexing,
@@ -211,8 +208,8 @@ class SimulationRun(Run):
                                    backend=backend,
                                    elide_watchdog=elide_watchdog,
                                    timer_elision=timer_elision)
-        super().__init__(scenario.name, network, [network], [seed], workload,
-                         scheduler, seed, obs=obs, guard=guard)
+        super().__init__(name or scenario.name, network, [network], [seed],
+                         workload, scheduler, seed, obs=obs, guard=guard)
         self.metrics = self.collectors[0]
 
     def _assemble(self, duration: float) -> dict:

@@ -34,6 +34,7 @@ from repro.topology.spec import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import PhysicsBackend
+    from repro.obs import ObsConfig
 
 #: Load levels of the long runs (Section 6): name -> f_P.
 LONG_RUN_LOADS: Mapping[str, float] = MappingProxyType(
@@ -229,7 +230,7 @@ class ScenarioSpec:
     def run(self, duration: float, seed: Optional[int] = None,
             attempt_batch_size: Optional[int] = None,
             backend: Union[None, str, PhysicsBackend] = None,
-            guard=None) -> RunResult:
+            guard=None, obs: Optional[ObsConfig] = None) -> RunResult:
         """Build and run the scenario for ``duration`` simulated seconds.
 
         ``backend`` overrides the spec's: a name (the run builds and owns a
@@ -240,7 +241,10 @@ class ScenarioSpec:
         engine with an event budget / wall deadline before the first event
         executes; exceeding either raises
         :class:`repro.sim.engine.EngineInterrupt` out of this method with
-        partial provenance.  ``None`` leaves the engine untouched.
+        partial provenance.  ``None`` leaves the engine untouched.  ``obs``
+        (a :class:`repro.obs.ObsConfig`) makes the run record a trace,
+        metrics or a profile, written to ``<out_dir>/<name>-seed<seed>/``
+        when the config has an ``out_dir``; ``None`` records nothing.
         """
         if self.topology is None:
             run_class, network_spec = SimulationRun, self.scenario
@@ -255,7 +259,7 @@ class ScenarioSpec:
                                 if attempt_batch_size is None
                                 else attempt_batch_size),
             backend=self.backend if backend is None else backend,
-            guard=guard).run(duration)
+            name=self.name, obs=obs, guard=guard).run(duration)
 
 
 def _hardware(name: str) -> ScenarioConfig:

@@ -48,7 +48,6 @@ from repro.runtime.guard import (
     QUARANTINED,
     EngineInterrupt,
     GuardPolicy,
-    injected_scenario_fault,
     perform_injected_fault,
     validate_backend_states,
     validate_outcome,
@@ -64,6 +63,7 @@ from repro.topology.spec import dataclass_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends import BackendSet
+    from repro.obs import ObsConfig
 
 __all__ = [
     "CACHE_VERSION",
@@ -238,9 +238,9 @@ class SweepResult:
     duration: float
     outcomes: list[ScenarioOutcome]
     #: Merged observability metrics of the sweep (a
-    #: ``repro.obs.MetricsRegistry`` ``to_dict`` payload) when the sweep
-    #: ran with ``REPRO_OBS=...,metrics`` — per-run rollups locally, the
-    #: merged per-shard worker registries for a cluster sweep.  ``None``
+    #: ``repro.obs.MetricsRegistry`` ``to_dict`` payload) when its workers
+    #: ran with an ``ObsConfig`` that enables metrics — the merged
+    #: per-worker registries.  ``None``
     #: (and omitted from JSON) when observability is off, keeping the
     #: serialized form bit-identical to pre-observability output.
     telemetry: Optional[dict] = field(default=None, compare=False)
@@ -332,6 +332,7 @@ def _failure_outcome(spec: ScenarioSpec, seed: int, duration: float,
 def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
                      guard: Optional[GuardPolicy] = None,
                      backends: Optional[BackendSet] = None,
+                     obs: Optional[ObsConfig] = None,
                      ) -> ScenarioOutcome:
     """Run one scenario and fold the result into a plain-data outcome.
 
@@ -342,25 +343,23 @@ def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
     worker down.  With a ``guard``, the
     engine's event budget / wall deadline bound the run (``timeout``
     outcomes carry partial provenance: events processed, sim-time reached),
+    the faults ``guard.faults`` schedules for this scenario are injected,
     ``MemoryError`` is folded to ``oom``, and a validation pass demotes
     silently-corrupt results to ``invalid-result``.  Without one, behavior
     is byte-identical to the unguarded primitive.  ``backends`` is the
     caller's :class:`~repro.backends.BackendSet` when it runs many
-    scenarios; ``None`` lets the run build and own its backend.
+    scenarios; ``None`` lets the run build and own its backend.  ``obs``
+    is passed to :meth:`ScenarioSpec.run`: the run records (and writes)
+    its own observability artifacts, and the outcome is unchanged.
     """
     started = time.perf_counter()
     try:
-        fault = injected_scenario_fault(spec.name)
+        fault = None if guard is None else guard.faults.fault_for(spec.name)
         if fault is not None:
             perform_injected_fault(fault, spec.name, guard)
-        result = spec.run(duration, seed=seed, guard=guard,
+        result = spec.run(duration, seed=seed, guard=guard, obs=obs,
                           backend=(None if backends is None
                                    else backends.get(spec.backend)))
-        if result.obs is not None:
-            # Observability artifacts (trace/metrics/profile) go to
-            # REPRO_OBS_DIR/<scenario>-seed<seed>/ — the outcome payload
-            # itself stays identical to an uninstrumented run.
-            result.obs.write_artifacts(f"{spec.name}-seed{seed}")
         outcome = ScenarioOutcome(
             scenario_name=spec.name,
             scheduler_name=result.scheduler_name,
@@ -465,6 +464,11 @@ class SweepRunner:
         ``status="quarantined"`` outcome) and the sweep completes without
         it.  The budget and the quarantine last one :meth:`run`.  ``None``
         (the default) preserves the unguarded behavior bit-for-bit.
+        Faults the policy schedules (``guard.faults``) ride in the plan.
+    obs:
+        Optional :class:`~repro.obs.ObsConfig` of every worker (see
+        :class:`~repro.cluster.worker.ClusterWorker`); their metrics come
+        back as :attr:`SweepResult.telemetry`.
     """
 
     def __init__(self, scenarios: Sequence[ScenarioSpec], duration: float,
@@ -475,6 +479,7 @@ class SweepRunner:
                  seed_key: Optional[Callable[[ScenarioSpec], object]] = None,
                  batch_size: int = 1,
                  guard: Optional[GuardPolicy] = None,
+                 obs: Optional[ObsConfig] = None,
                  ) -> None:
         self.scenarios = list(scenarios)
         if duration <= 0:
@@ -491,6 +496,7 @@ class SweepRunner:
         self.on_outcome = on_outcome
         self.seed_key = seed_key
         self.guard = guard
+        self.obs = obs
         self.start_method = start_method
 
     def scenario_seeds(self) -> list[int]:
@@ -533,7 +539,8 @@ class SweepRunner:
             try:
                 if workers == 1:
                     return self._run_in_process(coordinator)
-                result = coordinator.run_local(workers, self.start_method)
+                result = coordinator.run_local(workers, self.start_method,
+                                               obs=self.obs)
             finally:
                 coordinator.state.close()
         self._cache_report = CacheReport()
@@ -554,7 +561,8 @@ class SweepRunner:
 
         coordinator.write_plan()
         worker = ClusterWorker(LocalTransport(coordinator.state), "local-0",
-                               shard=0, on_outcome=self.on_outcome)
+                               shard=0, on_outcome=self.on_outcome,
+                               obs=self.obs)
         worker.run()
         self._cache_report = worker.cache_report
         return coordinator.merge()

@@ -97,7 +97,8 @@ class TopologyRun(Run):
                  elide_watchdog: Optional[bool] = None,
                  timer_elision: bool = True,
                  swap_gate_fidelity: float = 1.0,
-                 obs="env", guard=None) -> None:
+                 name: Optional[str] = None,
+                 obs=None, guard=None) -> None:
         if topology.kind == "chain":
             for spec in workload:
                 if spec.request_type is not RequestType.KEEP:
@@ -116,7 +117,7 @@ class TopologyRun(Run):
         # Chains buffer delivered pairs for swapping, so memory release is
         # owned by the swap controller; star links behave like independent
         # single-link runs (the application consumes pairs on delivery).
-        super().__init__(topology.name, network,
+        super().__init__(name or topology.name, network,
                          [link.network for link in network.links],
                          network.seeds, workload, scheduler, seed, obs=obs,
                          guard=guard,

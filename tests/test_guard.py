@@ -21,7 +21,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterCoordinator, LocalTransport
+from repro.cluster import ClusterCoordinator, ClusterWorker, LocalTransport
+from repro.cluster.coordinator import ClusterPlan
 from repro.cluster.serve import ClusterCoordinatorServer
 from repro.cluster.sinks import (
     JsonlResultSink,
@@ -47,7 +48,6 @@ from repro.runtime import (
 from repro.runtime.guard import (
     FAILURE_STATUSES,
     QUARANTINED,
-    SCENARIO_FAULTS_ENV,
     DeadlineExceeded,
     EventBudgetExceeded,
     QuarantineRecord,
@@ -140,6 +140,41 @@ class TestGuardPolicy:
         assert GuardPolicy(max_events=1).bounds_execution
         assert not GuardPolicy(validate=True).bounds_execution
 
+    def test_refuses_a_hang_it_cannot_bound(self):
+        hang = ScenarioFaultPlan(hang=frozenset({"a"}))
+        for unbounded in ({}, {"validate": True, "max_attempts": 3}):
+            with pytest.raises(ValueError, match="hang"):
+                GuardPolicy(faults=hang, **unbounded)
+        assert GuardPolicy(max_events=10, faults=hang).faults == hang
+        assert GuardPolicy(wall_deadline=1.0, faults=hang).faults == hang
+        # An oom or a crash ends by itself: no bound needed.
+        GuardPolicy(faults=ScenarioFaultPlan(oom=frozenset({"a"}),
+                                             crash=frozenset({"b"})))
+
+    def test_policy_without_faults_keeps_its_document(self):
+        assert list(GuardPolicy(max_events=1).to_dict()) == [
+            "max_events", "wall_deadline", "max_attempts", "validate"]
+
+    @pytest.mark.parametrize("faults", [
+        ["a"],                  # not an object
+        {"hang": "a"},          # a kind that is not a list
+        {"oom": ["a", 3]},      # a name that is not a string
+        {"freeze": ["a"]},      # an unknown kind
+    ])
+    def test_from_dict_refuses_malformed_faults(self, faults, tmp_path):
+        data = {**GuardPolicy(max_events=10).to_dict(), "faults": faults}
+        with pytest.raises(ValueError):
+            GuardPolicy.from_dict(data)
+        # The same policy arriving in a plan document is refused too.
+        coordinator = ClusterCoordinator(grid(2), DURATION, tmp_path,
+                                         master_seed=5,
+                                         guard=GuardPolicy(max_events=10))
+        document = json.loads(json.dumps(
+            coordinator.cluster_plan().to_dict()))
+        document["guard"]["faults"] = faults
+        with pytest.raises(ValueError):
+            ClusterPlan.from_dict(document)
+
 
 # --------------------------------------------------------------------------- #
 # Result validation
@@ -204,11 +239,16 @@ class TestQuarantine:
 # Scenario fault plan
 # --------------------------------------------------------------------------- #
 class TestScenarioFaultPlan:
-    def test_env_round_trip(self):
+    def test_guard_policy_round_trip(self):
         plan = ScenarioFaultPlan(hang=frozenset({"a"}),
                                  oom=frozenset({"b", "c"}),
                                  crash=frozenset({"d"}))
-        assert ScenarioFaultPlan.from_env(plan.to_env()) == plan
+        guard = GuardPolicy(max_events=100, faults=plan)
+        data = json.loads(json.dumps(guard.to_dict()))
+        assert data["faults"] == {"hang": ["a"], "oom": ["b", "c"],
+                                  "crash": ["d"]}
+        assert GuardPolicy.from_dict(data) == guard
+        assert GuardPolicy.from_dict(data).faults == plan
         assert plan.fault_for("a") == "hang"
         assert plan.fault_for("c") == "oom"
         assert plan.fault_for("d") == "crash"
@@ -251,15 +291,15 @@ class TestGuardedSweep:
                    for o in result.outcomes)
 
     def test_fault_plan_quarantines_exactly_the_poisoned(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         specs = grid()
         baseline = run_sweep(specs, DURATION, master_seed=21)
         plan = ScenarioFaultPlan(hang=frozenset({specs[1].name}),
                                  oom=frozenset({specs[3].name}))
-        monkeypatch.setenv(SCENARIO_FAULTS_ENV, plan.to_env())
         guard = GuardPolicy(max_events=200_000, wall_deadline=60.0,
                             max_attempts=2)
-        result = SweepRunner(specs, DURATION, master_seed=21, guard=guard,
+        result = SweepRunner(specs, DURATION, master_seed=21,
+                             guard=dataclasses.replace(guard, faults=plan),
                              cache_dir=tmp_path).run()
         assert result.quarantined_indices == [1, 3]
         survivors = [o for i, o in enumerate(result.outcomes)
@@ -270,11 +310,11 @@ class TestGuardedSweep:
         statuses = {r.index: r.status
                     for r in QuarantineStore(tmp_path).load_all()}
         assert statuses == {1: "timeout", 3: "oom"}
+        assert ClusterPlan.load(tmp_path).guard_policy().faults == plan
 
         # Rerun from the same cache without the faults: the retry budget
         # and the quarantine lasted one run, so the quarantined scenarios
         # run again (and now succeed); the others come from the cache.
-        monkeypatch.delenv(SCENARIO_FAULTS_ENV)
         resumed = SweepRunner(specs, DURATION, master_seed=21, guard=guard,
                               cache_dir=tmp_path).run()
         assert resumed.outcomes == baseline.outcomes
@@ -282,13 +322,48 @@ class TestGuardedSweep:
                 if not o.from_cache] == [1, 3]
         assert QuarantineStore(tmp_path).load_all() == []
 
+    def test_plan_alone_replays_the_quarantine(self, tmp_path):
+        """A fault-planned sweep's ``plan.json`` names its faults, and a
+        fresh coordinator built from that plan alone quarantines the same
+        scenarios with the same statuses."""
+        specs = grid()
+        plan = ScenarioFaultPlan(hang=frozenset({specs[1].name}),
+                                 oom=frozenset({specs[3].name}))
+        guard = GuardPolicy(max_events=200_000, wall_deadline=60.0,
+                            max_attempts=2, faults=plan)
+        first = SweepRunner(specs, DURATION, master_seed=21, guard=guard,
+                            cache_dir=tmp_path / "first").run()
+        document = json.loads((tmp_path / "first" / "plan.json").read_text())
+        assert document["guard"]["faults"] == plan.to_dict()
+
+        loaded = ClusterPlan.load(tmp_path / "first")
+        assert loaded.guard_policy() == guard
+        replay = ClusterCoordinator(
+            loaded.specs, loaded.duration, tmp_path / "replay",
+            master_seed=loaded.master_seed, seeds=loaded.seeds,
+            guard=loaded.guard_policy())
+        replay.write_plan()
+        ClusterWorker(LocalTransport(replay.state), "replay-0",
+                      cache_dir=None).run(wait_for_stragglers=False)
+        replayed = replay.merge()
+        replay.state.close()
+
+        def statuses(records):
+            return [(record.index, record.status) for record in records]
+
+        assert replayed.quarantined_indices == first.quarantined_indices \
+            == [1, 3]
+        assert statuses(replay.quarantine_records()) == statuses(
+            QuarantineStore(tmp_path / "first").load_all()) \
+            == [(1, "timeout"), (3, "oom")]
+        assert replayed.outcomes == first.outcomes
+
     def test_batched_sweep_quarantines_only_the_failing_scenario(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         specs = grid()
         baseline = run_sweep(specs, DURATION, master_seed=21)
         plan = ScenarioFaultPlan(oom=frozenset({specs[2].name}))
-        monkeypatch.setenv(SCENARIO_FAULTS_ENV, plan.to_env())
-        guard = GuardPolicy(max_events=200_000, max_attempts=2)
+        guard = GuardPolicy(max_events=200_000, max_attempts=2, faults=plan)
         result = SweepRunner(specs, DURATION, master_seed=21, guard=guard,
                              batch_size=4, cache_dir=tmp_path).run()
         assert result.quarantined_indices == [2]
@@ -298,17 +373,16 @@ class TestGuardedSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_last_callback_per_scenario_is_its_merged_outcome(
-            self, tmp_path, monkeypatch, workers):
+            self, tmp_path, workers):
         """A progress callback sees the quarantine: whatever attempts it
         saw before, its last call for each scenario is the outcome the
         sweep returns for it."""
         specs = grid(2)
         plan = ScenarioFaultPlan(oom=frozenset({specs[1].name}))
-        monkeypatch.setenv(SCENARIO_FAULTS_ENV, plan.to_env())
         seen = []
         result = SweepRunner(specs, DURATION, master_seed=21,
                              workers=workers, cache_dir=tmp_path,
-                             guard=GuardPolicy(max_attempts=2),
+                             guard=GuardPolicy(max_attempts=2, faults=plan),
                              on_outcome=seen.append).run()
         assert [o.status for o in result.outcomes] == ["ok", QUARANTINED]
         last = {outcome.scenario_name: outcome for outcome in seen}
@@ -320,16 +394,15 @@ class TestGuardedSweep:
             assert [o.status for o in seen] == ["oom", "ok", "oom",
                                                 QUARANTINED]
 
-    def test_serial_equals_sharded_under_faults(self, tmp_path, monkeypatch):
+    def test_serial_equals_sharded_under_faults(self, tmp_path):
         """A guarded, fault-planned sweep gives the same outcomes —
         quarantined ones included — and the same quarantine records in
         process, with worker processes, and through the cluster."""
         specs = grid()
         plan = ScenarioFaultPlan(hang=frozenset({specs[1].name}),
                                  oom=frozenset({specs[3].name}))
-        monkeypatch.setenv(SCENARIO_FAULTS_ENV, plan.to_env())
         guard = GuardPolicy(max_events=200_000, wall_deadline=60.0,
-                            max_attempts=2)
+                            max_attempts=2, faults=plan)
 
         def records(directory):
             return [(r.index, r.status, r.attempts)

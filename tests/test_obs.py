@@ -30,16 +30,14 @@ from repro.obs import (
     MetricsRegistry,
     NULL_TRACER,
     ObsConfig,
-    ObsSession,
     Tracer,
     config_from_env,
     obs_features,
-    session_from_env,
 )
 from repro.obs.logconf import configure_logging
 from repro.obs.report import main as report_main
 from repro.obs.trace import read_jsonl
-from repro.runtime import ScenarioSpec, single_kind_scenarios
+from repro.runtime import ScenarioSpec, chain_grid, single_kind_scenarios
 from repro.runtime.runner import SimulationRun
 from repro.runtime.sweep import ScenarioOutcome, SweepRunner, execute_scenario
 
@@ -59,14 +57,14 @@ def grid(count=None, backend="analytic") -> list[ScenarioSpec]:
 
 def traced_run(spec: ScenarioSpec, seed: int = 7,
                config: ObsConfig | None = None):
-    """Run ``spec`` with an explicit ObsSession; returns (result, session)."""
-    session = ObsSession(config if config is not None
-                         else ObsConfig(trace=True))
+    """Run ``spec`` with an explicit ObsConfig; returns (result, session)."""
     run = SimulationRun(spec.scenario, spec.workload,
                         scheduler=spec.scheduler, seed=seed,
                         attempt_batch_size=spec.attempt_batch_size,
-                        backend=spec.backend, obs=session)
-    return run.run(DURATION), session
+                        backend=spec.backend,
+                        obs=config if config is not None
+                        else ObsConfig(trace=True))
+    return run.run(DURATION), run.obs
 
 
 # --------------------------------------------------------------------------- #
@@ -83,7 +81,6 @@ class TestObsConfig:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_OBS", raising=False)
         assert config_from_env() is None
-        assert session_from_env() is None
 
     def test_env_config(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_OBS", "trace,metrics")
@@ -94,19 +91,22 @@ class TestObsConfig:
         monkeypatch.delenv("REPRO_OBS_DIR")
         assert str(config_from_env().out_dir) == DEFAULT_OBS_DIR
 
-    def test_run_without_obs_has_no_tracer(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
+    def test_run_without_obs_has_no_tracer(self, monkeypatch, tmp_path):
+        # The environment is not read below the entry points.
+        monkeypatch.setenv("REPRO_OBS", "trace")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         spec = grid(1)[0]
         run = SimulationRun(spec.scenario, spec.workload, seed=3,
                             backend=spec.backend,
                             attempt_batch_size=spec.attempt_batch_size)
         assert run.obs is None
         assert run.network.engine.tracer is None
-        result = run.run(DURATION)
-        assert result.obs is None
+        run.run(DURATION)
+        assert run.obs is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_without_obs_loads_no_obs_submodule(self):
-        """With ``REPRO_OBS`` unset a link run imports ``repro.obs`` alone:
+        """A link run without ``obs`` imports nothing of ``repro.obs``:
         the tracer, metrics and profiler modules stay unloaded (checked in
         a fresh interpreter, since this process has imported them)."""
         code = (
@@ -129,7 +129,7 @@ class TestObsConfig:
         for module in ("repro.obs.trace", "repro.obs.metrics",
                        "repro.obs.profiler", "repro.obs.logconf"):
             assert f"'{module}'" not in loaded, loaded
-        assert "'repro.obs'" in loaded, loaded
+        assert loaded == "[]", loaded
 
 
 # --------------------------------------------------------------------------- #
@@ -176,20 +176,18 @@ class TestTraceDeterminism:
             "trace captured no protocol events"
         assert first.tracer.to_dict() == second.tracer.to_dict()
 
-    def test_repeat_executions_write_byte_identical_traces(self, monkeypatch,
-                                                          tmp_path):
+    def test_repeat_executions_write_byte_identical_traces(self, tmp_path):
         specs = grid(2)
         seeds = [31, 32]
         first_dir = tmp_path / "first"
         second_dir = tmp_path / "second"
-        monkeypatch.setenv("REPRO_OBS", "trace")
 
-        monkeypatch.setenv("REPRO_OBS_DIR", str(first_dir))
-        first_outcomes = [execute_scenario(spec, seed, DURATION)
+        first = ObsConfig(trace=True, out_dir=first_dir)
+        first_outcomes = [execute_scenario(spec, seed, DURATION, obs=first)
                           for spec, seed in zip(specs, seeds)]
 
-        monkeypatch.setenv("REPRO_OBS_DIR", str(second_dir))
-        outcomes = [execute_scenario(spec, seed, DURATION)
+        second = ObsConfig(trace=True, out_dir=second_dir)
+        outcomes = [execute_scenario(spec, seed, DURATION, obs=second)
                     for spec, seed in zip(specs, seeds)]
         assert all(outcome.ok for outcome in outcomes)
 
@@ -209,6 +207,27 @@ class TestTraceDeterminism:
             traced_ids.append(ids)
         # The second run (MD) delivers; its ids did not continue the first's.
         assert min(traced_ids[1]) == 1
+
+
+class TestRunArtifacts:
+    @pytest.mark.parametrize("kind", ["link", "chain"])
+    def test_spec_run_writes_its_own_artifacts(self, kind, tmp_path):
+        spec = (grid(1)[0] if kind == "link"
+                else chain_grid(lengths=(3,), loads=("High",),
+                                attempt_batch_size=40,
+                                backend="analytic")[0])
+        spec.run(DURATION, seed=9, obs=ObsConfig(trace=True, out_dir=tmp_path))
+        assert [path.name for path in tmp_path.iterdir()] == [
+            f"{spec.name}-seed9"]
+        records, summary = read_jsonl(
+            tmp_path / f"{spec.name}-seed9" / "trace.jsonl")
+        assert summary is not None and records
+
+    def test_config_without_out_dir_writes_nothing(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        execute_scenario(grid(1)[0], 9, DURATION, obs=ObsConfig(trace=True))
+        assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -288,14 +307,14 @@ class TestMetricsRegistry:
 # Sweep-level metrics
 # --------------------------------------------------------------------------- #
 class TestSweepMetrics:
-    def test_sweep_telemetry_attached_and_written(self, monkeypatch, tmp_path):
+    def test_sweep_telemetry_attached_and_written(self, tmp_path):
         # A sweep's metrics are its worker's registry, merged by the
         # coordinator into the coordinator directory (the cache_dir).
-        monkeypatch.setenv("REPRO_OBS", "metrics")
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         specs = grid(2)
         result = SweepRunner(specs, DURATION, master_seed=77,
-                             cache_dir=tmp_path / "cache").run()
+                             cache_dir=tmp_path / "cache",
+                             obs=ObsConfig(metrics=True,
+                                           out_dir=tmp_path / "obs")).run()
         assert result.telemetry is not None
         registry = MetricsRegistry.from_dict(result.telemetry)
         assert registry.counter_value("repro_worker_submits_total",
@@ -304,7 +323,6 @@ class TestSweepMetrics:
         assert (tmp_path / "cache" / "metrics.json").exists()
         assert (tmp_path / "cache" / "metrics.prom").exists()
         # A rerun without metrics leaves no stale merged metrics behind.
-        monkeypatch.delenv("REPRO_OBS")
         rerun = SweepRunner(specs, DURATION, master_seed=77,
                             cache_dir=tmp_path / "cache").run()
         assert rerun.telemetry is None
@@ -314,8 +332,7 @@ class TestSweepMetrics:
         rebuilt = type(result).from_dict(result.to_dict())
         assert rebuilt.telemetry == result.telemetry
 
-    def test_sweep_without_obs_has_no_telemetry(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
+    def test_sweep_without_obs_has_no_telemetry(self):
         result = SweepRunner(grid(1), DURATION, master_seed=77).run()
         assert result.telemetry is None
         assert "telemetry" not in result.to_dict()
@@ -339,16 +356,15 @@ class TestClusterTelemetry:
         assert json.loads(path.read_text())["format"] == "repro-metrics/v1"
         transport.close()
 
-    def test_worker_ships_and_coordinator_merges(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_OBS", "metrics")
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+    def test_worker_ships_and_coordinator_merges(self, tmp_path):
+        obs = ObsConfig(metrics=True, out_dir=tmp_path / "obs")
         specs = grid(2)
         cluster_dir = tmp_path / "cluster"
         coordinator = ClusterCoordinator(specs, DURATION, cluster_dir,
                                          master_seed=77, num_shards=2)
         coordinator.write_plan()
         workers = [ClusterWorker(LocalTransport(coordinator.state),
-                                 worker_id=f"w{i}", shard=i)
+                                 worker_id=f"w{i}", shard=i, obs=obs)
                    for i in range(2)]
         for worker in workers:
             while worker.step() is not None:
@@ -369,8 +385,7 @@ class TestClusterTelemetry:
                       in (cluster_dir / TELEMETRY_DIR).glob("*.json")) \
             == ["w0.json", "w1.json"]
 
-    def test_merge_without_telemetry_stays_none(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
+    def test_merge_without_telemetry_stays_none(self, tmp_path):
         specs = grid(2)
         cluster_dir = tmp_path / "cluster"
         coordinator = ClusterCoordinator(specs, DURATION, cluster_dir,
@@ -413,11 +428,11 @@ class TestClusterTelemetry:
 # Report CLI and logging
 # --------------------------------------------------------------------------- #
 class TestReportAndLogging:
-    def test_report_renders_obs_dir(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("REPRO_OBS", "trace,metrics")
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+    def test_report_renders_obs_dir(self, tmp_path, capsys):
         spec = grid(1)[0]
-        execute_scenario(spec, 51, DURATION)
+        execute_scenario(spec, 51, DURATION,
+                         obs=ObsConfig(trace=True, metrics=True,
+                                       out_dir=tmp_path))
         assert report_main([str(tmp_path)]) == 0
         rendered = capsys.readouterr().out
         assert "trace" in rendered

@@ -149,15 +149,14 @@ def _chain_ultra(seed: int) -> dict:
 
 def _traced_link() -> dict:
     from repro.hardware.parameters import ql2020_scenario
-    from repro.obs import ObsConfig, ObsSession
+    from repro.obs import ObsConfig
     from repro.runtime.runner import SimulationRun
 
-    session = ObsSession(ObsConfig(trace=True))
     run = SimulationRun(ql2020_scenario(), _ck_md_workload(0.99, 0.6),
                         scheduler="FCFS", seed=1, attempt_batch_size=100,
-                        backend="analytic", obs=session)
+                        backend="analytic", obs=ObsConfig(trace=True))
     run.run(20.0)
-    tracer = session.tracer
+    tracer = run.obs.tracer
     return json.loads(json.dumps({
         "scheduled": tracer.scheduled,
         "executed": tracer.executed,

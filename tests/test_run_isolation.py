@@ -29,7 +29,7 @@ from repro.cluster import ClusterCoordinator, ClusterWorker, LocalTransport
 from repro.core.messages import EntanglementRequest, RequestType
 from repro.hardware.parameters import lab_scenario
 from repro.network.network import LinkLayerNetwork
-from repro.obs import ObsConfig, ObsSession
+from repro.obs import ObsConfig
 from repro.runtime import (
     ScenarioSpec,
     SweepRunner,
@@ -66,7 +66,7 @@ def _run_link(spec):
     return _observe(SimulationRun(
         spec.scenario, spec.workload, scheduler=spec.scheduler, seed=21,
         attempt_batch_size=spec.attempt_batch_size, backend=spec.backend,
-        obs=ObsSession(ObsConfig(trace=True))))
+        obs=ObsConfig(trace=True)))
 
 
 def _run_chain():
@@ -75,7 +75,7 @@ def _run_chain():
     return _observe(TopologyRun(
         spec.topology, spec.workload, seed=22,
         attempt_batch_size=spec.attempt_batch_size, backend=spec.backend,
-        obs=ObsSession(ObsConfig(trace=True))))
+        obs=ObsConfig(trace=True)))
 
 
 def test_earlier_runs_change_nothing():
@@ -221,8 +221,6 @@ _PURE_MEMO = "lru_cache memo of a pure function over frozen keys"
 ALLOWED_STATE = {
     ("repro.topology.spec", "_field_names"): _PURE_MEMO,
     ("repro.topology.spec", "_nested_field_types"): _PURE_MEMO,
-    ("repro.runtime.guard", "_fault_plan_cache"):
-        "memoizes the parsing of the REPRO_SCENARIO_FAULTS string",
     ("repro.runtime.cache", "_tmp_counter"):
         "only makes temp file names unique",
     ("repro.core.mhp", "_GATED_SAMPLE"):
