@@ -132,6 +132,11 @@ class ReferenceEngine:
         return self.schedule_at(self._now + delay, callback, name=name,
                                 args=args)
 
+    def cancel(self, handle: _RefHandle) -> None:
+        # The protocol stack cancels through the engine; the PR-4 handle
+        # cancelled itself.
+        handle.cancel()
+
     def step(self) -> bool:
         while self._queue:
             event = heapq.heappop(self._queue)

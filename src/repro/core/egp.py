@@ -70,7 +70,7 @@ class _InFlightAttempt:
     batch: int = 1
     stride: int = 1
     #: Handle of the reply watchdog, cancelled when the REPLY arrives.
-    watchdog: Optional[object] = None
+    watchdog: Optional[list] = None
 
 
 @dataclass
@@ -639,7 +639,7 @@ class EGP(Entity):
         if attempt is not None:
             allocation = attempt.allocation
             if attempt.watchdog is not None:
-                attempt.watchdog.cancel()
+                self._engine.cancel(attempt.watchdog)
                 attempt.watchdog = None
             if attempt.request_type is _KEEP:
                 self._account_carbon_reinitialisation(reply.attempts_used,

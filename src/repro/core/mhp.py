@@ -40,7 +40,7 @@ from repro.core.messages import (
 from repro.hardware.pair import EntangledPair
 from repro.hardware.parameters import ScenarioConfig
 from repro.sim.channel import ClassicalChannel
-from repro.sim.engine import Event, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.sim.entity import Entity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -300,7 +300,7 @@ class MidpointHeraldingService(Entity):
         #: GEN frames waiting for their counterpart, by cycle: the frame
         #: and the handle of its match-window timeout (cancelled once the
         #: peer's GEN arrives).
-        self._pending: dict[int, tuple[GenMessage, Event]] = {}
+        self._pending: dict[int, tuple[GenMessage, list]] = {}
         #: Attempt model per alpha.  The scenario is fixed, so this skips
         #: hashing the whole ``ScenarioConfig`` in the backend's memo on
         #: every attempt window.
@@ -363,7 +363,7 @@ class MidpointHeraldingService(Entity):
             self._pending[cycle] = (frame, timeout)
             return
         del self._pending[cycle]
-        timeout.cancel()
+        self._engine.cancel(timeout)
         self._process_pair(first, frame)
 
     def _expire_pending(self, cycle: int) -> None:

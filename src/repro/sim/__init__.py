@@ -8,10 +8,10 @@ callbacks, and classical channels with configurable delay and loss.
 Public API
 ----------
 ``SimulationEngine``
-    The event loop.  Create one per simulation run.
-``Event``
-    The one event kind: a scheduled callback that doubles as its own
-    cancellation handle.
+    The event loop.  Create one per simulation run.  Its ``schedule_*``
+    methods return the event's heap entry, a plain
+    ``[time, sequence, callback, args, name]`` list, which is also the
+    handle that ``SimulationEngine.cancel`` takes.
 ``Entity``
     Base class for things that live on the timeline (the MHP, the midpoint,
     the EGP, the distributed queue, channels).
@@ -19,7 +19,7 @@ Public API
     Point-to-point classical connection with delay and loss.
 """
 
-from repro.sim.engine import Event, SimulationEngine, SimulationError
+from repro.sim.engine import SimulationEngine, SimulationError
 from repro.sim.entity import Entity
 from repro.sim.channel import ClassicalChannel, ChannelDelivery
 from repro.sim.queues import ENGINE
@@ -27,7 +27,6 @@ from repro.sim.queues import ENGINE
 __all__ = [
     "SimulationEngine",
     "SimulationError",
-    "Event",
     "Entity",
     "ClassicalChannel",
     "ChannelDelivery",

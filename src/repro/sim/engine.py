@@ -5,40 +5,47 @@ is a float in seconds.  Events scheduled at the same timestamp are executed
 in insertion order, which gives deterministic behaviour for protocols that
 schedule several actions "now".
 
-Pending events live in one binary heap that the engine owns.  Its entries
-are ``(time, sequence, event)`` tuples, so ``heapq`` orders them in C
-without a Python-level comparison.  Cancellation is lazy: a cancelled
-event stays in the heap until it surfaces, and once cancelled residents
-outnumber live events the heap is rebuilt without them.  The ordering is
-total, so compaction never changes the firing order.
+Pending events live in one binary heap that the engine owns.  A heap
+entry is the event itself: a plain list ``[time, sequence, callback, args,
+name]``.  ``heapq`` orders entries in C on the float time and the unique
+int sequence, so it never reaches the callback or calls back into Python.
+The ``schedule_*`` methods return the entry as the event's handle, and
+:meth:`SimulationEngine.cancel` takes it back.
+
+Cancellation is lazy: it empties the entry's callback slot, and the entry
+stays in the heap until it surfaces.  Once cancelled residents outnumber
+live events the heap is rebuilt without them.  The ordering is total, so
+compaction never changes the firing order.  The run loop empties the slot
+of an entry it fires and :meth:`SimulationEngine.reset` empties it on
+every resident entry, so cancelling such a handle later is a no-op.
 
 The engine is deliberately minimal: the sophistication of the reproduction
-lives in the protocol and hardware models, not in the scheduler.  There is
-one event kind, :class:`~repro.sim.queues.Event`: a slim ``__slots__``
-record that doubles as its own cancellation handle, built once per
-schedule with positional callback arguments instead of a per-schedule
-lambda.  A fixed-cadence timer is a callback that schedules its own next
-occurrence after its body.
+lives in the protocol and hardware models, not in the scheduler.  Callback
+arguments ride in the entry instead of a per-schedule lambda, and a
+fixed-cadence timer is a callback that schedules its own next occurrence
+after its body.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Callable, Optional
 
-from repro.sim.queues import Event
-
 __all__ = [
     "DeadlineExceeded",
     "EngineInterrupt",
-    "Event",
     "EventBudgetExceeded",
     "SimulationEngine",
     "SimulationError",
 ]
+
+#: Stands for an absent bound in :meth:`SimulationEngine.run`: an int, so
+#: the per-event bound check compares two ints.
+_NEVER = sys.maxsize
 
 
 class SimulationError(RuntimeError):
@@ -92,9 +99,10 @@ class SimulationEngine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        #: The heap of ``(time, sequence, event)`` entries.  Rebuilt in
-        #: place, never replaced: :meth:`run` holds a reference to it.
-        self._heap: list[tuple[float, int, Event]] = []
+        #: The heap of ``[time, sequence, callback, args, name]``
+        #: entries.  Rebuilt in place, never replaced: :meth:`run` holds a
+        #: reference to it.
+        self._heap: list[list] = []
         #: Cancelled events still resident in :attr:`_heap`.
         self._cancelled = 0
         self._counter = itertools.count()
@@ -117,9 +125,10 @@ class SimulationEngine:
         #: ``event_budget`` caps total :attr:`processed_events`
         #: (deterministic: the same run hits it at the same event);
         #: ``deadline_at`` is an absolute :func:`time.perf_counter` value
-        #: checked every 1024 events.  Both default to ``None`` — the run
-        #: loop then pays one ``is not None`` per event and the trace is
-        #: bit-identical to an unguarded engine.
+        #: checked every 1024 events.  Both default to ``None``.  Set or
+        #: not, the run loop folds them and ``max_events`` into one int
+        #: comparison per event, and the trace is bit-identical to an
+        #: unguarded engine.
         self.event_budget: Optional[int] = None
         self.deadline_at: Optional[float] = None
 
@@ -150,54 +159,55 @@ class SimulationEngine:
             self.tracer.on_elided(name)
 
     def schedule_at(self, time: float, callback: Callable[..., None],
-                    name: str = "", args: tuple = ()) -> Event:
+                    name: str = "", args: tuple = ()) -> list:
         """Schedule ``callback(*args)`` to run at absolute time ``time``.
 
         Passing ``args`` instead of binding a lambda avoids a closure
-        allocation per schedule on hot paths.
+        allocation per schedule on hot paths.  Returns the heap entry
+        ``[time, sequence, callback, args, name]``, the handle that
+        :meth:`cancel` takes.
         """
-        if time < self._now:
+        # ``not >=`` rather than ``<``: NaN compares false both ways, and a
+        # NaN time would fire out of order and leave the clock at NaN.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at {time} (now is {self._now})")
-        time = float(time)
-        sequence = next(self._counter)
-        event = Event(time, sequence, callback, args, name, self)
-        heappush(self._heap, (time, sequence, event))
+        entry = [float(time), next(self._counter), callback, args, name]
+        heappush(self._heap, entry)
         if self.tracer is not None:
             self.tracer.on_scheduled(name)
-        return event
+        return entry
 
     def schedule_after(self, delay: float, callback: Callable[..., None],
-                       name: str = "", args: tuple = ()) -> Event:
+                       name: str = "", args: tuple = ()) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, callback, name=name,
-                                args=args)
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay}")
+        return self.schedule_at(self._now + delay, callback, name, args)
 
-    def step(self) -> bool:
-        """Run the next (non-cancelled) event.
+    def cancel(self, handle: list) -> None:
+        """Cancel a scheduled event; the engine skips it when it surfaces.
 
-        Returns ``True`` if an event was executed, ``False`` if the queue is
-        empty.
+        ``handle`` is the entry a ``schedule_*`` call returned.  Cancelling
+        twice, or an event that already fired or was dropped by
+        :meth:`reset`, is a no-op: each of those leaves the callback slot
+        empty.  Once cancelled residents outnumber live events, the heap
+        is rebuilt without them (amortised O(1) per cancellation).
         """
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            event.popped = True
-            if not event.cancelled:
-                break
-            self._cancelled -= 1
-        else:
-            return False
-        self._now = event.time
-        if self.trace is not None:
-            self.trace.append((event.time, event.sequence, event.name))
+        if handle[2] is None:
+            return
+        handle[2] = None
+        self._cancelled += 1
         if self.tracer is not None:
-            self.tracer.on_executed(event.name)
-        event.callback(*event.args)
-        self._processed += 1
-        return True
+            self.tracer.on_cancelled(handle[4])
+        if (self._cancelled >= self.COMPACTION_MIN_CANCELLED
+                and 2 * self._cancelled > len(self._heap)):
+            # The ordering is total, so the rebuild cannot change the
+            # firing order.  In place: the run loop holds the list.
+            heap = self._heap
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapify(heap)
+            self._cancelled = 0
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
@@ -220,92 +230,77 @@ class SimulationEngine:
         float
             The simulation time at which the run stopped.
         """
+        processed = self._processed
+        stop = _NEVER if max_events is None else processed + max_events
+        if processed >= stop:
+            return self._now
+        budget = (_NEVER if self.event_budget is None
+                  else self.event_budget)
+        deadline = self.deadline_at
+        # The deadline is polled whenever the processed count reaches a
+        # multiple of 1024.
+        poll = _NEVER if deadline is None else (processed | 1023) + 1
+        # The nearest of the three bounds: the loop pays one comparison
+        # per event and sorts out which bound it reached only there.
+        threshold = min(stop, poll, budget)
         # Compaction rebuilds the list in place, so this reference stays
         # valid.
         heap = self._heap
         limit = math.inf if until is None else until
         trace = self.trace
         tracer = self.tracer
-        budget = self.event_budget
-        deadline = self.deadline_at
-        executed = 0
-        while max_events is None or executed < max_events:
-            if not heap:
-                break
-            time, sequence, event = heap[0]
-            if event.cancelled:
-                heappop(heap)
-                event.popped = True
-                self._cancelled -= 1
-                continue
-            if time > limit:
-                break
-            heappop(heap)
-            event.popped = True
-            self._now = time
-            if trace is not None:
-                trace.append((time, sequence, event.name))
-            if tracer is not None:
-                tracer.on_executed(event.name)
-            event.callback(*event.args)
-            self._processed += 1
-            executed += 1
-            if budget is not None and self._processed >= budget:
-                raise EventBudgetExceeded(
-                    f"event budget of {budget} exhausted at simulated "
-                    f"time {self._now:.6f}s", self._processed, self._now)
-            if (deadline is not None and not (self._processed & 1023)
-                    and perf_counter() >= deadline):
-                raise DeadlineExceeded(
-                    f"wall-clock deadline passed after "
-                    f"{self._processed} events at simulated time "
-                    f"{self._now:.6f}s", self._processed, self._now)
-        else:
-            # ``max_events`` reached: the clock stays at the last
-            # executed event.
-            return self._now
+        try:
+            while heap:
+                entry = heappop(heap)
+                time, sequence, callback, args, name = entry
+                if callback is None:
+                    self._cancelled -= 1
+                    continue
+                if time > limit:
+                    heappush(heap, entry)
+                    break
+                # Fired: a later cancel of this handle is a no-op.
+                entry[2] = None
+                self._now = time
+                if trace is not None:
+                    trace.append((time, sequence, name))
+                if tracer is not None:
+                    tracer.on_executed(name)
+                callback(*args)
+                processed += 1
+                if processed >= threshold:
+                    if processed >= budget:
+                        raise EventBudgetExceeded(
+                            f"event budget of {budget} exhausted at "
+                            f"simulated time {time:.6f}s", processed, time)
+                    if processed == poll:
+                        poll += 1024
+                        if perf_counter() >= deadline:
+                            raise DeadlineExceeded(
+                                f"wall-clock deadline passed after "
+                                f"{processed} events at simulated time "
+                                f"{time:.6f}s", processed, time)
+                    if processed == stop:
+                        # The clock stays at the last executed event.
+                        return self._now
+                    threshold = min(stop, poll, budget)
+        finally:
+            self._processed = processed
         # Queue empty, or the next event lies beyond ``until``: either
         # way the clock advances to the bound.
         if until is not None and until > self._now:
             self._now = until
         return self._now
 
-    def _note_cancelled(self, event: Event) -> None:
-        """Count a resident event's cancellation; once cancelled residents
-        outnumber live events, rebuild the heap without them (amortised
-        O(1) per cancellation)."""
-        self._cancelled += 1
-        if self.tracer is not None:
-            self.tracer.on_cancelled(event.name)
-        if (self._cancelled >= self.COMPACTION_MIN_CANCELLED
-                and 2 * self._cancelled > len(self._heap)):
-            self._compact()
-
-    def _compact(self) -> None:
-        # Event ordering is total — (time, sequence) with a unique sequence
-        # — so rebuilding the heap cannot change the firing order.  In
-        # place: the run loop holds a reference to the list.
-        heap = self._heap
-        live = []
-        for entry in heap:
-            event = entry[2]
-            if event.cancelled:
-                event.popped = True
-            else:
-                live.append(entry)
-        heap[:] = live
-        heapify(heap)
-        self._cancelled = 0
-
     def reset(self, start_time: float = 0.0) -> None:
         """Clear the queue and reset the clock.  Mostly useful in tests.
 
-        Every resident event is marked popped, so a handle obtained
-        **before** the reset is inert: cancelling it leaves the fresh
-        queue's accounting untouched.
+        Every resident entry's callback slot is cleared, so a handle
+        obtained **before** the reset is inert: cancelling it leaves the
+        fresh queue's accounting untouched.
         """
         for entry in self._heap:
-            entry[2].popped = True
+            entry[2] = None
         self._heap.clear()
         self._cancelled = 0
         self._now = float(start_time)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sim.engine import Event, SimulationEngine
+from repro.sim.engine import SimulationEngine
 
 
 class Entity:
@@ -40,14 +40,21 @@ class Entity:
         return self._engine._now
 
     def call_at(self, time: float, callback: Callable[..., None],
-                name: str = "", args: tuple = ()) -> Event:
-        """Schedule ``callback(*args)`` at absolute time ``time``."""
+                name: str = "", args: tuple = ()) -> list:
+        """Schedule ``callback(*args)`` at absolute time ``time``.
+
+        Returns the event's heap entry, the handle that
+        :meth:`SimulationEngine.cancel` takes.
+        """
         return self._engine.schedule_at(time, callback,
                                         name=name or self.name, args=args)
 
     def call_after(self, delay: float, callback: Callable[..., None],
-                   name: str = "", args: tuple = ()) -> Event:
-        """Schedule ``callback(*args)`` after ``delay`` seconds."""
+                   name: str = "", args: tuple = ()) -> list:
+        """Schedule ``callback(*args)`` after ``delay`` seconds.
+
+        Returns the event's heap entry, as :meth:`call_at` does.
+        """
         return self._engine.schedule_after(delay, callback,
                                            name=name or self.name, args=args)
 

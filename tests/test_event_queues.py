@@ -95,8 +95,8 @@ class TestCoreBehaviour:
                    for i in range(10)]
         assert engine.pending_events == 10
         for handle in handles[:4]:
-            handle.cancel()
-            handle.cancel()  # double cancel counts once
+            engine.cancel(handle)
+            engine.cancel(handle)  # double cancel counts once
         assert engine.pending_events == 6
         engine.run()
         assert engine.pending_events == 0
@@ -120,8 +120,8 @@ class TestCoreBehaviour:
 
     def test_run_until_with_only_cancelled_events_advances_clock(
             self, engine):
-        engine.schedule_at(1.0, lambda: None).cancel()
-        engine.schedule_at(3.0, lambda: None).cancel()
+        engine.cancel(engine.schedule_at(1.0, lambda: None))
+        engine.cancel(engine.schedule_at(3.0, lambda: None))
         assert engine.run(until=5.0) == 5.0
         assert engine.now == 5.0
         assert engine.processed_events == 0
@@ -184,7 +184,7 @@ class TestFarFutureOverflow:
         engine.schedule_at(1000.0, lambda: fired.append("far"))
         engine.run(until=1.0)
         cancelled = engine.schedule_at(2.0, lambda: fired.append("a"))
-        cancelled.cancel()  # invalidates any cached head
+        engine.cancel(cancelled)  # invalidates any cached head
         engine.schedule_at(3.0, lambda: fired.append("b"))
         engine.run()
         assert fired == ["b", "far"]
@@ -195,7 +195,7 @@ class TestFarFutureOverflow:
         for i in range(32):
             engine.schedule_at(1e-5 * i, lambda: fired.append("near"))
         handle = engine.schedule_at(1e5, lambda: fired.append("far"))
-        handle.cancel()
+        engine.cancel(handle)
         engine.run()
         assert "far" not in fired
         assert engine.pending_events == 0
@@ -212,7 +212,8 @@ class TestCancelCompactInterleavings:
             fired += 1
             step[0] += 1
             if step[0] < 2000:
-                engine.schedule_at(engine.now + 10.0, lambda: None).cancel()
+                engine.cancel(engine.schedule_at(engine.now + 10.0,
+                                                 lambda: None))
                 engine.schedule_at(engine.now + 0.001, tick)
 
         engine.schedule_at(0.0, tick)
@@ -223,27 +224,28 @@ class TestCancelCompactInterleavings:
 
     def test_cancel_then_compact_preserves_order(self, engine):
         fired = []
-        keep = [engine.schedule_at(float(i), lambda i=i: fired.append(i))
-                for i in range(100)]
+        for i in range(100):
+            engine.schedule_at(float(i), lambda i=i: fired.append(i))
         doomed = [engine.schedule_at(i * 0.5 + 0.25,
                                      lambda: fired.append("doomed"))
                   for i in range(300)]
         # Cancel in an interleaved pattern (front, back, middle).
         for handle in doomed[::2] + doomed[-1::-3]:
-            handle.cancel()
+            engine.cancel(handle)
+        # The rest, plus repeat cancels of the handles above: no-ops.
         for handle in doomed:
-            if not handle.cancelled:
-                handle.cancel()
+            engine.cancel(handle)
+        assert engine.pending_events == 100
         engine.run()
         assert fired == list(range(100))
-        assert all(not h.cancelled for h in keep)
+        assert engine.processed_events == 100
 
     def test_cancel_same_timestamp_subset(self, engine):
         fired = []
         handles = [engine.schedule_at(1.0, lambda i=i: fired.append(i))
                    for i in range(20)]
         for handle in handles[3:17:2]:
-            handle.cancel()
+            engine.cancel(handle)
         engine.run()
         expected = [i for i in range(20) if not (3 <= i < 17 and (i - 3) % 2 == 0)]
         assert fired == expected
@@ -334,7 +336,7 @@ class TestRandomizedEquivalence:
                     max(op[2], engine.now), nested, name="nest"))
             elif op[0] == "cancel":
                 if handles:
-                    handles[op[1] % len(handles)].cancel()
+                    engine.cancel(handles[op[1] % len(handles)])
         engine.run()
         return engine.trace
 
@@ -411,15 +413,19 @@ class TestSelfReschedulingSeries:
         pending = _series(engine, 1.0, lambda: seen.append(pending[0]))
         engine.run(until=10.0)
         assert engine.processed_events == 10
-        # Ten distinct events, each popped once it fired.
+        # Ten distinct events, each spent once it fired: cancelling one
+        # leaves the pending next occurrence alone.
         assert len({id(event) for event in seen}) == 10
-        assert all(event.popped for event in seen)
+        assert engine.pending_events == 1
+        for event in seen:
+            engine.cancel(event)
+        assert engine.pending_events == 1
 
     def test_cancelling_pending_occurrence_stops_series(self, engine):
         ticks = []
         pending = _series(engine, 1.0, lambda: ticks.append(1))
         engine.run(until=2.5)
-        pending[0].cancel()
+        engine.cancel(pending[0])
         engine.run(until=10.0)
         assert ticks == [1, 1]
         assert engine.pending_events == 0
@@ -487,7 +493,8 @@ class TestRescheduledCallback:
         engine.run()
         second = engine.schedule_at(2.0, callback, "poll")
         assert second is not first
-        assert first.popped and not second.popped
+        engine.cancel(first)  # already fired: a no-op
+        assert engine.pending_events == 1
         engine.run()
         assert fired == [1.0, 2.0]
 
@@ -511,7 +518,7 @@ class TestRescheduledCallback:
 
         watchdog = engine.schedule_after(1.0, callback, "watchdog", ("a",))
         engine.schedule_after(2.0, callback, "watchdog", ("b",))
-        watchdog.cancel()
+        engine.cancel(watchdog)
         assert engine.pending_events == 1
         engine.run()
         assert fired == ["b"]
@@ -535,16 +542,16 @@ class TestResetInertness:
         engine.reset()
         engine.schedule_at(1.0, lambda: None)
         assert engine.pending_events == 1
-        stale.cancel()  # must not decrement the new queue's live count
+        engine.cancel(stale)  # must not decrement the new live count
         assert engine.pending_events == 1
         engine.run()
         assert engine.processed_events == 1
 
     def test_cancelled_then_reset_then_cancelled_again(self, engine):
         handle = engine.schedule_at(1.0, lambda: None)
-        handle.cancel()
+        engine.cancel(handle)
         engine.reset()
-        handle.cancel()
+        engine.cancel(handle)
         engine.schedule_at(2.0, lambda: None)
         assert engine.pending_events == 1
 

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import pytest
 
-from repro.sim.engine import SimulationEngine, SimulationError
+from repro.sim.engine import (
+    DeadlineExceeded,
+    EventBudgetExceeded,
+    SimulationEngine,
+    SimulationError,
+)
 
 
 class TestScheduling:
@@ -37,6 +44,27 @@ class TestScheduling:
         engine = SimulationEngine()
         with pytest.raises(SimulationError):
             engine.schedule_after(-1.0, lambda: None)
+
+    def test_nan_time_raises(self):
+        # A NaN time compares false against everything: let through, it
+        # fired between ordinary events and left the clock at NaN.
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule_at(1.0, lambda: fired.append(1.0))
+        engine.schedule_at(2.0, lambda: fired.append(2.0))
+        with pytest.raises(SimulationError):
+            engine.schedule_at(float("nan"), lambda: fired.append("nan"))
+        engine.run()
+        assert fired == [1.0, 2.0]
+        assert engine.now == 2.0
+        assert engine.pending_events == 0
+
+    def test_nan_delay_raises(self):
+        engine = SimulationEngine(start_time=1.0)
+        with pytest.raises(SimulationError):
+            engine.schedule_after(float("nan"), lambda: None)
+        assert engine.pending_events == 0
+        assert engine.run() == 1.0
 
     def test_events_run_in_time_order(self):
         engine = SimulationEngine()
@@ -112,8 +140,10 @@ class TestRunControl:
         engine.run()
         assert engine.processed_events == 5
 
-    def test_step_returns_false_on_empty_queue(self):
-        assert SimulationEngine().step() is False
+    def test_max_events_on_empty_queue_executes_nothing(self):
+        engine = SimulationEngine()
+        assert engine.run(max_events=1) == 0.0
+        assert engine.processed_events == 0
 
     def test_reset_clears_queue_and_clock(self):
         engine = SimulationEngine()
@@ -130,10 +160,11 @@ class TestCancellation:
         engine = SimulationEngine()
         fired = []
         handle = engine.schedule_at(1.0, lambda: fired.append(1))
-        handle.cancel()
+        engine.cancel(handle)
+        assert engine.pending_events == 0
         engine.run()
         assert fired == []
-        assert handle.cancelled
+        assert engine.processed_events == 0
 
     def test_cancel_one_of_many(self):
         engine = SimulationEngine()
@@ -141,14 +172,14 @@ class TestCancellation:
         engine.schedule_at(1.0, lambda: fired.append("keep"))
         handle = engine.schedule_at(2.0, lambda: fired.append("drop"))
         engine.schedule_at(3.0, lambda: fired.append("keep2"))
-        handle.cancel()
+        engine.cancel(handle)
         engine.run()
         assert fired == ["keep", "keep2"]
 
     def test_handle_reports_time(self):
         engine = SimulationEngine()
         handle = engine.schedule_at(4.0, lambda: None)
-        assert handle.time == 4.0
+        assert handle[0] == 4.0
 
 
 class TestLazyCompaction:
@@ -160,32 +191,34 @@ class TestLazyCompaction:
                    for i in range(10)]
         assert engine.pending_events == 10
         for handle in handles[:4]:
-            handle.cancel()
+            engine.cancel(handle)
         assert engine.pending_events == 6
 
     def test_double_cancel_counts_once(self):
         engine = SimulationEngine()
         engine.schedule_at(1.0, lambda: None)
         handle = engine.schedule_at(2.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        engine.cancel(handle)
+        engine.cancel(handle)
         assert engine.pending_events == 1
 
     def test_compaction_shrinks_heap(self):
         engine = SimulationEngine()
-        keep = [engine.schedule_at(1000.0 + i, lambda: None)
-                for i in range(10)]
+        fired = []
+        for i in range(10):
+            engine.schedule_at(1000.0 + i, fired.append, args=(i,))
         doomed = [engine.schedule_at(float(i), lambda: None)
                   for i in range(200)]
         assert len(engine._heap) == 210
         for handle in doomed:
-            handle.cancel()
+            engine.cancel(handle)
         # Cancelled events outnumber live ones: the heap was compacted down
         # to the live events plus at most the compaction trigger threshold.
         assert len(engine._heap) <= \
             10 + SimulationEngine.COMPACTION_MIN_CANCELLED
         assert engine.pending_events == 10
-        assert all(not handle.cancelled for handle in keep)
+        engine.run()
+        assert fired == list(range(10))
 
     def test_compaction_preserves_firing_order(self):
         engine = SimulationEngine()
@@ -195,7 +228,7 @@ class TestLazyCompaction:
         doomed = [engine.schedule_at(0.5, lambda: fired.append("doomed"))
                   for _ in range(400)]
         for handle in doomed:
-            handle.cancel()
+            engine.cancel(handle)
         engine.run()
         assert fired == list(range(300))
 
@@ -204,7 +237,7 @@ class TestLazyCompaction:
         handles = [engine.schedule_at(float(i), lambda: None)
                    for i in range(30)]
         for handle in handles[:20]:
-            handle.cancel()
+            engine.cancel(handle)
         engine.run()
         assert engine.pending_events == 0
         assert engine.processed_events == 10
@@ -220,7 +253,8 @@ class TestLazyCompaction:
             if step[0] < 2000:
                 # Schedule a watchdog and immediately cancel it, as the
                 # protocols do for reply timeouts that are answered in time.
-                engine.schedule_at(engine.now + 10.0, lambda: None).cancel()
+                engine.cancel(engine.schedule_at(engine.now + 10.0,
+                                                 lambda: None))
                 engine.schedule_at(engine.now + 0.001, tick)
 
         engine.schedule_at(0.0, tick)
@@ -233,16 +267,16 @@ class TestLazyCompaction:
         handle = engine.schedule_at(1.0, lambda: None)
         live = engine.schedule_at(2.0, lambda: None)
         engine.run(until=1.5)
-        handle.cancel()
+        engine.cancel(handle)
         assert engine.pending_events == 1
-        live.cancel()
+        engine.cancel(live)
         assert engine.pending_events == 0
 
     def test_cancel_after_reset_is_a_noop_for_accounting(self):
         engine = SimulationEngine()
         handle = engine.schedule_at(1.0, lambda: None)
         engine.reset()
-        handle.cancel()
+        engine.cancel(handle)
         assert engine.pending_events == 0
 
     def test_compaction_inside_run_keeps_order_and_heap_list(self):
@@ -259,7 +293,7 @@ class TestLazyCompaction:
         def cancel_all():
             record("cancel")
             for handle in doomed:
-                handle.cancel()
+                engine.cancel(handle)
             assert engine._heap is heap
             assert len(heap) < 2 * SimulationEngine.COMPACTION_MIN_CANCELLED
 
@@ -283,3 +317,71 @@ class TestLazyCompaction:
         expected.sort(key=lambda entry: entry[0])  # stable: ties in order
         assert fired == [(1.0, "cancel")] + expected
         assert engine.pending_events == 0 and not heap
+
+
+def _ticks(engine: SimulationEngine, interval: float = 1.0) -> None:
+    """Schedule a tick every ``interval`` simulated seconds, without end."""
+    def tick() -> None:
+        engine.schedule_after(interval, tick, "tick")
+
+    engine.schedule_at(interval, tick, "tick")
+
+
+class TestBoundsAcrossCalls:
+    """``event_budget``, the deadline poll and ``max_events`` share one
+    per-event threshold; each must still fire at its own event when a run
+    starts with a processed count that is not a multiple of 1024."""
+
+    STEP = 700  # not a divisor of 1024: runs start at unaligned counts
+
+    @pytest.mark.parametrize("deadline", [None, 3600.0])
+    def test_event_budget_fires_at_the_budget(self, deadline):
+        # With a deadline set, its polls at 1024 and 2048 come first and
+        # must not lose the budget.
+        engine = SimulationEngine()
+        _ticks(engine)
+        engine.event_budget = 2500
+        if deadline is not None:
+            engine.deadline_at = perf_counter() + deadline
+        with pytest.raises(EventBudgetExceeded) as err:
+            while True:
+                engine.run(max_events=self.STEP)
+        # Each tick fires at its own index in seconds: event n at t=n.
+        assert err.value.events_processed == 2500
+        assert err.value.sim_time == 2500.0
+        assert engine.processed_events == 2500
+        assert engine.now == 2500.0
+
+    def test_past_deadline_fires_at_the_next_multiple_of_1024(self):
+        engine = SimulationEngine()
+        _ticks(engine)
+        engine.run(max_events=self.STEP)
+        engine.run(max_events=self.STEP)
+        assert engine.processed_events == 1400
+        engine.deadline_at = perf_counter() - 1.0  # already past
+        with pytest.raises(DeadlineExceeded) as err:
+            engine.run(max_events=self.STEP)
+        assert err.value.events_processed == 2048
+        assert err.value.sim_time == 2048.0
+        assert engine.processed_events == 2048
+
+    def test_max_events_leaves_the_clock_at_the_last_event(self):
+        engine = SimulationEngine()
+        _ticks(engine)
+        engine.event_budget = 10 ** 9
+        engine.deadline_at = perf_counter() + 3600.0
+        for call in range(1, 5):
+            assert engine.run(until=10 ** 6, max_events=self.STEP) \
+                == float(call * self.STEP)
+            assert engine.processed_events == call * self.STEP
+            assert engine.now == float(call * self.STEP)
+
+    def test_budget_and_max_events_on_the_same_event(self):
+        # The budget wins, as it did with separate checks.
+        engine = SimulationEngine()
+        _ticks(engine)
+        engine.run(max_events=self.STEP)
+        engine.event_budget = 2 * self.STEP
+        with pytest.raises(EventBudgetExceeded) as err:
+            engine.run(max_events=self.STEP)
+        assert err.value.events_processed == 2 * self.STEP
