@@ -334,18 +334,19 @@ class TestBoundsAcrossCalls:
 
     STEP = 700  # not a divisor of 1024: runs start at unaligned counts
 
+    @pytest.mark.parametrize("step", [STEP, None])
     @pytest.mark.parametrize("deadline", [None, 3600.0])
-    def test_event_budget_fires_at_the_budget(self, deadline):
+    def test_event_budget_fires_at_the_budget(self, step, deadline):
         # With a deadline set, its polls at 1024 and 2048 come first and
-        # must not lose the budget.
+        # must not lose the budget, also within one run (step None).
         engine = SimulationEngine()
         _ticks(engine)
         engine.event_budget = 2500
         if deadline is not None:
             engine.deadline_at = perf_counter() + deadline
         with pytest.raises(EventBudgetExceeded) as err:
-            while True:
-                engine.run(max_events=self.STEP)
+            for _ in range(10):
+                engine.run(until=10 ** 5, max_events=step)
         # Each tick fires at its own index in seconds: event n at t=n.
         assert err.value.events_processed == 2500
         assert err.value.sim_time == 2500.0
